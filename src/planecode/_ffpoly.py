@@ -1,8 +1,9 @@
 """Dense univariate polynomial arithmetic over GF(q), q prime.
 
-Only what the irreducibility screen needs: distinct-degree factorization
-patterns. Polynomials are lists of ints in [0, q), ascending degree,
-trailing zeros stripped.
+Only what two screens need: distinct-degree factorization patterns for the
+irreducibility screen, and one root of the modulus for the residue map of K
+that screens incidence tests. Polynomials are lists of ints in [0, q),
+ascending degree, trailing zeros stripped.
 """
 
 from __future__ import annotations
@@ -60,17 +61,55 @@ def derivative(f: list[int], q: int) -> list[int]:
     return trim([(i * c) % q for i, c in enumerate(f)][1:])
 
 
-def pow_q(f: list[int], modulus: list[int], q: int) -> list[int]:
-    """f(x)^q mod modulus by square-and-multiply on the exponent q."""
+def pow_mod(f: list[int], e: int, modulus: list[int], q: int) -> list[int]:
+    """f(x)^e mod modulus by square-and-multiply on the exponent e."""
     result = [1]
     base = rem(f, modulus, q)
-    e = q
     while e:
         if e & 1:
             result = rem(mul(result, base, q), modulus, q)
         base = rem(mul(base, base, q), modulus, q)
         e >>= 1
     return result
+
+
+def pow_q(f: list[int], modulus: list[int], q: int) -> list[int]:
+    """f(x)^q mod modulus."""
+    return pow_mod(f, q, modulus, q)
+
+
+def _minus_power(f: list[int], k: int, q: int) -> list[int]:
+    """f - x^k."""
+    out = f + [0] * (k + 1 - len(f))
+    out[k] = (out[k] - 1) % q
+    return trim(out)
+
+
+def root(coeffs: list[int], q: int) -> int | None:
+    """One root of coeffs mod q, or None when there is none.
+
+    g = gcd(x^q - x, f) is the product of the distinct linear factors of f.
+    Equal-degree splitting then cuts g with gcd(g, (x+a)^((q-1)/2) - 1) for
+    the deterministic shifts a = 1, 2, ... until one linear factor is left.
+    For odd q some shift separates any two distinct roots, so the loop ends.
+    """
+    f = trim([c % q for c in coeffs])
+    if deg(f) < 1:
+        return None
+    f = monic(f, q)
+    g = gcd(f, _minus_power(pow_q([0, 1], f, q), 1, q), q)
+    if deg(g) < 1:
+        return None
+    if g[0] == 0:  # 0 is a root; this also settles q = 2, where roots are 0 or 1
+        return 0
+    a = 0
+    while deg(g) > 1:
+        a += 1
+        w = pow_mod([a % q, 1], (q - 1) // 2, g, q)
+        d = gcd(g, _minus_power(w, 0, q), q)
+        if 0 < deg(d) < deg(g):
+            g = d if 2 * deg(d) <= deg(g) else quotient_exact(g, d, q)
+    return (-g[0]) % q
 
 
 def factor_degree_pattern(coeffs: list[int], q: int) -> list[int] | None:
@@ -96,11 +135,7 @@ def factor_degree_pattern(coeffs: list[int], q: int) -> list[int] | None:
             degrees.append(deg(f))
             break
         h = pow_q(h, f, q)
-        diff = h[:]
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % q
-        g = gcd(f, trim(diff), q)
+        g = gcd(f, _minus_power(h, 1, q), q)
         if deg(g) > 0:
             degrees.extend([d] * (deg(g) // d))
             f = quotient_exact(f, g, q)

@@ -9,6 +9,9 @@ four marks to the strict top of the valence ladder.
 New "general" lines take their free parameters from a deterministic
 rational stream, and genericity is checked exactly, never assumed: a
 candidate is rejected if it hits any existing point other than its target.
+`incident` screens most of those tests with residues mod a prime, but a
+residue only ever proves a value nonzero, i.e. a miss; every hit, and every
+test the residues cannot settle, is decided by exact arithmetic in K.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DuplicateLine, GenericityExhausted
+from .errors import DuplicateLine, GenericityExhausted, SelfCheckFailed
 from .numberfield import IntPoly, NumberField
 from .projgeom import ProjLine, ProjPoint, incident, join, meet, point
 
@@ -247,7 +250,8 @@ def amplify_marks(c: Configuration) -> Configuration:
     for label in ladder_order:
         idx = c.marks[label]
         deficit = targets[label] - len(builder.incidence[idx])
-        assert deficit >= 0 and deficit % 2 == 0
+        if deficit < 0 or deficit % 2:
+            raise SelfCheckFailed(f"mark {label} has deficit {deficit}, not even and >= 0")
         for _ in range(deficit):
             _generic_line_through(builder, idx, stream)
     out = builder.freeze(c.marks, c.seed, stream.cursor, c.source)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .configuration import Configuration
-from .errors import InvalidMMap, MissedIntersection, ParityViolation
+from .errors import InvalidMMap, MissedIntersection, ParityViolation, SelfCheckFailed
 from .projgeom import meet
 
 
@@ -295,7 +295,8 @@ def select_m(c: Configuration) -> dict[GroupElement, int]:
         if best is None or cand < best:
             best = cand
 
-    assert best is not None, "a valid m always exists"
+    if best is None:
+        raise SelfCheckFailed("no parity pattern admits a valid m")
     m = {ZERO: 0, ALPHA: L}
     for gi, g in enumerate(free):
         m[g] = best[1][gi]
@@ -304,7 +305,8 @@ def select_m(c: Configuration) -> dict[GroupElement, int]:
     classes = compute_M(branch)
     for chi in x1:
         verdict = ample_certificate(classes[chi])
-        assert verdict.certified, f"selected m fails ampleness for chi = {chi}"
+        if not verdict.certified:
+            raise SelfCheckFailed(f"selected m fails ampleness for chi = {chi}")
     return m
 
 

@@ -1,12 +1,17 @@
 """Exception hierarchy shared by every module.
 
 Each class carries the process exit code the CLI maps it to:
-0 success, 2 parse, 3 algebra, 4 genericity, 5 decode ambiguity, 6 schema.
+0 success, 1 failed self-check, 2 parse, 3 algebra, 4 genericity,
+5 decode ambiguity, 6 schema.
 """
 
 
 class PlanecodeError(Exception):
     exit_code = 1
+
+
+class SelfCheckFailed(PlanecodeError):
+    """An internal consistency check failed: a defect in planecode, not in its input."""
 
 
 class PolyParseError(PlanecodeError):

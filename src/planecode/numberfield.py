@@ -10,6 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd as int_gcd, isqrt
 
 import numpy as np
@@ -28,6 +29,12 @@ Rational = Fraction
 
 _SCREEN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MAX_SCREEN_PRIMES = 6
+
+# The residue map K -> F_l: primes are tried downward from here, at most
+# _RESIDUE_PRIME_TRIES of them.
+_RESIDUE_PRIME_START = 2**61 - 1
+_RESIDUE_PRIME_TRIES = 64
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 # ---------------------------------------------------------------------------
@@ -132,13 +139,6 @@ class IntPoly:
             acc = acc * x + c
         return acc
 
-    def eval_in(self, x):
-        """Horner evaluation at any value supporting + and * with Fraction."""
-        acc = x * 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def content(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)
@@ -162,10 +162,6 @@ class IntPoly:
         if self.is_zero:
             raise ValueError("cannot make the zero polynomial monic")
         return self.scale(1 / self.leading)
-
-    @property
-    def is_monic(self) -> bool:
-        return not self.is_zero and self.leading == 1
 
     def int_coeffs(self) -> tuple[int, ...]:
         prim = self
@@ -403,6 +399,56 @@ def check_irreducible(p: IntPoly) -> Irreducibility:
 
 
 # ---------------------------------------------------------------------------
+# the residue map K -> F_l
+# ---------------------------------------------------------------------------
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: exact for n < 3.3e24."""
+    if n < 2:
+        return False
+    for b in _MILLER_RABIN_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for b in _MILLER_RABIN_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _residue_map(prim: IntPoly) -> tuple[int, tuple[int, ...]] | None:
+    """(l, (r^0, ..., r^(n-1)) mod l) with prim(r) = 0 mod l, or None.
+
+    l is the first prime below or at _RESIDUE_PRIME_START at which the
+    integer polynomial prim has a root. Primes dividing the leading
+    coefficient are skipped, so the monic modulus has l-integral
+    coefficients. None when none of the first _RESIDUE_PRIME_TRIES primes
+    qualifies; every incidence test is then exact.
+    """
+    ics = list(prim.int_coeffs())
+    tried = 0
+    ell = _RESIDUE_PRIME_START + 1
+    while tried < _RESIDUE_PRIME_TRIES and ell > 2:
+        ell -= 1
+        if not _is_prime(ell) or ics[-1] % ell == 0:
+            continue
+        tried += 1
+        r = _ffpoly.root(ics, ell)
+        if r is not None:
+            return ell, tuple(pow(r, i, ell) for i in range(prim.degree))
+    return None
+
+
+# ---------------------------------------------------------------------------
 # the abstract field K and its elements
 # ---------------------------------------------------------------------------
 
@@ -433,6 +479,11 @@ class NumberField:
     @property
     def n(self) -> int:
         return self.modulus.degree
+
+    @cached_property
+    def residue_map(self) -> tuple[int, tuple[int, ...]] | None:
+        """(l, powers of r mod l) with p(r) = 0 mod l, found on first use."""
+        return _residue_map(self.source)
 
     def element(self, coeffs) -> "NFElement":
         cs = tuple(_as_fraction(c) for c in coeffs)
@@ -504,6 +555,33 @@ class NFElement:
     def __bool__(self) -> bool:
         return not self.is_zero
 
+    @cached_property
+    def residue(self) -> int | None:
+        """Image sum c_i r^i mod l under the residue map of the field.
+
+        z -> r is a ring homomorphism Z_(l)[z]/(p) -> F_l, because p(r) = 0
+        mod l and l divides no denominator of the monic modulus. It needs no
+        irreducibility, so it holds for an unchecked modulus too. A nonzero
+        image therefore proves the element nonzero; a zero image proves
+        nothing. None when the field has no map or some coefficient has a
+        denominator divisible by l.
+        """
+        rmap = self.field.residue_map
+        if rmap is None:
+            return None
+        ell, powers = rmap
+        acc = 0
+        for c, rp in zip(self.coeffs, powers):
+            if c:
+                den = c.denominator
+                if den == 1:
+                    acc += c.numerator * rp
+                elif den % ell:
+                    acc += c.numerator * pow(den, -1, ell) * rp
+                else:
+                    return None
+        return acc % ell
+
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -569,9 +647,6 @@ class NFElement:
         if o is None:
             return NotImplemented
         return o * self.inv()
-
-    def rep_poly(self) -> IntPoly:
-        return IntPoly.from_coeffs(self.coeffs)
 
     def __str__(self) -> str:
         if self.is_zero:

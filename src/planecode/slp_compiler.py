@@ -33,6 +33,7 @@ from .errors import (
     GenericityExhausted,
     NotARoot,
     ReducibleModulus,
+    SelfCheckFailed,
     TrivialField,
 )
 from .numberfield import IntPoly, NFElement, NumberField, check_irreducible
@@ -184,6 +185,16 @@ def _yaxis(field: NumberField) -> ProjLine:
     return ProjLine.of(field.one, field.zero, field.zero)
 
 
+def _check_output(kind: str, out: ProjPoint, value: NFElement) -> None:
+    """Raise unless a gadget landed on the register point of its value.
+
+    Not GadgetDegenerate: a wrong output is a defect, and no other
+    auxiliary height should be tried in its place.
+    """
+    if out != register_point(value):
+        raise SelfCheckFailed(f"{kind} gadget output {out} is not the point of {value}")
+
+
 def emit_add_gadget(a: NFElement, b: NFElement, h: Fraction) -> GadgetTrace:
     f = a.field
     if h == 0:
@@ -198,7 +209,7 @@ def emit_add_gadget(a: NFElement, b: NFElement, h: Fraction) -> GadgetTrace:
     l3 = join(aux, register_point(a))
     l4 = join(corner, direction_of(l3))
     out = meet(l4, _ell(f))
-    assert out == register_point(a + b)
+    _check_output("add", out, a + b)
     return GadgetTrace("add", (l1, l2, l3, l4, hline), out, (h,))
 
 
@@ -219,7 +230,7 @@ def emit_mul_gadget(a: NFElement, b: NFElement, h: Fraction) -> GadgetTrace:
     m3 = join(point(f, 0, 1), scaled)
     m4 = join(aux, direction_of(m3))
     out = meet(m4, _ell(f))
-    assert out == register_point(a * b)
+    _check_output("mul", out, a * b)
     return GadgetTrace("mul", (t1, m1, m2, m3, m4), out, (h,))
 
 
@@ -231,7 +242,7 @@ def emit_neg_gadget(b: NFElement) -> GadgetTrace:
     lifted = meet(n1, _yaxis(f))                   # (0 : b : 1)
     n2 = join(lifted, point(f, 1, 1, 0))
     out = meet(n2, _ell(f))
-    assert out == register_point(-b)
+    _check_output("neg", out, -b)
     return GadgetTrace("neg", (n1, n2), out, ())
 
 
@@ -249,7 +260,8 @@ def _emit_const_chain(
     value: int, field: NumberField, stream: ParamStream
 ) -> GadgetTrace:
     """Build the point (value : 0 : 1) from the unit by double-and-add."""
-    assert value >= 0
+    if value < 0:
+        raise SelfCheckFailed(f"constant chain asked for negative value {value}")
     lines: list[ProjLine] = []
     params: list[Fraction] = []
     if value >= 2:

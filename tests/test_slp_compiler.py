@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -276,3 +280,31 @@ def test_validate_rejects_bad_programs():
         SLP((LoadZ(), Add(left=0, right=5)), 1, poly).validate()
     with pytest.raises(ValueError):
         SLP((LoadZ(),), 3, poly).validate()
+
+
+
+# An add gadget whose output is read off the line y = 1 instead of the axis.
+_SABOTAGED_ADD = """
+import planecode.slp_compiler as sc
+from planecode import NumberField, ParamStream, ProjLine, parse_poly
+from planecode.errors import SelfCheckFailed
+field = NumberField.create(parse_poly("x^2-2"))
+sc._ell = lambda f: ProjLine.of(f.zero, f.one, -f.one)
+try:
+    sc._with_retry(lambda h: sc.emit_add_gadget(field.gen, field.one, h), ParamStream())
+except SelfCheckFailed:
+    print("SelfCheckFailed")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_gadget_self_check_is_not_swallowed(flags):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", _SABOTAGED_ADD],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "SelfCheckFailed", out.stderr
