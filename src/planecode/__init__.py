@@ -16,7 +16,6 @@ from .configuration import (
     amplify_marks,
     augment_even_valence,
     derive_points,
-    line_count,
     valences,
 )
 from .cover import (
@@ -28,7 +27,6 @@ from .cover import (
     ample_certificate,
     assign_branch_divisors,
     build_cover_report,
-    characters,
     check_cover_hypotheses,
     compute_M,
     group_elements,
@@ -47,13 +45,9 @@ from .numberfield import (
     check_irreducible,
     embed,
     isolate_roots,
-    nf_add,
-    nf_inv,
-    nf_mul,
-    nf_neg,
     parse_poly,
 )
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import run_pipeline
 from .projgeom import (
     ProjLine,
     ProjPoint,

@@ -1,21 +1,23 @@
 """Command line interface.
 
 Subcommands: build, decode, certify, cover, render. Exit codes: 0 success,
-2 parse error, 3 algebra (reducible modulus, not a root), 4 genericity,
-5 decode ambiguity, 6 schema / data integrity.
+1 failed self-check, 2 parse error or bad argument, 3 algebra (reducible
+modulus, not a root), 4 genericity, 5 decode ambiguity, 6 schema / data
+integrity, including an unreadable file.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from math import inf
 from pathlib import Path
 
 from .cover import build_cover_report
 from .decode import decode, separation_certificate
 from .errors import PlanecodeError
 from .numberfield import isolate_roots, parse_poly
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import run_pipeline
 from .render import render_svg
 from .serialize import (
     certificate_to_json,
@@ -40,12 +42,20 @@ def _load_config(path: str):
     return config_from_json(loads(Path(path).read_text(encoding="utf-8")))
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0 (rejects nan, inf, 0 and negatives)."""
+    value = float(text)
+    if not 0 < value < inf:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
+    return value
+
+
 def _cmd_build(args) -> int:
-    pc = PipelineConfig(parse_poly(args.poly), seed=args.seed, poly_text=args.poly)
-    cfg = run_pipeline(pc.poly, seed=pc.seed)
+    poly = parse_poly(args.poly)
+    cfg = run_pipeline(poly, seed=args.seed)
     _write_output(dumps_canonical(config_to_json(cfg)), args.out)
     print(
-        f"built configuration for {pc.poly}: {cfg.line_count} lines, "
+        f"built configuration for {poly}: {cfg.line_count} lines, "
         f"{len(cfg.points)} points",
         file=sys.stderr,
     )
@@ -65,13 +75,9 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    pc = PipelineConfig(
-        parse_poly(args.poly),
-        seed=args.seed,
-        precision=args.precision,
-        poly_text=args.poly,
+    cert = separation_certificate(
+        parse_poly(args.poly), precision=args.precision, seed=args.seed
     )
-    cert = separation_certificate(pc.poly, precision=pc.precision, seed=pc.seed)
     _write_output(dumps_canonical(certificate_to_json(cert)), args.out)
     print(format_certificate(cert), file=sys.stderr)
     return 0
@@ -121,7 +127,7 @@ def main(argv=None) -> int:
     p_cert = sub.add_parser("certify", help="build + decode + Galois separation certificate")
     p_cert.add_argument("-p", "--poly", required=True)
     p_cert.add_argument("--seed", type=int, default=0)
-    p_cert.add_argument("--precision", type=float, default=1e-9)
+    p_cert.add_argument("--precision", type=_positive_float, default=1e-9)
     p_cert.add_argument("-o", "--out", default=None)
     p_cert.set_defaults(func=_cmd_certify)
 
@@ -133,7 +139,7 @@ def main(argv=None) -> int:
     p_render = sub.add_parser("render", help="draw a configuration as SVG")
     p_render.add_argument("config", help="configuration JSON file")
     p_render.add_argument("--embedding", type=int, default=0)
-    p_render.add_argument("--precision", type=float, default=1e-9)
+    p_render.add_argument("--precision", type=_positive_float, default=1e-9)
     p_render.add_argument("-o", "--out", default=None)
     p_render.set_defaults(func=_cmd_render)
 
@@ -143,7 +149,7 @@ def main(argv=None) -> int:
     except PlanecodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 6
 

@@ -85,10 +85,6 @@ def valences(c: Configuration) -> ValenceReport:
     return ValenceReport(tuple(pairs))
 
 
-def line_count(c: Configuration) -> int:
-    return c.line_count
-
-
 class _Builder:
     """Mutable accumulation of lines, points, and incidences."""
 

@@ -14,9 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
-
 from .configuration import Configuration
 from .errors import InvalidMMap, MissedIntersection, ParityViolation, SelfCheckFailed
 from .projgeom import meet
@@ -53,10 +50,6 @@ ALPHA = GroupElement((1, 0, 0))
 
 def group_elements() -> tuple[GroupElement, ...]:
     return tuple(GroupElement.from_index(i) for i in range(8))
-
-
-def characters() -> tuple[GroupElement, ...]:
-    return group_elements()
 
 
 def pairing(chi: GroupElement, g: GroupElement) -> int:
@@ -145,7 +138,7 @@ def compute_M(b: BranchData) -> dict[GroupElement, PicClass]:
     """
     npoints = len(b.point_valences)
     out: dict[GroupElement, PicClass] = {}
-    for chi in characters():
+    for chi in group_elements():
         raw = PicClass.zero(npoints)
         for g in group_elements():
             if pairing(chi, g):
@@ -230,82 +223,36 @@ def ample_certificate(cls: PicClass) -> AmpleVerdict:
     return AmpleVerdict(True, _AMPLE_JUSTIFICATION)
 
 
-def _x1_characters() -> list[GroupElement]:
-    return [chi for chi in characters() if pairing(chi, ALPHA) == 1]
-
-
 def select_m(c: Configuration) -> dict[GroupElement, int]:
     """Smallest multiplicity map whose (chi, alpha) = 1 classes all certify.
 
-    Minimal total degree, ties broken lexicographically along the group
-    enumeration. For each of the eight parity patterns compatible with the
-    vanishing constraint this is a six-variable integer program, solved
-    exactly and then refined coordinate by coordinate for the lex order.
+    Let need = max(0, E + 1 - L) with E = sum e_q, and k the least integer
+    >= need with k = L (mod 2). The result is m_011 = m_111 = k and m_g = 0
+    for every other free g (g not in {0, alpha}).
+
+    Proof of minimality. Write chi = (1, b, c) for the four characters with
+    (chi, alpha) = 1, and S_chi for the sum of m_g over the free g with
+    (chi, g) = 1. Then M_chi = ((L + S_chi) / 2) H - sum (e_q / 2) E_q, so
+    ampleness (h > sum b_q) is S_chi >= need, and integrality is
+    S_chi = L (mod 2); together S_chi >= k. Each free g pairs to 1 with
+    exactly two of the four chi, so sum_g m_g = (1/2) sum_chi S_chi >= 2k,
+    and the closed form reaches that bound. At total 2k every S_chi = k.
+    Taking m_001 = m_010 = 0 (lexicographically first along the group
+    enumeration) leaves S_111 = m_111, S_101 = m_011 + m_110,
+    S_110 = m_011 + m_101 and S_100 = m_101 + m_110 + m_111, which forces
+    m_101 = m_110 = 0 and m_011 = m_111 = k: the result is also the
+    lexicographic minimum among the maps of least total degree.
     """
     L = c.line_count
-    E = sum(c.all_valences())
-    need = max(0, E + 1 - L)
-    free = [g for g in group_elements() if g not in (ZERO, ALPHA)]
-    x1 = _x1_characters()
-    cover = {g: [pairing(chi, g) for chi in x1] for g in free}
-    target = ALPHA if L % 2 == 1 else ZERO
-
-    def run_milp(eps, objective, pins):
-        """Solve over k >= 0 with m_g = 2 k_g + eps_g; pins are equalities on k."""
-        a_rows, lbs, ubs = [], [], []
-        for ci in range(len(x1)):
-            a_rows.append([2 * cover[g][ci] for g in free])
-            base = sum(eps[i] * cover[g][ci] for i, g in enumerate(free))
-            lbs.append(float(need - base))
-            ubs.append(np.inf)
-        for row, val in pins:
-            a_rows.append(row)
-            lbs.append(float(val))
-            ubs.append(float(val))
-        res = milp(
-            c=np.array(objective, dtype=float),
-            constraints=LinearConstraint(np.array(a_rows, dtype=float), lbs, ubs),
-            integrality=np.ones(6),
-            bounds=Bounds(0, float(need + 2)),
-        )
-        if not res.success:
-            return None
-        return [int(round(v)) for v in res.x]
-
-    best: tuple[int, tuple[int, ...]] | None = None
-    for mask in range(64):
-        eps = tuple((mask >> i) & 1 for i in range(6))
-        parity = ZERO
-        for gi, g in enumerate(free):
-            if eps[gi]:
-                parity = parity ^ g
-        if parity != target:
-            continue
-        k = run_milp(eps, [2.0] * 6, [])
-        if k is None:
-            continue
-        # pin the total, then lex-minimize the free values front to back
-        pins = [([1] * 6, sum(k))]
-        values: list[int] = []
-        for gi in range(6):
-            sol = run_milp(eps, [1.0 if i == gi else 0.0 for i in range(6)], pins)
-            values.append(2 * sol[gi] + eps[gi])
-            pins.append(([1 if i == gi else 0 for i in range(6)], sol[gi]))
-        cand = (sum(values), tuple(values))
-        if best is None or cand < best:
-            best = cand
-
-    if best is None:
-        raise SelfCheckFailed("no parity pattern admits a valid m")
-    m = {ZERO: 0, ALPHA: L}
-    for gi, g in enumerate(free):
-        m[g] = best[1][gi]
+    need = max(0, sum(c.all_valences()) + 1 - L)
+    k = need + (need - L) % 2
+    m = {g: 0 for g in group_elements()}
+    m[ALPHA] = L
+    m[GroupElement((0, 1, 1))] = m[GroupElement((1, 1, 1))] = k
     validate_m(m, L)
-    branch = assign_branch_divisors(c, m)
-    classes = compute_M(branch)
-    for chi in x1:
-        verdict = ample_certificate(classes[chi])
-        if not verdict.certified:
+    classes = compute_M(assign_branch_divisors(c, m))
+    for chi in group_elements():
+        if pairing(chi, ALPHA) == 1 and not ample_certificate(classes[chi]).certified:
             raise SelfCheckFailed(f"selected m fails ampleness for chi = {chi}")
     return m
 
@@ -336,11 +283,11 @@ def build_cover_report(c: Configuration, m: dict[GroupElement, int] | None = Non
     hypotheses = check_cover_hypotheses(branch, c)
     ampleness = {
         chi: ample_certificate(classes[chi])
-        for chi in characters()
+        for chi in group_elements()
         if not chi.is_zero
     }
     nef_gap = tuple(
-        chi for chi in characters() if not chi.is_zero and pairing(chi, ALPHA) == 0
+        chi for chi in group_elements() if not chi.is_zero and pairing(chi, ALPHA) == 0
     )
     return CoverReport(
         m=m,

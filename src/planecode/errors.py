@@ -1,8 +1,8 @@
 """Exception hierarchy shared by every module.
 
 Each class carries the process exit code the CLI maps it to:
-0 success, 1 failed self-check, 2 parse, 3 algebra, 4 genericity,
-5 decode ambiguity, 6 schema.
+0 success, 1 failed self-check, 2 parse or bad argument, 3 algebra,
+4 genericity, 5 decode ambiguity, 6 schema.
 """
 
 
@@ -15,6 +15,12 @@ class SelfCheckFailed(PlanecodeError):
 
 
 class PolyParseError(PlanecodeError):
+    exit_code = 2
+
+
+class BadArgument(PlanecodeError):
+    """A command-line value out of range for the input it applies to."""
+
     exit_code = 2
 
 

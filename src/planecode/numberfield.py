@@ -11,9 +11,8 @@ import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd as int_gcd, isqrt
-
-import numpy as np
+from cmath import rect
+from math import gcd as int_gcd, inf, isqrt, pi
 
 from . import _ffpoly
 from .errors import (
@@ -665,22 +664,6 @@ class NFElement:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def nf_add(a: NFElement, b: NFElement) -> NFElement:
-    return a + b
-
-
-def nf_mul(a: NFElement, b: NFElement) -> NFElement:
-    return a * b
-
-
-def nf_neg(a: NFElement) -> NFElement:
-    return -a
-
-
-def nf_inv(a: NFElement) -> NFElement:
-    return a.inv()
-
-
 # ---------------------------------------------------------------------------
 # embeddings K -> C: certified root isolation and outward-rounded evaluation
 # ---------------------------------------------------------------------------
@@ -743,10 +726,61 @@ def _eval_with_error(coeffs: list[float], w: complex) -> tuple[complex, float]:
     return val, err
 
 
+def _aberth(cs: list[float]) -> list[complex]:
+    """Approximate all roots of the monic float polynomial cs (low degree first).
+
+    Aberth-Ehrlich iteration (O. Aberth, Math. Comp. 27, 1973): Newton's
+    step for each root, corrected by the repulsion sum_j 1 / (w_i - w_j)
+    of the others. The starts lie on a circle around the centroid of the
+    roots, sized by the coefficients of p shifted to that centroid, at an
+    angle offset that keeps every start off the real axis.
+
+    p is real, so the result is made closed under conjugation: w counts as
+    real when it lies closer to its own mirror image than any other
+    approximation does, and is then put on the axis; each nonreal root in
+    the upper half plane brings its exact conjugate. Newton's method
+    commutes with conjugation in floating point, so the polished roots
+    keep that symmetry.
+    """
+    n = len(cs) - 1
+    centre = -cs[n - 1] / n
+    shifted = list(cs)  # Taylor shift: coefficients of p(x + centre)
+    for k in range(n):
+        for i in range(n - 1, k - 1, -1):
+            shifted[i] += centre * shifted[i + 1]
+    radius = max(abs(shifted[i]) ** (1.0 / (n - i)) for i in range(n)) or 1.0
+    ws = [centre + rect(radius, 2 * pi * j / n + 0.7) for j in range(n)]
+    for _ in range(500):
+        moved = 0.0
+        for i, w in enumerate(ws):
+            f, df = 0j, 0j
+            for c in reversed(cs):
+                df = df * w + f
+                f = f * w + c
+            denom = df - f * sum(1 / (w - v) for j, v in enumerate(ws) if j != i)
+            if denom == 0:
+                continue
+            step = f / denom
+            ws[i] = w - step
+            moved = max(moved, abs(step) / max(1.0, abs(w)))
+        if moved < 1e-14:
+            break
+    real, upper = [], []
+    for i, w in enumerate(ws):
+        mirror = min((abs(w.conjugate() - v) for j, v in enumerate(ws) if j != i), default=inf)
+        if 2 * abs(w.imag) < mirror:
+            real.append(complex(w.real, 0.0))
+        elif w.imag > 0:
+            upper.append(w)
+    if len(real) + 2 * len(upper) != n:
+        raise PrecisionExhausted("root approximations do not pair up under conjugation")
+    return real + upper + [w.conjugate() for w in upper]
+
+
 def isolate_roots(p: IntPoly, precision: float = 1e-9) -> list[EmbeddingApprox]:
     """Disjoint certified discs, one per root of the squarefree part of p.
 
-    Starting values come from the companion matrix; Newton polishing plus
+    Starting values come from the Aberth iteration; Newton polishing plus
     the a-posteriori bound n*|p(w)/p'(w)| certifies that each disc holds at
     least one root, and pairwise disjointness of n discs upgrades that to
     exactly one root each.
@@ -758,7 +792,7 @@ def isolate_roots(p: IntPoly, precision: float = 1e-9) -> list[EmbeddingApprox]:
     cs = [float(c) for c in sf.coeffs]
     dcs = [float(c) for c in sf.derivative().coeffs]
 
-    approx = [complex(w) for w in np.roots(cs[::-1])]
+    approx = _aberth(cs)
     for _ in range(80):
         moved = 0.0
         for i, w in enumerate(approx):

@@ -2,21 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .configuration import Configuration, amplify_marks, augment_even_valence
 from .numberfield import IntPoly
 from .slp_compiler import compile_polynomial, emit_configuration
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Inputs recorded verbatim in every output for reproducibility."""
-
-    poly: IntPoly
-    seed: int = 0
-    precision: float = 1e-9
-    poly_text: str | None = None
 
 
 def run_pipeline(poly: IntPoly, seed: int = 0) -> Configuration:

@@ -9,6 +9,7 @@ drawn, and a warning is returned for the rest.
 from __future__ import annotations
 
 from .configuration import Configuration
+from .errors import BadArgument
 from .numberfield import EmbeddingApprox, embed
 
 _REAL_TOL = 1e-7
@@ -49,7 +50,10 @@ def render_svg(
 ) -> tuple[str, list[str]]:
     """Returns (svg text, warnings)."""
     if not (0 <= index < len(embeddings)):
-        raise ValueError(f"embedding index {index} out of range")
+        raise BadArgument(
+            f"embedding index {index} out of range: the field has "
+            f"{len(embeddings)} embeddings"
+        )
     e = embeddings[index]
     warnings: list[str] = []
     if abs(e.center.imag) > _REAL_TOL:

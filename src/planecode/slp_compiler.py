@@ -168,8 +168,6 @@ class GadgetTrace:
     emitted_lines: tuple[ProjLine, ...]
     output_point: ProjPoint
     aux_params: tuple[Fraction, ...]
-    inputs: tuple[int, ...] = ()
-    output_reg: int | None = None
 
 
 def register_point(value: NFElement) -> ProjPoint:
@@ -305,16 +303,13 @@ def emit_configuration(
             trace = _with_retry(
                 lambda h: emit_add_gadget(values[i], values[j], h), stream
             )
-            trace = replace(trace, inputs=(i, j))
         elif isinstance(instr, Mul):
             i, j = instr.left, instr.right
             trace = _with_retry(
                 lambda h: emit_mul_gadget(values[i], values[j], h), stream
             )
-            trace = replace(trace, inputs=(i, j))
         else:
-            trace = replace(emit_neg_gadget(values[instr.operand]), inputs=(instr.operand,))
-        trace = replace(trace, output_reg=reg)
+            trace = emit_neg_gadget(values[instr.operand])
         if trace.output_point != register_point(values[reg]):
             raise NotARoot(f"gadget output for register {reg} disagrees with its value")
         traces.append(trace)

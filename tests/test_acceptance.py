@@ -13,13 +13,13 @@ from planecode import (
     ample_certificate,
     assign_branch_divisors,
     build_cover_report,
-    characters,
     compute_M,
     cross_ratio,
     decode,
     emit_add_gadget,
     emit_mul_gadget,
     emit_neg_gadget,
+    group_elements,
     NumberField,
     pairing,
     parse_poly,
@@ -124,7 +124,7 @@ def test_criterion_5_cover_bookkeeping(built):
         branch = assign_branch_divisors(cfg, m)
         classes = compute_M(branch)  # raises ParityViolation on any odd class
         assert len(classes) == 8
-        for chi in characters():
+        for chi in group_elements():
             if chi.is_zero:
                 continue
             verdict = ample_certificate(classes[chi])

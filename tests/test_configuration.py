@@ -11,7 +11,6 @@ from planecode import (
     emit_configuration,
     incident,
     line,
-    line_count,
     parse_poly,
     valences,
 )
@@ -40,7 +39,7 @@ def test_three_generic_lines(k):
     cfg = derive_points(lines)
     assert len(cfg.points) == 3
     assert cfg.all_valences() == [2, 2, 2]
-    assert line_count(cfg) == 3
+    assert cfg.line_count == 3
 
 
 def test_three_concurrent_lines(k):

@@ -11,7 +11,6 @@ from planecode import (
     ample_certificate,
     assign_branch_divisors,
     build_cover_report,
-    characters,
     check_cover_hypotheses,
     compute_M,
     derive_points,
@@ -113,7 +112,7 @@ def test_compute_M_pairing_one_characters(built):
     branch = assign_branch_divisors(cfg, select_m(cfg))
     classes = compute_M(branch)
     halves = tuple(v // 2 for v in cfg.all_valences())
-    for chi in characters():
+    for chi in group_elements():
         if chi.is_zero:
             continue
         if pairing(chi, ALPHA) == 1:
@@ -144,13 +143,13 @@ def test_parity_theorem_random_valid_m():
         for bits in flips:
             m[g(bits)] += 1
         validate_m(m, L)
-        for chi in characters():
+        for chi in group_elements():
             s = sum(pairing(chi, x) * v for x, v in m.items())
             assert s % 2 == 0
 
 
 def test_compute_M_linear_in_m_on_h_part():
-    for chi in characters():
+    for chi in group_elements():
         for trial in range(10):
             rng = random.Random(trial)
             m1 = {x: rng.randint(0, 9) for x in group_elements()}
@@ -224,7 +223,7 @@ def test_select_m_certifies(built):
     branch = assign_branch_divisors(cfg, m)
     classes = compute_M(branch)
     E = sum(cfg.all_valences())
-    for chi in characters():
+    for chi in group_elements():
         if pairing(chi, ALPHA) == 1:
             assert ample_certificate(classes[chi]).certified
             assert 2 * classes[chi].h > E
@@ -240,12 +239,73 @@ def test_select_m_sum_condition(built):
     assert total == ZERO
 
 
+class _Valences:
+    """Stand-in for a configuration: only what select_m reads."""
+
+    def __init__(self, line_count, valences):
+        self.line_count = line_count
+        self._valences = valences
+
+    def all_valences(self):
+        return list(self._valences)
+
+
+def _oracle_m(L, need):
+    """Least total, then lex-least, free m with sum m_g g = 0 and all S_chi >= need.
+
+    Plain enumeration of every free m with total <= 2 * need + 2, in the
+    order of group_elements().
+    """
+    free = [x for x in group_elements() if x not in (ZERO, ALPHA)]
+    x1 = [chi for chi in group_elements() if pairing(chi, ALPHA) == 1]
+    top = 2 * need + 2
+
+    def tuples(slots, budget):
+        if slots == 0:
+            yield ()
+            return
+        for v in range(budget + 1):
+            for rest in tuples(slots - 1, budget - v):
+                yield (v,) + rest
+
+    best = None
+    for vals in tuples(len(free), top):
+        total = ALPHA if L % 2 else ZERO
+        for x, v in zip(free, vals):
+            if v % 2:
+                total = total ^ x
+        if not total.is_zero:
+            continue
+        if any(sum(v for x, v in zip(free, vals) if pairing(chi, x)) < need for chi in x1):
+            continue
+        if best is None or (sum(vals), vals) < best:
+            best = (sum(vals), vals)
+    return dict(zip(free, best[1]))
+
+
+@pytest.mark.parametrize("need", range(7))
+def test_select_m_matches_brute_force_oracle(need):
+    # need = E + 1 - L, and E is even (every valence is), so a positive
+    # need has the parity of L + 1; need = 0 is reached for every L
+    for L in range(4, 14):
+        if need == 0:
+            valences = (2,) * ((L - 1) // 2)
+        elif (need - L) % 2 == 1:
+            valences = (2,) * ((L - 1 + need) // 2)
+        else:
+            continue
+        m = select_m(_Valences(L, valences))
+        assert max(0, sum(valences) + 1 - L) == need
+        oracle = _oracle_m(L, need)
+        assert m == {ZERO: 0, ALPHA: L, **oracle}, (L, need)
+
+
 def test_cover_report_flags_nef_gap(built):
     cfg, _ = built("x^2-2")
     report = build_cover_report(cfg)
     assert len(report.ampleness) == 7
     certified = {chi for chi, v in report.ampleness.items() if v.certified}
-    assert certified == {chi for chi in characters() if pairing(chi, ALPHA) == 1}
+    assert certified == {chi for chi in group_elements() if pairing(chi, ALPHA) == 1}
     assert set(report.nef_gap) == {
-        chi for chi in characters() if not chi.is_zero and pairing(chi, ALPHA) == 0
+        chi for chi in group_elements() if not chi.is_zero and pairing(chi, ALPHA) == 0
     }

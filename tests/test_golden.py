@@ -1,4 +1,4 @@
-"""Golden digests of the canonical configuration JSON at seed 0.
+"""Golden digests of the canonical configuration and cover-report JSON at seed 0.
 
 Performance work must leave these bytes unchanged. A change that alters
 them on purpose updates the table and says why.
@@ -8,7 +8,8 @@ import hashlib
 
 import pytest
 
-from planecode.serialize import config_to_json, dumps_canonical
+from planecode.cover import build_cover_report
+from planecode.serialize import config_to_json, cover_report_to_json, dumps_canonical
 
 GOLDEN = {
     "x^2-2": "8406d7c23627b69da58085fe1039b56305e6590765e8193c2f4069dbf84fde51",
@@ -18,9 +19,24 @@ GOLDEN = {
     "3*x^2-5": "f1cf85bcfa271d142dfead3d1edc8f02ddfd0beb0dd95e954035693420d49a6b",
 }
 
+COVER_GOLDEN = {
+    "x^2-2": "e9ae8efb94aa81d9ee62060af26059321470cbb48a4b1db22f2c4ecd72e91742",
+    "x^3-2": "c70e8b528000edcf3e149b74b61068c1d9cab58b0fc8daaa97f84ecdf1e79034",
+    "x^2-x-1": "9c62eb3ac9896fff388fe6f5073e9882af4c469523549f7af5050ddb87b53f19",
+    "x^4-x-1": "96b0e446619d5b7524f69fbb206f84fcd2d84390d64a1f0db8fb365a7c6456e1",
+    "3*x^2-5": "e514657bb97987759a21b97420720bf349e39931c652ba6139e884d099faa76e",
+}
+
 
 @pytest.mark.parametrize("text", sorted(GOLDEN))
 def test_configuration_digest(built, text):
     cfg, _ = built(text)
     blob = dumps_canonical(config_to_json(cfg)).encode()
     assert hashlib.sha256(blob).hexdigest() == GOLDEN[text]
+
+
+@pytest.mark.parametrize("text", sorted(COVER_GOLDEN))
+def test_cover_report_digest(built, text):
+    cfg, _ = built(text)
+    blob = dumps_canonical(cover_report_to_json(build_cover_report(cfg))).encode()
+    assert hashlib.sha256(blob).hexdigest() == COVER_GOLDEN[text]

@@ -11,10 +11,6 @@ from planecode import (
     check_irreducible,
     embed,
     isolate_roots,
-    nf_add,
-    nf_inv,
-    nf_mul,
-    nf_neg,
     parse_poly,
 )
 from planecode.errors import (
@@ -65,42 +61,42 @@ def test_mul_example(k_sqrt2):
     # (1 + x)(1 - x) = 1 - x^2 = -1 once x^2 = 2
     a = k_sqrt2.element([1, 1])
     b = k_sqrt2.element([1, -1])
-    assert nf_mul(a, b) == k_sqrt2.from_rational(-1)
+    assert a * b == k_sqrt2.from_rational(-1)
 
 
 def test_additive_inverse(k_sqrt2):
     x = k_sqrt2.gen
-    assert nf_add(x, nf_neg(x)) == k_sqrt2.zero
+    assert x + (-x) == k_sqrt2.zero
 
 
 def test_gen_square_is_two(k_sqrt2):
-    assert nf_mul(k_sqrt2.gen, k_sqrt2.gen) == k_sqrt2.from_rational(2)
+    assert k_sqrt2.gen * k_sqrt2.gen == k_sqrt2.from_rational(2)
 
 
 def test_inv_gen(k_sqrt2):
-    assert nf_inv(k_sqrt2.gen) == k_sqrt2.element([0, Fraction(1, 2)])
+    assert k_sqrt2.gen.inv() == k_sqrt2.element([0, Fraction(1, 2)])
 
 
 def test_inv_rational(k_sqrt2):
-    assert nf_inv(k_sqrt2.from_rational(3)) == k_sqrt2.from_rational(Fraction(1, 3))
+    assert k_sqrt2.from_rational(3).inv() == k_sqrt2.from_rational(Fraction(1, 3))
 
 
 def test_inv_one_plus_gen(k_sqrt2):
     # oracle: (1 + x)(x - 1) = x^2 - 1 = 1, verified by direct multiplication
     a = k_sqrt2.element([1, 1])
     expected = k_sqrt2.element([-1, 1])
-    assert nf_mul(a, expected) == k_sqrt2.one
-    assert nf_inv(a) == expected
+    assert a * expected == k_sqrt2.one
+    assert a.inv() == expected
 
 
 def test_inv_zero_raises(k_sqrt2):
     with pytest.raises(DivisionByZero):
-        nf_inv(k_sqrt2.zero)
+        k_sqrt2.zero.inv()
 
 
 def test_field_mismatch(k_sqrt2, k_cbrt2):
     with pytest.raises(FieldMismatch):
-        nf_add(k_sqrt2.gen, k_cbrt2.gen)
+        k_sqrt2.gen + k_cbrt2.gen
 
 
 def test_reducible_modulus_detected_by_inv():
@@ -253,12 +249,18 @@ def test_isolate_cbrt2():
 
 
 def test_isolate_discs_disjoint_and_indexed():
-    roots = isolate_roots(parse_poly("x^4-x-1"), 1e-9)
-    assert [r.root_index for r in roots] == [0, 1, 2, 3]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            d = abs(roots[i].center - roots[j].center)
-            assert d > roots[i].radius + roots[j].radius
+    # x^8-3: eight roots of one modulus, symmetric under rotation and
+    # conjugation; x^3-1000003: a root of modulus ~100
+    for text in ("x^4-x-1", "x^5-x-1", "x^7-x-1", "x^8-3", "x^3-1000003"):
+        p = parse_poly(text)
+        n = p.degree
+        roots = isolate_roots(p, 1e-9)
+        assert [r.root_index for r in roots] == list(range(n)), text
+        for i in range(n):
+            assert roots[i].radius <= 1e-9, text
+            for j in range(i + 1, n):
+                d = abs(roots[i].center - roots[j].center)
+                assert d > roots[i].radius + roots[j].radius, text
 
 
 def test_precision_exhausted():

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,8 @@ from planecode.serialize import (
     format_certificate,
     loads,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="module")
@@ -89,11 +95,32 @@ def test_cli_build_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(cfg_path, tmp_path):
     assert main(["build", "-p", "x^2-1", "-o", str(tmp_path / "x.json")]) == 3
     assert main(["build", "-p", "x+3", "-o", str(tmp_path / "x.json")]) == 3
     assert main(["build", "-p", "x^^", "-o", str(tmp_path / "x.json")]) == 2
     assert main(["decode", str(tmp_path / "missing.json")]) == 6
+    # unreadable input files: a directory, and bytes that are not UTF-8
+    assert main(["decode", str(tmp_path)]) == 6
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"v": 1, "poly": "\xe9"}')
+    assert main(["decode", str(latin1)]) == 6
+    # x^2-2 has two embeddings
+    assert main(["render", str(cfg_path), "--embedding", "5"]) == 2
+    # nan would make every radius check pass vacuously
+    for bad in ("nan", "inf", "0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "-p", "x^2-2", "--precision", bad])
+        assert exc.value.code == 2
+
+
+def test_cli_imports_no_numpy_or_scipy():
+    code = "import planecode.cli, sys; print(sorted({'numpy','scipy'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_cli_schema_error_exit(tmp_path):
