@@ -12,6 +12,10 @@ candidate is rejected if it hits any existing point other than its target.
 `incident` screens most of those tests with residues mod a prime, but a
 residue only ever proves a value nonzero, i.e. a miss; every hit, and every
 test the residues cannot settle, is decided by exact arithmetic in K.
+
+A configuration read from outside is proven, not trusted: check_incidences
+verifies every listed incidence exactly and then reads "every intersection
+is a listed point" off the pair-count identity sum_q C(e_q, 2) = C(L, 2).
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DuplicateLine, GenericityExhausted, SelfCheckFailed
+from .errors import DuplicateLine, GenericityExhausted, MissedIntersection, SelfCheckFailed
 from .numberfield import IntPoly, NumberField
 from .projgeom import ProjLine, ProjPoint, incident, join, meet, point
 
@@ -83,6 +87,73 @@ def valences(c: Configuration) -> ValenceReport:
         key=lambda iv: (-iv[1], iv[0]),
     )
     return ValenceReport(tuple(pairs))
+
+
+def check_pair_count(c: Configuration) -> int:
+    """Check sum_q C(e_q, 2) = C(L, 2) and return C(L, 2), the number of line pairs.
+
+    This reads valences only; what it proves depends on the incidences being
+    exact and counted once, which check_incidences establishes.
+    """
+    pairs = c.line_count * (c.line_count - 1) // 2
+    counted = sum(e * (e - 1) // 2 for e in c.all_valences())
+    if counted != pairs:
+        raise MissedIntersection(
+            f"the listed points account for {counted} of the {pairs} pairs of lines"
+        )
+    return pairs
+
+
+def _is_canonical(triple) -> bool:
+    lead = next((x for x in triple if not x.is_zero), None)
+    return lead is not None and lead.is_one
+
+
+def check_incidences(c: Configuration) -> None:
+    """Prove that every pairwise intersection of the lines of c is a listed point.
+
+    Raises MissedIntersection unless all of these hold:
+    (a) every point and every line is a canonical triple: not all zero, and
+        its first nonzero entry is one;
+    (b) the points are pairwise distinct, and so are the lines;
+    (c) no row lists a line twice;
+    (d) every listed incidence holds exactly: a*x + b*y + c*z = 0 in K;
+    (e) sum_q C(e_q, 2) = C(L, 2), with e_q the length of row q.
+
+    Proof. By (a), two triples are equal exactly when they name the same
+    point (or line), so by (b) no point of P^2 is listed twice. Two
+    distinct lines meet in exactly one point. If row q lists lines i and j,
+    then by (d) point q lies on both, so q is their meet, and no other row
+    can list that pair: its point would be the same meet. By (c) row q
+    names C(e_q, 2) distinct pairs, so the sum in (e) counts every pair of
+    lines at most once, and equality means every pair is counted: the meet
+    of any two lines is a listed point whose row names both. In particular
+    each row is complete, since a line through point q missing from row q
+    would leave its pairs with the lines of row q uncounted. Blowing up the
+    listed points therefore separates the proper transforms of all the
+    lines. No residue screen is used in (d): it only ever proves a value
+    nonzero, and a true incidence has residue zero.
+    """
+    for kind, triples in (
+        ("point", [p.coords for p in c.points]),
+        ("line", [l.coeffs for l in c.lines]),
+    ):
+        seen: dict = {}
+        for i, t in enumerate(triples):
+            if not _is_canonical(t):
+                raise MissedIntersection(f"{kind} {i} is not a canonical triple")
+            j = seen.setdefault(t, i)
+            if j != i:
+                raise MissedIntersection(f"{kind}s {j} and {i} coincide")
+    for q, rows in enumerate(c.incidence):
+        if len(set(rows)) != len(rows):
+            raise MissedIntersection(f"point {q} lists a line twice: {list(rows)}")
+        x, y, z = c.points[q].coords
+        for i in rows:
+            a, b, cc = c.lines[i].coeffs
+            if not (a * x + b * y + cc * z).is_zero:
+                raise MissedIntersection(f"point {q} is not on line {i}")
+    check_pair_count(c)
 
 
 class _Builder:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 from cmath import rect
-from math import gcd as int_gcd, inf, isqrt, pi
+from math import gcd as int_gcd, inf, isqrt, nextafter, pi, sqrt
 
 from . import _ffpoly
 from .errors import (
@@ -715,15 +715,33 @@ class Disc:
         return gap > self.radius + other.radius
 
 
-def _eval_with_error(coeffs: list[float], w: complex) -> tuple[complex, float]:
-    """Horner evaluation with a running bound on accumulated rounding error."""
+def _horner(coeffs: list[float], w: complex) -> complex:
     val = 0j
-    err = 0.0
-    aw = abs(w)
     for c in reversed(coeffs):
         val = val * w + c
-        err = err * aw + (abs(val) + abs(c)) * _EPS + _TINY
-    return val, err
+    return val
+
+
+def _abs2_exact(coeffs: tuple[Fraction, ...], re: Fraction, im: Fraction) -> Fraction:
+    """|p(re + i*im)|^2, by Horner's rule in exact rationals."""
+    vr = vi = Fraction(0)
+    for c in reversed(coeffs):
+        vr, vi = vr * re - vi * im + c, vr * im + vi * re
+    return vr * vr + vi * vi
+
+
+def _sqrt_up(x: Fraction) -> float:
+    """A float >= sqrt(x): round x up to a float, then its square root up."""
+    try:
+        q = float(x)
+    except OverflowError:
+        return inf
+    if Fraction(q) < x:
+        q = nextafter(q, inf)
+    if q == inf:
+        return inf
+    r = sqrt(q)
+    return r if Fraction(r) ** 2 >= Fraction(q) else nextafter(r, inf)
 
 
 def _aberth(cs: list[float]) -> list[complex]:
@@ -783,21 +801,24 @@ def isolate_roots(p: IntPoly, precision: float = 1e-9) -> list[EmbeddingApprox]:
     Starting values come from the Aberth iteration; Newton polishing plus
     the a-posteriori bound n*|p(w)/p'(w)| certifies that each disc holds at
     least one root, and pairwise disjointness of n discs upgrades that to
-    exactly one root each.
+    exactly one root each. The bound is evaluated exactly: the float centre
+    w is a rational, so |p(w)|^2 and |p'(w)|^2 are computed in Q from the
+    exact coefficients, and only the final square root is rounded, upward.
     """
     sf = squarefree_part(p).monic()
     n = sf.degree
     if n < 1:
         raise ValueError("no roots: polynomial is constant")
     cs = [float(c) for c in sf.coeffs]
-    dcs = [float(c) for c in sf.derivative().coeffs]
+    dsf = sf.derivative()
+    dcs = [float(c) for c in dsf.coeffs]
 
     approx = _aberth(cs)
     for _ in range(80):
         moved = 0.0
         for i, w in enumerate(approx):
-            fw, _ = _eval_with_error(cs, w)
-            dfw, _ = _eval_with_error(dcs, w)
+            fw = _horner(cs, w)
+            dfw = _horner(dcs, w)
             if dfw == 0:
                 continue
             step = fw / dfw
@@ -809,14 +830,11 @@ def isolate_roots(p: IntPoly, precision: float = 1e-9) -> list[EmbeddingApprox]:
     approx.sort(key=lambda w: (w.real, w.imag))
     discs = []
     for i, w in enumerate(approx):
-        fw, ferr = _eval_with_error(cs, w)
-        dfw, derr = _eval_with_error(dcs, w)
-        lower = abs(dfw) - derr
-        if lower <= 0:
-            raise PrecisionExhausted(
-                f"cannot bound the derivative away from zero near root {i}"
-            )
-        radius = n * (abs(fw) + ferr) / lower
+        re, im = Fraction(w.real), Fraction(w.imag)
+        df2 = _abs2_exact(dsf.coeffs, re, im)
+        if df2 == 0:
+            raise PrecisionExhausted(f"the derivative vanishes at the centre of root {i}")
+        radius = _sqrt_up(n * n * _abs2_exact(sf.coeffs, re, im) / df2)
         discs.append(EmbeddingApprox(i, w, radius))
 
     for e in discs:

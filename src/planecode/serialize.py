@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .configuration import Configuration, MARK_LABELS
+from .configuration import Configuration, MARK_LABELS, check_incidences
 from .cover import CoverReport
 from .decode import SeparationCertificate
 from .errors import SchemaError
@@ -28,7 +28,7 @@ def fraction_to_json(q: Fraction) -> dict:
 def fraction_from_json(data) -> Fraction:
     try:
         return Fraction(int(data["n"]), int(data["d"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {data!r}") from exc
 
 
@@ -67,7 +67,19 @@ def config_to_json(c: Configuration) -> dict:
     }
 
 
+def _triple(field: NumberField, entry, kind: str) -> tuple:
+    if not isinstance(entry, list) or len(entry) != 3:
+        raise SchemaError(f"a {kind} needs 3 homogeneous coordinates")
+    return tuple(nf_from_json(field, x) for x in entry)
+
+
 def config_from_json(data) -> Configuration:
+    """Decode a configuration file and prove its incidences (check_incidences).
+
+    Shape errors raise SchemaError; an incidence that is false, or a line
+    intersection that is not a listed point, raises MissedIntersection.
+    Both exit 6.
+    """
     if not isinstance(data, dict):
         raise SchemaError("configuration file must hold a JSON object")
     if data.get("v") != SCHEMA_VERSION:
@@ -75,17 +87,13 @@ def config_from_json(data) -> Configuration:
     try:
         poly = poly_from_json(data["poly"])
         field = NumberField.create(poly)
-        lines = tuple(
-            ProjLine(tuple(nf_from_json(field, x) for x in entry))
-            for entry in data["lines"]
-        )
-        points = tuple(
-            ProjPoint(tuple(nf_from_json(field, x) for x in entry))
-            for entry in data["points"]
-        )
+        lines = tuple(ProjLine(_triple(field, e, "line")) for e in data["lines"])
+        points = tuple(ProjPoint(_triple(field, e, "point")) for e in data["points"])
         incidence = tuple(
             tuple(sorted(int(i) for i in rows)) for rows in data["incidence"]
         )
+        if not isinstance(data["marks"], dict):
+            raise SchemaError("marks must be a JSON object")
         marks = {str(k): int(v) for k, v in data["marks"].items()}
         seed = int(data["seed"])
         params = int(data["params_consumed"])
@@ -101,7 +109,7 @@ def config_from_json(data) -> Configuration:
     for label, idx in marks.items():
         if label not in MARK_LABELS or not (0 <= idx < len(points)):
             raise SchemaError(f"bad mark {label!r} -> {idx}")
-    return Configuration(
+    c = Configuration(
         field=field,
         lines=lines,
         points=points,
@@ -111,6 +119,8 @@ def config_from_json(data) -> Configuration:
         params_consumed=params,
         source=poly,
     )
+    check_incidences(c)
+    return c
 
 
 def certificate_to_json(cert: SeparationCertificate) -> dict:

@@ -250,8 +250,9 @@ def test_isolate_cbrt2():
 
 def test_isolate_discs_disjoint_and_indexed():
     # x^8-3: eight roots of one modulus, symmetric under rotation and
-    # conjugation; x^3-1000003: a root of modulus ~100
-    for text in ("x^4-x-1", "x^5-x-1", "x^7-x-1", "x^8-3", "x^3-1000003"):
+    # conjugation; x^3-1000003: a root of modulus ~100; x^2-2000*x+999998:
+    # well-separated roots 1000 +- sqrt 2, far from 0
+    for text in ("x^4-x-1", "x^5-x-1", "x^7-x-1", "x^8-3", "x^3-1000003", "x^2-2000*x+999998"):
         p = parse_poly(text)
         n = p.degree
         roots = isolate_roots(p, 1e-9)

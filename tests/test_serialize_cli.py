@@ -9,7 +9,7 @@ import pytest
 
 from planecode import parse_poly, separation_certificate
 from planecode.cli import main
-from planecode.errors import SchemaError
+from planecode.errors import MissedIntersection, SchemaError
 from planecode.serialize import (
     certificate_to_json,
     config_from_json,
@@ -65,6 +65,25 @@ def test_schema_errors(cfg):
         config_from_json(broken)
     with pytest.raises(SchemaError):
         loads("{not json")
+    # malformed shapes: each one once gave a traceback or a silent accept
+    for edit in (
+        lambda d: d["lines"][0][0][0].update(d="0"),
+        lambda d: d.update(marks=[0, 1, 2, 3]),
+        lambda d: d["points"][0].pop(),
+        lambda d: d["lines"][0].append(d["lines"][0][0]),
+    ):
+        with pytest.raises(SchemaError):
+            config_from_json(_edited(good, edit))
+    all_zero = json.loads(dumps_canonical(good))
+    all_zero["points"][0] = [[{"n": "0", "d": "1"}] * 2] * 3
+    with pytest.raises(MissedIntersection, match="canonical"):
+        config_from_json(all_zero)
+
+
+def _edited(good, edit):
+    data = json.loads(dumps_canonical(good))
+    edit(data)
+    return data
 
 
 def test_certificate_json_shape():
@@ -184,8 +203,8 @@ def test_cli_decode_handwritten_three_line_config(tmp_path):
         ],
         "points": [
             [elem(0), elem(0), elem(1)],
-            [elem(0), elem(1), elem(0)],
-            [elem(1), elem(0), elem(0)],
+            [elem(0), elem(1), elem(1)],
+            [elem(1), elem(0), elem(1)],
         ],
         "incidence": [[0, 1], [0, 2], [1, 2]],
         "marks": {},
@@ -193,6 +212,48 @@ def test_cli_decode_handwritten_three_line_config(tmp_path):
     path = tmp_path / "hand.json"
     path.write_text(dumps_canonical(data), encoding="utf-8")
     assert main(["decode", str(path)]) == 5
+    # (0:1:0) and (1:0:0) are the directions of the axes, not on x + y = 1
+    data["points"][1:] = [[elem(0), elem(1), elem(0)], [elem(1), elem(0), elem(0)]]
+    path.write_text(dumps_canonical(data), encoding="utf-8")
+    assert main(["decode", str(path)]) == 6
+
+
+def _forge_extra_incidence(cfg, data):
+    """Add line 0 to the row of the first non-mark point not on it."""
+    marks = set(cfg.marks.values())
+    q = next(i for i, rows in enumerate(data["incidence"]) if i not in marks and 0 not in rows)
+    data["incidence"][q] = sorted(data["incidence"][q] + [0])
+
+
+def _double_line_coefficient(cfg, data):
+    """Double the first nonzero coefficient after the leading one of some line."""
+    for entry in data["lines"]:
+        lead = next(k for k, x in enumerate(entry) if any(r["n"] != "0" for r in x))
+        for x in entry[lead + 1:]:
+            if any(r["n"] != "0" for r in x):
+                for r in x:
+                    r["n"] = str(2 * int(r["n"]))
+                return
+    raise AssertionError("no line has a nonzero non-leading coefficient")
+
+
+def _drop_row_index(cfg, data):
+    """Forget one line of one non-mark point's row."""
+    marks = set(cfg.marks.values())
+    q = next(i for i in range(len(data["incidence"])) if i not in marks)
+    data["incidence"][q].pop()
+
+
+@pytest.mark.parametrize(
+    "forge", [_forge_extra_incidence, _double_line_coefficient, _drop_row_index]
+)
+def test_cli_forged_incidences_exit_6(cfg, tmp_path, forge):
+    data = json.loads(dumps_canonical(config_to_json(cfg)))
+    forge(cfg, data)
+    path = tmp_path / "forged.json"
+    path.write_text(dumps_canonical(data), encoding="utf-8")
+    assert main(["decode", str(path)]) == 6
+    assert main(["cover", str(path), "-o", str(tmp_path / "r.json")]) == 6
 
 
 def test_cli_cover_report(cfg_path, tmp_path):
