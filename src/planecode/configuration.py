@@ -116,7 +116,7 @@ def check_incidences(c: Configuration) -> None:
     (a) every point and every line is a canonical triple: not all zero, and
         its first nonzero entry is one;
     (b) the points are pairwise distinct, and so are the lines;
-    (c) no row lists a line twice;
+    (c) no row is empty, and no row lists a line twice;
     (d) every listed incidence holds exactly: a*x + b*y + c*z = 0 in K;
     (e) sum_q C(e_q, 2) = C(L, 2), with e_q the length of row q.
 
@@ -133,6 +133,13 @@ def check_incidences(c: Configuration) -> None:
     listed points therefore separates the proper transforms of all the
     lines. No residue screen is used in (d): it only ever proves a value
     nonzero, and a true incidence has residue zero.
+
+    The empty row is rejected because a point on no line is no intersection
+    of the configuration: it adds 0 to the sum in (e), so the count alone
+    would let it through, and the cover bookkeeping would then meet a branch
+    point of multiplicity 0. A row of one line is still accepted: deleting
+    lines from a valid file leaves such rows, and decode reports that damage
+    through its valence checks (exit 5).
     """
     for kind, triples in (
         ("point", [p.coords for p in c.points]),
@@ -146,6 +153,8 @@ def check_incidences(c: Configuration) -> None:
             if j != i:
                 raise MissedIntersection(f"{kind}s {j} and {i} coincide")
     for q, rows in enumerate(c.incidence):
+        if not rows:
+            raise MissedIntersection(f"point {q} lies on no line")
         if len(set(rows)) != len(rows):
             raise MissedIntersection(f"point {q} lists a line twice: {list(rows)}")
         x, y, z = c.points[q].coords

@@ -3,6 +3,16 @@
 All construction arithmetic stays in the abstract field K; complex
 embeddings (one per root of the modulus) are used only for numeric
 certificates and rendering. Rationals are arbitrary precision throughout.
+
+An element of K is an integer vector over one common denominator,
+sum_i nums[i]*z^i / den with den > 0 and gcd(den, *nums) = 1 (H. Cohen,
+A Course in Computational Algebraic Number Theory, 4.2), so a sum or a
+product costs integer operations and one gcd instead of a gcd per
+Fraction operation. Products are reduced by the primitive integer modulus
+c*x^n + ..., scaling by c only when c != 1. The inverse solves the integer
+multiplication matrix of the element by fraction-free elimination
+(E. Bareiss, Math. Comp. 22, 1968), with a polynomial gcd only when the
+determinant is 0, to name the factor of a reducible modulus.
 """
 
 from __future__ import annotations
@@ -12,7 +22,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 from cmath import rect
-from math import gcd as int_gcd, inf, isqrt, nextafter, pi, sqrt
+from math import gcd as int_gcd, inf, isqrt, lcm, nextafter, pi, sqrt
 
 from . import _ffpoly
 from .errors import (
@@ -199,22 +209,6 @@ def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
     return f.monic()
 
 
-def poly_xgcd(f: IntPoly, g: IntPoly) -> tuple[IntPoly, IntPoly, IntPoly]:
-    """Extended Euclid over Q: returns (d, s, t) with s*f + t*g = d, d monic."""
-    r0, r1 = f, g
-    s0, s1 = IntPoly.from_coeffs([1]), IntPoly.zero()
-    t0, t1 = IntPoly.zero(), IntPoly.from_coeffs([1])
-    while not r1.is_zero:
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    if r0.is_zero:
-        return r0, s0, t0
-    lead = r0.leading
-    return r0.scale(1 / lead), s0.scale(1 / lead), t0.scale(1 / lead)
-
-
 def squarefree_part(p: IntPoly) -> IntPoly:
     g = poly_gcd(p, p.derivative())
     if g.degree <= 0:
@@ -227,6 +221,10 @@ def squarefree_part(p: IntPoly) -> IntPoly:
 # ---------------------------------------------------------------------------
 
 _TERM_RE = re.compile(r"([+-]?)(\d+)?(\*?x(?:\^(\d+))?)?")
+
+# The largest degree parse_poly accepts. It builds a list of degree + 1
+# coefficients, so each exponent is checked before that list exists.
+MAX_DEGREE = 32
 
 
 def parse_poly(text: str) -> IntPoly:
@@ -248,7 +246,12 @@ def parse_poly(text: str) -> IntPoly:
         elif m.group(4) is None:
             exp = 1
         else:
-            exp = int(m.group(4))
+            digits = m.group(4).lstrip("0") or "0"
+            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
+                raise PolyParseError(
+                    f"the degree of {term!r} exceeds the limit MAX_DEGREE = {MAX_DEGREE}"
+                )
+            exp = int(digits)
         coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
     top = max(coeffs)
     return IntPoly.from_coeffs([coeffs.get(i, 0) for i in range(top + 1)])
@@ -453,7 +456,11 @@ def _residue_map(prim: IntPoly) -> tuple[int, tuple[int, ...]] | None:
 
 @dataclass(frozen=True)
 class NumberField:
-    """K = Q[x]/(modulus), modulus monic of degree n >= 2."""
+    """K = Q[x]/(modulus), modulus monic of degree n >= 2.
+
+    `source` is the primitive integer model c*x^n + ... of the modulus, with
+    c > 0; element arithmetic reduces by it, so it stays in integers.
+    """
 
     modulus: IntPoly
     source: IntPoly = dc_field(compare=False)
@@ -475,7 +482,7 @@ class NumberField:
             status = res.status
         return cls(modulus=prim.monic(), source=prim, irreducibility=status)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.modulus.degree
 
@@ -484,15 +491,27 @@ class NumberField:
         """(l, powers of r mod l) with p(r) = 0 mod l, found on first use."""
         return _residue_map(self.source)
 
+    @cached_property
+    def reduction(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """(c, ((j, s_j), ...)) with source = c*x^n + sum_j s_j*x^j, s_j != 0.
+
+        So c*z^n = -sum_j s_j*z^j in K: one reduction step scales by c and
+        touches only the nonzero s_j.
+        """
+        cs = self.source.int_coeffs()
+        return cs[-1], tuple((j, s) for j, s in enumerate(cs[:-1]) if s)
+
     def element(self, coeffs) -> "NFElement":
-        cs = tuple(_as_fraction(c) for c in coeffs)
+        cs = [_as_fraction(c) for c in coeffs]
         if len(cs) != self.n:
             raise ValueError(f"need exactly {self.n} coefficients, got {len(cs)}")
-        return NFElement(self, cs)
+        # over the lcm of the reduced denominators the pair is already normal
+        den = lcm(*(c.denominator for c in cs))
+        return NFElement(self, tuple(c.numerator * (den // c.denominator) for c in cs), den)
 
     def from_rational(self, q) -> "NFElement":
         q = _as_fraction(q)
-        return self.element((q,) + (Fraction(0),) * (self.n - 1))
+        return NFElement(self, (q.numerator,) + (0,) * (self.n - 1), q.denominator)
 
     @property
     def zero(self) -> "NFElement":
@@ -504,35 +523,93 @@ class NumberField:
 
     @property
     def gen(self) -> "NFElement":
-        cs = [Fraction(0)] * self.n
-        cs[1] = Fraction(1)
-        return self.element(cs)
-
-    def reduce(self, raw: list[Fraction]) -> tuple[Fraction, ...]:
-        """Reduce a coefficient list of any length mod the monic modulus."""
-        cs = list(raw)
-        mod = self.modulus.coeffs
-        n = self.n
-        for i in range(len(cs) - 1, n - 1, -1):
-            c = cs[i]
-            if c:
-                cs[i] = Fraction(0)
-                for j in range(n):
-                    cs[i - n + j] -= c * mod[j]
-        cs = cs[:n]
-        while len(cs) < n:
-            cs.append(Fraction(0))
-        return tuple(cs)
+        return NFElement(self, (0, 1) + (0,) * (self.n - 2), 1)
 
 
-@dataclass(frozen=True)
+def _normal(field: NumberField, nums, den: int) -> "NFElement":
+    """The element sum_i nums[i]*z^i / den, put in normal form: one gcd."""
+    g = int_gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    return NFElement(field, tuple(nums), den)
+
+
+def _bareiss_solve(rows: list[list[int]]) -> tuple[int, list[int]]:
+    """(d, X) with A X = d b and d = +-det A, for the integer system rows = [A | b].
+
+    Fraction-free elimination (E. Bareiss, Math. Comp. 22, 1968): after
+    step k every entry is a (k+1)-minor of [A | b], so each division by the
+    previous pivot is exact. X = adj(A) b up to the sign of d is integral by
+    Cramer's rule, so back substitution divides exactly too. d = 0, with no
+    X, when A is singular. rows is overwritten.
+    """
+    n = len(rows)
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return 0, []
+        rows[k], rows[p] = rows[p], rows[k]
+        rk = rows[k]
+        pivot = rk[k]
+        for ri in rows[k + 1:]:
+            f = ri[k]
+            for j in range(k + 1, n + 1):
+                ri[j] = (pivot * ri[j] - f * rk[j]) // prev
+        prev = pivot
+    xs = [0] * n
+    for i in range(n - 1, -1, -1):
+        ri = rows[i]
+        acc = prev * ri[n] - sum(ri[j] * xs[j] for j in range(i + 1, n))
+        xs[i] = acc // ri[i]
+    return prev, xs
+
+
 class NFElement:
-    field: NumberField
-    coeffs: tuple[Fraction, ...]
+    """sum_i nums[i]*z^i / den in K, immutable.
+
+    Normal form: den > 0 and gcd(den, *nums) = 1. It is unique, so == and
+    hash are structural, and den is the lcm of the reduced denominators of
+    the coefficients.
+    """
+
+    __slots__ = ("field", "nums", "den", "_residue")
+
+    def __init__(self, field: NumberField, nums: tuple[int, ...], den: int):
+        """Trusts (nums, den) to be normal; NumberField.element normalises."""
+        _set_field(self, field)
+        _set_nums(self, nums)
+        _set_den(self, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"NFElement is immutable, cannot set {name}")
+
+    def __eq__(self, other):
+        if not isinstance(other, NFElement):
+            return NotImplemented
+        return (
+            self.nums == other.nums
+            and self.den == other.den
+            and (self.field is other.field or self.field == other.field)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.nums, self.den))
+
+    def __repr__(self) -> str:
+        return f"NFElement(nums={self.nums}, den={self.den})"
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The reduced rational coefficients, constant term first."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     def _coerce(self, other) -> "NFElement | None":
         if isinstance(other, NFElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch("elements belong to different number fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -541,51 +618,51 @@ class NFElement:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     @property
     def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
+        return self.den == 1 and self.nums[0] == 1 and not any(self.nums[1:])
 
     @property
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def __bool__(self) -> bool:
         return not self.is_zero
 
-    @cached_property
+    @property
     def residue(self) -> int | None:
-        """Image sum c_i r^i mod l under the residue map of the field.
+        """Image sum c_i r^i mod l under the residue map of the field, cached.
 
         z -> r is a ring homomorphism Z_(l)[z]/(p) -> F_l, because p(r) = 0
         mod l and l divides no denominator of the monic modulus. It needs no
         irreducibility, so it holds for an unchecked modulus too. A nonzero
         image therefore proves the element nonzero; a zero image proves
-        nothing. None when the field has no map or some coefficient has a
+        nothing. None when the field has no map or l divides den, i.e. (den
+        being the lcm of the reduced denominators) some coefficient has a
         denominator divisible by l.
         """
+        try:
+            return self._residue
+        except AttributeError:
+            pass
+        r = None
         rmap = self.field.residue_map
-        if rmap is None:
-            return None
-        ell, powers = rmap
-        acc = 0
-        for c, rp in zip(self.coeffs, powers):
-            if c:
-                den = c.denominator
-                if den == 1:
-                    acc += c.numerator * rp
-                elif den % ell:
-                    acc += c.numerator * pow(den, -1, ell) * rp
-                else:
-                    return None
-        return acc % ell
+        if rmap is not None:
+            ell, powers = rmap
+            if self.den % ell:
+                acc = sum(x * rp for x, rp in zip(self.nums, powers))
+                r = acc * pow(self.den, -1, ell) % ell
+        _set_residue(self, r)
+        return r
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return NFElement(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        return _normal(self.field, [x * db + y * da for x, y in zip(self.nums, o.nums)], da * db)
 
     __radd__ = __add__
 
@@ -593,7 +670,8 @@ class NFElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return NFElement(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        return _normal(self.field, [x * db - y * da for x, y in zip(self.nums, o.nums)], da * db)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -602,38 +680,73 @@ class NFElement:
         return o - self
 
     def __neg__(self):
-        return NFElement(self.field, tuple(-c for c in self.coeffs))
+        return NFElement(self.field, tuple(-x for x in self.nums), self.den)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = self.field.n
-        out = [Fraction(0)] * (2 * n - 1)
-        for i, a in enumerate(self.coeffs):
+        field = self.field
+        n = field.n
+        out = [0] * (2 * n - 1)
+        for i, a in enumerate(self.nums):
             if a:
-                for j, b in enumerate(o.coeffs):
-                    out[i + j] += a * b
-        return NFElement(self.field, self.field.reduce(out))
+                for k, b in enumerate(o.nums, i):
+                    out[k] += a * b
+        den = self.den * o.den
+        c, red = field.reduction
+        for i in range(2 * n - 2, n - 1, -1):
+            t = out[i]
+            if t:
+                # t*z^i = (t/c) * z^(i-n) * c*z^n: scale everything below by c
+                if c != 1:
+                    for k in range(i):
+                        out[k] *= c
+                    den *= c
+                for j, s in red:
+                    out[i - n + j] -= t * s
+        return _normal(field, out[:n], den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "NFElement":
-        """Multiplicative inverse by extended Euclid against the modulus.
+        """Multiplicative inverse by fraction-free elimination.
 
-        A nonconstant gcd means the modulus is reducible; the discovered
-        factor is reported so callers can surface it.
+        With a = alpha/den and source = c*x^n + ..., the columns
+        v_j = c^j * alpha * z^j (j < n) are integer vectors: v_(j+1) is
+        c*z*v_j, reduced once. Solving [v_0 ... v_(n-1)] y = e_0 gives
+        alpha * sum_j c^j y_j z^j = 1, so 1/a = den * sum_j c^j y_j z^j.
+        A zero determinant means a is a zero divisor, so the modulus is
+        reducible; gcd(a, modulus) is then reported as the factor.
         """
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
-        rep = IntPoly.from_coeffs(self.coeffs)
-        d, s, _ = poly_xgcd(rep, self.field.modulus)
-        if d.degree > 0:
+        field = self.field
+        n = field.n
+        if self.is_rational:
+            return _normal(field, (self.den,) + (0,) * (n - 1), self.nums[0])
+        c, red = field.reduction
+        cols = [list(self.nums)]
+        for _ in range(n - 1):
+            v = cols[-1]
+            t = v[-1]
+            w = [0] + (v[:-1] if c == 1 else [c * x for x in v[:-1]])
+            for j, s in red:
+                w[j] -= t * s
+            cols.append(w)
+        rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
+        det, ys = _bareiss_solve(rows)
+        if det == 0:
+            d = poly_gcd(IntPoly.from_coeffs(self.coeffs), field.modulus)
             raise ReducibleModulus(
                 f"zero divisor detected: gcd {d.primitive()} divides the modulus",
                 factor=d.primitive(),
             )
-        return NFElement(self.field, self.field.reduce(list(s.coeffs)))
+        nums, cj = [], self.den
+        for y in ys:
+            nums.append(cj * y)
+            cj *= c
+        return _normal(field, nums, det)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -662,6 +775,13 @@ class NFElement:
             else:
                 parts.append(f"{c}*{names[i]}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+# Slot setters: NFElement forbids attribute assignment after construction.
+_set_field = NFElement.field.__set__
+_set_nums = NFElement.nums.__set__
+_set_den = NFElement.den.__set__
+_set_residue = NFElement._residue.__set__
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Golden digests of the canonical configuration and cover-report JSON at seed 0.
 
+x^5-x-1 and x^7-x-1 pin degree >= 5, where inversion in K is dearest.
 Performance work must leave these bytes unchanged. A change that alters
 them on purpose updates the table and says why.
 """
@@ -17,6 +18,8 @@ GOLDEN = {
     "x^2-x-1": "566c40c71e1c22998a4df76593fa836ee1f9162e35ec6699760496c2d8a34a5f",
     "x^4-x-1": "028785641b5072da938836bc12dce648dd25e24e3c54e87da0b1f2244e5191a4",
     "3*x^2-5": "f1cf85bcfa271d142dfead3d1edc8f02ddfd0beb0dd95e954035693420d49a6b",
+    "x^5-x-1": "2c621249c33f4cd57143a90681b79e91583c890de58f5c7edc4f9ea8e249043a",
+    "x^7-x-1": "2cc8b0997c04f32cf4b5b5008c4a4a5fe23d91c40ccb8b40bab3f5b478b9aa36",
 }
 
 COVER_GOLDEN = {
@@ -25,6 +28,8 @@ COVER_GOLDEN = {
     "x^2-x-1": "9c62eb3ac9896fff388fe6f5073e9882af4c469523549f7af5050ddb87b53f19",
     "x^4-x-1": "96b0e446619d5b7524f69fbb206f84fcd2d84390d64a1f0db8fb365a7c6456e1",
     "3*x^2-5": "e514657bb97987759a21b97420720bf349e39931c652ba6139e884d099faa76e",
+    "x^5-x-1": "506261e15e54f7f890a1fca7041d30c5cf5dd3051300791731987a5b06ae213d",
+    "x^7-x-1": "46ae6a55bd1400540e7fa442c51f3f0bd7ba2f7f7357f332745a4d9ffdd8de73",
 }
 
 

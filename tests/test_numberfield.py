@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from planecode.errors import (
     ReducibleModulus,
     TrivialField,
 )
-from planecode.numberfield import Disc, poly_gcd, squarefree_part
+from planecode.numberfield import MAX_DEGREE, Disc, poly_gcd, squarefree_part
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +43,14 @@ def test_parse_poly_forms():
     assert parse_poly("2*x^2 - 3*x + 1") == IntPoly.from_coeffs([1, -3, 2])
     assert parse_poly("2x^2-3x+1") == IntPoly.from_coeffs([1, -3, 2])
     assert parse_poly(" -x + 5 ") == IntPoly.from_coeffs([5, -1])
+
+
+def test_parse_poly_degree_bound():
+    assert parse_poly("x^32-2").degree == MAX_DEGREE == 32
+    # x^1000000000-2 is left to the CLI test, which caps the child's memory
+    for text in ("x^33-2", "x^1000000-2"):
+        with pytest.raises(PolyParseError, match="MAX_DEGREE = 32"):
+            parse_poly(text)
 
 
 @pytest.mark.parametrize("bad", ["", "x^", "y^2", "x**2", "2^x", "x^-1"])
@@ -274,6 +284,67 @@ def test_squarefree_enforced():
     roots = isolate_roots(p, 1e-7)
     assert len(roots) == 2
     assert poly_gcd(squarefree_part(p), p).degree == 2
+
+
+# -- integer representation: property test against a Fraction reference --------
+
+PROPERTY_FIELDS = ("x^2-2", "3*x^2-5", "2*x^3+x-7", "x^7-x-1")
+
+
+@lru_cache(maxsize=None)
+def _property_field(text):
+    return NumberField.create(parse_poly(text))
+
+
+def _reference_mul(field, xs, ys):
+    """Schoolbook product of Fraction coefficients, reduced by the monic modulus."""
+    n = field.n
+    out = [Fraction(0)] * (2 * n - 1)
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            out[i + j] += a * b
+    mod = field.modulus.coeffs
+    for i in range(2 * n - 2, n - 1, -1):
+        for j in range(n):
+            out[i - n + j] -= out[i] * mod[j]
+    return tuple(out[:n])
+
+
+def _reference_residue(field, coeffs):
+    """sum c_i r^i mod l, None when some coefficient has a denominator divisible by l."""
+    ell, powers = field.residue_map
+    if any(c.denominator % ell == 0 for c in coeffs):
+        return None
+    return sum(c.numerator * pow(c.denominator, -1, ell) * rp for c, rp in zip(coeffs, powers)) % ell
+
+
+def _coefficients(ell):
+    """Rationals of up to 30 digits; some are 0, and some have l in the denominator."""
+    nonzero = st.builds(
+        lambda num, den, lifted: Fraction(num, den * (ell if lifted else 1)),
+        st.integers(-10**30, 10**30),
+        st.integers(1, 10**6),
+        st.integers(0, 7).map(lambda k: k == 0),
+    )
+    return st.one_of(st.just(Fraction(0)), nonzero)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(PROPERTY_FIELDS), st.data())
+def test_integer_arithmetic_matches_fraction_reference(text, data):
+    field = _property_field(text)
+    ell = field.residue_map[0]
+    vectors = st.lists(_coefficients(ell), min_size=field.n, max_size=field.n)
+    xs, ys = data.draw(vectors), data.draw(vectors)
+    a, b = field.element(xs), field.element(ys)
+    assert a.coeffs == tuple(xs)
+    assert (a * b).coeffs == _reference_mul(field, xs, ys)
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(xs, ys))
+    for e in (a, b, a * b, a + b, a - b, -a):
+        assert e.den > 0 and gcd(e.den, *e.nums) == 1
+        assert e.residue == _reference_residue(field, e.coeffs)
+    if not a.is_zero:
+        assert a * a.inv() == field.one
 
 
 # -- embeddings ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
 import os
+import resource
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -133,6 +135,25 @@ def test_cli_exit_codes(cfg_path, tmp_path):
         assert exc.value.code == 2
 
 
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("text", ["x^33-2", "x^1000000000-2"])
+def test_cli_degree_above_limit_exits_2_at_once(text):
+    # A child with 1 GiB of address space and a timeout: without the bound,
+    # parsing x^1000000000-2 alone would ask for gigabytes.
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    t0 = time.perf_counter()
+    out = subprocess.run(
+        [sys.executable, "-m", "planecode", "certify", "-p", text],
+        capture_output=True, text=True, env=env, timeout=30, preexec_fn=_cap_address_space,
+    )
+    assert out.returncode == 2
+    assert time.perf_counter() - t0 < 5.0
+    assert "MAX_DEGREE = 32" in out.stderr
+
+
 def test_cli_imports_no_numpy_or_scipy():
     code = "import planecode.cli, sys; print(sorted({'numpy','scipy'} & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
@@ -244,8 +265,16 @@ def _drop_row_index(cfg, data):
     data["incidence"][q].pop()
 
 
+def _append_point_on_no_line(cfg, data):
+    """Append the point (1 : 12345 : 67891) with an empty incidence row."""
+    zeros = [{"n": "0", "d": "1"}] * (cfg.field.n - 1)
+    data["points"].append([[{"n": str(v), "d": "1"}] + zeros for v in (1, 12345, 67891)])
+    data["incidence"].append([])
+
+
 @pytest.mark.parametrize(
-    "forge", [_forge_extra_incidence, _double_line_coefficient, _drop_row_index]
+    "forge",
+    [_forge_extra_incidence, _double_line_coefficient, _drop_row_index, _append_point_on_no_line],
 )
 def test_cli_forged_incidences_exit_6(cfg, tmp_path, forge):
     data = json.loads(dumps_canonical(config_to_json(cfg)))
