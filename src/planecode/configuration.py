@@ -1,8 +1,14 @@
 """Line configurations: derived intersection points, valences, augmentation.
 
-A Configuration is a set of lines together with all pairwise intersection
-points, exact incidences, and the four marked points 0, 1, inf, z on the
-coding axis. Two passes turn the raw gadget output into the final object:
+A configuration is its lines. Everything else is derived from them by one
+code path, _Builder.add_line: the points are the pairwise meets of the
+lines, computed exactly in K, and a point's incidence row is the set of
+lines whose meets produced it. find_marks then looks up the four marked
+points 0, 1, inf, z of the coding axis among those points. The builder
+derives a configuration this way, and so does loading a configuration
+file, which stores only the lines (see serialize).
+
+Two passes turn the raw gadget output into the final object:
 augment_even_valence makes every valence even, amplify_marks pushes the
 four marks to the strict top of the valence ladder.
 
@@ -12,10 +18,6 @@ candidate is rejected if it hits any existing point other than its target.
 `incident` screens most of those tests with residues mod a prime, but a
 residue only ever proves a value nonzero, i.e. a miss; every hit, and every
 test the residues cannot settle, is decided by exact arithmetic in K.
-
-A configuration read from outside is proven, not trusted: check_incidences
-verifies every listed incidence exactly and then reads "every intersection
-is a listed point" off the pair-count identity sum_q C(e_q, 2) = C(L, 2).
 """
 
 from __future__ import annotations
@@ -92,8 +94,9 @@ def valences(c: Configuration) -> ValenceReport:
 def check_pair_count(c: Configuration) -> int:
     """Check sum_q C(e_q, 2) = C(L, 2) and return C(L, 2), the number of line pairs.
 
-    This reads valences only; what it proves depends on the incidences being
-    exact and counted once, which check_incidences establishes.
+    This reads valences only. For incidences derived by _Builder.add_line,
+    where every pair of lines is counted at exactly one point, it always
+    holds; it fails on a Configuration whose points or rows were edited.
     """
     pairs = c.line_count * (c.line_count - 1) // 2
     counted = sum(e * (e - 1) // 2 for e in c.all_valences())
@@ -102,67 +105,6 @@ def check_pair_count(c: Configuration) -> int:
             f"the listed points account for {counted} of the {pairs} pairs of lines"
         )
     return pairs
-
-
-def _is_canonical(triple) -> bool:
-    lead = next((x for x in triple if not x.is_zero), None)
-    return lead is not None and lead.is_one
-
-
-def check_incidences(c: Configuration) -> None:
-    """Prove that every pairwise intersection of the lines of c is a listed point.
-
-    Raises MissedIntersection unless all of these hold:
-    (a) every point and every line is a canonical triple: not all zero, and
-        its first nonzero entry is one;
-    (b) the points are pairwise distinct, and so are the lines;
-    (c) no row is empty, and no row lists a line twice;
-    (d) every listed incidence holds exactly: a*x + b*y + c*z = 0 in K;
-    (e) sum_q C(e_q, 2) = C(L, 2), with e_q the length of row q.
-
-    Proof. By (a), two triples are equal exactly when they name the same
-    point (or line), so by (b) no point of P^2 is listed twice. Two
-    distinct lines meet in exactly one point. If row q lists lines i and j,
-    then by (d) point q lies on both, so q is their meet, and no other row
-    can list that pair: its point would be the same meet. By (c) row q
-    names C(e_q, 2) distinct pairs, so the sum in (e) counts every pair of
-    lines at most once, and equality means every pair is counted: the meet
-    of any two lines is a listed point whose row names both. In particular
-    each row is complete, since a line through point q missing from row q
-    would leave its pairs with the lines of row q uncounted. Blowing up the
-    listed points therefore separates the proper transforms of all the
-    lines. No residue screen is used in (d): it only ever proves a value
-    nonzero, and a true incidence has residue zero.
-
-    The empty row is rejected because a point on no line is no intersection
-    of the configuration: it adds 0 to the sum in (e), so the count alone
-    would let it through, and the cover bookkeeping would then meet a branch
-    point of multiplicity 0. A row of one line is still accepted: deleting
-    lines from a valid file leaves such rows, and decode reports that damage
-    through its valence checks (exit 5).
-    """
-    for kind, triples in (
-        ("point", [p.coords for p in c.points]),
-        ("line", [l.coeffs for l in c.lines]),
-    ):
-        seen: dict = {}
-        for i, t in enumerate(triples):
-            if not _is_canonical(t):
-                raise MissedIntersection(f"{kind} {i} is not a canonical triple")
-            j = seen.setdefault(t, i)
-            if j != i:
-                raise MissedIntersection(f"{kind}s {j} and {i} coincide")
-    for q, rows in enumerate(c.incidence):
-        if not rows:
-            raise MissedIntersection(f"point {q} lies on no line")
-        if len(set(rows)) != len(rows):
-            raise MissedIntersection(f"point {q} lists a line twice: {list(rows)}")
-        x, y, z = c.points[q].coords
-        for i in rows:
-            a, b, cc = c.lines[i].coeffs
-            if not (a * x + b * y + cc * z).is_zero:
-                raise MissedIntersection(f"point {q} is not on line {i}")
-    check_pair_count(c)
 
 
 class _Builder:
@@ -225,18 +167,37 @@ class _Builder:
         )
 
 
+def find_marks(field: NumberField, point_index: dict[ProjPoint, int]) -> dict[str, int]:
+    """Indices of the marked points 0, 1, inf and z that are among the points.
+
+    The marks are (0 : 0 : 1), (1 : 0 : 1), (1 : 0 : 0) and (z : 0 : 1) on
+    the coding axis y = 0, z the generator of K. A label whose point is not
+    an intersection point is left out; the builder insists on all four.
+    """
+    marker_points = {
+        MARK_ZERO: point(field, 0, 0),
+        MARK_ONE: point(field, 1, 0),
+        MARK_INF: point(field, 1, 0, 0),
+        MARK_Z: point(field, field.gen, 0),
+    }
+    return {
+        label: point_index[pt] for label, pt in marker_points.items() if pt in point_index
+    }
+
+
 def derive_points(
     lines,
     *,
-    marks: dict[str, int] | None = None,
     seed: int = 0,
     params_consumed: int = 0,
     source: IntPoly | None = None,
 ) -> Configuration:
-    """All pairwise intersections of the given lines, with exact incidences.
+    """All pairwise intersections of the given lines, exact incidences and marks.
 
     A point may lie on lines beyond the pair that created it; processing
-    every pair registers the full incidence set.
+    every pair registers the full incidence set. The lines must be pairwise
+    distinct (DuplicateLine otherwise), and points are numbered in the
+    order their first pair of lines appears.
     """
     lines = list(lines)
     if len(lines) < 2:
@@ -244,7 +205,8 @@ def derive_points(
     builder = _Builder(lines[0].field)
     for l in lines:
         builder.add_line(l)
-    return builder.freeze(marks or {}, seed, params_consumed, source)
+    marks = find_marks(builder.field, builder.point_index)
+    return builder.freeze(marks, seed, params_consumed, source)
 
 
 def _generic_line_through(

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .configuration import Configuration, valences
-from .errors import AmbiguousValences, PlanecodeError, PrecisionExhausted
+from .errors import (
+    AmbiguousValences,
+    DegenerateQuadruple,
+    NotCollinear,
+    ParityViolation,
+    PlanecodeError,
+    PrecisionExhausted,
+)
 from .numberfield import (
     Disc,
     EmbeddingApprox,
@@ -27,22 +34,42 @@ from .pipeline import run_pipeline
 from .projgeom import cross_ratio
 
 
+LADDER_SHOWN = 6
+
+
+def _failed(error: type, check: str, detail, entries) -> PlanecodeError:
+    """error naming the failed check and showing the top of the valence ladder."""
+    shown = ", ".join(f"point {i}: {v}" for i, v in entries[:LADDER_SHOWN])
+    return error(f"{check} check failed: {detail}; top of the valence ladder: {shown}")
+
+
 def decode(c: Configuration) -> NFElement:
     """Cross-ratio of the four highest-valence points, in valence order.
 
     The marks are never consulted; the valence ladder alone must single
     out the quadruple, and any tie among or directly below the top four is
-    an error rather than a tie-break.
+    an error rather than a tie-break. Every valence must be even, as in
+    every configuration the pipeline builds: a file whose lines were
+    altered usually breaks that, even where the ladder survives.
     """
-    report = valences(c)
-    entries = report.entries
+    entries = valences(c).entries
     if len(entries) < 4:
-        raise AmbiguousValences(f"only {len(entries)} points, need at least 4")
+        raise _failed(AmbiguousValences, "point count", f"{len(entries)} points, 4 needed", entries)
     ladder = [v for _, v in entries[:5]] + ([0] if len(entries) == 4 else [])
     if not all(ladder[i] > ladder[i + 1] for i in range(4)):
-        raise AmbiguousValences(f"valence ladder {ladder[:5]} is not strict")
+        detail = f"the top five valences {ladder[:5]} do not strictly decrease"
+        raise _failed(AmbiguousValences, "strict ladder", detail, entries)
+    odd = [i for i, v in entries if v % 2]
+    if odd:
+        detail = f"{len(odd)} points have an odd valence, the first is point {odd[0]}"
+        raise _failed(ParityViolation, "parity", detail, entries)
     pts = [c.points[i] for i, _ in entries[:4]]
-    return cross_ratio(pts[0], pts[1], pts[2], pts[3])
+    try:
+        return cross_ratio(pts[0], pts[1], pts[2], pts[3])
+    except NotCollinear as exc:
+        raise _failed(NotCollinear, "collinearity", exc, entries) from exc
+    except DegenerateQuadruple as exc:
+        raise _failed(DegenerateQuadruple, "distinct points", exc, entries) from exc
 
 
 @dataclass(frozen=True)

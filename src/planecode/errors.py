@@ -44,6 +44,12 @@ class ReducibleModulus(PlanecodeError):
         self.factor = factor
 
 
+class UnprovenModulus(PlanecodeError):
+    """The irreducibility test could neither prove nor refute the modulus irreducible."""
+
+    exit_code = 3
+
+
 class TrivialField(PlanecodeError):
     exit_code = 3
 

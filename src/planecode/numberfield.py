@@ -32,6 +32,7 @@ from .errors import (
     PrecisionExhausted,
     ReducibleModulus,
     TrivialField,
+    UnprovenModulus,
 )
 
 Rational = Fraction
@@ -226,6 +227,12 @@ _TERM_RE = re.compile(r"([+-]?)(\d+)?(\*?x(?:\^(\d+))?)?")
 # coefficients, so each exponent is checked before that list exists.
 MAX_DEGREE = 32
 
+# The most decimal digits parse_poly accepts in one coefficient, leading
+# zeros aside. It is checked before int() runs, which would refuse more
+# than 4300 digits with a ValueError, and keeps every later exact step on
+# numbers of a bounded size.
+MAX_COEFF_DIGITS = 1000
+
 
 def parse_poly(text: str) -> IntPoly:
     s = re.sub(r"\s+", "", text)
@@ -240,7 +247,16 @@ def parse_poly(text: str) -> IntPoly:
         if not m or (m.group(2) is None and m.group(3) is None):
             raise PolyParseError(f"bad term {term!r} in {text!r}")
         sign = -1 if m.group(1) == "-" else 1
-        coeff = int(m.group(2)) if m.group(2) is not None else 1
+        if m.group(2) is None:
+            coeff = 1
+        else:
+            digits = m.group(2).lstrip("0") or "0"
+            if len(digits) > MAX_COEFF_DIGITS:
+                raise PolyParseError(
+                    f"a coefficient of {len(digits)} digits exceeds the limit "
+                    f"MAX_COEFF_DIGITS = {MAX_COEFF_DIGITS}"
+                )
+            coeff = int(digits)
         if m.group(3) is None:
             exp = 0
         elif m.group(4) is None:
@@ -360,7 +376,8 @@ def check_irreducible(p: IntPoly) -> Irreducibility:
 
     Degree <= 4 uses the rational root test plus quadratic-factor
     enumeration. Degree >= 5 reduces mod several small primes and compares
-    factor degree patterns; Unverified is a legitimate outcome there.
+    factor degree patterns; Unverified is a possible outcome there, and
+    NumberField.create refuses such a modulus.
     """
     if p.degree < 1:
         raise ValueError("irreducibility is undefined for constants")
@@ -458,6 +475,9 @@ def _residue_map(prim: IntPoly) -> tuple[int, tuple[int, ...]] | None:
 class NumberField:
     """K = Q[x]/(modulus), modulus monic of degree n >= 2.
 
+    create refuses a modulus that check_irreducible proves reducible
+    (ReducibleModulus) or cannot prove irreducible (UnprovenModulus), so
+    every field it returns is a field; only unchecked=True skips the test.
     `source` is the primitive integer model c*x^n + ... of the modulus, with
     c > 0; element arithmetic reduces by it, so it stays in integers.
     """
@@ -478,6 +498,11 @@ class NumberField:
             if res.is_reducible:
                 raise ReducibleModulus(
                     f"{prim} is reducible, factor {res.factor}", factor=res.factor
+                )
+            if not res.is_irreducible:
+                raise UnprovenModulus(
+                    f"could not prove {prim} irreducible ({res.witness}); "
+                    "K = Q[x]/(p) would not be known to be a field"
                 )
             status = res.status
         return cls(modulus=prim.monic(), source=prim, irreducibility=status)

@@ -4,6 +4,12 @@ Rationals are encoded as {"n": "<decimal>", "d": "<decimal>"} so nothing
 abstract ever passes through floats; floats appear only in certificate
 embedding values, always next to their radii. Serialization is canonical
 (sorted keys, fixed indentation), so identical objects give identical bytes.
+
+A configuration file (schema v2) holds the polynomial, the seed, the stream
+cursor and the lines: a configuration is its lines. Loading checks the
+lines and then derives the points, incidences and marks with the builder's
+own code (configuration.derive_points), so nothing in the file is trusted
+and nothing is proven twice. Certificates and cover reports are schema v1.
 """
 
 from __future__ import annotations
@@ -11,14 +17,15 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .configuration import Configuration, MARK_LABELS, check_incidences
+from .configuration import Configuration, derive_points
 from .cover import CoverReport
 from .decode import SeparationCertificate
-from .errors import SchemaError
+from .errors import DuplicateLine, SchemaError
 from .numberfield import IntPoly, NFElement, NumberField
-from .projgeom import ProjLine, ProjPoint
+from .projgeom import ProjLine
 
-SCHEMA_VERSION = 1
+CONFIG_SCHEMA_VERSION = 2
+REPORT_SCHEMA_VERSION = 1
 
 
 def fraction_to_json(q: Fraction) -> dict:
@@ -56,76 +63,67 @@ def config_to_json(c: Configuration) -> dict:
     if c.source is None:
         raise SchemaError("configuration has no source polynomial to serialize")
     return {
-        "v": SCHEMA_VERSION,
+        "v": CONFIG_SCHEMA_VERSION,
         "poly": poly_to_json(c.source),
         "seed": c.seed,
         "params_consumed": c.params_consumed,
         "lines": [[nf_to_json(x) for x in l.coeffs] for l in c.lines],
-        "points": [[nf_to_json(x) for x in p.coords] for p in c.points],
-        "incidence": [list(rows) for rows in c.incidence],
-        "marks": dict(c.marks),
     }
 
 
-def _triple(field: NumberField, entry, kind: str) -> tuple:
+def _line(field: NumberField, i: int, entry) -> ProjLine:
+    """Line i of a file: three coordinates in canonical form."""
     if not isinstance(entry, list) or len(entry) != 3:
-        raise SchemaError(f"a {kind} needs 3 homogeneous coordinates")
-    return tuple(nf_from_json(field, x) for x in entry)
+        raise SchemaError(f"line {i} needs 3 homogeneous coordinates")
+    coeffs = tuple(nf_from_json(field, x) for x in entry)
+    lead = next((x for x in coeffs if not x.is_zero), None)
+    if lead is None or not lead.is_one:
+        raise SchemaError(f"line {i} is not a canonical triple (first nonzero entry 1)")
+    return ProjLine(coeffs)
 
 
 def config_from_json(data) -> Configuration:
-    """Decode a configuration file and prove its incidences (check_incidences).
+    """Decode a configuration file: check its lines, derive everything else.
 
-    Shape errors raise SchemaError; an incidence that is false, or a line
-    intersection that is not a listed point, raises MissedIntersection.
-    Both exit 6.
+    The lines must be canonical triples, pairwise distinct, and at least
+    two; canonical form makes "distinct triples" mean "distinct lines", so
+    every pair of lines meets in exactly one point. derive_points then
+    computes the points, incidences and marks exactly, as the builder did.
+    A malformed file raises SchemaError (exit 6); so does a schema v1 file,
+    which also stored points and incidences, with a request to rebuild it.
+    A polynomial that defines no field exits 3, as it does for build.
     """
     if not isinstance(data, dict):
         raise SchemaError("configuration file must hold a JSON object")
-    if data.get("v") != SCHEMA_VERSION:
-        raise SchemaError(f"unsupported schema version {data.get('v')!r}")
+    version = data.get("v")
+    if version == 1:
+        raise SchemaError(
+            "this is a schema v1 configuration file, which planecode no longer "
+            "reads; rebuild it with `planecode build`"
+        )
+    if version != CONFIG_SCHEMA_VERSION:
+        raise SchemaError(f"unsupported schema version {version!r}")
     try:
         poly = poly_from_json(data["poly"])
         field = NumberField.create(poly)
-        lines = tuple(ProjLine(_triple(field, e, "line")) for e in data["lines"])
-        points = tuple(ProjPoint(_triple(field, e, "point")) for e in data["points"])
-        incidence = tuple(
-            tuple(sorted(int(i) for i in rows)) for rows in data["incidence"]
-        )
-        if not isinstance(data["marks"], dict):
-            raise SchemaError("marks must be a JSON object")
-        marks = {str(k): int(v) for k, v in data["marks"].items()}
+        lines = [_line(field, i, e) for i, e in enumerate(data["lines"])]
         seed = int(data["seed"])
         params = int(data["params_consumed"])
     except SchemaError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed configuration file: {exc}") from exc
-    if len(incidence) != len(points):
-        raise SchemaError("incidence rows do not match the point list")
-    for rows in incidence:
-        if any(not (0 <= i < len(lines)) for i in rows):
-            raise SchemaError("incidence references a missing line")
-    for label, idx in marks.items():
-        if label not in MARK_LABELS or not (0 <= idx < len(points)):
-            raise SchemaError(f"bad mark {label!r} -> {idx}")
-    c = Configuration(
-        field=field,
-        lines=lines,
-        points=points,
-        incidence=incidence,
-        marks=marks,
-        seed=seed,
-        params_consumed=params,
-        source=poly,
-    )
-    check_incidences(c)
-    return c
+    if len(lines) < 2:
+        raise SchemaError(f"a configuration needs at least two lines, got {len(lines)}")
+    try:
+        return derive_points(lines, seed=seed, params_consumed=params, source=poly)
+    except DuplicateLine as exc:
+        raise SchemaError(f"a line is listed twice: {exc}") from exc
 
 
 def certificate_to_json(cert: SeparationCertificate) -> dict:
     return {
-        "v": SCHEMA_VERSION,
+        "v": REPORT_SCHEMA_VERSION,
         "kind": "separation-certificate",
         "poly": poly_to_json(cert.poly),
         "seed": cert.seed,
@@ -176,7 +174,7 @@ def cover_report_to_json(report: CoverReport) -> dict:
         return {"h": cls.h, "b": list(cls.b)}
 
     return {
-        "v": SCHEMA_VERSION,
+        "v": REPORT_SCHEMA_VERSION,
         "kind": "cover-report",
         "poly": poly_to_json(report.source_poly) if report.source_poly else None,
         "seed": report.seed,

@@ -23,11 +23,11 @@ constants are built from the unit point by binary double-and-add.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
-from .configuration import Configuration, ParamStream, derive_points, RETRY_BUDGET
+from .configuration import MARK_LABELS, Configuration, ParamStream, derive_points, RETRY_BUDGET
 from .errors import (
     GadgetDegenerate,
     GenericityExhausted,
@@ -116,8 +116,8 @@ def compile_polynomial(p: IntPoly, check: bool = True) -> SLP:
     """Horner-form SLP computing p(z); zero coefficients are skipped.
 
     With check=True (the default) a modulus proven reducible is rejected
-    up front; an Unverified verdict is accepted and any zero divisor is
-    caught later during inversion.
+    up front; an Unverified verdict passes here and is refused when the
+    field is created (NumberField.create, exit 3).
     """
     prim = p.primitive()
     if prim.degree < 2:
@@ -327,19 +327,7 @@ def emit_configuration(
     cfg = derive_points(
         list(ordered), seed=seed, params_consumed=stream.cursor, source=slp.source
     )
-    index = {p: i for i, p in enumerate(cfg.points)}
-    gen_pt = register_point(field.gen)
-    marker_points = {
-        "zero": point(field, 0, 0),
-        "one": point(field, 1, 0),
-        "inf": point(field, 1, 0, 0),
-        "z": gen_pt,
-    }
-    marks = {}
-    for label, pt in marker_points.items():
-        if pt not in index:
+    for label in MARK_LABELS:
+        if label not in cfg.marks:
             raise NotARoot(f"marked point {label} is not an intersection point")
-        marks[label] = index[pt]
-    if len(set(marks.values())) != 4:
-        raise NotARoot("marked points are not pairwise distinct")
-    return replace(cfg, marks=marks)
+    return cfg

@@ -193,21 +193,15 @@ def test_criterion_8_fault_injection(built, tmp_path):
     busiest = cfg.marks["zero"]
     for target in sorted(cfg.incidence[busiest])[-2:][::-1]:
         del data["lines"][target]
-        data["incidence"] = [
-            [j - 1 if j > target else j for j in rows if j != target]
-            for rows in data["incidence"]
-        ]
     tie_path = tmp_path / "tie.json"
     tie_path.write_text(dumps_canonical(data), encoding="utf-8")
     codes["valence tie"] = main(["decode", str(tie_path)])
 
     data = json.loads(dumps_canonical(config_to_json(cfg)))
-    victim = max(i for i in range(len(data["points"])) if i not in set(cfg.marks.values()))
-    del data["points"][victim]
-    del data["incidence"][victim]
-    lost_path = tmp_path / "lost.json"
-    lost_path.write_text(dumps_canonical(data), encoding="utf-8")
-    codes["deleted point"] = main(["cover", str(lost_path), "-o", str(tmp_path / "c.json")])
+    data["lines"].append(data["lines"][-1])
+    twice_path = tmp_path / "twice.json"
+    twice_path.write_text(dumps_canonical(data), encoding="utf-8")
+    codes["line listed twice"] = main(["cover", str(twice_path), "-o", str(tmp_path / "c.json")])
 
-    ok = codes == {"reducible": 3, "valence tie": 5, "deleted point": 6}
+    ok = codes == {"reducible": 3, "valence tie": 5, "line listed twice": 6}
     _verdict(8, ok, f"distinct error codes: {codes}")

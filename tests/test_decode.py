@@ -14,7 +14,7 @@ from planecode import (
     separation_certificate,
     valences,
 )
-from planecode.errors import AmbiguousValences, NotCollinear, TrivialField
+from planecode.errors import AmbiguousValences, NotCollinear, ParityViolation, TrivialField
 
 
 def test_round_trip_x2_minus_2(built):
@@ -64,20 +64,50 @@ def test_decode_four_pencil_tie_ambiguous():
         decode(cfg)
 
 
-def test_decode_non_collinear_tops():
-    # pencils of sizes 8, 7, 6, 5 at four points not on a common line
+def _pencils(sizes):
+    """Pencils of the given sizes at four points not on a common line."""
     k = NumberField.create(parse_poly("x^2-2"))
     lines = []
-    anchors = [((0, 0), 8, 100), ((1, 0), 7, 200), ((0, 1), 6, 300), ((5, 7), 5, 400)]
-    for (ax, ay), size, base in anchors:
+    anchors = [((0, 0), 100), ((1, 0), 200), ((0, 1), 300), ((5, 7), 400)]
+    for ((ax, ay), base), size in zip(anchors, sizes):
         for i in range(size):
             s = base + i
             lines.append(line(k, s, -1, ay - s * ax))
-    cfg = derive_points(lines)
+    return derive_points(lines)
+
+
+def test_decode_non_collinear_tops():
+    # even sizes, so the parity check passes and the collinearity check fails
+    cfg = _pencils((10, 8, 6, 4))
     rep = valences(cfg)
-    assert [v for _, v in rep.top(5)] == [8, 7, 6, 5, 2]
-    with pytest.raises(NotCollinear):
+    assert [v for _, v in rep.top(5)] == [10, 8, 6, 4, 2]
+    with pytest.raises(NotCollinear) as err:
         decode(cfg)
+    message = str(err.value)
+    assert message.startswith("collinearity check failed")
+    shown = ", ".join(f"point {i}: {v}" for i, v in rep.top(6))
+    assert message.endswith(f"top of the valence ladder: {shown}")
+
+
+def test_decode_odd_valence_refused():
+    # the ladder 8 > 7 > 6 > 5 > 2 is strict, but 7 and 5 are odd
+    cfg = _pencils((8, 7, 6, 5))
+    with pytest.raises(ParityViolation, match="parity check failed") as err:
+        decode(cfg)
+    assert str(err.value).count("point ") == 1 + 6
+
+
+def test_decode_tie_message_names_check_and_ladder():
+    k = NumberField.create(parse_poly("x^2-2"))
+    cfg = derive_points([line(k, 1, 0, 0), line(k, 0, 1, 0), line(k, 1, 1, -1)])
+    with pytest.raises(AmbiguousValences, match="point count check failed: 3 points.*point 2: 2$"):
+        decode(cfg)
+    cfg = _pencils((4, 4, 2, 2))
+    with pytest.raises(AmbiguousValences) as err:
+        decode(cfg)
+    assert str(err.value).startswith("strict ladder check failed")
+    shown = ", ".join(f"point {i}: {v}" for i, v in valences(cfg).top(6))
+    assert str(err.value).endswith(shown)
 
 
 # -- separation certificates -----------------------------------------------------

@@ -3,6 +3,13 @@
 x^5-x-1 and x^7-x-1 pin degree >= 5, where inversion in K is dearest.
 Performance work must leave these bytes unchanged. A change that alters
 them on purpose updates the table and says why.
+
+A configuration file stores only its lines (schema v2), and loading derives
+the points, incidences and marks. GOLDEN holds the digests of the former
+v1 encoding, which also wrote those derived parts: each v2 file, once
+loaded, must re-encode to them through v1_json below. So the derivation at
+load is pinned point for point, row for row, in the builder's order.
+FILE_GOLDEN pins the v2 files themselves.
 """
 
 import hashlib
@@ -10,7 +17,30 @@ import hashlib
 import pytest
 
 from planecode.cover import build_cover_report
-from planecode.serialize import config_to_json, cover_report_to_json, dumps_canonical
+from planecode.serialize import (
+    config_from_json,
+    config_to_json,
+    cover_report_to_json,
+    dumps_canonical,
+    loads,
+    nf_to_json,
+    poly_to_json,
+)
+
+
+def v1_json(c) -> dict:
+    """Reference encoder of the schema v1 configuration file, kept for the tests."""
+    return {
+        "v": 1,
+        "poly": poly_to_json(c.source),
+        "seed": c.seed,
+        "params_consumed": c.params_consumed,
+        "lines": [[nf_to_json(x) for x in l.coeffs] for l in c.lines],
+        "points": [[nf_to_json(x) for x in p.coords] for p in c.points],
+        "incidence": [list(rows) for rows in c.incidence],
+        "marks": dict(c.marks),
+    }
+
 
 GOLDEN = {
     "x^2-2": "8406d7c23627b69da58085fe1039b56305e6590765e8193c2f4069dbf84fde51",
@@ -33,11 +63,41 @@ COVER_GOLDEN = {
 }
 
 
+FILE_GOLDEN = {
+    "x^2-2": "db64c38924639b36509b064c75516d32e4d53268b85439d7a3cacb15c6bb07c1",
+    "x^3-2": "bd07a0024e81c4b61e74084f43f24c4d91091c26988e72512a084da98cc0aaf5",
+    "x^2-x-1": "d1528802b96a484e4034bef7cb1425895529fb727cba042b8b206371edd5310d",
+    "x^4-x-1": "cd20f8cf980445aeb183de28af5af3e3533c08fce664e0ec5f462cf439574134",
+    "3*x^2-5": "69272cca51837392b5adbd000b19b78439a73f225394025fdaa79747e580d502",
+    "x^5-x-1": "6b089551ebcdea74d5bb4fdc5327623edae499ac2fb921586083abae2e8f751b",
+    "x^7-x-1": "74ce6f5397a421327da1c085d901e3a91c484d98711d8cad9aaf258f8a6b997e",
+}
+
+# The v1 files were 0.67 MB and 6.55 MB; the lines alone are 2-4 % of that.
+FILE_BYTES_AT_MOST = {"x^2-2": 30_000, "x^7-x-1": 150_000}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("text", sorted(GOLDEN))
 def test_configuration_digest(built, text):
     cfg, _ = built(text)
-    blob = dumps_canonical(config_to_json(cfg)).encode()
-    assert hashlib.sha256(blob).hexdigest() == GOLDEN[text]
+    loaded = config_from_json(loads(dumps_canonical(config_to_json(cfg))))
+    assert _sha256(dumps_canonical(v1_json(loaded))) == GOLDEN[text]
+
+
+@pytest.mark.parametrize("text", sorted(FILE_GOLDEN))
+def test_configuration_file_digest(built, text):
+    cfg, _ = built(text)
+    assert _sha256(dumps_canonical(config_to_json(cfg))) == FILE_GOLDEN[text]
+
+
+@pytest.mark.parametrize("text", sorted(FILE_BYTES_AT_MOST))
+def test_configuration_file_size(built, text):
+    cfg, _ = built(text)
+    assert len(dumps_canonical(config_to_json(cfg)).encode()) <= FILE_BYTES_AT_MOST[text]
 
 
 @pytest.mark.parametrize("text", sorted(COVER_GOLDEN))

@@ -1,9 +1,10 @@
 """Random mutations of a configuration file never crash `decode` or `cover`.
 
-Each example edits the lines, points, incidence rows or marks of the x^2-2
-configuration and runs both commands through `cli.main`: every outcome must
-be one of the documented exit codes, never an exception. The polynomial is
-left alone; bounding its size is a separate concern.
+Each example edits the lines, the seed or the stream cursor of the x^2-2
+configuration file (schema v2) and runs both commands through `cli.main`:
+every outcome must be one of the documented exit codes, never an exception.
+An edited line is a different configuration, whose points load derives
+anew. The polynomial is left alone; parse_poly bounds its size.
 """
 
 import contextlib
@@ -23,6 +24,7 @@ JUNK = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(-3, 10**6),
+    st.floats(),  # json writes inf and nan as Infinity and NaN, and reads them back
     st.text(max_size=3),
     st.lists(st.integers(-2, 70), max_size=4),
     st.dictionaries(st.sampled_from(["n", "d", "zero", "x"]), st.integers(-2, 5), max_size=2),
@@ -45,24 +47,20 @@ def _pick(draw, node):
 
 
 def _edit_value(draw, data):
-    """Change one rational of a line or point, one incidence row, or one mark."""
-    key = draw(st.sampled_from(["lines", "points", "incidence", "marks"]))
-    slot = _pick(draw, data[key])
-    if key in ("lines", "points"):
-        coord = data[key][slot][draw(st.integers(0, 2))]
-        rational = coord[draw(st.integers(0, len(coord) - 1))]
-        rational[draw(st.sampled_from(["n", "d"]))] = str(draw(st.integers(-3, 3)))
+    """Change one rational of one line, or the seed or the stream cursor."""
+    key = draw(st.sampled_from(["lines", "lines", "seed", "params_consumed"]))
+    if key != "lines":
+        data[key] = draw(st.integers(-2, 10**6))
         return
-    value = draw(st.integers(-2, len(data["points"]) + 2))
-    if key == "marks":
-        data[key][slot] = value
-    else:
-        data[key][slot] = sorted(data[key][slot] + [value])
+    entry = data["lines"][_pick(draw, data["lines"])]
+    coord = entry[draw(st.integers(0, 2))]
+    rational = coord[draw(st.integers(0, len(coord) - 1))]
+    rational[draw(st.sampled_from(["n", "d"]))] = str(draw(st.integers(-3, 3)))
 
 
 def _edit_shape(draw, data):
     """Delete, duplicate or replace by junk one node at a random depth."""
-    parent, slot = data, draw(st.sampled_from(["lines", "points", "incidence", "marks"]))
+    parent, slot = data, draw(st.sampled_from(["lines", "lines", "seed", "v"]))
     while isinstance(parent[slot], (list, dict)) and parent[slot] and draw(st.booleans()):
         parent, slot = parent[slot], _pick(draw, parent[slot])
     kind = draw(st.sampled_from(["delete", "duplicate", "replace"]))

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -22,8 +23,15 @@ from planecode.errors import (
     PolyParseError,
     ReducibleModulus,
     TrivialField,
+    UnprovenModulus,
 )
-from planecode.numberfield import MAX_DEGREE, Disc, poly_gcd, squarefree_part
+from planecode.numberfield import (
+    MAX_COEFF_DIGITS,
+    MAX_DEGREE,
+    Disc,
+    poly_gcd,
+    squarefree_part,
+)
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +59,36 @@ def test_parse_poly_degree_bound():
     for text in ("x^33-2", "x^1000000-2"):
         with pytest.raises(PolyParseError, match="MAX_DEGREE = 32"):
             parse_poly(text)
+
+
+def test_parse_poly_coefficient_bound():
+    nines = "9" * MAX_COEFF_DIGITS
+    assert parse_poly(f"x^2-{nines}")[0] == -int(nines)
+    assert parse_poly("x^2-" + "0" * 5000 + "2") == parse_poly("x^2-2")
+    # more than 4300 digits would make int() itself raise ValueError
+    for text in ("x^2-" + "9" * 5000, "1" + nines + "*x^2-2"):
+        with pytest.raises(PolyParseError, match="MAX_COEFF_DIGITS = 1000"):
+            parse_poly(text)
+
+
+_POLY_PIECES = st.one_of(
+    st.sampled_from(["x", "^", "*", "+", "-", " ", "x^", "2", "0", "32", "33", "**", "y"]),
+    st.text("0123456789", min_size=1, max_size=5000),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_POLY_PIECES, max_size=12).map("".join))
+def test_parse_poly_parses_or_refuses_quickly(text):
+    t0 = time.perf_counter()
+    try:
+        p = parse_poly(text)
+    except PolyParseError:
+        pass
+    else:
+        assert p.degree <= MAX_DEGREE
+    assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize("bad", ["", "x^", "y^2", "x**2", "2^x", "x^-1"])
@@ -114,6 +152,17 @@ def test_reducible_modulus_detected_by_inv():
     with pytest.raises(ReducibleModulus) as err:
         (k.gen - 1).inv()
     assert err.value.factor is not None
+
+
+def test_unproven_modulus_refused():
+    # (x^2 + 1)(x^4 + x^2 + 1): no rational root, and its factor degrees
+    # mod every screen prime allow a proper factor, so the screen cannot decide
+    p = parse_poly("x^6+2*x^4+2*x^2+1")
+    res = check_irreducible(p)
+    assert not res.is_irreducible and not res.is_reducible
+    with pytest.raises(UnprovenModulus, match="could not prove"):
+        NumberField.create(p)
+    assert UnprovenModulus.exit_code == 3
 
 
 def test_trivial_field():

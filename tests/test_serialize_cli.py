@@ -11,7 +11,7 @@ import pytest
 
 from planecode import parse_poly, separation_certificate
 from planecode.cli import main
-from planecode.errors import MissedIntersection, SchemaError
+from planecode.errors import SchemaError
 from planecode.serialize import (
     certificate_to_json,
     config_from_json,
@@ -20,6 +20,8 @@ from planecode.serialize import (
     format_certificate,
     loads,
 )
+
+from tests.test_golden import v1_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -57,28 +59,28 @@ def test_rationals_encoded_as_strings(cfg):
 
 def test_schema_errors(cfg):
     good = config_to_json(cfg)
+    assert sorted(good) == ["lines", "params_consumed", "poly", "seed", "v"]
     with pytest.raises(SchemaError):
         config_from_json({**good, "v": 99})
     with pytest.raises(SchemaError):
-        config_from_json({k: v for k, v in good.items() if k != "points"})
-    broken = json.loads(dumps_canonical(good))
-    broken["incidence"][0] = [10**6]
-    with pytest.raises(SchemaError):
-        config_from_json(broken)
+        config_from_json({k: v for k, v in good.items() if k != "lines"})
     with pytest.raises(SchemaError):
         loads("{not json")
     # malformed shapes: each one once gave a traceback or a silent accept
     for edit in (
         lambda d: d["lines"][0][0][0].update(d="0"),
-        lambda d: d.update(marks=[0, 1, 2, 3]),
-        lambda d: d["points"][0].pop(),
+        lambda d: d.update(lines={"0": d["lines"][0]}),
+        lambda d: d["lines"][0].pop(),
         lambda d: d["lines"][0].append(d["lines"][0][0]),
+        lambda d: d["lines"][0][0].pop(),
+        lambda d: d.update(seed="zero"),
+        lambda d: d.update(seed=float("inf")),  # JSON's Infinity
     ):
         with pytest.raises(SchemaError):
             config_from_json(_edited(good, edit))
     all_zero = json.loads(dumps_canonical(good))
-    all_zero["points"][0] = [[{"n": "0", "d": "1"}] * 2] * 3
-    with pytest.raises(MissedIntersection, match="canonical"):
+    all_zero["lines"][0] = [[{"n": "0", "d": "1"}] * 2] * 3
+    with pytest.raises(SchemaError, match="canonical"):
         config_from_json(all_zero)
 
 
@@ -135,6 +137,26 @@ def test_cli_exit_codes(cfg_path, tmp_path):
         assert exc.value.code == 2
 
 
+def test_cli_unproven_modulus_exits_3(cfg, tmp_path, capsys):
+    # (x^2 + 1)(x^4 + x^2 + 1): once built and "decoded" over a ring that is
+    # not a field, with exit 0
+    text = "x^6+2*x^4+2*x^2+1"
+    assert main(["build", "-p", text, "-o", str(tmp_path / "u.json")]) == 3
+    assert main(["certify", "-p", text, "-o", str(tmp_path / "cert.json")]) == 3
+    data = json.loads(dumps_canonical(config_to_json(cfg)))
+    data["poly"] = [{"n": str(c), "d": "1"} for c in (1, 0, 2, 0, 2, 0, 1)]
+    path = tmp_path / "u.json"
+    path.write_text(dumps_canonical(data), encoding="utf-8")
+    assert main(["decode", str(path)]) == 3
+    assert "could not prove" in capsys.readouterr().err
+
+
+def test_cli_huge_coefficient_exits_2(tmp_path, capsys):
+    # 5000 digits: int() alone would raise ValueError, a traceback
+    assert main(["build", "-p", "x^2-" + "9" * 5000, "-o", str(tmp_path / "x.json")]) == 2
+    assert "MAX_COEFF_DIGITS" in capsys.readouterr().err
+
+
 def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -169,43 +191,20 @@ def test_cli_schema_error_exit(tmp_path):
     assert main(["decode", str(bad)]) == 6
 
 
-def _delete_line(data, index):
-    """Remove one line from a serialized configuration, renumbering incidences."""
-    out = json.loads(json.dumps(data))
-    del out["lines"][index]
-    out["incidence"] = [
-        [j - 1 if j > index else j for j in rows if j != index]
-        for rows in out["incidence"]
-    ]
-    return out
-
-
 def test_cli_tampered_line_deletion(cfg, tmp_path):
     data = config_to_json(cfg)
     # deleting two late amplification lines through the zero mark drops its
     # valence from M+8 to M+6, tying it with the one mark
     busiest = cfg.marks["zero"]
-    targets = sorted(cfg.incidence[busiest])[-2:]
-    tampered = _delete_line(_delete_line(data, targets[1]), targets[0])
+    for target in sorted(cfg.incidence[busiest])[-2:][::-1]:
+        del data["lines"][target]
     path = tmp_path / "tampered.json"
-    path.write_text(dumps_canonical(tampered), encoding="utf-8")
+    path.write_text(dumps_canonical(data), encoding="utf-8")
     assert main(["decode", str(path)]) == 5
 
 
-def test_cli_tampered_point_deletion(cfg, tmp_path):
-    data = json.loads(dumps_canonical(config_to_json(cfg)))
-    victim = max(
-        i for i in range(len(data["points"])) if i not in set(cfg.marks.values())
-    )
-    del data["points"][victim]
-    del data["incidence"][victim]
-    path = tmp_path / "lost_point.json"
-    path.write_text(dumps_canonical(data), encoding="utf-8")
-    assert main(["cover", str(path), "-o", str(tmp_path / "r.json")]) == 6
-
-
 def test_cli_decode_handwritten_three_line_config(tmp_path):
-    # a minimal hand-written file: three generic lines, three points
+    # a minimal hand-written file: three generic lines, so three points
     def rat(n, d=1):
         return {"n": str(n), "d": str(d)}
 
@@ -213,7 +212,7 @@ def test_cli_decode_handwritten_three_line_config(tmp_path):
         return [rat(a), rat(b)]
 
     data = {
-        "v": 1,
+        "v": 2,
         "poly": [rat(-2), rat(0), rat(1)],
         "seed": 0,
         "params_consumed": 0,
@@ -222,67 +221,97 @@ def test_cli_decode_handwritten_three_line_config(tmp_path):
             [elem(0), elem(1), elem(0)],   # y = 0
             [elem(1), elem(1), elem(-1)],  # x + y = 1
         ],
-        "points": [
-            [elem(0), elem(0), elem(1)],
-            [elem(0), elem(1), elem(1)],
-            [elem(1), elem(0), elem(1)],
-        ],
-        "incidence": [[0, 1], [0, 2], [1, 2]],
-        "marks": {},
     }
     path = tmp_path / "hand.json"
     path.write_text(dumps_canonical(data), encoding="utf-8")
     assert main(["decode", str(path)]) == 5
-    # (0:1:0) and (1:0:0) are the directions of the axes, not on x + y = 1
-    data["points"][1:] = [[elem(0), elem(1), elem(0)], [elem(1), elem(0), elem(0)]]
+    # 2x + 2y = 2 is the same line, but not in canonical form
+    data["lines"][2] = [elem(2), elem(2), elem(-2)]
     path.write_text(dumps_canonical(data), encoding="utf-8")
     assert main(["decode", str(path)]) == 6
 
 
-def _forge_extra_incidence(cfg, data):
-    """Add line 0 to the row of the first non-mark point not on it."""
-    marks = set(cfg.marks.values())
-    q = next(i for i, rows in enumerate(data["incidence"]) if i not in marks and 0 not in rows)
-    data["incidence"][q] = sorted(data["incidence"][q] + [0])
+def _duplicate_line(cfg, data):
+    data["lines"].append(json.loads(json.dumps(data["lines"][5])))
 
 
-def _double_line_coefficient(cfg, data):
-    """Double the first nonzero coefficient after the leading one of some line."""
-    for entry in data["lines"]:
-        lead = next(k for k, x in enumerate(entry) if any(r["n"] != "0" for r in x))
-        for x in entry[lead + 1:]:
-            if any(r["n"] != "0" for r in x):
-                for r in x:
-                    r["n"] = str(2 * int(r["n"]))
-                return
-    raise AssertionError("no line has a nonzero non-leading coefficient")
+def _scale_line(cfg, data):
+    """Write one line as twice its canonical triple: the same line, not canonical."""
+    for x in data["lines"][5]:
+        for r in x:
+            r["n"] = str(2 * int(r["n"]))
 
 
-def _drop_row_index(cfg, data):
-    """Forget one line of one non-mark point's row."""
-    marks = set(cfg.marks.values())
-    q = next(i for i in range(len(data["incidence"])) if i not in marks)
-    data["incidence"][q].pop()
+def _zero_line(cfg, data):
+    data["lines"][5] = [[{"n": "0", "d": "1"}] * cfg.field.n] * 3
 
 
-def _append_point_on_no_line(cfg, data):
-    """Append the point (1 : 12345 : 67891) with an empty incidence row."""
-    zeros = [{"n": "0", "d": "1"}] * (cfg.field.n - 1)
-    data["points"].append([[{"n": str(v), "d": "1"}] + zeros for v in (1, 12345, 67891)])
-    data["incidence"].append([])
+def _two_coordinate_line(cfg, data):
+    data["lines"][5].pop()
+
+
+def _zero_denominator(cfg, data):
+    data["lines"][5][0][0]["d"] = "0"
+
+
+def _one_line(cfg, data):
+    del data["lines"][1:]
+
+
+def _v1_file(cfg, data):
+    data.clear()
+    data.update(v1_json(cfg))
 
 
 @pytest.mark.parametrize(
     "forge",
-    [_forge_extra_incidence, _double_line_coefficient, _drop_row_index, _append_point_on_no_line],
+    [
+        _duplicate_line,
+        _scale_line,
+        _zero_line,
+        _two_coordinate_line,
+        _zero_denominator,
+        _one_line,
+        _v1_file,
+    ],
 )
-def test_cli_forged_incidences_exit_6(cfg, tmp_path, forge):
+def test_cli_malformed_lines_exit_6(cfg, tmp_path, forge):
     data = json.loads(dumps_canonical(config_to_json(cfg)))
     forge(cfg, data)
     path = tmp_path / "forged.json"
     path.write_text(dumps_canonical(data), encoding="utf-8")
     assert main(["decode", str(path)]) == 6
     assert main(["cover", str(path), "-o", str(tmp_path / "r.json")]) == 6
+
+
+def test_cli_v1_file_asks_for_rebuild(cfg, tmp_path, capsys):
+    path = tmp_path / "v1.json"
+    path.write_text(dumps_canonical(v1_json(cfg)), encoding="utf-8")
+    assert main(["decode", str(path)]) == 6
+    assert "rebuild it with `planecode build`" in capsys.readouterr().err
+
+
+def test_cli_perturbed_line_is_another_configuration(cfg, tmp_path, capsys):
+    """Doubling one line coefficient gives a new, loadable set of lines.
+
+    The file carries no incidences to contradict, so it loads; the moved
+    line leaves odd valences behind, which decode and cover both refuse.
+    """
+    data = json.loads(dumps_canonical(config_to_json(cfg)))
+    for entry in data["lines"]:
+        lead = next(k for k, x in enumerate(entry) if any(r["n"] != "0" for r in x))
+        rest = [x for x in entry[lead + 1:] if any(r["n"] != "0" for r in x)]
+        if rest:
+            for r in rest[0]:
+                r["n"] = str(2 * int(r["n"]))
+            break
+    path = tmp_path / "perturbed.json"
+    path.write_text(dumps_canonical(data), encoding="utf-8")
+    assert config_from_json(data).line_count == cfg.line_count
+    capsys.readouterr()
+    assert main(["decode", str(path)]) == 3
+    assert "equals the field generator" not in capsys.readouterr().out
+    assert main(["cover", str(path), "-o", str(tmp_path / "r.json")]) == 3
 
 
 def test_cli_cover_report(cfg_path, tmp_path):
