@@ -1,12 +1,15 @@
 """Line configurations: derived intersection points, valences, augmentation.
 
 A configuration is its lines. Everything else is derived from them by one
-code path, _Builder.add_line: the points are the pairwise meets of the
-lines, computed exactly in K, and a point's incidence row is the set of
-lines whose meets produced it. find_marks then looks up the four marked
-points 0, 1, inf, z of the coding axis among those points. The builder
-derives a configuration this way, and so does loading a configuration
-file, which stores only the lines (see serialize).
+code path, _Builder.add_line: a point is where two or more lines cross,
+numbered by the first pair of lines that crosses there, and its incidence
+row is the set of lines through it. The builder finds the existing points
+a new line passes through by fingerprint, a point's image in P^2(F_l)
+(see _Builder), and confirms each match exactly; exact coordinates are
+computed from a point's creating pair only when something reads them
+(Points). find_marks then looks up the four marked points 0, 1, inf, z of
+the coding axis. The builder derives a configuration this way, and so does
+loading a configuration file, which stores only the lines (see serialize).
 
 Two passes turn the raw gadget output into the final object:
 augment_even_valence makes every valence even, amplify_marks pushes the
@@ -14,22 +17,24 @@ four marks to the strict top of the valence ladder.
 
 New "general" lines take their free parameters from a deterministic
 rational stream, and genericity is checked exactly, never assumed: a
-candidate is rejected if it hits any existing point other than its target.
-`incident` screens most of those tests with residues mod a prime, but a
-residue only ever proves a value nonzero, i.e. a miss; every hit, and every
-test the residues cannot settle, is decided by exact arithmetic in K.
+candidate is rejected if it passes through any existing point other than
+its target. A fingerprint only ever proves two points different; every
+match, and every case the fingerprints cannot settle, is decided by exact
+arithmetic in K.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import DuplicateLine, GenericityExhausted, MissedIntersection, SelfCheckFailed
-from .numberfield import IntPoly, NumberField
+from .numberfield import IRREDUCIBLE, IntPoly, NumberField
 from .projgeom import ProjLine, ProjPoint, incident, join, meet, point
 
-RETRY_BUDGET = 64
+RETRY_BUDGET = 1024
 
 MARK_ZERO = "zero"
 MARK_ONE = "one"
@@ -55,7 +60,7 @@ class ParamStream:
 class Configuration:
     field: NumberField
     lines: tuple[ProjLine, ...]
-    points: tuple[ProjPoint, ...]
+    points: Points
     incidence: tuple[tuple[int, ...], ...]  # per point: sorted incident line indices
     marks: dict[str, int]
     seed: int = 0
@@ -107,46 +112,199 @@ def check_pair_count(c: Configuration) -> int:
     return pairs
 
 
+class Points(Sequence):
+    """The points of a configuration, in order; each is the meet of its creating pair.
+
+    pairs[i] is the first pair of lines (a, b), a < b, that crosses at point
+    i, and keys[i] its lookup key in the builder. Exact coordinates are
+    computed from the pair on first access and kept in exact[i]; most
+    points are never read, so most are never computed.
+    """
+
+    __slots__ = ("lines", "pairs", "keys", "exact")
+
+    def __init__(self, lines, pairs, keys, exact):
+        self.lines = lines
+        self.pairs = pairs
+        self.keys = keys
+        self.exact = exact
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        p = self.exact[i]
+        if p is None:
+            a, b = self.pairs[i]
+            p = self.exact[i] = meet(self.lines[a], self.lines[b])
+        return p
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(p == q for p, q in zip(self, other))
+
+    __hash__ = None
+
+
+def _fingerprint(u, v, ell: int):
+    """u x v in F_l^3 scaled so its first nonzero entry is 1; None if it vanishes."""
+    x = (u[1] * v[2] - u[2] * v[1]) % ell
+    y = (u[2] * v[0] - u[0] * v[2]) % ell
+    z = (u[0] * v[1] - u[1] * v[0]) % ell
+    if x:
+        s = pow(x, -1, ell)
+        return 1, y * s % ell, z * s % ell
+    if y:
+        return 0, 1, z * pow(y, -1, ell) % ell
+    if z:
+        return 0, 0, 1
+    return None
+
+
+def _residues(triple):
+    """The residues of a canonical triple, or None if one is undefined.
+
+    The first nonzero entry of a canonical triple is 1, so for a point this
+    is already its fingerprint.
+    """
+    rs = tuple(x.residue for x in triple)
+    return None if None in rs else rs
+
+
 class _Builder:
-    """Mutable accumulation of lines, points, and incidences."""
+    """Mutable accumulation of lines, points, and incidences.
+
+    on_line[i] maps a key to the points on line i that carry it. Without a
+    usable residue map the key of a point is the point itself, so equal
+    keys are equal points, and the builder computes every meet exactly.
+
+    With a residue map z -> r mod l on a field proven irreducible, the key
+    is the point's fingerprint: for the meet of lines u and v, the cross
+    product of their residue triples, scaled so its first nonzero entry is
+    1. It is None when a residue is undefined or that product vanishes.
+    Why it depends only on the point: r is a simple root, so l is a regular
+    prime and the local ring R_m of K is a discrete valuation ring to which
+    the residue map extends (NFElement.residue). Two triples over R_m with
+    nonzero images that represent one point differ by a factor lambda in K;
+    each has an entry that is a unit of R_m, so lambda is a unit and the
+    images differ by its nonzero image. So different fingerprints prove the
+    points different. Equal ones prove nothing: a match is confirmed
+    exactly (incident, on the point's exact coordinates), and a meet or
+    point without a fingerprint is tested exactly against every point of
+    the line.
+    """
 
     def __init__(self, field: NumberField):
         self.field = field
         self.lines: list[ProjLine] = []
         self.line_index: dict[ProjLine, int] = {}
-        self.points: list[ProjPoint] = []
-        self.point_index: dict[ProjPoint, int] = {}
-        self.incidence: list[set[int]] = []
+        self.points = Points(self.lines, [], [], [])
+        # per point, the lines through it in increasing order: a row only
+        # ever gains the newest line
+        self.incidence: list[list[int]] = []
+        self.on_line: list[dict] = []
+        self.line_residues: list[tuple[int, int, int] | None] = []
+        rmap = field.residue_map if field.irreducibility == IRREDUCIBLE else None
+        self.ell = None if rmap is None else rmap[0]
 
     @classmethod
     def from_config(cls, c: Configuration) -> "_Builder":
         b = cls(c.field)
-        b.lines = list(c.lines)
-        b.line_index = {l: i for i, l in enumerate(c.lines)}
-        b.points = list(c.points)
-        b.point_index = {p: i for i, p in enumerate(c.points)}
-        b.incidence = [set(rows) for rows in c.incidence]
+        for l in c.lines:
+            b._append_line(l)
+        pts = c.points
+        b.points = Points(b.lines, list(pts.pairs), list(pts.keys), list(pts.exact))
+        b.incidence = [list(rows) for rows in c.incidence]
+        for p, rows in enumerate(c.incidence):
+            for i in rows:
+                b.on_line[i].setdefault(pts.keys[p], []).append(p)
         return b
 
     def has_line(self, l: ProjLine) -> bool:
         return l in self.line_index
 
+    def _append_line(self, l: ProjLine) -> None:
+        self.line_index[l] = len(self.lines)
+        self.lines.append(l)
+        self.on_line.append({})
+        self.line_residues.append(None if self.ell is None else _residues(l.coeffs))
+
+    def _candidates(self, i: int, key):
+        """The points on line i that may carry key: with an exact key, at most one."""
+        table = self.on_line[i]
+        if key is None:
+            return chain.from_iterable(table.values())
+        return chain(table.get(key, ()), table.get(None, ()))
+
+    def crossings(self, l: ProjLine, hits: list[int]) -> list[tuple[int, object]]:
+        """Where l crosses the lines: existing points into hits, new ones returned.
+
+        hits may start with points known to lie on l. Every existing point l
+        passes through is appended to it, and (i, key) is returned for each
+        line i that l meets at a new point, in line order. A line through a
+        point of hits is skipped, since l meets it there; so each point is
+        confirmed at most once.
+        """
+        ell, pts = self.ell, self.points
+        w = None if ell is None else _residues(l.coeffs)
+        covered = set()
+        for p in hits:
+            covered.update(self.incidence[p])
+        fresh = []
+        for i, m in enumerate(self.lines):
+            if i in covered:
+                continue
+            if ell is None:
+                key = meet(m, l)
+            else:
+                u = self.line_residues[i]
+                key = None if u is None or w is None else _fingerprint(u, w, ell)
+            for p in self._candidates(i, key):
+                if ell is None or incident(l, pts[p]):
+                    hits.append(p)
+                    covered.update(self.incidence[p])
+                    break
+            else:
+                fresh.append((i, key))
+        return fresh
+
+    def insert(self, l: ProjLine, hits: list[int], fresh: list[tuple[int, object]]) -> int:
+        """Add l, given what crossings found for it: each new meet is a point of valence 2."""
+        k = len(self.lines)
+        self._append_line(l)
+        table = self.on_line[k]
+        pts = self.points
+        for p in hits:
+            self.incidence[p].append(k)
+            table.setdefault(pts.keys[p], []).append(p)
+        for i, key in fresh:
+            p = len(pts.pairs)
+            pts.pairs.append((i, k))
+            pts.keys.append(key)
+            pts.exact.append(key if self.ell is None else None)
+            self.incidence.append([i, k])
+            self.on_line[i].setdefault(key, []).append(p)
+            table.setdefault(key, []).append(p)
+        return k
+
     def add_line(self, l: ProjLine) -> int:
         if l in self.line_index:
             raise DuplicateLine(f"line {l} already present")
-        k = len(self.lines)
-        for i, other in enumerate(self.lines):
-            q = meet(other, l)
-            idx = self.point_index.get(q)
-            if idx is None:
-                idx = len(self.points)
-                self.points.append(q)
-                self.point_index[q] = idx
-                self.incidence.append(set())
-            self.incidence[idx].update((i, k))
-        self.lines.append(l)
-        self.line_index[l] = k
-        return k
+        hits: list[int] = []
+        fresh = self.crossings(l, hits)
+        return self.insert(l, hits, fresh)
+
+    def find(self, q: ProjPoint) -> int | None:
+        """Index of the point equal to q, or None."""
+        key = q if self.ell is None else _residues(q.coords)
+        for i in range(len(self.lines)):
+            for p in self._candidates(i, key):
+                if self.ell is None or self.points[p] == q:
+                    return p
+        return None
 
     def freeze(
         self,
@@ -155,11 +313,13 @@ class _Builder:
         params_consumed: int,
         source: IntPoly | None,
     ) -> Configuration:
+        lines = tuple(self.lines)
+        pts = self.points
         return Configuration(
             field=self.field,
-            lines=tuple(self.lines),
-            points=tuple(self.points),
-            incidence=tuple(tuple(sorted(rows)) for rows in self.incidence),
+            lines=lines,
+            points=Points(lines, tuple(pts.pairs), tuple(pts.keys), list(pts.exact)),
+            incidence=tuple(map(tuple, self.incidence)),
             marks=dict(marks),
             seed=seed,
             params_consumed=params_consumed,
@@ -167,22 +327,22 @@ class _Builder:
         )
 
 
-def find_marks(field: NumberField, point_index: dict[ProjPoint, int]) -> dict[str, int]:
+def find_marks(builder: _Builder) -> dict[str, int]:
     """Indices of the marked points 0, 1, inf and z that are among the points.
 
     The marks are (0 : 0 : 1), (1 : 0 : 1), (1 : 0 : 0) and (z : 0 : 1) on
     the coding axis y = 0, z the generator of K. A label whose point is not
     an intersection point is left out; the builder insists on all four.
     """
+    field = builder.field
     marker_points = {
         MARK_ZERO: point(field, 0, 0),
         MARK_ONE: point(field, 1, 0),
         MARK_INF: point(field, 1, 0, 0),
         MARK_Z: point(field, field.gen, 0),
     }
-    return {
-        label: point_index[pt] for label, pt in marker_points.items() if pt in point_index
-    }
+    found = {label: builder.find(pt) for label, pt in marker_points.items()}
+    return {label: i for label, i in found.items() if i is not None}
 
 
 def derive_points(
@@ -192,12 +352,12 @@ def derive_points(
     params_consumed: int = 0,
     source: IntPoly | None = None,
 ) -> Configuration:
-    """All pairwise intersections of the given lines, exact incidences and marks.
+    """All pairwise intersections of the given lines, their incidences and marks.
 
-    A point may lie on lines beyond the pair that created it; processing
-    every pair registers the full incidence set. The lines must be pairwise
-    distinct (DuplicateLine otherwise), and points are numbered in the
-    order their first pair of lines appears.
+    Each line is added in turn (_Builder.add_line), so a point lying on
+    more than two lines gets its full incidence set. The lines must be
+    pairwise distinct (DuplicateLine otherwise), and points are numbered in
+    the order their first pair of lines appears.
     """
     lines = list(lines)
     if len(lines) < 2:
@@ -205,14 +365,20 @@ def derive_points(
     builder = _Builder(lines[0].field)
     for l in lines:
         builder.add_line(l)
-    marks = find_marks(builder.field, builder.point_index)
+    marks = find_marks(builder)
     return builder.freeze(marks, seed, params_consumed, source)
 
 
 def _generic_line_through(
     builder: _Builder, target_index: int, stream: ParamStream
 ) -> None:
-    """Add one line through the target hitting no other existing point."""
+    """Add one line through the target that passes through no other existing point.
+
+    A candidate meets every line through the target t at t, and every other
+    point lies on some line not through t (two lines through it and t would
+    coincide). So the candidate is generic exactly when crossings finds no
+    point on any line not through t: one fingerprint meet per line per try.
+    """
     target = builder.points[target_index]
     f = builder.field
     for _ in range(RETRY_BUDGET):
@@ -225,13 +391,11 @@ def _generic_line_through(
         candidate = join(target, aux)
         if builder.has_line(candidate):
             continue
-        if any(
-            idx != target_index and incident(candidate, q)
-            for idx, q in enumerate(builder.points)
-        ):
-            continue
-        builder.add_line(candidate)
-        return
+        hits = [target_index]
+        fresh = builder.crossings(candidate, hits)
+        if len(hits) == 1:
+            builder.insert(candidate, hits, fresh)
+            return
     raise GenericityExhausted(
         f"no generic line through point {target_index} within {RETRY_BUDGET} tries"
     )

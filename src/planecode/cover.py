@@ -164,8 +164,8 @@ def check_cover_hypotheses(b: BranchData, c: Configuration) -> HypothesisReport:
     """Hypotheses of the branched-cover theorem, checked or recorded.
 
     (i) is exact: the proper transforms of the lines are pairwise disjoint
-    because every pairwise intersection was blown up. The points are the
-    exact pairwise meets of the lines (configuration.derive_points, also on
+    because every pairwise intersection was blown up. Every pair of lines
+    is counted at exactly one point (configuration.derive_points, also on
     load), so this is the pair-count identity sum_q C(e_q, 2) = C(L, 2),
     kept as a cheap self-check; MissedIntersection otherwise. (ii) is a
     tautology for distinct nonzero elements of (Z/2)^3. (iii) concerns

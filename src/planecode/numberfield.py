@@ -448,12 +448,15 @@ def _residue_map(prim: IntPoly) -> tuple[int, tuple[int, ...]] | None:
     """(l, (r^0, ..., r^(n-1)) mod l) with prim(r) = 0 mod l, or None.
 
     l is the first prime below or at _RESIDUE_PRIME_START at which the
-    integer polynomial prim has a root. Primes dividing the leading
-    coefficient are skipped, so the monic modulus has l-integral
-    coefficients. None when none of the first _RESIDUE_PRIME_TRIES primes
-    qualifies; every incidence test is then exact.
+    integer polynomial prim has a simple root r: prim(r) = 0 and
+    prim'(r) != 0 mod l. Primes dividing the leading coefficient are
+    skipped, so the monic modulus has l-integral coefficients. A simple
+    root makes l a regular prime of K (see NFElement.residue), which point
+    fingerprints rely on. None when none of the first _RESIDUE_PRIME_TRIES
+    primes qualifies; every incidence test is then exact.
     """
     ics = list(prim.int_coeffs())
+    dics = [i * c for i, c in enumerate(ics)][1:]
     tried = 0
     ell = _RESIDUE_PRIME_START + 1
     while tried < _RESIDUE_PRIME_TRIES and ell > 2:
@@ -462,7 +465,7 @@ def _residue_map(prim: IntPoly) -> tuple[int, tuple[int, ...]] | None:
             continue
         tried += 1
         r = _ffpoly.root(ics, ell)
-        if r is not None:
+        if r is not None and sum(c * pow(r, i, ell) for i, c in enumerate(dics)) % ell:
             return ell, tuple(pow(r, i, ell) for i in range(prim.degree))
     return None
 
@@ -660,13 +663,22 @@ class NFElement:
     def residue(self) -> int | None:
         """Image sum c_i r^i mod l under the residue map of the field, cached.
 
-        z -> r is a ring homomorphism Z_(l)[z]/(p) -> F_l, because p(r) = 0
-        mod l and l divides no denominator of the monic modulus. It needs no
-        irreducibility, so it holds for an unchecked modulus too. A nonzero
-        image therefore proves the element nonzero; a zero image proves
-        nothing. None when the field has no map or l divides den, i.e. (den
-        being the lcm of the reduced denominators) some coefficient has a
-        denominator divisible by l.
+        z -> r is a ring homomorphism R = Z_(l)[z]/(p) -> F_l, because
+        p(r) = 0 mod l and l divides no denominator of the monic modulus. It
+        needs no irreducibility, so it holds for an unchecked modulus too. A
+        nonzero image therefore proves the element nonzero; a zero image
+        proves nothing. None when the field has no map or l divides den,
+        i.e. (den being the lcm of the reduced denominators) some
+        coefficient has a denominator divisible by l.
+
+        r is a simple root of p mod l, so when p is irreducible the kernel
+        m = (l, z - r) is a regular prime: writing p = (z - r)g + l*h with
+        g(r) != 0 mod l, g is a unit at m and z - r = -l*h/g, so m is
+        principal after localising, and R_m is a discrete valuation ring of
+        the field K. The map extends to R_m, and an element of R_m with a
+        nonzero image is a unit there. This is what makes a point's
+        fingerprint (configuration._Builder) independent of the triple that
+        represents the point.
         """
         try:
             return self._residue

@@ -6,7 +6,9 @@ The cross-ratio convention is fixed so that cr(0, 1, inf, w) = w.
 
 Every predicate is decided exactly. `incident` may first reduce its operands
 mod a prime l (NFElement.residue); a nonzero residue proves a nonzero value,
-and any other outcome falls through to the exact test.
+and any other outcome falls through to the exact test. The configuration
+builder finds points by their images mod l instead, and confirms each match
+with `incident`.
 """
 
 from __future__ import annotations

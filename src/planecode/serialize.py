@@ -8,8 +8,10 @@ embedding values, always next to their radii. Serialization is canonical
 A configuration file (schema v2) holds the polynomial, the seed, the stream
 cursor and the lines: a configuration is its lines. Loading checks the
 lines and then derives the points, incidences and marks with the builder's
-own code (configuration.derive_points), so nothing in the file is trusted
-and nothing is proven twice. Certificates and cover reports are schema v1.
+own code (configuration.derive_points), which finds each point by
+fingerprint, confirms it exactly, and computes exact coordinates only for
+the points something reads. So nothing in the file is trusted and nothing
+is proven twice. Certificates and cover reports are schema v1.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def config_from_json(data) -> Configuration:
     The lines must be canonical triples, pairwise distinct, and at least
     two; canonical form makes "distinct triples" mean "distinct lines", so
     every pair of lines meets in exactly one point. derive_points then
-    computes the points, incidences and marks exactly, as the builder did.
+    derives the points, incidences and marks as the builder did.
     A malformed file raises SchemaError (exit 6); so does a schema v1 file,
     which also stored points and incidences, with a request to rebuild it.
     A polynomial that defines no field exits 3, as it does for build.

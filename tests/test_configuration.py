@@ -14,6 +14,7 @@ from planecode import (
     parse_poly,
     valences,
 )
+from planecode import configuration
 from planecode.configuration import MARK_LABELS, ParamStream
 from planecode.errors import DuplicateLine, GenericityExhausted
 
@@ -135,9 +136,12 @@ def test_points_are_exactly_pairwise_meets(raw_cfg):
     assert rebuilt.incidence == raw_cfg.incidence
 
 
-def test_genericity_exhausted(k):
-    # 71 horizontals pin every candidate line through the horizontal pencil
-    # point: candidate y = c always hits the existing point (1, c).
+def test_genericity_exhausted(k, monkeypatch):
+    # With the budget cut to 64 tries, 71 horizontals pin every candidate
+    # line through the horizontal pencil point: candidate y = c always hits
+    # the existing point (1, c). The real budget would need a pencil of
+    # about RETRY_BUDGET lines, too many for a quick test.
+    monkeypatch.setattr(configuration, "RETRY_BUDGET", 64)
     lines = [line(k, 1, 0, -1)] + [line(k, 0, 1, -c) for c in range(1, 72)]
     cfg = derive_points(lines)
     inf_pt_valences = sorted(cfg.all_valences())

@@ -32,7 +32,19 @@ def test_residue_map_root(text):
     assert coeffs[-1] % ell
     r = powers[1]
     assert _eval_mod(coeffs, r, ell) == 0
+    assert _eval_mod([i * c for i, c in enumerate(coeffs)][1:], r, ell)  # simple root
     assert powers == tuple(pow(r, i, ell) for i in range(field.n))
+
+
+def test_residue_map_skips_a_multiple_root(monkeypatch):
+    # x^2 - 7 = x^2 mod 7: the root 0 is double there, so l = 7 is skipped
+    # for the next prime with a simple root, 3 (x^2 - 1 has roots 1, 2).
+    monkeypatch.setattr(numberfield, "_RESIDUE_PRIME_START", 7)
+    assert _ffpoly.root([-7, 0, 1], 7) == 0
+    field = NumberField.create(parse_poly("x^2-7"))
+    ell, powers = field.residue_map
+    assert ell == 3
+    assert powers[1] in (1, 2)
 
 
 @pytest.mark.parametrize("text", ROOT_POLYS)
@@ -139,8 +151,17 @@ def test_no_prime_found_means_exact_only(monkeypatch):
     assert not incident(line(field, 0, 1, 0), point(field, 0, field.gen))
 
 
-def test_loading_and_decoding_never_find_the_prime(built):
+def test_loading_with_and_without_the_map_agree(built, monkeypatch):
+    # Load finds points by fingerprint; with no residue map it computes every
+    # meet exactly. Both must give the same points, rows and marks.
     cfg, _ = built("x^2-2")
-    loaded = config_from_json(loads(dumps_canonical(config_to_json(cfg))))
-    assert decode(loaded) == loaded.field.gen
-    assert "residue_map" not in vars(loaded.field)
+    text = dumps_canonical(config_to_json(cfg))
+    fingerprinted = config_from_json(loads(text))
+    assert fingerprinted.field.residue_map is not None
+    monkeypatch.setattr(numberfield, "_RESIDUE_PRIME_TRIES", 0)
+    exact = config_from_json(loads(text))
+    assert exact.field.residue_map is None
+    assert list(exact.points) == list(fingerprinted.points) == list(cfg.points)
+    assert exact.incidence == fingerprinted.incidence == cfg.incidence
+    assert exact.marks == fingerprinted.marks == cfg.marks
+    assert decode(exact) == decode(fingerprinted) == exact.field.gen

@@ -118,6 +118,15 @@ def test_cli_build_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_cli_builds_a_large_constant(tmp_path, capsys):
+    # A valid cubic whose augment step needs 87 tries at one target: more
+    # than the former budget of 64, well within RETRY_BUDGET.
+    out = tmp_path / "big.json"
+    assert main(["build", "-p", "x^3-1000000000007", "-o", str(out)]) == 0
+    assert main(["decode", str(out)]) == 0
+    assert "decoded element equals the field generator" in capsys.readouterr().out
+
+
 def test_cli_exit_codes(cfg_path, tmp_path):
     assert main(["build", "-p", "x^2-1", "-o", str(tmp_path / "x.json")]) == 3
     assert main(["build", "-p", "x+3", "-o", str(tmp_path / "x.json")]) == 3

@@ -26,6 +26,7 @@ from planecode.errors import (
     TrivialField,
 )
 from planecode.serialize import config_to_json, dumps_canonical
+from planecode import numberfield, run_pipeline, slp_compiler
 from planecode.slp_compiler import SLP, Add, Const, LoadZ, Mul, Neg
 
 
@@ -264,6 +265,20 @@ def test_forced_reducible_surfaces():
     field = NumberField.create(parse_poly("x^2-1"), unchecked=True)
     with pytest.raises((NotARoot, ReducibleModulus)):
         emit_configuration(slp, seed=0, field=field)
+
+
+def test_one_irreducibility_proof_per_build(monkeypatch):
+    real = numberfield.check_irreducible
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(numberfield, "check_irreducible", counted)
+    monkeypatch.setattr(slp_compiler, "check_irreducible", counted)
+    run_pipeline(parse_poly("x^5-x-1"))
+    assert len(calls) == 1
 
 
 def test_emission_deterministic():
