@@ -1,9 +1,9 @@
 """Dense univariate polynomial arithmetic over GF(q), q prime.
 
-Only what two screens need: distinct-degree factorization patterns for the
+Only what two users need: distinct-degree factorization patterns for the
 irreducibility screen, and one root of the modulus for the residue map of K
-that screens incidence tests. Polynomials are lists of ints in [0, q),
-ascending degree, trailing zeros stripped.
+that fingerprints points in the configuration builder. Polynomials are
+lists of ints in [0, q), ascending degree, trailing zeros stripped.
 """
 
 from __future__ import annotations

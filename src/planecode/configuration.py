@@ -32,7 +32,7 @@ from itertools import chain
 
 from .errors import DuplicateLine, GenericityExhausted, MissedIntersection, SelfCheckFailed
 from .numberfield import IRREDUCIBLE, IntPoly, NumberField
-from .projgeom import ProjLine, ProjPoint, incident, join, meet, point
+from .projgeom import ProjLine, ProjPoint, incident, join, line, meet, point
 
 RETRY_BUDGET = 1024
 
@@ -41,6 +41,8 @@ MARK_ONE = "one"
 MARK_INF = "inf"
 MARK_Z = "z"
 MARK_LABELS = (MARK_ZERO, MARK_ONE, MARK_INF, MARK_Z)
+# the marks from the bottom of the valence ladder to its top
+LADDER_ORDER = (MARK_Z, MARK_INF, MARK_ONE, MARK_ZERO)
 
 
 class ParamStream:
@@ -223,9 +225,6 @@ class _Builder:
                 b.on_line[i].setdefault(pts.keys[p], []).append(p)
         return b
 
-    def has_line(self, l: ProjLine) -> bool:
-        return l in self.line_index
-
     def _append_line(self, l: ProjLine) -> None:
         self.line_index[l] = len(self.lines)
         self.lines.append(l)
@@ -239,14 +238,18 @@ class _Builder:
             return chain.from_iterable(table.values())
         return chain(table.get(key, ()), table.get(None, ()))
 
-    def crossings(self, l: ProjLine, hits: list[int]) -> list[tuple[int, object]]:
+    def crossings(
+        self, l: ProjLine, hits: list[int], generic: bool = False
+    ) -> list[tuple[int, object]] | None:
         """Where l crosses the lines: existing points into hits, new ones returned.
 
         hits may start with points known to lie on l. Every existing point l
         passes through is appended to it, and (i, key) is returned for each
         line i that l meets at a new point, in line order. A line through a
         point of hits is skipped, since l meets it there; so each point is
-        confirmed at most once.
+        confirmed at most once. With generic set, l is wanted through the
+        points of hits only: the first other point found ends the search,
+        and None is returned.
         """
         ell, pts = self.ell, self.points
         w = None if ell is None else _residues(l.coeffs)
@@ -264,6 +267,8 @@ class _Builder:
                 key = None if u is None or w is None else _fingerprint(u, w, ell)
             for p in self._candidates(i, key):
                 if ell is None or incident(l, pts[p]):
+                    if generic:
+                        return None
                     hits.append(p)
                     covered.update(self.incidence[p])
                     break
@@ -289,6 +294,22 @@ class _Builder:
             self.on_line[i].setdefault(key, []).append(p)
             table.setdefault(key, []).append(p)
         return k
+
+    def add_if_generic(self, l: ProjLine, through: list[int]) -> bool:
+        """Add l if it is new and passes through no existing point but those of through.
+
+        l meets every line through a point of through at that point. Any
+        other point on l lies on a line through none of them: a line through
+        it and a point of through would be l itself, which is new. So
+        crossings finds every such point, and the test is exact.
+        """
+        if l in self.line_index:
+            return False
+        fresh = self.crossings(l, through, generic=True)
+        if fresh is None:
+            return False
+        self.insert(l, through, fresh)
+        return True
 
     def add_line(self, l: ProjLine) -> int:
         if l in self.line_index:
@@ -374,10 +395,8 @@ def _generic_line_through(
 ) -> None:
     """Add one line through the target that passes through no other existing point.
 
-    A candidate meets every line through the target t at t, and every other
-    point lies on some line not through t (two lines through it and t would
-    coincide). So the candidate is generic exactly when crossings finds no
-    point on any line not through t: one fingerprint meet per line per try.
+    Each try costs one fingerprint meet per line not through the target
+    (_Builder.add_if_generic).
     """
     target = builder.points[target_index]
     f = builder.field
@@ -388,32 +407,100 @@ def _generic_line_through(
             aux = point(f, t, 0) if vertical_pencil else point(f, 0, t)
         else:
             aux = point(f, 1, t, 0)
-        candidate = join(target, aux)
-        if builder.has_line(candidate):
-            continue
-        hits = [target_index]
-        fresh = builder.crossings(candidate, hits)
-        if len(hits) == 1:
-            builder.insert(candidate, hits, fresh)
+        if builder.add_if_generic(join(target, aux), [target_index]):
             return
     raise GenericityExhausted(
         f"no generic line through point {target_index} within {RETRY_BUDGET} tries"
     )
 
 
-def augment_even_valence(c: Configuration) -> Configuration:
-    """One general line through every point of odd valence.
+def _ladder_targets(c: Configuration) -> dict[str, int]:
+    """The mark valences amplify_marks reaches: M+2, M+4, M+6, M+8 for z, inf, one, zero.
 
-    New crossings have valence 2 and other old points are untouched, so a
-    single sweep over the initially odd points leaves every valence even.
+    M is the largest valence of a point that is not a mark, rounded up to
+    even. The ladder must clear every current mark valence, so it is bumped
+    in steps of two while a mark already sits above its slot. augment
+    leaves these targets unchanged (see augment_even_valence).
+    """
+    marked = set(c.marks.values())
+    others = [len(rows) for i, rows in enumerate(c.incidence) if i not in marked]
+    m_cap = max(others) if others else 0
+    m_cap += m_cap % 2
+    while True:
+        targets = {label: m_cap + 2 * (i + 1) for i, label in enumerate(LADDER_ORDER)}
+        if all(targets[lb] >= len(c.incidence[c.marks[lb]]) for lb in LADDER_ORDER):
+            return targets
+        m_cap += 2
+
+
+def augment_even_valence(c: Configuration) -> Configuration:
+    """Make every valence even, with as few new lines as the joins allow.
+
+    The odd points that are not marks are fixed in this order:
+    1. each odd point on the coding axis y = 0 is joined to an odd point
+       off it (the join of two axis points is the axis itself);
+    2. each remaining off-axis odd point is joined to a mark still below
+       its ladder target, marks taken in the order z, inf, one, zero: a
+       line amplify_marks would add anyway, now also fixing a parity;
+    3. the points left are joined in pairs;
+    4. one general line goes through each point still odd, and through
+       each mark whose valence is odd.
+    A join is taken only if it passes through no other existing point
+    (_Builder.add_if_generic). Adding lines never makes a refused join
+    generic, so no pair is tried twice. New crossings have valence 2, a
+    fixed point gains one line and ends at most at M (M is even), and a
+    mark never passes its target, so _ladder_targets is the same before
+    and after, and amplify_marks fills each mark's remaining even deficit.
     """
     odd = [i for i, rows in enumerate(c.incidence) if len(rows) % 2 == 1]
     if not odd:
         return c
     builder = _Builder.from_config(c)
+    # without all four marks there is no ladder, and a mark is a point like any other
+    marks = c.marks if all(label in c.marks for label in MARK_LABELS) else {}
+    room = {}  # per mark point, in ladder order: lines it may still gain
+    if marks:
+        targets = _ladder_targets(c)
+        room = {marks[lb]: targets[lb] - len(c.incidence[marks[lb]]) for lb in LADDER_ORDER}
+    axis = builder.line_index.get(line(c.field, 0, 1, 0))
+    marked = set(marks.values())
+    free = [i for i in odd if i not in marked]
+    on_axis = {i for i in free if axis in c.incidence[i]}
+    off_axis = [i for i in free if i not in on_axis]
+    left = set(free)  # the free points still odd
+    refused: set[tuple[int, int]] = set()
+
+    def join_first(s: int, partners: list[int]) -> int | None:
+        """Join s to the first partner whose join is generic, and return that partner."""
+        for t in partners:
+            key = (s, t) if s < t else (t, s)
+            if key in refused:
+                continue
+            if builder.add_if_generic(join(builder.points[s], builder.points[t]), [s, t]):
+                left.difference_update(key)
+                return t
+            refused.add(key)
+        return None
+
+    for s in free:
+        if s in on_axis:
+            join_first(s, [t for t in off_axis if t in left])
+    for s in off_axis:
+        if s in left:
+            t = join_first(s, [m for m, r in room.items() if r > 0])
+            if t is not None:
+                room[t] -= 1
+    for s in free:
+        if s in left:
+            join_first(
+                s,
+                [t for t in free if t > s and t in left and not (s in on_axis and t in on_axis)],
+            )
+
     stream = ParamStream(c.seed, c.params_consumed)
-    for target in odd:
-        _generic_line_through(builder, target, stream)
+    for target in range(len(c.incidence)):
+        if len(builder.incidence[target]) % 2:
+            _generic_line_through(builder, target, stream)
     out = builder.freeze(c.marks, c.seed, stream.cursor, c.source)
     bad = [i for i, rows in enumerate(out.incidence) if len(rows) % 2 == 1]
     if bad:
@@ -424,9 +511,8 @@ def augment_even_valence(c: Configuration) -> Configuration:
 def amplify_marks(c: Configuration) -> Configuration:
     """Push the marks to the strict top of the valence ladder.
 
-    With M the largest non-marked valence (rounded up to even), the final
-    valences are e_z = M+2, e_inf = M+4, e_1 = M+6, e_0 = M+8, reached by
-    adding an even number of general lines through each mark.
+    The final valences are _ladder_targets(c), reached by adding an even
+    number of general lines through each mark.
     """
     for label in MARK_LABELS:
         if label not in c.marks:
@@ -434,22 +520,10 @@ def amplify_marks(c: Configuration) -> Configuration:
     if any(len(rows) % 2 for rows in c.incidence):
         raise ValueError("amplify_marks requires all valences even")
 
-    marked = set(c.marks.values())
-    others = [len(rows) for i, rows in enumerate(c.incidence) if i not in marked]
-    m_cap = max(others) if others else 0
-    m_cap += m_cap % 2
-    # The ladder must clear every current mark valence; bump in steps of two
-    # if a mark already sits above its slot.
-    ladder_order = (MARK_Z, MARK_INF, MARK_ONE, MARK_ZERO)
-    while True:
-        targets = {label: m_cap + 2 * (i + 1) for i, label in enumerate(ladder_order)}
-        if all(targets[lb] >= len(c.incidence[c.marks[lb]]) for lb in ladder_order):
-            break
-        m_cap += 2
-
+    targets = _ladder_targets(c)
     builder = _Builder.from_config(c)
     stream = ParamStream(c.seed, c.params_consumed)
-    for label in ladder_order:
+    for label in LADDER_ORDER:
         idx = c.marks[label]
         deficit = targets[label] - len(builder.incidence[idx])
         if deficit < 0 or deficit % 2:
@@ -458,7 +532,7 @@ def amplify_marks(c: Configuration) -> Configuration:
             _generic_line_through(builder, idx, stream)
     out = builder.freeze(c.marks, c.seed, stream.cursor, c.source)
 
-    for label in ladder_order:
+    for label in LADDER_ORDER:
         if len(out.incidence[out.marks[label]]) != targets[label]:
             raise GenericityExhausted(f"mark {label} missed its valence target")
     if any(len(rows) % 2 for rows in out.incidence):

@@ -453,7 +453,8 @@ def _residue_map(prim: IntPoly) -> tuple[int, tuple[int, ...]] | None:
     skipped, so the monic modulus has l-integral coefficients. A simple
     root makes l a regular prime of K (see NFElement.residue), which point
     fingerprints rely on. None when none of the first _RESIDUE_PRIME_TRIES
-    primes qualifies; every incidence test is then exact.
+    primes qualifies; the configuration builder then computes every meet
+    exactly.
     """
     ics = list(prim.int_coeffs())
     dics = [i * c for i, c in enumerate(ics)][1:]

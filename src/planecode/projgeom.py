@@ -4,11 +4,9 @@ Coordinates are homogeneous triples of NFElements in canonical form (first
 nonzero coordinate scaled to 1), so equality and hashing are structural.
 The cross-ratio convention is fixed so that cr(0, 1, inf, w) = w.
 
-Every predicate is decided exactly. `incident` may first reduce its operands
-mod a prime l (NFElement.residue); a nonzero residue proves a nonzero value,
-and any other outcome falls through to the exact test. The configuration
-builder finds points by their images mod l instead, and confirms each match
-with `incident`.
+Every predicate is decided exactly. The configuration builder finds points
+by their images mod a prime l (NFElement.residue) and confirms each match
+with `incident`, the exact test.
 """
 
 from __future__ import annotations
@@ -103,20 +101,9 @@ def meet(l: ProjLine, m: ProjLine) -> ProjPoint:
 
 
 def incident(l: ProjLine, p: ProjPoint) -> bool:
-    """Whether p lies on l, i.e. a*x + b*y + c*z = 0 in K.
-
-    The residues mod l screen first: NFElement.residue is the image under
-    a ring homomorphism into F_l, so when all six are defined and
-    a*x + b*y + c*z is nonzero mod l, the exact value is nonzero too. A
-    zero or undefined residue proves nothing, and the exact test decides.
-    """
+    """Whether p lies on l, i.e. a*x + b*y + c*z = 0 in K, decided exactly."""
     a, b, c = l.coeffs
     x, y, z = p.coords
-    ra, rb, rc = a.residue, b.residue, c.residue
-    rx, ry, rz = x.residue, y.residue, z.residue
-    if None not in (ra, rb, rc, rx, ry, rz):
-        if (ra * rx + rb * ry + rc * rz) % a.field.residue_map[0]:
-            return False
     return (a * x + b * y + c * z).is_zero
 
 

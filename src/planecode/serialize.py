@@ -92,11 +92,14 @@ def config_from_json(data) -> Configuration:
     every pair of lines meets in exactly one point. derive_points then
     derives the points, incidences and marks as the builder did.
     A malformed file raises SchemaError (exit 6); so does a schema v1 file,
-    which also stored points and incidences, with a request to rebuild it.
+    which also stored points and incidences, with a request to rebuild it,
+    and a certificate or cover report, named by its "kind".
     A polynomial that defines no field exits 3, as it does for build.
     """
     if not isinstance(data, dict):
         raise SchemaError("configuration file must hold a JSON object")
+    if "kind" in data:
+        raise SchemaError(f"this is a {data['kind']} file, not a configuration")
     version = data.get("v")
     if version == 1:
         raise SchemaError(

@@ -148,3 +148,92 @@ def test_genericity_exhausted(k, monkeypatch):
     assert inf_pt_valences[-1] == 71
     with pytest.raises(GenericityExhausted):
         augment_even_valence(cfg)
+
+
+GOLDEN_POLYS = ("x^2-2", "x^3-2", "x^2-x-1", "x^4-x-1", "3*x^2-5", "x^5-x-1", "x^7-x-1")
+
+# Final line counts at seed 0; augment joining fewer odd points raises them.
+FINAL_LINES = {"x^2-2": 52, "x^3-2": 43, "x^4-x-1": 67, "3*x^2-5": 71, "x^5-x-1": 73}
+
+
+@pytest.fixture(scope="module")
+def augmented():
+    """(raw, augmented) configurations of the golden polynomials, built once."""
+    cache = {}
+
+    def get(text):
+        if text not in cache:
+            raw = emit_configuration(compile_polynomial(parse_poly(text)), seed=0)
+            cache[text] = (raw, augment_even_valence(raw))
+        return cache[text]
+
+    return get
+
+
+@pytest.mark.parametrize("text", GOLDEN_POLYS)
+def test_augment_keeps_ladder_targets(augmented, text):
+    raw, out = augmented(text)
+    targets = configuration._ladder_targets(raw)
+    assert configuration._ladder_targets(out) == targets
+    for label in MARK_LABELS:
+        deficit = targets[label] - out.valence(out.marks[label])
+        assert deficit >= 0 and deficit % 2 == 0
+
+
+@pytest.mark.parametrize("text", GOLDEN_POLYS)
+def test_augment_joins_pass_through_exactly_their_two_points(augmented, text):
+    raw, out = augmented(text)
+    old = len(raw.points)
+    odd = {i for i, v in enumerate(raw.all_valences()) if v % 2}
+    marked = set(raw.marks.values())
+    joins = 0
+    for k in range(raw.line_count, out.line_count):
+        through = [p for p in range(old) if k in out.incidence[p]]
+        # exact incidences, not only the derived rows
+        assert through == [p for p in range(old) if incident(out.lines[k], out.points[p])]
+        if len(through) == 2:
+            joins += 1
+            assert not set(through) <= marked
+            assert set(through) <= odd | marked
+        else:
+            assert len(through) == 1  # a general line through one odd point
+    assert joins > 0
+    assert all(v == 2 for v in out.all_valences()[old:])
+    assert all(v % 2 == 0 for v in out.all_valences())
+
+
+@pytest.mark.parametrize("text", sorted(FINAL_LINES))
+def test_final_line_count_pinned(built, text):
+    cfg, _ = built(text)
+    assert cfg.line_count == FINAL_LINES[text]
+
+
+def test_augment_tries_no_pair_twice(raw_cfg, monkeypatch):
+    tried = []
+    add_if_generic = configuration._Builder.add_if_generic
+
+    def record(builder, l, through):
+        if len(through) == 2:
+            tried.append(frozenset(through))
+        return add_if_generic(builder, l, through)
+
+    monkeypatch.setattr(configuration._Builder, "add_if_generic", record)
+    augment_even_valence(raw_cfg)
+    assert tried and len(set(tried)) == len(tried)
+
+
+def test_augment_pairs_odd_points_without_marks(k):
+    # Two triple points, the origin on y = 0 and (1, 2) off it; their join
+    # y = 2x passes through no other point, so one line fixes both.
+    lines = [
+        line(k, 1, 0, 0), line(k, 0, 1, 0), line(k, 1, -1, 0),
+        line(k, 1, 0, -1), line(k, 0, 1, -2), line(k, 1, 1, -3),
+    ]
+    cfg = derive_points(lines)
+    assert set(cfg.marks) < set(MARK_LABELS)  # the origin is mark zero, but no ladder
+    assert sorted(cfg.all_valences())[-2:] == [3, 3]
+    out = augment_even_valence(cfg)
+    assert out.line_count == 7
+    assert out.lines[6] == line(k, 2, -1, 0)
+    assert out.params_consumed == cfg.params_consumed
+    assert all(v % 2 == 0 for v in out.all_valences())

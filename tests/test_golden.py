@@ -43,34 +43,34 @@ def v1_json(c) -> dict:
 
 
 GOLDEN = {
-    "x^2-2": "8406d7c23627b69da58085fe1039b56305e6590765e8193c2f4069dbf84fde51",
-    "x^3-2": "4fd395e6e60b530be0c06ba3eaa49fd2d04bcdc054774f5b2286f0ace30922aa",
-    "x^2-x-1": "566c40c71e1c22998a4df76593fa836ee1f9162e35ec6699760496c2d8a34a5f",
-    "x^4-x-1": "028785641b5072da938836bc12dce648dd25e24e3c54e87da0b1f2244e5191a4",
-    "3*x^2-5": "f1cf85bcfa271d142dfead3d1edc8f02ddfd0beb0dd95e954035693420d49a6b",
-    "x^5-x-1": "2c621249c33f4cd57143a90681b79e91583c890de58f5c7edc4f9ea8e249043a",
-    "x^7-x-1": "2cc8b0997c04f32cf4b5b5008c4a4a5fe23d91c40ccb8b40bab3f5b478b9aa36",
+    "x^2-2": "1170050865ac03dad8bbfceb1adc4c212d5ec77a2ca96929771cc4335b279189",
+    "x^3-2": "dcbd7ea53a67a574f643c6db05e3a9fa1710eb714730e7a3521cdb4c41c72156",
+    "x^2-x-1": "7b754509c90daa1bf305fc93f22e7a4923260014bb20e028a26400455b55787d",
+    "x^4-x-1": "a1fb03f74b09d2d0e25961f81fa456ed133de369076589cf8c822f204ee14e31",
+    "3*x^2-5": "c6c64ccb9fd94fe80ad94a3f4854238c8a01526292a12aa400eb5d0dd35e7f0c",
+    "x^5-x-1": "b2b9a9805fecb72edb4095e99ed1c4f1584680fed60539775df5250ff16f3b5a",
+    "x^7-x-1": "f63ce6b52dcec47dec31768b230639eac24fc115d1d383822cc8566426708fd7",
 }
 
 COVER_GOLDEN = {
-    "x^2-2": "e9ae8efb94aa81d9ee62060af26059321470cbb48a4b1db22f2c4ecd72e91742",
-    "x^3-2": "c70e8b528000edcf3e149b74b61068c1d9cab58b0fc8daaa97f84ecdf1e79034",
-    "x^2-x-1": "9c62eb3ac9896fff388fe6f5073e9882af4c469523549f7af5050ddb87b53f19",
-    "x^4-x-1": "96b0e446619d5b7524f69fbb206f84fcd2d84390d64a1f0db8fb365a7c6456e1",
-    "3*x^2-5": "e514657bb97987759a21b97420720bf349e39931c652ba6139e884d099faa76e",
-    "x^5-x-1": "506261e15e54f7f890a1fca7041d30c5cf5dd3051300791731987a5b06ae213d",
-    "x^7-x-1": "46ae6a55bd1400540e7fa442c51f3f0bd7ba2f7f7357f332745a4d9ffdd8de73",
+    "x^2-2": "e48bf4508014bc48c79ac3dda2557207536c47e127bba9c100f48ff1de1faeee",
+    "x^3-2": "de06061f9d33f23e63d56b6757af2319174419da2b1a3c3656f439a1664a7d45",
+    "x^2-x-1": "c7a70d729ad35ad4223f61a0508acdc3895879b4aa1921e97b57a678829f30b6",
+    "x^4-x-1": "2123728d92b6e5becd3283919693f6aa0cd01a33938aa23565e5bad72aa088fc",
+    "3*x^2-5": "8eb56e89a161e84bc131a8144454d8a2c45b06f173ab977e4eecb7c28e68efb0",
+    "x^5-x-1": "040e99e3a2755a4ccdc005fb9e5703b1237bf4931bf49f2f14e833345a936ae5",
+    "x^7-x-1": "cac1c63293ba0b4a5eba72b7666e82f1447382dab8fc2f783e900789be89d0df",
 }
 
 
 FILE_GOLDEN = {
-    "x^2-2": "db64c38924639b36509b064c75516d32e4d53268b85439d7a3cacb15c6bb07c1",
-    "x^3-2": "bd07a0024e81c4b61e74084f43f24c4d91091c26988e72512a084da98cc0aaf5",
-    "x^2-x-1": "d1528802b96a484e4034bef7cb1425895529fb727cba042b8b206371edd5310d",
-    "x^4-x-1": "cd20f8cf980445aeb183de28af5af3e3533c08fce664e0ec5f462cf439574134",
-    "3*x^2-5": "69272cca51837392b5adbd000b19b78439a73f225394025fdaa79747e580d502",
-    "x^5-x-1": "6b089551ebcdea74d5bb4fdc5327623edae499ac2fb921586083abae2e8f751b",
-    "x^7-x-1": "74ce6f5397a421327da1c085d901e3a91c484d98711d8cad9aaf258f8a6b997e",
+    "x^2-2": "4ea2a393d6f0386a3d08c1831b4b984dca373ceb8a4fa7d2d392b29ff0c9ae3e",
+    "x^3-2": "7c461d910d641335115bc5c62ffe6a16f9c212b97966b1317303a61309991187",
+    "x^2-x-1": "7a423d60c0e3ed99ba16616f8c24fc3c5a1363305e7c7a6bfc78bf8862f53d6e",
+    "x^4-x-1": "c861a22250bd4b036d70b13630ccde7c799d53b38cb5e196e3c6aed222d78f93",
+    "3*x^2-5": "83d955bf847e7ee02266ba3c8b61002cc495188ea2605b1780a493c5c20afe8b",
+    "x^5-x-1": "535c94a5408a0366a268c9885ff7151a6c97185d9bdbbb3f98f271694c768a1f",
+    "x^7-x-1": "1f456ec8a0ab7534d8580758473c545589e54ee0cdc2f1a3f5328c85e68f3161",
 }
 
 # The v1 files were 0.67 MB and 6.55 MB; the lines alone are 2-4 % of that.

@@ -1,8 +1,8 @@
-"""The residue map K -> F_l and the incidence screen built on it.
+"""The residue map K -> F_l and the point fingerprints built on it.
 
 A residue may only ever prove a value nonzero. These tests force the map
 onto tiny primes, where zero and undefined residues are common, and check
-that every incidence answer still equals the exact one.
+that every incidence the builder derives still equals the exact one.
 """
 
 import pytest

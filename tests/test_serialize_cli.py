@@ -119,8 +119,9 @@ def test_cli_build_deterministic(tmp_path):
 
 
 def test_cli_builds_a_large_constant(tmp_path, capsys):
-    # A valid cubic whose augment step needs 87 tries at one target: more
-    # than the former budget of 64, well within RETRY_BUDGET.
+    # A valid cubic with a 13-digit constant (L = 412). With one general
+    # line per odd point, its augment step needed 87 tries at one target,
+    # more than the former budget of 64; joins now fix that point.
     out = tmp_path / "big.json"
     assert main(["build", "-p", "x^3-1000000000007", "-o", str(out)]) == 0
     assert main(["decode", str(out)]) == 0
@@ -298,6 +299,35 @@ def test_cli_v1_file_asks_for_rebuild(cfg, tmp_path, capsys):
     path.write_text(dumps_canonical(v1_json(cfg)), encoding="utf-8")
     assert main(["decode", str(path)]) == 6
     assert "rebuild it with `planecode build`" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def report_files(cfg_path, tmp_path_factory):
+    """A certificate and a cover report, each a schema v1 file with a "kind"."""
+    out = tmp_path_factory.mktemp("reports")
+    paths = {
+        "separation-certificate": out / "cert.json",
+        "cover-report": out / "report.json",
+    }
+    assert main(["certify", "-p", "x^2-2", "-o", str(paths["separation-certificate"])]) == 0
+    assert main(["cover", str(cfg_path), "-o", str(paths["cover-report"])]) == 0
+    return paths
+
+
+@pytest.mark.parametrize("kind", ["separation-certificate", "cover-report"])
+def test_cli_report_file_is_named_not_a_configuration(report_files, kind, tmp_path, capsys):
+    path = report_files[kind]
+    assert json.loads(path.read_text())["kind"] == kind
+    capsys.readouterr()
+    for argv in (
+        ["decode", str(path)],
+        ["cover", str(path), "-o", str(tmp_path / "r.json")],
+        ["render", str(path), "-o", str(tmp_path / "pic.svg")],
+    ):
+        assert main(argv) == 6
+        err = capsys.readouterr().err
+        assert f"this is a {kind} file, not a configuration" in err
+        assert "rebuild" not in err
 
 
 def test_cli_perturbed_line_is_another_configuration(cfg, tmp_path, capsys):
