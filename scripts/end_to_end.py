@@ -32,7 +32,7 @@ def main():
         cfg = run_pipeline(poly, seed=args.seed)
         build_s = time.perf_counter() - t0
         w = decode(cfg)
-        top = [v for _, v in valences(cfg).top(5)]
+        top = [v for _, v in valences(cfg)[:5]]
         print(f"== {poly} ==")
         print(
             f"  {cfg.line_count} lines, {len(cfg.points)} points, "

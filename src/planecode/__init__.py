@@ -12,7 +12,6 @@ branched-cover divisor bookkeeping on the blown-up plane.
 from .configuration import (
     Configuration,
     ParamStream,
-    ValenceReport,
     amplify_marks,
     augment_even_valence,
     derive_points,

@@ -31,7 +31,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import DuplicateLine, GenericityExhausted, MissedIntersection, SelfCheckFailed
-from .numberfield import IRREDUCIBLE, IntPoly, NumberField
+from .numberfield import IntPoly, NumberField
 from .projgeom import ProjLine, ProjPoint, incident, join, line, meet, point
 
 RETRY_BUDGET = 1024
@@ -80,22 +80,12 @@ class Configuration:
         return len(self.lines)
 
 
-@dataclass(frozen=True)
-class ValenceReport:
-    """(point index, valence) pairs, highest valence first."""
-
-    entries: tuple[tuple[int, int], ...]
-
-    def top(self, k: int) -> tuple[tuple[int, int], ...]:
-        return self.entries[:k]
-
-
-def valences(c: Configuration) -> ValenceReport:
-    pairs = sorted(
+def valences(c: Configuration) -> tuple[tuple[int, int], ...]:
+    """(point index, valence) pairs, highest valence first, ties by index."""
+    return tuple(sorted(
         ((i, len(rows)) for i, rows in enumerate(c.incidence)),
         key=lambda iv: (-iv[1], iv[0]),
-    )
-    return ValenceReport(tuple(pairs))
+    ))
 
 
 def check_pair_count(c: Configuration) -> int:
@@ -180,23 +170,23 @@ class _Builder:
     """Mutable accumulation of lines, points, and incidences.
 
     on_line[i] maps a key to the points on line i that carry it. Without a
-    usable residue map the key of a point is the point itself, so equal
-    keys are equal points, and the builder computes every meet exactly.
+    residue map the key of a point is the point itself, so equal keys are
+    equal points, and the builder computes every meet exactly.
 
-    With a residue map z -> r mod l on a field proven irreducible, the key
-    is the point's fingerprint: for the meet of lines u and v, the cross
-    product of their residue triples, scaled so its first nonzero entry is
-    1. It is None when a residue is undefined or that product vanishes.
-    Why it depends only on the point: r is a simple root, so l is a regular
-    prime and the local ring R_m of K is a discrete valuation ring to which
-    the residue map extends (NFElement.residue). Two triples over R_m with
-    nonzero images that represent one point differ by a factor lambda in K;
-    each has an entry that is a unit of R_m, so lambda is a unit and the
-    images differ by its nonzero image. So different fingerprints prove the
-    points different. Equal ones prove nothing: a match is confirmed
-    exactly (incident, on the point's exact coordinates), and a meet or
-    point without a fingerprint is tested exactly against every point of
-    the line.
+    With a residue map z -> r mod l (K is a field: NumberField.create proves
+    it), the key is the point's fingerprint: for the meet of lines u and v,
+    the cross product of their residue triples, scaled so its first nonzero
+    entry is 1. It is None when a residue is undefined or that product
+    vanishes. Why it depends only on the point: r is a simple root, so l is
+    a regular prime and the local ring R_m of K is a discrete valuation ring
+    to which the residue map extends (NFElement.residue). Two triples over
+    R_m with nonzero images that represent one point differ by a factor
+    lambda in K; each has an entry that is a unit of R_m, so lambda is a
+    unit and the images differ by its nonzero image. So different
+    fingerprints prove the points different. Equal ones prove nothing: a
+    match is confirmed exactly (incident, on the point's exact coordinates),
+    and a meet or point without a fingerprint is tested exactly against
+    every point of the line.
     """
 
     def __init__(self, field: NumberField):
@@ -209,7 +199,7 @@ class _Builder:
         self.incidence: list[list[int]] = []
         self.on_line: list[dict] = []
         self.line_residues: list[tuple[int, int, int] | None] = []
-        rmap = field.residue_map if field.irreducibility == IRREDUCIBLE else None
+        rmap = field.residue_map
         self.ell = None if rmap is None else rmap[0]
 
     @classmethod

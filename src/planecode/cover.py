@@ -71,9 +71,6 @@ class PicClass:
     def __add__(self, other: "PicClass") -> "PicClass":
         return PicClass(self.h + other.h, tuple(x + y for x, y in zip(self.b, other.b)))
 
-    def scale(self, k: int) -> "PicClass":
-        return PicClass(k * self.h, tuple(k * x for x in self.b))
-
     @property
     def all_even(self) -> bool:
         return self.h % 2 == 0 and all(x % 2 == 0 for x in self.b)
@@ -238,6 +235,8 @@ def select_m(c: Configuration) -> dict[GroupElement, int]:
     S_110 = m_011 + m_101 and S_100 = m_101 + m_110 + m_111, which forces
     m_101 = m_110 = 0 and m_011 = m_111 = k: the result is also the
     lexicographic minimum among the maps of least total degree.
+
+    build_cover_report checks the (chi, alpha) = 1 verdicts of the result.
     """
     L = c.line_count
     need = max(0, sum(c.all_valences()) + 1 - L)
@@ -245,11 +244,6 @@ def select_m(c: Configuration) -> dict[GroupElement, int]:
     m = {g: 0 for g in group_elements()}
     m[ALPHA] = L
     m[GroupElement((0, 1, 1))] = m[GroupElement((1, 1, 1))] = k
-    validate_m(m, L)
-    classes = compute_M(assign_branch_divisors(c, m))
-    for chi in group_elements():
-        if pairing(chi, ALPHA) == 1 and not ample_certificate(classes[chi]).certified:
-            raise SelfCheckFailed(f"selected m fails ampleness for chi = {chi}")
     return m
 
 
@@ -270,9 +264,11 @@ def build_cover_report(c: Configuration, m: dict[GroupElement, int] | None = Non
 
     Nonzero characters with (chi, alpha) = 0 get a pure H-multiple, which
     is nef but trivial on every exceptional curve; they are reported as a
-    known gap rather than certified.
+    known gap rather than certified. With m left to select_m, every
+    (chi, alpha) = 1 class must certify ample, or SelfCheckFailed.
     """
-    if m is None:
+    selected = m is None
+    if selected:
         m = select_m(c)
     branch = assign_branch_divisors(c, m)
     classes = compute_M(branch)
@@ -285,6 +281,10 @@ def build_cover_report(c: Configuration, m: dict[GroupElement, int] | None = Non
     nef_gap = tuple(
         chi for chi in group_elements() if not chi.is_zero and pairing(chi, ALPHA) == 0
     )
+    if selected:
+        for chi, verdict in ampleness.items():
+            if pairing(chi, ALPHA) == 1 and not verdict.certified:
+                raise SelfCheckFailed(f"selected m fails ampleness for chi = {chi}")
     return CoverReport(
         m=m,
         branch=branch,

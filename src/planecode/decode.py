@@ -52,7 +52,7 @@ def decode(c: Configuration) -> NFElement:
     every configuration the pipeline builds: a file whose lines were
     altered usually breaks that, even where the ladder survives.
     """
-    entries = valences(c).entries
+    entries = valences(c)
     if len(entries) < 4:
         raise _failed(AmbiguousValences, "point count", f"{len(entries)} points, 4 needed", entries)
     ladder = [v for _, v in entries[:5]] + ([0] if len(entries) == 4 else [])

@@ -11,8 +11,9 @@ product costs integer operations and one gcd instead of a gcd per
 Fraction operation. Products are reduced by the primitive integer modulus
 c*x^n + ..., scaling by c only when c != 1. The inverse solves the integer
 multiplication matrix of the element by fraction-free elimination
-(E. Bareiss, Math. Comp. 22, 1968), with a polynomial gcd only when the
-determinant is 0, to name the factor of a reducible modulus.
+(E. Bareiss, Math. Comp. 22, 1968). Every NumberField is proven a field
+when it is created, so that matrix is invertible for every nonzero
+element.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     PolyParseError,
     PrecisionExhausted,
     ReducibleModulus,
+    SelfCheckFailed,
     TrivialField,
     UnprovenModulus,
 )
@@ -199,22 +201,6 @@ class IntPoly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-
-def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Monic gcd over Q."""
-    while not g.is_zero:
-        f, g = g, f.divmod(g)[1]
-    if f.is_zero:
-        return f
-    return f.monic()
-
-
-def squarefree_part(p: IntPoly) -> IntPoly:
-    g = poly_gcd(p, p.derivative())
-    if g.degree <= 0:
-        return p
-    return p.divmod(g)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -477,39 +463,35 @@ def _residue_map(prim: IntPoly) -> tuple[int, tuple[int, ...]] | None:
 
 @dataclass(frozen=True)
 class NumberField:
-    """K = Q[x]/(modulus), modulus monic of degree n >= 2.
+    """K = Q[x]/(modulus), modulus monic of degree n >= 2, a proven field.
 
     create refuses a modulus that check_irreducible proves reducible
     (ReducibleModulus) or cannot prove irreducible (UnprovenModulus), so
-    every field it returns is a field; only unchecked=True skips the test.
-    `source` is the primitive integer model c*x^n + ... of the modulus, with
-    c > 0; element arithmetic reduces by it, so it stays in integers.
+    every field it returns is a field; create is the only constructor the
+    program uses. `source` is the primitive integer model c*x^n + ... of the
+    modulus, with c > 0; element arithmetic reduces by it, so it stays in
+    integers.
     """
 
     modulus: IntPoly
     source: IntPoly = dc_field(compare=False)
-    irreducibility: str = dc_field(compare=False)
 
     @classmethod
-    def create(cls, p: IntPoly, unchecked: bool = False) -> "NumberField":
+    def create(cls, p: IntPoly) -> "NumberField":
         prim = p.primitive()
         if prim.degree < 2:
             raise TrivialField(f"need degree >= 2, got {prim.degree}")
-        if unchecked:
-            status = "unchecked"
-        else:
-            res = check_irreducible(prim)
-            if res.is_reducible:
-                raise ReducibleModulus(
-                    f"{prim} is reducible, factor {res.factor}", factor=res.factor
-                )
-            if not res.is_irreducible:
-                raise UnprovenModulus(
-                    f"could not prove {prim} irreducible ({res.witness}); "
-                    "K = Q[x]/(p) would not be known to be a field"
-                )
-            status = res.status
-        return cls(modulus=prim.monic(), source=prim, irreducibility=status)
+        res = check_irreducible(prim)
+        if res.is_reducible:
+            raise ReducibleModulus(
+                f"{prim} is reducible, factor {res.factor}", factor=res.factor
+            )
+        if not res.is_irreducible:
+            raise UnprovenModulus(
+                f"could not prove {prim} irreducible ({res.witness}); "
+                "K = Q[x]/(p) would not be known to be a field"
+            )
+        return cls(modulus=prim.monic(), source=prim)
 
     @cached_property
     def n(self) -> int:
@@ -665,21 +647,20 @@ class NFElement:
         """Image sum c_i r^i mod l under the residue map of the field, cached.
 
         z -> r is a ring homomorphism R = Z_(l)[z]/(p) -> F_l, because
-        p(r) = 0 mod l and l divides no denominator of the monic modulus. It
-        needs no irreducibility, so it holds for an unchecked modulus too. A
+        p(r) = 0 mod l and l divides no denominator of the monic modulus. A
         nonzero image therefore proves the element nonzero; a zero image
         proves nothing. None when the field has no map or l divides den,
         i.e. (den being the lcm of the reduced denominators) some
         coefficient has a denominator divisible by l.
 
-        r is a simple root of p mod l, so when p is irreducible the kernel
-        m = (l, z - r) is a regular prime: writing p = (z - r)g + l*h with
-        g(r) != 0 mod l, g is a unit at m and z - r = -l*h/g, so m is
-        principal after localising, and R_m is a discrete valuation ring of
-        the field K. The map extends to R_m, and an element of R_m with a
-        nonzero image is a unit there. This is what makes a point's
-        fingerprint (configuration._Builder) independent of the triple that
-        represents the point.
+        p is irreducible (NumberField.create proves it) and r is a simple
+        root of p mod l, so the kernel m = (l, z - r) is a regular prime:
+        writing p = (z - r)g + l*h with g(r) != 0 mod l, g is a unit at m
+        and z - r = -l*h/g, so m is principal after localising, and R_m is
+        a discrete valuation ring of the field K. The map extends to R_m,
+        and an element of R_m with a nonzero image is a unit there. This is
+        what makes a point's fingerprint (configuration._Builder)
+        independent of the triple that represents the point.
         """
         try:
             return self._residue
@@ -754,8 +735,8 @@ class NFElement:
         v_j = c^j * alpha * z^j (j < n) are integer vectors: v_(j+1) is
         c*z*v_j, reduced once. Solving [v_0 ... v_(n-1)] y = e_0 gives
         alpha * sum_j c^j y_j z^j = 1, so 1/a = den * sum_j c^j y_j z^j.
-        A zero determinant means a is a zero divisor, so the modulus is
-        reducible; gcd(a, modulus) is then reported as the factor.
+        K is a field, so a nonzero a has a nonzero determinant; a zero one
+        is a failed self-check.
         """
         if self.is_zero:
             raise DivisionByZero("inverse of zero")
@@ -775,11 +756,7 @@ class NFElement:
         rows = [[col[i] for col in cols] + [int(i == 0)] for i in range(n)]
         det, ys = _bareiss_solve(rows)
         if det == 0:
-            d = poly_gcd(IntPoly.from_coeffs(self.coeffs), field.modulus)
-            raise ReducibleModulus(
-                f"zero divisor detected: gcd {d.primitive()} divides the modulus",
-                factor=d.primitive(),
-            )
+            raise SelfCheckFailed(f"nonzero element {self} has no inverse in K")
         nums, cj = [], self.den
         for y in ys:
             nums.append(cj * y)
@@ -954,7 +931,10 @@ def _aberth(cs: list[float]) -> list[complex]:
 
 
 def isolate_roots(p: IntPoly, precision: float = 1e-9) -> list[EmbeddingApprox]:
-    """Disjoint certified discs, one per root of the squarefree part of p.
+    """Disjoint certified discs, one per root of p.
+
+    p must be squarefree: every caller passes a polynomial that
+    NumberField.create has proven irreducible.
 
     Starting values come from the Aberth iteration; Newton polishing plus
     the a-posteriori bound n*|p(w)/p'(w)| certifies that each disc holds at
@@ -963,13 +943,13 @@ def isolate_roots(p: IntPoly, precision: float = 1e-9) -> list[EmbeddingApprox]:
     w is a rational, so |p(w)|^2 and |p'(w)|^2 are computed in Q from the
     exact coefficients, and only the final square root is rounded, upward.
     """
-    sf = squarefree_part(p).monic()
-    n = sf.degree
+    mp = p.monic()
+    n = mp.degree
     if n < 1:
         raise ValueError("no roots: polynomial is constant")
-    cs = [float(c) for c in sf.coeffs]
-    dsf = sf.derivative()
-    dcs = [float(c) for c in dsf.coeffs]
+    cs = [float(c) for c in mp.coeffs]
+    dmp = mp.derivative()
+    dcs = [float(c) for c in dmp.coeffs]
 
     approx = _aberth(cs)
     for _ in range(80):
@@ -989,10 +969,10 @@ def isolate_roots(p: IntPoly, precision: float = 1e-9) -> list[EmbeddingApprox]:
     discs = []
     for i, w in enumerate(approx):
         re, im = Fraction(w.real), Fraction(w.imag)
-        df2 = _abs2_exact(dsf.coeffs, re, im)
+        df2 = _abs2_exact(dmp.coeffs, re, im)
         if df2 == 0:
             raise PrecisionExhausted(f"the derivative vanishes at the centre of root {i}")
-        radius = _sqrt_up(n * n * _abs2_exact(sf.coeffs, re, im) / df2)
+        radius = _sqrt_up(n * n * _abs2_exact(mp.coeffs, re, im) / df2)
         discs.append(EmbeddingApprox(i, w, radius))
 
     for e in discs:

@@ -1,9 +1,13 @@
 """Straight-line programs for p(z) = 0 and their geometric realization.
 
 compile_polynomial turns the defining polynomial into a Horner-form SLP
-over registers; emit_configuration replays every instruction through a
-small line gadget on the marked axis ell = {y = 0}, where the point
-(v : 0 : 1) stands for the number v:
+over registers: z, the unit, and the sums, products and negations of
+earlier registers. An integer constant c >= 2 is built from the unit by
+binary double-and-add. emit_configuration proves K = Q[x]/(p) a field
+(NumberField.create) and replays every add, mul and neg instruction
+through a small line gadget on the marked axis ell = {y = 0}, where the
+point (v : 0 : 1) stands for the number v; z and the unit are marks on
+that axis and take no lines:
 
   addition      four lines through an auxiliary point P = (0 : h : 1):
                 transfer b up the vertical pencil to height h, then slide
@@ -17,8 +21,7 @@ small line gadget on the marked axis ell = {y = 0}, where the point
                 along slope +1.
 
 Auxiliary heights h come from the deterministic rational stream, so the
-whole construction is defined over K with Galois-stable choices. Integer
-constants are built from the unit point by binary double-and-add.
+whole construction is defined over K with Galois-stable choices.
 """
 
 from __future__ import annotations
@@ -32,11 +35,13 @@ from .errors import (
     GadgetDegenerate,
     GenericityExhausted,
     NotARoot,
-    ReducibleModulus,
     SelfCheckFailed,
     TrivialField,
 )
-from .numberfield import IntPoly, NFElement, NumberField, check_irreducible
+from .numberfield import IntPoly, NFElement, NumberField
+# Unused here; bound only for the planecode.slp_compiler.check_irreducible
+# probe of perfbench/tracer.py.
+from .numberfield import check_irreducible  # noqa: F401
 from .projgeom import ProjLine, ProjPoint, direction_of, join, meet, point
 
 
@@ -50,8 +55,8 @@ class LoadZ:
 
 
 @dataclass(frozen=True)
-class Const:
-    value: int
+class One:
+    pass
 
 
 @dataclass(frozen=True)
@@ -71,63 +76,45 @@ class Neg:
     operand: int
 
 
-Instr = Union[LoadZ, Const, Add, Mul, Neg]
+Instr = Union[LoadZ, One, Add, Mul, Neg]
 
 
 @dataclass(frozen=True)
 class SLP:
+    """A program from compile_polynomial: each operand is an earlier register."""
+
     instructions: tuple[Instr, ...]
     result: int
     source: IntPoly
-
-    def validate(self) -> None:
-        for i, instr in enumerate(self.instructions):
-            operands = ()
-            if isinstance(instr, (Add, Mul)):
-                operands = (instr.left, instr.right)
-            elif isinstance(instr, Neg):
-                operands = (instr.operand,)
-            elif isinstance(instr, Const) and instr.value < 0:
-                raise ValueError("Const holds nonnegative integers only")
-            if any(not (0 <= r < i) for r in operands):
-                raise ValueError(f"instruction {i} references a later register")
-        if not (0 <= self.result < len(self.instructions)):
-            raise ValueError("result register out of range")
 
     def evaluate(self, field: NumberField) -> list[NFElement]:
         values: list[NFElement] = []
         for instr in self.instructions:
             if isinstance(instr, LoadZ):
                 values.append(field.gen)
-            elif isinstance(instr, Const):
-                values.append(field.from_rational(instr.value))
+            elif isinstance(instr, One):
+                values.append(field.one)
             elif isinstance(instr, Add):
                 values.append(values[instr.left] + values[instr.right])
             elif isinstance(instr, Mul):
                 values.append(values[instr.left] * values[instr.right])
-            elif isinstance(instr, Neg):
-                values.append(-values[instr.operand])
             else:
-                raise TypeError(f"unknown instruction {instr!r}")
+                values.append(-values[instr.operand])
         return values
 
 
-def compile_polynomial(p: IntPoly, check: bool = True) -> SLP:
+def compile_polynomial(p: IntPoly) -> SLP:
     """Horner-form SLP computing p(z); zero coefficients are skipped.
 
-    With check=True (the default) a modulus proven reducible is rejected
-    up front; an Unverified verdict passes here and is refused when the
-    field is created (NumberField.create, exit 3).
+    A constant c >= 2 is the unit register doubled once per binary digit
+    of c after the first, plus the unit after each doubling for a digit 1.
+    Each constant is built once, on first use, and its chain is its own:
+    constants share no intermediate sums. Irreducibility is proven where
+    the field is created, in emit_configuration.
     """
     prim = p.primitive()
     if prim.degree < 2:
         raise TrivialField(f"need degree >= 2, got {prim.degree}")
-    if check:
-        res = check_irreducible(prim)
-        if res.is_reducible:
-            raise ReducibleModulus(
-                f"{prim} is reducible, factor {res.factor}", factor=res.factor
-            )
     ints = prim.int_coeffs()
     n = prim.degree
 
@@ -143,10 +130,16 @@ def compile_polynomial(p: IntPoly, check: bool = True) -> SLP:
     def signed_const(c: int) -> int:
         if c in const_cache:
             return const_cache[c]
-        if c >= 0:
-            reg = emit(Const(c))
-        else:
+        if c < 0:
             reg = emit(Neg(signed_const(-c)))
+        elif c == 1:
+            reg = emit(One())
+        else:
+            one = reg = signed_const(1)
+            for bit in bin(c)[3:]:
+                reg = emit(Add(reg, reg))
+                if bit == "1":
+                    reg = emit(Add(reg, one))
         const_cache[c] = reg
         return reg
 
@@ -164,10 +157,8 @@ def compile_polynomial(p: IntPoly, check: bool = True) -> SLP:
 
 @dataclass(frozen=True)
 class GadgetTrace:
-    kind: str
     emitted_lines: tuple[ProjLine, ...]
     output_point: ProjPoint
-    aux_params: tuple[Fraction, ...]
 
 
 def register_point(value: NFElement) -> ProjPoint:
@@ -208,7 +199,7 @@ def emit_add_gadget(a: NFElement, b: NFElement, h: Fraction) -> GadgetTrace:
     l4 = join(corner, direction_of(l3))
     out = meet(l4, _ell(f))
     _check_output("add", out, a + b)
-    return GadgetTrace("add", (l1, l2, l3, l4, hline), out, (h,))
+    return GadgetTrace((l1, l2, l3, l4, hline), out)
 
 
 def emit_mul_gadget(a: NFElement, b: NFElement, h: Fraction) -> GadgetTrace:
@@ -229,7 +220,7 @@ def emit_mul_gadget(a: NFElement, b: NFElement, h: Fraction) -> GadgetTrace:
     m4 = join(aux, direction_of(m3))
     out = meet(m4, _ell(f))
     _check_output("mul", out, a * b)
-    return GadgetTrace("mul", (t1, m1, m2, m3, m4), out, (h,))
+    return GadgetTrace((t1, m1, m2, m3, m4), out)
 
 
 def emit_neg_gadget(b: NFElement) -> GadgetTrace:
@@ -241,7 +232,7 @@ def emit_neg_gadget(b: NFElement) -> GadgetTrace:
     n2 = join(lifted, point(f, 1, 1, 0))
     out = meet(n2, _ell(f))
     _check_output("neg", out, -b)
-    return GadgetTrace("neg", (n1, n2), out, ())
+    return GadgetTrace((n1, n2), out)
 
 
 def _with_retry(make: Callable[[Fraction], GadgetTrace], stream: ParamStream) -> GadgetTrace:
@@ -254,51 +245,20 @@ def _with_retry(make: Callable[[Fraction], GadgetTrace], stream: ParamStream) ->
     raise GenericityExhausted(f"gadget stayed degenerate for {RETRY_BUDGET} heights")
 
 
-def _emit_const_chain(
-    value: int, field: NumberField, stream: ParamStream
-) -> GadgetTrace:
-    """Build the point (value : 0 : 1) from the unit by double-and-add."""
-    if value < 0:
-        raise SelfCheckFailed(f"constant chain asked for negative value {value}")
-    lines: list[ProjLine] = []
-    params: list[Fraction] = []
-    if value >= 2:
-        current = field.one
-        for bit in bin(value)[3:]:
-            steps = [(current, current)]
-            if bit == "1":
-                steps.append((current + current, field.one))
-            for x, y in steps:
-                tr = _with_retry(lambda h, x=x, y=y: emit_add_gadget(x, y, h), stream)
-                lines.extend(tr.emitted_lines)
-                params.extend(tr.aux_params)
-                current = x + y
-    return GadgetTrace(
-        "const", tuple(lines), register_point(field.from_rational(value)), tuple(params)
-    )
+def emit_configuration(slp: SLP, seed: int = 0) -> Configuration:
+    """Prove K a field, replay the SLP through gadgets, return the raw configuration.
 
-
-def emit_configuration(
-    slp: SLP, seed: int = 0, field: NumberField | None = None
-) -> Configuration:
-    """Replay the SLP through gadgets and return the raw configuration.
-
-    The result register must land exactly on (0 : 0 : 1); anything else
-    means the modulus was not the minimal polynomial of z.
+    Every gadget checks that it lands on the point of its value, and the
+    result register must be 0: anything else means the modulus was not
+    the minimal polynomial of z.
     """
-    slp.validate()
-    if field is None:
-        field = NumberField.create(slp.source)
+    field = NumberField.create(slp.source)
     values = slp.evaluate(field)
     stream = ParamStream(seed)
 
-    traces: list[GadgetTrace] = []
-    for reg, instr in enumerate(slp.instructions):
-        if isinstance(instr, LoadZ):
-            trace = GadgetTrace("load", (), register_point(values[reg]), ())
-        elif isinstance(instr, Const):
-            trace = _emit_const_chain(instr.value, field, stream)
-        elif isinstance(instr, Add):
+    ordered: dict[ProjLine, None] = {_ell(field): None, _yaxis(field): None}
+    for instr in slp.instructions:
+        if isinstance(instr, Add):
             i, j = instr.left, instr.right
             trace = _with_retry(
                 lambda h: emit_add_gadget(values[i], values[j], h), stream
@@ -308,21 +268,15 @@ def emit_configuration(
             trace = _with_retry(
                 lambda h: emit_mul_gadget(values[i], values[j], h), stream
             )
-        else:
+        elif isinstance(instr, Neg):
             trace = emit_neg_gadget(values[instr.operand])
-        if trace.output_point != register_point(values[reg]):
-            raise NotARoot(f"gadget output for register {reg} disagrees with its value")
-        traces.append(trace)
+        else:
+            continue  # z and the unit: marks on the axis, no lines
+        for l in trace.emitted_lines:
+            ordered.setdefault(l, None)
 
     if not values[slp.result].is_zero:
         raise NotARoot(f"p(z) evaluates to {values[slp.result]}, not 0")
-
-    ordered: dict[ProjLine, None] = {}
-    ordered[_ell(field)] = None
-    ordered[_yaxis(field)] = None
-    for tr in traces:
-        for l in tr.emitted_lines:
-            ordered.setdefault(l, None)
 
     cfg = derive_points(
         list(ordered), seed=seed, params_consumed=stream.cursor, source=slp.source

@@ -108,7 +108,7 @@ def test_criterion_4_configuration_invariants(built):
         cfg, _ = built(text)
         assert all(v % 2 == 0 for v in cfg.all_valences()), f"odd valence in {text}"
         rep = valences(cfg)
-        top = rep.top(5)
+        top = rep[:5]
         vals = [v for _, v in top]
         assert vals[0] > vals[1] > vals[2] > vals[3] > vals[4], f"ladder tie in {text}"
         expected = [cfg.marks[l] for l in ("zero", "one", "inf", "z")]

@@ -92,7 +92,7 @@ def test_augment_pipeline_all_even(raw_cfg):
 def test_amplify_ladder(raw_cfg):
     cfg = amplify_marks(augment_even_valence(raw_cfg))
     rep = valences(cfg)
-    top = rep.top(5)
+    top = rep[:5]
     vals = [v for _, v in top]
     assert vals[0] > vals[1] > vals[2] > vals[3] > vals[4]
     order = [i for i, _ in top[:4]]

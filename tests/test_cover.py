@@ -21,8 +21,14 @@ from planecode import (
     select_m,
     valences,
 )
+from planecode import cover
 from planecode.cover import ZERO, validate_m
-from planecode.errors import InvalidMMap, MissedIntersection, ParityViolation
+from planecode.errors import (
+    InvalidMMap,
+    MissedIntersection,
+    ParityViolation,
+    SelfCheckFailed,
+)
 
 
 def g(bits):
@@ -95,7 +101,7 @@ def test_assign_branch_divisors(built):
     assert branch.D[ALPHA].h == L
     assert branch.D[ALPHA].b == tuple(cfg.all_valences())
     rep = valences(cfg)
-    for idx, val in rep.entries:
+    for idx, val in rep:
         assert branch.D[ALPHA].b[idx] == val
     assert branch.D[ZERO] == PicClass.zero(len(cfg.points))
 
@@ -309,3 +315,14 @@ def test_cover_report_flags_nef_gap(built):
     assert set(report.nef_gap) == {
         chi for chi in group_elements() if not chi.is_zero and pairing(chi, ALPHA) == 0
     }
+
+
+def test_cover_report_refuses_a_selected_m_that_is_not_ample(built, monkeypatch):
+    cfg, _ = built("x^2-2")
+    m = select_m(cfg)
+    # two less keeps the parity, so m stays a valid multiplicity map
+    short = {**m, g("011"): m[g("011")] - 2, g("111"): m[g("111")] - 2}
+    validate_m(short, cfg.line_count)
+    monkeypatch.setattr(cover, "select_m", lambda c: short)
+    with pytest.raises(SelfCheckFailed):
+        build_cover_report(cfg)

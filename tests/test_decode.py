@@ -59,7 +59,7 @@ def test_decode_four_pencil_tie_ambiguous():
             slope += 1
     cfg = derive_points(lines)
     rep = valences(cfg)
-    assert [v for _, v in rep.top(4)] == [3, 3, 3, 3]
+    assert [v for _, v in rep[:4]] == [3, 3, 3, 3]
     with pytest.raises(AmbiguousValences):
         decode(cfg)
 
@@ -80,12 +80,12 @@ def test_decode_non_collinear_tops():
     # even sizes, so the parity check passes and the collinearity check fails
     cfg = _pencils((10, 8, 6, 4))
     rep = valences(cfg)
-    assert [v for _, v in rep.top(5)] == [10, 8, 6, 4, 2]
+    assert [v for _, v in rep[:5]] == [10, 8, 6, 4, 2]
     with pytest.raises(NotCollinear) as err:
         decode(cfg)
     message = str(err.value)
     assert message.startswith("collinearity check failed")
-    shown = ", ".join(f"point {i}: {v}" for i, v in rep.top(6))
+    shown = ", ".join(f"point {i}: {v}" for i, v in rep[:6])
     assert message.endswith(f"top of the valence ladder: {shown}")
 
 
@@ -106,7 +106,7 @@ def test_decode_tie_message_names_check_and_ladder():
     with pytest.raises(AmbiguousValences) as err:
         decode(cfg)
     assert str(err.value).startswith("strict ladder check failed")
-    shown = ", ".join(f"point {i}: {v}" for i, v in valences(cfg).top(6))
+    shown = ", ".join(f"point {i}: {v}" for i, v in valences(cfg)[:6])
     assert str(err.value).endswith(shown)
 
 
@@ -177,7 +177,7 @@ def test_embedding_equivariance(built):
     cfg, _ = built("x^2-2")
     w = decode(cfg)
     rep = valences(cfg)
-    quad_pts = [cfg.points[i] for i, _ in rep.top(4)]
+    quad_pts = [cfg.points[i] for i, _ in rep[:4]]
     for e in isolate_roots(cfg.field.source, 1e-12):
         numeric = _numeric_cross_ratio(
             [[embed(c, e).center for c in p.coords] for p in quad_pts]

@@ -73,6 +73,13 @@ FILE_GOLDEN = {
     "x^7-x-1": "1f456ec8a0ab7534d8580758473c545589e54ee0cdc2f1a3f5328c85e68f3161",
 }
 
+# Integer constants above 2 are built by several add gadgets each: 3, 5 and 7
+# here, and a 20-bit double-and-add chain for 1000003 (L = 229).
+CONSTANT_FILE_GOLDEN = {
+    "3*x^3-5*x+7": "5beb06b4b2a3b10aad1634ef2ba9672b1be59320581f851b9fe97b62a9dd4462",
+    "x^3-1000003": "18e6c1de5182d4fe9b7d26615ad132a5e325dc7df79323758911e0355d078cfb",
+}
+
 # The v1 files were 0.67 MB and 6.55 MB; the lines alone are 2-4 % of that.
 FILE_BYTES_AT_MOST = {"x^2-2": 30_000, "x^7-x-1": 150_000}
 
@@ -92,6 +99,12 @@ def test_configuration_digest(built, text):
 def test_configuration_file_digest(built, text):
     cfg, _ = built(text)
     assert _sha256(dumps_canonical(config_to_json(cfg))) == FILE_GOLDEN[text]
+
+
+@pytest.mark.parametrize("text", sorted(CONSTANT_FILE_GOLDEN))
+def test_constant_chain_file_digest(built, text):
+    cfg, _ = built(text)
+    assert _sha256(dumps_canonical(config_to_json(cfg))) == CONSTANT_FILE_GOLDEN[text]
 
 
 @pytest.mark.parametrize("text", sorted(FILE_BYTES_AT_MOST))

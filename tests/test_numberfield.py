@@ -21,7 +21,6 @@ from planecode.errors import (
     FieldMismatch,
     PrecisionExhausted,
     PolyParseError,
-    ReducibleModulus,
     TrivialField,
     UnprovenModulus,
 )
@@ -29,8 +28,6 @@ from planecode.numberfield import (
     MAX_COEFF_DIGITS,
     MAX_DEGREE,
     Disc,
-    poly_gcd,
-    squarefree_part,
 )
 
 
@@ -145,13 +142,6 @@ def test_inv_zero_raises(k_sqrt2):
 def test_field_mismatch(k_sqrt2, k_cbrt2):
     with pytest.raises(FieldMismatch):
         k_sqrt2.gen + k_cbrt2.gen
-
-
-def test_reducible_modulus_detected_by_inv():
-    k = NumberField.create(parse_poly("x^2-1"), unchecked=True)
-    with pytest.raises(ReducibleModulus) as err:
-        (k.gen - 1).inv()
-    assert err.value.factor is not None
 
 
 def test_unproven_modulus_refused():
@@ -326,13 +316,6 @@ def test_isolate_discs_disjoint_and_indexed():
 def test_precision_exhausted():
     with pytest.raises(PrecisionExhausted):
         isolate_roots(parse_poly("x^2-2"), 1e-40)
-
-
-def test_squarefree_enforced():
-    p = parse_poly("x^2-2") * parse_poly("x^2-2")
-    roots = isolate_roots(p, 1e-7)
-    assert len(roots) == 2
-    assert poly_gcd(squarefree_part(p), p).degree == 2
 
 
 # -- integer representation: property test against a Fraction reference --------
