@@ -33,7 +33,8 @@ def mul(f: list[int], g: list[int], q: int) -> list[int]:
 def rem(f: list[int], g: list[int], q: int) -> list[int]:
     f = f[:]
     dg = deg(g)
-    inv_lead = pow(g[-1], q - 2, q)
+    # a monic divisor, as every one in root and pow_mod is, needs no inverse
+    inv_lead = 1 if g[-1] == 1 else pow(g[-1], q - 2, q)
     while deg(f) >= dg:
         c = (f[-1] * inv_lead) % q
         shift = deg(f) - dg

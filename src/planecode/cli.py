@@ -18,7 +18,6 @@ from .decode import decode, separation_certificate
 from .errors import PlanecodeError
 from .numberfield import isolate_roots, parse_poly
 from .pipeline import run_pipeline
-from .render import render_svg
 from .serialize import (
     certificate_to_json,
     config_from_json,
@@ -98,6 +97,9 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    # imported here: no other command draws, so none of them compiles render
+    from .render import render_svg
+
     cfg = _load_config(args.config)
     embeddings = isolate_roots(cfg.field.source, args.precision)
     svg, warnings = render_svg(cfg, embeddings, args.embedding)

@@ -26,9 +26,9 @@ arithmetic in K.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import attrgetter
 
 from .errors import DuplicateLine, GenericityExhausted, MissedIntersection, SelfCheckFailed
 from .numberfield import IntPoly, NumberField
@@ -58,16 +58,41 @@ class ParamStream:
         return value
 
 
-@dataclass(frozen=True)
 class Configuration:
-    field: NumberField
-    lines: tuple[ProjLine, ...]
-    points: Points
-    incidence: tuple[tuple[int, ...], ...]  # per point: sorted incident line indices
-    marks: dict[str, int]
-    seed: int = 0
-    params_consumed: int = 0
-    source: IntPoly | None = None
+    """Lines over K with their derived points, incidences and marks.
+
+    incidence[i] lists the sorted indices of the lines through point i.
+    == compares every field; a configuration is not hashable.
+    """
+
+    __slots__ = (
+        "field", "lines", "points", "incidence", "marks", "seed", "params_consumed", "source"
+    )
+
+    def __init__(
+        self,
+        field: NumberField,
+        lines: tuple[ProjLine, ...],
+        points: Points,
+        incidence: tuple[tuple[int, ...], ...],
+        marks: dict[str, int],
+        seed: int = 0,
+        params_consumed: int = 0,
+        source: IntPoly | None = None,
+    ):
+        self.field = field
+        self.lines = lines
+        self.points = points
+        self.incidence = incidence
+        self.marks = marks
+        self.seed = seed
+        self.params_consumed = params_consumed
+        self.source = source
+
+    def __eq__(self, other):
+        if other.__class__ is not Configuration:
+            return NotImplemented
+        return _values(self) == _values(other)
 
     def valence(self, point_index: int) -> int:
         return len(self.incidence[point_index])
@@ -78,6 +103,9 @@ class Configuration:
     @property
     def line_count(self) -> int:
         return len(self.lines)
+
+
+_values = attrgetter(*Configuration.__slots__)
 
 
 def valences(c: Configuration) -> tuple[tuple[int, int], ...]:

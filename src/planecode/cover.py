@@ -12,19 +12,30 @@ Nakai-Moishezon criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .configuration import Configuration, check_pair_count
 from .errors import InvalidMMap, ParityViolation, SelfCheckFailed
 # Unused here; bound only for the planecode.cover.meet probe of perfbench/tracer.py.
 from .projgeom import meet  # noqa: F401
 
 
-@dataclass(frozen=True)
 class GroupElement:
-    """Element of (Z/2)^3, also used for characters; pairing is dot mod 2."""
+    """Element of (Z/2)^3, also used for characters; pairing is dot mod 2. Immutable."""
 
-    bits: tuple[int, int, int]
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: tuple[int, int, int]):
+        _set_bits(self, bits)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GroupElement is immutable, cannot set {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not GroupElement:
+            return NotImplemented
+        return self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash((self.bits,))
 
     @classmethod
     def from_index(cls, i: int) -> "GroupElement":
@@ -45,6 +56,8 @@ class GroupElement:
         return "".join(str(b) for b in self.bits)
 
 
+_set_bits = GroupElement.bits.__set__
+
 ZERO = GroupElement((0, 0, 0))
 ALPHA = GroupElement((1, 0, 0))
 
@@ -57,12 +70,25 @@ def pairing(chi: GroupElement, g: GroupElement) -> int:
     return sum(a * b for a, b in zip(chi.bits, g.bits)) % 2
 
 
-@dataclass(frozen=True)
 class PicClass:
-    """The class h*H - sum_q b_q E_q on the blow-up."""
+    """The class h*H - sum_q b_q E_q on the blow-up, immutable."""
 
-    h: int
-    b: tuple[int, ...]
+    __slots__ = ("h", "b")
+
+    def __init__(self, h: int, b: tuple[int, ...]):
+        _set_h(self, h)
+        _set_b(self, b)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PicClass is immutable, cannot set {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not PicClass:
+            return NotImplemented
+        return self.h == other.h and self.b == other.b
+
+    def __hash__(self) -> int:
+        return hash((self.h, self.b))
 
     @classmethod
     def zero(cls, npoints: int) -> "PicClass":
@@ -81,12 +107,24 @@ class PicClass:
         return PicClass(self.h // 2, tuple(x // 2 for x in self.b))
 
 
-@dataclass
+_set_h = PicClass.h.__set__
+_set_b = PicClass.b.__set__
+
+
 class BranchData:
-    m: dict[GroupElement, int]
-    D: dict[GroupElement, PicClass]
-    line_count: int
-    point_valences: tuple[int, ...]
+    __slots__ = ("m", "D", "line_count", "point_valences")
+
+    def __init__(
+        self,
+        m: dict[GroupElement, int],
+        D: dict[GroupElement, PicClass],
+        line_count: int,
+        point_valences: tuple[int, ...],
+    ):
+        self.m = m
+        self.D = D
+        self.line_count = line_count
+        self.point_valences = point_valences
 
 
 def _m_value(m: dict[GroupElement, int], g: GroupElement) -> int:
@@ -149,12 +187,22 @@ def compute_M(b: BranchData) -> dict[GroupElement, PicClass]:
     return out
 
 
-@dataclass(frozen=True)
 class HypothesisReport:
-    proper_transform_smooth: bool
-    pairs_checked: int
-    independence: str
-    genericity_assumptions: tuple[str, ...]
+    __slots__ = (
+        "proper_transform_smooth", "pairs_checked", "independence", "genericity_assumptions"
+    )
+
+    def __init__(
+        self,
+        proper_transform_smooth: bool,
+        pairs_checked: int,
+        independence: str,
+        genericity_assumptions: tuple[str, ...],
+    ):
+        self.proper_transform_smooth = proper_transform_smooth
+        self.pairs_checked = pairs_checked
+        self.independence = independence
+        self.genericity_assumptions = genericity_assumptions
 
 
 def check_cover_hypotheses(b: BranchData, c: Configuration) -> HypothesisReport:
@@ -190,10 +238,12 @@ def check_cover_hypotheses(b: BranchData, c: Configuration) -> HypothesisReport:
     )
 
 
-@dataclass(frozen=True)
 class AmpleVerdict:
-    certified: bool
-    reason: str
+    __slots__ = ("certified", "reason")
+
+    def __init__(self, certified: bool, reason: str):
+        self.certified = certified
+        self.reason = reason
 
 
 _AMPLE_JUSTIFICATION = (
@@ -247,29 +297,41 @@ def select_m(c: Configuration) -> dict[GroupElement, int]:
     return m
 
 
-@dataclass(frozen=True)
 class CoverReport:
-    m: dict[GroupElement, int]
-    branch: BranchData
-    classes: dict[GroupElement, PicClass]
-    hypotheses: HypothesisReport
-    ampleness: dict[GroupElement, AmpleVerdict]
-    nef_gap: tuple[GroupElement, ...]
-    source_poly: object = None
-    seed: int = 0
+    __slots__ = (
+        "m", "branch", "classes", "hypotheses", "ampleness", "nef_gap", "source_poly", "seed"
+    )
+
+    def __init__(
+        self,
+        m: dict[GroupElement, int],
+        branch: BranchData,
+        classes: dict[GroupElement, PicClass],
+        hypotheses: HypothesisReport,
+        ampleness: dict[GroupElement, AmpleVerdict],
+        nef_gap: tuple[GroupElement, ...],
+        source_poly: object = None,
+        seed: int = 0,
+    ):
+        self.m = m
+        self.branch = branch
+        self.classes = classes
+        self.hypotheses = hypotheses
+        self.ampleness = ampleness
+        self.nef_gap = nef_gap
+        self.source_poly = source_poly
+        self.seed = seed
 
 
-def build_cover_report(c: Configuration, m: dict[GroupElement, int] | None = None) -> CoverReport:
+def build_cover_report(c: Configuration) -> CoverReport:
     """Full bookkeeping bundle: m, divisors, half classes, checks, verdicts.
 
-    Nonzero characters with (chi, alpha) = 0 get a pure H-multiple, which
-    is nef but trivial on every exceptional curve; they are reported as a
-    known gap rather than certified. With m left to select_m, every
-    (chi, alpha) = 1 class must certify ample, or SelfCheckFailed.
+    m is select_m's, and every (chi, alpha) = 1 class must certify ample,
+    or SelfCheckFailed. Nonzero characters with (chi, alpha) = 0 get a pure
+    H-multiple, which is nef but trivial on every exceptional curve; they
+    are reported as a known gap rather than certified.
     """
-    selected = m is None
-    if selected:
-        m = select_m(c)
+    m = select_m(c)
     branch = assign_branch_divisors(c, m)
     classes = compute_M(branch)
     hypotheses = check_cover_hypotheses(branch, c)
@@ -281,10 +343,9 @@ def build_cover_report(c: Configuration, m: dict[GroupElement, int] | None = Non
     nef_gap = tuple(
         chi for chi in group_elements() if not chi.is_zero and pairing(chi, ALPHA) == 0
     )
-    if selected:
-        for chi, verdict in ampleness.items():
-            if pairing(chi, ALPHA) == 1 and not verdict.certified:
-                raise SelfCheckFailed(f"selected m fails ampleness for chi = {chi}")
+    for chi, verdict in ampleness.items():
+        if pairing(chi, ALPHA) == 1 and not verdict.certified:
+            raise SelfCheckFailed(f"selected m fails ampleness for chi = {chi}")
     return CoverReport(
         m=m,
         branch=branch,

@@ -10,7 +10,6 @@ configuration encodes a different number".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .configuration import Configuration, valences
@@ -72,20 +71,39 @@ def decode(c: Configuration) -> NFElement:
         raise _failed(DegenerateQuadruple, "distinct points", exc, entries) from exc
 
 
-@dataclass(frozen=True)
 class SeparationCertificate:
-    poly: IntPoly
-    seed: int
-    precision: float
-    line_count: int
-    mark_valences: dict[str, int]
-    max_other_valence: int
-    decoded: tuple[Fraction, ...]
-    equals_generator: bool
-    roots: tuple[EmbeddingApprox, ...]
-    values: tuple[Disc, ...]
-    pairwise_disjoint: bool
-    statement: str
+    __slots__ = (
+        "poly", "seed", "precision", "line_count", "mark_valences", "max_other_valence",
+        "decoded", "equals_generator", "roots", "values", "pairwise_disjoint", "statement"
+    )
+
+    def __init__(
+        self,
+        poly: IntPoly,
+        seed: int,
+        precision: float,
+        line_count: int,
+        mark_valences: dict[str, int],
+        max_other_valence: int,
+        decoded: tuple[Fraction, ...],
+        equals_generator: bool,
+        roots: tuple[EmbeddingApprox, ...],
+        values: tuple[Disc, ...],
+        pairwise_disjoint: bool,
+        statement: str,
+    ):
+        self.poly = poly
+        self.seed = seed
+        self.precision = precision
+        self.line_count = line_count
+        self.mark_valences = mark_valences
+        self.max_other_valence = max_other_valence
+        self.decoded = decoded
+        self.equals_generator = equals_generator
+        self.roots = roots
+        self.values = values
+        self.pairwise_disjoint = pairwise_disjoint
+        self.statement = statement
 
 
 def _pairwise_disjoint(discs) -> bool:

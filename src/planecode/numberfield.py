@@ -19,7 +19,6 @@ element.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import cached_property
 from cmath import rect
@@ -61,15 +60,28 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
 class IntPoly:
-    """Univariate polynomial with rational coefficients, ascending degree.
+    """Univariate polynomial with rational coefficients, ascending degree, immutable.
 
     The zero polynomial has an empty coefficient tuple; otherwise the
     leading coefficient is nonzero.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[Fraction, ...]):
+        _set_coeffs(self, coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"IntPoly is immutable, cannot set {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not IntPoly:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @classmethod
     def from_coeffs(cls, seq) -> "IntPoly":
@@ -203,6 +215,9 @@ class IntPoly:
         return " ".join(parts)
 
 
+_set_coeffs = IntPoly.coeffs.__set__
+
+
 # ---------------------------------------------------------------------------
 # polynomial input grammar:  "x^3 - 2",  "2*x^2 - 3*x + 1",  "2x^2-3x+1"
 # ---------------------------------------------------------------------------
@@ -268,11 +283,13 @@ REDUCIBLE = "reducible"
 UNVERIFIED = "unverified"
 
 
-@dataclass(frozen=True)
 class Irreducibility:
-    status: str
-    factor: IntPoly | None = None
-    witness: str = ""
+    __slots__ = ("status", "factor", "witness")
+
+    def __init__(self, status: str, factor: IntPoly | None = None, witness: str = ""):
+        self.status = status
+        self.factor = factor
+        self.witness = witness
 
     @property
     def is_irreducible(self) -> bool:
@@ -461,7 +478,6 @@ def _residue_map(prim: IntPoly) -> tuple[int, tuple[int, ...]] | None:
 # the abstract field K and its elements
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class NumberField:
     """K = Q[x]/(modulus), modulus monic of degree n >= 2, a proven field.
 
@@ -470,11 +486,26 @@ class NumberField:
     every field it returns is a field; create is the only constructor the
     program uses. `source` is the primitive integer model c*x^n + ... of the
     modulus, with c > 0; element arithmetic reduces by it, so it stays in
-    integers.
+    integers. Two fields are equal when their moduli are; `source` is not
+    compared. The cached properties live in __dict__.
     """
 
-    modulus: IntPoly
-    source: IntPoly = dc_field(compare=False)
+    __slots__ = ("modulus", "source", "__dict__")
+
+    def __init__(self, modulus: IntPoly, source: IntPoly):
+        _set_modulus(self, modulus)
+        _set_source(self, source)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"NumberField is immutable, cannot set {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not NumberField:
+            return NotImplemented
+        return self.modulus == other.modulus
+
+    def __hash__(self) -> int:
+        return hash((self.modulus,))
 
     @classmethod
     def create(cls, p: IntPoly) -> "NumberField":
@@ -535,6 +566,10 @@ class NumberField:
     @property
     def gen(self) -> "NFElement":
         return NFElement(self, (0, 1) + (0,) * (self.n - 2), 1)
+
+
+_set_modulus = NumberField.modulus.__set__
+_set_source = NumberField.source.__set__
 
 
 def _normal(field: NumberField, nums, den: int) -> "NFElement":
@@ -807,21 +842,25 @@ _EPS = 4e-16     # covers one rounding plus one coefficient-conversion slip
 _TINY = 1e-300
 
 
-@dataclass(frozen=True)
 class EmbeddingApprox:
     """A certified disc around one root of the modulus."""
 
-    root_index: int
-    center: complex
-    radius: float
+    __slots__ = ("root_index", "center", "radius")
+
+    def __init__(self, root_index: int, center: complex, radius: float):
+        self.root_index = root_index
+        self.center = center
+        self.radius = radius
 
 
-@dataclass(frozen=True)
 class Disc:
     """Complex disc used as an outward-rounded interval."""
 
-    center: complex
-    radius: float
+    __slots__ = ("center", "radius")
+
+    def __init__(self, center: complex, radius: float):
+        self.center = center
+        self.radius = radius
 
     def __add__(self, other: "Disc") -> "Disc":
         c = self.center + other.center

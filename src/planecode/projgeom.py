@@ -11,8 +11,6 @@ with `incident`, the exact test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     DegenerateJoin,
     DegenerateMeet,
@@ -33,9 +31,24 @@ def _canonicalize(coords: tuple[NFElement, NFElement, NFElement]):
     raise ValueError("all-zero homogeneous triple")
 
 
-@dataclass(frozen=True)
 class ProjPoint:
-    coords: tuple[NFElement, NFElement, NFElement]
+    """A point (x : y : z) in canonical form, immutable; == and hash are structural."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[NFElement, NFElement, NFElement]):
+        _set_coords(self, coords)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ProjPoint is immutable, cannot set {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not ProjPoint:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     @classmethod
     def of(cls, x: NFElement, y: NFElement, z: NFElement) -> "ProjPoint":
@@ -53,9 +66,24 @@ class ProjPoint:
         return "(" + " : ".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
 class ProjLine:
-    coeffs: tuple[NFElement, NFElement, NFElement]
+    """A line [a : b : c] in canonical form, immutable; == and hash are structural."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[NFElement, NFElement, NFElement]):
+        _set_coeffs(self, coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ProjLine is immutable, cannot set {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not ProjLine:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     @classmethod
     def of(cls, a: NFElement, b: NFElement, c: NFElement) -> "ProjLine":
@@ -67,6 +95,11 @@ class ProjLine:
 
     def __str__(self) -> str:
         return "[" + " : ".join(str(c) for c in self.coeffs) + "]"
+
+
+# Slot setters: points and lines forbid attribute assignment after construction.
+_set_coords = ProjPoint.coords.__set__
+_set_coeffs = ProjLine.coeffs.__set__
 
 
 def point(field: NumberField, x, y, z=1) -> ProjPoint:

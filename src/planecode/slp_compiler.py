@@ -26,7 +26,6 @@ whole construction is defined over K with Galois-stable choices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -49,43 +48,114 @@ from .projgeom import ProjLine, ProjPoint, direction_of, join, meet, point
 # instructions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# Instructions are immutable values: == and hash are structural, and
+# instructions of different kinds are never equal.
+
 class LoadZ:
-    pass
+    """The register z."""
+
+    __slots__ = ()  # no fields: nothing can be set
+
+    def __eq__(self, other):
+        return True if other.__class__ is LoadZ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
 
-@dataclass(frozen=True)
 class One:
-    pass
+    """The unit register."""
+
+    __slots__ = ()  # no fields: nothing can be set
+
+    def __eq__(self, other):
+        return True if other.__class__ is One else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
 
-@dataclass(frozen=True)
 class Add:
-    left: int
-    right: int
+    """The register left + right."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: int, right: int):
+        _set_add_left(self, left)
+        _set_add_right(self, right)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Add is immutable, cannot set {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Add:
+            return NotImplemented
+        return self.left == other.left and self.right == other.right
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
 class Mul:
-    left: int
-    right: int
+    """The register left * right."""
+
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: int, right: int):
+        _set_mul_left(self, left)
+        _set_mul_right(self, right)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Mul is immutable, cannot set {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Mul:
+            return NotImplemented
+        return self.left == other.left and self.right == other.right
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
 class Neg:
-    operand: int
+    """The register -operand."""
+
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: int):
+        _set_neg_operand(self, operand)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Neg is immutable, cannot set {name}")
+
+    def __eq__(self, other):
+        if other.__class__ is not Neg:
+            return NotImplemented
+        return self.operand == other.operand
+
+    def __hash__(self) -> int:
+        return hash((self.operand,))
+
+
+_set_add_left = Add.left.__set__
+_set_add_right = Add.right.__set__
+_set_mul_left = Mul.left.__set__
+_set_mul_right = Mul.right.__set__
+_set_neg_operand = Neg.operand.__set__
 
 
 Instr = Union[LoadZ, One, Add, Mul, Neg]
 
 
-@dataclass(frozen=True)
 class SLP:
     """A program from compile_polynomial: each operand is an earlier register."""
 
-    instructions: tuple[Instr, ...]
-    result: int
-    source: IntPoly
+    __slots__ = ("instructions", "result", "source")
+
+    def __init__(self, instructions: tuple[Instr, ...], result: int, source: IntPoly):
+        self.instructions = instructions
+        self.result = result
+        self.source = source
 
     def evaluate(self, field: NumberField) -> list[NFElement]:
         values: list[NFElement] = []
@@ -155,10 +225,12 @@ def compile_polynomial(p: IntPoly) -> SLP:
 # gadget emission
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class GadgetTrace:
-    emitted_lines: tuple[ProjLine, ...]
-    output_point: ProjPoint
+    __slots__ = ("emitted_lines", "output_point")
+
+    def __init__(self, emitted_lines: tuple[ProjLine, ...], output_point: ProjPoint):
+        self.emitted_lines = emitted_lines
+        self.output_point = output_point
 
 
 def register_point(value: NFElement) -> ProjPoint:

@@ -5,7 +5,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from planecode import (
@@ -14,6 +13,7 @@ from planecode import (
     assign_branch_divisors,
     build_cover_report,
     compute_M,
+    Configuration,
     cross_ratio,
     decode,
     emit_add_gadget,
@@ -113,7 +113,11 @@ def test_criterion_4_configuration_invariants(built):
         assert vals[0] > vals[1] > vals[2] > vals[3] > vals[4], f"ladder tie in {text}"
         expected = [cfg.marks[l] for l in ("zero", "one", "inf", "z")]
         assert [i for i, _ in top[:4]] == expected, f"marks out of order in {text}"
-        assert decode(replace(cfg, marks={})) == cfg.field.gen, f"marked decode in {text}"
+        unmarked = Configuration(
+            cfg.field, cfg.lines, cfg.points, cfg.incidence, {},
+            cfg.seed, cfg.params_consumed, cfg.source,
+        )
+        assert decode(unmarked) == cfg.field.gen, f"marked decode in {text}"
     _verdict(4, True, "valences even, ladder strict on 0 > 1 > inf > z, decode needs no marks")
 
 
@@ -132,7 +136,8 @@ def test_criterion_5_cover_bookkeeping(built):
                 assert verdict.certified, f"{text}: chi={chi} not certified"
             else:
                 assert not verdict.certified
-        report = build_cover_report(cfg, m)
+        report = build_cover_report(cfg)
+        assert report.m == select_m(cfg)
         assert len(report.nef_gap) == 3
     _verdict(5, True, "all 8 half classes integral; 4 certificates pass; 3 nef-only flagged")
 

@@ -1,10 +1,10 @@
 import random
-from dataclasses import replace
 
 import pytest
 
 from planecode import (
     ALPHA,
+    Configuration,
     GroupElement,
     NumberField,
     PicClass,
@@ -181,8 +181,9 @@ def test_hypotheses_on_pipeline(built):
 def test_missed_intersection_detected(built):
     cfg, _ = built("x^2-2")
     branch = assign_branch_divisors(cfg, select_m(cfg))
-    broken = replace(
-        cfg, points=cfg.points[:-1], incidence=cfg.incidence[:-1]
+    broken = Configuration(
+        cfg.field, cfg.lines, cfg.points[:-1], cfg.incidence[:-1], cfg.marks,
+        cfg.seed, cfg.params_consumed, cfg.source,
     )
     with pytest.raises(MissedIntersection):
         check_cover_hypotheses(branch, broken)

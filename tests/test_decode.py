@@ -1,9 +1,9 @@
 import math
-from dataclasses import replace
 
 import pytest
 
 from planecode import (
+    Configuration,
     NumberField,
     decode,
     derive_points,
@@ -29,7 +29,10 @@ def test_round_trip_golden_field(built):
 
 def test_decode_ignores_marks(built):
     cfg, _ = built("x^2-2")
-    stripped = replace(cfg, marks={})
+    stripped = Configuration(
+        cfg.field, cfg.lines, cfg.points, cfg.incidence, {},
+        cfg.seed, cfg.params_consumed, cfg.source,
+    )
     assert decode(stripped) == cfg.field.gen
 
 

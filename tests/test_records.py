@@ -1,0 +1,110 @@
+"""Records are plain classes: structural value semantics, and a light import path."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+
+import pytest
+
+from planecode import GroupElement, IntPoly, NumberField, PicClass, line, parse_poly, point
+from planecode.slp_compiler import Add, LoadZ, Mul, Neg, One
+from tests.conftest import SRC
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_render():
+    probe = (
+        "import sys, planecode.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect', 'planecode.render') "
+        "if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == []
+
+
+@pytest.fixture(scope="module")
+def k():
+    return NumberField.create(parse_poly("x^2-2"))
+
+
+def _values(k):
+    """Pairs of equal values built separately, one pair per hashed record type."""
+    half = Fraction(1, 2)
+    return [
+        (IntPoly.from_coeffs([-2, 0, 1]), parse_poly("x^2-2")),
+        (point(k, half, k.gen), point(k, 1, 2 * k.gen, 2)),
+        (line(k, 1, 2, 3), line(k, 2, 4, 6)),
+        (GroupElement.from_index(3), GroupElement((0, 1, 1))),
+        (PicClass(3, (1, 2)), PicClass(1, (0, 1)) + PicClass(2, (1, 1))),
+        (Add(0, 1), Add(0, 1)),
+        (Mul(0, 1), Mul(0, 1)),
+        (Neg(2), Neg(2)),
+        (LoadZ(), LoadZ()),
+        (One(), One()),
+    ]
+
+
+def test_equal_values_are_equal_with_equal_hashes(k):
+    for a, b in _values(k):
+        assert a is not b
+        assert a == b and not a != b, type(a).__name__
+        assert hash(a) == hash(b), type(a).__name__
+        assert len({a, b}) == 1
+
+
+def test_hash_is_the_hash_of_the_field_tuple(k):
+    p = IntPoly.from_coeffs([-2, 0, 1])
+    assert hash(p) == hash((p.coeffs,))
+    assert hash(PicClass(3, (1, 2))) == hash((3, (1, 2)))
+    assert hash(Add(4, 5)) == hash((4, 5))
+    assert hash(Neg(4)) == hash((4,))
+    assert hash(point(k, 0, 0)) == hash((point(k, 0, 0).coords,))
+    assert hash(k) == hash((k.modulus,))
+
+
+def test_different_values_differ(k):
+    assert IntPoly.from_coeffs([1, 1]) != IntPoly.from_coeffs([1, 2])
+    assert point(k, 0, 0) != point(k, 1, 0)
+    assert line(k, 1, 0, 0) != line(k, 0, 1, 0)
+    assert GroupElement((1, 0, 0)) != GroupElement((0, 0, 1))
+    assert PicClass(1, (0,)) != PicClass(1, (1,))
+    assert Add(0, 1) != Add(1, 0)
+    assert Neg(0) != Neg(1)
+
+
+def test_instructions_of_different_kinds_differ():
+    assert Add(0, 1) != Mul(0, 1)
+    assert Mul(0, 1) != Add(0, 1)
+    assert LoadZ() != One()
+    assert One() != LoadZ()
+    assert Neg(0) != Add(0, 0)
+
+
+def test_records_never_equal_other_types(k):
+    assert IntPoly.from_coeffs([1]) != (Fraction(1),)
+    assert GroupElement((0, 0, 0)) != (0, 0, 0)
+    assert point(k, 0, 0) != line(k, 0, 0, 1)
+
+
+def test_hashed_records_are_immutable(k):
+    fields = ("coeffs", "coords", "coeffs", "bits", "h", "left", "left", "operand", None, None)
+    for (a, _), name in zip(_values(k), fields):
+        for attr in filter(None, (name, "extra")):
+            with pytest.raises(AttributeError):
+                setattr(a, attr, None)
+
+
+def test_fields_from_one_polynomial_are_equal():
+    a = NumberField.create(parse_poly("x^3-2"))
+    for text in ("x^3-2", "2*x^3-4"):
+        b = NumberField.create(parse_poly(text))
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+    assert a != NumberField.create(parse_poly("x^3-3"))
+    with pytest.raises(AttributeError):
+        a.modulus = parse_poly("x^3-3")
+    # the cached properties still work on an immutable field
+    assert a.n == 3 and a.reduction == (1, ((0, -2),))
