@@ -66,7 +66,6 @@ from .slp_compiler import (
     emit_add_gadget,
     emit_configuration,
     emit_mul_gadget,
-    emit_neg_gadget,
     register_point,
 )
 

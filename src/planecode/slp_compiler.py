@@ -1,13 +1,14 @@
-"""Straight-line programs for p(z) = 0 and their geometric realization.
+"""Straight-line programs for P(z) = N(z) and their geometric realization.
 
-compile_polynomial turns the defining polynomial into a Horner-form SLP
-over registers: z, the unit, and the sums, products and negations of
-earlier registers. An integer constant c >= 2 is built from the unit by
-binary double-and-add. emit_configuration proves K = Q[x]/(p) a field
-(NumberField.create) and replays every add, mul and neg instruction
-through a small line gadget on the marked axis ell = {y = 0}, where the
-point (v : 0 : 1) stands for the number v; z and the unit are marks on
-that axis and take no lines:
+compile_polynomial splits the primitive p into its sign-sides, p = P - N,
+and turns each side into a Horner-form SLP over registers: z, the unit,
+and the sums and products of earlier registers. The powers of z that
+the Horner jumps need come from one table built by squaring, and every
+integer constant c >= 2 comes from one chain built up from the unit.
+emit_configuration proves K = Q[x]/(p) a field (NumberField.create) and
+replays every add and mul instruction through a small line gadget on the
+marked axis ell = {y = 0}, where the point (v : 0 : 1) stands for the
+number v; z and the unit are marks on that axis and take no lines:
 
   addition      four lines through an auxiliary point P = (0 : h : 1):
                 transfer b up the vertical pencil to height h, then slide
@@ -17,11 +18,11 @@ that axis and take no lines:
                 the parallel of P-(a,0) through it (similar triangles give
                 a*b/h on ell), then rescale by h through the unit height
                 point (0 : 1 : 1) to land exactly on (a*b : 0 : 1).
-  negation      reflect through the y-axis: up along slope -1, back down
-                along slope +1.
 
-Auxiliary heights h come from the deterministic rational stream, so the
-whole construction is defined over K with Galois-stable choices.
+The last gadget of P lands on the point of N(z), so the incidences force
+P(z) = N(z), that is p(z) = 0, without a negation. Auxiliary heights h
+come from the deterministic rational stream, so the whole construction
+is defined over K with Galois-stable choices.
 """
 
 from __future__ import annotations
@@ -117,44 +118,30 @@ class Mul:
         return hash((self.left, self.right))
 
 
-class Neg:
-    """The register -operand."""
-
-    __slots__ = ("operand",)
-
-    def __init__(self, operand: int):
-        _set_neg_operand(self, operand)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Neg is immutable, cannot set {name}")
-
-    def __eq__(self, other):
-        if other.__class__ is not Neg:
-            return NotImplemented
-        return self.operand == other.operand
-
-    def __hash__(self) -> int:
-        return hash((self.operand,))
-
-
 _set_add_left = Add.left.__set__
 _set_add_right = Add.right.__set__
 _set_mul_left = Mul.left.__set__
 _set_mul_right = Mul.right.__set__
-_set_neg_operand = Neg.operand.__set__
 
 
-Instr = Union[LoadZ, One, Add, Mul, Neg]
+Instr = Union[LoadZ, One, Add, Mul]
 
 
 class SLP:
-    """A program from compile_polynomial: each operand is an earlier register."""
+    """A program from compile_polynomial: each operand is an earlier register.
 
-    __slots__ = ("instructions", "result", "source")
+    It encodes p(z) = 0 as values[lhs] == values[rhs]: lhs computes P(z),
+    rhs computes N(z), and rhs is None when N = 0.
+    """
 
-    def __init__(self, instructions: tuple[Instr, ...], result: int, source: IntPoly):
+    __slots__ = ("instructions", "lhs", "rhs", "source")
+
+    def __init__(
+        self, instructions: tuple[Instr, ...], lhs: int, rhs: int | None, source: IntPoly
+    ):
         self.instructions = instructions
-        self.result = result
+        self.lhs = lhs
+        self.rhs = rhs
         self.source = source
 
     def evaluate(self, field: NumberField) -> list[NFElement]:
@@ -166,59 +153,100 @@ class SLP:
                 values.append(field.one)
             elif isinstance(instr, Add):
                 values.append(values[instr.left] + values[instr.right])
-            elif isinstance(instr, Mul):
-                values.append(values[instr.left] * values[instr.right])
             else:
-                values.append(-values[instr.operand])
+                values.append(values[instr.left] * values[instr.right])
         return values
 
 
 def compile_polynomial(p: IntPoly) -> SLP:
-    """Horner-form SLP computing p(z); zero coefficients are skipped.
+    """SLP computing both sides of P(z) = N(z), where p = P - N.
 
-    A constant c >= 2 is the unit register doubled once per binary digit
-    of c after the first, plus the unit after each doubling for a digit 1.
-    Each constant is built once, on first use, and its chain is its own:
-    constants share no intermediate sums. Irreducibility is proven where
-    the field is created, in emit_configuration.
+    p is made primitive with a positive leading coefficient; P holds its
+    positive coefficients and N the absolute values of its negative ones.
+    Each side is in Horner form from its top term down: a jump from
+    degree d to the next nonzero degree j multiplies by z^(d-j). Before
+    any Horner step, the program builds
+    - the power table: each z^k that a jump of either side needs, once,
+      by squaring, z^k = z^(k - k//2) * z^(k//2);
+    - the constant chain: every constant c >= 2 of p in increasing
+      order, by one Add when c is the sum of two constants already built
+      and else by binary double-and-add from the unit, each intermediate
+      kept by its value.
+    No instruction is emitted twice. Irreducibility is proven where the
+    field is created, in emit_configuration.
     """
     prim = p.primitive()
     if prim.degree < 2:
         raise TrivialField(f"need degree >= 2, got {prim.degree}")
     ints = prim.int_coeffs()
-    n = prim.degree
 
     instructions: list[Instr] = []
-    const_cache: dict[int, int] = {}
+    registers: dict[Instr, int] = {}
+    constants: dict[int, int] = {}
 
     def emit(instr: Instr) -> int:
-        instructions.append(instr)
-        return len(instructions) - 1
+        if instr not in registers:
+            registers[instr] = len(instructions)
+            instructions.append(instr)
+        return registers[instr]
 
-    load = emit(LoadZ())
+    z = emit(LoadZ())
 
-    def signed_const(c: int) -> int:
-        if c in const_cache:
-            return const_cache[c]
-        if c < 0:
-            reg = emit(Neg(signed_const(-c)))
-        elif c == 1:
-            reg = emit(One())
-        else:
-            one = reg = signed_const(1)
-            for bit in bin(c)[3:]:
-                reg = emit(Add(reg, reg))
-                if bit == "1":
-                    reg = emit(Add(reg, one))
-        const_cache[c] = reg
+    def power(k: int) -> int:
+        return z if k == 1 else emit(Mul(power(k - k // 2), power(k // 2)))
+
+    def chain(value: int, left: int, right: int) -> int:
+        """The register of the constant value = left + right, added once."""
+        if value not in constants:
+            constants[value] = emit(Add(left, right))
+        return constants[value]
+
+    def constant(c: int) -> int:
+        if c in constants:
+            return constants[c]
+        if c == 1:
+            constants[1] = emit(One())
+            return constants[1]
+        a = next((a for a in sorted(constants) if c - a in constants), None)
+        if a is not None:
+            return chain(c, constants[a], constants[c - a])
+        one = reg = constant(1)
+        value = 1
+        for bit in bin(c)[3:]:
+            value *= 2
+            reg = chain(value, reg, reg)
+            if bit == "1":
+                value += 1
+                reg = chain(value, reg, one)
         return reg
 
-    acc: int | None = None if ints[n] == 1 else signed_const(ints[n])
-    for j in range(n - 1, -1, -1):
-        acc = load if acc is None else emit(Mul(acc, load))
-        if ints[j] != 0:
-            acc = emit(Add(acc, signed_const(ints[j])))
-    return SLP(tuple(instructions), acc, prim)
+    def times_power(acc: int | None, k: int) -> int:
+        """acc * z^k, where acc None stands for the unit."""
+        if k == 0:
+            return constant(1) if acc is None else acc
+        return power(k) if acc is None else emit(Mul(acc, power(k)))
+
+    def horner(side: dict[int, int]) -> int | None:
+        if not side:
+            return None
+        d, *lower = sorted(side, reverse=True)
+        acc = None if side[d] == 1 else constant(side[d])
+        for j in lower:
+            acc = emit(Add(times_power(acc, d - j), constant(side[j])))
+            d = j
+        return times_power(acc, d)
+
+    positive = {d: c for d, c in enumerate(ints) if c > 0}
+    negative = {d: -c for d, c in enumerate(ints) if c < 0}
+    for side in (positive, negative):
+        degrees = sorted(side, reverse=True) + [0]
+        for d, j in zip(degrees, degrees[1:]):
+            if d > j:
+                power(d - j)
+    for c in sorted({abs(c) for c in ints if abs(c) >= 2}):
+        constant(c)
+    lhs, rhs = horner(positive), horner(negative)
+    return SLP(tuple(instructions), lhs, rhs, prim)
 
 
 # ---------------------------------------------------------------------------
@@ -295,18 +323,6 @@ def emit_mul_gadget(a: NFElement, b: NFElement, h: Fraction) -> GadgetTrace:
     return GadgetTrace((t1, m1, m2, m3, m4), out)
 
 
-def emit_neg_gadget(b: NFElement) -> GadgetTrace:
-    f = b.field
-    if b.is_zero:
-        raise GadgetDegenerate("negation gadget needs a nonzero input")
-    n1 = join(register_point(b), point(f, -1, 1, 0))
-    lifted = meet(n1, _yaxis(f))                   # (0 : b : 1)
-    n2 = join(lifted, point(f, 1, 1, 0))
-    out = meet(n2, _ell(f))
-    _check_output("neg", out, -b)
-    return GadgetTrace((n1, n2), out)
-
-
 def _with_retry(make: Callable[[Fraction], GadgetTrace], stream: ParamStream) -> GadgetTrace:
     for _ in range(RETRY_BUDGET):
         h = stream.next()
@@ -321,8 +337,8 @@ def emit_configuration(slp: SLP, seed: int = 0) -> Configuration:
     """Prove K a field, replay the SLP through gadgets, return the raw configuration.
 
     Every gadget checks that it lands on the point of its value, and the
-    result register must be 0: anything else means the modulus was not
-    the minimal polynomial of z.
+    two sides must agree, P(z) = N(z): anything else means the modulus
+    was not the minimal polynomial of z.
     """
     field = NumberField.create(slp.source)
     values = slp.evaluate(field)
@@ -340,15 +356,15 @@ def emit_configuration(slp: SLP, seed: int = 0) -> Configuration:
             trace = _with_retry(
                 lambda h: emit_mul_gadget(values[i], values[j], h), stream
             )
-        elif isinstance(instr, Neg):
-            trace = emit_neg_gadget(values[instr.operand])
         else:
             continue  # z and the unit: marks on the axis, no lines
         for l in trace.emitted_lines:
             ordered.setdefault(l, None)
 
-    if not values[slp.result].is_zero:
-        raise NotARoot(f"p(z) evaluates to {values[slp.result]}, not 0")
+    lhs = values[slp.lhs]
+    rhs = field.zero if slp.rhs is None else values[slp.rhs]
+    if lhs != rhs:
+        raise NotARoot(f"P(z) = {lhs} differs from N(z) = {rhs}")
 
     cfg = derive_points(
         list(ordered), seed=seed, params_consumed=stream.cursor, source=slp.source

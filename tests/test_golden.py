@@ -43,41 +43,42 @@ def v1_json(c) -> dict:
 
 
 GOLDEN = {
-    "x^2-2": "1170050865ac03dad8bbfceb1adc4c212d5ec77a2ca96929771cc4335b279189",
-    "x^3-2": "dcbd7ea53a67a574f643c6db05e3a9fa1710eb714730e7a3521cdb4c41c72156",
-    "x^2-x-1": "7b754509c90daa1bf305fc93f22e7a4923260014bb20e028a26400455b55787d",
-    "x^4-x-1": "a1fb03f74b09d2d0e25961f81fa456ed133de369076589cf8c822f204ee14e31",
-    "3*x^2-5": "c6c64ccb9fd94fe80ad94a3f4854238c8a01526292a12aa400eb5d0dd35e7f0c",
-    "x^5-x-1": "b2b9a9805fecb72edb4095e99ed1c4f1584680fed60539775df5250ff16f3b5a",
-    "x^7-x-1": "f63ce6b52dcec47dec31768b230639eac24fc115d1d383822cc8566426708fd7",
+    "x^2-2": "bf8b4abb4571dd5bec4970dcf9333b06cd565b7ba66856ba546e1d0efa14e43e",
+    "x^3-2": "49c8b08fb778a4a947da799e1680e904264d2c86830fb01f13c4e7207bca627d",
+    "x^2-x-1": "8bd00bfb31a43163813b62b071de0061069eed0f7fce2b600954b92ccc9434fa",
+    "x^4-x-1": "6c8a46fa18e91eb197ee6c087fdb01c8bce7aac6c7b24509e97f0d1037148ccf",
+    "3*x^2-5": "4eb2b03e41cbc212c53209fe5cd58626af569a7f2dbb3d8b931d2fdf236982ae",
+    "x^5-x-1": "e62bff075abc93bdd8e5aca1665eba121c8cfb883495b56918e1bfd46497f531",
+    "x^7-x-1": "5974f17140908b352268c00aae5558b94cf920e9e01bbed02f4b9d7f15980f21",
 }
 
 COVER_GOLDEN = {
-    "x^2-2": "e48bf4508014bc48c79ac3dda2557207536c47e127bba9c100f48ff1de1faeee",
-    "x^3-2": "de06061f9d33f23e63d56b6757af2319174419da2b1a3c3656f439a1664a7d45",
-    "x^2-x-1": "c7a70d729ad35ad4223f61a0508acdc3895879b4aa1921e97b57a678829f30b6",
-    "x^4-x-1": "2123728d92b6e5becd3283919693f6aa0cd01a33938aa23565e5bad72aa088fc",
-    "3*x^2-5": "8eb56e89a161e84bc131a8144454d8a2c45b06f173ab977e4eecb7c28e68efb0",
-    "x^5-x-1": "040e99e3a2755a4ccdc005fb9e5703b1237bf4931bf49f2f14e833345a936ae5",
-    "x^7-x-1": "cac1c63293ba0b4a5eba72b7666e82f1447382dab8fc2f783e900789be89d0df",
+    "x^2-2": "74ade949179840d7109cd7f51e9203269504f4a6349cdb52f732ddddf49bb898",
+    "x^3-2": "b6d57796dd5b3ef46fc1ab2a3242edb78a13f1c29f77584c5732e509dc126fd4",
+    "x^2-x-1": "1959cbe1fb816589a057eb0717237ab709d1a921f4d3cfa7c77bde4917d220dc",
+    "x^4-x-1": "560705bbf11fed1c84dfc1f652deb6f57558d88c6ecd165cb568c1ce8072f18e",
+    "3*x^2-5": "5cc27e08c390988817955c3d9b569973a0d3d21ab32464ca46c0dc0844687b4c",
+    "x^5-x-1": "669339ef0f86aa3edb957f3300c15dfab8c39e8a94244d33cab4f421207fee12",
+    "x^7-x-1": "6bfcfe66ccb871c8b98a4e14d99b55c63f80076f273ac8c92a085b5f3710c65b",
 }
 
 
 FILE_GOLDEN = {
-    "x^2-2": "4ea2a393d6f0386a3d08c1831b4b984dca373ceb8a4fa7d2d392b29ff0c9ae3e",
-    "x^3-2": "7c461d910d641335115bc5c62ffe6a16f9c212b97966b1317303a61309991187",
-    "x^2-x-1": "7a423d60c0e3ed99ba16616f8c24fc3c5a1363305e7c7a6bfc78bf8862f53d6e",
-    "x^4-x-1": "c861a22250bd4b036d70b13630ccde7c799d53b38cb5e196e3c6aed222d78f93",
-    "3*x^2-5": "83d955bf847e7ee02266ba3c8b61002cc495188ea2605b1780a493c5c20afe8b",
-    "x^5-x-1": "535c94a5408a0366a268c9885ff7151a6c97185d9bdbbb3f98f271694c768a1f",
-    "x^7-x-1": "1f456ec8a0ab7534d8580758473c545589e54ee0cdc2f1a3f5328c85e68f3161",
+    "x^2-2": "ec2d4e125b0203c85f8dfe36e6bf8e656e47eb2f6d73d82e81818fb399796ba8",
+    "x^3-2": "c2d168dbe0de86d2211be1496fad7e177b06c34f0d171901e1d59c7eb1760ea7",
+    "x^2-x-1": "57672107807c7eb6bad80e4deb80d78e4970677b5140dbc135e5e8134f0dcff6",
+    "x^4-x-1": "fdb205d6233db5eaccb4b00117e13817cfd02bffb4b8907f42416b8d3d4efe9e",
+    "3*x^2-5": "3eb2db24f47337c3995ca4e6d50acf17239f7b9fd6657a9017a4ed67f2fd4b23",
+    "x^5-x-1": "db60f65c8383d5e069301b0920c07cb850e606b70a079bcc3ab70fed7ea1ed3b",
+    "x^7-x-1": "33a7cd892dc60b8c66a7b4f616f6894034c90d28adf6875a1fbb7360b4cc3def",
 }
 
-# Integer constants above 2 are built by several add gadgets each: 3, 5 and 7
-# here, and a 20-bit double-and-add chain for 1000003 (L = 229).
+# Integer constants share one chain of add gadgets: 3 = 2 + 1 by
+# double-and-add, then 5 = 2 + 3 and 7 = 2 + 5 by one add each; 1000003 is a
+# 20-bit double-and-add chain (L = 215).
 CONSTANT_FILE_GOLDEN = {
-    "3*x^3-5*x+7": "5beb06b4b2a3b10aad1634ef2ba9672b1be59320581f851b9fe97b62a9dd4462",
-    "x^3-1000003": "18e6c1de5182d4fe9b7d26615ad132a5e325dc7df79323758911e0355d078cfb",
+    "3*x^3-5*x+7": "3d8635b733942681d89fd0c7d695f918f8d7efb5b93ae54ad20a754ebcee5c02",
+    "x^3-1000003": "6c7962eacadc62d9ad7e3bb4cea756ddfa30a36bbcffd790aba520845cda50b5",
 }
 
 # The v1 files were 0.67 MB and 6.55 MB; the lines alone are 2-4 % of that.

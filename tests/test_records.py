@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from planecode import GroupElement, IntPoly, NumberField, PicClass, line, parse_poly, point
-from planecode.slp_compiler import Add, LoadZ, Mul, Neg, One
+from planecode.slp_compiler import Add, LoadZ, Mul, One
 from tests.conftest import SRC
 
 
@@ -41,7 +41,6 @@ def _values(k):
         (PicClass(3, (1, 2)), PicClass(1, (0, 1)) + PicClass(2, (1, 1))),
         (Add(0, 1), Add(0, 1)),
         (Mul(0, 1), Mul(0, 1)),
-        (Neg(2), Neg(2)),
         (LoadZ(), LoadZ()),
         (One(), One()),
     ]
@@ -60,7 +59,6 @@ def test_hash_is_the_hash_of_the_field_tuple(k):
     assert hash(p) == hash((p.coeffs,))
     assert hash(PicClass(3, (1, 2))) == hash((3, (1, 2)))
     assert hash(Add(4, 5)) == hash((4, 5))
-    assert hash(Neg(4)) == hash((4,))
     assert hash(point(k, 0, 0)) == hash((point(k, 0, 0).coords,))
     assert hash(k) == hash((k.modulus,))
 
@@ -72,7 +70,6 @@ def test_different_values_differ(k):
     assert GroupElement((1, 0, 0)) != GroupElement((0, 0, 1))
     assert PicClass(1, (0,)) != PicClass(1, (1,))
     assert Add(0, 1) != Add(1, 0)
-    assert Neg(0) != Neg(1)
 
 
 def test_instructions_of_different_kinds_differ():
@@ -80,7 +77,6 @@ def test_instructions_of_different_kinds_differ():
     assert Mul(0, 1) != Add(0, 1)
     assert LoadZ() != One()
     assert One() != LoadZ()
-    assert Neg(0) != Add(0, 0)
 
 
 def test_records_never_equal_other_types(k):
@@ -90,7 +86,7 @@ def test_records_never_equal_other_types(k):
 
 
 def test_hashed_records_are_immutable(k):
-    fields = ("coeffs", "coords", "coeffs", "bits", "h", "left", "left", "operand", None, None)
+    fields = ("coeffs", "coords", "coeffs", "bits", "h", "left", "left", None, None)
     for (a, _), name in zip(_values(k), fields):
         for attr in filter(None, (name, "extra")):
             with pytest.raises(AttributeError):

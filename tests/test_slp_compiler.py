@@ -10,24 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planecode import (
+    SLP,
     IntPoly,
     NumberField,
     compile_polynomial,
     emit_add_gadget,
     emit_configuration,
     emit_mul_gadget,
-    emit_neg_gadget,
     parse_poly,
     register_point,
 )
 from planecode.errors import (
     GadgetDegenerate,
+    NotARoot,
     ReducibleModulus,
     TrivialField,
 )
 from planecode.serialize import config_to_json, dumps_canonical
 from planecode import numberfield, run_pipeline, slp_compiler
-from planecode.slp_compiler import Add, LoadZ, Mul, Neg, One
+from planecode.slp_compiler import Add, LoadZ, Mul, One
 
 
 @pytest.fixture(scope="module")
@@ -38,28 +39,25 @@ def k():
 # -- compilation ---------------------------------------------------------------
 
 def test_compile_x2_minus_2_exact_shape():
+    # P = z^2 on the left, N = 2 on the right: the power table, then the chain
     slp = compile_polynomial(parse_poly("x^2-2"))
     assert slp.instructions == (
         LoadZ(),
         Mul(left=0, right=0),
         One(),
         Add(left=2, right=2),
-        Neg(operand=3),
-        Add(left=1, right=4),
     )
-    assert slp.result == 5
+    assert (slp.lhs, slp.rhs) == (1, 3)
 
 
 @pytest.mark.parametrize("c", [2, 3, 5, 7, 12, 1000003])
 def test_constants_are_double_and_add_chains(k, c):
-    slp = compile_polynomial(IntPoly.from_coeffs([-c, 0, 1]))  # x^2 - c
+    slp = compile_polynomial(IntPoly.from_coeffs([-c, 0, 1]))  # z^2 = c
     assert sum(isinstance(i, One) for i in slp.instructions) == 1
-    # one doubling per binary digit after the first, one unit per further 1,
-    # and the Horner step that adds -c
+    # one doubling per binary digit after the first, one unit per further 1
     adds = sum(isinstance(i, Add) for i in slp.instructions)
-    assert adds == (c.bit_length() - 1) + (bin(c).count("1") - 1) + 1
-    (neg,) = [i for i in slp.instructions if isinstance(i, Neg)]
-    assert slp.evaluate(k)[neg.operand] == k.from_rational(c)
+    assert adds == (c.bit_length() - 1) + (bin(c).count("1") - 1)
+    assert slp.evaluate(k)[slp.rhs] == k.from_rational(c)
 
 
 def test_a_constant_is_built_once():
@@ -69,18 +67,46 @@ def test_a_constant_is_built_once():
     assert sum(isinstance(i, Add) for i in slp.instructions) == 1 + 2
 
 
+def test_constants_share_one_chain(k):
+    slp = compile_polynomial(parse_poly("3*x^3-5*x+7"))
+    values = slp.evaluate(k)
+    chain = [v for i, v in zip(slp.instructions, values) if isinstance(i, Add)][:4]
+    # 3 = 2 + 1 by double-and-add, then 5 = 2 + 3 and 7 = 2 + 5 by one Add each
+    assert chain == [k.from_rational(c) for c in (2, 3, 5, 7)]
+    # and one Horner Add for the 7 of P = 3*z^3 + 7; N = 5*z needs none
+    assert sum(isinstance(i, Add) for i in slp.instructions) == 4 + 1
+
+
 def test_compile_evaluates_to_zero():
-    for text in ("x^2-x-1", "x^3-2", "x^4-x-1", "2*x^2-3"):
+    """P(z) - N(z) = p(z) is zero: the two sides agree."""
+    for text in ("x^2-x-1", "x^3-2", "x^4-x-1", "2*x^2-3", "x^3-x+1", "x^2+x+1"):
         poly = parse_poly(text)
         slp = compile_polynomial(poly)
         field = NumberField.create(poly)
         values = slp.evaluate(field)
-        assert values[slp.result].is_zero
+        rhs = field.zero if slp.rhs is None else values[slp.rhs]
+        assert values[slp.lhs] == rhs, text
+    assert compile_polynomial(parse_poly("x^3-x+1")).rhs == 0  # N = z
+    assert compile_polynomial(parse_poly("x^2+x+1")).rhs is None  # N = 0
+
+
+def test_sides_need_no_negation_and_no_repeats():
+    assert not hasattr(slp_compiler, "Neg")
+    for text in ("x^2-x-1", "x^4-x-1", "3*x^3-5*x+7", "x^7-x-1", "x^3-1000003"):
+        slp = compile_polynomial(parse_poly(text))
+        assert {type(i) for i in slp.instructions} <= {LoadZ, One, Add, Mul}, text
+        assert len(set(slp.instructions)) == len(slp.instructions), text
 
 
 def test_compile_x3_minus_2_two_muls():
     slp = compile_polynomial(parse_poly("x^3-2"))
     assert sum(isinstance(i, Mul) for i in slp.instructions) == 2
+
+
+def test_powers_by_squaring():
+    # z^16 = (((z^2)^2)^2)^2 on the left, z + 1 on the right
+    slp = compile_polynomial(parse_poly("x^16-x-1"))
+    assert sum(isinstance(i, Mul) for i in slp.instructions) == 4
 
 
 def test_compile_rejects_trivial_and_reducible():
@@ -141,15 +167,6 @@ def _mul_oracle(a, b, h):
     return _intersect(m4, ell)
 
 
-def _neg_oracle(b):
-    ell = (Fraction(0), Fraction(1), Fraction(0))
-    yaxis = (Fraction(1), Fraction(0), Fraction(0))
-    n1 = _line_through((b, Fraction(0)), (b - 1, Fraction(1)))
-    lifted = _intersect(n1, yaxis)
-    n2 = _line_through(lifted, (lifted[0] + 1, lifted[1] + 1))  # slope +1
-    return _intersect(n2, ell)
-
-
 def test_add_gadget_against_oracle(k):
     a, b, h = Fraction(1, 2), Fraction(1, 3), Fraction(1)
     assert _add_oracle(a, b, h) == (Fraction(5, 6), 0)
@@ -163,13 +180,6 @@ def test_mul_gadget_against_oracle(k):
     assert _mul_oracle(a, b, h) == (Fraction(6), 0)
     tr = emit_mul_gadget(k.from_rational(a), k.from_rational(b), h)
     assert tr.output_point == register_point(k.from_rational(6))
-
-
-def test_neg_gadget_against_oracle(k):
-    assert _neg_oracle(Fraction(5)) == (Fraction(-5), 0)
-    tr = emit_neg_gadget(k.from_rational(5))
-    assert tr.output_point == register_point(k.from_rational(-5))
-    assert len(tr.emitted_lines) == 2
 
 
 def test_add_gadget_inverse_pair(k):
@@ -192,13 +202,6 @@ def test_mul_gadget_identity(k):
         assert tr.output_point == register_point(w)
 
 
-def test_neg_gadget_involution(k):
-    once = emit_neg_gadget(k.gen)
-    twice = emit_neg_gadget(-k.gen)
-    assert twice.output_point == register_point(k.gen)
-    assert once.output_point == register_point(-k.gen)
-
-
 def test_gadget_degeneracies(k):
     with pytest.raises(GadgetDegenerate):
         emit_add_gadget(k.zero, k.zero, Fraction(1))
@@ -206,8 +209,6 @@ def test_gadget_degeneracies(k):
         emit_mul_gadget(k.zero, k.gen, Fraction(1))
     with pytest.raises(GadgetDegenerate):
         emit_mul_gadget(k.gen, k.from_rational(3), Fraction(3))  # b == h
-    with pytest.raises(GadgetDegenerate):
-        emit_neg_gadget(k.zero)
     with pytest.raises(GadgetDegenerate):
         emit_add_gadget(k.gen, k.gen, Fraction(0))
 
@@ -227,7 +228,6 @@ def test_gadget_soundness_random_rationals(k):
         assert emit_mul_gadget(av, bv, h).output_point == register_point(
             k.from_rational(a * b)
         )
-        assert emit_neg_gadget(bv).output_point == register_point(k.from_rational(-b))
 
 
 @settings(max_examples=60, deadline=None)
@@ -263,6 +263,13 @@ def test_emit_configuration_x2_minus_2():
     assert set(cfg.marks) == {"zero", "one", "inf", "z"}
     # marks sit on the coding axis and are distinct
     assert len(set(cfg.marks.values())) == 4
+
+
+@pytest.mark.parametrize("rhs", [1, None])  # the unit, and N = 0
+def test_emit_refuses_sides_that_differ(rhs):
+    slp = SLP((LoadZ(), One()), 0, rhs, parse_poly("x^2-2"))  # z = 1, z = 0
+    with pytest.raises(NotARoot):
+        emit_configuration(slp)
 
 
 def test_emit_configuration_includes_axes():
