@@ -8,16 +8,34 @@ integer constant c >= 2 comes from one chain built up from the unit.
 emit_configuration proves K = Q[x]/(p) a field (NumberField.create) and
 replays every add and mul instruction through a small line gadget on the
 marked axis ell = {y = 0}, where the point (v : 0 : 1) stands for the
-number v; z and the unit are marks on that axis and take no lines:
+number v; z and the unit are marks on that axis and take no lines.
+
+Four seed lines come first, and each is needed for the incidences to
+force every gadget, so that every realization of the configuration
+encodes a conjugate of z (see planecode.rigidity):
+
+  ell           y = 0, the axis that carries the marks and every output;
+  y-axis        x = 0, where the mul gadget lifts its second factor;
+  ell_inf       z = 0, the line at infinity: every "parallel" of a gadget
+                is a line through a direction point, and only on ell_inf
+                are those points forced to be directions;
+  u1            x + y = 1, through the mark 1, the unit height point
+                U = (0 : 1 : 1) and the slope -1 direction S = (1 : -1 : 0):
+                it ties the unit of the y-axis to the unit of the axis,
+                without which every product would come out as lambda*a*b
+                for a free lambda.
+
+The gadgets:
 
   addition      four lines through an auxiliary point P = (0 : h : 1):
                 transfer b up the vertical pencil to height h, then slide
                 the segment P-(a,0) over to it; the translated line meets
-                ell at (a+b : 0 : 1).
-  multiplication transfer b to the y-axis along the slope -1 pencil, draw
-                the parallel of P-(a,0) through it (similar triangles give
-                a*b/h on ell), then rescale by h through the unit height
-                point (0 : 1 : 1) to land exactly on (a*b : 0 : 1).
+                ell at (a+b : 0 : 1). h = 1 is refused, since P would be
+                U, a point of the seed lines.
+  multiplication three lines: t1 lifts b to (0 : b : 1) along the slope -1
+                pencil through S, m1 joins U to (a : 0 : 1), and the
+                parallel of m1 through (0 : b : 1) meets ell at
+                (a*b : 0 : 1) by similar triangles. It takes no parameter.
 
 The last gadget of P lands on the point of N(z), so the incidences force
 P(z) = N(z), that is p(z) = 0, without a negation. Auxiliary heights h
@@ -274,6 +292,16 @@ def _yaxis(field: NumberField) -> ProjLine:
     return ProjLine.of(field.one, field.zero, field.zero)
 
 
+def _infinity(field: NumberField) -> ProjLine:
+    """The line at infinity z = 0, which carries every direction."""
+    return ProjLine.of(field.zero, field.zero, field.one)
+
+
+def _unit_line(field: NumberField) -> ProjLine:
+    """The line x + y = 1 through the mark 1, U and the slope -1 direction S."""
+    return ProjLine.of(field.one, field.one, -field.one)
+
+
 def _check_output(kind: str, out: ProjPoint, value: NFElement) -> None:
     """Raise unless a gadget landed on the register point of its value.
 
@@ -288,6 +316,8 @@ def emit_add_gadget(a: NFElement, b: NFElement, h: Fraction) -> GadgetTrace:
     f = a.field
     if h == 0:
         raise GadgetDegenerate("auxiliary height must be nonzero")
+    if h == 1:
+        raise GadgetDegenerate("auxiliary point would be U, a point of the seed lines")
     if a.is_zero or b.is_zero:
         raise GadgetDegenerate("addition gadget needs nonzero summands")
     aux = point(f, 0, h)
@@ -302,25 +332,17 @@ def emit_add_gadget(a: NFElement, b: NFElement, h: Fraction) -> GadgetTrace:
     return GadgetTrace((l1, l2, l3, l4, hline), out)
 
 
-def emit_mul_gadget(a: NFElement, b: NFElement, h: Fraction) -> GadgetTrace:
+def emit_mul_gadget(a: NFElement, b: NFElement) -> GadgetTrace:
     f = a.field
-    if h == 0:
-        raise GadgetDegenerate("auxiliary height must be nonzero")
     if a.is_zero or b.is_zero:
         raise GadgetDegenerate("multiplication gadget needs nonzero factors")
-    if b == f.from_rational(h):
-        raise GadgetDegenerate("transfer height collides with auxiliary height")
-    t1 = join(register_point(b), point(f, -1, 1, 0))
+    t1 = join(register_point(b), point(f, 1, -1, 0))  # slope -1, through S
     lifted = meet(t1, _yaxis(f))                   # (0 : b : 1)
-    aux = point(f, 0, h)
-    m1 = join(aux, register_point(a))
+    m1 = join(point(f, 0, 1), register_point(a))   # from U = (0 : 1 : 1)
     m2 = join(lifted, direction_of(m1))
-    scaled = meet(m2, _ell(f))                     # (a*b/h : 0 : 1)
-    m3 = join(point(f, 0, 1), scaled)
-    m4 = join(aux, direction_of(m3))
-    out = meet(m4, _ell(f))
+    out = meet(m2, _ell(f))
     _check_output("mul", out, a * b)
-    return GadgetTrace((t1, m1, m2, m3, m4), out)
+    return GadgetTrace((t1, m1, m2), out)
 
 
 def _with_retry(make: Callable[[Fraction], GadgetTrace], stream: ParamStream) -> GadgetTrace:
@@ -344,7 +366,9 @@ def emit_configuration(slp: SLP, seed: int = 0) -> Configuration:
     values = slp.evaluate(field)
     stream = ParamStream(seed)
 
-    ordered: dict[ProjLine, None] = {_ell(field): None, _yaxis(field): None}
+    ordered = dict.fromkeys(
+        (_ell(field), _yaxis(field), _infinity(field), _unit_line(field))
+    )
     for instr in slp.instructions:
         if isinstance(instr, Add):
             i, j = instr.left, instr.right
@@ -352,10 +376,7 @@ def emit_configuration(slp: SLP, seed: int = 0) -> Configuration:
                 lambda h: emit_add_gadget(values[i], values[j], h), stream
             )
         elif isinstance(instr, Mul):
-            i, j = instr.left, instr.right
-            trace = _with_retry(
-                lambda h: emit_mul_gadget(values[i], values[j], h), stream
-            )
+            trace = emit_mul_gadget(values[instr.left], values[instr.right])
         else:
             continue  # z and the unit: marks on the axis, no lines
         for l in trace.emitted_lines:

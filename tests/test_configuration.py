@@ -155,12 +155,12 @@ GOLDEN_POLYS = ("x^2-2", "x^3-2", "x^2-x-1", "x^4-x-1", "3*x^2-5", "x^5-x-1", "x
 # Final line counts at seed 0; augment joining fewer odd points, or a longer
 # SLP, raises them. x^16-x-1 pins the power table: z^16 costs four squarings.
 FINAL_LINES = {
-    "x^2-2": 36,
+    "x^2-2": 37,
     "x^3-2": 39,
-    "x^4-x-1": 52,
-    "3*x^2-5": 50,
-    "x^5-x-1": 58,
-    "x^16-x-1": 64,
+    "x^4-x-1": 39,
+    "3*x^2-5": 49,
+    "x^5-x-1": 50,
+    "x^16-x-1": 53,
 }
 
 

@@ -43,42 +43,42 @@ def v1_json(c) -> dict:
 
 
 GOLDEN = {
-    "x^2-2": "bf8b4abb4571dd5bec4970dcf9333b06cd565b7ba66856ba546e1d0efa14e43e",
-    "x^3-2": "49c8b08fb778a4a947da799e1680e904264d2c86830fb01f13c4e7207bca627d",
-    "x^2-x-1": "8bd00bfb31a43163813b62b071de0061069eed0f7fce2b600954b92ccc9434fa",
-    "x^4-x-1": "6c8a46fa18e91eb197ee6c087fdb01c8bce7aac6c7b24509e97f0d1037148ccf",
-    "3*x^2-5": "4eb2b03e41cbc212c53209fe5cd58626af569a7f2dbb3d8b931d2fdf236982ae",
-    "x^5-x-1": "e62bff075abc93bdd8e5aca1665eba121c8cfb883495b56918e1bfd46497f531",
-    "x^7-x-1": "5974f17140908b352268c00aae5558b94cf920e9e01bbed02f4b9d7f15980f21",
+    "x^2-2": "53acdedf21c160aee8305ea7d7530f34075c6e622b30bce3f7eb4db1af8040de",
+    "x^3-2": "ad2288455ace9bdd93b406c37fb046c3711b7ba1839482d3fe58b548babac23a",
+    "x^2-x-1": "a2a9aa407cdc6d15d222aade06c5ed396751d0bf3f29d08e5fd8cb00c23626c0",
+    "x^4-x-1": "268465a718fd03a243ad5827bce74f311378bdd876dae2fd054247cd16b554ba",
+    "3*x^2-5": "cb078aa322ef64d60c4b0193868418527715bfc62cd993d18a2957ba80bdedbf",
+    "x^5-x-1": "e3ae14140cf531db4809e74ff988a9325363f1d1b3717360e724fb44222dffd5",
+    "x^7-x-1": "cca0c373f508228d1b75f77ba3f6f47861ef7cfc8e575e5e731e098d16989b84",
 }
 
 COVER_GOLDEN = {
-    "x^2-2": "74ade949179840d7109cd7f51e9203269504f4a6349cdb52f732ddddf49bb898",
-    "x^3-2": "b6d57796dd5b3ef46fc1ab2a3242edb78a13f1c29f77584c5732e509dc126fd4",
-    "x^2-x-1": "1959cbe1fb816589a057eb0717237ab709d1a921f4d3cfa7c77bde4917d220dc",
-    "x^4-x-1": "560705bbf11fed1c84dfc1f652deb6f57558d88c6ecd165cb568c1ce8072f18e",
-    "3*x^2-5": "5cc27e08c390988817955c3d9b569973a0d3d21ab32464ca46c0dc0844687b4c",
-    "x^5-x-1": "669339ef0f86aa3edb957f3300c15dfab8c39e8a94244d33cab4f421207fee12",
-    "x^7-x-1": "6bfcfe66ccb871c8b98a4e14d99b55c63f80076f273ac8c92a085b5f3710c65b",
+    "x^2-2": "f383aaebbedf82a9eafbca3173b5c4bdda823e3da2806bfc90ef431205c1c066",
+    "x^3-2": "f2a832d152ce4b73df2fc939c2c6c69c9155217527c6237d73db71acb7e8084d",
+    "x^2-x-1": "b689799cf67169bd47687151f28c25dae6a2e72f00831998d8ad75bc5b12209c",
+    "x^4-x-1": "64f70881aa7174ec08f9b10ca8dab2a20d68480d94c88e073d40c0fba4862409",
+    "3*x^2-5": "11a342581ad6e750d4d849af891532be89b571e4643a29f8fdd0bb15593b6dd6",
+    "x^5-x-1": "1a36c71dcc157940dfa971822d6c5ca56ec55978c806d19c0806b75320021cd0",
+    "x^7-x-1": "4a96315511f61a837c0a1dbf62bb7bc7a32596bab568e6fe25d5d99c79a36d3e",
 }
 
 
 FILE_GOLDEN = {
-    "x^2-2": "ec2d4e125b0203c85f8dfe36e6bf8e656e47eb2f6d73d82e81818fb399796ba8",
-    "x^3-2": "c2d168dbe0de86d2211be1496fad7e177b06c34f0d171901e1d59c7eb1760ea7",
-    "x^2-x-1": "57672107807c7eb6bad80e4deb80d78e4970677b5140dbc135e5e8134f0dcff6",
-    "x^4-x-1": "fdb205d6233db5eaccb4b00117e13817cfd02bffb4b8907f42416b8d3d4efe9e",
-    "3*x^2-5": "3eb2db24f47337c3995ca4e6d50acf17239f7b9fd6657a9017a4ed67f2fd4b23",
-    "x^5-x-1": "db60f65c8383d5e069301b0920c07cb850e606b70a079bcc3ab70fed7ea1ed3b",
-    "x^7-x-1": "33a7cd892dc60b8c66a7b4f616f6894034c90d28adf6875a1fbb7360b4cc3def",
+    "x^2-2": "11c8b76af569ed16ad7af29bc4692ded159ffd3482d0a1707b127c63802964e3",
+    "x^3-2": "840bd82eb84a71d6c025dc7dbb2c23903b13a5465df0f60f4c0ce4aaff9c54a6",
+    "x^2-x-1": "5a7728480af63c3042bd55ecaaab243196e1dbd95dcfe38ad8eb7e09e882f18d",
+    "x^4-x-1": "5179c6375140c86560acaab954a62e18bbaa0bc788c505324541f2c7377587dd",
+    "3*x^2-5": "8f2f221f0a6302474efe600b4ed3dd07a41dfb10eeaa94e995d9f91b77df90bb",
+    "x^5-x-1": "b8f711438b5ed0711cb4b3bf1004d9f4feaca6323e49f40205049dacc716ca78",
+    "x^7-x-1": "2082c260c349d7bffa7c73058d0c39378d5c785f57c885724bd0f2a5b87847d6",
 }
 
 # Integer constants share one chain of add gadgets: 3 = 2 + 1 by
 # double-and-add, then 5 = 2 + 3 and 7 = 2 + 5 by one add each; 1000003 is a
-# 20-bit double-and-add chain (L = 215).
+# 20-bit double-and-add chain (L = 226).
 CONSTANT_FILE_GOLDEN = {
-    "3*x^3-5*x+7": "3d8635b733942681d89fd0c7d695f918f8d7efb5b93ae54ad20a754ebcee5c02",
-    "x^3-1000003": "6c7962eacadc62d9ad7e3bb4cea756ddfa30a36bbcffd790aba520845cda50b5",
+    "3*x^3-5*x+7": "158153c3896c8ba80fda285d6c9e2db7bbcf1eabe40eea6fcb0be805a0149f8d",
+    "x^3-1000003": "f8a133441decda3ac806c3c4099c43e644d0e657701389cc656c4bdb6120f034",
 }
 
 # The v1 files were 0.67 MB and 6.55 MB; the lines alone are 2-4 % of that.

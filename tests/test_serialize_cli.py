@@ -377,9 +377,9 @@ def test_cli_render_valid_svg(cfg, cfg_path, tmp_path):
     assert main(["render", str(cfg_path), "-o", str(out)]) == 0
     text = out.read_text()
     ET.fromstring(text)
-    # a real embedding draws every line; the inf mark sits at infinity, so
-    # only the three finite marks get labels
-    assert text.count("<line") == cfg.line_count
+    # a real embedding draws every line but the line at infinity; the inf
+    # mark sits at infinity, so only the three finite marks get labels
+    assert text.count("<line") == cfg.line_count - 1
     assert text.count("<text") == 3
 
 

@@ -154,21 +154,18 @@ def _add_oracle(a, b, h):
     return _intersect(l4, ell)
 
 
-def _mul_oracle(a, b, h):
+def _mul_oracle(a, b):
     ell = (Fraction(0), Fraction(1), Fraction(0))
     yaxis = (Fraction(1), Fraction(0), Fraction(0))
     t1 = _line_through((b, Fraction(0)), (b - 1, Fraction(1)))  # slope -1
     lifted = _intersect(t1, yaxis)
-    m1 = _line_through((Fraction(0), h), (a, Fraction(0)))
+    m1 = _line_through((Fraction(0), Fraction(1)), (a, Fraction(0)))
     m2 = _parallel_through(m1, lifted)
-    scaled = _intersect(m2, ell)
-    m3 = _line_through((Fraction(0), Fraction(1)), scaled)
-    m4 = _parallel_through(m3, (Fraction(0), h))
-    return _intersect(m4, ell)
+    return _intersect(m2, ell)
 
 
 def test_add_gadget_against_oracle(k):
-    a, b, h = Fraction(1, 2), Fraction(1, 3), Fraction(1)
+    a, b, h = Fraction(1, 2), Fraction(1, 3), Fraction(2)
     assert _add_oracle(a, b, h) == (Fraction(5, 6), 0)
     tr = emit_add_gadget(k.from_rational(a), k.from_rational(b), h)
     assert tr.output_point == register_point(k.from_rational(Fraction(5, 6)))
@@ -176,19 +173,20 @@ def test_add_gadget_against_oracle(k):
 
 
 def test_mul_gadget_against_oracle(k):
-    a, b, h = Fraction(2), Fraction(3), Fraction(1)
-    assert _mul_oracle(a, b, h) == (Fraction(6), 0)
-    tr = emit_mul_gadget(k.from_rational(a), k.from_rational(b), h)
+    a, b = Fraction(2), Fraction(3)
+    assert _mul_oracle(a, b) == (Fraction(6), 0)
+    tr = emit_mul_gadget(k.from_rational(a), k.from_rational(b))
     assert tr.output_point == register_point(k.from_rational(6))
+    assert len(tr.emitted_lines) == 3
 
 
 def test_add_gadget_inverse_pair(k):
-    tr = emit_add_gadget(k.gen, -k.gen, Fraction(1))
+    tr = emit_add_gadget(k.gen, -k.gen, Fraction(2))
     assert tr.output_point == register_point(k.zero)
 
 
 def test_mul_gadget_gen_squared(k):
-    tr = emit_mul_gadget(k.gen, k.gen, Fraction(1))
+    tr = emit_mul_gadget(k.gen, k.gen)
     assert tr.output_point == register_point(k.from_rational(2))
 
 
@@ -196,21 +194,21 @@ def test_mul_gadget_identity(k):
     rng = random.Random(3)
     for _ in range(10):
         w = k.element([Fraction(rng.randint(-20, 20)), Fraction(rng.randint(-20, 20))])
-        if w.is_zero or w == k.from_rational(2):
+        if w.is_zero:
             continue
-        tr = emit_mul_gadget(k.one, w, Fraction(2))
+        tr = emit_mul_gadget(k.one, w)
         assert tr.output_point == register_point(w)
 
 
 def test_gadget_degeneracies(k):
     with pytest.raises(GadgetDegenerate):
-        emit_add_gadget(k.zero, k.zero, Fraction(1))
+        emit_add_gadget(k.zero, k.zero, Fraction(2))
     with pytest.raises(GadgetDegenerate):
-        emit_mul_gadget(k.zero, k.gen, Fraction(1))
-    with pytest.raises(GadgetDegenerate):
-        emit_mul_gadget(k.gen, k.from_rational(3), Fraction(3))  # b == h
+        emit_mul_gadget(k.zero, k.gen)
     with pytest.raises(GadgetDegenerate):
         emit_add_gadget(k.gen, k.gen, Fraction(0))
+    with pytest.raises(GadgetDegenerate):
+        emit_add_gadget(k.gen, k.gen, Fraction(1))  # the auxiliary point would be U
 
 
 def test_gadget_soundness_random_rationals(k):
@@ -218,14 +216,12 @@ def test_gadget_soundness_random_rationals(k):
     for _ in range(100):
         a = Fraction(rng.randint(-60, 60) or 7, rng.randint(1, 24))
         b = Fraction(rng.randint(-60, 60) or 5, rng.randint(1, 24))
-        h = Fraction(rng.randint(1, 9))
-        if b == h:
-            h += 1
+        h = Fraction(rng.randint(2, 9))
         av, bv = k.from_rational(a), k.from_rational(b)
         assert emit_add_gadget(av, bv, h).output_point == register_point(
             k.from_rational(a + b)
         )
-        assert emit_mul_gadget(av, bv, h).output_point == register_point(
+        assert emit_mul_gadget(av, bv).output_point == register_point(
             k.from_rational(a * b)
         )
 
@@ -234,18 +230,18 @@ def test_gadget_soundness_random_rationals(k):
 @given(
     st.fractions(min_value=-30, max_value=30, max_denominator=12),
     st.fractions(min_value=-30, max_value=30, max_denominator=12),
-    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=2, max_value=8),
 )
 def test_gadget_soundness_hypothesis(a, b, h_int):
     k = NumberField.create(parse_poly("x^2-2"))
     if a == 0 or b == 0:
         return
-    h = Fraction(h_int) if b != h_int else Fraction(h_int) + 1
+    h = Fraction(h_int)
     av, bv = k.from_rational(a), k.from_rational(b)
     assert emit_add_gadget(av, bv, h).output_point == register_point(
         k.from_rational(a + b)
     )
-    assert emit_mul_gadget(av, bv, h).output_point == register_point(
+    assert emit_mul_gadget(av, bv).output_point == register_point(
         k.from_rational(a * b)
     )
 
@@ -280,6 +276,15 @@ def test_emit_configuration_includes_axes():
 
     assert cfg.lines[0] == line(f, 0, 1, 0)
     assert cfg.lines[1] == line(f, 1, 0, 0)
+    # the line at infinity, and x + y = 1 through the mark 1, U and S
+    assert cfg.lines[2] == line(f, 0, 0, 1)
+    assert cfg.lines[3] == line(f, 1, 1, -1)
+
+
+def test_mul_gadget_draws_no_parameter():
+    # x^4 - x - 1 = x^4 - (x + 1): two squarings, one add, so one height
+    cfg = emit_configuration(compile_polynomial(parse_poly("x^4-x-1")), seed=0)
+    assert cfg.params_consumed == 2  # h = 1 is refused, h = 2 taken
 
 
 def test_one_irreducibility_proof_per_build(monkeypatch):
