@@ -36,9 +36,9 @@ lines that are already constrained, so probing the raw configuration of
 emit_configuration is enough. Stdlib only; nothing in the package imports
 this module. Run as
 
-    python -m planecode.rigidity "x^3-1000003" [--seed N]
+    python -m planecode.rigidity "x^3-1000003"
 
-to probe the raw configuration of a polynomial; the exit status is 0
+to probe the raw seed-0 configuration of a polynomial; the exit status is 0
 when it is pinned and 1 when not.
 """
 
@@ -55,13 +55,12 @@ from .slp_compiler import compile_polynomial, emit_configuration
 class Rigidity:
     """The probe's verdict and the numbers behind it."""
 
-    __slots__ = ("pinned", "rank", "conditions", "variables", "ell")
+    __slots__ = ("pinned", "rank", "conditions", "ell")
 
-    def __init__(self, pinned: bool, rank: int, conditions: int, variables: int, ell: int):
+    def __init__(self, pinned: bool, rank: int, conditions: int, ell: int):
         self.pinned = pinned
         self.rank = rank
         self.conditions = conditions
-        self.variables = variables
         self.ell = ell
 
     @property
@@ -69,16 +68,11 @@ class Rigidity:
         """Whether J mod l has full row rank; see the module docstring."""
         return self.rank == self.conditions
 
-    @property
-    def tangent_dimension(self) -> int:
-        return self.variables - self.rank
-
     def __str__(self) -> str:
         return (
             f"{'pinned' if self.pinned else 'not pinned'} mod {self.ell}: "
             f"rank {self.rank} of {self.conditions} conditions "
-            f"({'full' if self.full_rank else 'not full'}), "
-            f"{self.variables} variables, tangent dimension {self.tangent_dimension}"
+            f"({'full' if self.full_rank else 'not full'})"
         )
 
 
@@ -215,7 +209,7 @@ def probe(c: Configuration) -> Rigidity:
         pivots[col] = {k: v * s % ell for k, v in row.items()}
     # with every pivot column cleared, a nonzero remainder is outside the row space
     pinned = not _reduce(gradient, pivots, ell)
-    return Rigidity(pinned, len(pivots), len(rows), 2 * len(c.lines), ell)
+    return Rigidity(pinned, len(pivots), len(rows), ell)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -224,9 +218,8 @@ def main(argv: list[str] | None = None) -> int:
         description="Probe whether the raw configuration of a polynomial pins z.",
     )
     ap.add_argument("poly")
-    ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
-    cfg = emit_configuration(compile_polynomial(parse_poly(args.poly)), seed=args.seed)
+    cfg = emit_configuration(compile_polynomial(parse_poly(args.poly)))
     result = probe(cfg)
     print(f"{args.poly}: L = {cfg.line_count}, {result}")
     return 0 if result.pinned else 1

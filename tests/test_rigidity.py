@@ -10,8 +10,8 @@ from planecode.slp_compiler import compile_polynomial, emit_configuration
 GOLDEN_POLYS = ("x^2-2", "x^3-2", "x^2-x-1", "x^4-x-1", "3*x^2-5", "x^5-x-1", "x^7-x-1")
 
 
-def _raw(text, seed=0):
-    return emit_configuration(compile_polynomial(parse_poly(text)), seed=seed)
+def _raw(text):
+    return emit_configuration(compile_polynomial(parse_poly(text)))
 
 
 @pytest.mark.parametrize("text", GOLDEN_POLYS + ("3*x^3-5*x+7",))
