@@ -24,9 +24,9 @@ def main():
         cfg = run_pipeline(poly)
         embeddings = isolate_roots(poly, 1e-9)
         slug = text.replace("^", "").replace("*", "").replace("-", "m").replace("+", "p")
-        for e in embeddings:
-            svg, warnings = render_svg(cfg, embeddings, e.root_index)
-            path = outdir / f"{slug}_root{e.root_index}.svg"
+        for i in range(len(embeddings)):
+            svg, warnings = render_svg(cfg, embeddings, i)
+            path = outdir / f"{slug}_root{i}.svg"
             path.write_text(svg, encoding="utf-8")
             note = f" ({'; '.join(warnings)})" if warnings else ""
             print(f"wrote {path}{note}")

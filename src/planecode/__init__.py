@@ -35,12 +35,10 @@ from .cover import (
 from .decode import SeparationCertificate, decode, separation_certificate
 from .numberfield import (
     Disc,
-    EmbeddingApprox,
     IntPoly,
     Irreducibility,
     NFElement,
     NumberField,
-    Rational,
     check_irreducible,
     embed,
     isolate_roots,

@@ -5,12 +5,15 @@ with the most lines, check that they are collinear, take their cross-ratio.
 The separation certificate then evaluates the decoded element under every
 embedding of K and certifies that the resulting discs are pairwise
 disjoint, which is the machine-checkable form of "the conjugate
-configuration encodes a different number".
+configuration encodes a different number". Each value is exact at the
+centre of its root disc, and its radius is a majorant of the element over
+the whole root disc, rounded up once (numberfield.embed).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from .configuration import Configuration, valences
 from .errors import (
@@ -19,16 +22,9 @@ from .errors import (
     NotCollinear,
     ParityViolation,
     PlanecodeError,
-    PrecisionExhausted,
+    SelfCheckFailed,
 )
-from .numberfield import (
-    Disc,
-    EmbeddingApprox,
-    IntPoly,
-    NFElement,
-    embed,
-    isolate_roots,
-)
+from .numberfield import Disc, IntPoly, NFElement, embed, isolate_roots
 from .pipeline import run_pipeline
 from .projgeom import cross_ratio
 
@@ -87,7 +83,7 @@ class SeparationCertificate:
         max_other_valence: int,
         decoded: tuple[Fraction, ...],
         equals_generator: bool,
-        roots: tuple[EmbeddingApprox, ...],
+        roots: tuple[Disc, ...],
         values: tuple[Disc, ...],
         pairwise_disjoint: bool,
         statement: str,
@@ -106,38 +102,24 @@ class SeparationCertificate:
         self.statement = statement
 
 
-def _pairwise_disjoint(discs) -> bool:
-    return all(
-        discs[i].disjoint_from(discs[j])
-        for i in range(len(discs))
-        for j in range(i + 1, len(discs))
-    )
-
-
 def separation_certificate(
     p: IntPoly, precision: float = 1e-9, seed: int = 0
 ) -> SeparationCertificate:
     """Build once, decode, embed at every root, certify disjointness.
 
-    Root discs are refined internally (up to the double-precision floor)
-    if the decoded values overlap at the requested precision.
+    The root discs are isolated once, to the requested precision. The
+    decoded element is the generator, so each value disc is its root disc
+    and the disjointness of the values is a self-check of that claim.
     """
     cfg = run_pipeline(p, seed=seed)
     decoded = decode(cfg)
     if decoded != cfg.field.gen:
         raise PlanecodeError("decoded element is not the field generator")
 
-    roots: tuple[EmbeddingApprox, ...] = ()
-    images: list[Disc] = []
-    prec = precision
-    for _ in range(3):
-        roots = tuple(isolate_roots(p, prec))
-        images = [embed(decoded, e) for e in roots]
-        if _pairwise_disjoint(images):
-            break
-        prec /= 1000.0
-    else:
-        raise PrecisionExhausted("decoded values overlap at the working float width")
+    roots = tuple(isolate_roots(p, precision))
+    images = tuple(embed(decoded, d) for d in roots)
+    if not all(a.disjoint_from(b) for a, b in combinations(images, 2)):
+        raise SelfCheckFailed("the value discs of the generator overlap")
 
     marked = set(cfg.marks.values())
     mark_valences = {label: cfg.valence(i) for label, i in cfg.marks.items()}
@@ -154,7 +136,7 @@ def separation_certificate(
         decoded=decoded.coeffs,
         equals_generator=True,
         roots=roots,
-        values=tuple(images),
+        values=images,
         pairwise_disjoint=True,
         statement=(
             "for every pair of embeddings i != j the decoded invariants differ: "

@@ -3,6 +3,10 @@
 All construction arithmetic stays in the abstract field K; complex
 embeddings (one per root of the modulus) are used only for numeric
 certificates and rendering. Rationals are arbitrary precision throughout.
+A root is certified by a Disc with a float centre and radius, both exact
+rationals. embed evaluates an element exactly at that centre and bounds
+the rest of the disc by a majorant, with the radius rounded up once;
+pictures read the float value at the centre (approximate) instead.
 
 An element of K is an integer vector over one common denominator,
 sum_i nums[i]*z^i / den with den > 0 and gcd(den, *nums) = 1 (H. Cohen,
@@ -21,7 +25,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cached_property
-from cmath import rect
+from cmath import isfinite, rect
 from math import gcd as int_gcd, inf, isqrt, lcm, nextafter, pi, sqrt
 
 from . import _ffpoly
@@ -35,8 +39,6 @@ from .errors import (
     TrivialField,
     UnprovenModulus,
 )
-
-Rational = Fraction
 
 _SCREEN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MAX_SCREEN_PRIMES = 6
@@ -181,11 +183,6 @@ class IntPoly:
         if self.leading < 0:
             c = -c
         return self.scale(1 / c)
-
-    def monic(self) -> "IntPoly":
-        if self.is_zero:
-            raise ValueError("cannot make the zero polynomial monic")
-        return self.scale(1 / self.leading)
 
     def int_coeffs(self) -> tuple[int, ...]:
         prim = self
@@ -453,7 +450,7 @@ def _residue_map(prim: IntPoly) -> tuple[int, tuple[int, ...]] | None:
     l is the first prime below or at _RESIDUE_PRIME_START at which the
     integer polynomial prim has a simple root r: prim(r) = 0 and
     prim'(r) != 0 mod l. Primes dividing the leading coefficient are
-    skipped, so the monic modulus has l-integral coefficients. A simple
+    skipped, so prim divided by it has l-integral coefficients. A simple
     root makes l a regular prime of K (see NFElement.residue), which point
     fingerprints rely on. None when none of the first _RESIDUE_PRIME_TRIES
     primes qualifies; the configuration builder then computes every meet
@@ -479,21 +476,20 @@ def _residue_map(prim: IntPoly) -> tuple[int, tuple[int, ...]] | None:
 # ---------------------------------------------------------------------------
 
 class NumberField:
-    """K = Q[x]/(modulus), modulus monic of degree n >= 2, a proven field.
+    """K = Q[x]/(source), source of degree n >= 2, a proven field.
 
     create refuses a modulus that check_irreducible proves reducible
     (ReducibleModulus) or cannot prove irreducible (UnprovenModulus), so
     every field it returns is a field; create is the only constructor the
     program uses. `source` is the primitive integer model c*x^n + ... of the
-    modulus, with c > 0; element arithmetic reduces by it, so it stays in
-    integers. Two fields are equal when their moduli are; `source` is not
-    compared. The cached properties live in __dict__.
+    modulus, with c > 0, which every multiple of the modulus shares; element
+    arithmetic reduces by it, so it stays in integers. Two fields are equal
+    when their sources are. The cached properties live in __dict__.
     """
 
-    __slots__ = ("modulus", "source", "__dict__")
+    __slots__ = ("source", "__dict__")
 
-    def __init__(self, modulus: IntPoly, source: IntPoly):
-        _set_modulus(self, modulus)
+    def __init__(self, source: IntPoly):
         _set_source(self, source)
 
     def __setattr__(self, name, value):
@@ -502,10 +498,10 @@ class NumberField:
     def __eq__(self, other):
         if other.__class__ is not NumberField:
             return NotImplemented
-        return self.modulus == other.modulus
+        return self.source == other.source
 
     def __hash__(self) -> int:
-        return hash((self.modulus,))
+        return hash((self.source,))
 
     @classmethod
     def create(cls, p: IntPoly) -> "NumberField":
@@ -522,11 +518,11 @@ class NumberField:
                 f"could not prove {prim} irreducible ({res.witness}); "
                 "K = Q[x]/(p) would not be known to be a field"
             )
-        return cls(modulus=prim.monic(), source=prim)
+        return cls(prim)
 
     @cached_property
     def n(self) -> int:
-        return self.modulus.degree
+        return self.source.degree
 
     @cached_property
     def residue_map(self) -> tuple[int, tuple[int, ...]] | None:
@@ -568,7 +564,6 @@ class NumberField:
         return NFElement(self, (0, 1) + (0,) * (self.n - 2), 1)
 
 
-_set_modulus = NumberField.modulus.__set__
 _set_source = NumberField.source.__set__
 
 
@@ -682,7 +677,7 @@ class NFElement:
         """Image sum c_i r^i mod l under the residue map of the field, cached.
 
         z -> r is a ring homomorphism R = Z_(l)[z]/(p) -> F_l, because
-        p(r) = 0 mod l and l divides no denominator of the monic modulus. A
+        p(r) = 0 mod l and l does not divide the leading coefficient of p. A
         nonzero image therefore proves the element nonzero; a zero image
         proves nothing. None when the field has no map or l divides den,
         i.e. (den being the lcm of the reduced denominators) some
@@ -835,26 +830,15 @@ _set_residue = NFElement._residue.__set__
 
 
 # ---------------------------------------------------------------------------
-# embeddings K -> C: certified root isolation and outward-rounded evaluation
+# embeddings K -> C: certified root discs and certified value discs
 # ---------------------------------------------------------------------------
 
-_EPS = 4e-16     # covers one rounding plus one coefficient-conversion slip
-_TINY = 1e-300
-
-
-class EmbeddingApprox:
-    """A certified disc around one root of the modulus."""
-
-    __slots__ = ("root_index", "center", "radius")
-
-    def __init__(self, root_index: int, center: complex, radius: float):
-        self.root_index = root_index
-        self.center = center
-        self.radius = radius
-
-
 class Disc:
-    """Complex disc used as an outward-rounded interval."""
+    """The closed disc |x - center| <= radius, around a root or a value.
+
+    center and radius are floats, hence exact rationals, and every test on
+    a disc is decided exactly on them.
+    """
 
     __slots__ = ("center", "radius")
 
@@ -862,31 +846,11 @@ class Disc:
         self.center = center
         self.radius = radius
 
-    def __add__(self, other: "Disc") -> "Disc":
-        c = self.center + other.center
-        r = self.radius + other.radius
-        return Disc(c, r + abs(c) * _EPS + _TINY)
-
-    def __mul__(self, other: "Disc") -> "Disc":
-        c = self.center * other.center
-        r = (
-            abs(self.center) * other.radius
-            + abs(other.center) * self.radius
-            + self.radius * other.radius
-        )
-        return Disc(c, r + abs(c) * _EPS + _TINY)
-
-    @classmethod
-    def from_fraction(cls, q: Fraction) -> "Disc":
-        c = float(q)
-        return cls(complex(c, 0.0), abs(c) * _EPS + _TINY)
-
-    def contains_zero(self) -> bool:
-        return abs(self.center) <= self.radius
-
     def disjoint_from(self, other: "Disc") -> bool:
-        gap = abs(self.center - other.center) * (1 - 1e-12)
-        return gap > self.radius + other.radius
+        """|c1 - c2| > r1 + r2, decided exactly on the stored floats."""
+        dx = Fraction(self.center.real) - Fraction(other.center.real)
+        dy = Fraction(self.center.imag) - Fraction(other.center.imag)
+        return dx * dx + dy * dy > (Fraction(self.radius) + Fraction(other.radius)) ** 2
 
 
 def _horner(coeffs: list[float], w: complex) -> complex:
@@ -896,24 +860,30 @@ def _horner(coeffs: list[float], w: complex) -> complex:
     return val
 
 
-def _abs2_exact(coeffs: tuple[Fraction, ...], re: Fraction, im: Fraction) -> Fraction:
-    """|p(re + i*im)|^2, by Horner's rule in exact rationals."""
+def _eval_exact(coeffs, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
+    """(Re, Im) of sum coeffs[i] * (re + i*im)^i, by Horner's rule in exact rationals."""
     vr = vi = Fraction(0)
     for c in reversed(coeffs):
         vr, vi = vr * re - vi * im + c, vr * im + vi * re
-    return vr * vr + vi * vi
+    return vr, vi
+
+
+def _up(x: Fraction) -> float:
+    """The least float >= x; PrecisionExhausted when x exceeds every float."""
+    try:
+        q = float(x)
+    except OverflowError:
+        q = inf
+    if q != inf and Fraction(q) < x:
+        q = nextafter(q, inf)
+    if q == inf:
+        raise PrecisionExhausted("a certified bound does not fit a float")
+    return q
 
 
 def _sqrt_up(x: Fraction) -> float:
     """A float >= sqrt(x): round x up to a float, then its square root up."""
-    try:
-        q = float(x)
-    except OverflowError:
-        return inf
-    if Fraction(q) < x:
-        q = nextafter(q, inf)
-    if q == inf:
-        return inf
+    q = _up(x)
     r = sqrt(q)
     return r if Fraction(r) ** 2 >= Fraction(q) else nextafter(r, inf)
 
@@ -969,26 +939,35 @@ def _aberth(cs: list[float]) -> list[complex]:
     return real + upper + [w.conjugate() for w in upper]
 
 
-def isolate_roots(p: IntPoly, precision: float = 1e-9) -> list[EmbeddingApprox]:
-    """Disjoint certified discs, one per root of p.
+def isolate_roots(p: IntPoly, precision: float = 1e-9) -> list[Disc]:
+    """Disjoint certified discs, one per root of p, sorted by centre.
 
     p must be squarefree: every caller passes a polynomial that
-    NumberField.create has proven irreducible.
+    NumberField.create has proven irreducible. The sort is by real part,
+    then imaginary part, and a root's index is its place in the list.
 
-    Starting values come from the Aberth iteration; Newton polishing plus
-    the a-posteriori bound n*|p(w)/p'(w)| certifies that each disc holds at
+    Starting values come from the Aberth iteration on p / lead, each
+    coefficient rounded to a float once; Newton polishing plus the
+    a-posteriori bound n*|p(w)/p'(w)| certifies that each disc holds at
     least one root, and pairwise disjointness of n discs upgrades that to
     exactly one root each. The bound is evaluated exactly: the float centre
     w is a rational, so |p(w)|^2 and |p'(w)|^2 are computed in Q from the
-    exact coefficients, and only the final square root is rounded, upward.
+    integer coefficients (the ratio does not change when p is scaled), and
+    only the final square root is rounded, upward. PrecisionExhausted when
+    a coefficient ratio does not fit a float.
     """
-    mp = p.monic()
-    n = mp.degree
+    n = p.degree
     if n < 1:
         raise ValueError("no roots: polynomial is constant")
-    cs = [float(c) for c in mp.coeffs]
-    dmp = mp.derivative()
-    dcs = [float(c) for c in dmp.coeffs]
+    dp = p.derivative()
+    lead = p.leading
+    try:
+        cs = [float(c / lead) for c in p.coeffs]
+        dcs = [float(c / lead) for c in dp.coeffs]
+    except OverflowError:
+        raise PrecisionExhausted(
+            "a coefficient over the leading coefficient does not fit a float"
+        ) from None
 
     approx = _aberth(cs)
     for _ in range(80):
@@ -1008,31 +987,64 @@ def isolate_roots(p: IntPoly, precision: float = 1e-9) -> list[EmbeddingApprox]:
     discs = []
     for i, w in enumerate(approx):
         re, im = Fraction(w.real), Fraction(w.imag)
-        df2 = _abs2_exact(dmp.coeffs, re, im)
-        if df2 == 0:
+        dr, di = _eval_exact(dp.coeffs, re, im)
+        if dr == di == 0:
             raise PrecisionExhausted(f"the derivative vanishes at the centre of root {i}")
-        radius = _sqrt_up(n * n * _abs2_exact(mp.coeffs, re, im) / df2)
-        discs.append(EmbeddingApprox(i, w, radius))
-
-    for e in discs:
-        if e.radius > precision:
+        fr, fi = _eval_exact(p.coeffs, re, im)
+        radius = _sqrt_up(n * n * (fr * fr + fi * fi) / (dr * dr + di * di))
+        if radius > precision:
             raise PrecisionExhausted(
-                f"residual bound {e.radius:.3e} exceeds requested precision {precision:.3e}"
+                f"residual bound {radius:.3e} exceeds requested precision {precision:.3e}"
             )
-    for i in range(len(discs)):
-        for j in range(i + 1, len(discs)):
-            a, b = discs[i], discs[j]
-            if not Disc(a.center, a.radius).disjoint_from(Disc(b.center, b.radius)):
+        discs.append(Disc(w, radius))
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not discs[i].disjoint_from(discs[j]):
                 raise PrecisionExhausted(
                     f"root discs {i} and {j} overlap at the working float width"
                 )
     return discs
 
 
-def embed(a: NFElement, e: EmbeddingApprox) -> Disc:
-    """Image of a under the embedding sending gen to the certified root disc."""
-    root = Disc(e.center, e.radius)
-    acc = Disc(0j, 0.0)
-    for c in reversed(a.coeffs):
-        acc = acc * root + Disc.from_fraction(c)
-    return acc
+def embed(a: NFElement, d: Disc) -> Disc:
+    """A certified disc holding a(zeta) for every zeta in the disc d.
+
+    a is evaluated exactly at the rational centre w of d. With
+    A(x) = sum_i |a_i| x^i and rho >= |w|, Taylor's formula bounds
+    |a(zeta) - a(w)| by A(rho + r) - A(rho) for |zeta - w| <= r. The value
+    a(w) is rounded to the float centre c, the exact slip
+    |Re(a(w) - c)| + |Im(a(w) - c)| is added, and the sum is rounded up
+    once. So for a = z the value disc is d itself. PrecisionExhausted when
+    the value or its radius does not fit a float.
+    """
+    coeffs = a.coeffs
+    re, im = Fraction(d.center.real), Fraction(d.center.imag)
+    vr, vi = _eval_exact(coeffs, re, im)
+    try:
+        c = complex(float(vr), float(vi))
+    except OverflowError:
+        raise PrecisionExhausted("a value of an embedding does not fit a float") from None
+    absolute = [abs(x) for x in coeffs]
+    rho = Fraction(_sqrt_up(re * re + im * im))
+    r = Fraction(d.radius)
+    growth = _eval_exact(absolute, rho + r, 0)[0] - _eval_exact(absolute, rho, 0)[0]
+    slip = abs(Fraction(c.real) - vr) + abs(Fraction(c.imag) - vi)
+    return Disc(c, _up(growth + slip))
+
+
+def approximate(a: NFElement, d: Disc) -> complex:
+    """a at the centre of d in floating point, for pictures: no certificate.
+
+    The float Horner scheme of the Newton polish in isolate_roots, over the
+    correctly rounded coefficients of a. PrecisionExhausted when a
+    coefficient or the value does not fit a float.
+    """
+    try:
+        coeffs = [x / a.den for x in a.nums]
+    except OverflowError:
+        raise PrecisionExhausted("a coefficient does not fit a float") from None
+    value = _horner(coeffs, d.center)
+    if not isfinite(value):
+        raise PrecisionExhausted("a value of an embedding does not fit a float")
+    return value

@@ -3,14 +3,16 @@
 Lines are clipped to a bounding box around the finite real points; points
 are drawn as circles sized by valence, with the four marks labeled. Under
 a non-real embedding only lines with (numerically) real coefficients are
-drawn, and a warning is returned for the rest.
+drawn, and a warning is returned for the rest. Coordinates are float
+values at the centre of the root disc (numberfield.approximate): a picture
+needs no certificate.
 """
 
 from __future__ import annotations
 
 from .configuration import Configuration
 from .errors import BadArgument
-from .numberfield import EmbeddingApprox, embed
+from .numberfield import Disc, approximate
 
 _REAL_TOL = 1e-7
 _VERSION_NOTE = "planecode svg v1"
@@ -46,7 +48,7 @@ def _clip_line(a: float, b: float, c: float, box) -> tuple | None:
 
 
 def render_svg(
-    c: Configuration, embeddings: list[EmbeddingApprox], index: int
+    c: Configuration, embeddings: list[Disc], index: int
 ) -> tuple[str, list[str]]:
     """Returns (svg text, warnings)."""
     if not (0 <= index < len(embeddings)):
@@ -64,7 +66,7 @@ def render_svg(
 
     numeric_points = []
     for i, p in enumerate(c.points):
-        xs = [embed(coord, e).center for coord in p.coords]
+        xs = [approximate(coord, e) for coord in p.coords]
         if abs(xs[2]) < 1e-12:
             continue
         x, y = xs[0] / xs[2], xs[1] / xs[2]
@@ -98,7 +100,7 @@ def render_svg(
 
     skipped = 0
     for l in c.lines:
-        cs = [embed(coeff, e).center for coeff in l.coeffs]
+        cs = [approximate(coeff, e) for coeff in l.coeffs]
         scale = max(abs(v) for v in cs)
         if not all(_is_real(v, scale) for v in cs):
             skipped += 1

@@ -140,13 +140,13 @@ def certificate_to_json(cert: SeparationCertificate) -> dict:
         "equals_generator": cert.equals_generator,
         "embeddings": [
             {
-                "root_index": root.root_index,
+                "root_index": i,
                 "root_center": [root.center.real, root.center.imag],
                 "root_radius": root.radius,
                 "value_center": [img.center.real, img.center.imag],
                 "value_radius": img.radius,
             }
-            for root, img in zip(cert.roots, cert.values)
+            for i, (root, img) in enumerate(zip(cert.roots, cert.values))
         ],
         "pairwise_disjoint": cert.pairwise_disjoint,
         "statement": cert.statement,
@@ -163,10 +163,10 @@ def format_certificate(cert: SeparationCertificate) -> str:
         f"  decoded element equals the field generator: {cert.equals_generator}",
         "  embeddings of the decoded element:",
     ]
-    for root, img in zip(cert.roots, cert.values):
+    for i, img in enumerate(cert.values):
         c = img.center
         lines.append(
-            f"    root {root.root_index}: value {c.real:+.10f}{c.imag:+.10f}i"
+            f"    root {i}: value {c.real:+.10f}{c.imag:+.10f}i"
             f"  (radius {img.radius:.2e})"
         )
     lines.append(f"  pairwise disjoint: {cert.pairwise_disjoint}")

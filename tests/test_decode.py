@@ -16,6 +16,8 @@ from planecode import (
 )
 from planecode.errors import AmbiguousValences, NotCollinear, ParityViolation, TrivialField
 
+from tests.test_golden import GOLDEN
+
 
 def test_round_trip_x2_minus_2(built):
     cfg, _ = built("x^2-2")
@@ -142,6 +144,17 @@ def test_certificate_cbrt2_three_disjoint_discs():
     for i in range(3):
         for j in range(i + 1, 3):
             assert cert.values[i].disjoint_from(cert.values[j])
+
+
+@pytest.mark.parametrize("text", sorted(GOLDEN))
+def test_value_disc_of_the_generator_is_its_root_disc(built, text):
+    # z evaluated exactly at the centre w is w, and the majorant of z over
+    # the root disc is its radius: embed gives the root disc back unwidened
+    cfg, _ = built(text)
+    w = decode(cfg)
+    for d in isolate_roots(cfg.field.source):
+        img = embed(w, d)
+        assert (img.center, img.radius) == (d.center, d.radius), text
 
 
 def test_certificate_records_inputs():

@@ -24,11 +24,7 @@ from planecode.errors import (
     TrivialField,
     UnprovenModulus,
 )
-from planecode.numberfield import (
-    MAX_COEFF_DIGITS,
-    MAX_DEGREE,
-    Disc,
-)
+from planecode.numberfield import MAX_COEFF_DIGITS, MAX_DEGREE
 
 
 @pytest.fixture(scope="module")
@@ -305,7 +301,9 @@ def test_isolate_discs_disjoint_and_indexed():
         p = parse_poly(text)
         n = p.degree
         roots = isolate_roots(p, 1e-9)
-        assert [r.root_index for r in roots] == list(range(n)), text
+        # a root's index is its place in the list, sorted by centre
+        keys = [(r.center.real, r.center.imag) for r in roots]
+        assert len(roots) == n and keys == sorted(keys), text
         for i in range(n):
             assert roots[i].radius <= 1e-9, text
             for j in range(i + 1, n):
@@ -335,7 +333,7 @@ def _reference_mul(field, xs, ys):
     for i, a in enumerate(xs):
         for j, b in enumerate(ys):
             out[i + j] += a * b
-    mod = field.modulus.coeffs
+    mod = [c / field.source.leading for c in field.source.coeffs]
     for i in range(2 * n - 2, n - 1, -1):
         for j in range(n):
             out[i - n + j] -= out[i] * mod[j]
@@ -403,18 +401,45 @@ def test_embed_respects_modulus(k_sqrt2):
         assert abs(img.center - 2.0) <= img.radius + 1e-12
 
 
-def test_embed_ring_morphism_up_to_width(k_cbrt2):
+# Rational points of the closed unit disc: the centre, points of the
+# boundary circle, and points inside.
+UNIT_DISC_POINTS = tuple(
+    (Fraction(u), Fraction(v))
+    for u, v in (
+        (0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (Fraction(3, 5), Fraction(4, 5)),
+        (Fraction(-5, 13), Fraction(-12, 13)), (Fraction(1, 2), Fraction(-1, 3)),
+    )
+)
+
+
+def _exact_value(a, re, im):
+    """(Re, Im) of a at re + i*im, by Horner's rule in Fraction."""
+    vr = vi = Fraction(0)
+    for c in reversed(a.coeffs):
+        vr, vi = vr * re - vi * im + c, vr * im + vi * re
+    return vr, vi
+
+
+@pytest.mark.parametrize("text", ["x^3-2", "x^5-x-1"])
+def test_embed_contains_the_image_of_the_whole_root_disc(text):
+    """|a(w') - centre| <= radius for rational w' in the root disc, decided in Fraction."""
+    field = NumberField.create(parse_poly(text))
     rng = random.Random(7)
-    roots = isolate_roots(k_cbrt2.source, 1e-12)
-    for _ in range(20):
-        a = _random_element(k_cbrt2, rng)
-        b = _random_element(k_cbrt2, rng)
-        for e in roots:
-            prod = embed(a * b, e)
-            outer = embed(a, e) * embed(b, e)
-            # containment with a little outward slack
-            gap = abs(prod.center - outer.center)
-            assert gap + prod.radius <= outer.radius + 1e-9 * (1 + gap)
+    roots = isolate_roots(field.source, 1e-12)
+    # 1/3 and z/3: the float centre slips off the exact value
+    third = field.from_rational(Fraction(1, 3))
+    elements = [field.gen, third, field.gen * third]
+    elements += [_random_element(field, rng) for _ in range(20)]
+    for a in elements:
+        for d in roots:
+            img = embed(a, d)
+            cx, cy = Fraction(img.center.real), Fraction(img.center.imag)
+            r = Fraction(d.radius)
+            for u, v in UNIT_DISC_POINTS:
+                re = Fraction(d.center.real) + r * u
+                im = Fraction(d.center.imag) + r * v
+                vr, vi = _exact_value(a, re, im)
+                assert (vr - cx) ** 2 + (vi - cy) ** 2 <= Fraction(img.radius) ** 2, (a, u, v)
 
 
 def test_nonzero_excludes_zero_after_refinement(k_sqrt2):
@@ -422,7 +447,8 @@ def test_nonzero_excludes_zero_after_refinement(k_sqrt2):
     assert not a.is_zero
     for precision in (1e-6, 1e-9, 1e-12):
         roots = isolate_roots(k_sqrt2.source, precision)
-        if all(not embed(a, e).contains_zero() for e in roots):
+        images = [embed(a, e) for e in roots]
+        if all(abs(img.center) > img.radius for img in images):
             break
     else:
         pytest.fail("refinement never excluded zero for a nonzero element")
@@ -434,13 +460,3 @@ def test_gen_images_pairwise_distinct(k_cbrt2):
     for i in range(len(discs)):
         for j in range(i + 1, len(discs)):
             assert discs[i].disjoint_from(discs[j])
-
-
-def test_disc_arithmetic_outward():
-    a = Disc(1 + 1j, 1e-12)
-    b = Disc(2 - 1j, 1e-12)
-    s = a + b
-    assert abs(s.center - (3 + 0j)) < 1e-15 and s.radius >= 2e-12
-    p = a * b
-    assert abs(p.center - (1 + 1j) * (2 - 1j)) < 1e-14
-    assert p.radius >= abs(a.center) * b.radius + abs(b.center) * a.radius

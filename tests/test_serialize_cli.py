@@ -392,3 +392,32 @@ def test_cli_render_complex_embedding_warns(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "complex" in err
     ET.fromstring(out.read_text())
+
+
+def test_cli_render_coefficient_too_large_for_a_float(tmp_path, capsys):
+    """x^2 + 10^400*x + 1 defines a field, but a root of it exceeds every float.
+
+    The file holds the four seed lines y = 0, x = 0, the line at infinity
+    and x + y = 1. decode judges their valences; render cannot place a root
+    and exits 3 with one error line instead of a traceback.
+    """
+    big = "1" + "0" * 400
+
+    def rational(q):
+        return [{"n": str(q), "d": "1"}, {"n": "0", "d": "1"}]
+
+    data = {
+        "v": 2,
+        "poly": [{"n": n, "d": "1"} for n in ("1", big, "1")],
+        "seed": 0,
+        "params_consumed": 0,
+        "lines": [[rational(q) for q in l] for l in ((0, 1, 0), (1, 0, 0), (0, 0, 1), (1, 1, -1))],
+    }
+    path = tmp_path / "big.json"
+    path.write_text(dumps_canonical(data), encoding="utf-8")
+    assert main(["decode", str(path)]) == 5
+    capsys.readouterr()
+    assert main(["render", str(path), "-o", str(tmp_path / "pic.svg")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "pic.svg").exists()
