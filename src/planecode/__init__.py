@@ -32,7 +32,7 @@ from .cover import (
     pairing,
     select_m,
 )
-from .decode import SeparationCertificate, decode, separation_certificate
+from .decode import SeparationCertificate, check_forcing, decode, separation_certificate
 from .numberfield import (
     Disc,
     IntPoly,

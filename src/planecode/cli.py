@@ -2,8 +2,9 @@
 
 Subcommands: build, decode, certify, cover, render. Exit codes: 0 success,
 1 failed self-check, 2 parse error or bad argument, 3 algebra (reducible
-modulus, not a root), 4 genericity, 5 decode ambiguity, 6 schema / data
-integrity, including an unreadable file.
+modulus, not a root), 4 genericity, 5 decode ambiguity or incidences that
+do not force the relation, 6 schema / data integrity, including an
+unreadable file.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from math import inf
 from pathlib import Path
 
 from .cover import build_cover_report
-from .decode import decode, separation_certificate
+from .decode import check_forcing, decode, separation_certificate
 from .errors import PlanecodeError
 from .numberfield import isolate_roots, parse_poly
 from .pipeline import run_pipeline
@@ -64,8 +65,10 @@ def _cmd_build(args) -> int:
 def _cmd_decode(args) -> int:
     cfg = _load_config(args.config)
     element = decode(cfg)
+    check_forcing(cfg)
     print(f"decoded coefficients: ({', '.join(str(c) for c in element.coeffs)})")
     print(f"minimal polynomial:   {cfg.field.source}")
+    print("the incidences force P(z) = N(z) in every realization")
     if element == cfg.field.gen:
         print("decoded element equals the field generator")
         return 0

@@ -2,7 +2,8 @@
 
 Each class carries the process exit code the CLI maps it to:
 0 success, 1 failed self-check, 2 parse or bad argument, 3 algebra,
-4 genericity, 5 decode ambiguity, 6 schema.
+4 genericity, 5 decode ambiguity or incidences that do not force the
+relation, 6 schema.
 """
 
 
@@ -107,6 +108,12 @@ class DegenerateQuadruple(PlanecodeError):
 
 
 class InfiniteCrossRatio(PlanecodeError):
+    exit_code = 5
+
+
+class NotForced(PlanecodeError):
+    """The incidence table does not prove P(z) = N(z) in every realization."""
+
     exit_code = 5
 
 

@@ -91,7 +91,8 @@ def config_from_json(data) -> Configuration:
     two; canonical form makes "distinct triples" mean "distinct lines", so
     every pair of lines meets in exactly one point. derive_points then
     derives the points, incidences and marks as the builder did.
-    A malformed file raises SchemaError (exit 6); so does a schema v1 file,
+    The seed and the stream cursor must be JSON integers, the cursor
+    >= 0. A malformed file raises SchemaError (exit 6); so does a schema v1 file,
     which also stored points and incidences, with a request to rebuild it,
     and a certificate or cover report, named by its "kind".
     A polynomial that defines no field exits 3, as it does for build.
@@ -112,12 +113,17 @@ def config_from_json(data) -> Configuration:
         poly = poly_from_json(data["poly"])
         field = NumberField.create(poly)
         lines = [_line(field, i, e) for i, e in enumerate(data["lines"])]
-        seed = int(data["seed"])
-        params = int(data["params_consumed"])
+        seed, params = data["seed"], data["params_consumed"]
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed configuration file: {exc}") from exc
+    # the seed picks the add gadgets' heights, which decode's forcing check replays
+    if type(seed) is not int or type(params) is not int or params < 0:
+        raise SchemaError(
+            f"seed {seed!r} and params_consumed {params!r} must be JSON integers, "
+            "params_consumed >= 0"
+        )
     if len(lines) < 2:
         raise SchemaError(f"a configuration needs at least two lines, got {len(lines)}")
     try:

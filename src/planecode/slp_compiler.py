@@ -12,7 +12,8 @@ number v; z and the unit are marks on that axis and take no lines.
 
 Four seed lines come first, and each is needed for the incidences to
 force every gadget, so that every realization of the configuration
-encodes a conjugate of z (see planecode.rigidity):
+encodes a conjugate of z (decode.check_forcing proves it from the
+incidence table):
 
   ell           y = 0, the axis that carries the marks and every output;
   y-axis        x = 0, where the mul gadget lifts its second factor;
@@ -46,7 +47,7 @@ is defined over K with Galois-stable choices.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Iterator, Union
 
 from .configuration import MARK_LABELS, Configuration, ParamStream, derive_points, RETRY_BUDGET
 from .errors import (
@@ -292,14 +293,18 @@ def _yaxis(field: NumberField) -> ProjLine:
     return ProjLine.of(field.one, field.zero, field.zero)
 
 
-def _infinity(field: NumberField) -> ProjLine:
-    """The line at infinity z = 0, which carries every direction."""
-    return ProjLine.of(field.zero, field.zero, field.one)
+def seed_lines(field: NumberField) -> tuple[ProjLine, ProjLine, ProjLine, ProjLine]:
+    """The axis, the y-axis, the line at infinity z = 0 and u1: x + y = 1.
 
-
-def _unit_line(field: NumberField) -> ProjLine:
-    """The line x + y = 1 through the mark 1, U and the slope -1 direction S."""
-    return ProjLine.of(field.one, field.one, -field.one)
+    The line at infinity carries every direction; u1 passes through the
+    mark 1, U and the slope -1 direction S.
+    """
+    return (
+        _ell(field),
+        _yaxis(field),
+        ProjLine.of(field.zero, field.zero, field.one),
+        ProjLine.of(field.one, field.one, -field.one),
+    )
 
 
 def _check_output(kind: str, out: ProjPoint, value: NFElement) -> None:
@@ -355,6 +360,26 @@ def _with_retry(make: Callable[[Fraction], GadgetTrace], stream: ParamStream) ->
     raise GenericityExhausted(f"gadget stayed degenerate for {RETRY_BUDGET} heights")
 
 
+def replay(
+    slp: SLP, values: list[NFElement], stream: ParamStream
+) -> Iterator[tuple[Instr, GadgetTrace | None]]:
+    """Each instruction with its gadget, in program order.
+
+    z and the unit are marks on the axis and draw no lines, so their trace
+    is None. Add gadgets take their heights from stream. This is the one
+    emission path: emit_configuration draws the lines, and
+    decode.check_forcing names the role each line plays.
+    """
+    for instr in slp.instructions:
+        if isinstance(instr, Add):
+            a, b = values[instr.left], values[instr.right]
+            yield instr, _with_retry(lambda h: emit_add_gadget(a, b, h), stream)
+        elif isinstance(instr, Mul):
+            yield instr, emit_mul_gadget(values[instr.left], values[instr.right])
+        else:
+            yield instr, None
+
+
 def emit_configuration(slp: SLP, seed: int = 0) -> Configuration:
     """Prove K a field, replay the SLP through gadgets, return the raw configuration.
 
@@ -366,21 +391,11 @@ def emit_configuration(slp: SLP, seed: int = 0) -> Configuration:
     values = slp.evaluate(field)
     stream = ParamStream(seed)
 
-    ordered = dict.fromkeys(
-        (_ell(field), _yaxis(field), _infinity(field), _unit_line(field))
-    )
-    for instr in slp.instructions:
-        if isinstance(instr, Add):
-            i, j = instr.left, instr.right
-            trace = _with_retry(
-                lambda h: emit_add_gadget(values[i], values[j], h), stream
-            )
-        elif isinstance(instr, Mul):
-            trace = emit_mul_gadget(values[instr.left], values[instr.right])
-        else:
-            continue  # z and the unit: marks on the axis, no lines
-        for l in trace.emitted_lines:
-            ordered.setdefault(l, None)
+    ordered = dict.fromkeys(seed_lines(field))
+    for _, trace in replay(slp, values, stream):
+        if trace is not None:
+            for l in trace.emitted_lines:
+                ordered.setdefault(l, None)
 
     lhs = values[slp.lhs]
     rhs = field.zero if slp.rhs is None else values[slp.rhs]

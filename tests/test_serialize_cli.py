@@ -96,6 +96,7 @@ def test_certificate_json_shape():
     assert data["kind"] == "separation-certificate"
     assert data["pairwise_disjoint"] is True
     assert len(data["embeddings"]) == 2
+    assert data["statement"].startswith("the incidences force P(z) = N(z)")
     text = format_certificate(cert)
     assert "pairwise disjoint: True" in text
 
@@ -290,6 +291,24 @@ def test_cli_malformed_lines_exit_6(cfg, tmp_path, forge):
     forge(cfg, data)
     path = tmp_path / "forged.json"
     path.write_text(dumps_canonical(data), encoding="utf-8")
+    assert main(["decode", str(path)]) == 6
+    assert main(["cover", str(path), "-o", str(tmp_path / "r.json")]) == 6
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("seed", 1.7), ("seed", True), ("seed", "3"), ("params_consumed", -5),
+     ("params_consumed", 2.0), ("params_consumed", False)],
+)
+def test_cli_seed_and_cursor_must_be_json_integers(cfg, tmp_path, key, value):
+    # int() once loaded 1.7 and true as 1 and kept -5; the seed picks the
+    # add gadgets' heights, which the forcing check replays
+    data = json.loads(dumps_canonical(config_to_json(cfg)))
+    data[key] = value
+    with pytest.raises(SchemaError, match="JSON integers"):
+        config_from_json(data)
+    path = tmp_path / "forged.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["decode", str(path)]) == 6
     assert main(["cover", str(path), "-o", str(tmp_path / "r.json")]) == 6
 
