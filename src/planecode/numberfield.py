@@ -26,7 +26,8 @@ import re
 from fractions import Fraction
 from functools import cached_property
 from cmath import isfinite, rect
-from math import gcd as int_gcd, inf, isqrt, lcm, nextafter, pi, sqrt
+from itertools import combinations, count
+from math import gcd as int_gcd, inf, isqrt, lcm, nextafter, pi, prod, sqrt
 
 from . import _ffpoly
 from .errors import (
@@ -40,8 +41,11 @@ from .errors import (
     UnprovenModulus,
 )
 
-_SCREEN_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MAX_SCREEN_PRIMES = 6
+# The most products of lifted factors check_irreducible tries: all 2^16 - 1
+# of at most 8 of 17 factors. A Galois group of exponent 2 splits a degree-32
+# modulus into 16 quadratics mod every prime that keeps it squarefree; the
+# minimal polynomial of sqrt2 + sqrt3 + sqrt5 + sqrt7 + sqrt11 takes 39,202.
+_RECOMBINATION_BUDGET = 2**16
 
 # The residue map K -> F_l: primes are tried downward from here, at most
 # _RESIDUE_PRIME_TRIES of them.
@@ -121,9 +125,6 @@ class IntPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return IntPoly.from_coeffs(self[i] - other[i] for i in range(n))
 
-    def __neg__(self) -> "IntPoly":
-        return IntPoly(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         if self.is_zero or other.is_zero:
             return IntPoly.zero()
@@ -133,12 +134,6 @@ class IntPoly:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return IntPoly.from_coeffs(out)
-
-    def scale(self, q) -> "IntPoly":
-        q = _as_fraction(q)
-        if q == 0:
-            return IntPoly.zero()
-        return IntPoly(tuple(c * q for c in self.coeffs))
 
     def divmod(self, other: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
         if other.is_zero:
@@ -159,12 +154,6 @@ class IntPoly:
     def derivative(self) -> "IntPoly":
         return IntPoly.from_coeffs(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
-    def eval_fraction(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def content(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)
@@ -182,13 +171,12 @@ class IntPoly:
         c = self.content()
         if self.leading < 0:
             c = -c
-        return self.scale(1 / c)
+        return IntPoly(tuple(x / c for x in self.coeffs))
 
     def int_coeffs(self) -> tuple[int, ...]:
-        prim = self
-        if any(c.denominator != 1 for c in prim.coeffs):
+        if any(c.denominator != 1 for c in self.coeffs):
             raise ValueError("polynomial has non-integer coefficients")
-        return tuple(c.numerator for c in prim.coeffs)
+        return tuple(c.numerator for c in self.coeffs)
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -221,15 +209,29 @@ _set_coeffs = IntPoly.coeffs.__set__
 
 _TERM_RE = re.compile(r"([+-]?)(\d+)?(\*?x(?:\^(\d+))?)?")
 
-# The largest degree parse_poly accepts. It builds a list of degree + 1
-# coefficients, so each exponent is checked before that list exists.
+# The largest degree parse_poly and serialize.poly_from_json accept. A
+# polynomial is a list of degree + 1 coefficients, so the degree is checked
+# before that list exists.
 MAX_DEGREE = 32
 
-# The most decimal digits parse_poly accepts in one coefficient, leading
-# zeros aside. It is checked before int() runs, which would refuse more
-# than 4300 digits with a ValueError, and keeps every later exact step on
-# numbers of a bounded size.
+# The most decimal digits they accept in one coefficient, leading zeros
+# aside. It is checked before int() runs, which would refuse more than 4300
+# digits with a ValueError, and keeps every later exact step on numbers of
+# a bounded size.
 MAX_COEFF_DIGITS = 1000
+
+
+def check_bounds(degree: int, numerals, error=PolyParseError) -> None:
+    """Raise error past MAX_DEGREE, or for a numeral past MAX_COEFF_DIGITS digits."""
+    if degree > MAX_DEGREE:
+        raise error(f"the degree exceeds the limit MAX_DEGREE = {MAX_DEGREE}")
+    for numeral in numerals:
+        digits = numeral.strip().lstrip("+-").lstrip("0")
+        if len(digits) > MAX_COEFF_DIGITS:
+            raise error(
+                f"a coefficient of {len(digits)} digits exceeds the limit "
+                f"MAX_COEFF_DIGITS = {MAX_COEFF_DIGITS}"
+            )
 
 
 def parse_poly(text: str) -> IntPoly:
@@ -244,29 +246,12 @@ def parse_poly(text: str) -> IntPoly:
         m = _TERM_RE.fullmatch(term)
         if not m or (m.group(2) is None and m.group(3) is None):
             raise PolyParseError(f"bad term {term!r} in {text!r}")
-        sign = -1 if m.group(1) == "-" else 1
-        if m.group(2) is None:
-            coeff = 1
-        else:
-            digits = m.group(2).lstrip("0") or "0"
-            if len(digits) > MAX_COEFF_DIGITS:
-                raise PolyParseError(
-                    f"a coefficient of {len(digits)} digits exceeds the limit "
-                    f"MAX_COEFF_DIGITS = {MAX_COEFF_DIGITS}"
-                )
-            coeff = int(digits)
-        if m.group(3) is None:
-            exp = 0
-        elif m.group(4) is None:
-            exp = 1
-        else:
-            digits = m.group(4).lstrip("0") or "0"
-            if len(digits) > len(str(MAX_DEGREE)) or int(digits) > MAX_DEGREE:
-                raise PolyParseError(
-                    f"the degree of {term!r} exceeds the limit MAX_DEGREE = {MAX_DEGREE}"
-                )
-            exp = int(digits)
-        coeffs[exp] = coeffs.get(exp, 0) + sign * coeff
+        numeral = (m.group(2) or "1").lstrip("0") or "0"
+        power = "0" if m.group(3) is None else (m.group(4) or "1").lstrip("0") or "0"
+        # an exponent too long to convert is past the limit as well
+        exp = int(power) if len(power) <= len(str(MAX_DEGREE)) else MAX_DEGREE + 1
+        check_bounds(exp, [numeral])
+        coeffs[exp] = coeffs.get(exp, 0) + (-1 if m.group(1) == "-" else 1) * int(numeral)
     top = max(coeffs)
     return IntPoly.from_coeffs([coeffs.get(i, 0) for i in range(top + 1)])
 
@@ -275,146 +260,129 @@ def parse_poly(text: str) -> IntPoly:
 # irreducibility over Q
 # ---------------------------------------------------------------------------
 
-IRREDUCIBLE = "irreducible"
-REDUCIBLE = "reducible"
-UNVERIFIED = "unverified"
-
-
 class Irreducibility:
-    __slots__ = ("status", "factor", "witness")
+    """The verdict of check_irreducible: a proper factor of p, None when p is irreducible."""
 
-    def __init__(self, status: str, factor: IntPoly | None = None, witness: str = ""):
-        self.status = status
+    __slots__ = ("factor",)
+
+    def __init__(self, factor: IntPoly | None):
         self.factor = factor
-        self.witness = witness
 
     @property
     def is_irreducible(self) -> bool:
-        return self.status == IRREDUCIBLE
-
-    @property
-    def is_reducible(self) -> bool:
-        return self.status == REDUCIBLE
+        return self.factor is None
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+def _symmetric(x: int, m: int) -> int:
+    return x - m if 2 * x > m else x
 
 
-def _rational_root(p: IntPoly) -> Fraction | None:
-    cs = p.primitive().int_coeffs()
-    c0, cn = cs[0], cs[-1]
-    if c0 == 0:
-        return Fraction(0)
-    for den in _divisors(cn):
-        for num in _divisors(c0):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if p.eval_fraction(cand) == 0:
-                    return cand
-    return None
+def _good_primes(c: int):
+    """The odd primes that do not divide c, ascending."""
+    return (q for q in count(3, 2) if c % q and _is_prime(q))
 
 
-def _quartic_quadratic_factor(p: IntPoly) -> IntPoly | None:
-    """A quadratic factor of a rational-root-free quartic, or None.
+def _repeated_factor(prim: IntPoly, cs: list[int], bound: int) -> IntPoly | None:
+    """gcd(f, f') over Q when it is not constant, None when f is squarefree.
 
-    Works on the monic integer model q(y) = lead^3 * p(y/lead) and maps any
-    factor back through y = lead*x.
+    For q not dividing n*lc, gcd mod q is a multiple of the image of the gcd
+    g over Q, and equal to it for all but finitely many q (W. Brown, J. ACM
+    18, 1971). So a constant one proves f squarefree; those of least degree,
+    times lc and joined by Chinese remainders past the bound, give
+    lc/lc(g) * g once it divides f.
     """
-    cs = p.primitive().int_coeffs()
-    lead = cs[4]
-    q = [cs[0] * lead**3, cs[1] * lead**2, cs[2] * lead, cs[3], 1]
-
-    def check(b: int, c: int) -> IntPoly | None:
-        e, f = q[3] - b, (q[0] // c if c != 0 and q[0] % c == 0 else None)
-        if f is None:
+    dcs = [i * c for i, c in enumerate(cs)][1:]
+    least, image, modulus = len(cs), [], 1
+    for q in _good_primes(len(dcs) * cs[-1]):
+        g = _ffpoly.gcd([c % q for c in cs], [c % q for c in dcs], q)
+        if len(g) == 1:
             return None
-        if b * e + c + f != q[2] or b * f + c * e != q[1]:
-            return None
-        factor_x = IntPoly.from_coeffs([c, b * lead, lead * lead]).primitive()
-        if p.divmod(factor_x)[1].is_zero:
-            return factor_x
-        return None
-
-    for c_abs in _divisors(q[0]):
-        for c in (c_abs, -c_abs):
-            f = q[0] // c
-            if f != c:
-                num = q[1] - c * q[3]
-                den = f - c
-                if num % den:
-                    continue
-                hit = check(num // den, c)
-                if hit is not None:
-                    return hit
-            else:
-                # b*e + c + f = q2 with e = q3 - b gives b^2 - q3*b + (q2-c-f) = 0
-                disc = q[3] * q[3] - 4 * (q[2] - c - f)
-                if disc < 0:
-                    continue
-                root = isqrt(disc)
-                if root * root != disc:
-                    continue
-                for b2 in {(q[3] + root), (q[3] - root)}:
-                    if b2 % 2 == 0:
-                        hit = check(b2 // 2, c)
-                        if hit is not None:
-                            return hit
-    return None
+        g = _ffpoly.scale(cs[-1], g, q)
+        if len(g) < least:
+            least, image, modulus = len(g), g, q
+        elif len(g) == least:
+            image = [a + modulus * ((b - a) * pow(modulus, -1, q) % q) for a, b in zip(image, g)]
+            modulus *= q
+        if modulus > bound:
+            g = IntPoly.from_coeffs([_symmetric(x, modulus) for x in image]).primitive()
+            if prim.divmod(g)[1].is_zero:
+                return g
 
 
 def check_irreducible(p: IntPoly) -> Irreducibility:
-    """Exact answer through degree 4; finite-field screen beyond.
+    """An exact verdict on p over Q at every degree: a proper factor, or none.
 
-    Degree <= 4 uses the rational root test plus quadratic-factor
-    enumeration. Degree >= 5 reduces mod several small primes and compares
-    factor degree patterns; Unverified is a possible outcome there, and
-    NumberField.create refuses such a modulus.
+    f is the primitive integer model of p, of degree n and leading
+    coefficient lc. A factor g of f has coefficients of size at most
+    2^deg(g)*||f||_2 (M. Mignotte, Math. Comp. 28, 1974), so lc/lc(g) * g
+    is known from its residues mod any m > B = 2*lc*2^n*||f||_2.
+    1. f(0) = 0 gives the factor x, a non-squarefree f the factor gcd(f, f').
+    2. f is factored mod the first 5 odd primes that do not divide lc and
+       keep it squarefree. The degree of a factor of f is a sum of factor
+       degrees mod each; when no 0 < d < n is one at all five, f is
+       irreducible. Most inputs stop here.
+    3. Else the r factors mod the prime with the fewest are lifted mod
+       m = q^(2^j) > B, and every product of at most r/2 of them is tried
+       (H. Zassenhaus, J. Number Theory 1, 1969), as of f = g*h, g or h takes
+       at most r/2. One whose degree is no such sum, or whose constant term
+       does not divide lc*f(0), is skipped; the rest are trial-divided.
+    Past _RECOMBINATION_BUDGET products UnprovenModulus is raised instead.
     """
     if p.degree < 1:
         raise ValueError("irreducibility is undefined for constants")
     prim = p.primitive()
     n = prim.degree
     if n == 1:
-        return Irreducibility(IRREDUCIBLE, witness="degree 1")
+        return Irreducibility(None)
+    cs = list(prim.int_coeffs())
+    if cs[0] == 0:
+        return Irreducibility(IntPoly.from_coeffs([0, 1]))
+    lc = cs[-1]
+    bound = 2 * lc * 2**n * (isqrt(sum(c * c for c in cs)) + 1)
+    common = _repeated_factor(prim, cs, bound)
+    if common is not None:
+        return Irreducibility(common)
 
-    root = _rational_root(prim)
-    if root is not None:
-        factor = IntPoly.from_coeffs([-root.numerator, root.denominator]).primitive()
-        return Irreducibility(REDUCIBLE, factor=factor, witness=f"rational root {root}")
-    if n <= 3:
-        return Irreducibility(IRREDUCIBLE, witness="no rational root")
-    if n == 4:
-        quad = _quartic_quadratic_factor(prim)
-        if quad is not None:
-            return Irreducibility(REDUCIBLE, factor=quad, witness="quadratic factor")
-        return Irreducibility(IRREDUCIBLE, witness="no rational root, no quadratic factor")
-
-    ics = list(prim.int_coeffs())
-    possible: set[int] | None = None
-    used = []
-    for q in _SCREEN_PRIMES:
-        if len(used) >= _MAX_SCREEN_PRIMES:
-            break
-        pattern = _ffpoly.factor_degree_pattern(ics, q)
-        if pattern is None:
+    allowed = set(range(1, n))
+    splits = []  # (number of factors, q, factors mod q)
+    for q in _good_primes(lc):
+        factors = _ffpoly.factor(cs, q)
+        if factors is None:
             continue
-        used.append(q)
-        degs = _ffpoly.proper_factor_degrees(pattern)
-        possible = degs if possible is None else (possible & degs)
-        if not possible:
-            return Irreducibility(
-                IRREDUCIBLE, witness=f"degree patterns mod {used} rule out proper factors"
-            )
-    return Irreducibility(UNVERIFIED, witness=f"screen primes {used} inconclusive")
+        sums = {0}  # the degrees of the products of the factors mod q
+        for u in factors:
+            sums |= {s + _ffpoly.deg(u) for s in sums}
+        allowed &= sums
+        if not allowed:
+            return Irreducibility(None)
+        splits.append((len(factors), q, factors))
+        if len(splits) == 5:
+            break
+
+    r, q, factors = min(splits, key=lambda split: split[0])
+    m, lifted = _ffpoly.hensel_lift(cs, factors, q, bound)
+    target = lc * cs[0]
+    tried = 0
+    for size in range(1, r // 2 + 1):
+        for subset in combinations(range(r), size):
+            tried += 1
+            if tried > _RECOMBINATION_BUDGET:
+                raise UnprovenModulus(
+                    f"could not prove {prim} irreducible: its {r} factors mod {q} have more "
+                    f"than {_RECOMBINATION_BUDGET} products to try, so K might not be a field"
+                )
+            if sum(_ffpoly.deg(lifted[i]) for i in subset) not in allowed:
+                continue
+            c = _symmetric(lc * prod(lifted[i][0] for i in subset) % m, m)
+            if c == 0 or target % c:
+                continue
+            g = [lc]
+            for i in subset:
+                g = _ffpoly.mul(g, lifted[i], m)
+            g = IntPoly.from_coeffs([_symmetric(x, m) for x in g]).primitive()
+            if prim.divmod(g)[1].is_zero:
+                return Irreducibility(g)
+    return Irreducibility(None)
 
 
 # ---------------------------------------------------------------------------
@@ -479,8 +447,8 @@ class NumberField:
     """K = Q[x]/(source), source of degree n >= 2, a proven field.
 
     create refuses a modulus that check_irreducible proves reducible
-    (ReducibleModulus) or cannot prove irreducible (UnprovenModulus), so
-    every field it returns is a field; create is the only constructor the
+    (ReducibleModulus), or cannot decide within its budget (UnprovenModulus),
+    so every field it returns is a field; create is the only constructor the
     program uses. `source` is the primitive integer model c*x^n + ... of the
     modulus, with c > 0, which every multiple of the modulus shares; element
     arithmetic reduces by it, so it stays in integers. Two fields are equal
@@ -508,16 +476,9 @@ class NumberField:
         prim = p.primitive()
         if prim.degree < 2:
             raise TrivialField(f"need degree >= 2, got {prim.degree}")
-        res = check_irreducible(prim)
-        if res.is_reducible:
-            raise ReducibleModulus(
-                f"{prim} is reducible, factor {res.factor}", factor=res.factor
-            )
-        if not res.is_irreducible:
-            raise UnprovenModulus(
-                f"could not prove {prim} irreducible ({res.witness}); "
-                "K = Q[x]/(p) would not be known to be a field"
-            )
+        factor = check_irreducible(prim).factor
+        if factor is not None:
+            raise ReducibleModulus(f"{prim} is reducible, factor {factor}", factor=factor)
         return cls(prim)
 
     @cached_property

@@ -23,7 +23,7 @@ from .configuration import Configuration, derive_points
 from .cover import CoverReport
 from .decode import SeparationCertificate
 from .errors import DuplicateLine, SchemaError
-from .numberfield import IntPoly, NFElement, NumberField
+from .numberfield import IntPoly, NFElement, NumberField, check_bounds
 from .projgeom import ProjLine
 
 CONFIG_SCHEMA_VERSION = 2
@@ -56,8 +56,14 @@ def poly_to_json(p: IntPoly) -> list:
 
 
 def poly_from_json(data) -> IntPoly:
+    """The polynomial of a file, held to the bounds of parse_poly before int() runs."""
     if not isinstance(data, list):
         raise SchemaError("polynomial must be a list of rationals")
+    try:
+        numerals = [str(c[k]) for c in data for k in ("n", "d")]
+    except (KeyError, TypeError) as exc:
+        raise SchemaError(f"bad rational in polynomial: {exc!r}") from exc
+    check_bounds(len(data) - 1, numerals, SchemaError)
     return IntPoly.from_coeffs([fraction_from_json(c) for c in data])
 
 

@@ -4,7 +4,8 @@ Each example edits the lines, the seed or the stream cursor of the x^2-2
 configuration file (schema v2) and runs both commands through `cli.main`:
 every outcome must be one of the documented exit codes, never an exception.
 An edited line is a different configuration, whose points load derives
-anew. The polynomial is left alone; parse_poly bounds its size.
+anew. The polynomial is left alone; it is held to the bounds of parse_poly,
+which test_serialize_cli checks.
 """
 
 import contextlib

@@ -16,11 +16,13 @@ from planecode import (
     isolate_roots,
     parse_poly,
 )
+from planecode import numberfield
 from planecode.errors import (
     DivisionByZero,
     FieldMismatch,
     PrecisionExhausted,
     PolyParseError,
+    ReducibleModulus,
     TrivialField,
     UnprovenModulus,
 )
@@ -141,14 +143,23 @@ def test_field_mismatch(k_sqrt2, k_cbrt2):
 
 
 def test_unproven_modulus_refused():
-    # (x^2 + 1)(x^4 + x^2 + 1): no rational root, and its factor degrees
-    # mod every screen prime allow a proper factor, so the screen cannot decide
+    # (x^2 + 1)(x^4 + x^2 + 1) has no rational root, and its factor degrees
+    # mod every prime allow a proper factor: recombination names one
     p = parse_poly("x^6+2*x^4+2*x^2+1")
     res = check_irreducible(p)
-    assert not res.is_irreducible and not res.is_reducible
-    with pytest.raises(UnprovenModulus, match="could not prove"):
+    assert 0 < res.factor.degree < 6 and p.divmod(res.factor)[1].is_zero
+    with pytest.raises(ReducibleModulus, match="is reducible, factor") as exc:
         NumberField.create(p)
-    assert UnprovenModulus.exit_code == 3
+    assert p.divmod(exc.value.factor)[1].is_zero
+    assert ReducibleModulus.exit_code == UnprovenModulus.exit_code == 3
+
+
+def test_recombination_budget_exhausted_is_unproven(monkeypatch):
+    # x^4 + 1 is irreducible but splits mod every prime, so only
+    # recombination proves it; with no products to try it stays unproven
+    monkeypatch.setattr(numberfield, "_RECOMBINATION_BUDGET", 0)
+    with pytest.raises(UnprovenModulus, match="could not prove"):
+        NumberField.create(parse_poly("x^4+1"))
 
 
 def test_trivial_field():
@@ -192,14 +203,14 @@ def test_irreducible_x2_minus_2():
 
 def test_reducible_x2_minus_1():
     res = check_irreducible(parse_poly("x^2-1"))
-    assert res.is_reducible
+    assert not res.is_irreducible
     assert parse_poly("x^2-1").divmod(res.factor)[1].is_zero
 
 
 def test_quartic_with_quadratic_factor():
     # x^4 + 4 = (x^2 - 2x + 2)(x^2 + 2x + 2), no rational root
     res = check_irreducible(parse_poly("x^4+4"))
-    assert res.is_reducible
+    assert not res.is_irreducible
     assert res.factor.degree == 2
     assert parse_poly("x^4+4").divmod(res.factor)[1].is_zero
 
@@ -242,11 +253,88 @@ def test_quintic_screen_matches_oracle():
 
 
 def test_quintic_unverified_is_possible():
-    # (x^2 + 1)(x^3 + x + 1) has no rational root; the screen cannot settle it
+    # (x^2 + 1)(x^3 + x + 1) has no rational root; the factor search names a factor
     p = parse_poly("x^2+1") * parse_poly("x^3+x+1")
     res = check_irreducible(p)
-    assert res.status in ("unverified", "reducible")
-    assert not res.is_irreducible
+    assert res.factor.degree in (2, 3) and p.divmod(res.factor)[1].is_zero
+    with pytest.raises(ReducibleModulus):
+        NumberField.create(p)
+
+
+# The Swinnerton-Dyer polynomials: the minimal polynomials of sqrt2 + sqrt3 +
+# sqrt5 and of sqrt2 + sqrt3 + sqrt5 + sqrt7 + sqrt11. They are irreducible,
+# but their Galois groups have exponent 2, so they split into factors of
+# degree at most 2 mod every prime and only recombination proves them.
+SD8 = "x^8-40*x^6+352*x^4-960*x^2+576"
+SD32 = [
+    2000989041197056, 0, -44660812492570624, 0, 183876928237731840, 0,
+    -255690851718529024, 0, 172580952324702208, 0, -65892492886671360, 0,
+    15459151516270592, 0, -2349014746136576, 0, 239210760462336, 0,
+    -16665641517056, 0, 801918722048, 0, -26625650688, 0, 602397952, 0,
+    -9028096, 0, 84864, 0, -448, 0, 1,
+]
+
+
+def test_swinnerton_dyer_octic_is_a_field():
+    p = parse_poly(SD8)
+    assert check_irreducible(p).is_irreducible
+    assert NumberField.create(p).n == 8
+
+
+def test_swinnerton_dyer_degree_32_proven_quickly():
+    t0 = time.perf_counter()
+    assert check_irreducible(IntPoly.from_coeffs(SD32)).is_irreducible
+    assert time.perf_counter() - t0 < 10.0
+
+
+def test_degree_10_names_its_quadratic_factor():
+    # (x^2 - 2)(x^8 - 8*x^6 + 19*x^4 - 12*x^2 + 1): no rational root
+    p = parse_poly("x^10-10*x^8+35*x^6-50*x^4+25*x^2-2")
+    with pytest.raises(ReducibleModulus) as exc:
+        NumberField.create(p)
+    assert exc.value.factor == parse_poly("x^2-2")
+
+
+@pytest.mark.parametrize("c", [10**40 + 7, int("9" * 999 + "7")])
+def test_huge_constant_term_is_decided_quickly(c):
+    t0 = time.perf_counter()
+    assert NumberField.create(IntPoly.from_coeffs([-c, 0, 1])).n == 2
+    assert time.perf_counter() - t0 < 1.0
+
+
+def _random_poly(rng, degree, size, lead=None):
+    lead = lead or rng.choice([1, 1, 2, 3, -5, 6])
+    return IntPoly.from_coeffs([rng.randint(-size, size) for _ in range(degree)] + [lead])
+
+
+def test_factor_search_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(2024)
+    reducible = 0
+    for k in range(300):
+        kind = k % 5
+        if kind == 0:  # dense, mostly irreducible
+            p = _random_poly(rng, rng.randint(2, 10), 20)
+        elif kind == 1:  # a product of two, often non-monic
+            p = _random_poly(rng, rng.randint(1, 5), 9) * _random_poly(rng, rng.randint(1, 5), 9)
+        elif kind == 2:  # a repeated factor
+            a = _random_poly(rng, rng.randint(1, 3), 5)
+            p = a * a * _random_poly(rng, rng.randint(0, 3), 5)
+        elif kind == 3:  # p(0) = 0
+            p = IntPoly.from_coeffs([0, 1]) * _random_poly(rng, rng.randint(1, 6), 20)
+        else:  # three monic factors with small coefficients, many factors mod q
+            p = _random_poly(rng, rng.randint(1, 4), 3, 1) * _random_poly(rng, rng.randint(1, 4), 3, 1)
+            p = p * _random_poly(rng, rng.randint(0, 3), 3, 1)
+        if p.degree < 1:
+            continue
+        res = check_irreducible(p)
+        _, factors = sympy.factor_list(sum(int(c) * x**i for i, c in enumerate(p.coeffs)))
+        assert res.is_irreducible == (len(factors) == 1 and factors[0][1] == 1), str(p)
+        if res.factor is not None:
+            reducible += 1
+            assert 0 < res.factor.degree < p.degree and p.divmod(res.factor)[1].is_zero
+    assert reducible > 100
 
 
 # -- root isolation ----------------------------------------------------------------

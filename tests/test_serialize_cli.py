@@ -150,7 +150,7 @@ def test_cli_exit_codes(cfg_path, tmp_path):
 
 def test_cli_unproven_modulus_exits_3(cfg, tmp_path, capsys):
     # (x^2 + 1)(x^4 + x^2 + 1): once built and "decoded" over a ring that is
-    # not a field, with exit 0
+    # not a field, with exit 0; then refused as unproven; now refuted with a factor
     text = "x^6+2*x^4+2*x^2+1"
     assert main(["build", "-p", text, "-o", str(tmp_path / "u.json")]) == 3
     assert main(["certify", "-p", text, "-o", str(tmp_path / "cert.json")]) == 3
@@ -159,7 +159,32 @@ def test_cli_unproven_modulus_exits_3(cfg, tmp_path, capsys):
     path = tmp_path / "u.json"
     path.write_text(dumps_canonical(data), encoding="utf-8")
     assert main(["decode", str(path)]) == 3
-    assert "could not prove" in capsys.readouterr().err
+    assert "is reducible, factor" in capsys.readouterr().err
+
+
+_ONE = {"n": "1", "d": "1"}
+_ZERO = {"n": "0", "d": "1"}
+
+
+@pytest.mark.parametrize(
+    "poly, limit",
+    [
+        ([{"n": "-" + "9" * 4000, "d": "1"}, _ZERO, _ONE], "MAX_COEFF_DIGITS = 1000"),
+        ([{"n": "-2", "d": "1"}] + [_ZERO] * 1999 + [_ONE], "MAX_DEGREE = 32"),
+    ],
+    ids=["4000-digit-constant", "degree-2000"],
+)
+def test_cli_file_poly_past_the_parse_bounds_exits_6(cfg, tmp_path, capsys, poly, limit):
+    # the poly of a file is held to the bounds of parse_poly; unbounded, the
+    # first ran past 30 s and the second took seconds before any check
+    data = json.loads(dumps_canonical(config_to_json(cfg)))
+    data["poly"] = poly
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    t0 = time.perf_counter()
+    assert main(["decode", str(path)]) == 6
+    assert time.perf_counter() - t0 < 5.0
+    assert limit in capsys.readouterr().err
 
 
 def test_cli_huge_coefficient_exits_2(tmp_path, capsys):
