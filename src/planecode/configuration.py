@@ -197,12 +197,9 @@ def _residues(triple):
 class _Builder:
     """Mutable accumulation of lines, points, and incidences.
 
-    on_line[i] maps a key to the points on line i that carry it. Without a
-    residue map the key of a point is the point itself, so equal keys are
-    equal points, and the builder computes every meet exactly.
-
-    With a residue map z -> r mod l (K is a field: NumberField.create proves
-    it), the key is the point's fingerprint: for the meet of lines u and v,
+    on_line[i] maps a key to the points on line i that carry it. With a
+    residue map z -> r mod l (K is a field: NumberField.create proves it),
+    the key is the point's fingerprint: for the meet of lines u and v,
     the cross product of their residue triples, scaled so its first nonzero
     entry is 1. It is None when a residue is undefined or that product
     vanishes. Why it depends only on the point: r is a simple root, so l is
@@ -214,7 +211,8 @@ class _Builder:
     fingerprints prove the points different. Equal ones prove nothing: a
     match is confirmed exactly (incident, on the point's exact coordinates),
     and a meet or point without a fingerprint is tested exactly against
-    every point of the line.
+    every point of the line. Without a residue map every residue is None,
+    so no point has a fingerprint and that exact test decides every case.
     """
 
     def __init__(self, field: NumberField):
@@ -247,10 +245,10 @@ class _Builder:
         self.line_index[l] = len(self.lines)
         self.lines.append(l)
         self.on_line.append({})
-        self.line_residues.append(None if self.ell is None else _residues(l.coeffs))
+        self.line_residues.append(_residues(l.coeffs))
 
     def _candidates(self, i: int, key):
-        """The points on line i that may carry key: with an exact key, at most one."""
+        """The points on line i that may carry the fingerprint key: all of them if it is None."""
         table = self.on_line[i]
         if key is None:
             return chain.from_iterable(table.values())
@@ -270,21 +268,18 @@ class _Builder:
         and None is returned.
         """
         ell, pts = self.ell, self.points
-        w = None if ell is None else _residues(l.coeffs)
+        w = _residues(l.coeffs)
         covered = set()
         for p in hits:
             covered.update(self.incidence[p])
         fresh = []
-        for i, m in enumerate(self.lines):
+        for i in range(len(self.lines)):
             if i in covered:
                 continue
-            if ell is None:
-                key = meet(m, l)
-            else:
-                u = self.line_residues[i]
-                key = None if u is None or w is None else _fingerprint(u, w, ell)
+            u = self.line_residues[i]
+            key = None if u is None or w is None else _fingerprint(u, w, ell)
             for p in self._candidates(i, key):
-                if ell is None or incident(l, pts[p]):
+                if incident(l, pts[p]):
                     if generic:
                         return None
                     hits.append(p)
@@ -307,7 +302,7 @@ class _Builder:
             p = len(pts.pairs)
             pts.pairs.append((i, k))
             pts.keys.append(key)
-            pts.exact.append(key if self.ell is None else None)
+            pts.exact.append(None)
             self.incidence.append([i, k])
             self.on_line[i].setdefault(key, []).append(p)
             table.setdefault(key, []).append(p)
@@ -338,10 +333,10 @@ class _Builder:
 
     def find(self, q: ProjPoint) -> int | None:
         """Index of the point equal to q, or None."""
-        key = q if self.ell is None else _residues(q.coords)
+        key = _residues(q.coords)
         for i in range(len(self.lines)):
             for p in self._candidates(i, key):
-                if self.ell is None or self.points[p] == q:
+                if self.points[p] == q:
                     return p
         return None
 

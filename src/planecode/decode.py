@@ -29,8 +29,8 @@ from .errors import (
 )
 from .numberfield import Disc, IntPoly, NFElement, embed, isolate_roots
 from .pipeline import run_pipeline
-from .projgeom import ProjLine, cross_ratio
-from .slp_compiler import Add, LoadZ, compile_polynomial, replay, seed_lines
+from .projgeom import ProjLine, cross_ratio, line
+from .slp_compiler import Add, LoadZ, One, add_height, compile_polynomial, seed_lines
 
 
 LADDER_SHOWN = 6
@@ -89,6 +89,7 @@ class _Incidences:
 
     def __init__(self, c: Configuration):
         self.index = {l: i for i, l in enumerate(c.lines)}
+        self.rows = c.incidence
         self.on: list[set[int]] = [set() for _ in c.lines]
         for p, rows in enumerate(c.incidence):
             for i in rows:
@@ -115,13 +116,14 @@ class _Incidences:
             raise self.fail(f"{role}: lines {i} and {j} do not meet in one point")
         return next(iter(both))
 
-    def join(self, i: int, role: str, p: int, q: int) -> None:
-        """Check that line i passes through the distinct points p and q."""
+    def join(self, p: int, q: int, role: str) -> int:
+        """The one line whose row set holds the distinct points p and q."""
         if p == q:
-            raise self.fail(f"{role} line {i} would join point {p} to itself")
-        for r in (p, q):
-            if r not in self.on[i]:
-                raise self.fail(f"{role} line {i} misses point {r}")
+            raise self.fail(f"{role} would join point {p} to itself")
+        both = set(self.rows[p]).intersection(self.rows[q])
+        if len(both) != 1:
+            raise self.fail(f"{role}: points {p} and {q} are not on one line")
+        return next(iter(both))
 
 
 def check_forcing(c: Configuration) -> None:
@@ -129,10 +131,12 @@ def check_forcing(c: Configuration) -> None:
 
     A realization is a choice of lines, over any field, with the incidences
     of the table; distinct indices are distinct points and lines, which
-    the file's own table supplies. The program of p is replayed with the file's
-    seed only to name which file line plays which role: every incidence
-    below is looked up in the table, and every point is the one point
-    whose row holds two named lines.
+    the file's own table supplies. Every gadget line is named as the lemma
+    names it, the one table line through two points already named, and
+    every point as the one point whose row holds two named lines. Only the
+    seed lines and each add's line y = h are looked up by coordinates, h
+    drawn from the file's seed by slp_compiler.add_height as emission
+    draws it. No arithmetic in K is done.
 
     - Seed. The marks 0, 1, inf, z are the top four points of the ladder,
       and the axis is the one line through all four. The y-axis passes
@@ -142,14 +146,13 @@ def check_forcing(c: Configuration) -> None:
       with 0 = (0, 0), 1 = (1, 0), U = (0, 1), the axis and y-axis the
       coordinate axes and u1 the line x + y = 1, and z at (w, 0) for
       w = cr(0, 1, inf, z), the number decode reads.
-    - Add of registers a and b (von Staudt): l2 through b and V is x = b;
-      hline through inf is y = h, and aux = hline ^ y-axis = (0, h);
-      l3 joins aux and a; l4 joins (l2 ^ hline) = (b, h) and
-      (l3 ^ ell_inf), so it is the parallel of l3 through (b, h) and
-      meets the axis at (a + b, 0).
-    - Mul: t1 through b and S is x + y = b, so t1 ^ y-axis = (0, b); m1
-      joins U and a; m2 joins (0, b) and (m1 ^ ell_inf), so by similar
-      triangles it meets the axis at (a*b, 0).
+    - Add of registers a and b (von Staudt): l2 = b V is x = b; hline
+      through inf is y = h, and aux = hline ^ y-axis = (0, h); l3 = aux a;
+      l4 joins (l2 ^ hline) = (b, h) and (l3 ^ ell_inf), so it is the
+      parallel of l3 through (b, h) and meets the axis at (a + b, 0).
+    - Mul: t1 = b S is x + y = b, so t1 ^ y-axis = (0, b); m1 = U a; m2
+      joins (0, b) and (m1 ^ ell_inf), so by similar triangles it meets
+      the axis at (a*b, 0).
 
     The non-degeneracy the lemma needs is tested: the axis, y-axis,
     ell_inf and u1 are four distinct lines; aux is off the axis (h != 0)
@@ -180,10 +183,11 @@ def check_forcing(c: Configuration) -> None:
     S = t.meet(u1, linf, "S")
 
     slp = compile_polynomial(c.field.source)
+    stream = ParamStream(c.seed)
     reg: list[int] = []  # per register, its point and its polynomial in z
     poly: list[IntPoly] = []
-    for k, (instr, trace) in enumerate(replay(slp, slp.evaluate(c.field), ParamStream(c.seed))):
-        if trace is None:  # z or the unit: a mark, no gadget
+    for k, instr in enumerate(slp.instructions):
+        if isinstance(instr, (LoadZ, One)):  # a mark, no gadget
             is_z = isinstance(instr, LoadZ)
             reg.append(z if is_z else one)
             poly.append(IntPoly.from_coeffs((0, 1) if is_z else (1,)))
@@ -193,23 +197,20 @@ def check_forcing(c: Configuration) -> None:
         a, b = reg[instr.left], reg[instr.right]
         if zero in (a, b):
             raise t.fail(f"an operand is the mark 0, point {zero}")
-        lines = [t.line(l, f"{kind} line {n}") for n, l in enumerate(trace.emitted_lines)]
         if kind == "add":
-            _, l2, l3, l4, hline = lines  # the first is the y-axis
-            t.join(l2, "l2", b, V)
+            l2 = t.join(b, V, "l2")
+            hline = t.line(line(c.field, 0, 1, -add_height(stream)), "hline")
             if inf not in t.on[hline]:
                 raise t.fail(f"hline {hline} misses the mark inf, point {inf}")
             aux = t.meet(hline, yaxis, "aux")
             if aux in t.on[axis] or aux in (U, V):
                 raise t.fail(f"aux is point {aux}, which is on the axis, U or V")
-            t.join(l3, "l3", aux, a)
-            t.join(l4, "l4", t.meet(l2, hline, "corner"), t.meet(l3, linf, "l3 direction"))
+            l3 = t.join(aux, a, "l3")
+            l4 = t.join(t.meet(l2, hline, "corner"), t.meet(l3, linf, "l3 direction"), "l4")
             out, value = t.meet(l4, axis, "output"), poly[instr.left] + poly[instr.right]
         else:
-            t1, m1, m2 = lines
-            t.join(t1, "t1", b, S)
-            t.join(m1, "m1", U, a)
-            t.join(m2, "m2", t.meet(t1, yaxis, "lift"), t.meet(m1, linf, "m1 direction"))
+            t1, m1 = t.join(b, S, "t1"), t.join(U, a, "m1")
+            m2 = t.join(t.meet(t1, yaxis, "lift"), t.meet(m1, linf, "m1 direction"), "m2")
             out, value = t.meet(m2, axis, "output"), poly[instr.left] * poly[instr.right]
         reg.append(out)
         poly.append(value)

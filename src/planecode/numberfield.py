@@ -421,8 +421,8 @@ def _residue_map(prim: IntPoly) -> tuple[int, tuple[int, ...]] | None:
     skipped, so prim divided by it has l-integral coefficients. A simple
     root makes l a regular prime of K (see NFElement.residue), which point
     fingerprints rely on. None when none of the first _RESIDUE_PRIME_TRIES
-    primes qualifies; the configuration builder then computes every meet
-    exactly.
+    primes qualifies; every residue is then None, and the configuration
+    builder tests each crossing exactly against every point of the line.
     """
     ics = list(prim.int_coeffs())
     dics = [i * c for i, c in enumerate(ics)][1:]

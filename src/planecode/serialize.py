@@ -124,7 +124,7 @@ def config_from_json(data) -> Configuration:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"malformed configuration file: {exc}") from exc
-    # the seed picks the add gadgets' heights, which decode's forcing check replays
+    # the seed picks the add gadgets' heights, which decode's forcing check draws again
     if type(seed) is not int or type(params) is not int or params < 0:
         raise SchemaError(
             f"seed {seed!r} and params_consumed {params!r} must be JSON integers, "

@@ -6,9 +6,9 @@ and the sums and products of earlier registers. The powers of z that
 the Horner jumps need come from one table built by squaring, and every
 integer constant c >= 2 comes from one chain built up from the unit.
 emit_configuration proves K = Q[x]/(p) a field (NumberField.create) and
-replays every add and mul instruction through a small line gadget on the
-marked axis ell = {y = 0}, where the point (v : 0 : 1) stands for the
-number v; z and the unit are marks on that axis and take no lines.
+draws every add and mul instruction as a small line gadget on the marked
+axis ell = {y = 0}, where the point (v : 0 : 1) stands for the number v;
+z and the unit are marks on that axis and take no lines.
 
 Four seed lines come first, and each is needed for the incidences to
 force every gadget, so that every realization of the configuration
@@ -40,19 +40,18 @@ The gadgets:
 
 The last gadget of P lands on the point of N(z), so the incidences force
 P(z) = N(z), that is p(z) = 0, without a negation. Auxiliary heights h
-come from the deterministic rational stream, so the whole construction
-is defined over K with Galois-stable choices.
+come from the deterministic rational stream (add_height), so the whole
+construction is defined over K with Galois-stable choices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterator, Union
+from typing import Union
 
-from .configuration import MARK_LABELS, Configuration, ParamStream, derive_points, RETRY_BUDGET
+from .configuration import MARK_LABELS, Configuration, ParamStream, derive_points
 from .errors import (
     GadgetDegenerate,
-    GenericityExhausted,
     NotARoot,
     SelfCheckFailed,
     TrivialField,
@@ -310,8 +309,8 @@ def seed_lines(field: NumberField) -> tuple[ProjLine, ProjLine, ProjLine, ProjLi
 def _check_output(kind: str, out: ProjPoint, value: NFElement) -> None:
     """Raise unless a gadget landed on the register point of its value.
 
-    Not GadgetDegenerate: a wrong output is a defect, and no other
-    auxiliary height should be tried in its place.
+    Not GadgetDegenerate, which rejects an input: a wrong output is a
+    defect of the gadget.
     """
     if out != register_point(value):
         raise SelfCheckFailed(f"{kind} gadget output {out} is not the point of {value}")
@@ -350,38 +349,20 @@ def emit_mul_gadget(a: NFElement, b: NFElement) -> GadgetTrace:
     return GadgetTrace((t1, m1, m2), out)
 
 
-def _with_retry(make: Callable[[Fraction], GadgetTrace], stream: ParamStream) -> GadgetTrace:
-    for _ in range(RETRY_BUDGET):
-        h = stream.next()
-        try:
-            return make(h)
-        except GadgetDegenerate:
-            continue
-    raise GenericityExhausted(f"gadget stayed degenerate for {RETRY_BUDGET} heights")
+def add_height(stream: ParamStream) -> Fraction:
+    """The next stream value that is neither 0 nor 1, the height of an add gadget.
 
-
-def replay(
-    slp: SLP, values: list[NFElement], stream: ParamStream
-) -> Iterator[tuple[Instr, GadgetTrace | None]]:
-    """Each instruction with its gadget, in program order.
-
-    z and the unit are marks on the axis and draw no lines, so their trace
-    is None. Add gadgets take their heights from stream. This is the one
-    emission path: emit_configuration draws the lines, and
-    decode.check_forcing names the role each line plays.
+    emit_configuration and decode.check_forcing both draw heights here,
+    so they agree on every add gadget's line y = h.
     """
-    for instr in slp.instructions:
-        if isinstance(instr, Add):
-            a, b = values[instr.left], values[instr.right]
-            yield instr, _with_retry(lambda h: emit_add_gadget(a, b, h), stream)
-        elif isinstance(instr, Mul):
-            yield instr, emit_mul_gadget(values[instr.left], values[instr.right])
-        else:
-            yield instr, None
+    h = stream.next()
+    while h in (0, 1):
+        h = stream.next()
+    return h
 
 
 def emit_configuration(slp: SLP, seed: int = 0) -> Configuration:
-    """Prove K a field, replay the SLP through gadgets, return the raw configuration.
+    """Prove K a field, draw each instruction's gadget, return the raw configuration.
 
     Every gadget checks that it lands on the point of its value, and the
     two sides must agree, P(z) = N(z): anything else means the modulus
@@ -392,10 +373,16 @@ def emit_configuration(slp: SLP, seed: int = 0) -> Configuration:
     stream = ParamStream(seed)
 
     ordered = dict.fromkeys(seed_lines(field))
-    for _, trace in replay(slp, values, stream):
-        if trace is not None:
-            for l in trace.emitted_lines:
-                ordered.setdefault(l, None)
+    for instr in slp.instructions:
+        if isinstance(instr, Add):
+            a, b = values[instr.left], values[instr.right]
+            trace = emit_add_gadget(a, b, add_height(stream))
+        elif isinstance(instr, Mul):
+            trace = emit_mul_gadget(values[instr.left], values[instr.right])
+        else:  # z and the unit are marks on the axis: no lines
+            continue
+        for l in trace.emitted_lines:
+            ordered.setdefault(l, None)
 
     lhs = values[slp.lhs]
     rhs = field.zero if slp.rhs is None else values[slp.rhs]

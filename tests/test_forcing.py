@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from planecode import Configuration, derive_points, line, parse_poly, point, run_pipeline
+from planecode import (
+    Configuration, NFElement, derive_points, line, parse_poly, point, run_pipeline,
+)
 from planecode.cli import main
 from planecode.decode import check_forcing
 from planecode.errors import NotForced
@@ -58,6 +60,18 @@ def _moved(cfg, moves):
 def test_check_passes_on_loaded_final_configurations(built, text, seed):
     cfg = built(text)[0] if seed == 0 else run_pipeline(parse_poly(text), seed=seed)
     check_forcing(_loaded(cfg))
+
+
+def test_forcing_check_does_no_field_arithmetic(built, monkeypatch):
+    # every gadget line is named by a join in the table, never re-emitted in K
+    cfg = _loaded(built("x^7-x-1")[0])
+
+    def refuse(*args):
+        raise AssertionError("the forcing check multiplied or inverted in K")
+
+    for name in ("__mul__", "__rmul__", "inv"):
+        monkeypatch.setattr(NFElement, name, refuse)
+    check_forcing(cfg)
 
 
 def test_without_the_unit_line_the_check_refuses(built):

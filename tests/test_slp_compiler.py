@@ -310,15 +310,14 @@ def test_emission_deterministic():
 
 
 
-# An add gadget whose output is read off the line y = 1 instead of the axis.
-_SABOTAGED_ADD = """
+# Gadgets whose outputs are read off the line y = 1 instead of the axis.
+_SABOTAGED_GADGETS = """
 import planecode.slp_compiler as sc
-from planecode import NumberField, ParamStream, ProjLine, parse_poly
+from planecode import ProjLine, parse_poly
 from planecode.errors import SelfCheckFailed
-field = NumberField.create(parse_poly("x^2-2"))
 sc._ell = lambda f: ProjLine.of(f.zero, f.one, -f.one)
 try:
-    sc._with_retry(lambda h: sc.emit_add_gadget(field.gen, field.one, h), ParamStream())
+    sc.emit_configuration(sc.compile_polynomial(parse_poly("x^2-2")))
 except SelfCheckFailed:
     print("SelfCheckFailed")
 """
@@ -328,7 +327,7 @@ except SelfCheckFailed:
 def test_gadget_self_check_is_not_swallowed(flags):
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(
-        [sys.executable, *flags, "-c", _SABOTAGED_ADD],
+        [sys.executable, *flags, "-c", _SABOTAGED_GADGETS],
         env={**os.environ, "PYTHONPATH": src},
         capture_output=True,
         text=True,
