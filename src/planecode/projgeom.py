@@ -140,14 +140,6 @@ def incident(l: ProjLine, p: ProjPoint) -> bool:
     return (a * x + b * y + c * z).is_zero
 
 
-def direction_of(l: ProjLine) -> ProjPoint:
-    """The point at infinity on l (l must not be the line at infinity)."""
-    a, b, c = l.coeffs
-    if a.is_zero and b.is_zero:
-        raise DegenerateMeet("the line at infinity has no single direction")
-    return ProjPoint.of(b, -a, c * 0)
-
-
 def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
     u, v, w = p.coords, q.coords, r.coords
     det = (

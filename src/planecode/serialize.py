@@ -234,5 +234,6 @@ def dumps_canonical(obj) -> str:
 def loads(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # ValueError also covers an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"not valid JSON: {exc}") from exc

@@ -10,43 +10,29 @@ draws every add and mul instruction as a small line gadget on the marked
 axis ell = {y = 0}, where the point (v : 0 : 1) stands for the number v;
 z and the unit are marks on that axis and take no lines.
 
-Four seed lines come first, and each is needed for the incidences to
-force every gadget, so that every realization of the configuration
-encodes a conjugate of z (decode.check_forcing proves it from the
-incidence table):
+Four seed lines come first, each needed for every realization of the
+configuration to encode a conjugate of z: the axis ell, which carries
+the marks and every output; the y-axis x = 0, where the mul lifts its
+second factor; the line at infinity z = 0, the only line on which a
+gadget's "parallels" are forced to meet; and u1: x + y = 1, through the
+mark 1, U = (0 : 1 : 1) and the slope -1 direction S = (1 : -1 : 0),
+which ties the unit of the y-axis to that of the axis (without it every
+product would be lambda*a*b for a free lambda).
 
-  ell           y = 0, the axis that carries the marks and every output;
-  y-axis        x = 0, where the mul gadget lifts its second factor;
-  ell_inf       z = 0, the line at infinity: every "parallel" of a gadget
-                is a line through a direction point, and only on ell_inf
-                are those points forced to be directions;
-  u1            x + y = 1, through the mark 1, the unit height point
-                U = (0 : 1 : 1) and the slope -1 direction S = (1 : -1 : 0):
-                it ties the unit of the y-axis to the unit of the axis,
-                without which every product would come out as lambda*a*b
-                for a free lambda.
-
-The gadgets:
-
-  addition      four lines through an auxiliary point P = (0 : h : 1):
-                transfer b up the vertical pencil to height h, then slide
-                the segment P-(a,0) over to it; the translated line meets
-                ell at (a+b : 0 : 1). h = 1 is refused, since P would be
-                U, a point of the seed lines.
-  multiplication three lines: t1 lifts b to (0 : b : 1) along the slope -1
-                pencil through S, m1 joins U to (a : 0 : 1), and the
-                parallel of m1 through (0 : b : 1) meets ell at
-                (a*b : 0 : 1) by similar triangles. It takes no parameter.
-
-The last gadget of P lands on the point of N(z), so the incidences force
-P(z) = N(z), that is p(z) = 0, without a negation. Auxiliary heights h
-come from the deterministic rational stream (add_height), so the whole
-construction is defined over K with Galois-stable choices.
+Each gadget is written once, as add_gadget and mul_gadget over a
+geometry, where the von Staudt lemma that forces it is stated. Emission
+draws it in K (_Drawn); decode.check_forcing reads the same recipe from
+a file's incidence table. The add draws four lines, one of them y = h,
+with h from the deterministic rational stream; the mul draws three and
+takes no parameter. The last gadget of P lands on the point of N(z), so
+the incidences force P(z) = N(z), that is p(z) = 0, without a negation,
+and the whole construction is defined over K with Galois-stable choices.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from typing import Union
 
 from .configuration import MARK_LABELS, Configuration, ParamStream, derive_points
@@ -60,7 +46,7 @@ from .numberfield import IntPoly, NFElement, NumberField
 # Unused here; bound only for the planecode.slp_compiler.check_irreducible
 # probe of perfbench/tracer.py.
 from .numberfield import check_irreducible  # noqa: F401
-from .projgeom import ProjLine, ProjPoint, direction_of, join, meet, point
+from .projgeom import ProjLine, ProjPoint, incident, join, line, meet, point
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +148,14 @@ class SLP:
         self.rhs = rhs
         self.source = source
 
-    def evaluate(self, field: NumberField) -> list[NFElement]:
-        values: list[NFElement] = []
+    def evaluate(self, z, one) -> list:
+        """Every register's value, for z and the unit of any ring: K, Z[x], ..."""
+        values: list = []
         for instr in self.instructions:
             if isinstance(instr, LoadZ):
-                values.append(field.gen)
+                values.append(z)
             elif isinstance(instr, One):
-                values.append(field.one)
+                values.append(one)
             elif isinstance(instr, Add):
                 values.append(values[instr.left] + values[instr.right])
             else:
@@ -268,7 +255,7 @@ def compile_polynomial(p: IntPoly) -> SLP:
 
 
 # ---------------------------------------------------------------------------
-# gadget emission
+# the gadgets, written once
 # ---------------------------------------------------------------------------
 
 class GadgetTrace:
@@ -284,114 +271,149 @@ def register_point(value: NFElement) -> ProjPoint:
     return point(value.field, value, 0)
 
 
-def _ell(field: NumberField) -> ProjLine:
-    return ProjLine.of(field.zero, field.one, field.zero)
-
-
-def _yaxis(field: NumberField) -> ProjLine:
-    return ProjLine.of(field.one, field.zero, field.zero)
-
-
 def seed_lines(field: NumberField) -> tuple[ProjLine, ProjLine, ProjLine, ProjLine]:
     """The axis, the y-axis, the line at infinity z = 0 and u1: x + y = 1.
 
     The line at infinity carries every direction; u1 passes through the
     mark 1, U and the slope -1 direction S.
     """
-    return (
-        _ell(field),
-        _yaxis(field),
-        ProjLine.of(field.zero, field.zero, field.one),
-        ProjLine.of(field.one, field.one, -field.one),
-    )
+    return line(field, 0, 1, 0), line(field, 1, 0, 0), line(field, 0, 0, 1), line(field, 1, 1, -1)
 
 
-def _check_output(kind: str, out: ProjPoint, value: NFElement) -> None:
-    """Raise unless a gadget landed on the register point of its value.
+def add_gadget(g, a, b, h: Fraction):
+    """The object of a + b, and the add's lines by role, in drawing order.
 
-    Not GadgetDegenerate, which rejects an input: a wrong output is a
-    defect of the gadget.
+    The von Staudt lemma, for both gadgets. In any realization, over any
+    field, of the seed objects (axis, yaxis, linf and u1 four distinct
+    lines, U neither 0 nor V), put linf at infinity: there is one affine
+    chart with 0 = (0, 0), 1 = (1, 0), U = (0, 1), the axis and yaxis the
+    coordinate axes and u1 the line x + y = 1, so S is the slope -1
+    direction and V the vertical one. Let a = (a, 0), b = (b, 0), not 0.
+
+    - Add. l2 = b V is x = b; hline passes through inf, so it is y = h'
+      for some h', and aux = hline ^ yaxis = (0, h'), off the axis and not
+      V, so h' is finite and nonzero. l4 joins the corner l2 ^ hline =
+      (b, h') to l3 ^ linf, l3 = aux a: 0, b, the corner and aux form a
+      parallelogram, and l4 meets the axis at (a + b, 0), whatever h' is.
+    - Mul (mul_gadget). t1 = b S is x + y = b, so t1 ^ yaxis = (0, b). m2
+      joins (0, b) to m1 ^ linf, m1 = U a: the homothety at 0 that sends 1
+      to b sends u1 to t1 and m1 to m2, so m2 meets the axis at (a*b, 0).
+
+    So the incidences alone force each output (N. Mnev, LNM 1346, 1988;
+    R. Vakil, Invent. Math. 164, 2006). aux is also kept off U, so that
+    no add draws through the mul's anchor.
     """
-    if out != register_point(value):
-        raise SelfCheckFailed(f"{kind} gadget output {out} is not the point of {value}")
+    g.check_operands(a, b)
+    l2 = g.join(b, g.V, "l2")
+    hline = g.height_line(h)
+    aux = g.meet(hline, g.yaxis, "aux")
+    g.check_aux(aux)
+    l3 = g.join(aux, a, "l3")
+    l4 = g.join(g.meet(l2, hline, "corner"), g.meet(l3, g.linf, "l3 direction"), "l4")
+    return g.meet(l4, g.axis, "output"), {"l2": l2, "l3": l3, "l4": l4, "hline": hline}
+
+
+def mul_gadget(g, a, b):
+    """The object of a*b, and the mul's lines by role; the lemma is at add_gadget."""
+    g.check_operands(a, b)
+    t1, m1 = g.join(b, g.S, "t1"), g.join(g.U, a, "m1")
+    m2 = g.join(g.meet(t1, g.yaxis, "lift"), g.meet(m1, g.linf, "m1 direction"), "m2")
+    return g.meet(m2, g.axis, "output"), {"t1": t1, "m1": m1, "m2": m2}
+
+
+def realize(slp: SLP, g, seed: int) -> tuple[list, list[dict], int]:
+    """Each register's object in g, its gadget's lines by role, and the stream cursor.
+
+    The geometry g supplies the seed objects: the lines axis, yaxis, linf
+    and u1, the points U, S and V, and the marks zero, one and z. It draws
+    with join(p, q, role), meet(l, m, role) and height_line(h), the line
+    y = h, and refuses what the lemma excludes with check_operands(a, b)
+    and check_aux(aux); g.at names the register drawn, for messages.
+    _Drawn draws in K, decode._Incidences reads a file's incidence table.
+    z and the unit are the marks z and 1 and draw no lines. Each add takes
+    its height from the stream of seed: the next value that is neither 0
+    (hline would be the axis) nor 1 (aux would be U).
+    """
+    stream = ParamStream(seed)
+    reg, lines = [], []  # per register, its object and its gadget's lines
+    for k, instr in enumerate(slp.instructions):
+        if isinstance(instr, (LoadZ, One)):
+            out, drawn = (g.z if isinstance(instr, LoadZ) else g.one), {}
+        else:
+            kind = "add" if isinstance(instr, Add) else "mul"
+            g.at = f"register {k}, the {kind} of registers {instr.left} and {instr.right}"
+            a, b = reg[instr.left], reg[instr.right]
+            if kind == "add":
+                h = next(v for v in iter(stream.next, None) if v not in (0, 1))
+                out, drawn = add_gadget(g, a, b, h)
+            else:
+                out, drawn = mul_gadget(g, a, b)
+        reg.append(out)
+        lines.append(drawn)
+    return reg, lines, stream.cursor
+
+
+class _Drawn:
+    """The gadgets drawn in K: objects are points and lines of P^2(K)."""
+
+    at = "a gadget"
+
+    def __init__(self, field: NumberField):
+        self.field = field
+        self.axis, self.yaxis, self.linf, self.u1 = seed_lines(field)
+        self.U, self.S, self.V = point(field, 0, 1), point(field, 1, -1, 0), point(field, 0, 1, 0)
+        self.zero, self.one, self.z = map(register_point, (field.zero, field.one, field.gen))
+
+    def join(self, p: ProjPoint, q: ProjPoint, role: str) -> ProjLine:
+        return join(p, q)
+
+    def meet(self, l: ProjLine, m: ProjLine, role: str) -> ProjPoint:
+        return meet(l, m)
+
+    def height_line(self, h: Fraction) -> ProjLine:
+        return line(self.field, 0, 1, -h)
+
+    def check_operands(self, a: ProjPoint, b: ProjPoint) -> None:
+        if self.zero in (a, b):
+            raise GadgetDegenerate(f"{self.at}: an operand is 0")
+
+    def check_aux(self, aux: ProjPoint) -> None:
+        if incident(self.axis, aux) or aux in (self.U, self.V):
+            raise GadgetDegenerate(f"{self.at}: the auxiliary point {aux} is on the axis, U or V")
 
 
 def emit_add_gadget(a: NFElement, b: NFElement, h: Fraction) -> GadgetTrace:
-    f = a.field
-    if h == 0:
-        raise GadgetDegenerate("auxiliary height must be nonzero")
-    if h == 1:
-        raise GadgetDegenerate("auxiliary point would be U, a point of the seed lines")
-    if a.is_zero or b.is_zero:
-        raise GadgetDegenerate("addition gadget needs nonzero summands")
-    aux = point(f, 0, h)
-    l1 = join(point(f, 0, 0), aux)                 # the y-axis
-    l2 = join(register_point(b), point(f, 0, 1, 0))  # vertical through (b, 0)
-    hline = join(aux, point(f, 1, 0, 0))           # y = h
-    corner = meet(l2, hline)                       # (b, h)
-    l3 = join(aux, register_point(a))
-    l4 = join(corner, direction_of(l3))
-    out = meet(l4, _ell(f))
-    _check_output("add", out, a + b)
-    return GadgetTrace((l1, l2, l3, l4, hline), out)
+    out, lines = add_gadget(_Drawn(a.field), register_point(a), register_point(b), h)
+    return GadgetTrace(tuple(lines.values()), out)
 
 
 def emit_mul_gadget(a: NFElement, b: NFElement) -> GadgetTrace:
-    f = a.field
-    if a.is_zero or b.is_zero:
-        raise GadgetDegenerate("multiplication gadget needs nonzero factors")
-    t1 = join(register_point(b), point(f, 1, -1, 0))  # slope -1, through S
-    lifted = meet(t1, _yaxis(f))                   # (0 : b : 1)
-    m1 = join(point(f, 0, 1), register_point(a))   # from U = (0 : 1 : 1)
-    m2 = join(lifted, direction_of(m1))
-    out = meet(m2, _ell(f))
-    _check_output("mul", out, a * b)
-    return GadgetTrace((t1, m1, m2), out)
-
-
-def add_height(stream: ParamStream) -> Fraction:
-    """The next stream value that is neither 0 nor 1, the height of an add gadget.
-
-    emit_configuration and decode.check_forcing both draw heights here,
-    so they agree on every add gadget's line y = h.
-    """
-    h = stream.next()
-    while h in (0, 1):
-        h = stream.next()
-    return h
+    out, lines = mul_gadget(_Drawn(a.field), register_point(a), register_point(b))
+    return GadgetTrace(tuple(lines.values()), out)
 
 
 def emit_configuration(slp: SLP, seed: int = 0) -> Configuration:
     """Prove K a field, draw each instruction's gadget, return the raw configuration.
 
-    Every gadget checks that it lands on the point of its value, and the
-    two sides must agree, P(z) = N(z): anything else means the modulus
-    was not the minimal polynomial of z.
+    A register off the point of its value is a defect of the gadgets. The
+    two sides must agree, P(z) = N(z): else the modulus was not the
+    minimal polynomial of z.
     """
     field = NumberField.create(slp.source)
-    values = slp.evaluate(field)
-    stream = ParamStream(seed)
-
-    ordered = dict.fromkeys(seed_lines(field))
-    for instr in slp.instructions:
-        if isinstance(instr, Add):
-            a, b = values[instr.left], values[instr.right]
-            trace = emit_add_gadget(a, b, add_height(stream))
-        elif isinstance(instr, Mul):
-            trace = emit_mul_gadget(values[instr.left], values[instr.right])
-        else:  # z and the unit are marks on the axis: no lines
-            continue
-        for l in trace.emitted_lines:
-            ordered.setdefault(l, None)
+    g = _Drawn(field)
+    reg, drawn, cursor = realize(slp, g, seed)
+    values = slp.evaluate(field.gen, field.one)
+    for k, (p, value) in enumerate(zip(reg, values)):
+        if p != register_point(value):
+            raise SelfCheckFailed(f"register {k} lands on {p}, not on the point of {value}")
 
     lhs = values[slp.lhs]
     rhs = field.zero if slp.rhs is None else values[slp.rhs]
     if lhs != rhs:
         raise NotARoot(f"P(z) = {lhs} differs from N(z) = {rhs}")
 
-    cfg = derive_points(
-        list(ordered), seed=seed, params_consumed=stream.cursor, source=slp.source
-    )
+    ordered = dict.fromkeys(chain((g.axis, g.yaxis, g.linf, g.u1), *(d.values() for d in drawn)))
+    cfg = derive_points(list(ordered), seed=seed, params_consumed=cursor, source=slp.source)
     for label in MARK_LABELS:
         if label not in cfg.marks:
             raise NotARoot(f"marked point {label} is not an intersection point")

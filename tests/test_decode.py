@@ -100,6 +100,13 @@ def test_decode_odd_valence_refused():
     with pytest.raises(ParityViolation, match="parity check failed") as err:
         decode(cfg)
     assert str(err.value).count("point ") == 1 + 6
+    # the same ladder with the 5-pencil drawn first: the message still names
+    # the first odd point in ladder order, not the one of lowest index
+    cfg = _pencils((8, 5, 6, 7))
+    first = next(i for i, v in valences(cfg) if v % 2)
+    assert first != min(i for i, rows in enumerate(cfg.incidence) if len(rows) % 2)
+    with pytest.raises(ParityViolation, match=f"the first is point {first};"):
+        decode(cfg)
 
 
 def test_decode_tie_message_names_check_and_ladder():

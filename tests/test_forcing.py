@@ -2,6 +2,7 @@
 
 import importlib
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -14,10 +15,12 @@ from planecode.errors import NotForced
 from planecode.serialize import config_from_json, config_to_json, dumps_canonical
 from planecode.slp_compiler import (
     SLP,
+    _Drawn,
     compile_polynomial,
     emit_add_gadget,
     emit_configuration,
     emit_mul_gadget,
+    realize,
 )
 
 GOLDEN_POLYS = ("x^2-2", "x^3-2", "x^2-x-1", "x^4-x-1", "3*x^2-5", "x^5-x-1", "x^7-x-1")
@@ -31,6 +34,12 @@ decode_module = importlib.import_module("planecode.decode")
 
 def _loaded(cfg):
     return config_from_json(config_to_json(cfg))
+
+
+@cache
+def _final_at(text, seed):
+    """The loaded final configuration of text at a seed other than 0."""
+    return _loaded(run_pipeline(parse_poly(text), seed=seed))
 
 
 def _raw_line_count(cfg):
@@ -58,8 +67,23 @@ def _moved(cfg, moves):
     "text, seed", [(t, s) for t in GOLDEN_POLYS for s in (0, 1, 2)] + [(t, 0) for t in MORE_POLYS]
 )
 def test_check_passes_on_loaded_final_configurations(built, text, seed):
-    cfg = built(text)[0] if seed == 0 else run_pipeline(parse_poly(text), seed=seed)
-    check_forcing(_loaded(cfg))
+    check_forcing(_loaded(built(text)[0]) if seed == 0 else _final_at(text, seed))
+
+
+@pytest.mark.parametrize("text, seed", [(t, s) for t in GOLDEN_POLYS for s in (0, 1, 2)])
+def test_the_table_and_the_drawing_name_the_same_objects(built, text, seed):
+    # one recipe, two geometries: each index the table names holds what K drew
+    cfg = _loaded(built(text)[0]) if seed == 0 else _final_at(text, seed)
+    slp = compile_polynomial(cfg.source)
+    drawing, table = _Drawn(cfg.field), decode_module._Incidences(cfg)
+    drawn_reg, drawn_lines, _ = realize(slp, drawing, seed)
+    table_reg, table_lines, _ = realize(slp, table, cfg.seed)
+    assert [cfg.points[p] for p in table_reg] == drawn_reg
+    assert [{role: cfg.lines[i] for role, i in d.items()} for d in table_lines] == drawn_lines
+    for name in ("axis", "yaxis", "linf", "u1"):
+        assert cfg.lines[getattr(table, name)] == getattr(drawing, name), name
+    for name in ("U", "S", "V", "zero", "one", "z"):
+        assert cfg.points[getattr(table, name)] == getattr(drawing, name), name
 
 
 def test_forcing_check_does_no_field_arithmetic(built, monkeypatch):
@@ -140,7 +164,7 @@ def _degenerate_tables(cfg, text):
     zero, one, inf, z = (cfg.marks[k] for k in ("zero", "one", "inf", "z"))
     U, V = pt(0, 1), pt(0, 1, 0)
     if text == "x^2-2":  # registers z, z*z, 1, 1+1; the add draws h = 2
-        l3 = cfg.lines.index(emit_add_gadget(f.one, f.one, Fraction(2)).emitted_lines[2])
+        l3 = cfg.lines.index(emit_add_gadget(f.one, f.one, Fraction(2)).emitted_lines[1])
         corner, raw = pt(1, 2), _raw_line_count(cfg)
         return [
             (_moved(cfg, [(u1, U, V)]), "U is point"),

@@ -338,6 +338,26 @@ def test_cli_seed_and_cursor_must_be_json_integers(cfg, tmp_path, key, value):
     assert main(["cover", str(path), "-o", str(tmp_path / "r.json")]) == 6
 
 
+def test_cli_seed_past_the_int_digit_limit_exits_6(cfg, tmp_path, capsys):
+    # json reads a 5000-digit number with int(), which refuses past 4300 digits
+    text = dumps_canonical(config_to_json(cfg))
+    path = tmp_path / "seed.json"
+    path.write_text(text.replace('"seed": 0', '"seed": ' + "9" * 5000), encoding="utf-8")
+    assert main(["decode", str(path)]) == 6
+    assert main(["cover", str(path), "-o", str(tmp_path / "r.json")]) == 6
+    err = capsys.readouterr().err
+    assert err.count("not valid JSON") == 2 and "Traceback" not in err
+
+
+def test_cli_deeply_nested_json_exits_6(tmp_path, capsys):
+    # json's decoder recurses once per bracket and raises RecursionError
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    assert main(["decode", str(path)]) == 6
+    err = capsys.readouterr().err
+    assert "not valid JSON" in err and "Traceback" not in err
+
+
 def test_cli_v1_file_asks_for_rebuild(cfg, tmp_path, capsys):
     path = tmp_path / "v1.json"
     path.write_text(dumps_canonical(v1_json(cfg)), encoding="utf-8")
