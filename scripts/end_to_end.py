@@ -15,6 +15,7 @@ from planecode import (
     separation_certificate,
     valences,
 )
+from planecode.cover import name
 from planecode.serialize import format_certificate
 
 POLYS = ["x^2-2", "x^2-x-1", "x^3-2", "x^4-x-1"]
@@ -48,7 +49,7 @@ def main():
         print(
             f"  cover: {certified}/{len(report.ampleness)} nonzero characters "
             f"certified ample, nef-only gap at "
-            f"{[str(chi) for chi in report.nef_gap]}"
+            f"{[name(chi) for chi in report.nef_gap]}"
         )
         print()
 

@@ -21,7 +21,6 @@ from .cover import (
     ALPHA,
     BranchData,
     CoverReport,
-    GroupElement,
     PicClass,
     ample_certificate,
     assign_branch_divisors,
@@ -36,7 +35,6 @@ from .decode import SeparationCertificate, check_forcing, decode, separation_cer
 from .numberfield import (
     Disc,
     IntPoly,
-    Irreducibility,
     NFElement,
     NumberField,
     check_irreducible,
@@ -59,11 +57,8 @@ from .projgeom import (
 )
 from .slp_compiler import (
     SLP,
-    GadgetTrace,
     compile_polynomial,
-    emit_add_gadget,
     emit_configuration,
-    emit_mul_gadget,
     register_point,
 )
 

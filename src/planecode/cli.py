@@ -50,6 +50,10 @@ def _positive_float(text: str) -> float:
     return value
 
 
+# argparse reads "-p -x^2+2" as two options; the attached form keeps the minus
+_POLY_HELP = 'e.g. "x^2 - 2"; write a leading minus as --poly=-x^2+2'
+
+
 def _cmd_build(args) -> int:
     poly = parse_poly(args.poly)
     cfg = run_pipeline(poly, seed=args.seed)
@@ -120,7 +124,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_build = sub.add_parser("build", help="compile a polynomial into a configuration")
-    p_build.add_argument("-p", "--poly", required=True, help='e.g. "x^2 - 2"')
+    p_build.add_argument("-p", "--poly", required=True, help=_POLY_HELP)
     p_build.add_argument("--seed", type=int, default=0)
     p_build.add_argument("-o", "--out", default=None, help="output JSON (default stdout)")
     p_build.set_defaults(func=_cmd_build)
@@ -130,7 +134,7 @@ def main(argv=None) -> int:
     p_decode.set_defaults(func=_cmd_decode)
 
     p_cert = sub.add_parser("certify", help="build + decode + Galois separation certificate")
-    p_cert.add_argument("-p", "--poly", required=True)
+    p_cert.add_argument("-p", "--poly", required=True, help=_POLY_HELP)
     p_cert.add_argument("--seed", type=int, default=0)
     p_cert.add_argument("--precision", type=_positive_float, default=1e-9)
     p_cert.add_argument("-o", "--out", default=None)

@@ -18,56 +18,24 @@ from .errors import InvalidMMap, ParityViolation, SelfCheckFailed
 from .projgeom import meet  # noqa: F401
 
 
-class GroupElement:
-    """Element of (Z/2)^3, also used for characters; pairing is dot mod 2. Immutable."""
-
-    __slots__ = ("bits",)
-
-    def __init__(self, bits: tuple[int, int, int]):
-        _set_bits(self, bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GroupElement is immutable, cannot set {name}")
-
-    def __eq__(self, other):
-        if other.__class__ is not GroupElement:
-            return NotImplemented
-        return self.bits == other.bits
-
-    def __hash__(self) -> int:
-        return hash((self.bits,))
-
-    @classmethod
-    def from_index(cls, i: int) -> "GroupElement":
-        return cls(((i >> 2) & 1, (i >> 1) & 1, i & 1))
-
-    @property
-    def index(self) -> int:
-        return self.bits[0] * 4 + self.bits[1] * 2 + self.bits[2]
-
-    @property
-    def is_zero(self) -> bool:
-        return self.bits == (0, 0, 0)
-
-    def __xor__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(tuple(a ^ b for a, b in zip(self.bits, other.bits)))
-
-    def __str__(self) -> str:
-        return "".join(str(b) for b in self.bits)
+# An element of (Z/2)^3, or a character, is an int from 0 to 7: its three
+# bits, most significant first, are its coordinates, the group law is ^ and
+# the pairing is the dot product mod 2.
+ZERO = 0
+ALPHA = 0b100
 
 
-_set_bits = GroupElement.bits.__set__
-
-ZERO = GroupElement((0, 0, 0))
-ALPHA = GroupElement((1, 0, 0))
+def group_elements() -> range:
+    return range(8)
 
 
-def group_elements() -> tuple[GroupElement, ...]:
-    return tuple(GroupElement.from_index(i) for i in range(8))
+def name(g: int) -> str:
+    """The coordinates of g as a bit string, alpha = "100"."""
+    return format(g, "03b")
 
 
-def pairing(chi: GroupElement, g: GroupElement) -> int:
-    return sum(a * b for a, b in zip(chi.bits, g.bits)) % 2
+def pairing(chi: int, g: int) -> int:
+    return (chi & g).bit_count() & 1
 
 
 class PicClass:
@@ -116,8 +84,8 @@ class BranchData:
 
     def __init__(
         self,
-        m: dict[GroupElement, int],
-        D: dict[GroupElement, PicClass],
+        m: dict[int, int],
+        D: dict[int, PicClass],
         line_count: int,
         point_valences: tuple[int, ...],
     ):
@@ -127,53 +95,49 @@ class BranchData:
         self.point_valences = point_valences
 
 
-def _m_value(m: dict[GroupElement, int], g: GroupElement) -> int:
-    return m.get(g, 0)
-
-
-def validate_m(m: dict[GroupElement, int], line_count: int) -> None:
+def validate_m(m: dict[int, int], line_count: int) -> None:
     """The three constraints: m_0 = 0, m_alpha = L, sum m_g * g = 0."""
     for g, v in m.items():
         if not isinstance(v, int) or v < 0:
-            raise InvalidMMap(f"m_{g} = {v!r} is not a nonnegative integer")
-    if _m_value(m, ZERO) != 0:
-        raise InvalidMMap(f"m_0 = {_m_value(m, ZERO)}, must be 0")
-    if _m_value(m, ALPHA) != line_count:
-        raise InvalidMMap(f"m_alpha = {_m_value(m, ALPHA)}, must equal L = {line_count}")
+            raise InvalidMMap(f"m_{name(g)} = {v!r} is not a nonnegative integer")
+    if m.get(ZERO, 0) != 0:
+        raise InvalidMMap(f"m_0 = {m[ZERO]}, must be 0")
+    if m.get(ALPHA, 0) != line_count:
+        raise InvalidMMap(f"m_alpha = {m.get(ALPHA, 0)}, must equal L = {line_count}")
     total = ZERO
     for g in group_elements():
-        if _m_value(m, g) % 2 == 1:
-            total = total ^ g
-    if not total.is_zero:
-        raise InvalidMMap(f"sum m_g * g = {total}, must vanish in (Z/2)^3")
+        if m.get(g, 0) % 2 == 1:
+            total ^= g
+    if total:
+        raise InvalidMMap(f"sum m_g * g = {name(total)}, must vanish in (Z/2)^3")
 
 
-def assign_branch_divisors(c: Configuration, m: dict[GroupElement, int]) -> BranchData:
+def assign_branch_divisors(c: Configuration, m: dict[int, int]) -> BranchData:
     """D_alpha is the proper transform class; other D_g are m_g * H."""
     L = c.line_count
     validate_m(m, L)
     e = tuple(c.all_valences())
     npoints = len(e)
-    D: dict[GroupElement, PicClass] = {}
+    D: dict[int, PicClass] = {}
     for g in group_elements():
         if g == ZERO:
             D[g] = PicClass.zero(npoints)
         elif g == ALPHA:
             D[g] = PicClass(L, e)
         else:
-            D[g] = PicClass(_m_value(m, g), (0,) * npoints)
-    full_m = {g: (L if g == ALPHA else _m_value(m, g)) for g in group_elements()}
+            D[g] = PicClass(m.get(g, 0), (0,) * npoints)
+    full_m = {g: m.get(g, 0) for g in group_elements()}
     return BranchData(m=full_m, D=D, line_count=L, point_valences=e)
 
 
-def compute_M(b: BranchData) -> dict[GroupElement, PicClass]:
+def compute_M(b: BranchData) -> dict[int, PicClass]:
     """Half of sum_g (chi, g) D_g for each character, after an evenness check.
 
     Any odd coefficient indicates an upstream fault (odd valence or an
     invalid multiplicity map) and raises ParityViolation.
     """
     npoints = len(b.point_valences)
-    out: dict[GroupElement, PicClass] = {}
+    out: dict[int, PicClass] = {}
     for chi in group_elements():
         raw = PicClass.zero(npoints)
         for g in group_elements():
@@ -181,7 +145,7 @@ def compute_M(b: BranchData) -> dict[GroupElement, PicClass]:
                 raw = raw + b.D[g]
         if not raw.all_even:
             raise ParityViolation(
-                f"sum (chi, g) D_g for chi = {chi} has an odd coefficient"
+                f"sum (chi, g) D_g for chi = {name(chi)} has an odd coefficient"
             )
         out[chi] = raw.half()
     return out
@@ -224,7 +188,7 @@ def check_cover_hypotheses(b: BranchData, c: Configuration) -> HypothesisReport:
             continue
         if b.m.get(g, 0) > 0:
             assumptions.append(
-                f"D_{g}: a general smooth plane curve of degree {b.m[g]} meeting the "
+                f"D_{name(g)}: a general smooth plane curve of degree {b.m[g]} meeting the "
                 "lines transversally, through no blown-up point and no triple point"
             )
     return HypothesisReport(
@@ -266,7 +230,7 @@ def ample_certificate(cls: PicClass) -> AmpleVerdict:
     return AmpleVerdict(True, _AMPLE_JUSTIFICATION)
 
 
-def select_m(c: Configuration) -> dict[GroupElement, int]:
+def select_m(c: Configuration) -> dict[int, int]:
     """Smallest multiplicity map whose (chi, alpha) = 1 classes all certify.
 
     Let need = max(0, E + 1 - L) with E = sum e_q, and k the least integer
@@ -293,27 +257,23 @@ def select_m(c: Configuration) -> dict[GroupElement, int]:
     k = need + (need - L) % 2
     m = {g: 0 for g in group_elements()}
     m[ALPHA] = L
-    m[GroupElement((0, 1, 1))] = m[GroupElement((1, 1, 1))] = k
+    m[0b011] = m[0b111] = k
     return m
 
 
 class CoverReport:
-    __slots__ = (
-        "m", "branch", "classes", "hypotheses", "ampleness", "nef_gap", "source_poly", "seed"
-    )
+    __slots__ = ("branch", "classes", "hypotheses", "ampleness", "nef_gap", "source_poly", "seed")
 
     def __init__(
         self,
-        m: dict[GroupElement, int],
         branch: BranchData,
-        classes: dict[GroupElement, PicClass],
+        classes: dict[int, PicClass],
         hypotheses: HypothesisReport,
-        ampleness: dict[GroupElement, AmpleVerdict],
-        nef_gap: tuple[GroupElement, ...],
+        ampleness: dict[int, AmpleVerdict],
+        nef_gap: tuple[int, ...],
         source_poly: object = None,
         seed: int = 0,
     ):
-        self.m = m
         self.branch = branch
         self.classes = classes
         self.hypotheses = hypotheses
@@ -331,23 +291,15 @@ def build_cover_report(c: Configuration) -> CoverReport:
     H-multiple, which is nef but trivial on every exceptional curve; they
     are reported as a known gap rather than certified.
     """
-    m = select_m(c)
-    branch = assign_branch_divisors(c, m)
+    branch = assign_branch_divisors(c, select_m(c))
     classes = compute_M(branch)
     hypotheses = check_cover_hypotheses(branch, c)
-    ampleness = {
-        chi: ample_certificate(classes[chi])
-        for chi in group_elements()
-        if not chi.is_zero
-    }
-    nef_gap = tuple(
-        chi for chi in group_elements() if not chi.is_zero and pairing(chi, ALPHA) == 0
-    )
+    ampleness = {chi: ample_certificate(classes[chi]) for chi in group_elements() if chi}
+    nef_gap = tuple(chi for chi in group_elements() if chi and pairing(chi, ALPHA) == 0)
     for chi, verdict in ampleness.items():
         if pairing(chi, ALPHA) == 1 and not verdict.certified:
-            raise SelfCheckFailed(f"selected m fails ampleness for chi = {chi}")
+            raise SelfCheckFailed(f"selected m fails ampleness for chi = {name(chi)}")
     return CoverReport(
-        m=m,
         branch=branch,
         classes=classes,
         hypotheses=hypotheses,

@@ -260,19 +260,6 @@ def parse_poly(text: str) -> IntPoly:
 # irreducibility over Q
 # ---------------------------------------------------------------------------
 
-class Irreducibility:
-    """The verdict of check_irreducible: a proper factor of p, None when p is irreducible."""
-
-    __slots__ = ("factor",)
-
-    def __init__(self, factor: IntPoly | None):
-        self.factor = factor
-
-    @property
-    def is_irreducible(self) -> bool:
-        return self.factor is None
-
-
 def _symmetric(x: int, m: int) -> int:
     return x - m if 2 * x > m else x
 
@@ -309,8 +296,8 @@ def _repeated_factor(prim: IntPoly, cs: list[int], bound: int) -> IntPoly | None
                 return g
 
 
-def check_irreducible(p: IntPoly) -> Irreducibility:
-    """An exact verdict on p over Q at every degree: a proper factor, or none.
+def check_irreducible(p: IntPoly) -> IntPoly | None:
+    """A proper factor of p over Q, or None when p is irreducible, exact at every degree.
 
     f is the primitive integer model of p, of degree n and leading
     coefficient lc. A factor g of f has coefficients of size at most
@@ -333,15 +320,15 @@ def check_irreducible(p: IntPoly) -> Irreducibility:
     prim = p.primitive()
     n = prim.degree
     if n == 1:
-        return Irreducibility(None)
+        return None
     cs = list(prim.int_coeffs())
     if cs[0] == 0:
-        return Irreducibility(IntPoly.from_coeffs([0, 1]))
+        return IntPoly.from_coeffs([0, 1])
     lc = cs[-1]
     bound = 2 * lc * 2**n * (isqrt(sum(c * c for c in cs)) + 1)
     common = _repeated_factor(prim, cs, bound)
     if common is not None:
-        return Irreducibility(common)
+        return common
 
     allowed = set(range(1, n))
     splits = []  # (number of factors, q, factors mod q)
@@ -354,7 +341,7 @@ def check_irreducible(p: IntPoly) -> Irreducibility:
             sums |= {s + _ffpoly.deg(u) for s in sums}
         allowed &= sums
         if not allowed:
-            return Irreducibility(None)
+            return None
         splits.append((len(factors), q, factors))
         if len(splits) == 5:
             break
@@ -381,8 +368,8 @@ def check_irreducible(p: IntPoly) -> Irreducibility:
                 g = _ffpoly.mul(g, lifted[i], m)
             g = IntPoly.from_coeffs([_symmetric(x, m) for x in g]).primitive()
             if prim.divmod(g)[1].is_zero:
-                return Irreducibility(g)
-    return Irreducibility(None)
+                return g
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -476,7 +463,7 @@ class NumberField:
         prim = p.primitive()
         if prim.degree < 2:
             raise TrivialField(f"need degree >= 2, got {prim.degree}")
-        factor = check_irreducible(prim).factor
+        factor = check_irreducible(prim)
         if factor is not None:
             raise ReducibleModulus(f"{prim} is reducible, factor {factor}", factor=factor)
         return cls(prim)

@@ -20,7 +20,7 @@ import json
 from fractions import Fraction
 
 from .configuration import Configuration, derive_points
-from .cover import CoverReport
+from .cover import CoverReport, name
 from .decode import SeparationCertificate
 from .errors import DuplicateLine, SchemaError
 from .numberfield import IntPoly, NFElement, NumberField, check_bounds
@@ -196,15 +196,9 @@ def cover_report_to_json(report: CoverReport) -> dict:
         "poly": poly_to_json(report.source_poly) if report.source_poly else None,
         "seed": report.seed,
         "line_count": report.branch.line_count,
-        "m": {str(g): v for g, v in sorted(report.m.items(), key=lambda kv: kv[0].index)},
-        "D": {
-            str(g): pic_to_json(cls)
-            for g, cls in sorted(report.branch.D.items(), key=lambda kv: kv[0].index)
-        },
-        "M": {
-            str(chi): pic_to_json(cls)
-            for chi, cls in sorted(report.classes.items(), key=lambda kv: kv[0].index)
-        },
+        "m": {name(g): v for g, v in report.branch.m.items()},
+        "D": {name(g): pic_to_json(cls) for g, cls in report.branch.D.items()},
+        "M": {name(chi): pic_to_json(cls) for chi, cls in report.classes.items()},
         "parity": "all-even",
         "hypotheses": {
             "proper_transform_smooth": report.hypotheses.proper_transform_smooth,
@@ -213,11 +207,11 @@ def cover_report_to_json(report: CoverReport) -> dict:
             "genericity_assumptions": list(report.hypotheses.genericity_assumptions),
         },
         "ampleness": {
-            str(chi): {"certified": v.certified, "reason": v.reason}
-            for chi, v in sorted(report.ampleness.items(), key=lambda kv: kv[0].index)
+            name(chi): {"certified": v.certified, "reason": v.reason}
+            for chi, v in report.ampleness.items()
         },
         "nef_gap": {
-            "characters": [str(chi) for chi in report.nef_gap],
+            "characters": [name(chi) for chi in report.nef_gap],
             "note": (
                 "for characters with (chi, alpha) = 0 the half class is a pure "
                 "H-multiple: nef but trivial on every exceptional curve, so not "

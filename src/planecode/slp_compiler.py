@@ -2,9 +2,12 @@
 
 compile_polynomial splits the primitive p into its sign-sides, p = P - N,
 and turns each side into a Horner-form SLP over registers: z, the unit,
-and the sums and products of earlier registers. The powers of z that
-the Horner jumps need come from one table built by squaring, and every
-integer constant c >= 2 comes from one chain built up from the unit.
+and the sums and products of earlier registers. An instruction is a plain
+tuple, (LOAD_Z,), (ONE,), (ADD, left, right) or (MUL, left, right), so
+equal instructions are equal values and each is emitted once. The powers
+of z that the Horner jumps need come from one table built by squaring,
+and every integer constant c >= 2 comes from one chain built up from the
+unit.
 emit_configuration proves K = Q[x]/(p) a field (NumberField.create) and
 draws every add and mul instruction as a small line gadget on the marked
 axis ell = {y = 0}, where the point (v : 0 : 1) stands for the number v;
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from typing import Union
 
 from .configuration import MARK_LABELS, Configuration, ParamStream, derive_points
 from .errors import (
@@ -49,86 +51,8 @@ from .numberfield import check_irreducible  # noqa: F401
 from .projgeom import ProjLine, ProjPoint, incident, join, line, meet, point
 
 
-# ---------------------------------------------------------------------------
-# instructions
-# ---------------------------------------------------------------------------
-
-# Instructions are immutable values: == and hash are structural, and
-# instructions of different kinds are never equal.
-
-class LoadZ:
-    """The register z."""
-
-    __slots__ = ()  # no fields: nothing can be set
-
-    def __eq__(self, other):
-        return True if other.__class__ is LoadZ else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(())
-
-
-class One:
-    """The unit register."""
-
-    __slots__ = ()  # no fields: nothing can be set
-
-    def __eq__(self, other):
-        return True if other.__class__ is One else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(())
-
-
-class Add:
-    """The register left + right."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: int, right: int):
-        _set_add_left(self, left)
-        _set_add_right(self, right)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Add is immutable, cannot set {name}")
-
-    def __eq__(self, other):
-        if other.__class__ is not Add:
-            return NotImplemented
-        return self.left == other.left and self.right == other.right
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
-
-
-class Mul:
-    """The register left * right."""
-
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: int, right: int):
-        _set_mul_left(self, left)
-        _set_mul_right(self, right)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Mul is immutable, cannot set {name}")
-
-    def __eq__(self, other):
-        if other.__class__ is not Mul:
-            return NotImplemented
-        return self.left == other.left and self.right == other.right
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
-
-
-_set_add_left = Add.left.__set__
-_set_add_right = Add.right.__set__
-_set_mul_left = Mul.left.__set__
-_set_mul_right = Mul.right.__set__
-
-
-Instr = Union[LoadZ, One, Add, Mul]
+# The kinds of instruction; left and right name earlier registers.
+LOAD_Z, ONE, ADD, MUL = "z", "one", "add", "mul"
 
 
 class SLP:
@@ -141,7 +65,7 @@ class SLP:
     __slots__ = ("instructions", "lhs", "rhs", "source")
 
     def __init__(
-        self, instructions: tuple[Instr, ...], lhs: int, rhs: int | None, source: IntPoly
+        self, instructions: tuple[tuple, ...], lhs: int, rhs: int | None, source: IntPoly
     ):
         self.instructions = instructions
         self.lhs = lhs
@@ -151,15 +75,14 @@ class SLP:
     def evaluate(self, z, one) -> list:
         """Every register's value, for z and the unit of any ring: K, Z[x], ..."""
         values: list = []
-        for instr in self.instructions:
-            if isinstance(instr, LoadZ):
+        for kind, *ops in self.instructions:
+            if kind == LOAD_Z:
                 values.append(z)
-            elif isinstance(instr, One):
+            elif kind == ONE:
                 values.append(one)
-            elif isinstance(instr, Add):
-                values.append(values[instr.left] + values[instr.right])
             else:
-                values.append(values[instr.left] * values[instr.right])
+                a, b = (values[i] for i in ops)
+                values.append(a + b if kind == ADD else a * b)
         return values
 
 
@@ -174,7 +97,7 @@ def compile_polynomial(p: IntPoly) -> SLP:
     - the power table: each z^k that a jump of either side needs, once,
       by squaring, z^k = z^(k - k//2) * z^(k//2);
     - the constant chain: every constant c >= 2 of p in increasing
-      order, by one Add when c is the sum of two constants already built
+      order, by one add when c is the sum of two constants already built
       and else by binary double-and-add from the unit, each intermediate
       kept by its value.
     No instruction is emitted twice. Irreducibility is proven where the
@@ -185,32 +108,32 @@ def compile_polynomial(p: IntPoly) -> SLP:
         raise TrivialField(f"need degree >= 2, got {prim.degree}")
     ints = prim.int_coeffs()
 
-    instructions: list[Instr] = []
-    registers: dict[Instr, int] = {}
+    instructions: list[tuple] = []
+    registers: dict[tuple, int] = {}
     constants: dict[int, int] = {}
 
-    def emit(instr: Instr) -> int:
+    def emit(*instr) -> int:
         if instr not in registers:
             registers[instr] = len(instructions)
             instructions.append(instr)
         return registers[instr]
 
-    z = emit(LoadZ())
+    z = emit(LOAD_Z)
 
     def power(k: int) -> int:
-        return z if k == 1 else emit(Mul(power(k - k // 2), power(k // 2)))
+        return z if k == 1 else emit(MUL, power(k - k // 2), power(k // 2))
 
     def chain(value: int, left: int, right: int) -> int:
         """The register of the constant value = left + right, added once."""
         if value not in constants:
-            constants[value] = emit(Add(left, right))
+            constants[value] = emit(ADD, left, right)
         return constants[value]
 
     def constant(c: int) -> int:
         if c in constants:
             return constants[c]
         if c == 1:
-            constants[1] = emit(One())
+            constants[1] = emit(ONE)
             return constants[1]
         a = next((a for a in sorted(constants) if c - a in constants), None)
         if a is not None:
@@ -229,7 +152,7 @@ def compile_polynomial(p: IntPoly) -> SLP:
         """acc * z^k, where acc None stands for the unit."""
         if k == 0:
             return constant(1) if acc is None else acc
-        return power(k) if acc is None else emit(Mul(acc, power(k)))
+        return power(k) if acc is None else emit(MUL, acc, power(k))
 
     def horner(side: dict[int, int]) -> int | None:
         if not side:
@@ -237,7 +160,7 @@ def compile_polynomial(p: IntPoly) -> SLP:
         d, *lower = sorted(side, reverse=True)
         acc = None if side[d] == 1 else constant(side[d])
         for j in lower:
-            acc = emit(Add(times_power(acc, d - j), constant(side[j])))
+            acc = emit(ADD, times_power(acc, d - j), constant(side[j]))
             d = j
         return times_power(acc, d)
 
@@ -257,14 +180,6 @@ def compile_polynomial(p: IntPoly) -> SLP:
 # ---------------------------------------------------------------------------
 # the gadgets, written once
 # ---------------------------------------------------------------------------
-
-class GadgetTrace:
-    __slots__ = ("emitted_lines", "output_point")
-
-    def __init__(self, emitted_lines: tuple[ProjLine, ...], output_point: ProjPoint):
-        self.emitted_lines = emitted_lines
-        self.output_point = output_point
-
 
 def register_point(value: NFElement) -> ProjPoint:
     """The point (v : 0 : 1) on the marked axis standing for the number v."""
@@ -336,14 +251,13 @@ def realize(slp: SLP, g, seed: int) -> tuple[list, list[dict], int]:
     """
     stream = ParamStream(seed)
     reg, lines = [], []  # per register, its object and its gadget's lines
-    for k, instr in enumerate(slp.instructions):
-        if isinstance(instr, (LoadZ, One)):
-            out, drawn = (g.z if isinstance(instr, LoadZ) else g.one), {}
+    for k, (kind, *ops) in enumerate(slp.instructions):
+        if kind in (LOAD_Z, ONE):
+            out, drawn = (g.z if kind == LOAD_Z else g.one), {}
         else:
-            kind = "add" if isinstance(instr, Add) else "mul"
-            g.at = f"register {k}, the {kind} of registers {instr.left} and {instr.right}"
-            a, b = reg[instr.left], reg[instr.right]
-            if kind == "add":
+            g.at = f"register {k}, the {kind} of registers {ops[0]} and {ops[1]}"
+            a, b = reg[ops[0]], reg[ops[1]]
+            if kind == ADD:
                 h = next(v for v in iter(stream.next, None) if v not in (0, 1))
                 out, drawn = add_gadget(g, a, b, h)
             else:
@@ -380,16 +294,6 @@ class _Drawn:
     def check_aux(self, aux: ProjPoint) -> None:
         if incident(self.axis, aux) or aux in (self.U, self.V):
             raise GadgetDegenerate(f"{self.at}: the auxiliary point {aux} is on the axis, U or V")
-
-
-def emit_add_gadget(a: NFElement, b: NFElement, h: Fraction) -> GadgetTrace:
-    out, lines = add_gadget(_Drawn(a.field), register_point(a), register_point(b), h)
-    return GadgetTrace(tuple(lines.values()), out)
-
-
-def emit_mul_gadget(a: NFElement, b: NFElement) -> GadgetTrace:
-    out, lines = mul_gadget(_Drawn(a.field), register_point(a), register_point(b))
-    return GadgetTrace(tuple(lines.values()), out)
 
 
 def emit_configuration(slp: SLP, seed: int = 0) -> Configuration:

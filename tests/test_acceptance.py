@@ -16,8 +16,6 @@ from planecode import (
     Configuration,
     cross_ratio,
     decode,
-    emit_add_gadget,
-    emit_mul_gadget,
     group_elements,
     NumberField,
     pairing,
@@ -30,11 +28,13 @@ from planecode import (
     valences,
 )
 from planecode.cli import main
+from planecode.cover import name
 from planecode.serialize import (
     certificate_to_json,
     config_to_json,
     dumps_canonical,
 )
+from planecode.slp_compiler import _Drawn, add_gadget, mul_gadget
 from tests.conftest import ACCEPTANCE_POLYS
 
 TIME_BUDGET_SECONDS = 30.0
@@ -80,19 +80,16 @@ def test_criterion_2_separation_certificates():
 
 def test_criterion_3_gadget_soundness():
     k = NumberField.create(parse_poly("x^2-2"))
+    g = _Drawn(k)
     rng = random.Random(2024)
     checked = 0
     for _ in range(100):
         a = Fraction(rng.randint(-90, 90) or 11, rng.randint(1, 30))
         b = Fraction(rng.randint(-90, 90) or 13, rng.randint(1, 30))
         h = Fraction(rng.randint(2, 10))
-        av, bv = k.from_rational(a), k.from_rational(b)
-        assert emit_add_gadget(av, bv, h).output_point == register_point(
-            k.from_rational(a + b)
-        )
-        assert emit_mul_gadget(av, bv).output_point == register_point(
-            k.from_rational(a * b)
-        )
+        av, bv = register_point(k.from_rational(a)), register_point(k.from_rational(b))
+        assert add_gadget(g, av, bv, h)[0] == register_point(k.from_rational(a + b))
+        assert mul_gadget(g, av, bv)[0] == register_point(k.from_rational(a * b))
         checked += 1
     _verdict(3, checked == 100, f"{checked}/100 random rational pairs exact for add/mul")
 
@@ -123,15 +120,15 @@ def test_criterion_5_cover_bookkeeping(built):
         classes = compute_M(branch)  # raises ParityViolation on any odd class
         assert len(classes) == 8
         for chi in group_elements():
-            if chi.is_zero:
+            if chi == 0:
                 continue
             verdict = ample_certificate(classes[chi])
             if pairing(chi, ALPHA) == 1:
-                assert verdict.certified, f"{text}: chi={chi} not certified"
+                assert verdict.certified, f"{text}: chi={name(chi)} not certified"
             else:
                 assert not verdict.certified
         report = build_cover_report(cfg)
-        assert report.m == select_m(cfg)
+        assert report.branch.m == select_m(cfg)
         assert len(report.nef_gap) == 3
     _verdict(5, True, "all 8 half classes integral; 4 certificates pass; 3 nef-only flagged")
 

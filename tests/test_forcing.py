@@ -16,10 +16,10 @@ from planecode.serialize import config_from_json, config_to_json, dumps_canonica
 from planecode.slp_compiler import (
     SLP,
     _Drawn,
+    add_gadget,
     compile_polynomial,
-    emit_add_gadget,
     emit_configuration,
-    emit_mul_gadget,
+    mul_gadget,
     realize,
 )
 
@@ -164,7 +164,8 @@ def _degenerate_tables(cfg, text):
     zero, one, inf, z = (cfg.marks[k] for k in ("zero", "one", "inf", "z"))
     U, V = pt(0, 1), pt(0, 1, 0)
     if text == "x^2-2":  # registers z, z*z, 1, 1+1; the add draws h = 2
-        l3 = cfg.lines.index(emit_add_gadget(f.one, f.one, Fraction(2)).emitted_lines[1])
+        g = _Drawn(f)
+        l3 = cfg.lines.index(add_gadget(g, g.one, g.one, Fraction(2))[1]["l3"])
         corner, raw = pt(1, 2), _raw_line_count(cfg)
         return [
             (_moved(cfg, [(u1, U, V)]), "U is point"),
@@ -178,7 +179,8 @@ def _degenerate_tables(cfg, text):
              "join point .* to itself"),
         ]
     # x^3-2: registers z, z*z, z*z*z, 1, 1+1; the line m2 of z*z moves off its output
-    m2 = cfg.lines.index(emit_mul_gadget(f.gen, f.gen).emitted_lines[2])
+    g = _Drawn(f)
+    m2 = cfg.lines.index(mul_gadget(g, g.z, g.z)[1]["m2"])
     return [(_moved(cfg, [(m2, pt(f.gen * f.gen, 0), zero)]), "an operand is the mark 0")]
 
 

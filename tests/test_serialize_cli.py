@@ -119,6 +119,17 @@ def test_cli_build_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_cli_leading_minus_needs_the_attached_poly_form(tmp_path, capsys):
+    # argparse takes "-x^2+2" after -p for an option; --poly=-x^2+2 is read as text
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "-p", "-x^2+2"])
+    assert exc.value.code == 2
+    neg, pos = tmp_path / "neg.json", tmp_path / "pos.json"
+    assert main(["build", "--poly=-x^2+2", "-o", str(neg)]) == 0
+    assert main(["build", "-p", "x^2-2", "-o", str(pos)]) == 0
+    assert neg.read_bytes() == pos.read_bytes()
+
+
 def test_cli_builds_a_large_constant(tmp_path, capsys):
     # A valid cubic with a 13-digit constant (L = 412). With one general
     # line per odd point, its augment step needed 87 tries at one target,
