@@ -19,14 +19,10 @@ from .configuration import (
 )
 from .cover import (
     ALPHA,
-    BranchData,
     CoverReport,
-    PicClass,
     ample_certificate,
-    assign_branch_divisors,
     build_cover_report,
     check_cover_hypotheses,
-    compute_M,
     group_elements,
     pairing,
     select_m,

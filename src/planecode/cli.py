@@ -95,7 +95,7 @@ def _cmd_cover(args) -> int:
     _write_output(dumps_canonical(cover_report_to_json(report)), args.out)
     certified = sum(1 for v in report.ampleness.values() if v.certified)
     print(
-        f"cover report: L = {report.branch.line_count}, "
+        f"cover report: L = {report.line_count}, "
         f"{certified}/{len(report.ampleness)} nonzero characters certified ample, "
         f"{len(report.nef_gap)} flagged nef-only",
         file=sys.stderr,

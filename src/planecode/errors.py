@@ -71,10 +71,6 @@ class DegenerateMeet(PlanecodeError):
     exit_code = 3
 
 
-class InvalidMMap(PlanecodeError):
-    exit_code = 3
-
-
 class ParityViolation(PlanecodeError):
     exit_code = 3
 

@@ -188,16 +188,17 @@ def format_certificate(cert: SeparationCertificate) -> str:
 
 def cover_report_to_json(report: CoverReport) -> dict:
     def pic_to_json(cls):
-        return {"h": cls.h, "b": list(cls.b)}
+        h, b = cls
+        return {"h": h, "b": list(b)}
 
     return {
         "v": REPORT_SCHEMA_VERSION,
         "kind": "cover-report",
         "poly": poly_to_json(report.source_poly) if report.source_poly else None,
         "seed": report.seed,
-        "line_count": report.branch.line_count,
-        "m": {name(g): v for g, v in report.branch.m.items()},
-        "D": {name(g): pic_to_json(cls) for g, cls in report.branch.D.items()},
+        "line_count": report.line_count,
+        "m": {name(g): v for g, v in report.m.items()},
+        "D": {name(g): pic_to_json(cls) for g, cls in report.D.items()},
         "M": {name(chi): pic_to_json(cls) for chi, cls in report.classes.items()},
         "parity": "all-even",
         "hypotheses": {

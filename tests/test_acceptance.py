@@ -9,10 +9,7 @@ from fractions import Fraction
 
 from planecode import (
     ALPHA,
-    ample_certificate,
-    assign_branch_divisors,
     build_cover_report,
-    compute_M,
     Configuration,
     cross_ratio,
     decode,
@@ -115,20 +112,17 @@ def test_criterion_4_configuration_invariants(built):
 def test_criterion_5_cover_bookkeeping(built):
     for text in ACCEPTANCE_POLYS:
         cfg, _ = built(text)
-        m = select_m(cfg)
-        branch = assign_branch_divisors(cfg, m)
-        classes = compute_M(branch)  # raises ParityViolation on any odd class
-        assert len(classes) == 8
+        report = build_cover_report(cfg)  # raises ParityViolation on any odd class
+        assert len(report.classes) == 8
         for chi in group_elements():
             if chi == 0:
                 continue
-            verdict = ample_certificate(classes[chi])
+            verdict = report.ampleness[chi]
             if pairing(chi, ALPHA) == 1:
                 assert verdict.certified, f"{text}: chi={name(chi)} not certified"
             else:
                 assert not verdict.certified
-        report = build_cover_report(cfg)
-        assert report.branch.m == select_m(cfg)
+        assert report.m == select_m(cfg)
         assert len(report.nef_gap) == 3
     _verdict(5, True, "all 8 half classes integral; 4 certificates pass; 3 nef-only flagged")
 

@@ -6,12 +6,9 @@ from planecode import (
     ALPHA,
     Configuration,
     NumberField,
-    PicClass,
     ample_certificate,
-    assign_branch_divisors,
     build_cover_report,
     check_cover_hypotheses,
-    compute_M,
     derive_points,
     group_elements,
     line,
@@ -21,17 +18,22 @@ from planecode import (
     valences,
 )
 from planecode import cover
-from planecode.cover import ZERO, name, validate_m
-from planecode.errors import (
-    InvalidMMap,
-    MissedIntersection,
-    ParityViolation,
-    SelfCheckFailed,
-)
+from planecode.cover import ZERO, name
+from planecode.errors import MissedIntersection, ParityViolation, SelfCheckFailed
+from tests.conftest import ACCEPTANCE_POLYS
 
 
 def g(bits):
     return int(bits, 2)
+
+
+def _odd_sum(m):
+    """sum m_g * g in (Z/2)^3: the XOR of the g with m_g odd."""
+    total = ZERO
+    for x, v in m.items():
+        if v % 2:
+            total ^= x
+    return total
 
 
 # -- group plumbing ----------------------------------------------------------------
@@ -60,117 +62,108 @@ def test_xor_triple_example_by_hand_enumeration():
     assert table[(step, g("011"))] == ZERO
 
 
-# -- m-map validation ---------------------------------------------------------------
-
-def test_valid_m_even_line_count():
-    validate_m({ALPHA: 20}, 20)
-
-
-def test_invalid_m_odd_line_count():
-    with pytest.raises(InvalidMMap):
-        validate_m({ALPHA: 21}, 21)
-
-
-def test_valid_m_with_xor_null_triple():
-    m = {ALPHA: 20, g("010"): 3, g("001"): 3, g("011"): 3}
-    validate_m(m, 20)
-
-
-def test_doubling_free_masses_keeps_validity():
-    m = {ALPHA: 20, g("010"): 3, g("001"): 3, g("011"): 3}
-    doubled = {k: (v if k == ALPHA else 2 * v) for k, v in m.items()}
-    validate_m(doubled, 20)
-
-
-def test_invalid_m_wrong_alpha():
-    with pytest.raises(InvalidMMap):
-        validate_m({ALPHA: 19}, 20)
-    with pytest.raises(InvalidMMap):
-        validate_m({ZERO: 1, ALPHA: 20}, 20)
-
-
 # -- branch divisors and half classes ------------------------------------------------
 
 def test_assign_branch_divisors(built):
     cfg, _ = built("x^2-2")
     L = cfg.line_count
-    m = select_m(cfg)
-    branch = assign_branch_divisors(cfg, m)
+    report = build_cover_report(cfg)
     # D_alpha read against H gives L, against E_q gives the valence e_q
-    assert branch.D[ALPHA].h == L
-    assert branch.D[ALPHA].b == tuple(cfg.all_valences())
-    rep = valences(cfg)
-    for idx, val in rep:
-        assert branch.D[ALPHA].b[idx] == val
-    assert branch.D[ZERO] == PicClass.zero(len(cfg.points))
+    assert report.D[ALPHA] == (L, tuple(cfg.all_valences()))
+    for idx, val in valences(cfg):
+        assert report.D[ALPHA][1][idx] == val
+    zero_b = (0,) * len(cfg.points)
+    assert report.D[ZERO] == (0, zero_b)
+    for x in group_elements():
+        if x != ALPHA:
+            assert report.D[x] == (report.m[x], zero_b)
 
 
 def test_compute_M_trivial_character(built):
     cfg, _ = built("x^2-2")
-    branch = assign_branch_divisors(cfg, select_m(cfg))
-    classes = compute_M(branch)
-    assert classes[ZERO] == PicClass.zero(len(cfg.points))
+    assert build_cover_report(cfg).classes[ZERO] == (0, (0,) * len(cfg.points))
 
 
 def test_compute_M_pairing_one_characters(built):
     cfg, _ = built("x^2-2")
-    branch = assign_branch_divisors(cfg, select_m(cfg))
-    classes = compute_M(branch)
+    classes = build_cover_report(cfg).classes
     halves = tuple(v // 2 for v in cfg.all_valences())
     for chi in group_elements():
         if chi == ZERO:
             continue
         if pairing(chi, ALPHA) == 1:
-            assert classes[chi].b == halves
+            assert classes[chi][1] == halves
         else:
-            assert all(x == 0 for x in classes[chi].b)  # pure H multiple
+            assert all(x == 0 for x in classes[chi][1])  # pure H multiple
 
+
+def _half_sum(chi, D):
+    """The definition M_chi = (1/2) sum_g (chi, g) D_g, coordinate by coordinate."""
+    h = sum(D[x][0] for x in group_elements() if pairing(chi, x))
+    b = [0] * len(D[ZERO][1])
+    for x in group_elements():
+        if pairing(chi, x):
+            b = [s + y for s, y in zip(b, D[x][1])]
+    assert h % 2 == 0 and all(s % 2 == 0 for s in b)
+    return h // 2, tuple(s // 2 for s in b)
+
+
+@pytest.mark.parametrize("text", ACCEPTANCE_POLYS)
+def test_half_classes_match_the_definition(built, text):
+    cfg, _ = built(text)
+    report = build_cover_report(cfg)
+    assert report.classes == {chi: _half_sum(chi, report.D) for chi in group_elements()}
+
+
+# -- the two parity checks -------------------------------------------------------------
 
 def test_parity_violation_on_odd_valences():
+    # three concurrent lines: one point, of valence 3
     k = NumberField.create(parse_poly("x^2-2"))
     cfg = derive_points([line(k, 1, 0, 0), line(k, 0, 1, 0), line(k, 1, 1, 0)])
-    m = {ALPHA: 3, g("101"): 1, g("001"): 1}
-    branch = assign_branch_divisors(cfg, m)
-    with pytest.raises(ParityViolation):
-        compute_M(branch)
+    assert cfg.all_valences() == [3]
+    with pytest.raises(ParityViolation, match="odd valence 3"):
+        build_cover_report(cfg)
 
 
-def test_parity_theorem_random_valid_m():
-    # for every valid m the weighted sums are even for all 8 characters
-    rng = random.Random(17)
-    free = [x for x in group_elements() if x not in (ZERO, ALPHA)]
-    for _ in range(50):
-        L = 2 * rng.randint(1, 40)
-        m = {ALPHA: L}
-        for x in free:
-            m[x] = 2 * rng.randint(0, 9)
-        flips = rng.choice([(), ("001", "010", "011"), ("101", "110", "011")])
-        for bits in flips:
-            m[g(bits)] += 1
-        validate_m(m, L)
-        for chi in group_elements():
-            s = sum(pairing(chi, x) * v for x, v in m.items())
-            assert s % 2 == 0
+def test_invalid_m_odd_line_count(built, monkeypatch):
+    # L = 37 at alpha and nothing to cancel it: S_chi = 37 for (chi, alpha) = 1
+    cfg, _ = built("x^2-2")
+    assert cfg.line_count % 2 == 1
+    bare = {x: 0 for x in group_elements()}
+    bare[ALPHA] = cfg.line_count
+    monkeypatch.setattr(cover, "select_m", lambda c: bare)
+    with pytest.raises(ParityViolation, match="S_100 = 37 is odd"):
+        build_cover_report(cfg)
 
 
-def test_compute_M_linear_in_m_on_h_part():
-    for chi in group_elements():
-        for trial in range(10):
-            rng = random.Random(trial)
-            m1 = {x: rng.randint(0, 9) for x in group_elements()}
-            m2 = {x: rng.randint(0, 9) for x in group_elements()}
-            s1 = sum(pairing(chi, x) * v for x, v in m1.items())
-            s2 = sum(pairing(chi, x) * v for x, v in m2.items())
-            s12 = sum(pairing(chi, x) * (m1[x] + m2[x]) for x in group_elements())
-            assert s12 == s1 + s2
+def test_cover_report_refuses_an_m_whose_odd_entries_do_not_cancel(built, monkeypatch):
+    cfg, _ = built("x^2-2")
+    m = select_m(cfg)
+    bumped = {**m, g("011"): m[g("011")] + 1}
+    assert _odd_sum(bumped) != ZERO
+    monkeypatch.setattr(cover, "select_m", lambda c: bumped)
+    with pytest.raises(ParityViolation, match="does not vanish"):
+        build_cover_report(cfg)
+
+
+def test_parity_theorem_over_every_m_mod_2():
+    # the S_chi depend on m mod 2 only, so {0,1}^7 covers every map
+    nonzero = [x for x in group_elements() if x != ZERO]
+    for bits in range(1 << len(nonzero)):
+        m = {x: (bits >> i) & 1 for i, x in enumerate(nonzero)}
+        all_even = all(
+            sum(v for x, v in m.items() if pairing(chi, x)) % 2 == 0
+            for chi in group_elements()
+        )
+        assert all_even == (_odd_sum(m) == ZERO), m
 
 
 # -- hypothesis report -----------------------------------------------------------------
 
 def test_hypotheses_on_pipeline(built):
     cfg, _ = built("x^2-2")
-    branch = assign_branch_divisors(cfg, select_m(cfg))
-    report = check_cover_hypotheses(branch, cfg)
+    report = check_cover_hypotheses(select_m(cfg), cfg)
     assert report.proper_transform_smooth
     assert report.pairs_checked == cfg.line_count * (cfg.line_count - 1) // 2
     assert "independent" in report.independence
@@ -179,13 +172,12 @@ def test_hypotheses_on_pipeline(built):
 
 def test_missed_intersection_detected(built):
     cfg, _ = built("x^2-2")
-    branch = assign_branch_divisors(cfg, select_m(cfg))
     broken = Configuration(
         cfg.field, cfg.lines, cfg.points[:-1], cfg.incidence[:-1], cfg.marks,
         cfg.seed, cfg.params_consumed, cfg.source,
     )
     with pytest.raises(MissedIntersection):
-        check_cover_hypotheses(branch, broken)
+        check_cover_hypotheses(select_m(cfg), broken)
 
 
 def test_hypotheses_with_bare_m():
@@ -194,8 +186,7 @@ def test_hypotheses_with_bare_m():
     k = NumberField.create(parse_poly("x^2-2"))
     lines = [line(k, 1, 0, -c) for c in range(3)] + [line(k, 0, 1, -1)]
     cfg = derive_points(lines)
-    branch = assign_branch_divisors(cfg, {ALPHA: 4})
-    report = check_cover_hypotheses(branch, cfg)
+    report = check_cover_hypotheses({ALPHA: 4}, cfg)
     assert report.proper_transform_smooth
     assert report.genericity_assumptions == ()
 
@@ -203,10 +194,10 @@ def test_hypotheses_with_bare_m():
 # -- ampleness ----------------------------------------------------------------------
 
 def test_ample_certificate_examples():
-    assert ample_certificate(PicClass(10, (1, 1, 1))).certified
-    v = ample_certificate(PicClass(2, (1, 1, 1)))
+    assert ample_certificate((10, (1, 1, 1))).certified
+    v = ample_certificate((2, (1, 1, 1)))
     assert not v.certified and "<=" in v.reason
-    v = ample_certificate(PicClass(7, (0, 0, 0)))
+    v = ample_certificate((7, (0, 0, 0)))
     assert not v.certified and "E_0" in v.reason
 
 
@@ -215,8 +206,8 @@ def test_ample_certificate_monotone_in_h():
     for _ in range(40):
         b = tuple(rng.randint(1, 4) for _ in range(5))
         h = rng.randint(1, 25)
-        before = ample_certificate(PicClass(h, b)).certified
-        after = ample_certificate(PicClass(h + rng.randint(0, 10), b)).certified
+        before = ample_certificate((h, b)).certified
+        after = ample_certificate((h + rng.randint(0, 10), b)).certified
         assert after >= before
 
 
@@ -224,25 +215,19 @@ def test_ample_certificate_monotone_in_h():
 
 def test_select_m_certifies(built):
     cfg, _ = built("x^2-2")
-    m = select_m(cfg)
-    validate_m(m, cfg.line_count)
-    branch = assign_branch_divisors(cfg, m)
-    classes = compute_M(branch)
+    classes = build_cover_report(cfg).classes
     E = sum(cfg.all_valences())
     for chi in group_elements():
         if pairing(chi, ALPHA) == 1:
             assert ample_certificate(classes[chi]).certified
-            assert 2 * classes[chi].h > E
+            assert 2 * classes[chi][0] > E
 
 
 def test_select_m_sum_condition(built):
     cfg, _ = built("x^2-2")
     m = select_m(cfg)
-    total = ZERO
-    for x, v in m.items():
-        if v % 2:
-            total = total ^ x
-    assert total == ZERO
+    assert m[ZERO] == 0 and m[ALPHA] == cfg.line_count
+    assert _odd_sum(m) == ZERO
 
 
 class _Valences:
@@ -320,9 +305,9 @@ def test_cover_report_flags_nef_gap(built):
 def test_cover_report_refuses_a_selected_m_that_is_not_ample(built, monkeypatch):
     cfg, _ = built("x^2-2")
     m = select_m(cfg)
-    # two less keeps the parity, so m stays a valid multiplicity map
+    # two less keeps the parity, so every S_chi stays even
     short = {**m, g("011"): m[g("011")] - 2, g("111"): m[g("111")] - 2}
-    validate_m(short, cfg.line_count)
+    assert _odd_sum(short) == ZERO
     monkeypatch.setattr(cover, "select_m", lambda c: short)
     with pytest.raises(SelfCheckFailed):
         build_cover_report(cfg)

@@ -60,6 +60,10 @@ COVER_GOLDEN = {
     "3*x^2-5": "11a342581ad6e750d4d849af891532be89b571e4643a29f8fdd0bb15593b6dd6",
     "x^5-x-1": "1a36c71dcc157940dfa971822d6c5ca56ec55978c806d19c0806b75320021cd0",
     "x^7-x-1": "4a96315511f61a837c0a1dbf62bb7bc7a32596bab568e6fe25d5d99c79a36d3e",
+    # constant chains (see CONSTANT_FILE_GOLDEN); the x^3-1000003 report has
+    # 22,499 points and is 3.96 MB
+    "3*x^3-5*x+7": "d47f784b42013228c00d7078217a20a61d42f6a315704ff69251f9428e39f6f7",
+    "x^3-1000003": "25eb8411e3eef9f2ce02a6bf4e846308057b12470a9944a394ba1d76500ba9a9",
 }
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from planecode import IntPoly, NumberField, PicClass, line, parse_poly, point
+from planecode import IntPoly, NumberField, line, parse_poly, point
 from planecode.slp_compiler import ADD, LOAD_Z, MUL, ONE
 from tests.conftest import SRC
 
@@ -37,7 +37,6 @@ def _values(k):
         (IntPoly.from_coeffs([-2, 0, 1]), parse_poly("x^2-2")),
         (point(k, half, k.gen), point(k, 1, 2 * k.gen, 2)),
         (line(k, 1, 2, 3), line(k, 2, 4, 6)),
-        (PicClass(3, (1, 2)), PicClass(1, (0, 1)) + PicClass(2, (1, 1))),
     ]
 
 
@@ -52,7 +51,6 @@ def test_equal_values_are_equal_with_equal_hashes(k):
 def test_hash_is_the_hash_of_the_field_tuple(k):
     p = IntPoly.from_coeffs([-2, 0, 1])
     assert hash(p) == hash((p.coeffs,))
-    assert hash(PicClass(3, (1, 2))) == hash((3, (1, 2)))
     assert hash(point(k, 0, 0)) == hash((point(k, 0, 0).coords,))
     assert hash(k) == hash((k.source,))
 
@@ -61,7 +59,6 @@ def test_different_values_differ(k):
     assert IntPoly.from_coeffs([1, 1]) != IntPoly.from_coeffs([1, 2])
     assert point(k, 0, 0) != point(k, 1, 0)
     assert line(k, 1, 0, 0) != line(k, 0, 1, 0)
-    assert PicClass(1, (0,)) != PicClass(1, (1,))
     assert (ADD, 0, 1) != (ADD, 1, 0)
 
 
@@ -77,7 +74,7 @@ def test_records_never_equal_other_types(k):
 
 
 def test_hashed_records_are_immutable(k):
-    fields = ("coeffs", "coords", "coeffs", "h")
+    fields = ("coeffs", "coords", "coeffs")
     for (a, _), name in zip(_values(k), fields):
         for attr in filter(None, (name, "extra")):
             with pytest.raises(AttributeError):
