@@ -427,23 +427,31 @@ def _generic_line_through(
     )
 
 
-def _ladder_targets(c: Configuration) -> dict[str, int]:
-    """The mark valences amplify_marks reaches: M+2, M+4, M+6, M+8 for z, inf, one, zero.
+def ladder_base(c: Configuration) -> int:
+    """M, the base of the ladder amplify_marks builds: the marks reach M+2 .. M+8.
 
     M is the largest valence of a point that is not a mark, rounded up to
     even. The ladder must clear every current mark valence, so it is bumped
-    in steps of two while a mark already sits above its slot. augment
-    leaves these targets unchanged (see augment_even_valence).
+    in steps of two while a mark already sits above its slot.
     """
     marked = set(c.marks.values())
-    others = [len(rows) for i, rows in enumerate(c.incidence) if i not in marked]
-    m_cap = max(others) if others else 0
+    m_cap = max((len(rows) for i, rows in enumerate(c.incidence) if i not in marked), default=0)
     m_cap += m_cap % 2
-    while True:
-        targets = {label: m_cap + 2 * (i + 1) for i, label in enumerate(LADDER_ORDER)}
-        if all(targets[lb] >= len(c.incidence[c.marks[lb]]) for lb in LADDER_ORDER):
-            return targets
+    while any(
+        len(c.incidence[c.marks[lb]]) > m_cap + 2 * (i + 1) for i, lb in enumerate(LADDER_ORDER)
+    ):
         m_cap += 2
+    return m_cap
+
+
+def _ladder_targets(c: Configuration) -> dict[str, int]:
+    """The mark valences amplify_marks reaches: M+2, M+4, M+6, M+8 for z, inf, one, zero.
+
+    M is ladder_base(c). augment leaves these targets unchanged (see
+    augment_even_valence).
+    """
+    m_cap = ladder_base(c)
+    return {label: m_cap + 2 * (i + 1) for i, label in enumerate(LADDER_ORDER)}
 
 
 def augment_even_valence(c: Configuration) -> Configuration:

@@ -31,7 +31,7 @@ from .errors import (
 from .numberfield import Disc, IntPoly, NFElement, embed, isolate_roots
 from .pipeline import run_pipeline
 from .projgeom import ProjLine, cross_ratio, line
-from .slp_compiler import compile_polynomial, realize, seed_lines
+from .slp_compiler import compile_polynomial, realize, seed_lines, split_anchors, tie_line
 
 
 LADDER_SHOWN = 6
@@ -88,8 +88,9 @@ def decode(c: Configuration) -> NFElement:
 class _Incidences:
     """The geometry of slp_compiler.realize in a table: objects are indices.
 
-    Building it finds the seed objects, as check_forcing describes. Each
-    failed lookup raises NotForced naming self.at, the step under check.
+    Building it finds the seed objects and anchors(J) the first J anchors,
+    which realize needs, as check_forcing describes. Each failed lookup
+    raises NotForced naming self.at, the step under check.
     """
 
     def __init__(self, c: Configuration):
@@ -105,18 +106,32 @@ class _Incidences:
         if len(axes) != 1:
             raise self.fail(f"{len(axes)} lines pass through all four marks, not one")
         (axis,) = axes
-        yaxis, linf, u1 = map(self.line, seed_lines(c.field)[1:], ("y-axis", "ell_inf", "u1"))
-        if axis in (yaxis, linf, u1):
+        yaxis, linf = map(self.line, seed_lines(c.field)[1:3], ("y-axis", "ell_inf"))
+        if axis in (yaxis, linf):
             raise self.fail(f"the line {axis} through the marks is also a seed line")
-        for i, role, mark in ((yaxis, "y-axis", zero), (linf, "ell_inf", inf), (u1, "u1", one)):
+        for i, role, mark in ((yaxis, "y-axis", zero), (linf, "ell_inf", inf)):
             if i not in c.incidence[mark]:
                 raise self.fail(f"{role} line {i} misses the mark at point {mark}")
-        U, V = self.meet(u1, yaxis, "U"), self.meet(yaxis, linf, "V")
-        if U in (zero, V):
-            raise self.fail(f"U is point {U}, which is 0 or V")
-        self.axis, self.yaxis, self.linf, self.u1 = axis, yaxis, linf, u1
-        self.U, self.S, self.V = U, self.meet(u1, linf, "S"), V
+        self.axis, self.yaxis, self.linf = axis, yaxis, linf
+        self.V = self.meet(yaxis, linf, "V")
         self.zero, self.one, self.inf, self.z = zero, one, inf, z
+
+    def anchors(self, J: int) -> None:
+        """Find the tie lines u1..uJ by coordinates, and U_j, S_j as their meets."""
+        self.ties, self.U, self.S = [], [], []
+        for j in range(1, J + 1):
+            self.at = f"anchor {j}"
+            tie = self.line(tie_line(self.field, j), f"u{j}")
+            if tie == self.axis:
+                raise self.fail(f"the line {tie} through the marks is also a seed line")
+            if tie not in self.rows[self.one]:
+                raise self.fail(f"u{j} line {tie} misses the mark at point {self.one}")
+            U = self.meet(tie, self.yaxis, "U")
+            if U in (self.zero, self.V):
+                raise self.fail(f"U is point {U}, which is 0 or V")
+            self.ties.append(tie)
+            self.U.append(U)
+            self.S.append(self.meet(tie, self.linf, "S"))
 
     def fail(self, detail: str) -> NotForced:
         return NotForced(f"the incidences do not force the relation at {self.at}: {detail}")
@@ -159,8 +174,8 @@ class _Incidences:
             raise self.fail(f"an operand is the mark 0, point {self.zero}")
 
     def check_aux(self, aux: int) -> None:
-        if self.axis in self.rows[aux] or aux in (self.U, self.V):
-            raise self.fail(f"aux is point {aux}, which is on the axis, U or V")
+        if self.axis in self.rows[aux] or aux == self.V or aux in self.U:
+            raise self.fail(f"aux is point {aux}, which is on the axis, an anchor U_j or V")
 
 
 def check_forcing(c: Configuration) -> None:
@@ -172,36 +187,54 @@ def check_forcing(c: Configuration) -> None:
     runs the gadget recipes (slp_compiler.realize) over the table: each
     gadget line is the one table line through two named points, each
     point the one point whose row holds two named lines. Only the seed
-    lines and each add's line y = h are found by coordinates, h drawn from
-    the file's seed as emission draws it. No arithmetic in K is done.
+    lines, the tie lines and each add's line y = h are found by
+    coordinates, h drawn from the file's seed as emission draws it. No
+    arithmetic in K is done.
 
     - Seed. The marks 0, 1, inf, z are the top four points of the ladder,
       and the axis is the one line through all four. The y-axis passes
-      through 0, ell_inf through inf and u1 through 1; S = u1 ^ ell_inf,
-      U = u1 ^ y-axis, V = y-axis ^ ell_inf, and U is neither 0 nor V.
-      These are the seed objects of the von Staudt lemma
-      (slp_compiler.add_gadget), whose chart puts z at (w, 0) for
-      w = cr(0, 1, inf, z), the number decode reads.
+      through 0 and ell_inf through inf; V = y-axis ^ ell_inf.
+    - Anchors. Each tie line uj, j = 1..J, is not the axis and passes
+      through 1; U_j = uj ^ y-axis is neither 0 nor V, and
+      S_j = uj ^ ell_inf. These are the seed objects of the von Staudt
+      lemma (slp_compiler.add_gadget), whose chart puts z at (w, 0) for
+      w = cr(0, 1, inf, z), the number decode reads. J and the anchor of
+      each product follow from the program (split_anchors) and from the
+      table: a file that holds u2 is read with the split layout's anchors,
+      else with one anchor. A file drawn on one anchor can hold u2 too,
+      as the l3 of an add 1 + b at height 2, so when the split layout
+      fails the shared one is tried, and the first failure is raised.
     - Gadgets. By the lemma each add and mul lands on the sum or product
       of its operands, given the non-degeneracy tested here: the axis,
-      y-axis, ell_inf and u1 are four distinct lines; aux is off the axis
-      and is neither V (hline is not ell_inf) nor U; no operand is the
-      mark 0; every join is of two distinct points.
+      y-axis, ell_inf and every uj are distinct lines; aux is off the axis
+      and is neither V (hline is not ell_inf) nor any U_j; no operand is
+      the mark 0; every join is of two distinct points.
 
     So register k sits at (R_k(w), 0), R_k = slp.evaluate(x, 1)[k] the
-    polynomial in z built from the gadget kinds alone. The registers of P
-    and N must be one point, the mark 0 when N = 0, and P - N must be the
-    primitive p: then p(w) = 0 in every realization. Raises NotForced,
-    naming the register, the gadget kind, and the line and point that
+    polynomial in z built from the gadget kinds alone, whichever anchor
+    each product drew on. The registers of P and N must be one point, the
+    mark 0 when N = 0, and P - N must be the primitive p: then p(w) = 0
+    in every realization. Raises NotForced, naming the register, the
+    gadget kind, the anchor of a product, and the line and point that
     broke.
     """
     t = _Incidences(c)
     slp = compile_polynomial(c.field.source)
-    reg = realize(slp, t, c.seed)[0]
-    t.at = "the relation P(z) = N(z)"
-    rhs = t.zero if slp.rhs is None else reg[slp.rhs]
-    if reg[slp.lhs] != rhs:
-        raise t.fail(f"P lands on point {reg[slp.lhs]} and N on point {rhs}")
+    split = max(split_anchors(slp), default=0)
+    failures = []
+    for J in (split, 1) if split > 1 and tie_line(c.field, 2) in t.index else (1,):
+        try:
+            t.anchors(J)
+            reg = realize(slp, t, c.seed)[0]
+            t.at = "the relation P(z) = N(z)"
+            rhs = t.zero if slp.rhs is None else reg[slp.rhs]
+            if reg[slp.lhs] != rhs:
+                raise t.fail(f"P lands on point {reg[slp.lhs]} and N on point {rhs}")
+            break
+        except NotForced as exc:
+            failures.append(exc)
+    else:
+        raise failures[0]
     poly = slp.evaluate(IntPoly.from_coeffs((0, 1)), IntPoly.from_coeffs((1,)))
     n = IntPoly.zero() if slp.rhs is None else poly[slp.rhs]
     if poly[slp.lhs] - n != c.field.source.primitive():

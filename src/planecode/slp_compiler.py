@@ -17,10 +17,15 @@ Four seed lines come first, each needed for every realization of the
 configuration to encode a conjugate of z: the axis ell, which carries
 the marks and every output; the y-axis x = 0, where the mul lifts its
 second factor; the line at infinity z = 0, the only line on which a
-gadget's "parallels" are forced to meet; and u1: x + y = 1, through the
-mark 1, U = (0 : 1 : 1) and the slope -1 direction S = (1 : -1 : 0),
-which ties the unit of the y-axis to that of the axis (without it every
-product would be lambda*a*b for a free lambda).
+gadget's "parallels" are forced to meet; and u1: x + y = 1, the tie line
+of anchor 1. A mul draws through an anchor j, the pair U_j = (0 : j : 1)
+and S_j = (1 : -j : 0), and the tie line uj: x + y/j = 1 joins the mark 1
+to both, which ties the scale of the y-axis to the unit of the axis
+(without it every product would be lambda*a*b for a free lambda); so u1
+passes through the mark 1, U = U_1 and the slope -1 direction S = S_1.
+Every mul draws on anchor 1, unless spreading the products over anchors
+1..J, each held to valence 4 (split_anchors), lowers the raw valence
+ladder: then the tie lines u2..uJ follow u1 (emit_configuration).
 
 Each gadget is written once, as add_gadget and mul_gadget over a
 geometry, where the von Staudt lemma that forces it is stated. Emission
@@ -37,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from .configuration import MARK_LABELS, Configuration, ParamStream, derive_points
+from .configuration import MARK_LABELS, Configuration, ParamStream, derive_points, ladder_base
 from .errors import (
     GadgetDegenerate,
     NotARoot,
@@ -186,37 +191,48 @@ def register_point(value: NFElement) -> ProjPoint:
     return point(value.field, value, 0)
 
 
+def tie_line(field: NumberField, j: int) -> ProjLine:
+    """uj: x + y/j = 1, the tie line of anchor j, through the mark 1, U_j and S_j."""
+    return line(field, 1, Fraction(1, j), -1)
+
+
 def seed_lines(field: NumberField) -> tuple[ProjLine, ProjLine, ProjLine, ProjLine]:
     """The axis, the y-axis, the line at infinity z = 0 and u1: x + y = 1.
 
-    The line at infinity carries every direction; u1 passes through the
-    mark 1, U and the slope -1 direction S.
+    The line at infinity carries every direction; u1 is the tie line of
+    anchor 1, through the mark 1, U = (0 : 1 : 1) and the slope -1
+    direction S = (1 : -1 : 0).
     """
-    return line(field, 0, 1, 0), line(field, 1, 0, 0), line(field, 0, 0, 1), line(field, 1, 1, -1)
+    return line(field, 0, 1, 0), line(field, 1, 0, 0), line(field, 0, 0, 1), tie_line(field, 1)
 
 
 def add_gadget(g, a, b, h: Fraction):
     """The object of a + b, and the add's lines by role, in drawing order.
 
     The von Staudt lemma, for both gadgets. In any realization, over any
-    field, of the seed objects (axis, yaxis, linf and u1 four distinct
-    lines, U neither 0 nor V), put linf at infinity: there is one affine
-    chart with 0 = (0, 0), 1 = (1, 0), U = (0, 1), the axis and yaxis the
-    coordinate axes and u1 the line x + y = 1, so S is the slope -1
-    direction and V the vertical one. Let a = (a, 0), b = (b, 0), not 0.
+    field, of the seed objects (axis, yaxis, linf and the tie lines
+    distinct lines, each tie line uj through the mark 1, and each
+    U_j = uj ^ yaxis neither 0 nor V), put linf at infinity: there is one
+    affine chart with 0 = (0, 0), 1 = (1, 0), U_1 = (0, 1), the axis and
+    yaxis the coordinate axes and u1 the line x + y = 1, and V the
+    vertical direction. Each U_j is then (0, c_j) for some finite c_j not
+    0, and S_j = uj ^ linf, on the line from 1 to U_j, is the slope -c_j
+    direction. Let a = (a, 0), b = (b, 0), not 0.
 
     - Add. l2 = b V is x = b; hline passes through inf, so it is y = h'
       for some h', and aux = hline ^ yaxis = (0, h'), off the axis and not
       V, so h' is finite and nonzero. l4 joins the corner l2 ^ hline =
       (b, h') to l3 ^ linf, l3 = aux a: 0, b, the corner and aux form a
       parallelogram, and l4 meets the axis at (a + b, 0), whatever h' is.
-    - Mul (mul_gadget). t1 = b S is x + y = b, so t1 ^ yaxis = (0, b). m2
-      joins (0, b) to m1 ^ linf, m1 = U a: the homothety at 0 that sends 1
-      to b sends u1 to t1 and m1 to m2, so m2 meets the axis at (a*b, 0).
+    - Mul on anchor j (mul_gadget). t1 = b S_j is y = -c_j (x - b), so
+      t1 ^ yaxis = (0, c_j b). m2 joins (0, c_j b) to m1 ^ linf,
+      m1 = U_j a: the homothety at 0 that sends 1 to b sends U_j to
+      (0, c_j b) and m1 to m2, so m2 meets the axis at (a*b, 0), whatever
+      c_j is.
 
     So the incidences alone force each output (N. Mnev, LNM 1346, 1988;
-    R. Vakil, Invent. Math. 164, 2006). aux is also kept off U, so that
-    no add draws through the mul's anchor.
+    R. Vakil, Invent. Math. 164, 2006). aux is also kept off every U_j,
+    so that no add draws through a mul's anchor.
     """
     g.check_operands(a, b)
     l2 = g.join(b, g.V, "l2")
@@ -228,27 +244,79 @@ def add_gadget(g, a, b, h: Fraction):
     return g.meet(l4, g.axis, "output"), {"l2": l2, "l3": l3, "l4": l4, "hline": hline}
 
 
-def mul_gadget(g, a, b):
-    """The object of a*b, and the mul's lines by role; the lemma is at add_gadget."""
+def mul_gadget(g, a, b, j: int = 1):
+    """The object of a*b drawn on anchor j, and the mul's lines by role; the lemma is at add_gadget."""
     g.check_operands(a, b)
-    t1, m1 = g.join(b, g.S, "t1"), g.join(g.U, a, "m1")
+    t1, m1 = g.join(b, g.S[j - 1], "t1"), g.join(g.U[j - 1], a, "m1")
     m2 = g.join(g.meet(t1, g.yaxis, "lift"), g.meet(m1, g.linf, "m1 direction"), "m2")
     return g.meet(m2, g.axis, "output"), {"t1": t1, "m1": m1, "m2": m2}
+
+
+def split_anchors(slp: SLP) -> tuple[int, ...]:
+    """Per instruction, the anchor j >= 1 of each product in the split layout, 0 for the rest.
+
+    The products on anchor j draw one line m1 = U_j a per distinct left
+    operand a and one line t1 = b S_j per distinct right operand b, so
+    U_j and S_j have valence 2 + those counts. In instruction order, each
+    product goes to an anchor that then holds at most two distinct left
+    and two distinct right operands, so that U_j and S_j stay at valence
+    <= 4: the one already holding most of its own operands, the lowest j
+    on a tie. A new anchor opens only when none has room. The assignment
+    reads the program alone, so emission and decode.check_forcing agree.
+    """
+    held: list[tuple[set[int], set[int]]] = []  # per anchor, its left and right operands
+    anchors = []
+    for kind, *ops in slp.instructions:
+        if kind != MUL:
+            anchors.append(0)
+            continue
+        a, b = ops
+        room = [
+            (-(a in left) - (b in right), j)
+            for j, (left, right) in enumerate(held, 1)
+            if len(left | {a}) <= 2 and len(right | {b}) <= 2
+        ]
+        if room:
+            j = min(room)[1]
+        else:
+            held.append((set(), set()))
+            j = len(held)
+        held[j - 1][0].add(a)
+        held[j - 1][1].add(b)
+        anchors.append(j)
+    return tuple(anchors)
+
+
+def _shared_floor(slp: SLP) -> int:
+    """A lower bound of the raw ladder base M when every product draws on anchor 1.
+
+    U has valence 2 + the number of distinct left operands of the
+    products, S 2 + that of the right operands; neither is a mark, and M
+    is even.
+    """
+    products = [ops for kind, *ops in slp.instructions if kind == MUL]
+    count = max(len({a for a, _ in products}), len({b for _, b in products}))
+    return 2 + count + count % 2
 
 
 def realize(slp: SLP, g, seed: int) -> tuple[list, list[dict], int]:
     """Each register's object in g, its gadget's lines by role, and the stream cursor.
 
-    The geometry g supplies the seed objects: the lines axis, yaxis, linf
-    and u1, the points U, S and V, and the marks zero, one and z. It draws
-    with join(p, q, role), meet(l, m, role) and height_line(h), the line
-    y = h, and refuses what the lemma excludes with check_operands(a, b)
-    and check_aux(aux); g.at names the register drawn, for messages.
-    _Drawn draws in K, decode._Incidences reads a file's incidence table.
+    The geometry g supplies the seed objects: the lines axis, yaxis and
+    linf, the tie lines ties of its J anchors, their points U and S
+    (U[j - 1] is U_j), the point V, and the marks zero, one and z. It
+    draws with join(p, q, role), meet(l, m, role) and height_line(h), the
+    line y = h, and refuses what the lemma excludes with
+    check_operands(a, b) and check_aux(aux); g.at names the register
+    drawn, for messages. _Drawn draws in K, decode._Incidences reads a
+    file's incidence table. With one anchor every product draws on it;
+    with J > 1 they draw on split_anchors(slp), which opens J anchors.
     z and the unit are the marks z and 1 and draw no lines. Each add takes
     its height from the stream of seed: the next value that is neither 0
-    (hline would be the axis) nor 1 (aux would be U).
+    (hline would be the axis) nor an anchor height 1..J (aux would be U_j).
     """
+    J = len(g.U)
+    anchor = split_anchors(slp) if J > 1 else (1,) * len(slp.instructions)
     stream = ParamStream(seed)
     reg, lines = [], []  # per register, its object and its gadget's lines
     for k, (kind, *ops) in enumerate(slp.instructions):
@@ -258,24 +326,28 @@ def realize(slp: SLP, g, seed: int) -> tuple[list, list[dict], int]:
             g.at = f"register {k}, the {kind} of registers {ops[0]} and {ops[1]}"
             a, b = reg[ops[0]], reg[ops[1]]
             if kind == ADD:
-                h = next(v for v in iter(stream.next, None) if v not in (0, 1))
+                h = next(v for v in iter(stream.next, None) if not 0 <= v <= J)
                 out, drawn = add_gadget(g, a, b, h)
             else:
-                out, drawn = mul_gadget(g, a, b)
+                g.at += f" on anchor {anchor[k]}"
+                out, drawn = mul_gadget(g, a, b, anchor[k])
         reg.append(out)
         lines.append(drawn)
     return reg, lines, stream.cursor
 
 
 class _Drawn:
-    """The gadgets drawn in K: objects are points and lines of P^2(K)."""
+    """The gadgets drawn in K on J anchors: objects are points and lines of P^2(K)."""
 
     at = "a gadget"
 
-    def __init__(self, field: NumberField):
+    def __init__(self, field: NumberField, anchors: int = 1):
         self.field = field
-        self.axis, self.yaxis, self.linf, self.u1 = seed_lines(field)
-        self.U, self.S, self.V = point(field, 0, 1), point(field, 1, -1, 0), point(field, 0, 1, 0)
+        self.axis, self.yaxis, self.linf, u1 = seed_lines(field)
+        self.ties = (u1, *(tie_line(field, j) for j in range(2, anchors + 1)))
+        self.U = tuple(point(field, 0, j) for j in range(1, anchors + 1))
+        self.S = tuple(point(field, 1, -j, 0) for j in range(1, anchors + 1))
+        self.V = point(field, 0, 1, 0)
         self.zero, self.one, self.z = map(register_point, (field.zero, field.one, field.gen))
 
     def join(self, p: ProjPoint, q: ProjPoint, role: str) -> ProjLine:
@@ -292,19 +364,20 @@ class _Drawn:
             raise GadgetDegenerate(f"{self.at}: an operand is 0")
 
     def check_aux(self, aux: ProjPoint) -> None:
-        if incident(self.axis, aux) or aux in (self.U, self.V):
-            raise GadgetDegenerate(f"{self.at}: the auxiliary point {aux} is on the axis, U or V")
+        if incident(self.axis, aux) or aux == self.V or aux in self.U:
+            raise GadgetDegenerate(
+                f"{self.at}: the auxiliary point {aux} is on the axis, an anchor U_j or V"
+            )
 
 
-def emit_configuration(slp: SLP, seed: int = 0) -> Configuration:
-    """Prove K a field, draw each instruction's gadget, return the raw configuration.
+def _drawn_configuration(slp: SLP, g: _Drawn, seed: int) -> Configuration:
+    """The raw configuration of slp drawn in g, its registers and its relation self-checked.
 
     A register off the point of its value is a defect of the gadgets. The
     two sides must agree, P(z) = N(z): else the modulus was not the
     minimal polynomial of z.
     """
-    field = NumberField.create(slp.source)
-    g = _Drawn(field)
+    field = g.field
     reg, drawn, cursor = realize(slp, g, seed)
     values = slp.evaluate(field.gen, field.one)
     for k, (p, value) in enumerate(zip(reg, values)):
@@ -316,9 +389,26 @@ def emit_configuration(slp: SLP, seed: int = 0) -> Configuration:
     if lhs != rhs:
         raise NotARoot(f"P(z) = {lhs} differs from N(z) = {rhs}")
 
-    ordered = dict.fromkeys(chain((g.axis, g.yaxis, g.linf, g.u1), *(d.values() for d in drawn)))
+    ordered = dict.fromkeys(chain((g.axis, g.yaxis, g.linf, *g.ties), *(d.values() for d in drawn)))
     cfg = derive_points(list(ordered), seed=seed, params_consumed=cursor, source=slp.source)
     for label in MARK_LABELS:
         if label not in cfg.marks:
             raise NotARoot(f"marked point {label} is not an intersection point")
     return cfg
+
+
+def emit_configuration(slp: SLP, seed: int = 0) -> Configuration:
+    """Prove K a field, draw each instruction's gadget, return the raw configuration.
+
+    The products draw on the anchors of split_anchors(slp) when that
+    layout opens more than one anchor and its raw ladder base M falls
+    below the least M that one shared anchor allows (_shared_floor), and
+    else all on anchor 1.
+    """
+    field = NumberField.create(slp.source)
+    anchors = max(split_anchors(slp), default=0)
+    if anchors > 1:
+        cfg = _drawn_configuration(slp, _Drawn(field, anchors), seed)
+        if ladder_base(cfg) < _shared_floor(slp):
+            return cfg
+    return _drawn_configuration(slp, _Drawn(field), seed)

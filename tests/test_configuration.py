@@ -154,13 +154,23 @@ GOLDEN_POLYS = ("x^2-2", "x^3-2", "x^2-x-1", "x^4-x-1", "3*x^2-5", "x^5-x-1", "x
 
 # Final line counts at seed 0; augment joining fewer odd points, or a longer
 # SLP, raises them. x^16-x-1 pins the power table: z^16 costs four squarings.
+# Seed-0 L; no polynomial may get worse. x^5-x-1, x^7-x-1, x^16-x-1 and
+# x^32-x-1 draw their products on two or three anchors, which lowers the
+# ladder base M (50, 53, 53 and 65 on one shared anchor); x^9-x-1,
+# x^12-x^5-1 and 3*x^3-5*x+7 keep the shared anchor, where the split
+# layout would not lower M.
 FINAL_LINES = {
     "x^2-2": 37,
     "x^3-2": 39,
     "x^4-x-1": 39,
     "3*x^2-5": 49,
-    "x^5-x-1": 50,
-    "x^16-x-1": 53,
+    "x^5-x-1": 42,
+    "x^7-x-1": 45,
+    "x^9-x-1": 56,
+    "x^12-x^5-1": 56,
+    "x^16-x-1": 45,
+    "x^32-x-1": 48,
+    "3*x^3-5*x+7": 69,
 }
 
 

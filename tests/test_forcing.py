@@ -21,11 +21,15 @@ from planecode.slp_compiler import (
     emit_configuration,
     mul_gadget,
     realize,
+    split_anchors,
+    tie_line,
 )
 
 GOLDEN_POLYS = ("x^2-2", "x^3-2", "x^2-x-1", "x^4-x-1", "3*x^2-5", "x^5-x-1", "x^7-x-1")
+# the polynomials whose digests or line counts are pinned, besides the golden set
+PINNED_POLYS = ("x^9-x-1", "x^12-x^5-1", "x^16-x-1", "x^32-x-1", "3*x^3-5*x+7", "x^3-1000003")
 # x^2+x+1 and 2*x^3+2*x+1 have no negative coefficient, so N = 0
-MORE_POLYS = ("x^16-x-1", "x^32-x-1", "3*x^3-5*x+7", "x^3-1000003", "x^2+x+1", "2*x^3+2*x+1")
+MORE_POLYS = PINNED_POLYS + ("x^2+x+1", "2*x^3+2*x+1")
 
 
 # the package binds the name decode to the function, not the module
@@ -44,6 +48,18 @@ def _final_at(text, seed):
 
 def _raw_line_count(cfg):
     return emit_configuration(compile_polynomial(cfg.source), seed=cfg.seed).line_count
+
+
+def _anchor_count(cfg):
+    """The number of anchors emission drew cfg's products on.
+
+    With J > 1 anchors the tie lines u2..uJ follow u1; the first gadget
+    line of the shared layout, an l2 or a t1, is never u2.
+    """
+    slp = compile_polynomial(cfg.source)
+    raw = emit_configuration(slp, seed=cfg.seed)
+    split = max(split_anchors(slp), default=0)
+    return split if split > 1 and raw.lines[4] == tie_line(cfg.field, 2) else 1
 
 
 def _moved(cfg, moves):
@@ -75,14 +91,20 @@ def test_the_table_and_the_drawing_name_the_same_objects(built, text, seed):
     # one recipe, two geometries: each index the table names holds what K drew
     cfg = _loaded(built(text)[0]) if seed == 0 else _final_at(text, seed)
     slp = compile_polynomial(cfg.source)
-    drawing, table = _Drawn(cfg.field), decode_module._Incidences(cfg)
+    J = _anchor_count(cfg)
+    assert J == (2 if text in ("x^5-x-1", "x^7-x-1") else 1)
+    drawing, table = _Drawn(cfg.field, J), decode_module._Incidences(cfg)
+    table.anchors(J)
     drawn_reg, drawn_lines, _ = realize(slp, drawing, seed)
     table_reg, table_lines, _ = realize(slp, table, cfg.seed)
     assert [cfg.points[p] for p in table_reg] == drawn_reg
     assert [{role: cfg.lines[i] for role, i in d.items()} for d in table_lines] == drawn_lines
-    for name in ("axis", "yaxis", "linf", "u1"):
+    for name in ("axis", "yaxis", "linf"):
         assert cfg.lines[getattr(table, name)] == getattr(drawing, name), name
-    for name in ("U", "S", "V", "zero", "one", "z"):
+    assert tuple(cfg.lines[i] for i in table.ties) == drawing.ties
+    for name in ("U", "S"):
+        assert tuple(cfg.points[p] for p in getattr(table, name)) == getattr(drawing, name), name
+    for name in ("V", "zero", "one", "z"):
         assert cfg.points[getattr(table, name)] == getattr(drawing, name), name
 
 
@@ -111,7 +133,7 @@ def test_without_the_unit_line_the_check_refuses(built):
 def test_dropping_any_raw_line_refuses(built):
     cfg = built("x^5-x-1")[0]
     raw = _raw_line_count(cfg)
-    assert raw == 16
+    assert raw == 17  # the tie line u2 of the second anchor is one of them
     accepted = []
     for k in range(raw):
         rest = derive_points(
@@ -230,3 +252,74 @@ def test_a_seed_that_draws_the_same_heights_passes(built):
     data = config_to_json(built("x^2-2")[0])
     data["seed"] = -1
     check_forcing(config_from_json(data))
+
+
+@pytest.mark.parametrize("text", GOLDEN_POLYS + PINNED_POLYS)
+def test_pinned_polynomials_at_seed_3(text):
+    # seed 0 is checked above; seed 3 draws other heights and generic lines
+    cfg = _final_at(text, 3)
+    assert decode_module.decode(cfg) == cfg.field.gen
+    check_forcing(cfg)
+    valences = sorted(map(len, cfg.incidence), reverse=True)
+    assert all(v % 2 == 0 for v in valences)
+    assert all(valences[i] > valences[i + 1] for i in range(4))
+
+
+def _point(cfg, x, y, w=1):
+    q = point(cfg.field, x, y, w)
+    return next(i for i, p in enumerate(cfg.points) if p == q)
+
+
+def test_moving_the_tie_line_of_anchor_2_refuses_and_names_it(built):
+    # u2 moved from U_2 to V in the table is x = 1, another line through
+    # the mark 1: it meets the y-axis at V, which is no anchor
+    cfg = built("x^5-x-1")[0]
+    u2 = cfg.lines.index(tie_line(cfg.field, 2))
+    moved = _moved(cfg, [(u2, _point(cfg, 0, 2), _point(cfg, 0, 1, 0))])
+    with pytest.raises(NotForced, match="at anchor 2: U is point"):
+        check_forcing(moved)
+
+
+def test_a_product_on_anchor_2_is_checked_against_its_own_anchor(built):
+    cfg = _loaded(built("x^5-x-1")[0])
+    slp = compile_polynomial(cfg.source)
+    k = split_anchors(slp).index(2)  # z^5 = z^3 * z^2
+    table = decode_module._Incidences(cfg)
+    table.anchors(2)
+    drawn = realize(slp, table, cfg.seed)[1][k]
+    (U, U2), (S, S2) = table.U, table.S
+    assert (U2, S2) == (_point(cfg, 0, 2), _point(cfg, 1, -2, 0))
+    rows = cfg.incidence
+    assert drawn["m1"] in rows[U2] and drawn["m1"] not in rows[U]
+    assert drawn["t1"] in rows[S2] and drawn["t1"] not in rows[S]
+    # the table draws its t1 through S instead: the product is not forced
+    with pytest.raises(NotForced, match=f"register {k}, the mul .* on anchor 2: t1"):
+        check_forcing(_moved(cfg, [(drawn["t1"], S2, S)]))
+
+
+def test_an_add_refuses_the_height_of_an_anchor():
+    # seed 1 streams 2, 3, ...: x^5-x-1 draws on two anchors, so its add
+    # refuses y = 2, which meets the y-axis at U_2, and takes y = 3
+    raw = emit_configuration(compile_polynomial(parse_poly("x^5-x-1")), seed=1)
+    f = raw.field
+    assert tie_line(f, 2) in raw.lines
+    assert line(f, 0, 1, -3) in raw.lines and line(f, 0, 1, -2) not in raw.lines
+    assert raw.params_consumed == 2
+    cfg = _final_at("x^5-x-1", 1)
+    assert decode_module.decode(cfg) == cfg.field.gen
+    check_forcing(cfg)
+
+
+def test_a_shared_anchor_file_that_holds_u2_passes(built):
+    # x^9-x-1 keeps one anchor (its split layout does not lower the
+    # ladder), yet a line added after emission is x + y/2 = 1: the check
+    # reads the split layout first, which fails, then the shared one
+    cfg = built("x^9-x-1")[0]
+    assert _anchor_count(cfg) == 1
+    assert tie_line(cfg.field, 2) in cfg.lines
+    assert tie_line(cfg.field, 2) not in cfg.lines[:_raw_line_count(cfg)]
+    table = decode_module._Incidences(cfg)
+    table.anchors(2)
+    with pytest.raises(NotForced, match="on anchor 2"):
+        realize(compile_polynomial(cfg.source), table, cfg.seed)
+    check_forcing(_loaded(cfg))

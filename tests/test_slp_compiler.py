@@ -25,8 +25,11 @@ from planecode.errors import (
     TrivialField,
 )
 from planecode.serialize import config_to_json, dumps_canonical
-from planecode import numberfield, run_pipeline, slp_compiler
-from planecode.slp_compiler import ADD, LOAD_Z, MUL, ONE, _Drawn, add_gadget, mul_gadget
+from planecode import configuration, numberfield, run_pipeline, slp_compiler
+from planecode.projgeom import incident, line
+from planecode.slp_compiler import (
+    ADD, LOAD_Z, MUL, ONE, _Drawn, add_gadget, mul_gadget, split_anchors, tie_line,
+)
 
 
 @pytest.fixture(scope="module")
@@ -147,12 +150,12 @@ def _add_oracle(a, b, h):
     return _intersect(l4, ell)
 
 
-def _mul_oracle(a, b):
+def _mul_oracle(a, b, j=1):
     ell = (Fraction(0), Fraction(1), Fraction(0))
     yaxis = (Fraction(1), Fraction(0), Fraction(0))
-    t1 = _line_through((b, Fraction(0)), (b - 1, Fraction(1)))  # slope -1
+    t1 = _line_through((b, Fraction(0)), (b - 1, Fraction(j)))  # slope -j, through S_j
     lifted = _intersect(t1, yaxis)
-    m1 = _line_through((Fraction(0), Fraction(1)), (a, Fraction(0)))
+    m1 = _line_through((Fraction(0), Fraction(j)), (a, Fraction(0)))  # through U_j
     m2 = _parallel_through(m1, lifted)
     return _intersect(m2, ell)
 
@@ -162,8 +165,8 @@ def _add(a, b, h):
     return add_gadget(_Drawn(a.field), register_point(a), register_point(b), h)
 
 
-def _mul(a, b):
-    return mul_gadget(_Drawn(a.field), register_point(a), register_point(b))
+def _mul(a, b, j=1):
+    return mul_gadget(_Drawn(a.field, j), register_point(a), register_point(b), j)
 
 
 def test_add_gadget_against_oracle(k):
@@ -180,6 +183,18 @@ def test_mul_gadget_against_oracle(k):
     out, lines = _mul(k.from_rational(a), k.from_rational(b))
     assert out == register_point(k.from_rational(6))
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("j", [2, 3])
+def test_mul_gadget_on_a_later_anchor_against_oracle(k, j):
+    a, b = Fraction(2), Fraction(3)
+    assert _mul_oracle(a, b, j) == (Fraction(6), 0)
+    out, lines = _mul(k.from_rational(a), k.from_rational(b), j)
+    assert out == register_point(k.from_rational(6))
+    g = _Drawn(k, j)
+    assert g.ties[j - 1] == tie_line(k, j) == line(k, j, 1, -j)
+    assert incident(lines["t1"], g.S[j - 1]) and incident(lines["m1"], g.U[j - 1])
+    assert not incident(lines["t1"], g.S[0]) and not incident(lines["m1"], g.U[0])
 
 
 def test_add_gadget_inverse_pair(k):
@@ -208,6 +223,65 @@ def test_gadget_degeneracies(k):
         _add(k.gen, k.gen, Fraction(0))
     with pytest.raises(GadgetDegenerate):
         _add(k.gen, k.gen, Fraction(1))  # the auxiliary point would be U
+
+
+def test_aux_on_a_later_anchor_is_refused(k):
+    g = _Drawn(k, 2)
+    with pytest.raises(GadgetDegenerate, match="anchor U_j"):
+        g.check_aux(g.U[1])
+    with pytest.raises(GadgetDegenerate):  # y = 2 meets the y-axis at U_2
+        add_gadget(g, g.z, g.one, Fraction(2))
+    add_gadget(_Drawn(k), g.z, g.one, Fraction(2))  # one anchor: U_2 is no anchor
+
+
+def _operands_per_anchor(slp, anchors):
+    held = {}
+    for (kind, *ops), j in zip(slp.instructions, anchors):
+        assert (kind == MUL) == (j > 0)
+        if j:
+            left, right = held.setdefault(j, (set(), set()))
+            left.add(ops[0])
+            right.add(ops[1])
+    return held
+
+
+@pytest.mark.parametrize("text, anchors", [
+    ("x^4-x-1", (0, 1, 1, 0, 0)),
+    # z^2 = z z and z^3 = z^2 z fill anchor 1; z^5 = z^3 z^2 would give it
+    # a third left operand
+    ("x^5-x-1", (0, 1, 1, 2, 0, 0)),
+    # z^4 = z^2 z^2 holds a = 1 on anchor 1 and b = 1 on anchor 2: the tie
+    # goes to the lower anchor
+    ("x^9-x-1", (0, 1, 1, 2, 1, 2, 0, 0)),
+    ("x^32-x-1", (0, 1, 1, 2, 2, 3, 0, 0)),
+])
+def test_split_anchors_keep_each_anchor_at_valence_4(text, anchors):
+    slp = compile_polynomial(parse_poly(text))
+    assert split_anchors(slp) == anchors
+    for left, right in _operands_per_anchor(slp, anchors).values():
+        assert len(left) <= 2 and len(right) <= 2
+
+
+@pytest.mark.parametrize("text, anchors", [
+    ("x^5-x-1", 2), ("x^7-x-1", 2), ("x^16-x-1", 2), ("x^32-x-1", 3),
+    # the split layout would not lower the raw ladder base M: one anchor
+    ("x^9-x-1", 1), ("x^12-x^5-1", 1), ("3*x^3-5*x+7", 1),
+    # at most two products always fit one anchor
+    ("x^2-2", 1), ("x^4-x-1", 1), ("3*x^2-5", 1),
+])
+def test_the_split_layout_is_kept_where_it_lowers_the_ladder(text, anchors):
+    slp = compile_polynomial(parse_poly(text))
+    raw = emit_configuration(slp, seed=0)
+    f = raw.field
+    ties = [j for j in range(2, 5) if raw.lines[2 + j] == tie_line(f, j)]
+    assert ties == list(range(2, anchors + 1))
+    shared_floor = slp_compiler._shared_floor(slp)
+    split = max(split_anchors(slp), default=0)
+    if anchors > 1:
+        assert configuration.ladder_base(raw) < shared_floor
+    elif split > 1:
+        drawn = slp_compiler._drawn_configuration(slp, _Drawn(f, split), 0)
+        assert configuration.ladder_base(drawn) >= shared_floor
 
 
 def test_gadget_soundness_random_rationals(k):
