@@ -254,10 +254,11 @@ def test_a_seed_that_draws_the_same_heights_passes(built):
     check_forcing(config_from_json(data))
 
 
+@pytest.mark.parametrize("seed", [0, 3])
 @pytest.mark.parametrize("text", GOLDEN_POLYS + PINNED_POLYS)
-def test_pinned_polynomials_at_seed_3(text):
-    # seed 0 is checked above; seed 3 draws other heights and generic lines
-    cfg = _final_at(text, 3)
+def test_pinned_polynomials_decode_and_are_forced(built, text, seed):
+    # seed 3 draws other heights and generic lines than seed 0
+    cfg = _loaded(built(text)[0]) if seed == 0 else _final_at(text, seed)
     assert decode_module.decode(cfg) == cfg.field.gen
     check_forcing(cfg)
     valences = sorted(map(len, cfg.incidence), reverse=True)
