@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
 
-from .errors import DuplicateLine, GenericityExhausted, MissedIntersection, SelfCheckFailed
+from .errors import DuplicateLine, GenericityExhausted, SelfCheckFailed
 from .numberfield import IntPoly, NumberField
 from .projgeom import ProjLine, ProjPoint, incident, join, line, meet, point
 
@@ -114,22 +114,6 @@ def valences(c: Configuration) -> tuple[tuple[int, int], ...]:
         ((i, len(rows)) for i, rows in enumerate(c.incidence)),
         key=lambda iv: (-iv[1], iv[0]),
     ))
-
-
-def check_pair_count(c: Configuration) -> int:
-    """Check sum_q C(e_q, 2) = C(L, 2) and return C(L, 2), the number of line pairs.
-
-    This reads valences only. For incidences derived by _Builder.add_line,
-    where every pair of lines is counted at exactly one point, it always
-    holds; it fails on a Configuration whose points or rows were edited.
-    """
-    pairs = c.line_count * (c.line_count - 1) // 2
-    counted = sum(e * (e - 1) // 2 for e in c.all_valences())
-    if counted != pairs:
-        raise MissedIntersection(
-            f"the listed points account for {counted} of the {pairs} pairs of lines"
-        )
-    return pairs
 
 
 class Points(Sequence):

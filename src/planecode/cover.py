@@ -1,22 +1,26 @@
 """Divisor bookkeeping for the (Z/2)^3 cover of the blown-up plane.
 
 The plane is blown up at every configuration point; Pic is Z*H plus one
-exceptional class E_q per point q, and the class h*H - sum b_q E_q is the
-pair (h, b). With L lines, valences e = (e_q) and m = select_m(c), the
-branch divisors are D_alpha = (L, e), the proper transform of the line
-union, and D_g = (m_g, 0) for every other g, a general curve of degree m_g.
+exceptional class E_q per point q, and a class h*H - sum b_q E_q is
+written (h, b). With L lines, valences e_q and m = select_m(c), the branch
+divisors are D_alpha = (L, e), the proper transform of the line union,
+and D_g = (m_g, 0) for every other g, a general curve of degree m_g.
 The half classes M_chi = (1/2) sum_g (chi, g) D_g are then, with
 S_chi = sum_g (chi, g) m_g, (S_chi / 2, e / 2) when (chi, alpha) = 1 and
 (S_chi / 2, 0) otherwise. They are integral when every e_q is even and
 every S_chi is even; as the pairing is nondegenerate, the latter is the
 constraint sum m_g * g = 0 in (Z/2)^3. Ampleness of M_chi is certified by
 a sufficient Nakai-Moishezon criterion.
+
+Every class depends on a point only through its valence, so b holds one
+coefficient per valence class of valence_counts(c): the b_q of each point
+q of that valence.
 """
 
 from __future__ import annotations
 
-from .configuration import Configuration, check_pair_count
-from .errors import ParityViolation, SelfCheckFailed
+from .configuration import Configuration
+from .errors import MissedIntersection, ParityViolation, SelfCheckFailed
 # Unused here; bound only for the planecode.cover.meet probe of perfbench/tracer.py.
 from .projgeom import meet  # noqa: F401
 
@@ -26,6 +30,8 @@ from .projgeom import meet  # noqa: F401
 # the pairing is the dot product mod 2.
 ZERO = 0
 ALPHA = 0b100
+# (valence, number of points) pairs by increasing valence, as valence_counts returns them
+ValenceCounts = tuple[tuple[int, int], ...]
 
 
 def group_elements() -> range:
@@ -41,52 +47,54 @@ def pairing(chi: int, g: int) -> int:
     return (chi & g).bit_count() & 1
 
 
+def valence_counts(c: Configuration) -> ValenceCounts:
+    """The number of points of each valence of c."""
+    counts = {}
+    for v in c.all_valences():
+        counts[v] = counts.get(v, 0) + 1
+    return tuple(sorted(counts.items()))
+
+
 class HypothesisReport:
-    __slots__ = (
-        "proper_transform_smooth", "pairs_checked", "independence", "genericity_assumptions"
+    """The checked pair count and the recorded assumptions; (i) and (ii) always hold."""
+
+    __slots__ = ("pairs_checked", "genericity_assumptions")
+    proper_transform_smooth = True
+    independence = (
+        "any two distinct nonzero elements of (Z/2)^3 are independent, so the condition "
+        "that two branch divisors meet only where their elements are independent holds vacuously"
     )
 
-    def __init__(
-        self,
-        proper_transform_smooth: bool,
-        pairs_checked: int,
-        independence: str,
-        genericity_assumptions: tuple[str, ...],
-    ):
-        self.proper_transform_smooth = proper_transform_smooth
+    def __init__(self, pairs_checked: int, genericity_assumptions: tuple[str, ...]):
         self.pairs_checked = pairs_checked
-        self.independence = independence
         self.genericity_assumptions = genericity_assumptions
 
 
-def check_cover_hypotheses(m: dict[int, int], c: Configuration) -> HypothesisReport:
-    """Hypotheses of the branched-cover theorem, checked or recorded.
+def check_cover_hypotheses(m: dict[int, int], L: int, counts: ValenceCounts) -> HypothesisReport:
+    """Hypotheses of the branched-cover theorem for L lines, checked or recorded.
 
     (i) is exact: the proper transforms of the lines are pairwise disjoint
     because every pairwise intersection was blown up. Every pair of lines
     is counted at exactly one point (configuration.derive_points, also on
     load), so this is the pair-count identity sum_q C(e_q, 2) = C(L, 2),
-    kept as a cheap self-check; MissedIntersection otherwise. (ii) is a
-    tautology for distinct nonzero elements of (Z/2)^3. (iii) concerns
-    general curves that exist only as classes, so it is recorded as
-    assumptions.
+    read off the valence counts as a cheap self-check; MissedIntersection
+    otherwise. (ii) is a tautology for distinct nonzero elements of
+    (Z/2)^3. (iii) concerns general curves that exist only as classes, so
+    it is recorded as assumptions.
     """
-    pairs = check_pair_count(c)
+    pairs = L * (L - 1) // 2
+    counted = sum(n * v * (v - 1) // 2 for v, n in counts)
+    if counted != pairs:
+        raise MissedIntersection(
+            f"the listed points account for {counted} of the {pairs} pairs of lines"
+        )
     assumptions = tuple(
         f"D_{name(g)}: a general smooth plane curve of degree {m[g]} meeting the "
         "lines transversally, through no blown-up point and no triple point"
         for g in group_elements()
         if g not in (ZERO, ALPHA) and m.get(g, 0) > 0
     )
-    return HypothesisReport(
-        proper_transform_smooth=True,
-        pairs_checked=pairs,
-        independence=(
-            "any two distinct nonzero elements of (Z/2)^3 are independent, so the "
-            "condition 'D_g meets D_g' only for independent g, g'' holds vacuously"
-        ),
-        genericity_assumptions=assumptions,
-    )
+    return HypothesisReport(pairs, assumptions)
 
 
 class AmpleVerdict:
@@ -104,13 +112,16 @@ _AMPLE_JUSTIFICATION = (
 )
 
 
-def ample_certificate(cls: tuple[int, tuple[int, ...]]) -> AmpleVerdict:
-    """Sufficient criterion on (h, b): b_q >= 1 for every blown-up point and h > sum b_q."""
+def ample_certificate(cls: tuple[int, tuple[int, ...]], counts: ValenceCounts) -> AmpleVerdict:
+    """Sufficient criterion on (h, b): b_q >= 1 for every blown-up point and h > sum b_q.
+
+    b has one coefficient per valence class of counts.
+    """
     h, b = cls
-    low = [q for q, x in enumerate(b) if x < 1]
-    if low:
-        return AmpleVerdict(False, f"degree on exceptional curve E_{low[0]} is {b[low[0]]} < 1")
-    total = sum(b)
+    for x, (v, n) in zip(b, counts):
+        if x < 1:
+            return AmpleVerdict(False, f"degree on E_q is {x} < 1 at the {n} points of valence {v}")
+    total = sum(x * n for x, (_, n) in zip(b, counts))
     if h <= total:
         return AmpleVerdict(False, f"h = {h} <= sum of b_q = {total}")
     return AmpleVerdict(True, _AMPLE_JUSTIFICATION)
@@ -150,13 +161,14 @@ def select_m(c: Configuration) -> dict[int, int]:
 
 class CoverReport:
     __slots__ = (
-        "line_count", "m", "D", "classes", "hypotheses", "ampleness", "nef_gap",
-        "source_poly", "seed",
+        "line_count", "valence_counts", "m", "D", "classes", "hypotheses", "ampleness",
+        "nef_gap", "source_poly", "seed",
     )
 
     def __init__(
         self,
         line_count: int,
+        valence_counts: ValenceCounts,
         m: dict[int, int],
         D: dict[int, tuple[int, tuple[int, ...]]],
         classes: dict[int, tuple[int, tuple[int, ...]]],
@@ -167,6 +179,7 @@ class CoverReport:
         seed: int = 0,
     ):
         self.line_count = line_count
+        self.valence_counts = valence_counts
         self.m = m
         self.D = D
         self.classes = classes
@@ -188,13 +201,12 @@ def build_cover_report(c: Configuration) -> CoverReport:
     are reported as a known gap rather than certified.
     """
     L = c.line_count
-    e = tuple(c.all_valences())
-    odd = next((q for q, v in enumerate(e) if v % 2), None)
-    if odd is not None:
-        raise ParityViolation(
-            f"point {odd} has odd valence {e[odd]}, so D_alpha is not divisible by 2"
-        )
+    counts = valence_counts(c)
+    for v, n in counts:
+        if v % 2:
+            raise ParityViolation(f"{n} point(s) of odd valence {v}: D_alpha is not divisible by 2")
     m = select_m(c)
+    e = tuple(v for v, _ in counts)
     zero_b = (0,) * len(e)
     half_e = tuple(v // 2 for v in e)
     D = {g: (L, e) if g == ALPHA else (m[g], zero_b) for g in group_elements()}
@@ -206,14 +218,15 @@ def build_cover_report(c: Configuration) -> CoverReport:
                 f"S_{name(chi)} = {s} is odd: sum m_g * g does not vanish in (Z/2)^3"
             )
         classes[chi] = (s // 2, half_e if pairing(chi, ALPHA) else zero_b)
-    hypotheses = check_cover_hypotheses(m, c)
-    ampleness = {chi: ample_certificate(classes[chi]) for chi in group_elements() if chi}
+    hypotheses = check_cover_hypotheses(m, L, counts)
+    ampleness = {chi: ample_certificate(classes[chi], counts) for chi in group_elements() if chi}
     nef_gap = tuple(chi for chi in group_elements() if chi and pairing(chi, ALPHA) == 0)
     for chi, verdict in ampleness.items():
         if pairing(chi, ALPHA) == 1 and not verdict.certified:
             raise SelfCheckFailed(f"selected m fails ampleness for chi = {name(chi)}")
     return CoverReport(
         line_count=L,
+        valence_counts=counts,
         m=m,
         D=D,
         classes=classes,

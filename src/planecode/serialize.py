@@ -11,7 +11,8 @@ lines and then derives the points, incidences and marks with the builder's
 own code (configuration.derive_points), which finds each point by
 fingerprint, confirms it exactly, and computes exact coordinates only for
 the points something reads. So nothing in the file is trusted and nothing
-is proven twice. Certificates and cover reports are schema v1.
+is proven twice. Certificates are schema v1. A cover report (schema v2)
+lists each valence once, and each class as h and one b per valence.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from .numberfield import IntPoly, NFElement, NumberField, check_bounds
 from .projgeom import ProjLine
 
 CONFIG_SCHEMA_VERSION = 2
-REPORT_SCHEMA_VERSION = 1
+CERTIFICATE_SCHEMA_VERSION = 1
+COVER_SCHEMA_VERSION = 2
 
 
 def fraction_to_json(q: Fraction) -> dict:
@@ -140,7 +142,7 @@ def config_from_json(data) -> Configuration:
 
 def certificate_to_json(cert: SeparationCertificate) -> dict:
     return {
-        "v": REPORT_SCHEMA_VERSION,
+        "v": CERTIFICATE_SCHEMA_VERSION,
         "kind": "separation-certificate",
         "poly": poly_to_json(cert.poly),
         "seed": cert.seed,
@@ -192,11 +194,12 @@ def cover_report_to_json(report: CoverReport) -> dict:
         return {"h": h, "b": list(b)}
 
     return {
-        "v": REPORT_SCHEMA_VERSION,
+        "v": COVER_SCHEMA_VERSION,
         "kind": "cover-report",
         "poly": poly_to_json(report.source_poly) if report.source_poly else None,
         "seed": report.seed,
         "line_count": report.line_count,
+        "valence_classes": [{"valence": v, "points": n} for v, n in report.valence_counts],
         "m": {name(g): v for g, v in report.m.items()},
         "D": {name(g): pic_to_json(cls) for g, cls in report.D.items()},
         "M": {name(chi): pic_to_json(cls) for chi, cls in report.classes.items()},

@@ -18,7 +18,7 @@ from planecode import (
     valences,
 )
 from planecode import cover
-from planecode.cover import ZERO, name
+from planecode.cover import ZERO, name, valence_counts
 from planecode.errors import MissedIntersection, ParityViolation, SelfCheckFailed
 from tests.conftest import ACCEPTANCE_POLYS
 
@@ -64,15 +64,24 @@ def test_xor_triple_example_by_hand_enumeration():
 
 # -- branch divisors and half classes ------------------------------------------------
 
+def _per_point(cls, report, cfg):
+    """A class written by valence class, expanded to one coefficient per point."""
+    h, b = cls
+    at = {v: x for (v, _), x in zip(report.valence_counts, b)}
+    return h, tuple(at[v] for v in cfg.all_valences())
+
+
 def test_assign_branch_divisors(built):
     cfg, _ = built("x^2-2")
     L = cfg.line_count
     report = build_cover_report(cfg)
     # D_alpha read against H gives L, against E_q gives the valence e_q
-    assert report.D[ALPHA] == (L, tuple(cfg.all_valences()))
+    e = tuple(v for v, _ in report.valence_counts)
+    assert report.D[ALPHA] == (L, e)
+    expanded = _per_point(report.D[ALPHA], report, cfg)
     for idx, val in valences(cfg):
-        assert report.D[ALPHA][1][idx] == val
-    zero_b = (0,) * len(cfg.points)
+        assert expanded[1][idx] == val
+    zero_b = (0,) * len(e)
     assert report.D[ZERO] == (0, zero_b)
     for x in group_elements():
         if x != ALPHA:
@@ -81,20 +90,32 @@ def test_assign_branch_divisors(built):
 
 def test_compute_M_trivial_character(built):
     cfg, _ = built("x^2-2")
-    assert build_cover_report(cfg).classes[ZERO] == (0, (0,) * len(cfg.points))
+    report = build_cover_report(cfg)
+    assert report.classes[ZERO] == (0, (0,) * len(report.valence_counts))
 
 
 def test_compute_M_pairing_one_characters(built):
     cfg, _ = built("x^2-2")
-    classes = build_cover_report(cfg).classes
-    halves = tuple(v // 2 for v in cfg.all_valences())
+    report = build_cover_report(cfg)
+    halves = tuple(v // 2 for v, _ in report.valence_counts)
     for chi in group_elements():
         if chi == ZERO:
             continue
         if pairing(chi, ALPHA) == 1:
-            assert classes[chi][1] == halves
+            assert report.classes[chi][1] == halves
         else:
-            assert all(x == 0 for x in classes[chi][1])  # pure H multiple
+            assert all(x == 0 for x in report.classes[chi][1])  # pure H multiple
+
+
+@pytest.mark.parametrize("text", ACCEPTANCE_POLYS)
+def test_valence_counts_count_every_point_and_every_pair(built, text):
+    cfg, _ = built(text)
+    counts = valence_counts(cfg)
+    assert [v for v, _ in counts] == sorted(set(cfg.all_valences()))
+    assert sum(n for _, n in counts) == len(cfg.points)
+    L = cfg.line_count
+    assert sum(n * v * (v - 1) // 2 for v, n in counts) == L * (L - 1) // 2
+    assert build_cover_report(cfg).valence_counts == counts
 
 
 def _half_sum(chi, D):
@@ -110,9 +131,17 @@ def _half_sum(chi, D):
 
 @pytest.mark.parametrize("text", ACCEPTANCE_POLYS)
 def test_half_classes_match_the_definition(built, text):
+    # every class, expanded to one coefficient per point, is the per-point
+    # class of the definition: D_alpha = (L, e) and D_g = (m_g, 0)
     cfg, _ = built(text)
     report = build_cover_report(cfg)
-    assert report.classes == {chi: _half_sum(chi, report.D) for chi in group_elements()}
+    e = tuple(cfg.all_valences())
+    D = {x: (cfg.line_count, e) if x == ALPHA else (report.m[x], (0,) * len(e))
+         for x in group_elements()}
+    for x in group_elements():
+        assert _per_point(report.D[x], report, cfg) == D[x]
+    for chi in group_elements():
+        assert _per_point(report.classes[chi], report, cfg) == _half_sum(chi, D)
 
 
 # -- the two parity checks -------------------------------------------------------------
@@ -163,7 +192,7 @@ def test_parity_theorem_over_every_m_mod_2():
 
 def test_hypotheses_on_pipeline(built):
     cfg, _ = built("x^2-2")
-    report = check_cover_hypotheses(select_m(cfg), cfg)
+    report = check_cover_hypotheses(select_m(cfg), cfg.line_count, valence_counts(cfg))
     assert report.proper_transform_smooth
     assert report.pairs_checked == cfg.line_count * (cfg.line_count - 1) // 2
     assert "independent" in report.independence
@@ -177,7 +206,7 @@ def test_missed_intersection_detected(built):
         cfg.seed, cfg.params_consumed, cfg.source,
     )
     with pytest.raises(MissedIntersection):
-        check_cover_hypotheses(select_m(cfg), broken)
+        check_cover_hypotheses(select_m(cfg), broken.line_count, valence_counts(broken))
 
 
 def test_hypotheses_with_bare_m():
@@ -186,7 +215,7 @@ def test_hypotheses_with_bare_m():
     k = NumberField.create(parse_poly("x^2-2"))
     lines = [line(k, 1, 0, -c) for c in range(3)] + [line(k, 0, 1, -1)]
     cfg = derive_points(lines)
-    report = check_cover_hypotheses({ALPHA: 4}, cfg)
+    report = check_cover_hypotheses({ALPHA: 4}, cfg.line_count, valence_counts(cfg))
     assert report.proper_transform_smooth
     assert report.genericity_assumptions == ()
 
@@ -194,20 +223,24 @@ def test_hypotheses_with_bare_m():
 # -- ampleness ----------------------------------------------------------------------
 
 def test_ample_certificate_examples():
-    assert ample_certificate((10, (1, 1, 1))).certified
-    v = ample_certificate((2, (1, 1, 1)))
-    assert not v.certified and "<=" in v.reason
-    v = ample_certificate((7, (0, 0, 0)))
-    assert not v.certified and "E_0" in v.reason
+    # two points of valence 2 and one of valence 4: sum b_q = 2 * 1 + 1 * 2 = 4
+    counts = ((2, 2), (4, 1))
+    assert ample_certificate((10, (1, 2)), counts).certified
+    assert ample_certificate((5, (1, 2)), counts).certified
+    v = ample_certificate((4, (1, 2)), counts)
+    assert not v.certified and "h = 4 <= sum of b_q = 4" in v.reason
+    v = ample_certificate((7, (0, 2)), counts)
+    assert not v.certified and "points of valence 2" in v.reason
 
 
 def test_ample_certificate_monotone_in_h():
     rng = random.Random(5)
     for _ in range(40):
+        counts = tuple((2 * i + 2, rng.randint(1, 9)) for i in range(5))
         b = tuple(rng.randint(1, 4) for _ in range(5))
-        h = rng.randint(1, 25)
-        before = ample_certificate((h, b)).certified
-        after = ample_certificate((h + rng.randint(0, 10), b)).certified
+        h = rng.randint(1, 90)
+        before = ample_certificate((h, b), counts).certified
+        after = ample_certificate((h + rng.randint(0, 30), b), counts).certified
         assert after >= before
 
 
@@ -215,12 +248,12 @@ def test_ample_certificate_monotone_in_h():
 
 def test_select_m_certifies(built):
     cfg, _ = built("x^2-2")
-    classes = build_cover_report(cfg).classes
+    report = build_cover_report(cfg)
     E = sum(cfg.all_valences())
     for chi in group_elements():
         if pairing(chi, ALPHA) == 1:
-            assert ample_certificate(classes[chi]).certified
-            assert 2 * classes[chi][0] > E
+            assert ample_certificate(report.classes[chi], report.valence_counts).certified
+            assert 2 * report.classes[chi][0] > E
 
 
 def test_select_m_sum_condition(built):

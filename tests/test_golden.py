@@ -55,17 +55,17 @@ GOLDEN = {
 }
 
 COVER_GOLDEN = {
-    "x^2-2": "f383aaebbedf82a9eafbca3173b5c4bdda823e3da2806bfc90ef431205c1c066",
-    "x^3-2": "f2a832d152ce4b73df2fc939c2c6c69c9155217527c6237d73db71acb7e8084d",
-    "x^2-x-1": "b689799cf67169bd47687151f28c25dae6a2e72f00831998d8ad75bc5b12209c",
-    "x^4-x-1": "64f70881aa7174ec08f9b10ca8dab2a20d68480d94c88e073d40c0fba4862409",
-    "3*x^2-5": "11a342581ad6e750d4d849af891532be89b571e4643a29f8fdd0bb15593b6dd6",
-    "x^5-x-1": "2e07a5c1b54e62f055d35b1ff6de227d2511393301de21aec1151b4b059784e1",
-    "x^7-x-1": "0d97e1b2c25fbb31541d1daca6ea91e83cb932a7776e55a220cf435648a3fa25",
-    # constant chains (see CONSTANT_FILE_GOLDEN); the x^3-1000003 report has
-    # 22,499 points and is 3.96 MB
-    "3*x^3-5*x+7": "d47f784b42013228c00d7078217a20a61d42f6a315704ff69251f9428e39f6f7",
-    "x^3-1000003": "25eb8411e3eef9f2ce02a6bf4e846308057b12470a9944a394ba1d76500ba9a9",
+    "x^2-2": "4e667da0c168838e00e049d662ca3063029e7012cfd7e083304f39ae31699a64",
+    "x^3-2": "44cdb55bf3d3d1d676d5bf8b8b6b7a1a09f02ee1bf091c76d7a4ce6cfe92f7e4",
+    "x^2-x-1": "d9abea848824b67ceb9fcc20bb1394e84c934a47b596dcb9f7f35a0de43b8c34",
+    "x^4-x-1": "bfbb51df15f2296012ca1177e445e92b465803c47a88a600ddd0708984e29063",
+    "3*x^2-5": "e866c1ceb6438a279c69d9e0f064a5285038601e5cdbbf44af6c859908f871bd",
+    "x^5-x-1": "6f5e635053ea4b57a970574119158e6be4c0477755e946417f8833a252d9a14d",
+    "x^7-x-1": "d1f22abc2d2d30235a20583c13beaf005a3a73943a5161b6be4c5df41a9cf7c1",
+    # constant chains (see CONSTANT_FILE_GOLDEN); the x^3-1000003 report lists
+    # its 22,499 points as 7 valence classes (see COVER_BYTES_AT_MOST)
+    "3*x^3-5*x+7": "54a3500177d06ab78e90a017e559381c29bb32afbe13d2c17c6b20fddc322da5",
+    "x^3-1000003": "35c8bf8beab8f9b9ef427c69956c2f27a0281fd4963da762bb699fb8141582c9",
 }
 
 
@@ -89,6 +89,10 @@ CONSTANT_FILE_GOLDEN = {
 
 # The v1 files were 0.67 MB and 6.55 MB; the lines alone are 2-4 % of that.
 FILE_BYTES_AT_MOST = {"x^2-2": 30_000, "x^7-x-1": 150_000}
+
+# A cover report lists each valence once; the v1 report, with one
+# coefficient per point in each of its 16 classes, was 3.96 MB.
+COVER_BYTES_AT_MOST = {"x^3-1000003": 16_000}
 
 
 def _sha256(text: str) -> str:
@@ -125,3 +129,10 @@ def test_cover_report_digest(built, text):
     cfg, _ = built(text)
     blob = dumps_canonical(cover_report_to_json(build_cover_report(cfg))).encode()
     assert hashlib.sha256(blob).hexdigest() == COVER_GOLDEN[text]
+
+
+@pytest.mark.parametrize("text", sorted(COVER_BYTES_AT_MOST))
+def test_cover_report_size(built, text):
+    cfg, _ = built(text)
+    blob = dumps_canonical(cover_report_to_json(build_cover_report(cfg))).encode()
+    assert len(blob) <= COVER_BYTES_AT_MOST[text]

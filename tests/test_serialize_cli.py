@@ -432,9 +432,11 @@ def test_cli_cover_report(cfg_path, tmp_path):
     out = tmp_path / "report.json"
     assert main(["cover", str(cfg_path), "-o", str(out)]) == 0
     data = json.loads(out.read_text())
-    assert data["kind"] == "cover-report"
+    assert data["kind"] == "cover-report" and data["v"] == 2
     assert data["parity"] == "all-even"
     assert len(data["M"]) == 8
+    classes = len(data["valence_classes"])
+    assert all(len(c["b"]) == classes for c in [*data["D"].values(), *data["M"].values()])
     certified = [k for k, v in data["ampleness"].items() if v["certified"]]
     assert sorted(certified) == ["100", "101", "110", "111"]
     assert data["nef_gap"]["characters"] == ["001", "010", "011"]
