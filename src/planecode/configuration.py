@@ -16,7 +16,7 @@ augment_even_valence makes every valence even, amplify_marks pushes the
 four marks to the strict top of the valence ladder.
 
 New "general" lines take their free parameters from a deterministic
-rational stream, and genericity is checked exactly, never assumed: a
+integer stream, and genericity is checked exactly, never assumed: a
 candidate is rejected if it passes through any existing point other than
 its target. A fingerprint only ever proves two points different; every
 match, and every case the fingerprints cannot settle, is decided by exact
@@ -26,7 +26,6 @@ arithmetic in K.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from fractions import Fraction
 from itertools import chain
 from operator import attrgetter
 
@@ -46,14 +45,14 @@ LADDER_ORDER = (MARK_Z, MARK_INF, MARK_ONE, MARK_ZERO)
 
 
 class ParamStream:
-    """Deterministic rational parameters 1 + seed + k for k = 0, 1, 2, ..."""
+    """Deterministic integer parameters 1 + seed + k for k = 0, 1, 2, ..."""
 
     def __init__(self, seed: int = 0, start: int = 0):
         self.seed = seed
         self.cursor = start
 
-    def next(self) -> Fraction:
-        value = Fraction(1 + self.seed + self.cursor)
+    def next(self) -> int:
+        value = 1 + self.seed + self.cursor
         self.cursor += 1
         return value
 

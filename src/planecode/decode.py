@@ -162,7 +162,7 @@ class _Incidences:
             raise self.fail(f"{role}: points {p} and {q} are not on one line")
         return next(iter(both))
 
-    def height_line(self, h: Fraction) -> int:
+    def height_line(self, h: int) -> int:
         """The file line y = h, which must pass through the mark inf."""
         hline = self.line(line(self.field, 0, 1, -h), "hline")
         if hline not in self.rows[self.inf]:
@@ -237,7 +237,7 @@ def check_forcing(c: Configuration) -> None:
         raise failures[0]
     poly = slp.evaluate(IntPoly.from_coeffs((0, 1)), IntPoly.from_coeffs((1,)))
     n = IntPoly.zero() if slp.rhs is None else poly[slp.rhs]
-    if poly[slp.lhs] - n != c.field.source.primitive():
+    if poly[slp.lhs] - n != c.field.source:
         raise t.fail(f"P - N = {poly[slp.lhs] - n} is not {c.field.source}")
 
 

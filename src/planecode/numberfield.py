@@ -1,4 +1,7 @@
-"""Exact arithmetic in Q and in K = Q[x]/(p), plus certified root isolation.
+"""Exact arithmetic in Z[x] and in K = Q[x]/(p), plus certified root isolation.
+
+A polynomial (IntPoly) has int coefficients: every rational multiple of p
+defines K, and K keeps the primitive one.
 
 All construction arithmetic stays in the abstract field K; complex
 embeddings (one per root of the modulus) are used only for numeric
@@ -28,6 +31,7 @@ from functools import cached_property
 from cmath import isfinite, rect
 from itertools import combinations, count
 from math import gcd as int_gcd, inf, isqrt, lcm, nextafter, pi, prod, sqrt
+from operator import index
 
 from . import _ffpoly
 from .errors import (
@@ -55,19 +59,11 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q
+# polynomials over Z
 # ---------------------------------------------------------------------------
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
-
-
 class IntPoly:
-    """Univariate polynomial with rational coefficients, ascending degree, immutable.
+    """Univariate polynomial with integer coefficients, ascending degree, immutable.
 
     The zero polynomial has an empty coefficient tuple; otherwise the
     leading coefficient is nonzero.
@@ -75,7 +71,7 @@ class IntPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[Fraction, ...]):
+    def __init__(self, coeffs: tuple[int, ...]):
         _set_coeffs(self, coeffs)
 
     def __setattr__(self, name, value):
@@ -91,7 +87,7 @@ class IntPoly:
 
     @classmethod
     def from_coeffs(cls, seq) -> "IntPoly":
-        cs = [_as_fraction(c) for c in seq]
+        cs = [index(c) for c in seq]
         while cs and cs[-1] == 0:
             cs.pop()
         return cls(tuple(cs))
@@ -109,13 +105,13 @@ class IntPoly:
         return not self.coeffs
 
     @property
-    def leading(self) -> Fraction:
+    def leading(self) -> int:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
         return self.coeffs[-1]
 
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+    def __getitem__(self, i: int) -> int:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
         n = max(len(self.coeffs), len(other.coeffs))
@@ -128,55 +124,43 @@ class IntPoly:
     def __mul__(self, other: "IntPoly") -> "IntPoly":
         if self.is_zero or other.is_zero:
             return IntPoly.zero()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b
         return IntPoly.from_coeffs(out)
 
-    def divmod(self, other: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
-        if other.is_zero:
+    def divides(self, f: "IntPoly") -> bool:
+        """Whether self divides f in Z[x]: exact long division, which stops at the
+        first leading coefficient that lead(self) does not divide. For a
+        primitive self this is the test in Q[x] (Gauss's lemma)."""
+        if self.is_zero:
             raise DivisionByZero("polynomial division by zero")
-        quo = [Fraction(0)] * max(0, self.degree - other.degree + 1)
-        rem = list(self.coeffs)
-        d, lead = other.degree, other.leading
-        while len(rem) - 1 >= d and rem:
-            c = rem[-1] / lead
+        rem = list(f.coeffs)
+        d, lead = self.degree, self.leading
+        while len(rem) > d:
+            c, r = divmod(rem[-1], lead)
+            if r:
+                return False
             shift = len(rem) - 1 - d
-            quo[shift] = c
-            for i, b in enumerate(other.coeffs):
+            for i, b in enumerate(self.coeffs):
                 rem[i + shift] -= c * b
             while rem and rem[-1] == 0:
                 rem.pop()
-        return IntPoly.from_coeffs(quo), IntPoly.from_coeffs(rem)
+        return not rem
 
     def derivative(self) -> "IntPoly":
         return IntPoly.from_coeffs(i * c for i, c in enumerate(self.coeffs) if i > 0)
 
-    def content(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        num = 0
-        den = 1
-        for c in self.coeffs:
-            num = int_gcd(num, abs(c.numerator))
-            den = den * c.denominator // int_gcd(den, c.denominator)
-        return Fraction(num, den)
-
     def primitive(self) -> "IntPoly":
-        """Integer-coefficient primitive part with positive leading coefficient."""
+        """Divided by the gcd of the coefficients, with positive leading coefficient."""
         if self.is_zero:
             return self
-        c = self.content()
+        g = int_gcd(*self.coeffs)
         if self.leading < 0:
-            c = -c
-        return IntPoly(tuple(x / c for x in self.coeffs))
-
-    def int_coeffs(self) -> tuple[int, ...]:
-        if any(c.denominator != 1 for c in self.coeffs):
-            raise ValueError("polynomial has non-integer coefficients")
-        return tuple(c.numerator for c in self.coeffs)
+            g = -g
+        return IntPoly(tuple(x // g for x in self.coeffs))
 
     def __str__(self) -> str:
         if self.is_zero:
@@ -292,7 +276,7 @@ def _repeated_factor(prim: IntPoly, cs: list[int], bound: int) -> IntPoly | None
             modulus *= q
         if modulus > bound:
             g = IntPoly.from_coeffs([_symmetric(x, modulus) for x in image]).primitive()
-            if prim.divmod(g)[1].is_zero:
+            if g.divides(prim):
                 return g
 
 
@@ -321,7 +305,7 @@ def check_irreducible(p: IntPoly) -> IntPoly | None:
     n = prim.degree
     if n == 1:
         return None
-    cs = list(prim.int_coeffs())
+    cs = prim.coeffs
     if cs[0] == 0:
         return IntPoly.from_coeffs([0, 1])
     lc = cs[-1]
@@ -367,7 +351,7 @@ def check_irreducible(p: IntPoly) -> IntPoly | None:
             for i in subset:
                 g = _ffpoly.mul(g, lifted[i], m)
             g = IntPoly.from_coeffs([_symmetric(x, m) for x in g]).primitive()
-            if prim.divmod(g)[1].is_zero:
+            if g.divides(prim):
                 return g
     return None
 
@@ -411,16 +395,15 @@ def _residue_map(prim: IntPoly) -> tuple[int, tuple[int, ...]] | None:
     primes qualifies; every residue is then None, and the configuration
     builder tests each crossing exactly against every point of the line.
     """
-    ics = list(prim.int_coeffs())
-    dics = [i * c for i, c in enumerate(ics)][1:]
+    dics = [i * c for i, c in enumerate(prim.coeffs)][1:]
     tried = 0
     ell = _RESIDUE_PRIME_START + 1
     while tried < _RESIDUE_PRIME_TRIES and ell > 2:
         ell -= 1
-        if not _is_prime(ell) or ics[-1] % ell == 0:
+        if not _is_prime(ell) or prim.leading % ell == 0:
             continue
         tried += 1
-        r = _ffpoly.root(ics, ell)
+        r = _ffpoly.root(prim.coeffs, ell)
         if r is not None and sum(c * pow(r, i, ell) for i, c in enumerate(dics)) % ell:
             return ell, tuple(pow(r, i, ell) for i in range(prim.degree))
     return None
@@ -429,6 +412,23 @@ def _residue_map(prim: IntPoly) -> tuple[int, tuple[int, ...]] | None:
 # ---------------------------------------------------------------------------
 # the abstract field K and its elements
 # ---------------------------------------------------------------------------
+
+def primitive_modulus(p: IntPoly) -> IntPoly:
+    """The primitive part of p; TrivialField when p is zero or of degree < 2."""
+    prim = p.primitive()
+    if prim.is_zero:
+        raise TrivialField("the polynomial is zero")
+    if prim.degree < 2:
+        raise TrivialField(f"need degree >= 2, got {prim.degree}")
+    return prim
+
+
+def _rational(x) -> int | Fraction:
+    """x itself, an int or a Fraction: both have a numerator and a denominator."""
+    if isinstance(x, (int, Fraction)):
+        return x
+    raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
 
 class NumberField:
     """K = Q[x]/(source), source of degree n >= 2, a proven field.
@@ -460,9 +460,7 @@ class NumberField:
 
     @classmethod
     def create(cls, p: IntPoly) -> "NumberField":
-        prim = p.primitive()
-        if prim.degree < 2:
-            raise TrivialField(f"need degree >= 2, got {prim.degree}")
+        prim = primitive_modulus(p)
         factor = check_irreducible(prim)
         if factor is not None:
             raise ReducibleModulus(f"{prim} is reducible, factor {factor}", factor=factor)
@@ -484,11 +482,11 @@ class NumberField:
         So c*z^n = -sum_j s_j*z^j in K: one reduction step scales by c and
         touches only the nonzero s_j.
         """
-        cs = self.source.int_coeffs()
+        cs = self.source.coeffs
         return cs[-1], tuple((j, s) for j, s in enumerate(cs[:-1]) if s)
 
     def element(self, coeffs) -> "NFElement":
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = [_rational(c) for c in coeffs]
         if len(cs) != self.n:
             raise ValueError(f"need exactly {self.n} coefficients, got {len(cs)}")
         # over the lcm of the reduced denominators the pair is already normal
@@ -496,7 +494,7 @@ class NumberField:
         return NFElement(self, tuple(c.numerator * (den // c.denominator) for c in cs), den)
 
     def from_rational(self, q) -> "NFElement":
-        q = _as_fraction(q)
+        q = _rational(q)
         return NFElement(self, (q.numerator,) + (0,) * (self.n - 1), q.denominator)
 
     @property
@@ -910,8 +908,8 @@ def isolate_roots(p: IntPoly, precision: float = 1e-9) -> list[Disc]:
     dp = p.derivative()
     lead = p.leading
     try:
-        cs = [float(c / lead) for c in p.coeffs]
-        dcs = [float(c / lead) for c in dp.coeffs]
+        cs = [c / lead for c in p.coeffs]
+        dcs = [c / lead for c in dp.coeffs]
     except OverflowError:
         raise PrecisionExhausted(
             "a coefficient over the leading coefficient does not fit a float"

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import lcm
 
 from .configuration import Configuration, derive_points
 from .cover import CoverReport, name
 from .decode import SeparationCertificate
 from .errors import DuplicateLine, SchemaError
-from .numberfield import IntPoly, NFElement, NumberField, check_bounds
+from .numberfield import MAX_COEFF_DIGITS, IntPoly, NFElement, NumberField, check_bounds
 from .projgeom import ProjLine
 
 CONFIG_SCHEMA_VERSION = 2
@@ -58,7 +59,11 @@ def poly_to_json(p: IntPoly) -> list:
 
 
 def poly_from_json(data) -> IntPoly:
-    """The polynomial of a file, held to the bounds of parse_poly before int() runs."""
+    """The polynomial of a file, held to the bounds of parse_poly before int() runs.
+
+    Rational coefficients are read as their integer multiple by the lcm of
+    the denominators (the same field), held to MAX_COEFF_DIGITS as well.
+    """
     if not isinstance(data, list):
         raise SchemaError("polynomial must be a list of rationals")
     try:
@@ -66,7 +71,12 @@ def poly_from_json(data) -> IntPoly:
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"bad rational in polynomial: {exc!r}") from exc
     check_bounds(len(data) - 1, numerals, SchemaError)
-    return IntPoly.from_coeffs([fraction_from_json(c) for c in data])
+    qs = [fraction_from_json(c) for c in data]
+    den = lcm(*(q.denominator for q in qs))
+    p = IntPoly.from_coeffs(q.numerator * (den // q.denominator) for q in qs)
+    if any(abs(c) >= 10**MAX_COEFF_DIGITS for c in p.coeffs):
+        raise SchemaError(f"clearing denominators exceeds MAX_COEFF_DIGITS = {MAX_COEFF_DIGITS}")
+    return p
 
 
 def config_to_json(c: Configuration) -> dict:

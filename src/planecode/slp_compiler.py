@@ -31,7 +31,7 @@ Each gadget is written once, as add_gadget and mul_gadget over a
 geometry, where the von Staudt lemma that forces it is stated. Emission
 draws it in K (_Drawn); decode.check_forcing reads the same recipe from
 a file's incidence table. The add draws four lines, one of them y = h,
-with h from the deterministic rational stream; the mul draws three and
+with h from the deterministic integer stream; the mul draws three and
 takes no parameter. The last gadget of P lands on the point of N(z), so
 the incidences force P(z) = N(z), that is p(z) = 0, without a negation,
 and the whole construction is defined over K with Galois-stable choices.
@@ -43,13 +43,8 @@ from fractions import Fraction
 from itertools import chain
 
 from .configuration import MARK_LABELS, Configuration, ParamStream, derive_points, ladder_base
-from .errors import (
-    GadgetDegenerate,
-    NotARoot,
-    SelfCheckFailed,
-    TrivialField,
-)
-from .numberfield import IntPoly, NFElement, NumberField
+from .errors import GadgetDegenerate, NotARoot, SelfCheckFailed
+from .numberfield import IntPoly, NFElement, NumberField, primitive_modulus
 # Unused here; bound only for the planecode.slp_compiler.check_irreducible
 # probe of perfbench/tracer.py.
 from .numberfield import check_irreducible  # noqa: F401
@@ -108,10 +103,7 @@ def compile_polynomial(p: IntPoly) -> SLP:
     No instruction is emitted twice. Irreducibility is proven where the
     field is created, in emit_configuration.
     """
-    prim = p.primitive()
-    if prim.degree < 2:
-        raise TrivialField(f"need degree >= 2, got {prim.degree}")
-    ints = prim.int_coeffs()
+    prim = primitive_modulus(p)
 
     instructions: list[tuple] = []
     registers: dict[tuple, int] = {}
@@ -169,14 +161,14 @@ def compile_polynomial(p: IntPoly) -> SLP:
             d = j
         return times_power(acc, d)
 
-    positive = {d: c for d, c in enumerate(ints) if c > 0}
-    negative = {d: -c for d, c in enumerate(ints) if c < 0}
+    positive = {d: c for d, c in enumerate(prim.coeffs) if c > 0}
+    negative = {d: -c for d, c in enumerate(prim.coeffs) if c < 0}
     for side in (positive, negative):
         degrees = sorted(side, reverse=True) + [0]
         for d, j in zip(degrees, degrees[1:]):
             if d > j:
                 power(d - j)
-    for c in sorted({abs(c) for c in ints if abs(c) >= 2}):
+    for c in sorted({abs(c) for c in prim.coeffs if abs(c) >= 2}):
         constant(c)
     lhs, rhs = horner(positive), horner(negative)
     return SLP(tuple(instructions), lhs, rhs, prim)
@@ -206,7 +198,7 @@ def seed_lines(field: NumberField) -> tuple[ProjLine, ProjLine, ProjLine, ProjLi
     return line(field, 0, 1, 0), line(field, 1, 0, 0), line(field, 0, 0, 1), tie_line(field, 1)
 
 
-def add_gadget(g, a, b, h: Fraction):
+def add_gadget(g, a, b, h: int):
     """The object of a + b, and the add's lines by role, in drawing order.
 
     The von Staudt lemma, for both gadgets. In any realization, over any
@@ -356,7 +348,7 @@ class _Drawn:
     def meet(self, l: ProjLine, m: ProjLine, role: str) -> ProjPoint:
         return meet(l, m)
 
-    def height_line(self, h: Fraction) -> ProjLine:
+    def height_line(self, h: int) -> ProjLine:
         return line(self.field, 0, 1, -h)
 
     def check_operands(self, a: ProjPoint, b: ProjPoint) -> None:

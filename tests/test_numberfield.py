@@ -147,10 +147,10 @@ def test_unproven_modulus_refused():
     # mod every prime allow a proper factor: recombination names one
     p = parse_poly("x^6+2*x^4+2*x^2+1")
     factor = check_irreducible(p)
-    assert 0 < factor.degree < 6 and p.divmod(factor)[1].is_zero
+    assert 0 < factor.degree < 6 and factor.divides(p)
     with pytest.raises(ReducibleModulus, match="is reducible, factor") as exc:
         NumberField.create(p)
-    assert p.divmod(exc.value.factor)[1].is_zero
+    assert exc.value.factor.divides(p)
     assert ReducibleModulus.exit_code == UnprovenModulus.exit_code == 3
 
 
@@ -204,7 +204,7 @@ def test_irreducible_x2_minus_2():
 def test_reducible_x2_minus_1():
     factor = check_irreducible(parse_poly("x^2-1"))
     assert factor is not None
-    assert parse_poly("x^2-1").divmod(factor)[1].is_zero
+    assert factor.divides(parse_poly("x^2-1"))
 
 
 def test_quartic_with_quadratic_factor():
@@ -212,7 +212,7 @@ def test_quartic_with_quadratic_factor():
     factor = check_irreducible(parse_poly("x^4+4"))
     assert factor is not None
     assert factor.degree == 2
-    assert parse_poly("x^4+4").divmod(factor)[1].is_zero
+    assert factor.divides(parse_poly("x^4+4"))
 
 
 def test_quartic_irreducible_cases():
@@ -256,7 +256,7 @@ def test_quintic_unverified_is_possible():
     # (x^2 + 1)(x^3 + x + 1) has no rational root; the factor search names a factor
     p = parse_poly("x^2+1") * parse_poly("x^3+x+1")
     factor = check_irreducible(p)
-    assert factor.degree in (2, 3) and p.divmod(factor)[1].is_zero
+    assert factor.degree in (2, 3) and factor.divides(p)
     with pytest.raises(ReducibleModulus):
         NumberField.create(p)
 
@@ -307,6 +307,27 @@ def _random_poly(rng, degree, size, lead=None):
     return IntPoly.from_coeffs([rng.randint(-size, size) for _ in range(degree)] + [lead])
 
 
+def test_intpoly_is_over_z():
+    p = parse_poly("6*x^4-24")
+    for q in (p, p.primitive(), check_irreducible(p)):
+        assert all(type(c) is int for c in q.coeffs), q
+    rng = random.Random(25)
+    for _ in range(200):
+        g = _random_poly(rng, rng.randint(1, 5), 20, rng.choice([2, 3, -5, 6])).primitive()
+        if g.leading == 1:
+            continue
+        q = _random_poly(rng, rng.randint(0, 5), 20)
+        assert g.divides(g * q)
+        assert not g.divides(g * q + IntPoly.from_coeffs([1]))
+    # 2x + 1 divides 4x^2 - 1, but not x^2 + x, whose leading 1 is no multiple of 2
+    g = IntPoly.from_coeffs([1, 2])
+    assert g.divides(parse_poly("4*x^2-1"))
+    assert not g.divides(parse_poly("x^2+x"))
+    # the test is in Z[x]: 2x + 2 divides x^2 + x only in Q[x]
+    assert not IntPoly.from_coeffs([2, 2]).divides(parse_poly("x^2+x"))
+    with pytest.raises(DivisionByZero):
+        IntPoly.zero().divides(g)
+
 def test_factor_search_agrees_with_sympy():
     sympy = pytest.importorskip("sympy")
     x = sympy.Symbol("x")
@@ -333,7 +354,7 @@ def test_factor_search_agrees_with_sympy():
         assert (factor is None) == (len(factors) == 1 and factors[0][1] == 1), str(p)
         if factor is not None:
             reducible += 1
-            assert 0 < factor.degree < p.degree and p.divmod(factor)[1].is_zero
+            assert 0 < factor.degree < p.degree and factor.divides(p)
     assert reducible > 100
 
 
@@ -421,7 +442,7 @@ def _reference_mul(field, xs, ys):
     for i, a in enumerate(xs):
         for j, b in enumerate(ys):
             out[i + j] += a * b
-    mod = [c / field.source.leading for c in field.source.coeffs]
+    mod = [Fraction(c, field.source.leading) for c in field.source.coeffs]
     for i in range(2 * n - 2, n - 1, -1):
         for j in range(n):
             out[i - n + j] -= out[i] * mod[j]

@@ -6,8 +6,14 @@ from pathlib import Path
 
 import pytest
 
+from planecode import parse_poly, separation_certificate
 from planecode.cover import build_cover_report
-from planecode.serialize import cover_report_to_json, dumps_canonical
+from planecode.serialize import (
+    certificate_to_json,
+    config_to_json,
+    cover_report_to_json,
+    dumps_canonical,
+)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -29,13 +35,32 @@ def test_every_probed_binding_is_bound(monkeypatch):
     assert not missing, f"probed names no longer bound: {missing}"
 
 
-@pytest.mark.parametrize("text", ["x^2-2", "x^5-x-1"])
-def test_benchmark_check_accepts_the_cover_report(built, text, tmp_path, monkeypatch):
+@pytest.fixture
+def checks(monkeypatch):
+    """perfbench/checks.py, imported the way the benchmark's runner imports it."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.delitem(sys.modules, "checks", raising=False)
-    checks = importlib.import_module("checks")
+    return importlib.import_module("checks")
+
+
+@pytest.mark.parametrize("text", ["x^2-2", "x^5-x-1"])
+def test_benchmark_check_accepts_the_cover_report(built, checks, text, tmp_path):
     cfg, _ = built(text)
     path = tmp_path / "report.json"
     report = cover_report_to_json(build_cover_report(cfg))
     path.write_text(dumps_canonical(report), encoding="utf-8")
     assert checks.cover_report(path, cfg.line_count) == ([], cfg.line_count)
+
+
+def test_benchmark_check_accepts_the_configuration_file(built, checks, tmp_path):
+    cfg, _ = built("x^2-2")
+    path = tmp_path / "c.json"
+    path.write_text(dumps_canonical(config_to_json(cfg)), encoding="utf-8")
+    assert checks.config_file(path, "x^2-2") == ([], cfg.line_count)
+
+
+def test_benchmark_check_accepts_the_certificate(checks, tmp_path):
+    cert = separation_certificate(parse_poly("x^5-x-1"))
+    path = tmp_path / "cert.json"
+    path.write_text(dumps_canonical(certificate_to_json(cert)), encoding="utf-8")
+    assert checks.certificate(path, "x^5-x-1") == ([], cert.line_count)

@@ -28,7 +28,7 @@ def test_residue_map_root(text):
     field = NumberField.create(parse_poly(text))
     ell, powers = field.residue_map
     assert numberfield._is_prime(ell) and ell <= 2**61 - 1
-    coeffs = field.source.int_coeffs()
+    coeffs = field.source.coeffs
     assert coeffs[-1] % ell
     r = powers[1]
     assert _eval_mod(coeffs, r, ell) == 0
@@ -49,7 +49,7 @@ def test_residue_map_skips_a_multiple_root(monkeypatch):
 
 @pytest.mark.parametrize("text", ROOT_POLYS)
 def test_ffpoly_root_against_brute_force(text):
-    coeffs = list(parse_poly(text).int_coeffs())
+    coeffs = list(parse_poly(text).coeffs)
     for q in SMALL_PRIMES:
         r = _ffpoly.root(coeffs, q)
         roots = [x for x in range(q) if _eval_mod(coeffs, x, q) == 0]

@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from planecode import parse_poly, separation_certificate
+from planecode import IntPoly, parse_poly, separation_certificate
 from planecode.cli import main
+from planecode.decode import check_forcing, decode
 from planecode.errors import SchemaError
 from planecode.serialize import (
     certificate_to_json,
@@ -43,6 +44,16 @@ def test_round_trip_bit_exact(cfg):
     again = config_from_json(data)
     assert again == cfg
 
+
+def test_rational_file_polynomial_reads_as_its_integer_multiple(cfg):
+    # 3/2*x^2 - 3 is read as 2 times itself, 3*x^2 - 6, which defines the field of x^2 - 2
+    data = json.loads(dumps_canonical(config_to_json(cfg)))
+    data["poly"] = [{"n": "-3", "d": "1"}, {"n": "0", "d": "2"}, {"n": "3", "d": "2"}]
+    loaded = config_from_json(data)
+    assert loaded.source == IntPoly.from_coeffs([-6, 0, 3])
+    assert loaded.field == cfg.field
+    assert decode(loaded) == loaded.field.gen
+    check_forcing(loaded)
 
 def test_dumps_deterministic(cfg):
     a = dumps_canonical(config_to_json(cfg))
@@ -159,6 +170,20 @@ def test_cli_exit_codes(cfg_path, tmp_path):
         assert exc.value.code == 2
 
 
+def test_cli_zero_polynomial_is_named(cfg, tmp_path, capsys):
+    # the message once gave the degree of the zero polynomial, -1
+    data = json.loads(dumps_canonical(config_to_json(cfg)))
+    data["poly"] = [{"n": "0", "d": "1"}] * 3
+    path = tmp_path / "zero.json"
+    path.write_text(dumps_canonical(data), encoding="utf-8")
+    out = str(tmp_path / "z.json")
+    for args in (
+        ["build", "-p", "x^2-x^2", "-o", out], ["build", "-p", "0", "-o", out], ["decode", str(path)]
+    ):
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert "the polynomial is zero" in err and "-1" not in err, err
+
 def test_cli_unproven_modulus_exits_3(cfg, tmp_path, capsys):
     # (x^2 + 1)(x^4 + x^2 + 1): once built and "decoded" over a ring that is
     # not a field, with exit 0; then refused as unproven; now refuted with a factor
@@ -182,8 +207,13 @@ _ZERO = {"n": "0", "d": "1"}
     [
         ([{"n": "-" + "9" * 4000, "d": "1"}, _ZERO, _ONE], "MAX_COEFF_DIGITS = 1000"),
         ([{"n": "-2", "d": "1"}] + [_ZERO] * 1999 + [_ONE], "MAX_DEGREE = 32"),
+        # the lcm of the denominators, 10^600 * (10^600 - 1), is the leading coefficient
+        (
+            [{"n": "1", "d": "1" + "0" * 600}, {"n": "1", "d": "9" * 600}, _ONE],
+            "MAX_COEFF_DIGITS = 1000",
+        ),
     ],
-    ids=["4000-digit-constant", "degree-2000"],
+    ids=["4000-digit-constant", "degree-2000", "1200-digit-denominator-lcm"],
 )
 def test_cli_file_poly_past_the_parse_bounds_exits_6(cfg, tmp_path, capsys, poly, limit):
     # the poly of a file is held to the bounds of parse_poly; unbounded, the
