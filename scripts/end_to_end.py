@@ -36,7 +36,7 @@ def main():
         top = [v for _, v in valences(cfg)[:5]]
         print(f"== {poly} ==")
         print(
-            f"  {cfg.line_count} lines, {len(cfg.points)} points, "
+            f"  {cfg.line_count} lines, {cfg.point_count} points, "
             f"built in {build_s:.2f}s"
         )
         print(f"  top valences {top}, decode == generator: {w == cfg.field.gen}")

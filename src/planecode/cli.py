@@ -60,7 +60,7 @@ def _cmd_build(args) -> int:
     _write_output(dumps_canonical(config_to_json(cfg)), args.out)
     print(
         f"built configuration for {poly}: {cfg.line_count} lines, "
-        f"{len(cfg.points)} points",
+        f"{cfg.point_count} points",
         file=sys.stderr,
     )
     return 0

@@ -1,32 +1,27 @@
-"""Line configurations: derived intersection points, valences, augmentation.
+"""Line configurations: lines, multiple points, marks, augmentation.
 
 A configuration is its lines. Everything else is derived from them by one
-code path, _Builder.add_line: a point is where two or more lines cross,
-numbered by the first pair of lines that crosses there, and its incidence
-row is the set of lines through it. The builder finds the existing points
-a new line passes through by fingerprint, a point's image in P^2(F_l)
-(see _Builder), and confirms each match exactly; exact coordinates are
-computed from a point's creating pair only when something reads them
-(Points). find_marks then looks up the four marked points 0, 1, inf, z of
-the coding axis. The builder derives a configuration this way, and so does
-loading a configuration file, which stores only the lines (see serialize).
+code path, _Builder.add_line, also when a file is loaded (see serialize).
+Two lines meet in one point, so the only incidences the lines do not imply
+are the points on three or more lines: a configuration stores those, with
+their incidence rows, and the four marks 0, 1, inf, z of the coding axis
+at any valence (find_marks). Every other point is a simple crossing of two
+lines, counted by simple_count and listed by all_points.
 
 Two passes turn the raw gadget output into the final object:
 augment_even_valence makes every valence even, amplify_marks pushes the
-four marks to the strict top of the valence ladder.
-
-New "general" lines take their free parameters from a deterministic
-integer stream, and genericity is checked exactly, never assumed: a
-candidate is rejected if it passes through any existing point other than
-its target. A fingerprint only ever proves two points different; every
-match, and every case the fingerprints cannot settle, is decided by exact
-arithmetic in K.
+four marks to the strict top of the valence ladder. New "general" lines
+take their free parameters from a deterministic integer stream, and
+genericity is checked exactly, never assumed: a candidate is rejected if
+it passes through any existing point other than its target. The builder
+finds points by fingerprint, their image in P^2(F_l) (see _Builder); a
+fingerprint only ever proves two points different, and every match is
+decided by exact arithmetic in K.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-from itertools import chain
+from itertools import combinations
 from operator import attrgetter
 
 from .errors import DuplicateLine, GenericityExhausted, SelfCheckFailed
@@ -58,10 +53,13 @@ class ParamStream:
 
 
 class Configuration:
-    """Lines over K with their derived points, incidences and marks.
+    """Lines over K with their stored points, incidences and marks.
 
-    incidence[i] lists the sorted indices of the lines through point i.
-    == compares every field; a configuration is not hashable.
+    points are the points on three or more lines and the marks, in builder
+    order: by their second-lowest line, then their lowest. incidence[i]
+    lists the sorted indices of the lines through point i, and marks maps
+    a label to a point index. == compares every field; a configuration is
+    not hashable.
     """
 
     __slots__ = (
@@ -72,7 +70,7 @@ class Configuration:
         self,
         field: NumberField,
         lines: tuple[ProjLine, ...],
-        points: Points,
+        points: tuple[ProjPoint, ...],
         incidence: tuple[tuple[int, ...], ...],
         marks: dict[str, int],
         seed: int = 0,
@@ -97,59 +95,60 @@ class Configuration:
         return len(self.incidence[point_index])
 
     def all_valences(self) -> list[int]:
-        return [len(rows) for rows in self.incidence]
+        """The valence of every point: the stored points in order, then a 2 per simple crossing."""
+        return [len(rows) for rows in self.incidence] + [2] * self.simple_count
 
     @property
     def line_count(self) -> int:
         return len(self.lines)
+
+    @property
+    def simple_count(self) -> int:
+        """The crossings of exactly two lines: each pair of lines meets at one point."""
+        L = len(self.lines)
+        return L * (L - 1) // 2 - sum(len(rows) * (len(rows) - 1) // 2 for rows in self.incidence)
+
+    @property
+    def point_count(self) -> int:
+        """P, the number of points, stored or simple."""
+        return len(self.points) + self.simple_count
 
 
 _values = attrgetter(*Configuration.__slots__)
 
 
 def valences(c: Configuration) -> tuple[tuple[int, int], ...]:
-    """(point index, valence) pairs, highest valence first, ties by index."""
+    """(point index, valence) pairs of the stored points, highest valence first, ties by index."""
     return tuple(sorted(
         ((i, len(rows)) for i, rows in enumerate(c.incidence)),
         key=lambda iv: (-iv[1], iv[0]),
     ))
 
 
-class Points(Sequence):
-    """The points of a configuration, in order; each is the meet of its creating pair.
+def max_other_valence(c: Configuration) -> int:
+    """The largest valence of a point that is not a mark (2 at a simple crossing), or 0."""
+    marked = set(c.marks.values())
+    vals = [len(rows) for i, rows in enumerate(c.incidence) if i not in marked]
+    return max(vals + [2] * (c.simple_count > 0), default=0)
 
-    pairs[i] is the first pair of lines (a, b), a < b, that crosses at point
-    i, and keys[i] its lookup key in the builder. Exact coordinates are
-    computed from the pair on first access and kept in exact[i]; most
-    points are never read, so most are never computed.
+
+def all_points(c: Configuration):
+    """(point, row) for every point of c, stored or simple, in builder order.
+
+    Builder order lists a point at the pair (a, b) of its two lowest lines,
+    by b and then a. A simple crossing is met exactly when it is reached.
     """
-
-    __slots__ = ("lines", "pairs", "keys", "exact")
-
-    def __init__(self, lines, pairs, keys, exact):
-        self.lines = lines
-        self.pairs = pairs
-        self.keys = keys
-        self.exact = exact
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(*i.indices(len(self))))
-        p = self.exact[i]
-        if p is None:
-            a, b = self.pairs[i]
-            p = self.exact[i] = meet(self.lines[a], self.lines[b])
-        return p
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(p == q for p, q in zip(self, other))
-
-    __hash__ = None
+    first = {}  # per pair of lines on a stored point: the point, if the pair is its first
+    for p, rows in enumerate(c.incidence):
+        first.update(dict.fromkeys(combinations(rows, 2)))
+        first[rows[0], rows[1]] = p
+    for b in range(len(c.lines)):
+        for a in range(b):
+            p = first.get((a, b), -1)
+            if p == -1:
+                yield meet(c.lines[a], c.lines[b]), (a, b)
+            elif p is not None:
+                yield c.points[p], c.incidence[p]
 
 
 def _fingerprint(u, v, ell: int):
@@ -168,46 +167,38 @@ def _fingerprint(u, v, ell: int):
 
 
 def _residues(triple):
-    """The residues of a canonical triple, or None if one is undefined.
-
-    The first nonzero entry of a canonical triple is 1, so for a point this
-    is already its fingerprint.
-    """
+    """The residues of a triple, or None if one is undefined."""
     rs = tuple(x.residue for x in triple)
     return None if None in rs else rs
 
 
 class _Builder:
-    """Mutable accumulation of lines, points, and incidences.
+    """Mutable accumulation of lines, stored points and their incidences.
 
-    on_line[i] maps a key to the points on line i that carry it. With a
-    residue map z -> r mod l (K is a field: NumberField.create proves it),
-    the key is the point's fingerprint: for the meet of lines u and v,
-    the cross product of their residue triples, scaled so its first nonzero
-    entry is 1. It is None when a residue is undefined or that product
-    vanishes. Why it depends only on the point: r is a simple root, so l is
-    a regular prime and the local ring R_m of K is a discrete valuation ring
-    to which the residue map extends (NFElement.residue). Two triples over
-    R_m with nonzero images that represent one point differ by a factor
-    lambda in K; each has an entry that is a unit of R_m, so lambda is a
-    unit and the images differ by its nonzero image. So different
-    fingerprints prove the points different. Equal ones prove nothing: a
-    match is confirmed exactly (incident, on the point's exact coordinates),
-    and a meet or point without a fingerprint is tested exactly against
-    every point of the line. Without a residue map every residue is None,
-    so no point has a fingerprint and that exact test decides every case.
+    With a residue map z -> r mod l (K is a field: NumberField.create
+    proves it), the fingerprint of the meet of lines u and v is the cross
+    product of their residue triples, scaled so its first nonzero entry is
+    1, or None when a residue is undefined or that product vanishes. Why
+    it depends only on the point: r is a simple root, so l is a regular
+    prime and the local ring R_m of K is a discrete valuation ring to which
+    the residue map extends (NFElement.residue). Two triples over R_m with
+    nonzero images that represent one point differ by a factor lambda in
+    K; each has an entry that is a unit of R_m, so lambda is a unit and the
+    images differ by its nonzero image. So different fingerprints prove the
+    points different; equal ones prove nothing, and every match is
+    confirmed exactly. Without a residue map no meet has a fingerprint.
     """
 
     def __init__(self, field: NumberField):
         self.field = field
         self.lines: list[ProjLine] = []
         self.line_index: dict[ProjLine, int] = {}
-        self.points = Points(self.lines, [], [], [])
-        # per point, the lines through it in increasing order: a row only
-        # ever gains the newest line
-        self.incidence: list[list[int]] = []
-        self.on_line: list[dict] = []
         self.line_residues: list[tuple[int, int, int] | None] = []
+        self.points: list[ProjPoint] = []
+        self.point_index: dict[ProjPoint, int] = {}
+        # per stored point, the lines through it in increasing order: a row
+        # only ever gains the newest line
+        self.incidence: list[list[int]] = []
         rmap = field.residue_map
         self.ell = None if rmap is None else rmap[0]
 
@@ -216,79 +207,92 @@ class _Builder:
         b = cls(c.field)
         for l in c.lines:
             b._append_line(l)
-        pts = c.points
-        b.points = Points(b.lines, list(pts.pairs), list(pts.keys), list(pts.exact))
-        b.incidence = [list(rows) for rows in c.incidence]
-        for p, rows in enumerate(c.incidence):
-            for i in rows:
-                b.on_line[i].setdefault(pts.keys[p], []).append(p)
+        for q, rows in zip(c.points, c.incidence):
+            b._store(q, list(rows))
         return b
 
     def _append_line(self, l: ProjLine) -> None:
         self.line_index[l] = len(self.lines)
         self.lines.append(l)
-        self.on_line.append({})
         self.line_residues.append(_residues(l.coeffs))
 
-    def _candidates(self, i: int, key):
-        """The points on line i that may carry the fingerprint key: all of them if it is None."""
-        table = self.on_line[i]
-        if key is None:
-            return chain.from_iterable(table.values())
-        return chain(table.get(key, ()), table.get(None, ()))
+    def _store(self, q: ProjPoint, rows: list[int]) -> int:
+        self.point_index[q] = len(self.points)
+        self.points.append(q)
+        self.incidence.append(rows)
+        return self.point_index[q]
+
+    def _through(self, q: ProjPoint, candidates) -> list[int]:
+        """The lines among candidates through q; those whose residues prove they miss it are skipped."""
+        r, ell, out = _residues(q.coords), self.ell, []
+        for j in candidates:
+            u = self.line_residues[j]
+            if r is not None and u is not None and (u[0] * r[0] + u[1] * r[1] + u[2] * r[2]) % ell:
+                continue
+            if incident(self.lines[j], q):
+                out.append(j)
+        return out
 
     def crossings(
         self, l: ProjLine, hits: list[int], generic: bool = False
-    ) -> list[tuple[int, object]] | None:
-        """Where l crosses the lines: existing points into hits, new ones returned.
+    ) -> list[tuple[ProjPoint, list[int]]] | None:
+        """Where l crosses the lines: stored points into hits, new multiple points returned.
 
-        hits may start with points known to lie on l. Every existing point l
-        passes through is appended to it, and (i, key) is returned for each
-        line i that l meets at a new point, in line order. A line through a
-        point of hits is skipped, since l meets it there; so each point is
-        confirmed at most once. With generic set, l is wanted through the
-        points of hits only: the first other point found ends the search,
-        and None is returned.
+        hits may start with stored points known to lie on l; every other
+        stored point l passes through is appended to it. (q, rows) is
+        returned for each simple crossing q of the two lines in rows that l
+        passes through, which l makes a multiple point. With generic set, l
+        is wanted through the points of hits only: the first other point
+        found ends the search, and None is returned.
+
+        A line through a point of hits meets l there and is skipped. The
+        others are grouped by the fingerprint of their crossing with l, so
+        the lines through a point of l are in the group of its fingerprint
+        or in the group None. Each line of a larger group is met with l
+        exactly, and the meet is looked up among the stored points or else
+        tested on the rest of its group; each line of the group None is met
+        with l, and the meet tested on every line. A line alone in its group
+        shares its points of l with lines of the group None.
         """
-        ell, pts = self.ell, self.points
-        w = _residues(l.coeffs)
-        covered = set()
-        for p in hits:
-            covered.update(self.incidence[p])
-        fresh = []
-        for i in range(len(self.lines)):
-            if i in covered:
-                continue
-            u = self.line_residues[i]
-            key = None if u is None or w is None else _fingerprint(u, w, ell)
-            for p in self._candidates(i, key):
-                if incident(l, pts[p]):
-                    if generic:
-                        return None
+        w, ell = _residues(l.coeffs), self.ell
+        covered = {i for p in hits for i in self.incidence[p]}
+        groups: dict = {}
+        for i, u in enumerate(self.line_residues):
+            if i not in covered:
+                key = None if u is None or w is None else _fingerprint(u, w, ell)
+                groups.setdefault(key, []).append(i)
+        # (lines to meet with l, lines to test on each meet)
+        loose = groups.pop(None, [])
+        tasks = [(g, g) for g in groups.values() if len(g) > 1] + [(loose, range(len(self.lines)))]
+        promoted = []
+        for group, pool in tasks:
+            for a in group:
+                if a in covered:
+                    continue
+                q = meet(self.lines[a], l)
+                p = self.point_index.get(q)
+                if p is None:
+                    others = self._through(q, (j for j in pool if j != a and j not in covered))
+                    if not others:
+                        continue
+                if generic:
+                    return None
+                if p is None:
+                    promoted.append((q, sorted((a, *others))))
+                else:
                     hits.append(p)
-                    covered.update(self.incidence[p])
-                    break
-            else:
-                fresh.append((i, key))
-        return fresh
+                    others = self.incidence[p]
+                covered.update(others, (a,))
+        return promoted
 
-    def insert(self, l: ProjLine, hits: list[int], fresh: list[tuple[int, object]]) -> int:
-        """Add l, given what crossings found for it: each new meet is a point of valence 2."""
+    def insert(self, l: ProjLine, hits: list[int], promoted: list[tuple[ProjPoint, list[int]]]) -> int:
+        """Add l, given what crossings found for it."""
         k = len(self.lines)
         self._append_line(l)
-        table = self.on_line[k]
-        pts = self.points
         for p in hits:
             self.incidence[p].append(k)
-            table.setdefault(pts.keys[p], []).append(p)
-        for i, key in fresh:
-            p = len(pts.pairs)
-            pts.pairs.append((i, k))
-            pts.keys.append(key)
-            pts.exact.append(None)
-            self.incidence.append([i, k])
-            self.on_line[i].setdefault(key, []).append(p)
-            table.setdefault(key, []).append(p)
+        for q, rows in promoted:
+            self._store(q, rows + [k])
         return k
 
     def add_if_generic(self, l: ProjLine, through: list[int]) -> bool:
@@ -301,27 +305,27 @@ class _Builder:
         """
         if l in self.line_index:
             return False
-        fresh = self.crossings(l, through, generic=True)
-        if fresh is None:
+        promoted = self.crossings(l, through, generic=True)
+        if promoted is None:
             return False
-        self.insert(l, through, fresh)
+        self.insert(l, through, promoted)
         return True
 
     def add_line(self, l: ProjLine) -> int:
         if l in self.line_index:
             raise DuplicateLine(f"line {l} already present")
         hits: list[int] = []
-        fresh = self.crossings(l, hits)
-        return self.insert(l, hits, fresh)
+        promoted = self.crossings(l, hits)
+        return self.insert(l, hits, promoted)
 
     def find(self, q: ProjPoint) -> int | None:
-        """Index of the point equal to q, or None."""
-        key = _residues(q.coords)
-        for i in range(len(self.lines)):
-            for p in self._candidates(i, key):
-                if self.points[p] == q:
-                    return p
-        return None
+        """Index of the point q, stored now if two or more lines pass through it, else None."""
+        p = self.point_index.get(q)
+        if p is None:
+            rows = self._through(q, range(len(self.lines)))
+            if len(rows) >= 2:
+                p = self._store(q, rows)
+        return p
 
     def freeze(
         self,
@@ -330,14 +334,16 @@ class _Builder:
         params_consumed: int,
         source: IntPoly | None,
     ) -> Configuration:
-        lines = tuple(self.lines)
-        pts = self.points
+        """The configuration, its stored points in builder order."""
+        inc = self.incidence
+        order = sorted(range(len(inc)), key=lambda p: (inc[p][1], inc[p][0]))
+        rank = {p: r for r, p in enumerate(order)}
         return Configuration(
             field=self.field,
-            lines=lines,
-            points=Points(lines, tuple(pts.pairs), tuple(pts.keys), list(pts.exact)),
-            incidence=tuple(map(tuple, self.incidence)),
-            marks=dict(marks),
+            lines=tuple(self.lines),
+            points=tuple(self.points[p] for p in order),
+            incidence=tuple(tuple(inc[p]) for p in order),
+            marks={label: rank[p] for label, p in marks.items()},
             seed=seed,
             params_consumed=params_consumed,
             source=source,
@@ -345,11 +351,12 @@ class _Builder:
 
 
 def find_marks(builder: _Builder) -> dict[str, int]:
-    """Indices of the marked points 0, 1, inf and z that are among the points.
+    """Indices of the marked points 0, 1, inf and z that are points of the lines.
 
     The marks are (0 : 0 : 1), (1 : 0 : 1), (1 : 0 : 0) and (z : 0 : 1) on
-    the coding axis y = 0, z the generator of K. A label whose point is not
-    an intersection point is left out; the builder insists on all four.
+    the coding axis y = 0, z the generator of K; each one found is stored,
+    at any valence. A label whose point is not an intersection point is
+    left out; the builder insists on all four.
     """
     field = builder.field
     marker_points = {
@@ -369,12 +376,11 @@ def derive_points(
     params_consumed: int = 0,
     source: IntPoly | None = None,
 ) -> Configuration:
-    """All pairwise intersections of the given lines, their incidences and marks.
+    """The configuration of the given lines: its multiple points, incidences and marks.
 
     Each line is added in turn (_Builder.add_line), so a point lying on
     more than two lines gets its full incidence set. The lines must be
-    pairwise distinct (DuplicateLine otherwise), and points are numbered in
-    the order their first pair of lines appears.
+    pairwise distinct (DuplicateLine otherwise).
     """
     lines = list(lines)
     if len(lines) < 2:
@@ -413,12 +419,11 @@ def _generic_line_through(
 def ladder_base(c: Configuration) -> int:
     """M, the base of the ladder amplify_marks builds: the marks reach M+2 .. M+8.
 
-    M is the largest valence of a point that is not a mark, rounded up to
-    even. The ladder must clear every current mark valence, so it is bumped
-    in steps of two while a mark already sits above its slot.
+    M is max_other_valence(c), rounded up to even. The ladder must clear
+    every current mark valence, so it is bumped in steps of two while a
+    mark already sits above its slot.
     """
-    marked = set(c.marks.values())
-    m_cap = max((len(rows) for i, rows in enumerate(c.incidence) if i not in marked), default=0)
+    m_cap = max_other_valence(c)
     m_cap += m_cap % 2
     while any(
         len(c.incidence[c.marks[lb]]) > m_cap + 2 * (i + 1) for i, lb in enumerate(LADDER_ORDER)
@@ -451,7 +456,8 @@ def augment_even_valence(c: Configuration) -> Configuration:
        each mark whose valence is odd.
     A join is taken only if it passes through no other existing point
     (_Builder.add_if_generic). Adding lines never makes a refused join
-    generic, so no pair is tried twice. New crossings have valence 2, a
+    generic, so no pair is tried twice. New crossings are simple, so the
+    stored points and their order stay as they are; a
     fixed point gains one line and ends at most at M (M is even), and a
     mark never passes its target, so _ladder_targets is the same before
     and after, and amplify_marks fills each mark's remaining even deficit.

@@ -14,13 +14,14 @@ a sufficient Nakai-Moishezon criterion.
 
 Every class depends on a point only through its valence, so b holds one
 coefficient per valence class of valence_counts(c): the b_q of each point
-q of that valence.
+q of that valence. The simple crossings, which the configuration counts
+but does not store, form the class of valence 2.
 """
 
 from __future__ import annotations
 
 from .configuration import Configuration
-from .errors import MissedIntersection, ParityViolation, SelfCheckFailed
+from .errors import ParityViolation, SelfCheckFailed
 # Unused here; bound only for the planecode.cover.meet probe of perfbench/tracer.py.
 from .projgeom import meet  # noqa: F401
 
@@ -48,15 +49,15 @@ def pairing(chi: int, g: int) -> int:
 
 
 def valence_counts(c: Configuration) -> ValenceCounts:
-    """The number of points of each valence of c."""
-    counts = {}
-    for v in c.all_valences():
-        counts[v] = counts.get(v, 0) + 1
+    """The number of points of each valence of c, the simple crossings among those of valence 2."""
+    counts = {2: c.simple_count} if c.simple_count else {}
+    for rows in c.incidence:
+        counts[len(rows)] = counts.get(len(rows), 0) + 1
     return tuple(sorted(counts.items()))
 
 
 class HypothesisReport:
-    """The checked pair count and the recorded assumptions; (i) and (ii) always hold."""
+    """The number of pairs of lines and the recorded assumptions; (i) and (ii) always hold."""
 
     __slots__ = ("pairs_checked", "genericity_assumptions")
     proper_transform_smooth = True
@@ -70,31 +71,23 @@ class HypothesisReport:
         self.genericity_assumptions = genericity_assumptions
 
 
-def check_cover_hypotheses(m: dict[int, int], L: int, counts: ValenceCounts) -> HypothesisReport:
+def check_cover_hypotheses(m: dict[int, int], L: int) -> HypothesisReport:
     """Hypotheses of the branched-cover theorem for L lines, checked or recorded.
 
     (i) is exact: the proper transforms of the lines are pairwise disjoint
-    because every pairwise intersection was blown up. Every pair of lines
-    is counted at exactly one point (configuration.derive_points, also on
-    load), so this is the pair-count identity sum_q C(e_q, 2) = C(L, 2),
-    read off the valence counts as a cheap self-check; MissedIntersection
-    otherwise. (ii) is a tautology for distinct nonzero elements of
-    (Z/2)^3. (iii) concerns general curves that exist only as classes, so
-    it is recorded as assumptions.
+    because every pairwise intersection was blown up, a stored point or a
+    simple crossing, whose number is defined by C(L, 2) (simple_count).
+    (ii) is a tautology for distinct nonzero elements of (Z/2)^3. (iii)
+    concerns general curves that exist only as classes, so it is recorded
+    as assumptions.
     """
-    pairs = L * (L - 1) // 2
-    counted = sum(n * v * (v - 1) // 2 for v, n in counts)
-    if counted != pairs:
-        raise MissedIntersection(
-            f"the listed points account for {counted} of the {pairs} pairs of lines"
-        )
     assumptions = tuple(
         f"D_{name(g)}: a general smooth plane curve of degree {m[g]} meeting the "
         "lines transversally, through no blown-up point and no triple point"
         for g in group_elements()
         if g not in (ZERO, ALPHA) and m.get(g, 0) > 0
     )
-    return HypothesisReport(pairs, assumptions)
+    return HypothesisReport(L * (L - 1) // 2, assumptions)
 
 
 class AmpleVerdict:
@@ -151,7 +144,7 @@ def select_m(c: Configuration) -> dict[int, int]:
     build_cover_report checks the (chi, alpha) = 1 verdicts of the result.
     """
     L = c.line_count
-    need = max(0, sum(c.all_valences()) + 1 - L)
+    need = max(0, sum(v * n for v, n in valence_counts(c)) + 1 - L)
     k = need + (need - L) % 2
     m = {g: 0 for g in group_elements()}
     m[ALPHA] = L
@@ -218,7 +211,7 @@ def build_cover_report(c: Configuration) -> CoverReport:
                 f"S_{name(chi)} = {s} is odd: sum m_g * g does not vanish in (Z/2)^3"
             )
         classes[chi] = (s // 2, half_e if pairing(chi, ALPHA) else zero_b)
-    hypotheses = check_cover_hypotheses(m, L, counts)
+    hypotheses = check_cover_hypotheses(m, L)
     ampleness = {chi: ample_certificate(classes[chi], counts) for chi in group_elements() if chi}
     nef_gap = tuple(chi for chi in group_elements() if chi and pairing(chi, ALPHA) == 0)
     for chi, verdict in ampleness.items():

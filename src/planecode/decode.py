@@ -2,8 +2,9 @@
 
 decode reads nothing but valences and coordinates: find the four points
 with the most lines, check that they are collinear, take their cross-ratio.
-check_forcing runs the gadget recipes over the incidence table: every
-realization of the configuration puts a root of p there, not the file's alone.
+check_forcing runs the gadget recipes over the incidence table of the
+multiple points and the marks: every realization of the configuration puts
+a root of p there, not the file's alone.
 The separation certificate then evaluates the decoded element under every
 embedding of K and certifies that the resulting discs are pairwise
 disjoint, which is the machine-checkable form of "the conjugate
@@ -18,7 +19,7 @@ import heapq
 from fractions import Fraction
 from itertools import combinations
 
-from .configuration import Configuration
+from .configuration import Configuration, max_other_valence
 from .errors import (
     AmbiguousValences,
     DegenerateQuadruple,
@@ -50,13 +51,14 @@ def _ladder(c: Configuration) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
     single out the quadruple, and any tie among or directly below the top
     four is an error rather than a tie-break. The ladder orders points by
     valence, highest first, ties by index, as configuration.valences does.
+    It shows the stored points; below them come the simple crossings, of 2.
     """
     vals = list(map(len, c.incidence))
     top = heapq.nlargest(LADDER_SHOWN, range(len(vals)), key=vals.__getitem__)
     entries = [(i, vals[i]) for i in top]
-    if len(entries) < 4:
-        raise _failed(AmbiguousValences, "point count", f"{len(entries)} points, 4 needed", entries)
-    ladder = [v for _, v in entries[:5]] + ([0] if len(entries) == 4 else [])
+    if c.point_count < 4:
+        raise _failed(AmbiguousValences, "point count", f"{c.point_count} points, 4 needed", entries)
+    ladder = ([v for _, v in entries[:5]] + [2] * min(5, c.simple_count) + [0])[:5]
     if not all(ladder[i] > ladder[i + 1] for i in range(4)):
         detail = f"the top five valences {ladder[:5]} do not strictly decrease"
         raise _failed(AmbiguousValences, "strict ladder", detail, entries)
@@ -95,7 +97,7 @@ class _Incidences:
 
     def __init__(self, c: Configuration):
         zero, one, inf, z = _ladder(c)[1]
-        self.field, self.rows, self.at = c.field, c.incidence, "the seed lines"
+        self.field, self.rows, self.at = c.field, list(c.incidence), "the seed lines"
         self.index = {l: i for i, l in enumerate(c.lines)}
         self.on: list[list[int]] = [[] for _ in c.lines]  # per line, its points
         appends = [points.append for points in self.on]
@@ -145,12 +147,17 @@ class _Incidences:
     def meet(self, i: int, j: int, role: str) -> int:
         """The one point whose row holds lines i and j.
 
-        A line named here carries at least two points of the table, so a
-        line never passes as its own meet.
+        Two lines that share no stored point cross at a simple crossing,
+        on them alone, which is named by the next index.
         """
         both = [p for p in self.on[i] if j in self.rows[p]]
-        if len(both) != 1:
+        if i == j or len(both) > 1:
             raise self.fail(f"{role}: lines {i} and {j} do not meet in one point")
+        if not both:
+            both = [len(self.rows)]
+            self.rows.append((i, j))
+            self.on[i] += both
+            self.on[j] += both
         return both[0]
 
     def join(self, p: int, q: int, role: str) -> int:
@@ -183,7 +190,8 @@ def check_forcing(c: Configuration) -> None:
 
     A realization is a choice of lines, over any field, with the incidences
     of the table; distinct indices are distinct points and lines, which
-    the file's own table supplies. The check finds the seed objects, then
+    the file's own table supplies; two lines that share no point of the
+    table meet on no other line. The check finds the seed objects, then
     runs the gadget recipes (slp_compiler.realize) over the table: each
     gadget line is the one table line through two named points, each
     point the one point whose row holds two named lines. Only the seed
@@ -296,18 +304,14 @@ def separation_certificate(
     if not all(a.disjoint_from(b) for a, b in combinations(images, 2)):
         raise SelfCheckFailed("the value discs of the generator overlap")
 
-    marked = set(cfg.marks.values())
     mark_valences = {label: cfg.valence(i) for label, i in cfg.marks.items()}
-    max_other = max(
-        (cfg.valence(i) for i in range(len(cfg.points)) if i not in marked), default=0
-    )
     return SeparationCertificate(
         poly=cfg.source if cfg.source is not None else p,
         seed=seed,
         precision=precision,
         line_count=cfg.line_count,
         mark_valences=mark_valences,
-        max_other_valence=max_other,
+        max_other_valence=max_other_valence(cfg),
         decoded=decoded.coeffs,
         equals_generator=True,
         roots=roots,

@@ -117,7 +117,3 @@ class NotForced(PlanecodeError):
 
 class SchemaError(PlanecodeError):
     exit_code = 6
-
-
-class MissedIntersection(PlanecodeError):
-    exit_code = 6

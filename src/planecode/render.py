@@ -1,7 +1,8 @@
 """Static SVG pictures of a configuration under one numeric embedding.
 
-Lines are clipped to a bounding box around the finite real points; points
-are drawn as circles sized by valence, with the four marks labeled. Under
+Lines are clipped to a bounding box around the finite real points; every
+point, stored or simple (configuration.all_points), is drawn as a circle
+sized by valence, with the four marks labeled. Under
 a non-real embedding only lines with (numerically) real coefficients are
 drawn, and a warning is returned for the rest. Coordinates are float
 values at the centre of the root disc (numberfield.approximate): a picture
@@ -10,7 +11,7 @@ needs no certificate.
 
 from __future__ import annotations
 
-from .configuration import Configuration
+from .configuration import Configuration, all_points
 from .errors import BadArgument
 from .numberfield import Disc, approximate
 
@@ -65,13 +66,13 @@ def render_svg(
         )
 
     numeric_points = []
-    for i, p in enumerate(c.points):
+    for p, rows in all_points(c):
         xs = [approximate(coord, e) for coord in p.coords]
         if abs(xs[2]) < 1e-12:
             continue
         x, y = xs[0] / xs[2], xs[1] / xs[2]
         if _is_real(x) and _is_real(y):
-            numeric_points.append((i, x.real, y.real))
+            numeric_points.append((rows, x.real, y.real))
 
     if not numeric_points:
         box = (-1.0, -1.0, 1.0, 1.0)
@@ -117,19 +118,19 @@ def render_svg(
     if skipped:
         warnings.append(f"skipped {skipped} lines with non-real coefficients")
 
-    mark_of = {idx: label for label, idx in c.marks.items()}
-    for i, x, y in numeric_points:
+    mark_of = {c.incidence[idx]: label for label, idx in c.marks.items()}
+    for rows, x, y in numeric_points:
         px, py = to_px(x, y)
-        valence = len(c.incidence[i])
-        radius = 1.2 + 0.5 * (valence - 2)
-        color = "#cc3311" if i in mark_of else "#222222"
+        radius = 1.2 + 0.5 * (len(rows) - 2)
+        label = mark_of.get(rows)
+        color = "#222222" if label is None else "#cc3311"
         parts.append(
             f'<circle cx="{px:.4f}" cy="{py:.4f}" r="{radius:.2f}" fill="{color}"/>'
         )
-        if i in mark_of:
+        if label is not None:
             parts.append(
                 f'<text x="{px + 5:.4f}" y="{py - 5:.4f}" font-size="16" '
-                f'fill="#cc3311">{_MARK_TEXT[mark_of[i]]}</text>'
+                f'fill="#cc3311">{_MARK_TEXT[label]}</text>'
             )
     parts.append("</svg>")
     return "\n".join(parts) + "\n", warnings

@@ -7,12 +7,12 @@ embedding values, always next to their radii. Serialization is canonical
 
 A configuration file (schema v2) holds the polynomial, the seed, the stream
 cursor and the lines: a configuration is its lines. Loading checks the
-lines and then derives the points, incidences and marks with the builder's
-own code (configuration.derive_points), which finds each point by
-fingerprint, confirms it exactly, and computes exact coordinates only for
-the points something reads. So nothing in the file is trusted and nothing
-is proven twice. Certificates are schema v1. A cover report (schema v2)
-lists each valence once, and each class as h and one b per valence.
+lines and then derives the multiple points, incidences and marks with the
+builder's own code (configuration.derive_points), which finds each point
+by fingerprint and confirms it exactly; the simple crossings are counted,
+not stored. So nothing in the file is trusted and nothing is proven
+twice. Certificates are schema v1. A cover report (schema v2) lists each
+valence once, and each class as h and one b per valence.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def config_from_json(data) -> Configuration:
     The lines must be canonical triples, pairwise distinct, and at least
     two; canonical form makes "distinct triples" mean "distinct lines", so
     every pair of lines meets in exactly one point. derive_points then
-    derives the points, incidences and marks as the builder did.
+    derives the multiple points, incidences and marks as the builder did.
     The seed and the stream cursor must be JSON integers, the cursor
     >= 0. A malformed file raises SchemaError (exit 6); so does a schema v1 file,
     which also stored points and incidences, with a request to rebuild it,

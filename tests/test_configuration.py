@@ -36,9 +36,11 @@ def test_param_stream():
 
 
 def test_three_generic_lines(k):
+    # three simple crossings; two of them are the marks 0 and 1, which are stored
     lines = [line(k, 1, 0, 0), line(k, 0, 1, 0), line(k, 1, 1, -1)]
     cfg = derive_points(lines)
-    assert len(cfg.points) == 3
+    assert cfg.point_count == 3
+    assert len(cfg.points) == 2 and sorted(cfg.marks) == ["one", "zero"]
     assert cfg.all_valences() == [2, 2, 2]
     assert cfg.line_count == 3
 

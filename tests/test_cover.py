@@ -4,7 +4,6 @@ import pytest
 
 from planecode import (
     ALPHA,
-    Configuration,
     NumberField,
     ample_certificate,
     build_cover_report,
@@ -19,7 +18,7 @@ from planecode import (
 )
 from planecode import cover
 from planecode.cover import ZERO, name, valence_counts
-from planecode.errors import MissedIntersection, ParityViolation, SelfCheckFailed
+from planecode.errors import ParityViolation, SelfCheckFailed
 from tests.conftest import ACCEPTANCE_POLYS
 
 
@@ -112,7 +111,7 @@ def test_valence_counts_count_every_point_and_every_pair(built, text):
     cfg, _ = built(text)
     counts = valence_counts(cfg)
     assert [v for v, _ in counts] == sorted(set(cfg.all_valences()))
-    assert sum(n for _, n in counts) == len(cfg.points)
+    assert sum(n for _, n in counts) == cfg.point_count
     L = cfg.line_count
     assert sum(n * v * (v - 1) // 2 for v, n in counts) == L * (L - 1) // 2
     assert build_cover_report(cfg).valence_counts == counts
@@ -192,21 +191,11 @@ def test_parity_theorem_over_every_m_mod_2():
 
 def test_hypotheses_on_pipeline(built):
     cfg, _ = built("x^2-2")
-    report = check_cover_hypotheses(select_m(cfg), cfg.line_count, valence_counts(cfg))
+    report = check_cover_hypotheses(select_m(cfg), cfg.line_count)
     assert report.proper_transform_smooth
     assert report.pairs_checked == cfg.line_count * (cfg.line_count - 1) // 2
     assert "independent" in report.independence
     assert report.genericity_assumptions  # the selected m uses general curves
-
-
-def test_missed_intersection_detected(built):
-    cfg, _ = built("x^2-2")
-    broken = Configuration(
-        cfg.field, cfg.lines, cfg.points[:-1], cfg.incidence[:-1], cfg.marks,
-        cfg.seed, cfg.params_consumed, cfg.source,
-    )
-    with pytest.raises(MissedIntersection):
-        check_cover_hypotheses(select_m(cfg), broken.line_count, valence_counts(broken))
 
 
 def test_hypotheses_with_bare_m():
@@ -215,7 +204,7 @@ def test_hypotheses_with_bare_m():
     k = NumberField.create(parse_poly("x^2-2"))
     lines = [line(k, 1, 0, -c) for c in range(3)] + [line(k, 0, 1, -1)]
     cfg = derive_points(lines)
-    report = check_cover_hypotheses({ALPHA: 4}, cfg.line_count, valence_counts(cfg))
+    report = check_cover_hypotheses({ALPHA: 4}, cfg.line_count)
     assert report.proper_transform_smooth
     assert report.genericity_assumptions == ()
 
@@ -264,14 +253,13 @@ def test_select_m_sum_condition(built):
 
 
 class _Valences:
-    """Stand-in for a configuration: only what select_m reads."""
+    """Stand-in for a configuration: only what select_m reads, every point stored."""
+
+    simple_count = 0
 
     def __init__(self, line_count, valences):
         self.line_count = line_count
-        self._valences = valences
-
-    def all_valences(self):
-        return list(self._valences)
+        self.incidence = tuple(tuple(range(v)) for v in valences)
 
 
 def _oracle_m(L, need):

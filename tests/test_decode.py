@@ -85,7 +85,8 @@ def test_decode_non_collinear_tops():
     # even sizes, so the parity check passes and the collinearity check fails
     cfg = _pencils((10, 8, 6, 4))
     rep = valences(cfg)
-    assert [v for _, v in rep[:5]] == [10, 8, 6, 4, 2]
+    # the centres are stored; the other crossings are simple, of valence 2
+    assert [v for _, v in rep] == [10, 8, 6, 4] and cfg.simple_count > 0
     with pytest.raises(NotCollinear) as err:
         decode(cfg)
     message = str(err.value)
@@ -99,7 +100,7 @@ def test_decode_odd_valence_refused():
     cfg = _pencils((8, 7, 6, 5))
     with pytest.raises(ParityViolation, match="parity check failed") as err:
         decode(cfg)
-    assert str(err.value).count("point ") == 1 + 6
+    assert str(err.value).count("point ") == 1 + 4  # the odd point, and the four centres
     # the same ladder with the 5-pencil drawn first: the message still names
     # the first odd point in ladder order, not the one of lowest index
     cfg = _pencils((8, 5, 6, 7))
@@ -112,7 +113,8 @@ def test_decode_odd_valence_refused():
 def test_decode_tie_message_names_check_and_ladder():
     k = NumberField.create(parse_poly("x^2-2"))
     cfg = derive_points([line(k, 1, 0, 0), line(k, 0, 1, 0), line(k, 1, 1, -1)])
-    with pytest.raises(AmbiguousValences, match="point count check failed: 3 points.*point 2: 2$"):
+    # the ladder shows the stored points: the marks 0 and 1, simple crossings
+    with pytest.raises(AmbiguousValences, match="point count check failed: 3 points.*point 1: 2$"):
         decode(cfg)
     cfg = _pencils((4, 4, 2, 2))
     with pytest.raises(AmbiguousValences) as err:

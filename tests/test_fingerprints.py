@@ -1,9 +1,11 @@
 """The fingerprint builder against the all-pairs exact derivation it replaced.
 
-derive_points finds the points on a new line by fingerprint, their image in
-P^2(F_l), and confirms every match exactly. The oracle below computes the
-exact meet of every pair of lines instead. On tiny primes fingerprints
-collide and residues are undefined often, so the exact fallbacks run too.
+derive_points finds the multiple points on a new line by fingerprint, their
+image in P^2(F_l), and confirms every match exactly; it stores those and the
+marks, and counts the simple crossings. The oracle below computes the exact
+meet of every pair of lines instead, and lists every point. On tiny primes
+fingerprints collide and residues are undefined often, so the exact
+fallbacks run too.
 """
 
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planecode import derive_points, numberfield, run_pipeline
-from planecode.configuration import MARK_INF, MARK_ONE, MARK_Z, MARK_ZERO, Points
+from planecode.configuration import MARK_INF, MARK_ONE, MARK_Z, MARK_ZERO, all_points
 from planecode.numberfield import NumberField, parse_poly
 from planecode.projgeom import join, line, meet, point
 from planecode.serialize import config_to_json, dumps_canonical
@@ -68,6 +70,17 @@ def _oracle(lines):
     return points, tuple(tuple(sorted(r)) for r in rows), marks
 
 
+def _assert_matches_oracle(cfg, lines):
+    """cfg stores the oracle's points on three or more lines and its marks, and lists the rest."""
+    points, rows, marks = _oracle(lines)
+    assert cfg.point_count == len(points)
+    assert list(all_points(cfg)) == list(zip(points, rows))
+    kept = [i for i, r in enumerate(rows) if len(r) >= 3 or i in marks.values()]
+    assert list(cfg.points) == [points[i] for i in kept]
+    assert cfg.incidence == tuple(rows[i] for i in kept)
+    assert cfg.marks == {label: kept.index(i) for label, i in marks.items()}
+
+
 _small = st.fractions(min_value=-6, max_value=6, max_denominator=14)
 
 
@@ -104,11 +117,7 @@ def test_derive_points_matches_the_exact_oracle(name, data):
     lines = data.draw(_lines(field))
     if len(lines) < 2:
         return
-    cfg = derive_points(lines)
-    points, rows, marks = _oracle(lines)
-    assert cfg.incidence == rows
-    assert cfg.marks == marks
-    assert list(cfg.points) == points
+    _assert_matches_oracle(derive_points(lines), lines)
 
 
 def test_a_pencil_on_a_tiny_prime():
@@ -118,21 +127,16 @@ def test_a_pencil_on_a_tiny_prime():
     lines += [line(field, 1, 1, c) for c in range(1, 4)]
     cfg = derive_points(lines)
     assert max(cfg.all_valences()) == 6
-    points, rows, marks = _oracle(lines)
-    assert (cfg.incidence, cfg.marks, list(cfg.points)) == (rows, marks, points)
+    _assert_matches_oracle(cfg, lines)
 
 
-def test_exact_coordinates_are_computed_on_demand():
-    field = FIELDS["default"]
-    lines = [line(field, 0, 1, -c) for c in range(6)] + [line(field, 1, 0, -c) for c in range(6)]
-    cfg = derive_points(lines)
-    pts = cfg.points
-    assert isinstance(pts, Points) and len(pts) == 36 + 2
-    assert sum(p is not None for p in pts.exact) <= 4  # the mark lookup's candidates
-    i = pts.exact.index(None)
-    a, b = pts.pairs[i]
-    assert pts[i] == meet(lines[a], lines[b])
-    assert pts.exact[i] is not None
+def test_only_multiple_points_and_marks_are_stored(built):
+    # x^3-1000003 (L = 226) has 22,499 points; 171 of them are stored
+    cfg, _ = built("x^3-1000003")
+    assert cfg.point_count == 22_499
+    assert len(cfg.points) == 171
+    marked = set(cfg.marks.values())
+    assert all(len(rows) >= 3 or i in marked for i, rows in enumerate(cfg.incidence))
 
 
 @pytest.mark.parametrize("text", ["x^2-2", "x^3-2"])

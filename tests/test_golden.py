@@ -7,17 +7,19 @@ Performance work must leave these bytes unchanged. A change that alters
 them on purpose updates the table and says why.
 
 A configuration file stores only its lines (schema v2), and loading derives
-the points, incidences and marks. GOLDEN holds the digests of the former
-v1 encoding, which also wrote those derived parts: each v2 file, once
-loaded, must re-encode to them through v1_json below. So the derivation at
-load is pinned point for point, row for row, in the builder's order.
-FILE_GOLDEN pins the v2 files themselves.
+the multiple points, incidences and marks. GOLDEN holds the digests of the
+former v1 encoding, which also wrote every point, simple crossings too,
+with its row: each v2 file, once loaded, must re-encode to them through
+v1_json below, which lists the points with configuration.all_points. So
+the derivation at load is pinned point for point, row for row, in the
+builder's order. FILE_GOLDEN pins the v2 files themselves.
 """
 
 import hashlib
 
 import pytest
 
+from planecode.configuration import all_points
 from planecode.cover import build_cover_report
 from planecode.serialize import (
     config_from_json,
@@ -31,16 +33,21 @@ from planecode.serialize import (
 
 
 def v1_json(c) -> dict:
-    """Reference encoder of the schema v1 configuration file, kept for the tests."""
+    """Reference encoder of the schema v1 configuration file, kept for the tests.
+
+    v1 numbered every point; a mark is found in that numbering by its row.
+    """
+    points = list(all_points(c))
+    index = {rows: i for i, (_, rows) in enumerate(points)}
     return {
         "v": 1,
         "poly": poly_to_json(c.source),
         "seed": c.seed,
         "params_consumed": c.params_consumed,
         "lines": [[nf_to_json(x) for x in l.coeffs] for l in c.lines],
-        "points": [[nf_to_json(x) for x in p.coords] for p in c.points],
-        "incidence": [list(rows) for rows in c.incidence],
-        "marks": dict(c.marks),
+        "points": [[nf_to_json(x) for x in p.coords] for p, _ in points],
+        "incidence": [list(rows) for _, rows in points],
+        "marks": {label: index[c.incidence[i]] for label, i in c.marks.items()},
     }
 
 

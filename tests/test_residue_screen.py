@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planecode import _ffpoly, decode, numberfield, run_pipeline
+from planecode.configuration import all_points
 from planecode.numberfield import NumberField, parse_poly
 from planecode.projgeom import incident, line, point
 from planecode.serialize import config_from_json, config_to_json, dumps_canonical, loads
@@ -120,14 +121,15 @@ def test_incident_matches_exact_on_tiny_prime(monkeypatch):
     cfg = emit_configuration(compile_polynomial(parse_poly("x^2-2")))
     assert cfg.field.residue_map[0] == 7
     residues = [e.residue for l in cfg.lines for e in l.coeffs]
-    residues += [e.residue for p in cfg.points for e in p.coords]
+    points = list(all_points(cfg))
+    residues += [e.residue for p, _ in points for e in p.coords]
     assert 0 in residues and None in residues  # both fall-through cases occur
     hits = 0
-    for j, p in enumerate(cfg.points):
+    for p, rows in points:
         for i, l in enumerate(cfg.lines):
             got = incident(l, p)
             assert got == _exact_incident(l, p)
-            assert got == (i in cfg.incidence[j])
+            assert got == (i in rows)
             hits += got
     assert hits == sum(cfg.all_valences())
 
