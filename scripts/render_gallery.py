@@ -22,7 +22,7 @@ def main():
     for text in args.polys:
         poly = parse_poly(text)
         cfg = run_pipeline(poly)
-        embeddings = isolate_roots(poly, 1e-9)
+        embeddings = isolate_roots(poly)
         slug = text.replace("^", "").replace("*", "").replace("-", "m").replace("+", "p")
         for i in range(len(embeddings)):
             svg, warnings = render_svg(cfg, embeddings, i)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from math import inf
 from pathlib import Path
 
 from .cover import build_cover_report
@@ -40,14 +39,6 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _load_config(path: str):
     return config_from_json(loads(Path(path).read_text(encoding="utf-8")))
-
-
-def _positive_float(text: str) -> float:
-    """argparse type: a finite float > 0 (rejects nan, inf, 0 and negatives)."""
-    value = float(text)
-    if not 0 < value < inf:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number > 0")
-    return value
 
 
 # argparse reads "-p -x^2+2" as two options; the attached form keeps the minus
@@ -81,9 +72,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    cert = separation_certificate(
-        parse_poly(args.poly), precision=args.precision, seed=args.seed
-    )
+    cert = separation_certificate(parse_poly(args.poly), seed=args.seed)
     _write_output(dumps_canonical(certificate_to_json(cert)), args.out)
     print(format_certificate(cert), file=sys.stderr)
     return 0
@@ -108,7 +97,7 @@ def _cmd_render(args) -> int:
     from .render import render_svg
 
     cfg = _load_config(args.config)
-    embeddings = isolate_roots(cfg.field.source, args.precision)
+    embeddings = isolate_roots(cfg.field.source)
     svg, warnings = render_svg(cfg, embeddings, args.embedding)
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
@@ -136,7 +125,6 @@ def main(argv=None) -> int:
     p_cert = sub.add_parser("certify", help="build + decode + Galois separation certificate")
     p_cert.add_argument("-p", "--poly", required=True, help=_POLY_HELP)
     p_cert.add_argument("--seed", type=int, default=0)
-    p_cert.add_argument("--precision", type=_positive_float, default=1e-9)
     p_cert.add_argument("-o", "--out", default=None)
     p_cert.set_defaults(func=_cmd_certify)
 
@@ -148,7 +136,6 @@ def main(argv=None) -> int:
     p_render = sub.add_parser("render", help="draw a configuration as SVG")
     p_render.add_argument("config", help="configuration JSON file")
     p_render.add_argument("--embedding", type=int, default=0)
-    p_render.add_argument("--precision", type=_positive_float, default=1e-9)
     p_render.add_argument("-o", "--out", default=None)
     p_render.set_defaults(func=_cmd_render)
 

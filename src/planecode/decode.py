@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import combinations
 
 from .configuration import Configuration, max_other_valence
 from .errors import (
@@ -27,7 +26,6 @@ from .errors import (
     NotForced,
     ParityViolation,
     PlanecodeError,
-    SelfCheckFailed,
 )
 from .numberfield import Disc, IntPoly, NFElement, embed, isolate_roots
 from .pipeline import run_pipeline
@@ -251,7 +249,7 @@ def check_forcing(c: Configuration) -> None:
 
 class SeparationCertificate:
     __slots__ = (
-        "poly", "seed", "precision", "line_count", "mark_valences", "max_other_valence",
+        "poly", "seed", "line_count", "mark_valences", "max_other_valence",
         "decoded", "equals_generator", "roots", "values", "pairwise_disjoint", "statement"
     )
 
@@ -259,7 +257,6 @@ class SeparationCertificate:
         self,
         poly: IntPoly,
         seed: int,
-        precision: float,
         line_count: int,
         mark_valences: dict[str, int],
         max_other_valence: int,
@@ -272,7 +269,6 @@ class SeparationCertificate:
     ):
         self.poly = poly
         self.seed = seed
-        self.precision = precision
         self.line_count = line_count
         self.mark_valences = mark_valences
         self.max_other_valence = max_other_valence
@@ -284,14 +280,12 @@ class SeparationCertificate:
         self.statement = statement
 
 
-def separation_certificate(
-    p: IntPoly, precision: float = 1e-9, seed: int = 0
-) -> SeparationCertificate:
+def separation_certificate(p: IntPoly, seed: int = 0) -> SeparationCertificate:
     """Build once, decode, check the forcing, embed at every root, certify disjointness.
 
-    The root discs are isolated once, to the requested precision. The
-    decoded element is the generator, so each value disc is its root disc
-    and the disjointness of the values is a self-check of that claim.
+    The root discs are isolated once, and isolate_roots proves them
+    pairwise disjoint. The decoded element is the generator, so each value
+    disc is its root disc (embed) and disjoint from the others with it.
     """
     cfg = run_pipeline(p, seed=seed)
     decoded = decode(cfg)
@@ -299,16 +293,13 @@ def separation_certificate(
         raise PlanecodeError("decoded element is not the field generator")
     check_forcing(cfg)
 
-    roots = tuple(isolate_roots(p, precision))
+    roots = tuple(isolate_roots(p))
     images = tuple(embed(decoded, d) for d in roots)
-    if not all(a.disjoint_from(b) for a, b in combinations(images, 2)):
-        raise SelfCheckFailed("the value discs of the generator overlap")
 
     mark_valences = {label: cfg.valence(i) for label, i in cfg.marks.items()}
     return SeparationCertificate(
         poly=cfg.source if cfg.source is not None else p,
         seed=seed,
-        precision=precision,
         line_count=cfg.line_count,
         mark_valences=mark_valences,
         max_other_valence=max_other_valence(cfg),

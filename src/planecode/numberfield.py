@@ -668,12 +668,6 @@ class NFElement:
         da, db = self.den, o.den
         return _normal(self.field, [x * db - y * da for x, y in zip(self.nums, o.nums)], da * db)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
     def __neg__(self):
         return NFElement(self.field, tuple(-x for x in self.nums), self.den)
 
@@ -739,18 +733,6 @@ class NFElement:
             cj *= c
         return _normal(field, nums, det)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inv()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inv()
-
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
@@ -799,13 +781,6 @@ class Disc:
         return dx * dx + dy * dy > (Fraction(self.radius) + Fraction(other.radius)) ** 2
 
 
-def _horner(coeffs: list[float], w: complex) -> complex:
-    val = 0j
-    for c in reversed(coeffs):
-        val = val * w + c
-    return val
-
-
 def _eval_exact(coeffs, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
     """(Re, Im) of sum coeffs[i] * (re + i*im)^i, by Horner's rule in exact rationals."""
     vr = vi = Fraction(0)
@@ -846,9 +821,7 @@ def _aberth(cs: list[float]) -> list[complex]:
     p is real, so the result is made closed under conjugation: w counts as
     real when it lies closer to its own mirror image than any other
     approximation does, and is then put on the axis; each nonreal root in
-    the upper half plane brings its exact conjugate. Newton's method
-    commutes with conjugation in floating point, so the polished roots
-    keep that symmetry.
+    the upper half plane brings its exact conjugate.
     """
     n = len(cs) - 1
     centre = -cs[n - 1] / n
@@ -885,22 +858,23 @@ def _aberth(cs: list[float]) -> list[complex]:
     return real + upper + [w.conjugate() for w in upper]
 
 
-def isolate_roots(p: IntPoly, precision: float = 1e-9) -> list[Disc]:
+def isolate_roots(p: IntPoly) -> list[Disc]:
     """Disjoint certified discs, one per root of p, sorted by centre.
 
     p must be squarefree: every caller passes a polynomial that
     NumberField.create has proven irreducible. The sort is by real part,
     then imaginary part, and a root's index is its place in the list.
 
-    Starting values come from the Aberth iteration on p / lead, each
-    coefficient rounded to a float once; Newton polishing plus the
-    a-posteriori bound n*|p(w)/p'(w)| certifies that each disc holds at
-    least one root, and pairwise disjointness of n discs upgrades that to
-    exactly one root each. The bound is evaluated exactly: the float centre
-    w is a rational, so |p(w)|^2 and |p'(w)|^2 are computed in Q from the
-    integer coefficients (the ratio does not change when p is scaled), and
-    only the final square root is rounded, upward. PrecisionExhausted when
-    a coefficient ratio does not fit a float.
+    The centres are the Aberth roots of p / lead, each coefficient rounded
+    to a float once. The a-posteriori bound n*|p(w)/p'(w)| certifies that
+    each disc holds at least one root, and pairwise disjointness of n discs
+    upgrades that to exactly one root each; disjointness is the only test
+    a disc must pass, whatever its radius. The bound is evaluated exactly:
+    the float centre w is a rational, so |p(w)|^2 and |p'(w)|^2 are
+    computed in Q from the integer coefficients (the ratio does not change
+    when p is scaled), and only the final square root is rounded, upward.
+    PrecisionExhausted when a coefficient ratio or a bound does not fit a
+    float, or when two discs overlap.
     """
     n = p.degree
     if n < 1:
@@ -909,26 +883,12 @@ def isolate_roots(p: IntPoly, precision: float = 1e-9) -> list[Disc]:
     lead = p.leading
     try:
         cs = [c / lead for c in p.coeffs]
-        dcs = [c / lead for c in dp.coeffs]
     except OverflowError:
         raise PrecisionExhausted(
             "a coefficient over the leading coefficient does not fit a float"
         ) from None
 
     approx = _aberth(cs)
-    for _ in range(80):
-        moved = 0.0
-        for i, w in enumerate(approx):
-            fw = _horner(cs, w)
-            dfw = _horner(dcs, w)
-            if dfw == 0:
-                continue
-            step = fw / dfw
-            approx[i] = w - step
-            moved = max(moved, abs(step))
-        if moved < 1e-16:
-            break
-
     approx.sort(key=lambda w: (w.real, w.imag))
     discs = []
     for i, w in enumerate(approx):
@@ -938,10 +898,6 @@ def isolate_roots(p: IntPoly, precision: float = 1e-9) -> list[Disc]:
             raise PrecisionExhausted(f"the derivative vanishes at the centre of root {i}")
         fr, fi = _eval_exact(p.coeffs, re, im)
         radius = _sqrt_up(n * n * (fr * fr + fi * fi) / (dr * dr + di * di))
-        if radius > precision:
-            raise PrecisionExhausted(
-                f"residual bound {radius:.3e} exceeds requested precision {precision:.3e}"
-            )
         discs.append(Disc(w, radius))
 
     for i in range(n):
@@ -982,15 +938,16 @@ def embed(a: NFElement, d: Disc) -> Disc:
 def approximate(a: NFElement, d: Disc) -> complex:
     """a at the centre of d in floating point, for pictures: no certificate.
 
-    The float Horner scheme of the Newton polish in isolate_roots, over the
-    correctly rounded coefficients of a. PrecisionExhausted when a
-    coefficient or the value does not fit a float.
+    Horner's rule in floats, over the correctly rounded coefficients of a.
+    PrecisionExhausted when a coefficient or the value does not fit a float.
     """
     try:
         coeffs = [x / a.den for x in a.nums]
     except OverflowError:
         raise PrecisionExhausted("a coefficient does not fit a float") from None
-    value = _horner(coeffs, d.center)
+    value = 0j
+    for c in reversed(coeffs):
+        value = value * d.center + c
     if not isfinite(value):
         raise PrecisionExhausted("a value of an embedding does not fit a float")
     return value

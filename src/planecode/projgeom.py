@@ -55,10 +55,6 @@ class ProjPoint:
         return cls(_canonicalize((x, y, z)))
 
     @property
-    def field(self) -> NumberField:
-        return self.coords[0].field
-
-    @property
     def is_infinite(self) -> bool:
         return self.coords[2].is_zero
 

@@ -29,7 +29,7 @@ from .numberfield import MAX_COEFF_DIGITS, IntPoly, NFElement, NumberField, chec
 from .projgeom import ProjLine
 
 CONFIG_SCHEMA_VERSION = 2
-CERTIFICATE_SCHEMA_VERSION = 1
+CERTIFICATE_SCHEMA_VERSION = 2
 COVER_SCHEMA_VERSION = 2
 
 
@@ -156,7 +156,6 @@ def certificate_to_json(cert: SeparationCertificate) -> dict:
         "kind": "separation-certificate",
         "poly": poly_to_json(cert.poly),
         "seed": cert.seed,
-        "precision": cert.precision,
         "line_count": cert.line_count,
         "mark_valences": dict(cert.mark_valences),
         "max_other_valence": cert.max_other_valence,
@@ -180,7 +179,7 @@ def certificate_to_json(cert: SeparationCertificate) -> dict:
 def format_certificate(cert: SeparationCertificate) -> str:
     lines = [
         f"separation certificate for p = {cert.poly}",
-        f"  seed {cert.seed}, precision {cert.precision:g}, {cert.line_count} lines",
+        f"  seed {cert.seed}, {cert.line_count} lines",
         "  valence ladder: "
         + ", ".join(f"{k}={v}" for k, v in sorted(cert.mark_valences.items()))
         + f", next highest {cert.max_other_valence}",

@@ -56,14 +56,14 @@ def test_criterion_1_end_to_end_round_trip(built):
 
 
 def test_criterion_2_separation_certificates():
-    cert = separation_certificate(parse_poly("x^2-2"), precision=1e-9)
+    cert = separation_certificate(parse_poly("x^2-2"))
     reals = sorted(v.center.real for v in cert.values)
     ok = (
         abs(reals[0] + 1.4142135624) < 1e-9
         and abs(reals[1] - 1.4142135624) < 1e-9
         and cert.pairwise_disjoint
     )
-    cert3 = separation_certificate(parse_poly("x^3-2"), precision=1e-9)
+    cert3 = separation_certificate(parse_poly("x^3-2"))
     real = [v for v in cert3.values if abs(v.center.imag) < 1e-9]
     cplx = [v for v in cert3.values if abs(v.center.imag) >= 1e-9]
     ok = ok and len(real) == 1 and len(cplx) == 2 and cert3.pairwise_disjoint

@@ -167,8 +167,8 @@ def test_value_disc_of_the_generator_is_its_root_disc(built, text):
 
 
 def test_certificate_records_inputs():
-    cert = separation_certificate(parse_poly("x^2-2"), precision=1e-9, seed=0)
-    assert cert.seed == 0 and cert.precision == 1e-9
+    cert = separation_certificate(parse_poly("x^2-2"), seed=0)
+    assert cert.seed == 0
     assert cert.poly == parse_poly("x^2-2")
     assert cert.line_count > 0
     assert cert.mark_valences["zero"] > cert.mark_valences["one"]
@@ -203,7 +203,7 @@ def test_embedding_equivariance(built):
     w = decode(cfg)
     rep = valences(cfg)
     quad_pts = [cfg.points[i] for i, _ in rep[:4]]
-    for e in isolate_roots(cfg.field.source, 1e-12):
+    for e in isolate_roots(cfg.field.source):
         numeric = _numeric_cross_ratio(
             [[embed(c, e).center for c in p.coords] for p in quad_pts]
         )

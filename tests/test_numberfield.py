@@ -20,7 +20,6 @@ from planecode import numberfield
 from planecode.errors import (
     DivisionByZero,
     FieldMismatch,
-    PrecisionExhausted,
     PolyParseError,
     ReducibleModulus,
     TrivialField,
@@ -377,7 +376,7 @@ def _newton_real(coeffs, start, steps=60):
 
 
 def test_isolate_sqrt2():
-    roots = isolate_roots(parse_poly("x^2-2"), 1e-9)
+    roots = isolate_roots(parse_poly("x^2-2"))
     assert len(roots) == 2
     oracle = _newton_real([-2.0, 0.0, 1.0], 1.5)
     assert abs(roots[1].center - oracle) <= 1e-9
@@ -386,14 +385,14 @@ def test_isolate_sqrt2():
 
 
 def test_isolate_pure_imaginary_pair():
-    roots = isolate_roots(parse_poly("x^2+1"), 1e-9)
+    roots = isolate_roots(parse_poly("x^2+1"))
     centers = sorted((r.center.real, r.center.imag) for r in roots)
     assert abs(centers[0][1] + 1) < 1e-12 and abs(centers[1][1] - 1) < 1e-12
     assert all(abs(c[0]) < 1e-12 for c in centers)
 
 
 def test_isolate_cbrt2():
-    roots = isolate_roots(parse_poly("x^3-2"), 1e-9)
+    roots = isolate_roots(parse_poly("x^3-2"))
     real = [r for r in roots if abs(r.center.imag) < 1e-12]
     cplx = [r for r in roots if abs(r.center.imag) >= 1e-12]
     assert len(real) == 1 and len(cplx) == 2
@@ -409,7 +408,7 @@ def test_isolate_discs_disjoint_and_indexed():
     for text in ("x^4-x-1", "x^5-x-1", "x^7-x-1", "x^8-3", "x^3-1000003", "x^2-2000*x+999998"):
         p = parse_poly(text)
         n = p.degree
-        roots = isolate_roots(p, 1e-9)
+        roots = isolate_roots(p)
         # a root's index is its place in the list, sorted by centre
         keys = [(r.center.real, r.center.imag) for r in roots]
         assert len(roots) == n and keys == sorted(keys), text
@@ -420,9 +419,14 @@ def test_isolate_discs_disjoint_and_indexed():
                 assert d > roots[i].radius + roots[j].radius, text
 
 
-def test_precision_exhausted():
-    with pytest.raises(PrecisionExhausted):
-        isolate_roots(parse_poly("x^2-2"), 1e-40)
+def test_isolate_large_roots_by_disjointness_alone():
+    # roots of modulus ~4.6e6: two certified radii exceed 1e-9, and the
+    # three discs are disjoint, which is all a root disc must be
+    roots = isolate_roots(parse_poly("x^3-100000000000000000000"))
+    assert len(roots) == 3
+    for i in range(3):
+        for j in range(i + 1, 3):
+            assert roots[i].disjoint_from(roots[j])
 
 
 # -- integer representation: property test against a Fraction reference --------
@@ -489,21 +493,21 @@ def test_integer_arithmetic_matches_fraction_reference(text, data):
 # -- embeddings ----------------------------------------------------------------------
 
 def test_embed_gen(k_sqrt2):
-    roots = isolate_roots(k_sqrt2.source, 1e-12)
+    roots = isolate_roots(k_sqrt2.source)
     images = sorted(embed(k_sqrt2.gen, e).center.real for e in roots)
     assert abs(images[0] + 1.4142135623730951) < 1e-9
     assert abs(images[1] - 1.4142135623730951) < 1e-9
 
 
 def test_embed_rational_is_sharp(k_sqrt2):
-    roots = isolate_roots(k_sqrt2.source, 1e-12)
+    roots = isolate_roots(k_sqrt2.source)
     img = embed(k_sqrt2.from_rational(Fraction(7, 2)), roots[0])
     assert img.center == 3.5
     assert img.radius < 1e-12
 
 
 def test_embed_respects_modulus(k_sqrt2):
-    roots = isolate_roots(k_sqrt2.source, 1e-12)
+    roots = isolate_roots(k_sqrt2.source)
     sq = k_sqrt2.gen * k_sqrt2.gen
     for e in roots:
         img = embed(sq, e)
@@ -534,7 +538,7 @@ def test_embed_contains_the_image_of_the_whole_root_disc(text):
     """|a(w') - centre| <= radius for rational w' in the root disc, decided in Fraction."""
     field = NumberField.create(parse_poly(text))
     rng = random.Random(7)
-    roots = isolate_roots(field.source, 1e-12)
+    roots = isolate_roots(field.source)
     # 1/3 and z/3: the float centre slips off the exact value
     third = field.from_rational(Fraction(1, 3))
     elements = [field.gen, third, field.gen * third]
@@ -551,20 +555,16 @@ def test_embed_contains_the_image_of_the_whole_root_disc(text):
                 assert (vr - cx) ** 2 + (vi - cy) ** 2 <= Fraction(img.radius) ** 2, (a, u, v)
 
 
-def test_nonzero_excludes_zero_after_refinement(k_sqrt2):
+def test_embed_of_a_small_nonzero_element_excludes_zero(k_sqrt2):
     a = k_sqrt2.element([Fraction(1, 10**6), Fraction(1, 10**6)])
     assert not a.is_zero
-    for precision in (1e-6, 1e-9, 1e-12):
-        roots = isolate_roots(k_sqrt2.source, precision)
-        images = [embed(a, e) for e in roots]
-        if all(abs(img.center) > img.radius for img in images):
-            break
-    else:
-        pytest.fail("refinement never excluded zero for a nonzero element")
+    for e in isolate_roots(k_sqrt2.source):
+        img = embed(a, e)
+        assert abs(img.center) > img.radius
 
 
 def test_gen_images_pairwise_distinct(k_cbrt2):
-    roots = isolate_roots(k_cbrt2.source, 1e-10)
+    roots = isolate_roots(k_cbrt2.source)
     discs = [embed(k_cbrt2.gen, e) for e in roots]
     for i in range(len(discs)):
         for j in range(i + 1, len(discs)):

@@ -59,8 +59,11 @@ def test_benchmark_check_accepts_the_configuration_file(built, checks, tmp_path)
     assert checks.config_file(path, "x^2-2") == ([], cfg.line_count)
 
 
-def test_benchmark_check_accepts_the_certificate(checks, tmp_path):
-    cert = separation_certificate(parse_poly("x^5-x-1"))
+# x^2-20000*x+99999998: roots 10^4 +- sqrt 2, whose float root discs are
+# wider than 1e-9 but disjoint
+@pytest.mark.parametrize("text", ["x^5-x-1", "x^2-20000*x+99999998"])
+def test_benchmark_check_accepts_the_certificate(checks, text, tmp_path):
+    cert = separation_certificate(parse_poly(text))
     path = tmp_path / "cert.json"
     path.write_text(dumps_canonical(certificate_to_json(cert)), encoding="utf-8")
-    assert checks.certificate(path, "x^5-x-1") == ([], cert.line_count)
+    assert checks.certificate(path, text) == ([], cert.line_count)
