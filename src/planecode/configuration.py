@@ -1,7 +1,8 @@
 """Line configurations: lines, multiple points, marks, augmentation.
 
 A configuration is its lines. Everything else is derived from them by one
-code path, _Builder.add_line, also when a file is loaded (see serialize).
+code path, Configuration.add_line, also when a file is loaded (see
+serialize).
 Two lines meet in one point, so the only incidences the lines do not imply
 are the points on three or more lines: a configuration stores those, with
 their incidence rows, and the four marks 0, 1, inf, z of the coding axis
@@ -13,14 +14,15 @@ augment_even_valence makes every valence even, amplify_marks pushes the
 four marks to the strict top of the valence ladder. New "general" lines
 take their free parameters from a deterministic integer stream, and
 genericity is checked exactly, never assumed: a candidate is rejected if
-it passes through any existing point other than its target. The builder
-finds points by fingerprint, their image in P^2(F_l) (see _Builder); a
+it passes through any existing point other than its target. Points are
+found by fingerprint, their image in P^2(F_l) (see Configuration); a
 fingerprint only ever proves two points different, and every match is
 decided by exact arithmetic in K.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from itertools import combinations
 from operator import attrgetter
 
@@ -53,43 +55,73 @@ class ParamStream:
 
 
 class Configuration:
-    """Lines over K with their stored points, incidences and marks.
+    """Lines over K, their stored points, incidences and marks, and the indexes that extend them.
 
     points are the points on three or more lines and the marks, in builder
-    order: by their second-lowest line, then their lowest. incidence[i]
-    lists the sorted indices of the lines through point i, and marks maps
-    a label to a point index. == compares every field; a configuration is
+    order: by their second-lowest line, then their lowest (derive_points
+    sorts them once; augment_even_valence and amplify_marks store none).
+    incidence[i] is the sorted tuple of the indices of the lines through
+    point i, and marks maps a label to a point index. The constructor
+    indexes the given lines and points, and add_line, add_if_generic and
+    find extend them. == compares the public fields; a configuration is
     not hashable.
+
+    With a residue map z -> r mod l (K is a field: NumberField.create
+    proves it), the fingerprint of the meet of lines u and v is the cross
+    product of their residue triples, scaled so its first nonzero entry is
+    1, or None when a residue is undefined or that product vanishes. Why
+    it depends only on the point: r is a simple root, so l is a regular
+    prime and the local ring R_m of K is a discrete valuation ring to which
+    the residue map extends (NFElement.residue). Two triples over R_m with
+    nonzero images that represent one point differ by a factor lambda in
+    K; each has an entry that is a unit of R_m, so lambda is a unit and the
+    images differ by its nonzero image. So different fingerprints prove the
+    points different; equal ones prove nothing, and every match is
+    confirmed exactly. Without a residue map no meet has a fingerprint.
     """
 
     __slots__ = (
-        "field", "lines", "points", "incidence", "marks", "seed", "params_consumed", "source"
+        "field", "lines", "points", "incidence", "marks", "seed", "params_consumed",
+        "line_index", "line_residues", "point_index", "ell",
     )
 
     def __init__(
         self,
         field: NumberField,
-        lines: tuple[ProjLine, ...],
-        points: tuple[ProjPoint, ...],
-        incidence: tuple[tuple[int, ...], ...],
-        marks: dict[str, int],
+        lines: Iterable[ProjLine] = (),
+        points: Iterable[ProjPoint] = (),
+        incidence: Iterable[Iterable[int]] = (),
+        marks: dict[str, int] | None = None,
         seed: int = 0,
         params_consumed: int = 0,
-        source: IntPoly | None = None,
     ):
         self.field = field
-        self.lines = lines
-        self.points = points
-        self.incidence = incidence
-        self.marks = marks
+        self.lines: list[ProjLine] = []
+        self.line_index: dict[ProjLine, int] = {}
+        self.line_residues: list[tuple[int, int, int] | None] = []
+        self.points: list[ProjPoint] = []
+        self.point_index: dict[ProjPoint, int] = {}
+        # a row only ever gains the newest line, so it stays sorted
+        self.incidence: list[tuple[int, ...]] = []
+        self.marks = {} if marks is None else dict(marks)
         self.seed = seed
         self.params_consumed = params_consumed
-        self.source = source
+        rmap = field.residue_map
+        self.ell = None if rmap is None else rmap[0]
+        for l in lines:
+            self._append_line(l)
+        for q, rows in zip(points, incidence):
+            self._store(q, tuple(rows))
 
     def __eq__(self, other):
         if other.__class__ is not Configuration:
             return NotImplemented
         return _values(self) == _values(other)
+
+    @property
+    def source(self) -> IntPoly:
+        """p, the modulus of the field."""
+        return self.field.source
 
     def valence(self, point_index: int) -> int:
         return len(self.incidence[point_index])
@@ -113,110 +145,12 @@ class Configuration:
         """P, the number of points, stored or simple."""
         return len(self.points) + self.simple_count
 
-
-_values = attrgetter(*Configuration.__slots__)
-
-
-def valences(c: Configuration) -> tuple[tuple[int, int], ...]:
-    """(point index, valence) pairs of the stored points, highest valence first, ties by index."""
-    return tuple(sorted(
-        ((i, len(rows)) for i, rows in enumerate(c.incidence)),
-        key=lambda iv: (-iv[1], iv[0]),
-    ))
-
-
-def max_other_valence(c: Configuration) -> int:
-    """The largest valence of a point that is not a mark (2 at a simple crossing), or 0."""
-    marked = set(c.marks.values())
-    vals = [len(rows) for i, rows in enumerate(c.incidence) if i not in marked]
-    return max(vals + [2] * (c.simple_count > 0), default=0)
-
-
-def all_points(c: Configuration):
-    """(point, row) for every point of c, stored or simple, in builder order.
-
-    Builder order lists a point at the pair (a, b) of its two lowest lines,
-    by b and then a. A simple crossing is met exactly when it is reached.
-    """
-    first = {}  # per pair of lines on a stored point: the point, if the pair is its first
-    for p, rows in enumerate(c.incidence):
-        first.update(dict.fromkeys(combinations(rows, 2)))
-        first[rows[0], rows[1]] = p
-    for b in range(len(c.lines)):
-        for a in range(b):
-            p = first.get((a, b), -1)
-            if p == -1:
-                yield meet(c.lines[a], c.lines[b]), (a, b)
-            elif p is not None:
-                yield c.points[p], c.incidence[p]
-
-
-def _fingerprint(u, v, ell: int):
-    """u x v in F_l^3 scaled so its first nonzero entry is 1; None if it vanishes."""
-    x = (u[1] * v[2] - u[2] * v[1]) % ell
-    y = (u[2] * v[0] - u[0] * v[2]) % ell
-    z = (u[0] * v[1] - u[1] * v[0]) % ell
-    if x:
-        s = pow(x, -1, ell)
-        return 1, y * s % ell, z * s % ell
-    if y:
-        return 0, 1, z * pow(y, -1, ell) % ell
-    if z:
-        return 0, 0, 1
-    return None
-
-
-def _residues(triple):
-    """The residues of a triple, or None if one is undefined."""
-    rs = tuple(x.residue for x in triple)
-    return None if None in rs else rs
-
-
-class _Builder:
-    """Mutable accumulation of lines, stored points and their incidences.
-
-    With a residue map z -> r mod l (K is a field: NumberField.create
-    proves it), the fingerprint of the meet of lines u and v is the cross
-    product of their residue triples, scaled so its first nonzero entry is
-    1, or None when a residue is undefined or that product vanishes. Why
-    it depends only on the point: r is a simple root, so l is a regular
-    prime and the local ring R_m of K is a discrete valuation ring to which
-    the residue map extends (NFElement.residue). Two triples over R_m with
-    nonzero images that represent one point differ by a factor lambda in
-    K; each has an entry that is a unit of R_m, so lambda is a unit and the
-    images differ by its nonzero image. So different fingerprints prove the
-    points different; equal ones prove nothing, and every match is
-    confirmed exactly. Without a residue map no meet has a fingerprint.
-    """
-
-    def __init__(self, field: NumberField):
-        self.field = field
-        self.lines: list[ProjLine] = []
-        self.line_index: dict[ProjLine, int] = {}
-        self.line_residues: list[tuple[int, int, int] | None] = []
-        self.points: list[ProjPoint] = []
-        self.point_index: dict[ProjPoint, int] = {}
-        # per stored point, the lines through it in increasing order: a row
-        # only ever gains the newest line
-        self.incidence: list[list[int]] = []
-        rmap = field.residue_map
-        self.ell = None if rmap is None else rmap[0]
-
-    @classmethod
-    def from_config(cls, c: Configuration) -> "_Builder":
-        b = cls(c.field)
-        for l in c.lines:
-            b._append_line(l)
-        for q, rows in zip(c.points, c.incidence):
-            b._store(q, list(rows))
-        return b
-
     def _append_line(self, l: ProjLine) -> None:
         self.line_index[l] = len(self.lines)
         self.lines.append(l)
         self.line_residues.append(_residues(l.coeffs))
 
-    def _store(self, q: ProjPoint, rows: list[int]) -> int:
+    def _store(self, q: ProjPoint, rows: tuple[int, ...]) -> int:
         self.point_index[q] = len(self.points)
         self.points.append(q)
         self.incidence.append(rows)
@@ -290,9 +224,9 @@ class _Builder:
         k = len(self.lines)
         self._append_line(l)
         for p in hits:
-            self.incidence[p].append(k)
+            self.incidence[p] += (k,)
         for q, rows in promoted:
-            self._store(q, rows + [k])
+            self._store(q, (*rows, k))
         return k
 
     def add_if_generic(self, l: ProjLine, through: list[int]) -> bool:
@@ -324,48 +258,84 @@ class _Builder:
         if p is None:
             rows = self._through(q, range(len(self.lines)))
             if len(rows) >= 2:
-                p = self._store(q, rows)
+                p = self._store(q, tuple(rows))
         return p
 
-    def freeze(
-        self,
-        marks: dict[str, int],
-        seed: int,
-        params_consumed: int,
-        source: IntPoly | None,
-    ) -> Configuration:
-        """The configuration, its stored points in builder order."""
-        inc = self.incidence
-        order = sorted(range(len(inc)), key=lambda p: (inc[p][1], inc[p][0]))
-        rank = {p: r for r, p in enumerate(order)}
-        return Configuration(
-            field=self.field,
-            lines=tuple(self.lines),
-            points=tuple(self.points[p] for p in order),
-            incidence=tuple(tuple(inc[p]) for p in order),
-            marks={label: rank[p] for label, p in marks.items()},
-            seed=seed,
-            params_consumed=params_consumed,
-            source=source,
-        )
+
+_values = attrgetter("field", "lines", "points", "incidence", "marks", "seed", "params_consumed")
 
 
-def find_marks(builder: _Builder) -> dict[str, int]:
+def valences(c: Configuration) -> tuple[tuple[int, int], ...]:
+    """(point index, valence) pairs of the stored points, highest valence first, ties by index."""
+    return tuple(sorted(
+        ((i, len(rows)) for i, rows in enumerate(c.incidence)),
+        key=lambda iv: (-iv[1], iv[0]),
+    ))
+
+
+def max_other_valence(c: Configuration) -> int:
+    """The largest valence of a point that is not a mark (2 at a simple crossing), or 0."""
+    marked = set(c.marks.values())
+    vals = [len(rows) for i, rows in enumerate(c.incidence) if i not in marked]
+    return max(vals + [2] * (c.simple_count > 0), default=0)
+
+
+def all_points(c: Configuration):
+    """(point, row) for every point of c, stored or simple, in builder order.
+
+    Builder order lists a point at the pair (a, b) of its two lowest lines,
+    by b and then a. A simple crossing is met exactly when it is reached.
+    """
+    first = {}  # per pair of lines on a stored point: the point, if the pair is its first
+    for p, rows in enumerate(c.incidence):
+        first.update(dict.fromkeys(combinations(rows, 2)))
+        first[rows[0], rows[1]] = p
+    for b in range(len(c.lines)):
+        for a in range(b):
+            p = first.get((a, b), -1)
+            if p == -1:
+                yield meet(c.lines[a], c.lines[b]), (a, b)
+            elif p is not None:
+                yield c.points[p], c.incidence[p]
+
+
+def _fingerprint(u, v, ell: int):
+    """u x v in F_l^3 scaled so its first nonzero entry is 1; None if it vanishes."""
+    x = (u[1] * v[2] - u[2] * v[1]) % ell
+    y = (u[2] * v[0] - u[0] * v[2]) % ell
+    z = (u[0] * v[1] - u[1] * v[0]) % ell
+    if x:
+        s = pow(x, -1, ell)
+        return 1, y * s % ell, z * s % ell
+    if y:
+        return 0, 1, z * pow(y, -1, ell) % ell
+    if z:
+        return 0, 0, 1
+    return None
+
+
+def _residues(triple):
+    """The residues of a triple, or None if one is undefined."""
+    rs = tuple(x.residue for x in triple)
+    return None if None in rs else rs
+
+
+def find_marks(c: Configuration) -> dict[str, int]:
     """Indices of the marked points 0, 1, inf and z that are points of the lines.
 
     The marks are (0 : 0 : 1), (1 : 0 : 1), (1 : 0 : 0) and (z : 0 : 1) on
     the coding axis y = 0, z the generator of K; each one found is stored,
     at any valence. A label whose point is not an intersection point is
-    left out; the builder insists on all four.
+    left out; emission insists on all four.
     """
-    field = builder.field
+    field = c.field
     marker_points = {
         MARK_ZERO: point(field, 0, 0),
         MARK_ONE: point(field, 1, 0),
         MARK_INF: point(field, 1, 0, 0),
         MARK_Z: point(field, field.gen, 0),
     }
-    found = {label: builder.find(pt) for label, pt in marker_points.items()}
+    found = {label: c.find(pt) for label, pt in marker_points.items()}
     return {label: i for label, i in found.items() if i is not None}
 
 
@@ -374,34 +344,38 @@ def derive_points(
     *,
     seed: int = 0,
     params_consumed: int = 0,
-    source: IntPoly | None = None,
 ) -> Configuration:
     """The configuration of the given lines: its multiple points, incidences and marks.
 
-    Each line is added in turn (_Builder.add_line), so a point lying on
-    more than two lines gets its full incidence set. The lines must be
-    pairwise distinct (DuplicateLine otherwise).
+    Each line is added in turn (Configuration.add_line), so a point lying
+    on more than two lines gets its full incidence set. The lines must be
+    pairwise distinct (DuplicateLine otherwise). This is the only stage
+    that stores points, so it alone sorts them into builder order.
     """
     lines = list(lines)
     if len(lines) < 2:
         raise ValueError("need at least two lines")
-    builder = _Builder(lines[0].field)
+    c = Configuration(lines[0].field, seed=seed, params_consumed=params_consumed)
     for l in lines:
-        builder.add_line(l)
-    marks = find_marks(builder)
-    return builder.freeze(marks, seed, params_consumed, source)
+        c.add_line(l)
+    marks = find_marks(c)
+    inc = c.incidence
+    order = sorted(range(len(inc)), key=lambda p: (inc[p][1], inc[p][0]))
+    c.points = [c.points[p] for p in order]
+    c.incidence = [inc[p] for p in order]
+    c.point_index = {q: p for p, q in enumerate(c.points)}
+    c.marks = {label: order.index(p) for label, p in marks.items()}
+    return c
 
 
-def _generic_line_through(
-    builder: _Builder, target_index: int, stream: ParamStream
-) -> None:
+def _generic_line_through(c: Configuration, target_index: int, stream: ParamStream) -> None:
     """Add one line through the target that passes through no other existing point.
 
     Each try costs one fingerprint meet per line not through the target
-    (_Builder.add_if_generic).
+    (Configuration.add_if_generic).
     """
-    target = builder.points[target_index]
-    f = builder.field
+    target = c.points[target_index]
+    f = c.field
     for _ in range(RETRY_BUDGET):
         t = stream.next()
         if target.is_infinite:
@@ -409,7 +383,7 @@ def _generic_line_through(
             aux = point(f, t, 0) if vertical_pencil else point(f, 0, t)
         else:
             aux = point(f, 1, t, 0)
-        if builder.add_if_generic(join(target, aux), [target_index]):
+        if c.add_if_generic(join(target, aux), [target_index]):
             return
     raise GenericityExhausted(
         f"no generic line through point {target_index} within {RETRY_BUDGET} tries"
@@ -455,24 +429,25 @@ def augment_even_valence(c: Configuration) -> Configuration:
     4. one general line goes through each point still odd, and through
        each mark whose valence is odd.
     A join is taken only if it passes through no other existing point
-    (_Builder.add_if_generic). Adding lines never makes a refused join
+    (Configuration.add_if_generic). Adding lines never makes a refused join
     generic, so no pair is tried twice. New crossings are simple, so the
     stored points and their order stay as they are; a
     fixed point gains one line and ends at most at M (M is even), and a
     mark never passes its target, so _ladder_targets is the same before
     and after, and amplify_marks fills each mark's remaining even deficit.
+    The lines are added to a copy of c, which is returned; c is unchanged.
     """
     odd = [i for i, rows in enumerate(c.incidence) if len(rows) % 2 == 1]
     if not odd:
         return c
-    builder = _Builder.from_config(c)
+    out = Configuration(c.field, c.lines, c.points, c.incidence, c.marks, c.seed)
     # without all four marks there is no ladder, and a mark is a point like any other
     marks = c.marks if all(label in c.marks for label in MARK_LABELS) else {}
     room = {}  # per mark point, in ladder order: lines it may still gain
     if marks:
         targets = _ladder_targets(c)
         room = {marks[lb]: targets[lb] - len(c.incidence[marks[lb]]) for lb in LADDER_ORDER}
-    axis = builder.line_index.get(line(c.field, 0, 1, 0))
+    axis = out.line_index.get(line(c.field, 0, 1, 0))
     marked = set(marks.values())
     free = [i for i in odd if i not in marked]
     on_axis = {i for i in free if axis in c.incidence[i]}
@@ -486,7 +461,7 @@ def augment_even_valence(c: Configuration) -> Configuration:
             key = (s, t) if s < t else (t, s)
             if key in refused:
                 continue
-            if builder.add_if_generic(join(builder.points[s], builder.points[t]), [s, t]):
+            if out.add_if_generic(join(out.points[s], out.points[t]), [s, t]):
                 left.difference_update(key)
                 return t
             refused.add(key)
@@ -509,9 +484,9 @@ def augment_even_valence(c: Configuration) -> Configuration:
 
     stream = ParamStream(c.seed, c.params_consumed)
     for target in range(len(c.incidence)):
-        if len(builder.incidence[target]) % 2:
-            _generic_line_through(builder, target, stream)
-    out = builder.freeze(c.marks, c.seed, stream.cursor, c.source)
+        if len(out.incidence[target]) % 2:
+            _generic_line_through(out, target, stream)
+    out.params_consumed = stream.cursor
     bad = [i for i, rows in enumerate(out.incidence) if len(rows) % 2 == 1]
     if bad:
         raise GenericityExhausted(f"odd valences persist at points {bad}")
@@ -522,7 +497,8 @@ def amplify_marks(c: Configuration) -> Configuration:
     """Push the marks to the strict top of the valence ladder.
 
     The final valences are _ladder_targets(c), reached by adding an even
-    number of general lines through each mark.
+    number of general lines through each mark, to a copy of c, which is
+    returned; c is unchanged.
     """
     for label in MARK_LABELS:
         if label not in c.marks:
@@ -531,16 +507,16 @@ def amplify_marks(c: Configuration) -> Configuration:
         raise ValueError("amplify_marks requires all valences even")
 
     targets = _ladder_targets(c)
-    builder = _Builder.from_config(c)
+    out = Configuration(c.field, c.lines, c.points, c.incidence, c.marks, c.seed)
     stream = ParamStream(c.seed, c.params_consumed)
     for label in LADDER_ORDER:
         idx = c.marks[label]
-        deficit = targets[label] - len(builder.incidence[idx])
+        deficit = targets[label] - len(out.incidence[idx])
         if deficit < 0 or deficit % 2:
             raise SelfCheckFailed(f"mark {label} has deficit {deficit}, not even and >= 0")
         for _ in range(deficit):
-            _generic_line_through(builder, idx, stream)
-    out = builder.freeze(c.marks, c.seed, stream.cursor, c.source)
+            _generic_line_through(out, idx, stream)
+    out.params_consumed = stream.cursor
 
     for label in LADDER_ORDER:
         if len(out.incidence[out.marks[label]]) != targets[label]:

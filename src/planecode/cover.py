@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from .configuration import Configuration
 from .errors import ParityViolation, SelfCheckFailed
+from .numberfield import IntPoly
 # Unused here; bound only for the planecode.cover.meet probe of perfbench/tracer.py.
 from .projgeom import meet  # noqa: F401
 
@@ -168,8 +169,8 @@ class CoverReport:
         hypotheses: HypothesisReport,
         ampleness: dict[int, AmpleVerdict],
         nef_gap: tuple[int, ...],
-        source_poly: object = None,
-        seed: int = 0,
+        source_poly: IntPoly,
+        seed: int,
     ):
         self.line_count = line_count
         self.valence_counts = valence_counts

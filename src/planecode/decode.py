@@ -88,15 +88,15 @@ def decode(c: Configuration) -> NFElement:
 class _Incidences:
     """The geometry of slp_compiler.realize in a table: objects are indices.
 
-    Building it finds the seed objects and anchors(J) the first J anchors,
-    which realize needs, as check_forcing describes. Each failed lookup
-    raises NotForced naming self.at, the step under check.
+    Building it finds the seed objects and the first J anchors, which
+    realize needs, as check_forcing describes. Each failed lookup raises
+    NotForced naming self.at, the step under check.
     """
 
-    def __init__(self, c: Configuration):
+    def __init__(self, c: Configuration, J: int):
         zero, one, inf, z = _ladder(c)[1]
         self.field, self.rows, self.at = c.field, list(c.incidence), "the seed lines"
-        self.index = {l: i for i, l in enumerate(c.lines)}
+        self.index = c.line_index
         self.on: list[list[int]] = [[] for _ in c.lines]  # per line, its points
         appends = [points.append for points in self.on]
         for p, rows in enumerate(c.incidence):
@@ -115,23 +115,21 @@ class _Incidences:
         self.axis, self.yaxis, self.linf = axis, yaxis, linf
         self.V = self.meet(yaxis, linf, "V")
         self.zero, self.one, self.inf, self.z = zero, one, inf, z
-
-    def anchors(self, J: int) -> None:
-        """Find the tie lines u1..uJ by coordinates, and U_j, S_j as their meets."""
+        # the tie lines u1..uJ by coordinates, and U_j, S_j as their meets
         self.ties, self.U, self.S = [], [], []
         for j in range(1, J + 1):
             self.at = f"anchor {j}"
-            tie = self.line(tie_line(self.field, j), f"u{j}")
-            if tie == self.axis:
+            tie = self.line(tie_line(c.field, j), f"u{j}")
+            if tie == axis:
                 raise self.fail(f"the line {tie} through the marks is also a seed line")
-            if tie not in self.rows[self.one]:
-                raise self.fail(f"u{j} line {tie} misses the mark at point {self.one}")
-            U = self.meet(tie, self.yaxis, "U")
-            if U in (self.zero, self.V):
+            if tie not in c.incidence[one]:
+                raise self.fail(f"u{j} line {tie} misses the mark at point {one}")
+            U = self.meet(tie, yaxis, "U")
+            if U in (zero, self.V):
                 raise self.fail(f"U is point {U}, which is 0 or V")
             self.ties.append(tie)
             self.U.append(U)
-            self.S.append(self.meet(tie, self.linf, "S"))
+            self.S.append(self.meet(tie, linf, "S"))
 
     def fail(self, detail: str) -> NotForced:
         return NotForced(f"the incidences do not force the relation at {self.at}: {detail}")
@@ -206,10 +204,11 @@ def check_forcing(c: Configuration) -> None:
       lemma (slp_compiler.add_gadget), whose chart puts z at (w, 0) for
       w = cr(0, 1, inf, z), the number decode reads. J and the anchor of
       each product follow from the program (split_anchors) and from the
-      table: a file that holds u2 is read with the split layout's anchors,
-      else with one anchor. A file drawn on one anchor can hold u2 too,
-      as the l3 of an add 1 + b at height 2, so when the split layout
-      fails the shared one is tried, and the first failure is raised.
+      file: emission writes the split layout's tie lines u2..uJ right
+      after u1, so a file whose fifth line is u2 is read with the split
+      layout's anchors, and any other with one anchor. A one-anchor file
+      can hold u2 further on (the l3 of an add 1 + b at height 2, or a
+      join of augment), but its fifth line is an l2 or a t1.
     - Gadgets. By the lemma each add and mul lands on the sum or product
       of its operands, given the non-degeneracy tested here: the axis,
       y-axis, ell_inf and every uj are distinct lines; aux is off the axis
@@ -224,23 +223,14 @@ def check_forcing(c: Configuration) -> None:
     gadget kind, the anchor of a product, and the line and point that
     broke.
     """
-    t = _Incidences(c)
     slp = compile_polynomial(c.field.source)
     split = max(split_anchors(slp), default=0)
-    failures = []
-    for J in (split, 1) if split > 1 and tie_line(c.field, 2) in t.index else (1,):
-        try:
-            t.anchors(J)
-            reg = realize(slp, t, c.seed)[0]
-            t.at = "the relation P(z) = N(z)"
-            rhs = t.zero if slp.rhs is None else reg[slp.rhs]
-            if reg[slp.lhs] != rhs:
-                raise t.fail(f"P lands on point {reg[slp.lhs]} and N on point {rhs}")
-            break
-        except NotForced as exc:
-            failures.append(exc)
-    else:
-        raise failures[0]
+    t = _Incidences(c, split if split > 1 and c.lines[4:5] == [tie_line(c.field, 2)] else 1)
+    reg = realize(slp, t, c.seed)[0]
+    t.at = "the relation P(z) = N(z)"
+    rhs = t.zero if slp.rhs is None else reg[slp.rhs]
+    if reg[slp.lhs] != rhs:
+        raise t.fail(f"P lands on point {reg[slp.lhs]} and N on point {rhs}")
     poly = slp.evaluate(IntPoly.from_coeffs((0, 1)), IntPoly.from_coeffs((1,)))
     n = IntPoly.zero() if slp.rhs is None else poly[slp.rhs]
     if poly[slp.lhs] - n != c.field.source:
@@ -298,7 +288,7 @@ def separation_certificate(p: IntPoly, seed: int = 0) -> SeparationCertificate:
 
     mark_valences = {label: cfg.valence(i) for label, i in cfg.marks.items()}
     return SeparationCertificate(
-        poly=cfg.source if cfg.source is not None else p,
+        poly=cfg.source,
         seed=seed,
         line_count=cfg.line_count,
         mark_valences=mark_valences,

@@ -635,7 +635,7 @@ class NFElement:
         and z - r = -l*h/g, so m is principal after localising, and R_m is
         a discrete valuation ring of the field K. The map extends to R_m,
         and an element of R_m with a nonzero image is a unit there. This is
-        what makes a point's fingerprint (configuration._Builder)
+        what makes a point's fingerprint (configuration.Configuration)
         independent of the triple that represents the point.
         """
         try:

@@ -4,8 +4,8 @@ Coordinates are homogeneous triples of NFElements in canonical form (first
 nonzero coordinate scaled to 1), so equality and hashing are structural.
 The cross-ratio convention is fixed so that cr(0, 1, inf, w) = w.
 
-Every predicate is decided exactly. The configuration builder finds points
-by their images mod a prime l (NFElement.residue) and confirms each match
+Every predicate is decided exactly. A configuration finds its points by
+their images mod a prime l (NFElement.residue) and confirms each match
 with `incident`, the exact test.
 """
 

@@ -90,12 +90,11 @@ def render_svg(
     def to_px(x: float, y: float) -> tuple[float, float]:
         return (x - box[0]) * sx, height - (y - box[1]) * sy
 
-    source = str(c.source) if c.source is not None else "unknown"
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" '
         f'height="{height:g}" viewBox="0 0 {width:g} {height:g}">',
-        f"<!-- {_VERSION_NOTE}; poly {source}; seed {c.seed}; embedding {index} -->",
+        f"<!-- {_VERSION_NOTE}; poly {c.source}; seed {c.seed}; embedding {index} -->",
         f'<rect width="{width:g}" height="{height:g}" fill="white"/>',
     ]
 

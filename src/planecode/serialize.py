@@ -8,10 +8,10 @@ embedding values, always next to their radii. Serialization is canonical
 A configuration file (schema v2) holds the polynomial, the seed, the stream
 cursor and the lines: a configuration is its lines. Loading checks the
 lines and then derives the multiple points, incidences and marks with the
-builder's own code (configuration.derive_points), which finds each point
+code that built them (configuration.derive_points), which finds each point
 by fingerprint and confirms it exactly; the simple crossings are counted,
 not stored. So nothing in the file is trusted and nothing is proven
-twice. Certificates are schema v1. A cover report (schema v2) lists each
+twice. Certificates are schema v2. A cover report (schema v2) lists each
 valence once, and each class as h and one b per valence.
 """
 
@@ -80,8 +80,6 @@ def poly_from_json(data) -> IntPoly:
 
 
 def config_to_json(c: Configuration) -> dict:
-    if c.source is None:
-        raise SchemaError("configuration has no source polynomial to serialize")
     return {
         "v": CONFIG_SCHEMA_VERSION,
         "poly": poly_to_json(c.source),
@@ -108,7 +106,7 @@ def config_from_json(data) -> Configuration:
     The lines must be canonical triples, pairwise distinct, and at least
     two; canonical form makes "distinct triples" mean "distinct lines", so
     every pair of lines meets in exactly one point. derive_points then
-    derives the multiple points, incidences and marks as the builder did.
+    derives the multiple points, incidences and marks as the build did.
     The seed and the stream cursor must be JSON integers, the cursor
     >= 0. A malformed file raises SchemaError (exit 6); so does a schema v1 file,
     which also stored points and incidences, with a request to rebuild it,
@@ -145,7 +143,7 @@ def config_from_json(data) -> Configuration:
     if len(lines) < 2:
         raise SchemaError(f"a configuration needs at least two lines, got {len(lines)}")
     try:
-        return derive_points(lines, seed=seed, params_consumed=params, source=poly)
+        return derive_points(lines, seed=seed, params_consumed=params)
     except DuplicateLine as exc:
         raise SchemaError(f"a line is listed twice: {exc}") from exc
 
@@ -205,7 +203,7 @@ def cover_report_to_json(report: CoverReport) -> dict:
     return {
         "v": COVER_SCHEMA_VERSION,
         "kind": "cover-report",
-        "poly": poly_to_json(report.source_poly) if report.source_poly else None,
+        "poly": poly_to_json(report.source_poly),
         "seed": report.seed,
         "line_count": report.line_count,
         "valence_classes": [{"valence": v, "points": n} for v, n in report.valence_counts],

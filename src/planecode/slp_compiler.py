@@ -382,7 +382,7 @@ def _drawn_configuration(slp: SLP, g: _Drawn, seed: int) -> Configuration:
         raise NotARoot(f"P(z) = {lhs} differs from N(z) = {rhs}")
 
     ordered = dict.fromkeys(chain((g.axis, g.yaxis, g.linf, *g.ties), *(d.values() for d in drawn)))
-    cfg = derive_points(list(ordered), seed=seed, params_consumed=cursor, source=slp.source)
+    cfg = derive_points(list(ordered), seed=seed, params_consumed=cursor)
     for label in MARK_LABELS:
         if label not in cfg.marks:
             raise NotARoot(f"marked point {label} is not an intersection point")

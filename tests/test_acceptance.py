@@ -102,8 +102,7 @@ def test_criterion_4_configuration_invariants(built):
         expected = [cfg.marks[l] for l in ("zero", "one", "inf", "z")]
         assert [i for i, _ in top[:4]] == expected, f"marks out of order in {text}"
         unmarked = Configuration(
-            cfg.field, cfg.lines, cfg.points, cfg.incidence, {},
-            cfg.seed, cfg.params_consumed, cfg.source,
+            cfg.field, cfg.lines, cfg.points, cfg.incidence, {}, cfg.seed, cfg.params_consumed,
         )
         assert decode(unmarked) == cfg.field.gen, f"marked decode in {text}"
     _verdict(4, True, "valences even, ladder strict on 0 > 1 > inf > z, decode needs no marks")

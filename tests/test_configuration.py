@@ -104,6 +104,24 @@ def test_amplify_ladder(raw_cfg):
     assert all(v % 2 == 0 for v in cfg.all_valences())
 
 
+def test_augment_and_amplify_leave_their_input_unchanged():
+    # each stage extends a copy: the lines and parameters a stage added are
+    # the difference of what it returns and what it was given
+    def state(c):
+        return list(c.lines), list(c.points), list(c.incidence), dict(c.marks), c.params_consumed
+
+    raw = emit_configuration(compile_polynomial(parse_poly("x^5-x-1")), seed=0)
+    before = state(raw)
+    even = augment_even_valence(raw)
+    assert even is not raw and even.line_count > raw.line_count
+    assert state(raw) == before
+    before = state(even)
+    final = amplify_marks(even)
+    assert final is not even and final.line_count > even.line_count
+    assert final.params_consumed > even.params_consumed
+    assert state(even) == before
+
+
 def test_amplify_requires_even(raw_cfg):
     if any(v % 2 for v in raw_cfg.all_valences()):
         with pytest.raises(ValueError):
@@ -230,14 +248,14 @@ def test_final_line_count_pinned(built, text):
 
 def test_augment_tries_no_pair_twice(raw_cfg, monkeypatch):
     tried = []
-    add_if_generic = configuration._Builder.add_if_generic
+    add_if_generic = configuration.Configuration.add_if_generic
 
-    def record(builder, l, through):
+    def record(c, l, through):
         if len(through) == 2:
             tried.append(frozenset(through))
-        return add_if_generic(builder, l, through)
+        return add_if_generic(c, l, through)
 
-    monkeypatch.setattr(configuration._Builder, "add_if_generic", record)
+    monkeypatch.setattr(configuration.Configuration, "add_if_generic", record)
     augment_even_valence(raw_cfg)
     assert tried and len(set(tried)) == len(tried)
 

@@ -32,8 +32,7 @@ def test_round_trip_golden_field(built):
 def test_decode_ignores_marks(built):
     cfg, _ = built("x^2-2")
     stripped = Configuration(
-        cfg.field, cfg.lines, cfg.points, cfg.incidence, {},
-        cfg.seed, cfg.params_consumed, cfg.source,
+        cfg.field, cfg.lines, cfg.points, cfg.incidence, {}, cfg.seed, cfg.params_consumed,
     )
     assert decode(stripped) == cfg.field.gen
 

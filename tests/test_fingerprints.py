@@ -77,7 +77,7 @@ def _assert_matches_oracle(cfg, lines):
     assert list(all_points(cfg)) == list(zip(points, rows))
     kept = [i for i, r in enumerate(rows) if len(r) >= 3 or i in marks.values()]
     assert list(cfg.points) == [points[i] for i in kept]
-    assert cfg.incidence == tuple(rows[i] for i in kept)
+    assert cfg.incidence == [rows[i] for i in kept]
     assert cfg.marks == {label: kept.index(i) for label, i in marks.items()}
 
 

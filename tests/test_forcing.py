@@ -75,7 +75,7 @@ def _moved(cfg, moves):
             rows[q].add(i)
     return Configuration(
         cfg.field, cfg.lines, cfg.points, tuple(tuple(sorted(r)) for r in rows), cfg.marks,
-        cfg.seed, cfg.params_consumed, cfg.source,
+        cfg.seed, cfg.params_consumed,
     )
 
 
@@ -93,8 +93,7 @@ def test_the_table_and_the_drawing_name_the_same_objects(built, text, seed):
     slp = compile_polynomial(cfg.source)
     J = _anchor_count(cfg)
     assert J == (2 if text in ("x^5-x-1", "x^7-x-1") else 1)
-    drawing, table = _Drawn(cfg.field, J), decode_module._Incidences(cfg)
-    table.anchors(J)
+    drawing, table = _Drawn(cfg.field, J), decode_module._Incidences(cfg, J)
     drawn_reg, drawn_lines, _ = realize(slp, drawing, seed)
     table_reg, table_lines, _ = realize(slp, table, cfg.seed)
     assert [cfg.points[p] for p in table_reg] == drawn_reg
@@ -125,7 +124,7 @@ def test_without_the_unit_line_the_check_refuses(built):
     # product is lambda*a*b for a free lambda: z is not forced
     cfg = built("x^2-2")[0]
     unit_line = line(cfg.field, 1, 1, -1)
-    rest = derive_points((l for l in cfg.lines if l != unit_line), source=cfg.source)
+    rest = derive_points(l for l in cfg.lines if l != unit_line)
     with pytest.raises(NotForced, match="u1"):
         check_forcing(rest)
 
@@ -136,9 +135,7 @@ def test_dropping_any_raw_line_refuses(built):
     assert raw == 17  # the tie line u2 of the second anchor is one of them
     accepted = []
     for k in range(raw):
-        rest = derive_points(
-            (l for i, l in enumerate(cfg.lines) if i != k), source=cfg.source
-        )
+        rest = derive_points(l for i, l in enumerate(cfg.lines) if i != k)
         try:
             check_forcing(rest)
             accepted.append(k)
@@ -285,8 +282,7 @@ def test_a_product_on_anchor_2_is_checked_against_its_own_anchor(built):
     cfg = _loaded(built("x^5-x-1")[0])
     slp = compile_polynomial(cfg.source)
     k = split_anchors(slp).index(2)  # z^5 = z^3 * z^2
-    table = decode_module._Incidences(cfg)
-    table.anchors(2)
+    table = decode_module._Incidences(cfg, 2)
     drawn = realize(slp, table, cfg.seed)[1][k]
     (U, U2), (S, S2) = table.U, table.S
     assert (U2, S2) == (_point(cfg, 0, 2), _point(cfg, 1, -2, 0))
@@ -311,16 +307,55 @@ def test_an_add_refuses_the_height_of_an_anchor():
     check_forcing(cfg)
 
 
+def test_the_check_runs_the_recipe_once(built, monkeypatch):
+    # x^9-x-1 holds u2 only after the gadgets, so its fifth line is not u2
+    # and the check reads one shared anchor, without a second layout
+    cfg = _loaded(built("x^9-x-1")[0])
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return realize(*args)
+
+    monkeypatch.setattr(decode_module, "realize", counted)
+    check_forcing(cfg)
+    assert len(calls) == 1
+
+
+def test_a_broken_shared_anchor_file_names_its_own_failure(built):
+    # hline 19, y = 2, dropped from the row of the mark inf: the refusal
+    # names that add, not a failure of the split layout the file never used
+    cfg = _loaded(built("x^9-x-1")[0])
+    assert cfg.lines[19] == line(cfg.field, 0, 1, -2)
+    inf = cfg.marks["inf"]
+    message = f"register 7, the add .*: hline 19 misses the mark inf, point {inf}"
+    with pytest.raises(NotForced, match=message):
+        check_forcing(_moved(cfg, [(19, inf, None)]))
+
+
+def test_a_split_layout_file_whose_fifth_line_is_not_u2_exits_5(built, tmp_path, capsys):
+    # emission writes u2 fifth; with u2 moved to the end by hand, the file
+    # is read with one anchor, on which the products of anchor 2 fail
+    data = config_to_json(built("x^5-x-1")[0])
+    data["lines"].append(data["lines"].pop(4))
+    path = tmp_path / "reordered.json"
+    path.write_text(dumps_canonical(data), encoding="utf-8")
+    assert config_from_json(data).lines[-1] == tie_line(built("x^5-x-1")[0].field, 2)
+    capsys.readouterr()
+    assert main(["decode", str(path)]) == 5
+    assert "on anchor 1" in capsys.readouterr().err
+
+
 def test_a_shared_anchor_file_that_holds_u2_passes(built):
     # x^9-x-1 keeps one anchor (its split layout does not lower the
     # ladder), yet a line added after emission is x + y/2 = 1: the check
-    # reads the split layout first, which fails, then the shared one
+    # reads the shared layout, since the fifth line is not u2, and the
+    # split layout would fail
     cfg = built("x^9-x-1")[0]
     assert _anchor_count(cfg) == 1
     assert tie_line(cfg.field, 2) in cfg.lines
     assert tie_line(cfg.field, 2) not in cfg.lines[:_raw_line_count(cfg)]
-    table = decode_module._Incidences(cfg)
-    table.anchors(2)
+    table = decode_module._Incidences(cfg, 2)
     with pytest.raises(NotForced, match="on anchor 2"):
         realize(compile_polynomial(cfg.source), table, cfg.seed)
     check_forcing(_loaded(cfg))

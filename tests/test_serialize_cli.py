@@ -46,11 +46,13 @@ def test_round_trip_bit_exact(cfg):
 
 
 def test_rational_file_polynomial_reads_as_its_integer_multiple(cfg):
-    # 3/2*x^2 - 3 is read as 2 times itself, 3*x^2 - 6, which defines the field of x^2 - 2
+    # 3/2*x^2 - 3 is read as 2 times itself, 3*x^2 - 6, which defines the field of x^2 - 2;
+    # the configuration's modulus is the field's, the primitive x^2 - 2, and is dumped so
     data = json.loads(dumps_canonical(config_to_json(cfg)))
     data["poly"] = [{"n": "-3", "d": "1"}, {"n": "0", "d": "2"}, {"n": "3", "d": "2"}]
     loaded = config_from_json(data)
-    assert loaded.source == IntPoly.from_coeffs([-6, 0, 3])
+    assert loaded.source == IntPoly.from_coeffs([-2, 0, 1])
+    assert config_to_json(loaded)["poly"] == config_to_json(cfg)["poly"]
     assert loaded.field == cfg.field
     assert decode(loaded) == loaded.field.gen
     check_forcing(loaded)
