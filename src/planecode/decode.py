@@ -5,12 +5,12 @@ with the most lines, check that they are collinear, take their cross-ratio.
 check_forcing runs the gadget recipes over the incidence table of the
 multiple points and the marks: every realization of the configuration puts
 a root of p there, not the file's alone.
-The separation certificate then evaluates the decoded element under every
-embedding of K and certifies that the resulting discs are pairwise
-disjoint, which is the machine-checkable form of "the conjugate
-configuration encodes a different number". Each value is exact at the
-centre of its root disc, and its radius is a majorant of the element over
-the whole root disc, rounded up once (numberfield.embed).
+The separation certificate then evaluates the decoded element, the
+generator, under every embedding of K: its value discs are the root discs,
+which numberfield.isolate_roots proves pairwise disjoint, once. That is the
+machine-checkable form of "the conjugate configuration encodes a different
+number". Each value is exact at the centre of its root disc, its radius a
+majorant over the whole disc, rounded up once (numberfield.embed).
 """
 
 from __future__ import annotations
@@ -240,7 +240,13 @@ def check_forcing(c: Configuration) -> None:
 class SeparationCertificate:
     __slots__ = (
         "poly", "seed", "line_count", "mark_valences", "max_other_valence",
-        "decoded", "equals_generator", "roots", "values", "pairwise_disjoint", "statement"
+        "decoded", "roots", "values",
+    )
+    statement = (
+        "the incidences force P(z) = N(z), so every realization of the "
+        "configuration encodes a root of p; for every pair of embeddings "
+        "i != j the decoded invariants differ: the certified value discs "
+        "are pairwise disjoint"
     )
 
     def __init__(
@@ -251,11 +257,8 @@ class SeparationCertificate:
         mark_valences: dict[str, int],
         max_other_valence: int,
         decoded: tuple[Fraction, ...],
-        equals_generator: bool,
         roots: tuple[Disc, ...],
         values: tuple[Disc, ...],
-        pairwise_disjoint: bool,
-        statement: str,
     ):
         self.poly = poly
         self.seed = seed
@@ -263,45 +266,30 @@ class SeparationCertificate:
         self.mark_valences = mark_valences
         self.max_other_valence = max_other_valence
         self.decoded = decoded
-        self.equals_generator = equals_generator
         self.roots = roots
         self.values = values
-        self.pairwise_disjoint = pairwise_disjoint
-        self.statement = statement
 
 
 def separation_certificate(p: IntPoly, seed: int = 0) -> SeparationCertificate:
-    """Build once, decode, check the forcing, embed at every root, certify disjointness.
+    """Build once, decode, check the forcing, isolate the roots, embed at every root.
 
-    The root discs are isolated once, and isolate_roots proves them
-    pairwise disjoint. The decoded element is the generator, so each value
-    disc is its root disc (embed) and disjoint from the others with it.
+    Each claim is checked once and raises when it fails: decode equals the
+    generator, the incidences force the relation, and isolate_roots proves
+    the root discs pairwise disjoint; each value disc is its root disc (embed).
     """
     cfg = run_pipeline(p, seed=seed)
     decoded = decode(cfg)
     if decoded != cfg.field.gen:
         raise PlanecodeError("decoded element is not the field generator")
     check_forcing(cfg)
-
     roots = tuple(isolate_roots(p))
-    images = tuple(embed(decoded, d) for d in roots)
-
-    mark_valences = {label: cfg.valence(i) for label, i in cfg.marks.items()}
     return SeparationCertificate(
         poly=cfg.source,
         seed=seed,
         line_count=cfg.line_count,
-        mark_valences=mark_valences,
+        mark_valences={label: cfg.valence(i) for label, i in cfg.marks.items()},
         max_other_valence=max_other_valence(cfg),
         decoded=decoded.coeffs,
-        equals_generator=True,
         roots=roots,
-        values=images,
-        pairwise_disjoint=True,
-        statement=(
-            "the incidences force P(z) = N(z), so every realization of the "
-            "configuration encodes a root of p; for every pair of embeddings "
-            "i != j the decoded invariants differ: the certified value discs "
-            "are pairwise disjoint"
-        ),
+        values=tuple(embed(decoded, d) for d in roots),
     )

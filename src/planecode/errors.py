@@ -103,10 +103,6 @@ class DegenerateQuadruple(PlanecodeError):
     exit_code = 5
 
 
-class InfiniteCrossRatio(PlanecodeError):
-    exit_code = 5
-
-
 class NotForced(PlanecodeError):
     """The incidence table does not prove P(z) = N(z) in every realization."""
 

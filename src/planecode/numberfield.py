@@ -6,10 +6,11 @@ defines K, and K keeps the primitive one.
 All construction arithmetic stays in the abstract field K; complex
 embeddings (one per root of the modulus) are used only for numeric
 certificates and rendering. Rationals are arbitrary precision throughout.
-A root is certified by a Disc with a float centre and radius, both exact
-rationals. embed evaluates an element exactly at that centre and bounds
-the rest of the disc by a majorant, with the radius rounded up once;
-pictures read the float value at the centre (approximate) instead.
+A root is certified by a Disc with a float centre, found on p shifted
+exactly to the centroid of its roots (or else on p), and a float radius,
+both exact rationals. embed evaluates an element exactly at that centre
+and bounds the rest of the disc by a majorant, with the radius rounded up
+once; pictures read the float value at the centre (approximate) instead.
 
 An element of K is an integer vector over one common denominator,
 sum_i nums[i]*z^i / den with den > 0 and gcd(den, *nums) = 1 (H. Cohen,
@@ -563,7 +564,7 @@ class NFElement:
     the coefficients.
     """
 
-    __slots__ = ("field", "nums", "den", "_residue")
+    __slots__ = ("field", "nums", "den")
 
     def __init__(self, field: NumberField, nums: tuple[int, ...], den: int):
         """Trusts (nums, den) to be normal; NumberField.element normalises."""
@@ -620,7 +621,7 @@ class NFElement:
 
     @property
     def residue(self) -> int | None:
-        """Image sum c_i r^i mod l under the residue map of the field, cached.
+        """Image sum c_i r^i mod l under the residue map of the field.
 
         z -> r is a ring homomorphism R = Z_(l)[z]/(p) -> F_l, because
         p(r) = 0 mod l and l does not divide the leading coefficient of p. A
@@ -638,19 +639,11 @@ class NFElement:
         what makes a point's fingerprint (configuration.Configuration)
         independent of the triple that represents the point.
         """
-        try:
-            return self._residue
-        except AttributeError:
-            pass
-        r = None
         rmap = self.field.residue_map
-        if rmap is not None:
-            ell, powers = rmap
-            if self.den % ell:
-                acc = sum(x * rp for x, rp in zip(self.nums, powers))
-                r = acc * pow(self.den, -1, ell) % ell
-        _set_residue(self, r)
-        return r
+        if rmap is None or self.den % rmap[0] == 0:
+            return None
+        ell, powers = rmap
+        return sum(x * rp for x, rp in zip(self.nums, powers)) * pow(self.den, -1, ell) % ell
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -754,7 +747,6 @@ class NFElement:
 _set_field = NFElement.field.__set__
 _set_nums = NFElement.nums.__set__
 _set_den = NFElement.den.__set__
-_set_residue = NFElement._residue.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -809,28 +801,19 @@ def _sqrt_up(x: Fraction) -> float:
     return r if Fraction(r) ** 2 >= Fraction(q) else nextafter(r, inf)
 
 
-def _aberth(cs: list[float]) -> list[complex]:
+def _aberth(cs: list[float], starts: list[complex]) -> list[complex]:
     """Approximate all roots of the monic float polynomial cs (low degree first).
 
-    Aberth-Ehrlich iteration (O. Aberth, Math. Comp. 27, 1973): Newton's
-    step for each root, corrected by the repulsion sum_j 1 / (w_i - w_j)
-    of the others. The starts lie on a circle around the centroid of the
-    roots, sized by the coefficients of p shifted to that centroid, at an
-    angle offset that keeps every start off the real axis.
+    Aberth-Ehrlich iteration (O. Aberth, Math. Comp. 27, 1973) from the
+    given starts: Newton's step for each root, corrected by the repulsion
+    sum_j 1 / (w_i - w_j) of the others.
 
     p is real, so the result is made closed under conjugation: w counts as
     real when it lies closer to its own mirror image than any other
     approximation does, and is then put on the axis; each nonreal root in
     the upper half plane brings its exact conjugate.
     """
-    n = len(cs) - 1
-    centre = -cs[n - 1] / n
-    shifted = list(cs)  # Taylor shift: coefficients of p(x + centre)
-    for k in range(n):
-        for i in range(n - 1, k - 1, -1):
-            shifted[i] += centre * shifted[i + 1]
-    radius = max(abs(shifted[i]) ** (1.0 / (n - i)) for i in range(n)) or 1.0
-    ws = [centre + rect(radius, 2 * pi * j / n + 0.7) for j in range(n)]
+    n, ws = len(cs) - 1, list(starts)
     for _ in range(500):
         moved = 0.0
         for i, w in enumerate(ws):
@@ -865,33 +848,55 @@ def isolate_roots(p: IntPoly) -> list[Disc]:
     NumberField.create has proven irreducible. The sort is by real part,
     then imaginary part, and a root's index is its place in the list.
 
-    The centres are the Aberth roots of p / lead, each coefficient rounded
-    to a float once. The a-posteriori bound n*|p(w)/p'(w)| certifies that
-    each disc holds at least one root, and pairwise disjointness of n discs
-    upgrades that to exactly one root each; disjointness is the only test
-    a disc must pass, whatever its radius. The bound is evaluated exactly:
-    the float centre w is a rational, so |p(w)|^2 and |p'(w)|^2 are
-    computed in Q from the integer coefficients (the ratio does not change
-    when p is scaled), and only the final square root is rounded, upward.
-    PrecisionExhausted when a coefficient ratio or a bound does not fit a
-    float, or when two discs overlap.
+    The Aberth starts lie on a circle around the centroid
+    c = -a_(n-1)/(n*a_n) of the roots, sized by p shifted exactly to c, and
+    off the real axis. The iteration runs on that centred polynomial, where
+    close roots far from 0 stay apart in floats, and if that fails on p,
+    where small roots stay apart beside a much larger one
+    (x^3 - 10^10*x^2 + 1). PrecisionExhausted when both fail.
     """
     n = p.degree
     if n < 1:
         raise ValueError("no roots: polynomial is constant")
-    dp = p.derivative()
-    lead = p.leading
+    c = Fraction(-p[n - 1], n * p.leading)
+    cs = _float_shift(p, c)
+    radius = max(abs(cs[i]) ** (1.0 / (n - i)) for i in range(n)) or 1.0
+    starts = [rect(radius, 2 * pi * j / n + 0.7) for j in range(n)]
     try:
-        cs = [c / lead for c in p.coeffs]
-    except OverflowError:
-        raise PrecisionExhausted(
-            "a coefficient over the leading coefficient does not fit a float"
-        ) from None
+        return _discs(p, [w + float(c) for w in _aberth(cs, starts)])
+    except PrecisionExhausted:
+        if c == 0:
+            raise
+    return _discs(p, _aberth(_float_shift(p, 0), [w + float(c) for w in starts]))
 
-    approx = _aberth(cs)
-    approx.sort(key=lambda w: (w.real, w.imag))
+
+def _float_shift(p: IntPoly, c: int | Fraction) -> list[float]:
+    """p(x + c) / a_n, shifted exactly, each coefficient then rounded to a float once."""
+    n, lead = p.degree, p.leading
+    shifted = [Fraction(a, lead) for a in p.coeffs]
+    for k in range(n):
+        for i in range(n - 1, k - 1, -1):
+            shifted[i] += c * shifted[i + 1]
+    try:
+        return [float(a) for a in shifted]
+    except OverflowError:
+        raise PrecisionExhausted("a coefficient of p(x + c) / a_n does not fit a float") from None
+
+
+def _discs(p: IntPoly, approx: list[complex]) -> list[Disc]:
+    """Certified discs around the root approximations approx of p, sorted by centre.
+
+    The bound n*|p(w)/p'(w)| on p certifies that each disc holds a root,
+    and pairwise disjointness of the n discs that each holds exactly one;
+    it is the only test a disc must pass, whatever its radius. The bound
+    is exact: the float centre w is a rational, so |p(w)|^2 and |p'(w)|^2
+    are computed in Q (the ratio does not change when p is scaled), and
+    only the final square root is rounded, upward. PrecisionExhausted when
+    a bound does not fit a float, or two discs overlap.
+    """
+    n, dp = p.degree, p.derivative()
     discs = []
-    for i, w in enumerate(approx):
+    for i, w in enumerate(sorted(approx, key=lambda w: (w.real, w.imag))):
         re, im = Fraction(w.real), Fraction(w.imag)
         dr, di = _eval_exact(dp.coeffs, re, im)
         if dr == di == 0:
@@ -899,13 +904,9 @@ def isolate_roots(p: IntPoly) -> list[Disc]:
         fr, fi = _eval_exact(p.coeffs, re, im)
         radius = _sqrt_up(n * n * (fr * fr + fi * fi) / (dr * dr + di * di))
         discs.append(Disc(w, radius))
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not discs[i].disjoint_from(discs[j]):
-                raise PrecisionExhausted(
-                    f"root discs {i} and {j} overlap at the working float width"
-                )
+    for i, j in combinations(range(n), 2):
+        if not discs[i].disjoint_from(discs[j]):
+            raise PrecisionExhausted(f"root discs {i} and {j} overlap at the working float width")
     return discs
 
 

@@ -15,7 +15,6 @@ from .errors import (
     DegenerateJoin,
     DegenerateMeet,
     DegenerateQuadruple,
-    InfiniteCrossRatio,
     NotCollinear,
 )
 from .numberfield import NFElement, NumberField
@@ -162,11 +161,9 @@ def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> NFEle
     """Image of d under the map of the common line sending (a, b, c) to (0, 1, inf).
 
     Computed through projective line parameters, so points at infinity need
-    no special casing. d = c would map to infinity and is reported as an
-    error instead of a value.
+    no special casing. The four points must be distinct: as a != b, the
+    denominator vanishes exactly when d = c, which would map to infinity.
     """
-    if d == c:
-        raise InfiniteCrossRatio("fourth point equals the third")
     pts = (a, b, c, d)
     for i in range(4):
         for j in range(i + 1, 4):
@@ -177,10 +174,7 @@ def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> NFEle
     c1, c2 = _line_params(a, b, c)
     d1, d2 = _line_params(a, b, d)
     num = c1 * d2
-    den = num - c2 * d1
-    if den.is_zero:
-        raise InfiniteCrossRatio("fourth point equals the third")
-    return num * den.inv()
+    return num * (num - c2 * d1).inv()
 
 
 def transform(matrix, p: ProjPoint) -> ProjPoint:

@@ -61,12 +61,13 @@ def test_criterion_2_separation_certificates():
     ok = (
         abs(reals[0] + 1.4142135624) < 1e-9
         and abs(reals[1] - 1.4142135624) < 1e-9
-        and cert.pairwise_disjoint
+        and certificate_to_json(cert)["pairwise_disjoint"] is True
     )
     cert3 = separation_certificate(parse_poly("x^3-2"))
     real = [v for v in cert3.values if abs(v.center.imag) < 1e-9]
     cplx = [v for v in cert3.values if abs(v.center.imag) >= 1e-9]
-    ok = ok and len(real) == 1 and len(cplx) == 2 and cert3.pairwise_disjoint
+    ok = ok and len(real) == 1 and len(cplx) == 2
+    ok = ok and certificate_to_json(cert3)["pairwise_disjoint"] is True
     ok = ok and all(
         cert3.values[i].disjoint_from(cert3.values[j])
         for i in range(3)

@@ -401,13 +401,34 @@ def test_isolate_cbrt2():
     assert abs(cplx[0].center - cplx[1].center.conjugate()) < 1e-9
 
 
+def _shifted(text: str, s: int) -> IntPoly:
+    """p(x - s) for p = parse_poly(text): the roots of p moved by s."""
+    out, lin = IntPoly.zero(), IntPoly.from_coeffs([-s, 1])
+    for c in reversed(parse_poly(text).coeffs):
+        out = out * lin + IntPoly.from_coeffs([c])
+    return out
+
+
 def test_isolate_discs_disjoint_and_indexed():
     # x^8-3: eight roots of one modulus, symmetric under rotation and
     # conjugation; x^3-1000003: a root of modulus ~100; x^2-2000*x+999998:
-    # well-separated roots 1000 +- sqrt 2, far from 0
-    for text in ("x^4-x-1", "x^5-x-1", "x^7-x-1", "x^8-3", "x^3-1000003", "x^2-2000*x+999998"):
-        p = parse_poly(text)
-        n = p.degree
+    # well-separated roots 1000 +- sqrt 2, far from 0. The shifted ones put
+    # close roots far from 0, which only the frame at their centroid
+    # resolves; the first is x^4+2*x^3+4*x^2+1 shifted by 10^4. The last two
+    # have small roots beside one of 10^10 or 10^9, which only the frame at
+    # 0 resolves.
+    polys = [parse_poly(text) for text in (
+        "x^4-x-1", "x^5-x-1", "x^7-x-1", "x^8-3", "x^3-1000003", "x^2-2000*x+999998",
+        "x^4-39998*x^3+599940004*x^2-3999400080000*x+9998000400000001",
+        "x^3-10000000000*x^2+1", "x^6-1000000000*x^5+x+1",
+    )]
+    polys += [
+        _shifted(text, s)
+        for text in ("x^4+2*x^3+4*x^2+1", "x^5-x-1", "x^3-3*x+1")
+        for s in (10**2, 10**4, 10**6)
+    ]
+    for p in polys:
+        text, n = str(p), p.degree
         roots = isolate_roots(p)
         # a root's index is its place in the list, sorted by centre
         keys = [(r.center.real, r.center.imag) for r in roots]
@@ -427,6 +448,10 @@ def test_isolate_large_roots_by_disjointness_alone():
     for i in range(3):
         for j in range(i + 1, 3):
             assert roots[i].disjoint_from(roots[j])
+    # roots 10^8 +- sqrt 2: close, and large, so the radii exceed 1e-9 but stay small
+    roots = isolate_roots(parse_poly("x^2-200000000*x+9999999999999998"))
+    assert len(roots) == 2 and roots[0].disjoint_from(roots[1])
+    assert all(r.radius <= 1e-6 for r in roots), [r.radius for r in roots]
 
 
 # -- integer representation: property test against a Fraction reference --------

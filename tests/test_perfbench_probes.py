@@ -59,8 +59,8 @@ def test_benchmark_check_accepts_the_configuration_file(built, checks, tmp_path)
     assert checks.config_file(path, "x^2-2") == ([], cfg.line_count)
 
 
-# x^2-20000*x+99999998: roots 10^4 +- sqrt 2, whose float root discs are
-# wider than 1e-9 but disjoint
+# x^2-20000*x+99999998: roots 10^4 +- sqrt 2, close together and far from
+# 0, whose centres isolate_roots finds on p shifted to their centroid
 @pytest.mark.parametrize("text", ["x^5-x-1", "x^2-20000*x+99999998"])
 def test_benchmark_check_accepts_the_certificate(checks, text, tmp_path):
     cert = separation_certificate(parse_poly(text))

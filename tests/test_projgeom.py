@@ -21,7 +21,6 @@ from planecode.errors import (
     DegenerateJoin,
     DegenerateMeet,
     DegenerateQuadruple,
-    InfiniteCrossRatio,
     NotCollinear,
 )
 from planecode.projgeom import ProjPoint
@@ -93,8 +92,10 @@ def test_cross_ratio_errors(k):
         cross_ratio(a, b, c, point(k, 0, 1))
     with pytest.raises(DegenerateQuadruple):
         cross_ratio(a, b, c, a)
-    with pytest.raises(InfiniteCrossRatio):
+    # d = c would map to infinity: the pairwise test refuses it, exit 5 as before
+    with pytest.raises(DegenerateQuadruple, match="positions 2, 3") as err:
         cross_ratio(a, b, point(k, 5, 0), point(k, 5, 0, 1))
+    assert err.value.exit_code == 5
 
 
 def test_cross_ratio_convention_100_random(k):

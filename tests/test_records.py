@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from planecode import IntPoly, NumberField, line, parse_poly, point
+from planecode import IntPoly, NumberField, SeparationCertificate, line, parse_poly, point
+from planecode.numberfield import NFElement
 from planecode.slp_compiler import ADD, LOAD_Z, MUL, ONE
 from tests.conftest import SRC
 
@@ -79,6 +80,17 @@ def test_hashed_records_are_immutable(k):
         for attr in filter(None, (name, "extra")):
             with pytest.raises(AttributeError):
                 setattr(a, attr, None)
+
+
+def test_records_store_each_fact_once(k):
+    # a residue is computed on each read: only the constructor writes an element
+    assert NFElement.__slots__ == ("field", "nums", "den")
+    e = k.gen + 3
+    r = e.residue
+    assert r is not None and e.residue == r
+    # separation_certificate raises instead of recording a false claim
+    assert not {"equals_generator", "pairwise_disjoint"} & set(SeparationCertificate.__slots__)
+    assert SeparationCertificate.statement.startswith("the incidences force P(z) = N(z)")
 
 
 def test_fields_from_one_polynomial_are_equal():

@@ -125,6 +125,30 @@ def test_cli_build_and_decode(tmp_path, capsys):
     assert "equals the field generator" in printed
 
 
+def test_cli_galois_conjugate_decodes_the_other_root(cfg, tmp_path, capsys):
+    # z -> -z on every line entry: the conjugate configuration has the same
+    # incidences, so it is forced and has the same cover, but encodes -z
+    def conjugate(data):
+        for entries in data["lines"]:
+            for entry in entries:
+                entry[1]["n"] = str(-int(entry[1]["n"]))
+
+    good = config_to_json(cfg)
+    paths = {"c": tmp_path / "c.json", "conj": tmp_path / "conj.json"}
+    paths["c"].write_text(dumps_canonical(good), encoding="utf-8")
+    paths["conj"].write_text(dumps_canonical(_edited(good, conjugate)), encoding="utf-8")
+    check_forcing(config_from_json(loads(paths["conj"].read_text(encoding="utf-8"))))
+    assert main(["decode", str(paths["conj"])]) == 3
+    out, err = capsys.readouterr()
+    assert "decoded coefficients: (0, -1)" in out
+    assert "does NOT equal the field generator" in err
+    reports = []
+    for key, path in paths.items():
+        assert main(["cover", str(path), "-o", str(tmp_path / f"r-{key}.json")]) == 0
+        reports.append((tmp_path / f"r-{key}.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_cli_build_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     main(["build", "-p", "x^2-x-1", "-o", str(a)])
