@@ -7,15 +7,11 @@ Usage: python scripts/end_to_end.py [--seed N]
 import argparse
 import time
 
-from planecode import (
-    build_cover_report,
-    decode,
-    parse_poly,
-    run_pipeline,
-    separation_certificate,
-    valences,
-)
-from planecode.cover import name
+from planecode.configuration import valences
+from planecode.cover import build_cover_report, name
+from planecode.decode import decode, separation_certificate
+from planecode.numberfield import parse_poly
+from planecode.pipeline import run_pipeline
 from planecode.serialize import format_certificate
 
 POLYS = ["x^2-2", "x^2-x-1", "x^3-2", "x^4-x-1"]

@@ -7,7 +7,8 @@ Usage: python scripts/render_gallery.py [--outdir out]
 import argparse
 from pathlib import Path
 
-from planecode import isolate_roots, parse_poly, run_pipeline
+from planecode.numberfield import isolate_roots, parse_poly
+from planecode.pipeline import run_pipeline
 from planecode.render import render_svg
 
 

@@ -15,10 +15,7 @@ majorant over the whole disc, rounded up once (numberfield.embed).
 
 from __future__ import annotations
 
-import heapq
-from fractions import Fraction
-
-from .configuration import Configuration, max_other_valence
+from .configuration import Configuration, max_other_valence, valences
 from .errors import (
     AmbiguousValences,
     DegenerateQuadruple,
@@ -42,18 +39,16 @@ def _failed(error: type, check: str, detail, entries) -> PlanecodeError:
     return error(f"{check} check failed: {detail}; top of the valence ladder: {shown}")
 
 
-def _ladder(c: Configuration) -> tuple[list[tuple[int, int]], tuple[int, ...]]:
+def _ladder(c: Configuration) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """The top of the valence ladder and its top four points, the marks 0, 1, inf and z.
 
     The marks of c are never consulted; the valence ladder alone must
     single out the quadruple, and any tie among or directly below the top
-    four is an error rather than a tie-break. The ladder orders points by
-    valence, highest first, ties by index, as configuration.valences does.
-    It shows the stored points; below them come the simple crossings, of 2.
+    four is an error rather than a tie-break. The ladder is the head of
+    configuration.valences: valence, highest first, ties by index. It
+    shows the stored points; below them come the simple crossings, of 2.
     """
-    vals = list(map(len, c.incidence))
-    top = heapq.nlargest(LADDER_SHOWN, range(len(vals)), key=vals.__getitem__)
-    entries = [(i, vals[i]) for i in top]
+    entries = valences(c)[:LADDER_SHOWN]
     if c.point_count < 4:
         raise _failed(AmbiguousValences, "point count", f"{c.point_count} points, 4 needed", entries)
     ladder = ([v for _, v in entries[:5]] + [2] * min(5, c.simple_count) + [0])[:5]
@@ -240,7 +235,7 @@ def check_forcing(c: Configuration) -> None:
 class SeparationCertificate:
     __slots__ = (
         "poly", "seed", "line_count", "mark_valences", "max_other_valence",
-        "decoded", "roots", "values",
+        "roots", "values",
     )
     statement = (
         "the incidences force P(z) = N(z), so every realization of the "
@@ -256,7 +251,6 @@ class SeparationCertificate:
         line_count: int,
         mark_valences: dict[str, int],
         max_other_valence: int,
-        decoded: tuple[Fraction, ...],
         roots: tuple[Disc, ...],
         values: tuple[Disc, ...],
     ):
@@ -265,7 +259,6 @@ class SeparationCertificate:
         self.line_count = line_count
         self.mark_valences = mark_valences
         self.max_other_valence = max_other_valence
-        self.decoded = decoded
         self.roots = roots
         self.values = values
 
@@ -289,7 +282,6 @@ def separation_certificate(p: IntPoly, seed: int = 0) -> SeparationCertificate:
         line_count=cfg.line_count,
         mark_valences={label: cfg.valence(i) for label, i in cfg.marks.items()},
         max_other_valence=max_other_valence(cfg),
-        decoded=decoded.coeffs,
         roots=roots,
         values=tuple(embed(decoded, d) for d in roots),
     )

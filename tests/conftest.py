@@ -8,7 +8,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-from planecode import parse_poly, run_pipeline  # noqa: E402
+from planecode.numberfield import parse_poly  # noqa: E402
+from planecode.pipeline import run_pipeline  # noqa: E402
 
 ACCEPTANCE_POLYS = ("x^2-2", "x^2-x-1", "x^3-2", "x^4-x-1")
 

@@ -7,31 +7,18 @@ import json
 import random
 from fractions import Fraction
 
-from planecode import (
-    ALPHA,
-    build_cover_report,
-    Configuration,
-    cross_ratio,
-    decode,
-    group_elements,
-    NumberField,
-    pairing,
-    parse_poly,
-    point,
-    register_point,
-    select_m,
-    separation_certificate,
-    transform,
-    valences,
-)
 from planecode.cli import main
-from planecode.cover import name
+from planecode.configuration import Configuration, valences
+from planecode.cover import ALPHA, build_cover_report, group_elements, name, pairing, select_m
+from planecode.decode import decode, separation_certificate
+from planecode.numberfield import NumberField, parse_poly
+from planecode.projgeom import cross_ratio, point, transform
 from planecode.serialize import (
     certificate_to_json,
     config_to_json,
     dumps_canonical,
 )
-from planecode.slp_compiler import _Drawn, add_gadget, mul_gadget
+from planecode.slp_compiler import _Drawn, add_gadget, mul_gadget, register_point
 from tests.conftest import ACCEPTANCE_POLYS
 
 TIME_BUDGET_SECONDS = 30.0
@@ -162,7 +149,7 @@ def test_criterion_6_cross_ratio_convention():
 
 
 def test_criterion_7_reproducibility(built):
-    from planecode import run_pipeline
+    from planecode.pipeline import run_pipeline
 
     cfg_a = run_pipeline(parse_poly("x^2-2"), seed=0)
     cfg_b = run_pipeline(parse_poly("x^2-2"), seed=0)

@@ -2,21 +2,19 @@ from math import comb
 
 import pytest
 
-from planecode import (
-    NumberField,
+from planecode import configuration
+from planecode.configuration import (
+    MARK_LABELS,
+    ParamStream,
     amplify_marks,
     augment_even_valence,
-    compile_polynomial,
     derive_points,
-    emit_configuration,
-    incident,
-    line,
-    parse_poly,
     valences,
 )
-from planecode import configuration
-from planecode.configuration import MARK_LABELS, ParamStream
 from planecode.errors import DuplicateLine, GenericityExhausted
+from planecode.numberfield import NumberField, parse_poly
+from planecode.projgeom import incident, line
+from planecode.slp_compiler import compile_polynomial, emit_configuration
 
 
 @pytest.fixture(scope="module")

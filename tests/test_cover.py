@@ -2,23 +2,23 @@ import random
 
 import pytest
 
-from planecode import (
+from planecode import cover
+from planecode.configuration import derive_points, valences
+from planecode.cover import (
     ALPHA,
-    NumberField,
+    ZERO,
     ample_certificate,
     build_cover_report,
     check_cover_hypotheses,
-    derive_points,
     group_elements,
-    line,
+    name,
     pairing,
-    parse_poly,
     select_m,
-    valences,
+    valence_counts,
 )
-from planecode import cover
-from planecode.cover import ZERO, name, valence_counts
 from planecode.errors import ParityViolation, SelfCheckFailed
+from planecode.numberfield import NumberField, parse_poly
+from planecode.projgeom import line
 from tests.conftest import ACCEPTANCE_POLYS
 
 

@@ -2,19 +2,11 @@ import math
 
 import pytest
 
-from planecode import (
-    Configuration,
-    NumberField,
-    decode,
-    derive_points,
-    embed,
-    isolate_roots,
-    line,
-    parse_poly,
-    separation_certificate,
-    valences,
-)
+from planecode.configuration import Configuration, derive_points, valences
+from planecode.decode import decode, separation_certificate
 from planecode.errors import AmbiguousValences, NotCollinear, ParityViolation, TrivialField
+from planecode.numberfield import NumberField, embed, isolate_roots, parse_poly
+from planecode.projgeom import line
 from planecode.serialize import certificate_to_json
 
 from tests.test_golden import GOLDEN
@@ -39,7 +31,7 @@ def test_decode_ignores_marks(built):
 
 
 def test_round_trip_non_monic():
-    from planecode import run_pipeline
+    from planecode.pipeline import run_pipeline
 
     cfg = run_pipeline(parse_poly("2*x^2-3"), seed=0)
     assert decode(cfg) == cfg.field.gen

@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planecode import derive_points, numberfield, run_pipeline
-from planecode.configuration import MARK_INF, MARK_ONE, MARK_Z, MARK_ZERO, all_points
+from planecode import numberfield
+from planecode.configuration import MARK_INF, MARK_ONE, MARK_Z, MARK_ZERO, all_points, derive_points
 from planecode.numberfield import NumberField, parse_poly
+from planecode.pipeline import run_pipeline
 from planecode.projgeom import join, line, meet, point
 from planecode.serialize import config_to_json, dumps_canonical
 

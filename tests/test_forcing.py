@@ -6,12 +6,13 @@ from functools import cache
 
 import pytest
 
-from planecode import (
-    Configuration, NFElement, derive_points, line, parse_poly, point, run_pipeline,
-)
 from planecode.cli import main
+from planecode.configuration import Configuration, derive_points
 from planecode.decode import check_forcing
 from planecode.errors import NotForced
+from planecode.numberfield import NFElement, parse_poly
+from planecode.pipeline import run_pipeline
+from planecode.projgeom import line, point
 from planecode.serialize import config_from_json, config_to_json, dumps_canonical
 from planecode.slp_compiler import (
     SLP,

@@ -8,14 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planecode import (
-    IntPoly,
-    NumberField,
-    check_irreducible,
-    embed,
-    isolate_roots,
-    parse_poly,
-)
 from planecode import numberfield
 from planecode.errors import (
     DivisionByZero,
@@ -25,7 +17,16 @@ from planecode.errors import (
     TrivialField,
     UnprovenModulus,
 )
-from planecode.numberfield import MAX_COEFF_DIGITS, MAX_DEGREE
+from planecode.numberfield import (
+    MAX_COEFF_DIGITS,
+    MAX_DEGREE,
+    IntPoly,
+    NumberField,
+    check_irreducible,
+    embed,
+    isolate_roots,
+    parse_poly,
+)
 
 
 @pytest.fixture(scope="module")

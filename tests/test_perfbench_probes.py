@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from planecode import parse_poly, separation_certificate
 from planecode.cover import build_cover_report
+from planecode.decode import separation_certificate
+from planecode.numberfield import parse_poly
 from planecode.serialize import (
     certificate_to_json,
     config_to_json,

@@ -5,25 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planecode import (
-    NumberField,
-    collinear,
-    cross_ratio,
-    incident,
-    join,
-    line,
-    meet,
-    parse_poly,
-    point,
-    transform,
-)
 from planecode.errors import (
     DegenerateJoin,
     DegenerateMeet,
     DegenerateQuadruple,
     NotCollinear,
 )
-from planecode.projgeom import ProjPoint
+from planecode.numberfield import NumberField, parse_poly
+from planecode.projgeom import (
+    ProjPoint,
+    collinear,
+    cross_ratio,
+    incident,
+    join,
+    line,
+    meet,
+    point,
+    transform,
+)
 
 
 @pytest.fixture(scope="module")

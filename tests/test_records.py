@@ -1,4 +1,4 @@
-"""Records are plain classes: structural value semantics, and a light import path."""
+"""Records are plain classes: structural value semantics, and light import paths."""
 
 import os
 import subprocess
@@ -7,23 +7,45 @@ from fractions import Fraction
 
 import pytest
 
-from planecode import IntPoly, NumberField, SeparationCertificate, line, parse_poly, point
-from planecode.numberfield import NFElement
+from planecode.decode import SeparationCertificate
+from planecode.numberfield import IntPoly, NFElement, NumberField, parse_poly
+from planecode.projgeom import line, point
 from planecode.slp_compiler import ADD, LOAD_Z, MUL, ONE
 from tests.conftest import SRC
 
 
-def test_cli_import_leaves_out_dataclasses_inspect_and_render():
-    probe = (
-        "import sys, planecode.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect', 'planecode.render') "
-        "if m in sys.modules))"
-    )
+def _loaded(module: str) -> set[str]:
+    """The modules in sys.modules after a fresh interpreter imports module."""
+    probe = f"import sys, {module}; print(' '.join(sys.modules))"
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == []
+    return set(out.stdout.split())
+
+
+def _planecode_modules(module: str) -> set[str]:
+    return {m.removeprefix("planecode.") for m in _loaded(module) if m.startswith("planecode.")}
+
+
+def test_cli_import_leaves_out_dataclasses_inspect_and_render():
+    assert not {"dataclasses", "inspect", "planecode.render"} & _loaded("planecode.cli")
+
+
+def test_package_import_loads_no_module():
+    assert _planecode_modules("planecode") == set()
+
+
+def test_module_imports_load_only_what_they_run():
+    assert _planecode_modules("planecode.numberfield") == {"_ffpoly", "errors", "numberfield"}
+    assert not {"decode", "pipeline", "slp_compiler"} & _planecode_modules("planecode.serialize")
+
+
+def test_cli_import_loads_every_module_but_render():
+    # perfbench/tracer.py probes names bound on cli, so cli imports every
+    # command's modules at start; render alone is imported by its command
+    modules = {p.stem for p in (SRC / "planecode").glob("*.py")}
+    assert _planecode_modules("planecode.cli") == modules - {"__init__", "__main__", "render"}
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +111,8 @@ def test_records_store_each_fact_once(k):
     r = e.residue
     assert r is not None and e.residue == r
     # separation_certificate raises instead of recording a false claim
-    assert not {"equals_generator", "pairwise_disjoint"} & set(SeparationCertificate.__slots__)
+    constant = {"decoded", "equals_generator", "pairwise_disjoint"}
+    assert not constant & set(SeparationCertificate.__slots__)
     assert SeparationCertificate.statement.startswith("the incidences force P(z) = N(z)")
 
 

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planecode import _ffpoly, decode, numberfield, run_pipeline
+from planecode import _ffpoly, numberfield
 from planecode.configuration import all_points
+from planecode.decode import decode
 from planecode.numberfield import NumberField, parse_poly
+from planecode.pipeline import run_pipeline
 from planecode.projgeom import incident, line, point
 from planecode.serialize import config_from_json, config_to_json, dumps_canonical, loads
 from planecode.slp_compiler import compile_polynomial, emit_configuration

@@ -9,10 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from planecode import IntPoly, parse_poly, separation_certificate
 from planecode.cli import main
-from planecode.decode import check_forcing, decode
+from planecode.decode import check_forcing, decode, separation_certificate
 from planecode.errors import SchemaError
+from planecode.numberfield import IntPoly, parse_poly
 from planecode.serialize import (
     certificate_to_json,
     config_from_json,

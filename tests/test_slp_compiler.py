@@ -9,26 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planecode import (
-    SLP,
-    IntPoly,
-    NumberField,
-    compile_polynomial,
-    emit_configuration,
-    parse_poly,
-    register_point,
-)
+from planecode import configuration, numberfield, slp_compiler
 from planecode.errors import (
     GadgetDegenerate,
     NotARoot,
     ReducibleModulus,
     TrivialField,
 )
-from planecode.serialize import config_to_json, dumps_canonical
-from planecode import configuration, numberfield, run_pipeline, slp_compiler
+from planecode.numberfield import IntPoly, NumberField, parse_poly
+from planecode.pipeline import run_pipeline
 from planecode.projgeom import incident, line
+from planecode.serialize import config_to_json, dumps_canonical
 from planecode.slp_compiler import (
-    ADD, LOAD_Z, MUL, ONE, _Drawn, add_gadget, mul_gadget, split_anchors, tie_line,
+    ADD, LOAD_Z, MUL, ONE, SLP, _Drawn, add_gadget, compile_polynomial, emit_configuration,
+    mul_gadget, register_point, split_anchors, tie_line,
 )
 
 
@@ -113,7 +107,7 @@ def test_compile_rejects_trivial_and_reducible():
 
 
 def test_register_point_identification(k):
-    from planecode import point
+    from planecode.projgeom import point
 
     assert register_point(k.gen) == point(k, k.gen, 0)
     assert register_point(k.zero) == point(k, 0, 0)
@@ -345,7 +339,7 @@ def test_emit_configuration_includes_axes():
     slp = compile_polynomial(parse_poly("x^2-2"))
     cfg = emit_configuration(slp, seed=0)
     f = cfg.field
-    from planecode import line
+    from planecode.projgeom import line
 
     assert cfg.lines[0] == line(f, 0, 1, 0)
     assert cfg.lines[1] == line(f, 1, 0, 0)
@@ -386,8 +380,9 @@ def test_emission_deterministic():
 # Gadgets whose outputs are read off the line y = 1 instead of the axis.
 _SABOTAGED_GADGETS = """
 import planecode.slp_compiler as sc
-from planecode import ProjLine, parse_poly
 from planecode.errors import SelfCheckFailed
+from planecode.numberfield import parse_poly
+from planecode.projgeom import ProjLine
 seeds = sc.seed_lines
 sc.seed_lines = lambda f: (ProjLine.of(f.zero, f.one, -f.one),) + seeds(f)[1:]
 try:
