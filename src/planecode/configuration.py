@@ -49,9 +49,8 @@ class ParamStream:
         self.cursor = start
 
     def next(self) -> int:
-        value = 1 + self.seed + self.cursor
         self.cursor += 1
-        return value
+        return self.seed + self.cursor
 
 
 class Configuration:

@@ -199,11 +199,9 @@ def check_forcing(c: Configuration) -> None:
       lemma (slp_compiler.add_gadget), whose chart puts z at (w, 0) for
       w = cr(0, 1, inf, z), the number decode reads. J and the anchor of
       each product follow from the program (split_anchors) and from the
-      file: emission writes the split layout's tie lines u2..uJ right
-      after u1, so a file whose fifth line is u2 is read with the split
-      layout's anchors, and any other with one anchor. A one-anchor file
-      can hold u2 further on (the l3 of an add 1 + b at height 2, or a
-      join of augment), but its fifth line is an l2 or a t1.
+      file: emission writes the tie lines u2..uJ right after u1, so a
+      file whose fifth line is u2 is read with the split layout, and any
+      other, even one holding u2 further on, with one anchor.
     - Gadgets. By the lemma each add and mul lands on the sum or product
       of its operands, given the non-degeneracy tested here: the axis,
       y-axis, ell_inf and every uj are distinct lines; aux is off the axis

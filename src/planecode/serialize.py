@@ -5,7 +5,7 @@ abstract ever passes through floats; floats appear only in certificate
 embedding values, always next to their radii. Serialization is canonical
 (sorted keys, fixed indentation), so identical objects give identical bytes.
 
-A configuration file (schema v2) holds the polynomial, the seed, the stream
+A configuration file (schema v3) holds the polynomial, the seed, the stream
 cursor and the lines: a configuration is its lines. Loading checks the
 lines and then derives the multiple points, incidences and marks with the
 code that built them (configuration.derive_points), which finds each point
@@ -27,7 +27,7 @@ from .errors import DuplicateLine, SchemaError
 from .numberfield import MAX_COEFF_DIGITS, IntPoly, NFElement, NumberField, check_bounds
 from .projgeom import ProjLine
 
-CONFIG_SCHEMA_VERSION = 2
+CONFIG_SCHEMA_VERSION = 3
 CERTIFICATE_SCHEMA_VERSION = 2
 COVER_SCHEMA_VERSION = 2
 
@@ -107,9 +107,9 @@ def config_from_json(data) -> Configuration:
     every pair of lines meets in exactly one point. derive_points then
     derives the multiple points, incidences and marks as the build did.
     The seed and the stream cursor must be JSON integers, the cursor
-    >= 0. A malformed file raises SchemaError (exit 6); so does a schema v1 file,
-    which also stored points and incidences, with a request to rebuild it,
-    and a certificate or cover report, named by its "kind".
+    >= 0. A malformed file raises SchemaError (exit 6); so does a schema
+    v1 file (it stored points) or v2 file (its seed drew grid heights),
+    asking for a rebuild, and a certificate or report, named by its kind.
     A polynomial that defines no field exits 3, as it does for build.
     """
     if not isinstance(data, dict):
@@ -117,9 +117,9 @@ def config_from_json(data) -> Configuration:
     if "kind" in data:
         raise SchemaError(f"this is a {data['kind']} file, not a configuration")
     version = data.get("v")
-    if version == 1:
+    if type(version) is int and version in (1, 2):
         raise SchemaError(
-            "this is a schema v1 configuration file, which planecode no longer "
+            f"this is a schema v{version} configuration file, which planecode no longer "
             "reads; rebuild it with `planecode build`"
         )
     if version != CONFIG_SCHEMA_VERSION:

@@ -30,9 +30,9 @@ ladder: then the tie lines u2..uJ follow u1 (emit_configuration).
 Each gadget is written once, as add_gadget and mul_gadget over a
 geometry, where the von Staudt lemma that forces it is stated. Emission
 draws it in K (_Drawn); decode.check_forcing reads the same recipe from
-a file's incidence table. The add draws four lines, one of them y = h,
-with h from the deterministic integer stream; the mul draws three and
-takes no parameter. The last gadget of P lands on the point of N(z), so
+a file's incidence table. The add draws four lines, one of them y = h
+off the grid of the registers (realize); the mul draws three and takes
+no parameter. The last gadget of P lands on the point of N(z), so
 the incidences force P(z) = N(z), that is p(z) = 0, without a negation,
 and the whole construction is defined over K with Galois-stable choices.
 """
@@ -303,9 +303,12 @@ def realize(slp: SLP, g, seed: int) -> tuple[list, list[dict], int]:
     drawn, for messages. _Drawn draws in K, decode._Incidences reads a
     file's incidence table. With one anchor every product draws on it;
     with J > 1 they draw on split_anchors(slp), which opens J anchors.
-    z and the unit are the marks z and 1 and draw no lines. Each add takes
-    its height from the stream of seed: the next value that is neither 0
-    (hline would be the axis) nor an anchor height 1..J (aux would be U_j).
+    z and the unit are the marks z and 1 and draw no lines. An add draws
+    y = h, h = 1000v + 1 for the next stream value v = 1 + seed + k, off
+    the grid of the registers and anchor heights (h = 2 put u1 ^ l4 of
+    1 + 1 on x = 3; the survey in tests/test_forcing.py guards this). h is
+    never 0 (hline would be the axis), and as J < 1001 it is an anchor
+    height (aux would be U_j) only at v = 0, a negative seed's, skipped.
     """
     J = len(g.U)
     anchor = split_anchors(slp) if J > 1 else (1,) * len(slp.instructions)
@@ -318,7 +321,7 @@ def realize(slp: SLP, g, seed: int) -> tuple[list, list[dict], int]:
             g.at = f"register {k}, the {kind} of registers {ops[0]} and {ops[1]}"
             a, b = reg[ops[0]], reg[ops[1]]
             if kind == ADD:
-                h = next(v for v in iter(stream.next, None) if not 0 <= v <= J)
+                h = next(h for h in (1000 * v + 1 for v in iter(stream.next, None)) if not 1 <= h <= J)
                 out, drawn = add_gadget(g, a, b, h)
             else:
                 g.at += f" on anchor {anchor[k]}"

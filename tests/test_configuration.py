@@ -178,17 +178,17 @@ GOLDEN_POLYS = ("x^2-2", "x^3-2", "x^2-x-1", "x^4-x-1", "3*x^2-5", "x^5-x-1", "x
 # x^12-x^5-1 and 3*x^3-5*x+7 keep the shared anchor, where the split
 # layout would not lower M.
 FINAL_LINES = {
-    "x^2-2": 37,
+    "x^2-2": 36,
     "x^3-2": 39,
     "x^4-x-1": 39,
-    "3*x^2-5": 49,
+    "3*x^2-5": 45,
     "x^5-x-1": 42,
     "x^7-x-1": 45,
     "x^9-x-1": 56,
     "x^12-x^5-1": 56,
     "x^16-x-1": 45,
     "x^32-x-1": 48,
-    "3*x^3-5*x+7": 69,
+    "3*x^3-5*x+7": 67,
 }
 
 

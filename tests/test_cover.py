@@ -155,13 +155,13 @@ def test_parity_violation_on_odd_valences():
 
 
 def test_invalid_m_odd_line_count(built, monkeypatch):
-    # L = 37 at alpha and nothing to cancel it: S_chi = 37 for (chi, alpha) = 1
-    cfg, _ = built("x^2-2")
-    assert cfg.line_count % 2 == 1
+    # an odd L at alpha and nothing to cancel it: S_chi = L for (chi, alpha) = 1
+    cfg, _ = built("x^3-2")
+    assert cfg.line_count % 2 == 1, "the test needs an input with an odd line count"
     bare = {x: 0 for x in group_elements()}
     bare[ALPHA] = cfg.line_count
     monkeypatch.setattr(cover, "select_m", lambda c: bare)
-    with pytest.raises(ParityViolation, match="S_100 = 37 is odd"):
+    with pytest.raises(ParityViolation, match=f"S_100 = {cfg.line_count} is odd"):
         build_cover_report(cfg)
 
 

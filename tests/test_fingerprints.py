@@ -132,10 +132,10 @@ def test_a_pencil_on_a_tiny_prime():
 
 
 def test_only_multiple_points_and_marks_are_stored(built):
-    # x^3-1000003 (L = 226) has 22,499 points; 171 of them are stored
+    # x^3-1000003 (L = 213) has 19,912 points; 119 of them are stored
     cfg, _ = built("x^3-1000003")
-    assert cfg.point_count == 22_499
-    assert len(cfg.points) == 171
+    assert cfg.point_count == 19_912
+    assert len(cfg.points) == 119
     marked = set(cfg.marks.values())
     assert all(len(rows) >= 3 or i in marked for i, rows in enumerate(cfg.incidence))
 

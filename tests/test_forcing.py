@@ -1,6 +1,7 @@
 """The forcing check: the incidence table alone proves P(z) = N(z) in every realization."""
 
 import importlib
+import json
 from fractions import Fraction
 from functools import cache
 
@@ -183,18 +184,18 @@ def _degenerate_tables(cfg, text):
     axis, yaxis, u1 = ln(0, 1, 0), ln(1, 0, 0), ln(1, 1, -1)
     zero, one, inf, z = (cfg.marks[k] for k in ("zero", "one", "inf", "z"))
     U, V = pt(0, 1), pt(0, 1, 0)
-    if text == "x^2-2":  # registers z, z*z, 1, 1+1; the add draws h = 2
+    if text == "x^2-2":  # registers z, z*z, 1, 1+1; the add draws h = 1001
         g = _Drawn(f)
-        l3 = cfg.lines.index(add_gadget(g, g.one, g.one, Fraction(2))[1]["l3"])
-        corner, raw = pt(1, 2), _raw_line_count(cfg)
+        l3 = cfg.lines.index(add_gadget(g, g.one, g.one, 1001)[1]["l3"])
+        corner, raw = pt(1, 1001), _raw_line_count(cfg)
         return [
             (_moved(cfg, [(u1, U, V)]), "U is point"),
             (_moved(cfg, [(yaxis, None, one), (yaxis, None, inf), (yaxis, None, z),
                           (axis, z, None)]), "also a seed line"),
-            (_moved(cfg, [(ln(0, 1, -2), pt(0, 2), U)]), "aux is point"),
-            # l3 meets ell_inf at the corner (1, 2), which l4 must join to itself;
-            # the corner drops its later lines, so that the ladder stays strict
-            (_moved(cfg, [(l3, pt(1, -2, 0), corner), (ln(0, 0, 1), None, corner)]
+            (_moved(cfg, [(ln(0, 1, -1001), pt(0, 1001), U)]), "aux is point"),
+            # l3 meets ell_inf at the corner (1, 1001), which l4 must join to
+            # itself; the corner drops its later lines, so that the ladder stays strict
+            (_moved(cfg, [(l3, pt(1, -1001, 0), corner), (ln(0, 0, 1), None, corner)]
                     + [(i, corner, None) for i in cfg.incidence[corner] if i >= raw]),
              "join point .* to itself"),
         ]
@@ -233,7 +234,7 @@ def test_a_wrong_relation_refuses(built, monkeypatch, text):
 
 def test_cli_decode_of_a_file_with_moved_heights_exits_5(built, tmp_path, capsys):
     data = config_to_json(built("x^5-x-1")[0])
-    data["seed"] = 3  # the add gadget draws h = 4, not 2
+    data["seed"] = 3  # the add gadget draws h = 4001, not 1001
     path = tmp_path / "seed.json"
     path.write_text(dumps_canonical(data), encoding="utf-8")
     with pytest.raises(NotForced, match="register 5, the add"):
@@ -246,7 +247,8 @@ def test_cli_decode_of_a_file_with_moved_heights_exits_5(built, tmp_path, capsys
 
 
 def test_a_seed_that_draws_the_same_heights_passes(built):
-    # x^2-2 at seed -1 refuses h = 0 and h = 1 and takes h = 2, as seed 0 does
+    # x^2-2 at seed -1 refuses h = 1, the height of U_1, and takes h = 1001,
+    # as seed 0 does
     data = config_to_json(built("x^2-2")[0])
     data["seed"] = -1
     check_forcing(config_from_json(data))
@@ -262,6 +264,71 @@ def test_pinned_polynomials_decode_and_are_forced(built, text, seed):
     valences = sorted(map(len, cfg.incidence), reverse=True)
     assert all(v % 2 == 0 for v in valences)
     assert all(valences[i] > valences[i + 1] for i in range(4))
+
+
+# The gadget lines by role, in the order add_gadget and mul_gadget draw them.
+RECIPE_ORDER = ("l2", "hline", "l3", "l4", "t1", "m1", "m2")
+# The lines that _lines_beyond_their_recipe finds, by polynomial: register,
+# role and old points (x, y). In 3*x^2-5 the product 3 * z^2 draws
+# m1 = U_1 3 through t1 ^ l2 = (1, 2/3), l2 the line x = 1 of the add
+# 2 + 1: t1 passes there because z^2 = 5/3 and the anchor scale c_1 is 1,
+# whatever the add heights are.
+SURVIVORS = {"3*x^2-5": [(6, "m1", {(0, 1), (3, 0), (1, Fraction(2, 3))})]}
+
+
+def _lines_beyond_their_recipe(cfg):
+    """(register, role, old points) of each line with three or more old points, but closures.
+
+    Lines are taken in construction order: the seed lines and tie lines,
+    each gadget's lines in recipe order, then augment's and amplify's in
+    file order. An old point of a line is a table point on it that two
+    earlier lines already define. A gadget line has at most two, the
+    points its recipe names, except at a closure: l4 or m2 has its output
+    as a third when that register point is already defined.
+    """
+    t = decode_module._Incidences(cfg, _anchor_count(cfg))
+    reg, drawn, _ = realize(compile_polynomial(cfg.source), t, cfg.seed)
+    roles = dict.fromkeys((t.axis, t.yaxis, t.linf, *t.ties), (None, "seed"))
+    for k, lines in enumerate(drawn):
+        for role in sorted(lines, key=RECIPE_ORDER.index):
+            roles.setdefault(lines[role], (k, role))
+    for i in range(len(cfg.lines)):
+        roles.setdefault(i, (None, "augment or amplify"))
+    order = {i: n for n, i in enumerate(roles)}
+    found = []
+    for i, (k, role) in roles.items():
+        old = {p for p in t.on[i] if sum(order[j] < order[i] for j in t.rows[p]) >= 2}
+        closure = role in ("l4", "m2") and len(old) == 3 and reg[k] in old
+        if len(old) >= 3 and not closure:
+            found.append((k, role, {cfg.points[p] for p in old}))
+    return found
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("text", GOLDEN_POLYS + ("3*x^3-5*x+7", "x^3-1000003"))
+def test_no_line_holds_points_beyond_its_recipe(built, text, seed):
+    # with the add heights on the integer grid, 3*x^2-5 had 3 such lines,
+    # 3*x^3-5*x+7 3 and x^3-1000003 25 at seed 0
+    cfg = _loaded(built(text)[0]) if seed == 0 else _final_at(text, seed)
+    expected = [
+        (k, role, {point(cfg.field, x, y) for x, y in old})
+        for k, role, old in SURVIVORS.get(text, [])
+    ]
+    assert _lines_beyond_their_recipe(cfg) == expected
+
+
+@pytest.mark.parametrize("seed", [-3, 3])
+@pytest.mark.parametrize("text", ["x^2-2", "x^7-x-1"])
+def test_build_and_decode_at_a_negative_and_a_positive_seed(text, seed, tmp_path, capsys):
+    # each has one add: at seed -3 it draws y = -1999, below the axis, and at
+    # seed 3 y = 4001; x^7-x-1 draws its products on two anchors
+    path = tmp_path / "c.json"
+    assert main(["build", "-p", text, f"--seed={seed}", "-o", str(path)]) == 0
+    assert main(["decode", str(path)]) == 0
+    assert "equals the field generator" in capsys.readouterr().out
+    cfg = config_from_json(json.loads(path.read_text(encoding="utf-8")))
+    assert cfg.seed == seed
+    check_forcing(cfg)
 
 
 def _point(cfg, x, y, w=1):
@@ -296,21 +363,21 @@ def test_a_product_on_anchor_2_is_checked_against_its_own_anchor(built):
 
 
 def test_an_add_refuses_the_height_of_an_anchor():
-    # seed 1 streams 2, 3, ...: x^5-x-1 draws on two anchors, so its add
-    # refuses y = 2, which meets the y-axis at U_2, and takes y = 3
-    raw = emit_configuration(compile_polynomial(parse_poly("x^5-x-1")), seed=1)
+    # seed -1 streams 0, 1, ...: x^5-x-1 draws on two anchors, and its add
+    # refuses y = 1000*0 + 1, which meets the y-axis at U_1, and takes y = 1001
+    raw = emit_configuration(compile_polynomial(parse_poly("x^5-x-1")), seed=-1)
     f = raw.field
     assert tie_line(f, 2) in raw.lines
-    assert line(f, 0, 1, -3) in raw.lines and line(f, 0, 1, -2) not in raw.lines
+    assert line(f, 0, 1, -1001) in raw.lines and line(f, 0, 1, -1) not in raw.lines
     assert raw.params_consumed == 2
-    cfg = _final_at("x^5-x-1", 1)
+    cfg = _final_at("x^5-x-1", -1)
     assert decode_module.decode(cfg) == cfg.field.gen
     check_forcing(cfg)
 
 
 def test_the_check_runs_the_recipe_once(built, monkeypatch):
-    # x^9-x-1 holds u2 only after the gadgets, so its fifth line is not u2
-    # and the check reads one shared anchor, without a second layout
+    # x^9-x-1 keeps one shared anchor, so its fifth line is not u2 and
+    # the check reads that anchor, without a second layout
     cfg = _loaded(built("x^9-x-1")[0])
     calls = []
 
@@ -324,10 +391,10 @@ def test_the_check_runs_the_recipe_once(built, monkeypatch):
 
 
 def test_a_broken_shared_anchor_file_names_its_own_failure(built):
-    # hline 19, y = 2, dropped from the row of the mark inf: the refusal
+    # hline 19, y = 1001, dropped from the row of the mark inf: the refusal
     # names that add, not a failure of the split layout the file never used
     cfg = _loaded(built("x^9-x-1")[0])
-    assert cfg.lines[19] == line(cfg.field, 0, 1, -2)
+    assert cfg.lines[19] == line(cfg.field, 0, 1, -1001)
     inf = cfg.marks["inf"]
     message = f"register 7, the add .*: hline 19 misses the mark inf, point {inf}"
     with pytest.raises(NotForced, match=message):
@@ -349,14 +416,16 @@ def test_a_split_layout_file_whose_fifth_line_is_not_u2_exits_5(built, tmp_path,
 
 def test_a_shared_anchor_file_that_holds_u2_passes(built):
     # x^9-x-1 keeps one anchor (its split layout does not lower the
-    # ladder), yet a line added after emission is x + y/2 = 1: the check
-    # reads the shared layout, since the fifth line is not u2, and the
-    # split layout would fail
+    # ladder). No built file holds u2 off its fifth line since the add
+    # heights left the integer grid, so u2, x + y/2 = 1, is appended by
+    # hand: the check reads the shared layout, since the fifth line is
+    # not u2, and the split layout would fail
     cfg = built("x^9-x-1")[0]
     assert _anchor_count(cfg) == 1
-    assert tie_line(cfg.field, 2) in cfg.lines
-    assert tie_line(cfg.field, 2) not in cfg.lines[:_raw_line_count(cfg)]
-    table = decode_module._Incidences(cfg, 2)
+    u2 = tie_line(cfg.field, 2)
+    assert u2 not in cfg.lines
+    held = derive_points([*cfg.lines, u2], seed=cfg.seed, params_consumed=cfg.params_consumed)
+    table = decode_module._Incidences(held, 2)
     with pytest.raises(NotForced, match="on anchor 2"):
         realize(compile_polynomial(cfg.source), table, cfg.seed)
-    check_forcing(_loaded(cfg))
+    check_forcing(held)

@@ -6,13 +6,13 @@ and the only golden files whose products draw on two anchors
 Performance work must leave these bytes unchanged. A change that alters
 them on purpose updates the table and says why.
 
-A configuration file stores only its lines (schema v2), and loading derives
+A configuration file stores only its lines (schema v3), and loading derives
 the multiple points, incidences and marks. GOLDEN holds the digests of the
 former v1 encoding, which also wrote every point, simple crossings too,
-with its row: each v2 file, once loaded, must re-encode to them through
+with its row: each v3 file, once loaded, must re-encode to them through
 v1_json below, which lists the points with configuration.all_points. So
 the derivation at load is pinned point for point, row for row, in the
-builder's order. FILE_GOLDEN pins the v2 files themselves.
+builder's order. FILE_GOLDEN pins the v3 files themselves.
 """
 
 import hashlib
@@ -52,46 +52,46 @@ def v1_json(c) -> dict:
 
 
 GOLDEN = {
-    "x^2-2": "53acdedf21c160aee8305ea7d7530f34075c6e622b30bce3f7eb4db1af8040de",
-    "x^3-2": "ad2288455ace9bdd93b406c37fb046c3711b7ba1839482d3fe58b548babac23a",
-    "x^2-x-1": "a2a9aa407cdc6d15d222aade06c5ed396751d0bf3f29d08e5fd8cb00c23626c0",
-    "x^4-x-1": "268465a718fd03a243ad5827bce74f311378bdd876dae2fd054247cd16b554ba",
-    "3*x^2-5": "cb078aa322ef64d60c4b0193868418527715bfc62cd993d18a2957ba80bdedbf",
-    "x^5-x-1": "b1360f82887167e03e6ccfbae84eebf2a299b208e001cf7045212960cccc79d4",
-    "x^7-x-1": "e168a0ea8e4f8b941e74145b18ca0b3aaf78de30ea8cb2de199c1118071963cf",
+    "x^2-2": "ce28c6d5fcbf1464eb8fa98489dd3f8f9b24820bee1e3ff0035697c92955fb07",
+    "x^3-2": "b49c089b617df0c6a635becaaa76e4c42f3bbb6b70878bc2b1081fd695a68fcc",
+    "x^2-x-1": "8b8b9c64c103121da238986fe5983fe99fc038c59c8bb4937c7cc4b24708ea84",
+    "x^4-x-1": "aae417d1247fd422db95ac801765445a8ac604c478ebc7dfa317d69f98109da4",
+    "3*x^2-5": "cbe364c71a6f0dcb2250373a819746ff7933684cc42ea2cdd0db32bf8bee82dc",
+    "x^5-x-1": "92d67738d77eca73ad636e83fb983f78ad1aaac04cf0617bf20284c1b6ef7e94",
+    "x^7-x-1": "4b4f9961c5f0340762c06087ecbfaf71e72b22bb70073e2524f710dab18b696d",
 }
 
 COVER_GOLDEN = {
-    "x^2-2": "4e667da0c168838e00e049d662ca3063029e7012cfd7e083304f39ae31699a64",
+    "x^2-2": "5c2e13364059e5cdbb8a0178da31aa859aea7199a8930555656d3c3855e96cd2",
     "x^3-2": "44cdb55bf3d3d1d676d5bf8b8b6b7a1a09f02ee1bf091c76d7a4ce6cfe92f7e4",
-    "x^2-x-1": "d9abea848824b67ceb9fcc20bb1394e84c934a47b596dcb9f7f35a0de43b8c34",
+    "x^2-x-1": "7df05196b956c5c8e201b07e114d40377e45d9ad94adad0bfda83e76411ffe92",
     "x^4-x-1": "bfbb51df15f2296012ca1177e445e92b465803c47a88a600ddd0708984e29063",
-    "3*x^2-5": "e866c1ceb6438a279c69d9e0f064a5285038601e5cdbbf44af6c859908f871bd",
+    "3*x^2-5": "fe5eec9b72c043b918cd71ae8f6430255c142f3e5d753a838cb71a6285abaa2e",
     "x^5-x-1": "6f5e635053ea4b57a970574119158e6be4c0477755e946417f8833a252d9a14d",
     "x^7-x-1": "d1f22abc2d2d30235a20583c13beaf005a3a73943a5161b6be4c5df41a9cf7c1",
     # constant chains (see CONSTANT_FILE_GOLDEN); the x^3-1000003 report lists
-    # its 22,499 points as 7 valence classes (see COVER_BYTES_AT_MOST)
-    "3*x^3-5*x+7": "54a3500177d06ab78e90a017e559381c29bb32afbe13d2c17c6b20fddc322da5",
-    "x^3-1000003": "35c8bf8beab8f9b9ef427c69956c2f27a0281fd4963da762bb699fb8141582c9",
+    # its 19,912 points as 7 valence classes (see COVER_BYTES_AT_MOST)
+    "3*x^3-5*x+7": "03758df72346e9a138d2e112e2c4748b6454392da47dc5ad05c54950dfd30138",
+    "x^3-1000003": "3f912d6bf8d17a64c8a7e4c4d6033d6068031cef4fa5135e4298007fc74f6a03",
 }
 
 
 FILE_GOLDEN = {
-    "x^2-2": "11c8b76af569ed16ad7af29bc4692ded159ffd3482d0a1707b127c63802964e3",
-    "x^3-2": "840bd82eb84a71d6c025dc7dbb2c23903b13a5465df0f60f4c0ce4aaff9c54a6",
-    "x^2-x-1": "5a7728480af63c3042bd55ecaaab243196e1dbd95dcfe38ad8eb7e09e882f18d",
-    "x^4-x-1": "5179c6375140c86560acaab954a62e18bbaa0bc788c505324541f2c7377587dd",
-    "3*x^2-5": "8f2f221f0a6302474efe600b4ed3dd07a41dfb10eeaa94e995d9f91b77df90bb",
-    "x^5-x-1": "78c1abf8c263fc6adc6e5ccc0a97d6bf311fa1134a37a535758452e852cc16b2",
-    "x^7-x-1": "a2c6ee0774fafccdde22574a0ecc135b8b3e7fea50251b15044e571c2012b650",
+    "x^2-2": "c474bbd83624e14dc8da4cddd85a55d22bb531a0caab07fe9f6233a3b29514e6",
+    "x^3-2": "e378f39a4656e0f28ab091a84facceacd0f21d8b1b687b4c521042ea9ef13294",
+    "x^2-x-1": "9eaa9330d4bcea51e8d27875df0543295bec84b24812f205e05b88f549cbf412",
+    "x^4-x-1": "0627d71b5634eafce00ad0effc81d088ecfbabdc98768cb1742b9dcaffdde5ac",
+    "3*x^2-5": "0e707b65d2e2fc36d5d2c281d81c99fbfa0857d698685cf11d454c199225e28b",
+    "x^5-x-1": "88e36f53e7994a8b26bffb62b5449c5670f007194642d460b5d8549c26b426f3",
+    "x^7-x-1": "791fcea781c04340e389dd0a7e5b3bd8842471841d780d00944e1dfede882047",
 }
 
 # Integer constants share one chain of add gadgets: 3 = 2 + 1 by
 # double-and-add, then 5 = 2 + 3 and 7 = 2 + 5 by one add each; 1000003 is a
-# 20-bit double-and-add chain (L = 226).
+# 20-bit double-and-add chain (L = 213).
 CONSTANT_FILE_GOLDEN = {
-    "3*x^3-5*x+7": "158153c3896c8ba80fda285d6c9e2db7bbcf1eabe40eea6fcb0be805a0149f8d",
-    "x^3-1000003": "f8a133441decda3ac806c3c4099c43e644d0e657701389cc656c4bdb6120f034",
+    "3*x^3-5*x+7": "6d4f45afe3e7e5a77cc94b23ed943c20c3110aed34e92015cc063e8945462e71",
+    "x^3-1000003": "f6768477361da6d3c6c7b0392449bdd7e08c7857773386b33814080a403acd9f",
 }
 
 # The v1 files were 0.67 MB and 6.55 MB; the lines alone are 2-4 % of that.

@@ -14,6 +14,7 @@ from planecode.decode import check_forcing, decode, separation_certificate
 from planecode.errors import SchemaError
 from planecode.numberfield import IntPoly, parse_poly
 from planecode.serialize import (
+    CONFIG_SCHEMA_VERSION,
     certificate_to_json,
     config_from_json,
     config_to_json,
@@ -310,7 +311,7 @@ def test_cli_decode_handwritten_three_line_config(tmp_path):
         return [rat(a), rat(b)]
 
     data = {
-        "v": 2,
+        "v": CONFIG_SCHEMA_VERSION,
         "poly": [rat(-2), rat(0), rat(1)],
         "seed": 0,
         "params_consumed": 0,
@@ -427,6 +428,21 @@ def test_cli_v1_file_asks_for_rebuild(cfg, tmp_path, capsys):
     assert "rebuild it with `planecode build`" in capsys.readouterr().err
 
 
+def test_cli_v2_file_asks_for_rebuild(cfg, tmp_path, capsys):
+    # a v2 file's seed stands for add heights on the integer grid; read with
+    # today's heights, its table would not hold the lines y = h it names
+    data = config_to_json(cfg)
+    data["v"] = 2
+    path = tmp_path / "v2.json"
+    path.write_text(dumps_canonical(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["decode", str(path)]) == 6
+    assert main(["cover", str(path), "-o", str(tmp_path / "r.json")]) == 6
+    err = capsys.readouterr().err
+    assert err.count("schema v2 configuration file") == 2
+    assert err.count("rebuild it with `planecode build`") == 2
+
+
 @pytest.fixture(scope="module")
 def report_files(cfg_path, tmp_path_factory):
     """A certificate and a cover report, each a file with a "kind"."""
@@ -535,7 +551,7 @@ def test_cli_render_coefficient_too_large_for_a_float(tmp_path, capsys):
         return [{"n": str(q), "d": "1"}, {"n": "0", "d": "1"}]
 
     data = {
-        "v": 2,
+        "v": CONFIG_SCHEMA_VERSION,
         "poly": [{"n": n, "d": "1"} for n in ("1", big, "1")],
         "seed": 0,
         "params_consumed": 0,

@@ -351,7 +351,7 @@ def test_emit_configuration_includes_axes():
 def test_mul_gadget_draws_no_parameter():
     # x^4 - x - 1 = x^4 - (x + 1): two squarings, one add, so one height
     cfg = emit_configuration(compile_polynomial(parse_poly("x^4-x-1")), seed=0)
-    assert cfg.params_consumed == 2  # h = 1 is refused, h = 2 taken
+    assert cfg.params_consumed == 1  # the stream value 1 gives h = 1001
 
 
 def test_one_irreducibility_proof_per_build(monkeypatch):
