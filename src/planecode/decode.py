@@ -15,6 +15,8 @@ majorant over the whole disc, rounded up once (numberfield.embed).
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .configuration import Configuration, max_other_valence, valences
 from .errors import (
     AmbiguousValences,
@@ -27,7 +29,7 @@ from .errors import (
 from .numberfield import Disc, IntPoly, NFElement, embed, isolate_roots
 from .pipeline import run_pipeline
 from .projgeom import ProjLine, cross_ratio, line
-from .slp_compiler import compile_polynomial, realize, seed_lines, split_anchors, tie_line
+from .slp_compiler import anchor_count, compile_polynomial, realize, seed_lines, tie_line
 
 
 LADDER_SHOWN = 6
@@ -187,8 +189,8 @@ def check_forcing(c: Configuration) -> None:
     gadget line is the one table line through two named points, each
     point the one point whose row holds two named lines. Only the seed
     lines, the tie lines and each add's line y = h are found by
-    coordinates, h drawn from the file's seed as emission draws it. No
-    arithmetic in K is done.
+    coordinates, h from the file's seed. The proof does no arithmetic in
+    K; the layout choice alone reads the registers' values in K, once.
 
     - Seed. The marks 0, 1, inf, z are the top four points of the ladder,
       and the axis is the one line through all four. The y-axis passes
@@ -198,10 +200,10 @@ def check_forcing(c: Configuration) -> None:
       S_j = uj ^ ell_inf. These are the seed objects of the von Staudt
       lemma (slp_compiler.add_gadget), whose chart puts z at (w, 0) for
       w = cr(0, 1, inf, z), the number decode reads. J and the anchor of
-      each product follow from the program (split_anchors) and from the
-      file: emission writes the tie lines u2..uJ right after u1, so a
-      file whose fifth line is u2 is read with the split layout, and any
-      other, even one holding u2 further on, with one anchor.
+      each product follow from the program and the file's seed, as
+      emission chooses them (slp_compiler.anchor_count and
+      split_anchors), so the order of the file's lines does not matter.
+      A wrong J can only make the check fail, never pass.
     - Gadgets. By the lemma each add and mul lands on the sum or product
       of its operands, given the non-degeneracy tested here: the axis,
       y-axis, ell_inf and every uj are distinct lines; aux is off the axis
@@ -216,18 +218,18 @@ def check_forcing(c: Configuration) -> None:
     gadget kind, the anchor of a product, and the line and point that
     broke.
     """
-    slp = compile_polynomial(c.field.source)
-    split = max(split_anchors(slp), default=0)
-    t = _Incidences(c, split if split > 1 and c.lines[4:5] == [tie_line(c.field, 2)] else 1)
+    slp, p, d = compile_polynomial(c.field.source), c.field.source, c.field.n
+    poly = slp.evaluate(IntPoly.from_coeffs((0, 1)), IntPoly.from_coeffs((1,)))
+    values = [c.field.element([r[i] - Fraction(r[d] * p[i], p[d]) for i in range(d)]) for r in poly]
+    t = _Incidences(c, anchor_count(slp, values, c.seed))
     reg = realize(slp, t, c.seed)[0]
     t.at = "the relation P(z) = N(z)"
     rhs = t.zero if slp.rhs is None else reg[slp.rhs]
     if reg[slp.lhs] != rhs:
         raise t.fail(f"P lands on point {reg[slp.lhs]} and N on point {rhs}")
-    poly = slp.evaluate(IntPoly.from_coeffs((0, 1)), IntPoly.from_coeffs((1,)))
     n = IntPoly.zero() if slp.rhs is None else poly[slp.rhs]
-    if poly[slp.lhs] - n != c.field.source:
-        raise t.fail(f"P - N = {poly[slp.lhs] - n} is not {c.field.source}")
+    if poly[slp.lhs] - n != p:
+        raise t.fail(f"P - N = {poly[slp.lhs] - n} is not {p}")
 
 
 class SeparationCertificate:

@@ -8,10 +8,11 @@ equal instructions are equal values and each is emitted once. The powers
 of z that the Horner jumps need come from one table built by squaring,
 and every integer constant c >= 2 comes from one chain built up from the
 unit.
-emit_configuration proves K = Q[x]/(p) a field (NumberField.create) and
-draws every add and mul instruction as a small line gadget on the marked
-axis ell = {y = 0}, where the point (v : 0 : 1) stands for the number v;
-z and the unit are marks on that axis and take no lines.
+emit_configuration proves K = Q[x]/(p) a field (NumberField.create),
+evaluates the program in K once, and draws every add and mul instruction
+as a small line gadget on the marked axis ell = {y = 0}, where the point
+(v : 0 : 1) stands for the number v; z and the unit are marks on that
+axis and take no lines.
 
 Four seed lines come first, each needed for every realization of the
 configuration to encode a conjugate of z: the axis ell, which carries
@@ -24,8 +25,9 @@ to both, which ties the scale of the y-axis to the unit of the axis
 (without it every product would be lambda*a*b for a free lambda); so u1
 passes through the mark 1, U = U_1 and the slope -1 direction S = S_1.
 Every mul draws on anchor 1, unless spreading the products over anchors
-1..J, each held to valence 4 (split_anchors), lowers the raw valence
-ladder: then the tie lines u2..uJ follow u1 (emit_configuration).
+1..J, each held to valence 4 (split_anchors), lowers the raw ladder base:
+then the tie lines u2..uJ follow u1. anchor_count decides, before the one
+drawing, by counting both layouts over ids (_Counted).
 
 Each gadget is written once, as add_gadget and mul_gadget over a
 geometry, where the von Staudt lemma that forces it is stated. Emission
@@ -254,7 +256,7 @@ def split_anchors(slp: SLP) -> tuple[int, ...]:
     and two distinct right operands, so that U_j and S_j stay at valence
     <= 4: the one already holding most of its own operands, the lowest j
     on a tie. A new anchor opens only when none has room. The assignment
-    reads the program alone, so emission and decode.check_forcing agree.
+    reads the program alone.
     """
     held: list[tuple[set[int], set[int]]] = []  # per anchor, its left and right operands
     anchors = []
@@ -279,18 +281,6 @@ def split_anchors(slp: SLP) -> tuple[int, ...]:
     return tuple(anchors)
 
 
-def _shared_floor(slp: SLP) -> int:
-    """A lower bound of the raw ladder base M when every product draws on anchor 1.
-
-    U has valence 2 + the number of distinct left operands of the
-    products, S 2 + that of the right operands; neither is a mark, and M
-    is even.
-    """
-    products = [ops for kind, *ops in slp.instructions if kind == MUL]
-    count = max(len({a for a, _ in products}), len({b for _, b in products}))
-    return 2 + count + count % 2
-
-
 def realize(slp: SLP, g, seed: int) -> tuple[list, list[dict], int]:
     """Each register's object in g, its gadget's lines by role, and the stream cursor.
 
@@ -300,9 +290,9 @@ def realize(slp: SLP, g, seed: int) -> tuple[list, list[dict], int]:
     draws with join(p, q, role), meet(l, m, role) and height_line(h), the
     line y = h, and refuses what the lemma excludes with
     check_operands(a, b) and check_aux(aux); g.at names the register
-    drawn, for messages. _Drawn draws in K, decode._Incidences reads a
-    file's incidence table. With one anchor every product draws on it;
-    with J > 1 they draw on split_anchors(slp), which opens J anchors.
+    drawn, for messages. _Drawn draws in K, _Counted counts over ids,
+    decode._Incidences reads a file's incidence table. With one anchor
+    every product draws on it; with J > 1 on split_anchors(slp).
     z and the unit are the marks z and 1 and draw no lines. An add draws
     y = h, h = 1000v + 1 for the next stream value v = 1 + seed + k, off
     the grid of the registers and anchor heights (h = 2 put u1 ^ l4 of
@@ -365,22 +355,20 @@ class _Drawn:
             )
 
 
-def _drawn_configuration(slp: SLP, g: _Drawn, seed: int) -> Configuration:
+def _drawn_configuration(slp: SLP, g: _Drawn, seed: int, values: list) -> Configuration:
     """The raw configuration of slp drawn in g, its registers and its relation self-checked.
 
-    A register off the point of its value is a defect of the gadgets. The
-    two sides must agree, P(z) = N(z): else the modulus was not the
-    minimal polynomial of z.
+    values holds each register's value in K. A register off the point of
+    its value is a defect of the gadgets. The two sides must agree,
+    P(z) = N(z): else the modulus was not the minimal polynomial of z.
     """
-    field = g.field
     reg, drawn, cursor = realize(slp, g, seed)
-    values = slp.evaluate(field.gen, field.one)
     for k, (p, value) in enumerate(zip(reg, values)):
         if p != register_point(value):
             raise SelfCheckFailed(f"register {k} lands on {p}, not on the point of {value}")
 
     lhs = values[slp.lhs]
-    rhs = field.zero if slp.rhs is None else values[slp.rhs]
+    rhs = g.field.zero if slp.rhs is None else values[slp.rhs]
     if lhs != rhs:
         raise NotARoot(f"P(z) = {lhs} differs from N(z) = {rhs}")
 
@@ -392,18 +380,68 @@ def _drawn_configuration(slp: SLP, g: _Drawn, seed: int) -> Configuration:
     return cfg
 
 
-def emit_configuration(slp: SLP, seed: int = 0) -> Configuration:
-    """Prove K a field, draw each instruction's gadget, return the raw configuration.
+class _Counted:
+    """The gadgets counted on J anchors: points and lines are ids, a line the set of its points.
 
-    The products draw on the anchors of split_anchors(slp) when that
-    layout opens more than one anchor and its raw ladder base M falls
-    below the least M that one shared anchor allows (_shared_floor), and
-    else all on anchor 1.
+    Building it runs realize over it. join and meet return the one known
+    object through both arguments, or else a new one; an output is the
+    axis point of its register's value in K, so equal values share one
+    point, as in the drawing. ladder_base reads it as a raw configuration.
+    """
+
+    simple_count = 0  # an unnamed crossing has valence 2, as V has
+
+    def __init__(self, slp: SLP, values: list, seed: int, anchors: int):
+        self.on, self.incidence = [set() for _ in range(3 + anchors)], []  # per line, per point
+        self.axis, self.yaxis, self.linf, *self.ties = range(3 + anchors)
+        seeds = ((0, 1), (0, *self.ties), (0, 2), (0,), (1, 2))
+        self.zero, self.one, self.inf, self.z, self.V = (self._put(self.incidence, ls) for ls in seeds)
+        self.U, self.S = ([self._put(self.incidence, (u, m)) for u in self.ties] for m in (1, 2))
+        self.marks = dict(zip(MARK_LABELS, (self.zero, self.one, self.inf, self.z)))
+        f = values[0].field  # the axis points by value
+        self.points = {f.zero: self.zero, f.one: self.one, f.gen: self.z}
+        self.outputs = (v for (kind, *_), v in zip(slp.instructions, values) if kind in (ADD, MUL))
+        realize(slp, self, seed)
+
+    def _put(self, table: list[set[int]], ids, known: int | None = None) -> int:
+        other = self.incidence if table is self.on else self.on
+        if known is None:
+            known = len(table)
+            table.append(set())
+        table[known].update(ids)
+        for i in ids:
+            other[i].add(known)
+        return known
+
+    def join(self, p: int, q: int, role: str) -> int:
+        return min(self.incidence[p] & self.incidence[q] or {self._put(self.on, (p, q))})
+
+    def meet(self, l: int, m: int, role: str) -> int:
+        if role == "output":
+            value = next(self.outputs)
+            self.points[value] = self._put(self.incidence, (l, m), self.points.get(value))
+            return self.points[value]
+        return min(self.on[l] & self.on[m] or {self._put(self.incidence, (l, m))})
+
+    def height_line(self, h: int) -> int:
+        return self._put(self.on, (self.inf,))
+
+    check_operands = check_aux = staticmethod(lambda *objects: None)  # the drawing checks these
+
+
+def anchor_count(slp: SLP, values: list, seed: int) -> int:
+    """J for emission and decode.check_forcing: split only where it lowers the counted ladder base."""
+    split = max(split_anchors(slp), default=1)
+    shared, spread = (ladder_base(_Counted(slp, values, seed, J)) for J in (1, split))
+    return split if spread < shared else 1
+
+
+def emit_configuration(slp: SLP, seed: int = 0) -> Configuration:
+    """Prove K a field, draw each instruction's gadget once, return the raw configuration.
+
+    The program is evaluated in K once; anchor_count reads those values
+    to pick the layout, and the drawing self-checks against them.
     """
     field = NumberField.create(slp.source)
-    anchors = max(split_anchors(slp), default=0)
-    if anchors > 1:
-        cfg = _drawn_configuration(slp, _Drawn(field, anchors), seed)
-        if ladder_base(cfg) < _shared_floor(slp):
-            return cfg
-    return _drawn_configuration(slp, _Drawn(field), seed)
+    values = slp.evaluate(field.gen, field.one)
+    return _drawn_configuration(slp, _Drawn(field, anchor_count(slp, values, seed)), seed, values)

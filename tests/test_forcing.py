@@ -19,6 +19,7 @@ from planecode.slp_compiler import (
     SLP,
     _Drawn,
     add_gadget,
+    anchor_count,
     compile_polynomial,
     emit_configuration,
     mul_gadget,
@@ -53,15 +54,9 @@ def _raw_line_count(cfg):
 
 
 def _anchor_count(cfg):
-    """The number of anchors emission drew cfg's products on.
-
-    With J > 1 anchors the tie lines u2..uJ follow u1; the first gadget
-    line of the shared layout, an l2 or a t1, is never u2.
-    """
+    """The number of anchors emission drew cfg's products on."""
     slp = compile_polynomial(cfg.source)
-    raw = emit_configuration(slp, seed=cfg.seed)
-    split = max(split_anchors(slp), default=0)
-    return split if split > 1 and raw.lines[4] == tie_line(cfg.field, 2) else 1
+    return anchor_count(slp, slp.evaluate(cfg.field.gen, cfg.field.one), cfg.seed)
 
 
 def _moved(cfg, moves):
@@ -376,9 +371,8 @@ def test_an_add_refuses_the_height_of_an_anchor():
 
 
 def test_the_check_runs_the_recipe_once(built, monkeypatch):
-    # x^9-x-1 keeps one shared anchor, so its fifth line is not u2 and
-    # the check reads that anchor, without a second layout
-    cfg = _loaded(built("x^9-x-1")[0])
+    # x^9-x-1 keeps one shared anchor and x^5-x-1 splits its products over
+    # two: the check reads each file's own layout, without a second try
     calls = []
 
     def counted(*args):
@@ -386,8 +380,10 @@ def test_the_check_runs_the_recipe_once(built, monkeypatch):
         return realize(*args)
 
     monkeypatch.setattr(decode_module, "realize", counted)
-    check_forcing(cfg)
-    assert len(calls) == 1
+    for text, anchors in (("x^9-x-1", 1), ("x^5-x-1", 2)):
+        calls.clear()
+        check_forcing(_loaded(built(text)[0]))
+        assert [len(table.U) for _, table, _ in calls] == [anchors]
 
 
 def test_a_broken_shared_anchor_file_names_its_own_failure(built):
@@ -401,25 +397,40 @@ def test_a_broken_shared_anchor_file_names_its_own_failure(built):
         check_forcing(_moved(cfg, [(19, inf, None)]))
 
 
-def test_a_split_layout_file_whose_fifth_line_is_not_u2_exits_5(built, tmp_path, capsys):
-    # emission writes u2 fifth; with u2 moved to the end by hand, the file
-    # is read with one anchor, on which the products of anchor 2 fail
-    data = config_to_json(built("x^5-x-1")[0])
-    data["lines"].append(data["lines"].pop(4))
-    path = tmp_path / "reordered.json"
+def _edited_split_file(built, tmp_path, keep: bool):
+    """The x^5-x-1 file with its fifth line, u2, moved to the end (keep) or deleted."""
+    cfg = built("x^5-x-1")[0]
+    assert cfg.lines[4] == tie_line(cfg.field, 2)
+    data = config_to_json(cfg)
+    u2 = data["lines"].pop(4)
+    data["lines"] += [u2] * keep
+    path = tmp_path / "edited.json"
     path.write_text(dumps_canonical(data), encoding="utf-8")
-    assert config_from_json(data).lines[-1] == tie_line(built("x^5-x-1")[0].field, 2)
-    capsys.readouterr()
-    assert main(["decode", str(path)]) == 5
-    assert "on anchor 1" in capsys.readouterr().err
+    return path
+
+
+def test_a_split_layout_file_with_u2_moved_to_the_end_decodes(built, tmp_path, capsys):
+    # the layout follows from (p, seed), not from the order of the lines
+    path = _edited_split_file(built, tmp_path, keep=True)
+    assert main(["decode", str(path)]) == 0
+    assert "equals the field generator" in capsys.readouterr().out
+
+
+def test_a_split_layout_file_without_u2_exits_5_naming_it(built, tmp_path):
+    # without u2 the mark 1, U_2 and S_2 turn odd, so the CLI's decode stops
+    # at the parity check (exit 3) before the forcing check runs
+    path = _edited_split_file(built, tmp_path, keep=False)
+    with pytest.raises(NotForced, match=r"at anchor 2: u2 .* is not a line of the file") as caught:
+        check_forcing(config_from_json(json.loads(path.read_text(encoding="utf-8"))))
+    assert caught.value.exit_code == 5
 
 
 def test_a_shared_anchor_file_that_holds_u2_passes(built):
     # x^9-x-1 keeps one anchor (its split layout does not lower the
-    # ladder). No built file holds u2 off its fifth line since the add
-    # heights left the integer grid, so u2, x + y/2 = 1, is appended by
-    # hand: the check reads the shared layout, since the fifth line is
-    # not u2, and the split layout would fail
+    # ladder). No built one-anchor file holds u2 since the add heights
+    # left the integer grid, so u2, x + y/2 = 1, is appended by hand: the
+    # check reads the shared layout that anchor_count picks, and the
+    # split layout would fail
     cfg = built("x^9-x-1")[0]
     assert _anchor_count(cfg) == 1
     u2 = tie_line(cfg.field, 2)

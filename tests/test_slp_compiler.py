@@ -21,8 +21,8 @@ from planecode.pipeline import run_pipeline
 from planecode.projgeom import incident, line
 from planecode.serialize import config_to_json, dumps_canonical
 from planecode.slp_compiler import (
-    ADD, LOAD_Z, MUL, ONE, SLP, _Drawn, add_gadget, compile_polynomial, emit_configuration,
-    mul_gadget, register_point, split_anchors, tie_line,
+    ADD, LOAD_Z, MUL, ONE, SLP, _Counted, _Drawn, add_gadget, anchor_count, compile_polynomial,
+    emit_configuration, mul_gadget, register_point, split_anchors, tie_line,
 )
 
 
@@ -256,10 +256,14 @@ def test_split_anchors_keep_each_anchor_at_valence_4(text, anchors):
         assert len(left) <= 2 and len(right) <= 2
 
 
+OCTIC = "x^8-40*x^6+352*x^4-960*x^2+576"  # the Swinnerton-Dyer polynomial of 2, 3, 5
+
+
 @pytest.mark.parametrize("text, anchors", [
     ("x^5-x-1", 2), ("x^7-x-1", 2), ("x^16-x-1", 2), ("x^32-x-1", 3),
     # the split layout would not lower the raw ladder base M: one anchor
     ("x^9-x-1", 1), ("x^12-x^5-1", 1), ("3*x^3-5*x+7", 1),
+    (OCTIC, 1), ("x^5-3*x+7", 1), ("x^9-2", 1),
     # at most two products always fit one anchor
     ("x^2-2", 1), ("x^4-x-1", 1), ("3*x^2-5", 1),
 ])
@@ -269,13 +273,58 @@ def test_the_split_layout_is_kept_where_it_lowers_the_ladder(text, anchors):
     f = raw.field
     ties = [j for j in range(2, 5) if raw.lines[2 + j] == tie_line(f, j)]
     assert ties == list(range(2, anchors + 1))
-    shared_floor = slp_compiler._shared_floor(slp)
-    split = max(split_anchors(slp), default=0)
-    if anchors > 1:
-        assert configuration.ladder_base(raw) < shared_floor
-    elif split > 1:
-        drawn = slp_compiler._drawn_configuration(slp, _Drawn(f, split), 0)
-        assert configuration.ladder_base(drawn) >= shared_floor
+    values = slp.evaluate(f.gen, f.one)
+    assert anchor_count(slp, values, 0) == anchors
+    split = max(split_anchors(slp), default=1)
+    if split > 1:
+        # the drawn raw ladder bases agree with the choice made by counting
+        shared, spread = (
+            configuration.ladder_base(slp_compiler._drawn_configuration(slp, _Drawn(f, J), 0, values))
+            for J in (1, split)
+        )
+        assert (spread < shared) == (anchors > 1)
+
+
+@pytest.mark.parametrize("text, shared, split", [
+    ("x^9-x-1", 56, 58), ("x^9-2", 56, 58), ("x^5-3*x+7", 67, 68), (OCTIC, 275, 278),
+])
+def test_always_splitting_would_cost_lines(monkeypatch, text, shared, split):
+    assert run_pipeline(parse_poly(text)).line_count == shared
+    monkeypatch.setattr(slp_compiler, "anchor_count", lambda slp, values, seed: max(split_anchors(slp)))
+    assert run_pipeline(parse_poly(text)).line_count == split
+
+
+@pytest.mark.parametrize("seed", [0, 3, -3])
+@pytest.mark.parametrize("text", [
+    "x^2-2", "x^3-2", "x^2-x-1", "x^4-x-1", "3*x^2-5", "x^5-x-1", "x^7-x-1",
+    "x^9-x-1", "x^16-x-1", "x^32-x-1", "3*x^3-5*x+7", "x^3-1000003", OCTIC,
+])
+def test_the_count_equals_the_drawn_raw_table(text, seed):
+    slp = compile_polynomial(parse_poly(text))
+    f = NumberField.create(slp.source)
+    values = slp.evaluate(f.gen, f.one)
+    for J in sorted({1, max(split_anchors(slp), default=1)}):
+        counted = _Counted(slp, values, seed, J)
+        drawn = slp_compiler._drawn_configuration(slp, _Drawn(f, J), seed, values)
+        assert len(counted.on) == drawn.line_count
+        assert {label: len(counted.incidence[i]) for label, i in counted.marks.items()} == {
+            label: drawn.valence(i) for label, i in drawn.marks.items()
+        }
+        assert configuration.max_other_valence(counted) == configuration.max_other_valence(drawn)
+        assert configuration.ladder_base(counted) == configuration.ladder_base(drawn)
+
+
+@pytest.mark.parametrize("text, anchors", [("x^5-x-1", 2), ("x^9-x-1", 1)])
+def test_each_build_draws_once(monkeypatch, text, anchors):
+    real, drawn = slp_compiler._drawn_configuration, []
+
+    def counted(slp, g, seed, values):
+        drawn.append(len(g.U))
+        return real(slp, g, seed, values)
+
+    monkeypatch.setattr(slp_compiler, "_drawn_configuration", counted)
+    run_pipeline(parse_poly(text))
+    assert drawn == [anchors]
 
 
 def test_gadget_soundness_random_rationals(k):
