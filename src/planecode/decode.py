@@ -28,8 +28,8 @@ from .errors import (
 )
 from .numberfield import Disc, IntPoly, NFElement, embed, isolate_roots
 from .pipeline import run_pipeline
-from .projgeom import ProjLine, cross_ratio, line
-from .slp_compiler import anchor_count, compile_polynomial, realize, seed_lines, tie_line
+from .projgeom import cross_ratio, line
+from .slp_compiler import anchor_count, compile_polynomial, realize, seed_objects
 
 
 LADDER_SHOWN = 6
@@ -83,59 +83,47 @@ def decode(c: Configuration) -> NFElement:
 
 
 class _Incidences:
-    """The geometry of slp_compiler.realize in a table: objects are indices.
+    """A geometry with the hooks of slp_compiler.realize, in a table: objects are indices.
 
-    Building it finds the seed objects and the first J anchors, which
-    realize needs, as check_forcing describes. Each failed lookup raises
-    NotForced naming self.at, the step under check.
+    Building it finds the axis through the four marks and runs
+    seed_objects, as check_forcing describes. Each failed lookup and each
+    failed check raises NotForced naming self.at, the step under check.
     """
 
+    at = "the seed lines"
+
     def __init__(self, c: Configuration, J: int):
-        zero, one, inf, z = _ladder(c)[1]
-        self.field, self.rows, self.at = c.field, list(c.incidence), "the seed lines"
-        self.index = c.line_index
+        self.zero, self.one, self.inf, self.z = marks = _ladder(c)[1]
+        self.field, self.rows, self.index = c.field, list(c.incidence), c.line_index
         self.on: list[list[int]] = [[] for _ in c.lines]  # per line, its points
         appends = [points.append for points in self.on]
         for p, rows in enumerate(c.incidence):
             for i in rows:
                 appends[i](p)
-        axes = set.intersection(*(set(c.incidence[m]) for m in (zero, one, inf, z)))
+        axes = set.intersection(*(set(c.incidence[m]) for m in marks))
         if len(axes) != 1:
             raise self.fail(f"{len(axes)} lines pass through all four marks, not one")
-        (axis,) = axes
-        yaxis, linf = map(self.line, seed_lines(c.field)[1:3], ("y-axis", "ell_inf"))
-        if axis in (yaxis, linf):
-            raise self.fail(f"the line {axis} through the marks is also a seed line")
-        for i, role, mark in ((yaxis, "y-axis", zero), (linf, "ell_inf", inf)):
-            if i not in c.incidence[mark]:
-                raise self.fail(f"{role} line {i} misses the mark at point {mark}")
-        self.axis, self.yaxis, self.linf = axis, yaxis, linf
-        self.V = self.meet(yaxis, linf, "V")
-        self.zero, self.one, self.inf, self.z = zero, one, inf, z
-        # the tie lines u1..uJ by coordinates, and U_j, S_j as their meets
-        self.ties, self.U, self.S = [], [], []
-        for j in range(1, J + 1):
-            self.at = f"anchor {j}"
-            tie = self.line(tie_line(c.field, j), f"u{j}")
-            if tie == axis:
-                raise self.fail(f"the line {tie} through the marks is also a seed line")
-            if tie not in c.incidence[one]:
-                raise self.fail(f"u{j} line {tie} misses the mark at point {one}")
-            U = self.meet(tie, yaxis, "U")
-            if U in (zero, self.V):
-                raise self.fail(f"U is point {U}, which is 0 or V")
-            self.ties.append(tie)
-            self.U.append(U)
-            self.S.append(self.meet(tie, linf, "S"))
+        (self.axis,) = axes
+        seed_objects(self, J)
 
     def fail(self, detail: str) -> NotForced:
         return NotForced(f"the incidences do not force the relation at {self.at}: {detail}")
 
-    def line(self, l: ProjLine, role: str) -> int:
-        """The index of the file line l, which plays role."""
+    def check(self, ok: bool, detail: str) -> None:
+        if not ok:
+            raise self.fail(detail)
+
+    def line(self, coeffs, role: str, mark: str) -> int:
+        """The index of the file line with these coefficients, which must pass through the mark."""
+        l, p = line(self.field, *coeffs), getattr(self, mark)
         if l not in self.index:
             raise self.fail(f"{role} {l} is not a line of the file")
+        if self.index[l] not in self.rows[p]:
+            raise self.fail(f"{role} {self.index[l]} misses the mark {mark}, point {p}")
         return self.index[l]
+
+    def lies_on(self, p: int, i: int) -> bool:
+        return i in self.rows[p]
 
     def meet(self, i: int, j: int, role: str) -> int:
         """The one point whose row holds lines i and j.
@@ -162,21 +150,6 @@ class _Incidences:
             raise self.fail(f"{role}: points {p} and {q} are not on one line")
         return next(iter(both))
 
-    def height_line(self, h: int) -> int:
-        """The file line y = h, which must pass through the mark inf."""
-        hline = self.line(line(self.field, 0, 1, -h), "hline")
-        if hline not in self.rows[self.inf]:
-            raise self.fail(f"hline {hline} misses the mark inf, point {self.inf}")
-        return hline
-
-    def check_operands(self, a: int, b: int) -> None:
-        if self.zero in (a, b):
-            raise self.fail(f"an operand is the mark 0, point {self.zero}")
-
-    def check_aux(self, aux: int) -> None:
-        if self.axis in self.rows[aux] or aux == self.V or aux in self.U:
-            raise self.fail(f"aux is point {aux}, which is on the axis, an anchor U_j or V")
-
 
 def check_forcing(c: Configuration) -> None:
     """Prove from the incidence table that every realization of c encodes a root of p.
@@ -184,8 +157,8 @@ def check_forcing(c: Configuration) -> None:
     A realization is a choice of lines, over any field, with the incidences
     of the table; distinct indices are distinct points and lines, which
     the file's own table supplies; two lines that share no point of the
-    table meet on no other line. The check finds the seed objects, then
-    runs the gadget recipes (slp_compiler.realize) over the table: each
+    table meet on no other line. The check runs the recipes of
+    slp_compiler over the table, through the hooks of realize: each
     gadget line is the one table line through two named points, each
     point the one point whose row holds two named lines. Only the seed
     lines, the tie lines and each add's line y = h are found by
@@ -193,22 +166,19 @@ def check_forcing(c: Configuration) -> None:
     K; the layout choice alone reads the registers' values in K, once.
 
     - Seed. The marks 0, 1, inf, z are the top four points of the ladder,
-      and the axis is the one line through all four. The y-axis passes
-      through 0 and ell_inf through inf; V = y-axis ^ ell_inf.
-    - Anchors. Each tie line uj, j = 1..J, is not the axis and passes
-      through 1; U_j = uj ^ y-axis is neither 0 nor V, and
-      S_j = uj ^ ell_inf. These are the seed objects of the von Staudt
-      lemma (slp_compiler.add_gadget), whose chart puts z at (w, 0) for
-      w = cr(0, 1, inf, z), the number decode reads. J and the anchor of
-      each product follow from the program and the file's seed, as
-      emission chooses them (slp_compiler.anchor_count and
-      split_anchors), so the order of the file's lines does not matter.
-      A wrong J can only make the check fail, never pass.
+      and the axis is the one line through all four. seed_objects finds
+      the y-axis, ell_inf, V and, per anchor j = 1..J, uj, U_j and S_j,
+      and checks that they are the seed objects of the von Staudt lemma
+      (slp_compiler.add_gadget), whose chart puts z at (w, 0) for
+      w = cr(0, 1, inf, z), the number decode reads.
+    - Anchors. J and the anchor of each product follow from the program
+      and the file's seed, as emission chooses them
+      (slp_compiler.anchor_count and split_anchors), so the order of the
+      file's lines does not matter. A wrong J can only make the check
+      fail, never pass.
     - Gadgets. By the lemma each add and mul lands on the sum or product
-      of its operands, given the non-degeneracy tested here: the axis,
-      y-axis, ell_inf and every uj are distinct lines; aux is off the axis
-      and is neither V (hline is not ell_inf) nor any U_j; no operand is
-      the mark 0; every join is of two distinct points.
+      of its operands, given the non-degeneracy conditions its recipe
+      checks; every join is of two distinct points.
 
     So register k sits at (R_k(w), 0), R_k = slp.evaluate(x, 1)[k] the
     polynomial in z built from the gadget kinds alone, whichever anchor

@@ -37,8 +37,12 @@ def fraction_to_json(q: Fraction) -> dict:
 
 
 def fraction_from_json(data) -> Fraction:
+    """The rational {"n": n, "d": d}, each a JSON integer or decimal string, not a float or bool."""
     try:
-        return Fraction(int(data["n"]), int(data["d"]))
+        n, d = data["n"], data["d"]
+        if type(n) not in (int, str) or type(d) not in (int, str):
+            raise TypeError(f"{n!r} and {d!r} must be JSON integers or decimal strings")
+        return Fraction(int(n), int(d))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {data!r}") from exc
 

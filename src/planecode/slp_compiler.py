@@ -29,10 +29,11 @@ Every mul draws on anchor 1, unless spreading the products over anchors
 then the tie lines u2..uJ follow u1. anchor_count decides, before the one
 drawing, by counting both layouts over ids (_Counted).
 
-Each gadget is written once, as add_gadget and mul_gadget over a
-geometry, where the von Staudt lemma that forces it is stated. Emission
-draws it in K (_Drawn); decode.check_forcing reads the same recipe from
-a file's incidence table. The add draws four lines, one of them y = h
+The seed and each gadget are written once, as the recipes seed_objects,
+add_gadget and mul_gadget over a geometry, with the von Staudt lemma
+that forces them and its non-degeneracy conditions. Emission draws them
+in K (_Drawn); decode.check_forcing runs them over a file's incidence
+table. The add draws four lines, one of them y = h
 off the grid of the registers (realize); the mul draws three and takes
 no parameter. The last gadget of P lands on the point of N(z), so
 the incidences force P(z) = N(z), that is p(z) = 0, without a negation,
@@ -190,26 +191,44 @@ def tie_line(field: NumberField, j: int) -> ProjLine:
     return line(field, 1, Fraction(1, j), -1)
 
 
-def seed_lines(field: NumberField) -> tuple[ProjLine, ProjLine, ProjLine, ProjLine]:
-    """The axis, the y-axis, the line at infinity z = 0 and u1: x + y = 1.
+def seed_objects(g, J: int) -> None:
+    """Set the seed objects of the lemma (add_gadget) on J anchors in g, from its axis and marks.
 
-    The line at infinity carries every direction; u1 is the tie line of
-    anchor 1, through the mark 1, U = (0 : 1 : 1) and the slope -1
-    direction S = (1 : -1 : 0).
+    yaxis, x = 0, passes through the mark 0 and linf, z = 0, through inf;
+    V = yaxis ^ linf. Each tie line uj (tie_line) passes through the mark
+    1; U_j = uj ^ yaxis and S_j = uj ^ linf. None of these lines is the
+    axis, and no U_j is 0 or V.
     """
-    return line(field, 0, 1, 0), line(field, 1, 0, 0), line(field, 0, 0, 1), tie_line(field, 1)
+
+    def seed_line(coeffs, role: str, mark: str):
+        l = g.line(coeffs, role, mark)
+        g.check(l != g.axis, f"the line through the marks is also a seed line, the {role}")
+        return l
+
+    g.yaxis, g.linf = seed_line((1, 0, 0), "y-axis", "zero"), seed_line((0, 0, 1), "ell_inf", "inf")
+    g.V = g.meet(g.yaxis, g.linf, "V")
+    g.ties, g.U, g.S = (), (), ()
+    for j in range(1, J + 1):
+        g.at = f"anchor {j}"
+        tie = seed_line(tie_line(g.field, j).coeffs, f"u{j}", "one")
+        U = g.meet(tie, g.yaxis, "U")
+        g.check(U not in (g.zero, g.V), f"U is point {U}, which is 0 or V")
+        g.ties, g.U, g.S = g.ties + (tie,), g.U + (U,), g.S + (g.meet(tie, g.linf, "S"),)
+    g.at = "a gadget"
+
+
+def _check_operands(g, a, b) -> None:
+    g.check(g.zero not in (a, b), "an operand is the mark 0")
 
 
 def add_gadget(g, a, b, h: int):
     """The object of a + b, and the add's lines by role, in drawing order.
 
     The von Staudt lemma, for both gadgets. In any realization, over any
-    field, of the seed objects (axis, yaxis, linf and the tie lines
-    distinct lines, each tie line uj through the mark 1, and each
-    U_j = uj ^ yaxis neither 0 nor V), put linf at infinity: there is one
-    affine chart with 0 = (0, 0), 1 = (1, 0), U_1 = (0, 1), the axis and
-    yaxis the coordinate axes and u1 the line x + y = 1, and V the
-    vertical direction. Each U_j is then (0, c_j) for some finite c_j not
+    field, of the seed objects (seed_objects), put linf at infinity: there
+    is one affine chart with 0 = (0, 0), 1 = (1, 0), U_1 = (0, 1), the
+    axis and yaxis the coordinate axes and u1 the line x + y = 1, and V
+    the vertical direction. Each U_j is then (0, c_j) for some finite c_j not
     0, and S_j = uj ^ linf, on the line from 1 to U_j, is the slope -c_j
     direction. Let a = (a, 0), b = (b, 0), not 0.
 
@@ -226,13 +245,17 @@ def add_gadget(g, a, b, h: int):
 
     So the incidences alone force each output (N. Mnev, LNM 1346, 1988;
     R. Vakil, Invent. Math. 164, 2006). aux is also kept off every U_j,
-    so that no add draws through a mul's anchor.
+    so that no add draws through a mul's anchor. g is a geometry with the
+    hooks of realize.
     """
-    g.check_operands(a, b)
+    _check_operands(g, a, b)
     l2 = g.join(b, g.V, "l2")
-    hline = g.height_line(h)
+    hline = g.line((0, 1, -h), "hline", "inf")
     aux = g.meet(hline, g.yaxis, "aux")
-    g.check_aux(aux)
+    g.check(
+        not g.lies_on(aux, g.axis) and aux != g.V and aux not in g.U,
+        f"aux is point {aux}, which is on the axis, an anchor U_j or V",
+    )
     l3 = g.join(aux, a, "l3")
     l4 = g.join(g.meet(l2, hline, "corner"), g.meet(l3, g.linf, "l3 direction"), "l4")
     return g.meet(l4, g.axis, "output"), {"l2": l2, "l3": l3, "l4": l4, "hline": hline}
@@ -240,7 +263,7 @@ def add_gadget(g, a, b, h: int):
 
 def mul_gadget(g, a, b, j: int = 1):
     """The object of a*b drawn on anchor j, and the mul's lines by role; the lemma is at add_gadget."""
-    g.check_operands(a, b)
+    _check_operands(g, a, b)
     t1, m1 = g.join(b, g.S[j - 1], "t1"), g.join(g.U[j - 1], a, "m1")
     m2 = g.join(g.meet(t1, g.yaxis, "lift"), g.meet(m1, g.linf, "m1 direction"), "m2")
     return g.meet(m2, g.axis, "output"), {"t1": t1, "m1": m1, "m2": m2}
@@ -284,15 +307,17 @@ def split_anchors(slp: SLP) -> tuple[int, ...]:
 def realize(slp: SLP, g, seed: int) -> tuple[list, list[dict], int]:
     """Each register's object in g, its gadget's lines by role, and the stream cursor.
 
-    The geometry g supplies the seed objects: the lines axis, yaxis and
-    linf, the tie lines ties of its J anchors, their points U and S
-    (U[j - 1] is U_j), the point V, and the marks zero, one and z. It
-    draws with join(p, q, role), meet(l, m, role) and height_line(h), the
-    line y = h, and refuses what the lemma excludes with
-    check_operands(a, b) and check_aux(aux); g.at names the register
-    drawn, for messages. _Drawn draws in K, _Counted counts over ids,
-    decode._Incidences reads a file's incidence table. With one anchor
-    every product draws on it; with J > 1 on split_anchors(slp).
+    A geometry g holds the field, the axis and the marks zero, one and z
+    (and inf, where its line hook reads it), and runs seed_objects when
+    built. The recipes reach it through
+    five hooks: line(coeffs, role, mark), the line with these coefficients
+    through the mark; join(p, q, role); meet(l, m, role); lies_on(p, l);
+    and check(ok, detail), which refuses a non-degeneracy condition of the
+    lemma found false, naming g.at, the step drawn. _Drawn draws in K and
+    raises GadgetDegenerate, _Counted counts over ids and checks nothing,
+    decode._Incidences reads a file's incidence table and raises
+    NotForced. With one anchor every product draws on it; with J > 1 on
+    split_anchors(slp).
     z and the unit are the marks z and 1 and draw no lines. An add draws
     y = h, h = 1000v + 1 for the next stream value v = 1 + seed + k, off
     the grid of the registers and anchor heights (h = 2 put u1 ^ l4 of
@@ -324,16 +349,15 @@ def realize(slp: SLP, g, seed: int) -> tuple[list, list[dict], int]:
 class _Drawn:
     """The gadgets drawn in K on J anchors: objects are points and lines of P^2(K)."""
 
-    at = "a gadget"
+    at = "the seed lines"
 
     def __init__(self, field: NumberField, anchors: int = 1):
-        self.field = field
-        self.axis, self.yaxis, self.linf, u1 = seed_lines(field)
-        self.ties = (u1, *(tie_line(field, j) for j in range(2, anchors + 1)))
-        self.U = tuple(point(field, 0, j) for j in range(1, anchors + 1))
-        self.S = tuple(point(field, 1, -j, 0) for j in range(1, anchors + 1))
-        self.V = point(field, 0, 1, 0)
+        self.field, self.axis = field, line(field, 0, 1, 0)
         self.zero, self.one, self.z = map(register_point, (field.zero, field.one, field.gen))
+        seed_objects(self, anchors)
+
+    def line(self, coeffs, role: str, mark: str) -> ProjLine:
+        return line(self.field, *coeffs)
 
     def join(self, p: ProjPoint, q: ProjPoint, role: str) -> ProjLine:
         return join(p, q)
@@ -341,18 +365,12 @@ class _Drawn:
     def meet(self, l: ProjLine, m: ProjLine, role: str) -> ProjPoint:
         return meet(l, m)
 
-    def height_line(self, h: int) -> ProjLine:
-        return line(self.field, 0, 1, -h)
+    def lies_on(self, p: ProjPoint, l: ProjLine) -> bool:
+        return incident(l, p)
 
-    def check_operands(self, a: ProjPoint, b: ProjPoint) -> None:
-        if self.zero in (a, b):
-            raise GadgetDegenerate(f"{self.at}: an operand is 0")
-
-    def check_aux(self, aux: ProjPoint) -> None:
-        if incident(self.axis, aux) or aux == self.V or aux in self.U:
-            raise GadgetDegenerate(
-                f"{self.at}: the auxiliary point {aux} is on the axis, an anchor U_j or V"
-            )
+    def check(self, ok: bool, detail: str) -> None:
+        if not ok:
+            raise GadgetDegenerate(f"{self.at}: {detail}")
 
 
 def _drawn_configuration(slp: SLP, g: _Drawn, seed: int, values: list) -> Configuration:
@@ -392,14 +410,14 @@ class _Counted:
     simple_count = 0  # an unnamed crossing has valence 2, as V has
 
     def __init__(self, slp: SLP, values: list, seed: int, anchors: int):
-        self.on, self.incidence = [set() for _ in range(3 + anchors)], []  # per line, per point
-        self.axis, self.yaxis, self.linf, *self.ties = range(3 + anchors)
-        seeds = ((0, 1), (0, *self.ties), (0, 2), (0,), (1, 2))
-        self.zero, self.one, self.inf, self.z, self.V = (self._put(self.incidence, ls) for ls in seeds)
-        self.U, self.S = ([self._put(self.incidence, (u, m)) for u in self.ties] for m in (1, 2))
-        self.marks = dict(zip(MARK_LABELS, (self.zero, self.one, self.inf, self.z)))
-        f = values[0].field  # the axis points by value
-        self.points = {f.zero: self.zero, f.one: self.one, f.gen: self.z}
+        self.field = f = values[0].field
+        self.on, self.incidence = [], []  # per line, per point
+        self.axis = self._put(self.on, ())
+        marks = [self._put(self.incidence, (self.axis,)) for _ in MARK_LABELS]
+        self.zero, self.one, self.inf, self.z = marks
+        self.marks = dict(zip(MARK_LABELS, marks))
+        seed_objects(self, anchors)
+        self.points = {f.zero: self.zero, f.one: self.one, f.gen: self.z}  # the axis points by value
         self.outputs = (v for (kind, *_), v in zip(slp.instructions, values) if kind in (ADD, MUL))
         realize(slp, self, seed)
 
@@ -423,10 +441,13 @@ class _Counted:
             return self.points[value]
         return min(self.on[l] & self.on[m] or {self._put(self.incidence, (l, m))})
 
-    def height_line(self, h: int) -> int:
-        return self._put(self.on, (self.inf,))
+    def line(self, coeffs, role: str, mark: str) -> int:
+        return self._put(self.on, (getattr(self, mark),))
 
-    check_operands = check_aux = staticmethod(lambda *objects: None)  # the drawing checks these
+    def lies_on(self, p: int, l: int) -> bool:
+        return l in self.incidence[p]
+
+    check = staticmethod(lambda ok, detail: None)  # the drawing refuses what the lemma excludes
 
 
 def anchor_count(slp: SLP, values: list, seed: int) -> int:

@@ -207,6 +207,51 @@ def test_each_non_degeneracy_of_the_lemma_is_tested(built, text, case):
         check_forcing(tampered)
 
 
+# Each line that the recipes find by its coordinates: its role, the mark it
+# must pass through and its coefficients in x^2-2, whose add draws y = 1001.
+SEED_PREMISES = [
+    ("y-axis", "zero", (1, 0, 0)),
+    ("ell_inf", "inf", (0, 0, 1)),
+    ("u1", "one", (1, 1, -1)),
+    ("hline", "inf", (0, 1, -1001)),
+]
+
+
+def _off_its_mark(cfg, mark, coeffs):
+    """cfg with the line of coeffs dropped from the row of the mark, and the line index.
+
+    The last line of the file not through the mark, one of amplify's, takes
+    its place in that row, so that the valences and the ladder stay as they are.
+    """
+    i, m = cfg.lines.index(line(cfg.field, *coeffs)), cfg.marks[mark]
+    other = next(k for k in reversed(range(len(cfg.lines))) if k not in cfg.incidence[m])
+    return _moved(cfg, [(i, m, None), (other, None, m)]), i
+
+
+@pytest.mark.parametrize("role, mark, coeffs", SEED_PREMISES, ids=[r for r, *_ in SEED_PREMISES])
+def test_a_line_found_by_coordinates_off_its_mark_refuses(built, role, mark, coeffs):
+    cfg = built("x^2-2")[0]
+    tampered, i = _off_its_mark(cfg, mark, coeffs)
+    message = f"{role} {i} misses the mark {mark}, point {cfg.marks[mark]}"
+    with pytest.raises(NotForced, match=message):
+        check_forcing(tampered)
+
+
+def test_cli_decode_of_a_y_axis_off_the_mark_0_exits_5(built, tmp_path, capsys, monkeypatch):
+    # a file's table follows from its coordinates, so no file holds this
+    # table: the CLI reads it from the loader instead
+    cfg = built("x^2-2")[0]
+    tampered, i = _off_its_mark(cfg, "zero", (1, 0, 0))
+    path = tmp_path / "c.json"
+    path.write_text(dumps_canonical(config_to_json(cfg)), encoding="utf-8")
+    monkeypatch.setattr(importlib.import_module("planecode.cli"), "config_from_json", lambda data: tampered)
+    capsys.readouterr()
+    assert main(["decode", str(path)]) == 5
+    err = capsys.readouterr().err
+    assert f"y-axis {i} misses the mark zero, point {cfg.marks['zero']}" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("text", ["x^5-x-1", "x^2+x+1"])
 def test_a_wrong_relation_refuses(built, monkeypatch, text):
     cfg = built(text)[0]

@@ -353,6 +353,15 @@ def _zero_denominator(cfg, data):
     data["lines"][5][0][0]["d"] = "0"
 
 
+def _float_numerator(cfg, data):
+    """int() read -2.9 as -2, so this file loaded as x^2 - 2."""
+    data["poly"][0] = {"n": -2.9, "d": 1}
+
+
+def _boolean_denominator(cfg, data):
+    data["lines"][5][0][0]["d"] = True
+
+
 def _one_line(cfg, data):
     del data["lines"][1:]
 
@@ -399,6 +408,24 @@ def test_cli_seed_and_cursor_must_be_json_integers(cfg, tmp_path, key, value):
     path.write_text(json.dumps(data), encoding="utf-8")
     assert main(["decode", str(path)]) == 6
     assert main(["cover", str(path), "-o", str(tmp_path / "r.json")]) == 6
+
+
+@pytest.mark.parametrize("forge", [_float_numerator, _boolean_denominator])
+def test_cli_float_or_boolean_rational_exits_6(cfg, tmp_path, capsys, forge):
+    data = json.loads(dumps_canonical(config_to_json(cfg)))
+    forge(cfg, data)
+    path = tmp_path / "forged.json"
+    path.write_text(dumps_canonical(data), encoding="utf-8")
+    assert main(["decode", str(path)]) == 6
+    err = capsys.readouterr().err
+    assert "bad rational" in err and "Traceback" not in err
+
+
+def test_json_integer_rationals_load_as_decimal_strings_do(cfg):
+    data = json.loads(dumps_canonical(config_to_json(cfg)))
+    for r in data["poly"]:
+        r["n"], r["d"] = int(r["n"]), int(r["d"])
+    assert config_from_json(data) == cfg
 
 
 def test_cli_seed_past_the_int_digit_limit_exits_6(cfg, tmp_path, capsys):
