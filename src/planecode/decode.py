@@ -101,26 +101,22 @@ class _Incidences:
             for i in rows:
                 appends[i](p)
         axes = set.intersection(*(set(c.incidence[m]) for m in marks))
-        if len(axes) != 1:
-            raise self.fail(f"{len(axes)} lines pass through all four marks, not one")
+        self.check(len(axes) == 1, "{} lines pass through all four marks, not one", len(axes))
         (self.axis,) = axes
         seed_objects(self, J)
 
-    def fail(self, detail: str) -> NotForced:
-        return NotForced(f"the incidences do not force the relation at {self.at}: {detail}")
-
-    def check(self, ok: bool, detail: str) -> None:
+    def check(self, ok: bool, detail: str, *args) -> None:
         if not ok:
-            raise self.fail(detail)
+            detail = detail.format(*args)
+            raise NotForced(f"the incidences do not force the relation at {self.at}: {detail}")
 
     def line(self, coeffs, role: str, mark: str) -> int:
         """The index of the file line with these coefficients, which must pass through the mark."""
         l, p = line(self.field, *coeffs), getattr(self, mark)
-        if l not in self.index:
-            raise self.fail(f"{role} {l} is not a line of the file")
-        if self.index[l] not in self.rows[p]:
-            raise self.fail(f"{role} {self.index[l]} misses the mark {mark}, point {p}")
-        return self.index[l]
+        self.check(l in self.index, "{} {} is not a line of the file", role, l)
+        i = self.index[l]
+        self.check(i in self.rows[p], "{} {} misses the mark {}, point {}", role, i, mark, p)
+        return i
 
     def lies_on(self, p: int, i: int) -> bool:
         return i in self.rows[p]
@@ -132,8 +128,7 @@ class _Incidences:
         on them alone, which is named by the next index.
         """
         both = [p for p in self.on[i] if j in self.rows[p]]
-        if i == j or len(both) > 1:
-            raise self.fail(f"{role}: lines {i} and {j} do not meet in one point")
+        self.check(i != j and len(both) < 2, "{}: lines {} and {} do not meet in one point", role, i, j)
         if not both:
             both = [len(self.rows)]
             self.rows.append((i, j))
@@ -143,11 +138,9 @@ class _Incidences:
 
     def join(self, p: int, q: int, role: str) -> int:
         """The one line whose row set holds the distinct points p and q."""
-        if p == q:
-            raise self.fail(f"{role} would join point {p} to itself")
+        self.check(p != q, "{} would join point {} to itself", role, p)
         both = set(self.rows[p]).intersection(self.rows[q])
-        if len(both) != 1:
-            raise self.fail(f"{role}: points {p} and {q} are not on one line")
+        self.check(len(both) == 1, "{}: points {} and {} are not on one line", role, p, q)
         return next(iter(both))
 
 
@@ -195,11 +188,9 @@ def check_forcing(c: Configuration) -> None:
     reg = realize(slp, t, c.seed)[0]
     t.at = "the relation P(z) = N(z)"
     rhs = t.zero if slp.rhs is None else reg[slp.rhs]
-    if reg[slp.lhs] != rhs:
-        raise t.fail(f"P lands on point {reg[slp.lhs]} and N on point {rhs}")
+    t.check(reg[slp.lhs] == rhs, "P lands on point {} and N on point {}", reg[slp.lhs], rhs)
     n = IntPoly.zero() if slp.rhs is None else poly[slp.rhs]
-    if poly[slp.lhs] - n != p:
-        raise t.fail(f"P - N = {poly[slp.lhs] - n} is not {p}")
+    t.check(poly[slp.lhs] - n == p, "P - N = {} is not {}", poly[slp.lhs] - n, p)
 
 
 class SeparationCertificate:

@@ -6,11 +6,11 @@ defines K, and K keeps the primitive one.
 All construction arithmetic stays in the abstract field K; complex
 embeddings (one per root of the modulus) are used only for numeric
 certificates and rendering. Rationals are arbitrary precision throughout.
-A root is certified by a Disc with a float centre, found on p shifted
-exactly to the centroid of its roots (or else on p), and a float radius,
-both exact rationals. embed evaluates an element exactly at that centre
-and bounds the rest of the disc by a majorant, with the radius rounded up
-once; pictures read the float value at the centre (approximate) instead.
+A root is certified by a Disc with a float centre, rounded from Aberth's
+iteration on exact integer values of p, and a float radius, both exact
+rationals. embed evaluates an element exactly at that centre and bounds
+the rest of the disc by a majorant, with the radius rounded up once;
+pictures read the float value at the centre (approximate) instead.
 
 An element of K is an integer vector over one common denominator,
 sum_i nums[i]*z^i / den with den > 0 and gcd(den, *nums) = 1 (H. Cohen,
@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from cmath import isfinite, rect
 from itertools import combinations, count
-from math import gcd as int_gcd, inf, isqrt, lcm, nextafter, pi, prod, sqrt
+from math import gcd as int_gcd, inf, isqrt, lcm, log2, nextafter, pi, prod, sqrt
 from operator import index
 
 from . import _ffpoly
@@ -57,6 +57,8 @@ _RECOMBINATION_BUDGET = 2**16
 _RESIDUE_PRIME_START = 2**61 - 1
 _RESIDUE_PRIME_TRIES = 64
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+_PRECISION_CAP = 2048  # isolate_roots' finest precision 2^-2048: floats end at 2^-1074
 
 
 # ---------------------------------------------------------------------------
@@ -801,44 +803,56 @@ def _sqrt_up(x: Fraction) -> float:
     return r if Fraction(r) ** 2 >= Fraction(q) else nextafter(r, inf)
 
 
-def _aberth(cs: list[float], starts: list[complex]) -> list[complex]:
-    """Approximate all roots of the monic float polynomial cs (low degree first).
+def _aberth(p: IntPoly, ws: list[tuple[int, int]], k: int) -> list[tuple[int, int]]:
+    """Aberth's iteration on p from ws, each pair (x, y) standing for (x + iy)/2^k.
 
-    Aberth-Ehrlich iteration (O. Aberth, Math. Comp. 27, 1973) from the
-    given starts: Newton's step for each root, corrected by the repulsion
-    sum_j 1 / (w_i - w_j) of the others.
-
-    p is real, so the result is made closed under conjugation: w counts as
-    real when it lies closer to its own mirror image than any other
-    approximation does, and is then put on the axis; each nonreal root in
-    the upper half plane brings its exact conjugate.
+    Newton's step for each root, corrected by the repulsion sum_j 1 / (w_i - w_j)
+    of the others (O. Aberth, Math. Comp. 27, 1973), with 2^(kn) p(w) and
+    2^(k(n-1)) p'(w) exact, by Horner's rule on the integer coefficients of p.
+    The sum is rounded to 2^(k-s), finer than 2^-k by the size of the largest
+    w, and the step to the grid 2^-k, so every root keeps the absolute
+    precision 2^-k whatever its size (D. Bini and G. Fiorentino, Numer.
+    Algorithms 23, 2000). It stops when no step exceeds one grid unit.
     """
-    n, ws = len(cs) - 1, list(starts)
+    n, ws = p.degree, list(ws)
+    scaled = [a << k * (n - i) for i, a in enumerate(p.coeffs)]
     for _ in range(500):
-        moved = 0.0
-        for i, w in enumerate(ws):
-            f, df = 0j, 0j
-            for c in reversed(cs):
-                df = df * w + f
-                f = f * w + c
-            denom = df - f * sum(1 / (w - v) for j, v in enumerate(ws) if j != i)
-            if denom == 0:
-                continue
-            step = f / denom
-            ws[i] = w - step
-            moved = max(moved, abs(step) / max(1.0, abs(w)))
-        if moved < 1e-14:
+        moved, s = 0, k + max(k, max(abs(v) for w in ws for v in w).bit_length())
+        for i, (x, y) in enumerate(ws):
+            fr = fi = dr = di = sr = si = 0
+            for a in reversed(scaled):
+                dr, di = dr * x - di * y + fr, dr * y + di * x + fi
+                fr, fi = fr * x - fi * y + a, fr * y + fi * x
+            for u, v in ws:
+                if d := (x - u) ** 2 + (y - v) ** 2:
+                    sr += (x - u << s) // d
+                    si -= (y - v << s) // d
+            # F, D, S = (fr, fi), (dr, di), (sr, si): 2^k * step = F * 2^s / (D * 2^s - F * S)
+            er, ei = (dr << s) - fr * sr + fi * si, (di << s) - fr * si - fi * sr
+            if d := er * er + ei * ei:
+                sx, sy = (fr * er + fi * ei << s) // d, (fi * er - fr * ei << s) // d
+                ws[i] = (x - sx, y - sy)
+                moved = max(moved, abs(sx), abs(sy))
+        if moved <= 1:
             break
+    return ws
+
+
+def _conjugate_closed(ws: list[tuple[int, int]], k: int) -> list[complex]:
+    """ws as floats, closed under conjugation: a w whose mirror image is nearer to it than to any
+    other w is put on the real axis; each w in the upper half plane brings its exact conjugate."""
     real, upper = [], []
-    for i, w in enumerate(ws):
-        mirror = min((abs(w.conjugate() - v) for j, v in enumerate(ws) if j != i), default=inf)
-        if 2 * abs(w.imag) < mirror:
-            real.append(complex(w.real, 0.0))
-        elif w.imag > 0:
-            upper.append(w)
-    if len(real) + 2 * len(upper) != n:
+    for i, (x, y) in enumerate(ws):
+        if all(4 * y * y < (x - u) ** 2 + (y + v) ** 2 for j, (u, v) in enumerate(ws) if j != i):
+            real.append((x, 0))
+        elif y > 0:
+            upper.append((x, y))
+    if len(real) + 2 * len(upper) != len(ws):
         raise PrecisionExhausted("root approximations do not pair up under conjugation")
-    return real + upper + [w.conjugate() for w in upper]
+    try:
+        return [complex(x / 2**k, y / 2**k) for x, y in real + upper + [(x, -y) for x, y in upper]]
+    except OverflowError:
+        raise PrecisionExhausted("a root does not fit a float") from None
 
 
 def isolate_roots(p: IntPoly) -> list[Disc]:
@@ -847,40 +861,33 @@ def isolate_roots(p: IntPoly) -> list[Disc]:
     p must be squarefree: every caller passes a polynomial that
     NumberField.create has proven irreducible. The sort is by real part,
     then imaginary part, and a root's index is its place in the list.
-
-    The Aberth starts lie on a circle around the centroid
-    c = -a_(n-1)/(n*a_n) of the roots, sized by p shifted exactly to c, and
-    off the real axis. The iteration runs on that centred polynomial, where
-    close roots far from 0 stay apart in floats, and if that fails on p,
-    where small roots stay apart beside a much larger one
-    (x^3 - 10^10*x^2 + 1). PrecisionExhausted when both fail.
+    _aberth starts off the real axis, on a circle around the integer c
+    nearest to the centroid of the roots, sized by p shifted exactly to c,
+    at the precision 2^-64, which doubles up to 2^-_PRECISION_CAP until
+    the discs certify.
     """
     n = p.degree
     if n < 1:
         raise ValueError("no roots: polynomial is constant")
-    c = Fraction(-p[n - 1], n * p.leading)
-    cs = _float_shift(p, c)
-    radius = max(abs(cs[i]) ** (1.0 / (n - i)) for i in range(n)) or 1.0
-    starts = [rect(radius, 2 * pi * j / n + 0.7) for j in range(n)]
+    c, b, k = round(Fraction(-p[n - 1], n * p.leading)), list(p.coeffs), 64
+    for m in range(n):
+        for i in range(n - 1, m - 1, -1):
+            b[i] += c * b[i + 1]
     try:
-        return _discs(p, [w + float(c) for w in _aberth(cs, starts)])
-    except PrecisionExhausted:
-        if c == 0:
-            raise
-    return _discs(p, _aberth(_float_shift(p, 0), [w + float(c) for w in starts]))
-
-
-def _float_shift(p: IntPoly, c: int | Fraction) -> list[float]:
-    """p(x + c) / a_n, shifted exactly, each coefficient then rounded to a float once."""
-    n, lead = p.degree, p.leading
-    shifted = [Fraction(a, lead) for a in p.coeffs]
-    for k in range(n):
-        for i in range(n - 1, k - 1, -1):
-            shifted[i] += c * shifted[i + 1]
-    try:
-        return [float(a) for a in shifted]
+        logs = [(log2(abs(b[i])) - log2(abs(b[n]))) / (n - i) for i in range(n) if b[i]]
+        radius = 2.0 ** max(logs, default=0)
+        starts = [rect(radius, 2 * pi * j / n + 0.7) * 2**k for j in range(n)]
+        ws = [((c << k) + round(w.real), round(w.imag)) for w in starts]
     except OverflowError:
-        raise PrecisionExhausted("a coefficient of p(x + c) / a_n does not fit a float") from None
+        raise PrecisionExhausted("the roots of p are too large for float centres") from None
+    while True:
+        ws = _aberth(p, ws, k)
+        try:
+            return _discs(p, _conjugate_closed(ws, k))
+        except PrecisionExhausted:
+            if k >= _PRECISION_CAP:
+                raise
+        ws, k = [(x << k, y << k) for x, y in ws], 2 * k
 
 
 def _discs(p: IntPoly, approx: list[complex]) -> list[Disc]:

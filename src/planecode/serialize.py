@@ -18,6 +18,7 @@ valence once, and each class as h and one b per valence.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from math import lcm
 
@@ -30,6 +31,7 @@ from .projgeom import ProjLine
 CONFIG_SCHEMA_VERSION = 3
 CERTIFICATE_SCHEMA_VERSION = 2
 COVER_SCHEMA_VERSION = 2
+_DECIMAL = re.compile("[+-]?[0-9]+")
 
 
 def fraction_to_json(q: Fraction) -> dict:
@@ -37,10 +39,10 @@ def fraction_to_json(q: Fraction) -> dict:
 
 
 def fraction_from_json(data) -> Fraction:
-    """The rational {"n": n, "d": d}, each a JSON integer or decimal string, not a float or bool."""
+    """The rational {"n": n, "d": d}, each a JSON integer or a string of a sign and ASCII digits."""
     try:
         n, d = data["n"], data["d"]
-        if type(n) not in (int, str) or type(d) not in (int, str):
+        if not all(type(v) is int or type(v) is str and _DECIMAL.fullmatch(v) for v in (n, d)):
             raise TypeError(f"{n!r} and {d!r} must be JSON integers or decimal strings")
         return Fraction(int(n), int(d))
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

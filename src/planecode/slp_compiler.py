@@ -202,7 +202,7 @@ def seed_objects(g, J: int) -> None:
 
     def seed_line(coeffs, role: str, mark: str):
         l = g.line(coeffs, role, mark)
-        g.check(l != g.axis, f"the line through the marks is also a seed line, the {role}")
+        g.check(l != g.axis, "the line through the marks is also a seed line, the {}", role)
         return l
 
     g.yaxis, g.linf = seed_line((1, 0, 0), "y-axis", "zero"), seed_line((0, 0, 1), "ell_inf", "inf")
@@ -212,7 +212,7 @@ def seed_objects(g, J: int) -> None:
         g.at = f"anchor {j}"
         tie = seed_line(tie_line(g.field, j).coeffs, f"u{j}", "one")
         U = g.meet(tie, g.yaxis, "U")
-        g.check(U not in (g.zero, g.V), f"U is point {U}, which is 0 or V")
+        g.check(U not in (g.zero, g.V), "U is point {}, which is 0 or V", U)
         g.ties, g.U, g.S = g.ties + (tie,), g.U + (U,), g.S + (g.meet(tie, g.linf, "S"),)
     g.at = "a gadget"
 
@@ -254,7 +254,7 @@ def add_gadget(g, a, b, h: int):
     aux = g.meet(hline, g.yaxis, "aux")
     g.check(
         not g.lies_on(aux, g.axis) and aux != g.V and aux not in g.U,
-        f"aux is point {aux}, which is on the axis, an anchor U_j or V",
+        "aux is point {}, which is on the axis, an anchor U_j or V", aux,
     )
     l3 = g.join(aux, a, "l3")
     l4 = g.join(g.meet(l2, hline, "corner"), g.meet(l3, g.linf, "l3 direction"), "l4")
@@ -309,13 +309,13 @@ def realize(slp: SLP, g, seed: int) -> tuple[list, list[dict], int]:
 
     A geometry g holds the field, the axis and the marks zero, one and z
     (and inf, where its line hook reads it), and runs seed_objects when
-    built. The recipes reach it through
-    five hooks: line(coeffs, role, mark), the line with these coefficients
-    through the mark; join(p, q, role); meet(l, m, role); lies_on(p, l);
-    and check(ok, detail), which refuses a non-degeneracy condition of the
-    lemma found false, naming g.at, the step drawn. _Drawn draws in K and
-    raises GadgetDegenerate, _Counted counts over ids and checks nothing,
-    decode._Incidences reads a file's incidence table and raises
+    built. The recipes reach it through five hooks: line(coeffs, role,
+    mark), the line with these coefficients through the mark; join(p, q,
+    role); meet(l, m, role); lies_on(p, l); and check(ok, detail, *args),
+    which refuses a non-degeneracy condition of the lemma found false,
+    naming g.at and, only then, detail.format(*args). _Drawn draws in K
+    and raises GadgetDegenerate, _Counted counts over ids and checks
+    nothing, decode._Incidences reads a file's incidence table and raises
     NotForced. With one anchor every product draws on it; with J > 1 on
     split_anchors(slp).
     z and the unit are the marks z and 1 and draw no lines. An add draws
@@ -368,9 +368,9 @@ class _Drawn:
     def lies_on(self, p: ProjPoint, l: ProjLine) -> bool:
         return incident(l, p)
 
-    def check(self, ok: bool, detail: str) -> None:
+    def check(self, ok: bool, detail: str, *args) -> None:
         if not ok:
-            raise GadgetDegenerate(f"{self.at}: {detail}")
+            raise GadgetDegenerate(f"{self.at}: {detail.format(*args)}")
 
 
 def _drawn_configuration(slp: SLP, g: _Drawn, seed: int, values: list) -> Configuration:
@@ -447,7 +447,7 @@ class _Counted:
     def lies_on(self, p: int, l: int) -> bool:
         return l in self.incidence[p]
 
-    check = staticmethod(lambda ok, detail: None)  # the drawing refuses what the lemma excludes
+    check = staticmethod(lambda ok, detail, *args: None)  # the drawing refuses what the lemma excludes
 
 
 def anchor_count(slp: SLP, values: list, seed: int) -> int:

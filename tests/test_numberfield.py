@@ -13,6 +13,7 @@ from planecode.errors import (
     DivisionByZero,
     FieldMismatch,
     PolyParseError,
+    PrecisionExhausted,
     ReducibleModulus,
     TrivialField,
     UnprovenModulus,
@@ -414,14 +415,17 @@ def test_isolate_discs_disjoint_and_indexed():
     # x^8-3: eight roots of one modulus, symmetric under rotation and
     # conjugation; x^3-1000003: a root of modulus ~100; x^2-2000*x+999998:
     # well-separated roots 1000 +- sqrt 2, far from 0. The shifted ones put
-    # close roots far from 0, which only the frame at their centroid
-    # resolves; the first is x^4+2*x^3+4*x^2+1 shifted by 10^4. The last two
-    # have small roots beside one of 10^10 or 10^9, which only the frame at
-    # 0 resolves.
+    # close roots far from 0, where a float iteration loses the absolute
+    # precision that tells them apart; the first is x^4+2*x^3+4*x^2+1
+    # shifted by 10^4. The next two have small roots beside one of 10^10 or
+    # 10^9, where a float iteration on p shifted to the centroid loses the
+    # small ones. The last, x^2*(x-10^6)^2+1, has both: two roots 2e-6
+    # apart near 10^6 and two near 0.
     polys = [parse_poly(text) for text in (
         "x^4-x-1", "x^5-x-1", "x^7-x-1", "x^8-3", "x^3-1000003", "x^2-2000*x+999998",
         "x^4-39998*x^3+599940004*x^2-3999400080000*x+9998000400000001",
         "x^3-10000000000*x^2+1", "x^6-1000000000*x^5+x+1",
+        "x^4-2000000*x^3+1000000000000*x^2+1",
     )]
     polys += [
         _shifted(text, s)
@@ -453,6 +457,48 @@ def test_isolate_large_roots_by_disjointness_alone():
     roots = isolate_roots(parse_poly("x^2-200000000*x+9999999999999998"))
     assert len(roots) == 2 and roots[0].disjoint_from(roots[1])
     assert all(r.radius <= 1e-6 for r in roots), [r.radius for r in roots]
+
+
+def _survey_member(rng: random.Random) -> IntPoly:
+    """x^k*(x - s)^m + e(x): k roots near 0 and m near s, e of degree < 3."""
+    k, m = rng.randint(1, 4), rng.randint(1, 4)
+    s = rng.randint(-10**5, 10**5)
+    e = [rng.randint(-3, 3) for _ in range(3)]
+    out = IntPoly.from_coeffs([0] * k + [1])
+    for _ in range(m):
+        out = out * IntPoly.from_coeffs([-s, 1])
+    return out + IntPoly.from_coeffs(e)
+
+
+def test_isolate_survey_of_clusters_near_0_and_far_from_it():
+    # k roots near 0 and m near s, up to 10^5 away, each cluster narrow
+    # beside that distance: an iteration in floats, which keep relative
+    # precision, tells such roots apart only where its absolute precision
+    # suffices.
+    rng = random.Random(0)
+    members = []
+    while len(members) < 80:
+        p = _survey_member(rng)
+        if p.degree >= 2 and check_irreducible(p) is None:
+            members.append(p)
+    t0 = time.perf_counter()
+    for p in members:
+        roots = isolate_roots(p)
+        assert len(roots) == p.degree, str(p)
+        for i in range(p.degree):
+            for j in range(i + 1, p.degree):
+                assert roots[i].disjoint_from(roots[j]), str(p)
+    assert time.perf_counter() - t0 < 10.0
+
+
+def test_isolate_refuses_roots_closer_than_the_float_spacing_at_their_size():
+    # (x - 10^20)^2 - 2: roots 10^20 +- sqrt 2, and floats near 10^20 are
+    # 16,384 apart, so no two float centres tell them apart
+    p = parse_poly("x^2-200000000000000000000*x+9999999999999999999999999999999999999998")
+    t0 = time.perf_counter()
+    with pytest.raises(PrecisionExhausted):
+        isolate_roots(p)
+    assert time.perf_counter() - t0 < 1.0
 
 
 # -- integer representation: property test against a Fraction reference --------

@@ -61,7 +61,7 @@ def test_benchmark_check_accepts_the_configuration_file(built, checks, tmp_path)
 
 
 # x^2-20000*x+99999998: roots 10^4 +- sqrt 2, close together and far from
-# 0, whose centres isolate_roots finds on p shifted to their centroid
+# 0, whose centres isolate_roots finds at the absolute precision 2^-64
 @pytest.mark.parametrize("text", ["x^5-x-1", "x^2-20000*x+99999998"])
 def test_benchmark_check_accepts_the_certificate(checks, text, tmp_path):
     cert = separation_certificate(parse_poly(text))

@@ -421,6 +421,19 @@ def test_cli_float_or_boolean_rational_exits_6(cfg, tmp_path, capsys, forge):
     assert "bad rational" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("numeral", ["0_1", " 1 ", "\u0661", "+1\n", "1.0", ""])
+def test_cli_numeral_other_than_a_sign_and_ascii_digits_exits_6(cfg, tmp_path, capsys, numeral):
+    # int() reads each of the first four as 1, so this file would load as
+    # the file with the leading coefficient "1"
+    data = json.loads(dumps_canonical(config_to_json(cfg)))
+    data["poly"][-1]["d"] = numeral
+    path = tmp_path / "forged.json"
+    path.write_text(dumps_canonical(data), encoding="utf-8")
+    assert main(["decode", str(path)]) == 6
+    err = capsys.readouterr().err
+    assert "bad rational" in err and "Traceback" not in err
+
+
 def test_json_integer_rationals_load_as_decimal_strings_do(cfg):
     data = json.loads(dumps_canonical(config_to_json(cfg)))
     for r in data["poly"]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planecode import configuration, numberfield, slp_compiler
+from planecode import configuration, numberfield, projgeom, slp_compiler
 from planecode.errors import (
     GadgetDegenerate,
     NotARoot,
@@ -224,6 +224,16 @@ def test_aux_on_a_later_anchor_is_refused(k):
     with pytest.raises(GadgetDegenerate, match="anchor U_j"):  # y = 2 meets the y-axis at U_2
         add_gadget(g, g.z, g.one, Fraction(2))
     add_gadget(_Drawn(k), g.z, g.one, Fraction(2))  # one anchor: U_2 is no anchor
+
+
+def test_a_check_that_holds_renders_no_point(monkeypatch):
+    # the detail of each non-degeneracy check names points of P^2(K); it is
+    # formatted only when the check fails
+    def render(point):
+        raise AssertionError("a point was rendered")
+
+    monkeypatch.setattr(projgeom.ProjPoint, "__str__", render)
+    emit_configuration(compile_polynomial(parse_poly("x^7-x-1")))
 
 
 def _operands_per_anchor(slp, anchors):
