@@ -125,10 +125,6 @@ class Configuration:
     def valence(self, point_index: int) -> int:
         return len(self.incidence[point_index])
 
-    def all_valences(self) -> list[int]:
-        """The valence of every point: the stored points in order, then a 2 per simple crossing."""
-        return [len(rows) for rows in self.incidence] + [2] * self.simple_count
-
     @property
     def line_count(self) -> int:
         return len(self.lines)

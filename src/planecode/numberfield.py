@@ -7,10 +7,10 @@ All construction arithmetic stays in the abstract field K; complex
 embeddings (one per root of the modulus) are used only for numeric
 certificates and rendering. Rationals are arbitrary precision throughout.
 A root is certified by a Disc with a float centre, rounded from Aberth's
-iteration on exact integer values of p, and a float radius, both exact
-rationals. embed evaluates an element exactly at that centre and bounds
-the rest of the disc by a majorant, with the radius rounded up once;
-pictures read the float value at the centre (approximate) instead.
+iteration, and a float radius. A float is a dyadic rational (x + iy)/2^k,
+at which one integer Horner pass (_horner) gives every exact value: p and
+p' for the iteration and the radius, an element and its majorant for
+embed. Pictures read the float value at the centre (approximate) instead.
 
 An element of K is an integer vector over one common denominator,
 sum_i nums[i]*z^i / den with den > 0 and gcd(den, *nums) = 1 (H. Cohen,
@@ -153,9 +153,6 @@ class IntPoly:
                 rem.pop()
         return not rem
 
-    def derivative(self) -> "IntPoly":
-        return IntPoly.from_coeffs(i * c for i, c in enumerate(self.coeffs) if i > 0)
-
     def primitive(self) -> "IntPoly":
         """Divided by the gcd of the coefficients, with positive leading coefficient."""
         if self.is_zero:
@@ -194,7 +191,7 @@ _set_coeffs = IntPoly.coeffs.__set__
 # polynomial input grammar:  "x^3 - 2",  "2*x^2 - 3*x + 1",  "2x^2-3x+1"
 # ---------------------------------------------------------------------------
 
-_TERM_RE = re.compile(r"([+-]?)(\d+)?(\*?x(?:\^(\d+))?)?")
+_TERM_RE = re.compile(r"([+-]?)([0-9]+)?(\*?x(?:\^([0-9]+))?)?")
 
 # The largest degree parse_poly and serialize.poly_from_json accept. A
 # polynomial is a list of degree + 1 coefficients, so the degree is checked
@@ -775,12 +772,25 @@ class Disc:
         return dx * dx + dy * dy > (Fraction(self.radius) + Fraction(other.radius)) ** 2
 
 
-def _eval_exact(coeffs, re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
-    """(Re, Im) of sum coeffs[i] * (re + i*im)^i, by Horner's rule in exact rationals."""
-    vr = vi = Fraction(0)
-    for c in reversed(coeffs):
-        vr, vi = vr * re - vi * im + c, vr * im + vi * re
-    return vr, vi
+def _horner(cs, x: int, y: int, k: int) -> tuple[int, int, int, int]:
+    """(Re F, Im F, Re D, Im D): F = 2^(km) f(w), D = 2^(k(m-1)) f'(w) at w = (x + iy)/2^k.
+
+    f(t) = sum_i cs[i] t^i and m = len(cs) - 1: Horner's rule on the integers
+    cs[i] * 2^(k(m-i)) at x + iy gives F and its derivative D in one pass.
+    """
+    m = len(cs) - 1
+    fr = fi = dr = di = 0
+    for i in range(m, -1, -1):
+        dr, di = dr * x - di * y + fr, dr * y + di * x + fi
+        fr, fi = fr * x - fi * y + (cs[i] << k * (m - i)), fr * y + fi * x
+    return fr, fi, dr, di
+
+
+def _dyadic(*xs: float) -> tuple[list[int], int]:
+    """(ns, k) with xs[i] = ns[i]/2^k exactly: a float is a dyadic rational."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    k = max(d.bit_length() for _, d in ratios) - 1
+    return [n * (1 << k) // d for n, d in ratios], k
 
 
 def _up(x: Fraction) -> float:
@@ -808,21 +818,18 @@ def _aberth(p: IntPoly, ws: list[tuple[int, int]], k: int) -> list[tuple[int, in
 
     Newton's step for each root, corrected by the repulsion sum_j 1 / (w_i - w_j)
     of the others (O. Aberth, Math. Comp. 27, 1973), with 2^(kn) p(w) and
-    2^(k(n-1)) p'(w) exact, by Horner's rule on the integer coefficients of p.
-    The sum is rounded to 2^(k-s), finer than 2^-k by the size of the largest
-    w, and the step to the grid 2^-k, so every root keeps the absolute
-    precision 2^-k whatever its size (D. Bini and G. Fiorentino, Numer.
-    Algorithms 23, 2000). It stops when no step exceeds one grid unit.
+    2^(k(n-1)) p'(w) exact, from _horner. The sum is rounded to 2^(k-s),
+    finer than 2^-k by the size of the largest w, and the step to the grid
+    2^-k, so every root keeps the absolute precision 2^-k whatever its size
+    (D. Bini and G. Fiorentino, Numer. Algorithms 23, 2000). It stops when
+    no step exceeds one grid unit.
     """
-    n, ws = p.degree, list(ws)
-    scaled = [a << k * (n - i) for i, a in enumerate(p.coeffs)]
+    ws = list(ws)
     for _ in range(500):
         moved, s = 0, k + max(k, max(abs(v) for w in ws for v in w).bit_length())
         for i, (x, y) in enumerate(ws):
-            fr = fi = dr = di = sr = si = 0
-            for a in reversed(scaled):
-                dr, di = dr * x - di * y + fr, dr * y + di * x + fi
-                fr, fi = fr * x - fi * y + a, fr * y + fi * x
+            fr, fi, dr, di = _horner(p.coeffs, x, y, k)
+            sr = si = 0
             for u, v in ws:
                 if d := (x - u) ** 2 + (y - v) ** 2:
                     sr += (x - u << s) // d
@@ -896,20 +903,19 @@ def _discs(p: IntPoly, approx: list[complex]) -> list[Disc]:
     The bound n*|p(w)/p'(w)| on p certifies that each disc holds a root,
     and pairwise disjointness of the n discs that each holds exactly one;
     it is the only test a disc must pass, whatever its radius. The bound
-    is exact: the float centre w is a rational, so |p(w)|^2 and |p'(w)|^2
-    are computed in Q (the ratio does not change when p is scaled), and
-    only the final square root is rounded, upward. PrecisionExhausted when
-    a bound does not fit a float, or two discs overlap.
+    is exact: at the float centre w = (x + iy)/2^k, _horner gives
+    2^(kn) p(w) and 2^(k(n-1)) p'(w) in integers, and only the final square
+    root is rounded, upward. PrecisionExhausted when a bound does not fit a
+    float, or two discs overlap.
     """
-    n, dp = p.degree, p.derivative()
+    n = p.degree
     discs = []
     for i, w in enumerate(sorted(approx, key=lambda w: (w.real, w.imag))):
-        re, im = Fraction(w.real), Fraction(w.imag)
-        dr, di = _eval_exact(dp.coeffs, re, im)
+        (x, y), k = _dyadic(w.real, w.imag)
+        fr, fi, dr, di = _horner(p.coeffs, x, y, k)
         if dr == di == 0:
             raise PrecisionExhausted(f"the derivative vanishes at the centre of root {i}")
-        fr, fi = _eval_exact(p.coeffs, re, im)
-        radius = _sqrt_up(n * n * (fr * fr + fi * fi) / (dr * dr + di * di))
+        radius = _sqrt_up(Fraction(n * n * (fr * fr + fi * fi), dr * dr + di * di << 2 * k))
         discs.append(Disc(w, radius))
     for i, j in combinations(range(n), 2):
         if not discs[i].disjoint_from(discs[j]):
@@ -920,27 +926,27 @@ def _discs(p: IntPoly, approx: list[complex]) -> list[Disc]:
 def embed(a: NFElement, d: Disc) -> Disc:
     """A certified disc holding a(zeta) for every zeta in the disc d.
 
-    a is evaluated exactly at the rational centre w of d. With
-    A(x) = sum_i |a_i| x^i and rho >= |w|, Taylor's formula bounds
-    |a(zeta) - a(w)| by A(rho + r) - A(rho) for |zeta - w| <= r. The value
+    a is evaluated exactly at the centre w = (x + iy)/2^k of d, by _horner
+    on its numerators. With A(x) = sum_i |a_i| x^i and rho >= |w|, Taylor's
+    formula bounds |a(zeta) - a(w)| by A(rho + r) - A(rho) for
+    |zeta - w| <= r, with A evaluated likewise at the dyadic rho + r and rho.
     a(w) is rounded to the float centre c, the exact slip
     |Re(a(w) - c)| + |Im(a(w) - c)| is added, and the sum is rounded up
     once. So for a = z the value disc is d itself. PrecisionExhausted when
     the value or its radius does not fit a float.
     """
-    coeffs = a.coeffs
-    re, im = Fraction(d.center.real), Fraction(d.center.imag)
-    vr, vi = _eval_exact(coeffs, re, im)
+    m = len(a.nums) - 1
+    (x, y), k = _dyadic(d.center.real, d.center.imag)
+    vr, vi = (Fraction(v, a.den << k * m) for v in _horner(a.nums, x, y, k)[:2])
     try:
         c = complex(float(vr), float(vi))
     except OverflowError:
         raise PrecisionExhausted("a value of an embedding does not fit a float") from None
-    absolute = [abs(x) for x in coeffs]
-    rho = Fraction(_sqrt_up(re * re + im * im))
-    r = Fraction(d.radius)
-    growth = _eval_exact(absolute, rho + r, 0)[0] - _eval_exact(absolute, rho, 0)[0]
+    absolute = [abs(v) for v in a.nums]
+    (rho, r), j = _dyadic(_sqrt_up(Fraction(x * x + y * y, 1 << 2 * k)), d.radius)
+    growth = _horner(absolute, rho + r, 0, j)[0] - _horner(absolute, rho, 0, j)[0]
     slip = abs(Fraction(c.real) - vr) + abs(Fraction(c.imag) - vi)
-    return Disc(c, _up(growth + slip))
+    return Disc(c, _up(Fraction(growth, a.den << j * m) + slip))
 
 
 def approximate(a: NFElement, d: Disc) -> complex:

@@ -175,10 +175,3 @@ def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> NFEle
     d1, d2 = _line_params(a, b, d)
     num = c1 * d2
     return num * (num - c2 * d1).inv()
-
-
-def transform(matrix, p: ProjPoint) -> ProjPoint:
-    """Apply an invertible 3x3 matrix of NFElements to a point."""
-    x, y, z = p.coords
-    rows = [matrix[i][0] * x + matrix[i][1] * y + matrix[i][2] * z for i in range(3)]
-    return ProjPoint.of(*rows)

@@ -9,10 +9,18 @@ from fractions import Fraction
 
 from planecode.cli import main
 from planecode.configuration import Configuration, valences
-from planecode.cover import ALPHA, build_cover_report, group_elements, name, pairing, select_m
+from planecode.cover import (
+    ALPHA,
+    build_cover_report,
+    group_elements,
+    name,
+    pairing,
+    select_m,
+    valence_counts,
+)
 from planecode.decode import decode, separation_certificate
 from planecode.numberfield import NumberField, parse_poly
-from planecode.projgeom import cross_ratio, point, transform
+from planecode.projgeom import cross_ratio, point
 from planecode.serialize import (
     certificate_to_json,
     config_to_json,
@@ -20,6 +28,7 @@ from planecode.serialize import (
 )
 from planecode.slp_compiler import _Drawn, add_gadget, mul_gadget, register_point
 from tests.conftest import ACCEPTANCE_POLYS
+from tests.test_projgeom import transform
 
 TIME_BUDGET_SECONDS = 30.0
 
@@ -82,7 +91,7 @@ def test_criterion_3_gadget_soundness():
 def test_criterion_4_configuration_invariants(built):
     for text in ACCEPTANCE_POLYS:
         cfg, _ = built(text)
-        assert all(v % 2 == 0 for v in cfg.all_valences()), f"odd valence in {text}"
+        assert all(v % 2 == 0 for v, _ in valence_counts(cfg)), f"odd valence in {text}"
         rep = valences(cfg)
         top = rep[:5]
         vals = [v for _, v in top]

@@ -11,6 +11,7 @@ from planecode.configuration import (
     derive_points,
     valences,
 )
+from planecode.cover import valence_counts
 from planecode.errors import DuplicateLine, GenericityExhausted
 from planecode.numberfield import NumberField, parse_poly
 from planecode.projgeom import incident, line
@@ -39,7 +40,7 @@ def test_three_generic_lines(k):
     cfg = derive_points(lines)
     assert cfg.point_count == 3
     assert len(cfg.points) == 2 and sorted(cfg.marks) == ["one", "zero"]
-    assert cfg.all_valences() == [2, 2, 2]
+    assert valence_counts(cfg) == ((2, 3),)
     assert cfg.line_count == 3
 
 
@@ -47,7 +48,7 @@ def test_three_concurrent_lines(k):
     lines = [line(k, 1, 0, 0), line(k, 0, 1, 0), line(k, 1, 1, 0)]
     cfg = derive_points(lines)
     assert len(cfg.points) == 1
-    assert cfg.all_valences() == [3]
+    assert valence_counts(cfg) == ((3, 1),)
 
 
 def test_duplicate_line_rejected(k):
@@ -67,15 +68,16 @@ def test_pair_count_identity(raw_cfg, k):
         raw_cfg,
         derive_points([line(k, 1, 0, 0), line(k, 0, 1, 0), line(k, 1, 1, -1)]),
     ):
-        lhs = sum(comb(v, 2) for v in cfg.all_valences())
+        counts = valence_counts(cfg)
+        lhs = sum(n * comb(v, 2) for v, n in counts)
         assert lhs == comb(cfg.line_count, 2)
-        assert min(cfg.all_valences()) >= 2
+        assert min(v for v, _ in counts) >= 2
 
 
 def test_augment_concurrent_triple(k):
     cfg = derive_points([line(k, 1, 0, 0), line(k, 0, 1, 0), line(k, 1, 1, 0)])
     out = augment_even_valence(cfg)
-    assert out.all_valences() == [4]
+    assert valence_counts(out) == ((4, 1),)
     assert out.line_count == 4
 
 
@@ -86,7 +88,7 @@ def test_augment_identity_when_even(k):
 
 def test_augment_pipeline_all_even(raw_cfg):
     out = augment_even_valence(raw_cfg)
-    assert all(v % 2 == 0 for v in out.all_valences())
+    assert all(v % 2 == 0 for v, _ in valence_counts(out))
 
 
 def test_amplify_ladder(raw_cfg):
@@ -99,7 +101,7 @@ def test_amplify_ladder(raw_cfg):
     assert order == [cfg.marks[l] for l in ("zero", "one", "inf", "z")]
     # targets are the minimal even ladder above the rest
     assert vals[0] - vals[1] == vals[1] - vals[2] == vals[2] - vals[3] == 2
-    assert all(v % 2 == 0 for v in cfg.all_valences())
+    assert all(v % 2 == 0 for v, _ in valence_counts(cfg))
 
 
 def test_augment_and_amplify_leave_their_input_unchanged():
@@ -121,7 +123,7 @@ def test_augment_and_amplify_leave_their_input_unchanged():
 
 
 def test_amplify_requires_even(raw_cfg):
-    if any(v % 2 for v in raw_cfg.all_valences()):
+    if any(v % 2 for v, _ in valence_counts(raw_cfg)):
         with pytest.raises(ValueError):
             amplify_marks(raw_cfg)
 
@@ -162,8 +164,7 @@ def test_genericity_exhausted(k, monkeypatch):
     monkeypatch.setattr(configuration, "RETRY_BUDGET", 64)
     lines = [line(k, 1, 0, -1)] + [line(k, 0, 1, -c) for c in range(1, 72)]
     cfg = derive_points(lines)
-    inf_pt_valences = sorted(cfg.all_valences())
-    assert inf_pt_valences[-1] == 71
+    assert max(v for v, _ in valence_counts(cfg)) == 71
     with pytest.raises(GenericityExhausted):
         augment_even_valence(cfg)
 
@@ -220,7 +221,7 @@ def test_augment_keeps_ladder_targets(augmented, text):
 def test_augment_joins_pass_through_exactly_their_two_points(augmented, text):
     raw, out = augmented(text)
     old = len(raw.points)
-    odd = {i for i, v in enumerate(raw.all_valences()) if v % 2}
+    odd = {i for i, rows in enumerate(raw.incidence) if len(rows) % 2}
     marked = set(raw.marks.values())
     joins = 0
     for k in range(raw.line_count, out.line_count):
@@ -234,8 +235,8 @@ def test_augment_joins_pass_through_exactly_their_two_points(augmented, text):
         else:
             assert len(through) == 1  # a general line through one odd point
     assert joins > 0
-    assert all(v == 2 for v in out.all_valences()[old:])
-    assert all(v % 2 == 0 for v in out.all_valences())
+    assert all(len(rows) == 2 for rows in out.incidence[old:])
+    assert all(v % 2 == 0 for v, _ in valence_counts(out))
 
 
 @pytest.mark.parametrize("text", sorted(FINAL_LINES))
@@ -267,9 +268,9 @@ def test_augment_pairs_odd_points_without_marks(k):
     ]
     cfg = derive_points(lines)
     assert set(cfg.marks) < set(MARK_LABELS)  # the origin is mark zero, but no ladder
-    assert sorted(cfg.all_valences())[-2:] == [3, 3]
+    assert sorted(len(rows) for rows in cfg.incidence)[-2:] == [3, 3]
     out = augment_even_valence(cfg)
     assert out.line_count == 7
     assert out.lines[6] == line(k, 2, -1, 0)
     assert out.params_consumed == cfg.params_consumed
-    assert all(v % 2 == 0 for v in out.all_valences())
+    assert all(v % 2 == 0 for v, _ in valence_counts(out))

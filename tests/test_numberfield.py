@@ -29,6 +29,8 @@ from planecode.numberfield import (
     parse_poly,
 )
 
+from tests.test_golden import GOLDEN
+
 
 @pytest.fixture(scope="module")
 def k_sqrt2():
@@ -597,24 +599,53 @@ UNIT_DISC_POINTS = tuple(
 )
 
 
-def _exact_value(a, re, im):
-    """(Re, Im) of a at re + i*im, by Horner's rule in Fraction."""
+def _exact_value(coeffs, re, im):
+    """(Re, Im) of sum_i coeffs[i] (re + i*im)^i, by Horner's rule in Fraction."""
     vr = vi = Fraction(0)
-    for c in reversed(a.coeffs):
+    for c in reversed(coeffs):
         vr, vi = vr * re - vi * im + c, vr * im + vi * re
     return vr, vi
+
+
+@pytest.mark.parametrize("text", [*GOLDEN, "x^32-x-1", "x^4-2000000*x^3+1000000000000*x^2+1"])
+def test_isolate_radius_is_the_exact_bound_at_the_float_centre(text):
+    """r = _sqrt_up(n^2 |p(w)|^2 / |p'(w)|^2), with p and p' evaluated in Fraction at the centre w."""
+    p = parse_poly(text)
+    n = p.degree
+    dp = [i * c for i, c in enumerate(p.coeffs)][1:]
+    for d in isolate_roots(p):
+        re, im = Fraction(d.center.real), Fraction(d.center.imag)
+        fr, fi = _exact_value(p.coeffs, re, im)
+        dr, di = _exact_value(dp, re, im)
+        bound = n * n * (fr * fr + fi * fi) / (dr * dr + di * di)
+        assert Fraction(d.radius) ** 2 >= bound, text
+        assert d.radius == numberfield._sqrt_up(bound), text
+
+
+def _embedded(text):
+    """The root discs of text, and z, 1/3, z/3 and 20 random elements of its field."""
+    field = NumberField.create(parse_poly(text))
+    rng = random.Random(7)
+    # 1/3 and z/3: the float centre slips off the exact value
+    third = field.from_rational(Fraction(1, 3))
+    elements = [field.gen, third, field.gen * third]
+    elements += [_random_element(field, rng) for _ in range(20)]
+    return isolate_roots(field.source), elements
+
+
+@pytest.mark.parametrize("text", ["x^3-2", "x^5-x-1"])
+def test_embed_centre_is_the_correctly_rounded_exact_value(text):
+    roots, elements = _embedded(text)
+    for a in elements:
+        for d in roots:
+            vr, vi = _exact_value(a.coeffs, Fraction(d.center.real), Fraction(d.center.imag))
+            assert embed(a, d).center == complex(float(vr), float(vi)), a
 
 
 @pytest.mark.parametrize("text", ["x^3-2", "x^5-x-1"])
 def test_embed_contains_the_image_of_the_whole_root_disc(text):
     """|a(w') - centre| <= radius for rational w' in the root disc, decided in Fraction."""
-    field = NumberField.create(parse_poly(text))
-    rng = random.Random(7)
-    roots = isolate_roots(field.source)
-    # 1/3 and z/3: the float centre slips off the exact value
-    third = field.from_rational(Fraction(1, 3))
-    elements = [field.gen, third, field.gen * third]
-    elements += [_random_element(field, rng) for _ in range(20)]
+    roots, elements = _embedded(text)
     for a in elements:
         for d in roots:
             img = embed(a, d)
@@ -623,7 +654,7 @@ def test_embed_contains_the_image_of_the_whole_root_disc(text):
             for u, v in UNIT_DISC_POINTS:
                 re = Fraction(d.center.real) + r * u
                 im = Fraction(d.center.imag) + r * v
-                vr, vi = _exact_value(a, re, im)
+                vr, vi = _exact_value(a.coeffs, re, im)
                 assert (vr - cx) ** 2 + (vi - cy) ** 2 <= Fraction(img.radius) ** 2, (a, u, v)
 
 

@@ -21,7 +21,6 @@ from planecode.projgeom import (
     line,
     meet,
     point,
-    transform,
 )
 
 
@@ -107,6 +106,12 @@ def test_cross_ratio_convention_100_random(k):
         seen.add(w)
         a, b, c, d = _marked_quadruple(k, w)
         assert cross_ratio(a, b, c, d) == k.from_rational(w)
+
+
+def transform(matrix, p: ProjPoint) -> ProjPoint:
+    """The image of p under a 3x3 matrix of NFElements."""
+    x, y, z = p.coords
+    return ProjPoint.of(*(row[0] * x + row[1] * y + row[2] * z for row in matrix))
 
 
 def _random_invertible_matrix(k, rng):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from planecode import _ffpoly, numberfield
 from planecode.configuration import all_points
+from planecode.cover import valence_counts
 from planecode.decode import decode
 from planecode.numberfield import NumberField, parse_poly
 from planecode.pipeline import run_pipeline
@@ -133,7 +134,7 @@ def test_incident_matches_exact_on_tiny_prime(monkeypatch):
             assert got == _exact_incident(l, p)
             assert got == (i in rows)
             hits += got
-    assert hits == sum(cfg.all_valences())
+    assert hits == sum(v * n for v, n in valence_counts(cfg))
 
 
 def test_pipeline_on_tiny_prime_equals_default(monkeypatch, built):

@@ -11,7 +11,7 @@ import pytest
 
 from planecode.cli import main
 from planecode.decode import check_forcing, decode, separation_certificate
-from planecode.errors import SchemaError
+from planecode.errors import PolyParseError, SchemaError
 from planecode.numberfield import IntPoly, parse_poly
 from planecode.serialize import (
     CONFIG_SCHEMA_VERSION,
@@ -190,6 +190,18 @@ def test_cli_exit_codes(cfg_path, tmp_path):
     assert main(["decode", str(latin1)]) == 6
     # x^2-2 has two embeddings
     assert main(["render", str(cfg_path), "--embedding", "5"]) == 2
+
+
+@pytest.mark.parametrize("text", ["x^2-\u0662", "x^\u0662-2"])
+def test_cli_poly_with_a_digit_other_than_ascii_exits_2(tmp_path, capsys, text):
+    # \d matched U+0662, ARABIC-INDIC DIGIT TWO, so both once read as x^2 - 2
+    with pytest.raises(PolyParseError):
+        parse_poly(text)
+    out = tmp_path / "c.json"
+    assert main(["build", "-p", text, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert not out.exists()
 
 
 def test_cli_zero_polynomial_is_named(cfg, tmp_path, capsys):
