@@ -14,17 +14,16 @@ augment_even_valence makes every valence even, amplify_marks pushes the
 four marks to the strict top of the valence ladder. New "general" lines
 take their free parameters from a deterministic integer stream, and
 genericity is checked exactly, never assumed: a candidate is rejected if
-it passes through any existing point other than its target. Points are
-found by fingerprint, their image in P^2(F_l) (see Configuration); a
-fingerprint only ever proves two points different, and every match is
-decided by exact arithmetic in K.
+it passes through any existing point other than its target. The points
+of a new line are found by their coordinate on it mod a prime l (see
+Configuration); a key only ever proves two points different, and every
+match is decided by exact arithmetic in K.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
 from itertools import combinations
-from operator import attrgetter
 
 from .errors import DuplicateLine, GenericityExhausted, SelfCheckFailed
 from .numberfield import IntPoly, NumberField
@@ -62,21 +61,23 @@ class Configuration:
     incidence[i] is the sorted tuple of the indices of the lines through
     point i, and marks maps a label to a point index. The constructor
     indexes the given lines and points, and add_line, add_if_generic and
-    find extend them. == compares the public fields; a configuration is
-    not hashable.
+    find extend them.
 
     With a residue map z -> r mod l (K is a field: NumberField.create
-    proves it), the fingerprint of the meet of lines u and v is the cross
-    product of their residue triples, scaled so its first nonzero entry is
-    1, or None when a residue is undefined or that product vanishes. Why
-    it depends only on the point: r is a simple root, so l is a regular
-    prime and the local ring R_m of K is a discrete valuation ring to which
-    the residue map extends (NFElement.residue). Two triples over R_m with
-    nonzero images that represent one point differ by a factor lambda in
-    K; each has an entry that is a unit of R_m, so lambda is a unit and the
-    images differ by its nonzero image. So different fingerprints prove the
-    points different; equal ones prove nothing, and every match is
-    confirmed exactly. Without a residue map no meet has a fingerprint.
+    proves it), crossings keys each line u by where it crosses the new
+    line w mod l: the coordinate on the reduced line w' of the cross
+    product u' x w' of the residue triples (_position), or None when a
+    residue is undefined or u' = w'. Why the key depends only on the point:
+    r is a simple root, so l is a regular prime and the local ring R_m of K
+    is a discrete valuation ring to which the residue map extends
+    (NFElement.residue). u' x w' is the image of u x w, a triple of the
+    crossing. Two triples over R_m with nonzero images that represent one
+    point differ by a factor lambda in K; each has an entry that is a unit
+    of R_m, so lambda is a unit and the images differ by its nonzero image.
+    So the crossing reduces to one point of w', which has one coordinate
+    there. Different keys prove the crossings different; equal ones prove
+    nothing, and every match is confirmed exactly. Without a residue map
+    no crossing has a key.
     """
 
     __slots__ = (
@@ -111,11 +112,6 @@ class Configuration:
             self._append_line(l)
         for q, rows in zip(points, incidence):
             self._store(q, tuple(rows))
-
-    def __eq__(self, other):
-        if other.__class__ is not Configuration:
-            return NotImplemented
-        return _values(self) == _values(other)
 
     @property
     def source(self) -> IntPoly:
@@ -175,20 +171,21 @@ class Configuration:
         found ends the search, and None is returned.
 
         A line through a point of hits meets l there and is skipped. The
-        others are grouped by the fingerprint of their crossing with l, so
-        the lines through a point of l are in the group of its fingerprint
-        or in the group None. Each line of a larger group is met with l
-        exactly, and the meet is looked up among the stored points or else
-        tested on the rest of its group; each line of the group None is met
-        with l, and the meet tested on every line. A line alone in its group
-        shares its points of l with lines of the group None.
+        others are grouped by the key of their crossing with l, its position
+        on l mod the residue prime (_position), so the lines through a point
+        of l are in the group of its key or in the group None. Each line of
+        a larger group is met with l exactly, and the meet is looked up
+        among the stored points or else tested on the rest of its group;
+        each line of the group None is met with l, and the meet tested on
+        every line. A line alone in its group shares its points of l with
+        lines of the group None.
         """
         w, ell = _residues(l.coeffs), self.ell
         covered = {i for p in hits for i in self.incidence[p]}
         groups: dict = {}
         for i, u in enumerate(self.line_residues):
             if i not in covered:
-                key = None if u is None or w is None else _fingerprint(u, w, ell)
+                key = None if u is None or w is None else _position(u, w, ell)
                 groups.setdefault(key, []).append(i)
         # (lines to meet with l, lines to test on each meet)
         loose = groups.pop(None, [])
@@ -257,9 +254,6 @@ class Configuration:
         return p
 
 
-_values = attrgetter("field", "lines", "points", "incidence", "marks", "seed", "params_consumed")
-
-
 def valences(c: Configuration) -> tuple[tuple[int, int], ...]:
     """(point index, valence) pairs of the stored points, highest valence first, ties by index."""
     return tuple(sorted(
@@ -294,19 +288,23 @@ def all_points(c: Configuration):
                 yield c.points[p], c.incidence[p]
 
 
-def _fingerprint(u, v, ell: int):
-    """u x v in F_l^3 scaled so its first nonzero entry is 1; None if it vanishes."""
-    x = (u[1] * v[2] - u[2] * v[1]) % ell
-    y = (u[2] * v[0] - u[0] * v[2]) % ell
-    z = (u[0] * v[1] - u[1] * v[0]) % ell
-    if x:
-        s = pow(x, -1, ell)
-        return 1, y * s % ell, z * s % ell
-    if y:
-        return 0, 1, z * pow(y, -1, ell) % ell
-    if z:
-        return 0, 0, 1
-    return None
+def _position(u, w, ell: int):
+    """Where the line u crosses the line w in P^2(F_l): its coordinate in F_l, l for infinity.
+
+    u and w are residue triples of canonical lines, so w_i = 1 at the first
+    nonzero entry i of w; let (j, k) = (i + 1, i + 2) mod 3. A point X of w
+    has X_i = -(w_j X_j + w_k X_k), so (X_j : X_k) is a coordinate on w.
+    For P = u x w it is (u_k - u_i w_k : u_i w_j - u_j), the general
+    (u_k w_i - u_i w_k : u_i w_j - u_j w_i) at w_i = 1. None if P vanishes,
+    that is if u = w.
+    """
+    i = w.index(1)
+    j, k = (i + 1) % 3, (i + 2) % 3
+    pj = (u[k] - u[i] * w[k]) % ell
+    pk = (u[i] * w[j] - u[j]) % ell
+    if pk:
+        return pj * pow(pk, -1, ell) % ell
+    return ell if pj else None
 
 
 def _residues(triple):
@@ -366,8 +364,8 @@ def derive_points(
 def _generic_line_through(c: Configuration, target_index: int, stream: ParamStream) -> None:
     """Add one line through the target that passes through no other existing point.
 
-    Each try costs one fingerprint meet per line not through the target
-    (Configuration.add_if_generic).
+    Each try keys the crossing of the candidate with each line not through
+    the target (Configuration.add_if_generic).
     """
     target = c.points[target_index]
     f = c.field

@@ -390,8 +390,8 @@ def _residue_map(prim: IntPoly) -> tuple[int, tuple[int, ...]] | None:
     integer polynomial prim has a simple root r: prim(r) = 0 and
     prim'(r) != 0 mod l. Primes dividing the leading coefficient are
     skipped, so prim divided by it has l-integral coefficients. A simple
-    root makes l a regular prime of K (see NFElement.residue), which point
-    fingerprints rely on. None when none of the first _RESIDUE_PRIME_TRIES
+    root makes l a regular prime of K (see NFElement.residue), which the
+    crossing keys rely on. None when none of the first _RESIDUE_PRIME_TRIES
     primes qualifies; every residue is then None, and the configuration
     builder tests each crossing exactly against every point of the line.
     """
@@ -635,7 +635,7 @@ class NFElement:
         and z - r = -l*h/g, so m is principal after localising, and R_m is
         a discrete valuation ring of the field K. The map extends to R_m,
         and an element of R_m with a nonzero image is a unit there. This is
-        what makes a point's fingerprint (configuration.Configuration)
+        what makes the key of a crossing (configuration.Configuration)
         independent of the triple that represents the point.
         """
         rmap = self.field.residue_map

@@ -9,10 +9,10 @@ A configuration file (schema v3) holds the polynomial, the seed, the stream
 cursor and the lines: a configuration is its lines. Loading checks the
 lines and then derives the multiple points, incidences and marks with the
 code that built them (configuration.derive_points), which finds each point
-by fingerprint and confirms it exactly; the simple crossings are counted,
-not stored. So nothing in the file is trusted and nothing is proven
-twice. Certificates are schema v2. A cover report (schema v2) lists each
-valence once, and each class as h and one b per valence.
+by its key mod a prime and confirms it exactly; the simple crossings are
+counted, not stored. So nothing in the file is trusted and nothing is
+proven twice. Certificates are schema v2. A cover report (schema v2)
+lists each valence once, and each class as h and one b per valence.
 """
 
 from __future__ import annotations

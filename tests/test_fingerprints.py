@@ -1,11 +1,11 @@
-"""The fingerprint builder against the all-pairs exact derivation it replaced.
+"""The keyed builder against the all-pairs exact derivation it replaced.
 
-derive_points finds the multiple points on a new line by fingerprint, their
-image in P^2(F_l), and confirms every match exactly; it stores those and the
+derive_points finds the multiple points on a new line by their position on
+it mod a prime l, and confirms every match exactly; it stores those and the
 marks, and counts the simple crossings. The oracle below computes the exact
 meet of every pair of lines instead, and lists every point. On tiny primes
-fingerprints collide and residues are undefined often, so the exact
-fallbacks run too.
+keys collide and residues are undefined often, so the exact fallbacks run
+too.
 """
 
 import pytest
@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planecode import numberfield
-from planecode.configuration import MARK_INF, MARK_ONE, MARK_Z, MARK_ZERO, all_points, derive_points
+from planecode.configuration import (
+    MARK_INF, MARK_ONE, MARK_Z, MARK_ZERO, _position, all_points, derive_points,
+)
 from planecode.numberfield import NumberField, parse_poly
 from planecode.pipeline import run_pipeline
 from planecode.projgeom import join, line, meet, point
@@ -47,6 +49,30 @@ def test_forced_primes():
     for name, field in FIELDS.items():
         rmap = field.residue_map
         assert (rmap and rmap[0]) == EXPECTED_ELL[name]
+
+
+def _cross(u, v, ell):
+    return (
+        (u[1] * v[2] - u[2] * v[1]) % ell,
+        (u[2] * v[0] - u[0] * v[2]) % ell,
+        (u[0] * v[1] - u[1] * v[0]) % ell,
+    )
+
+
+def test_position_keys_a_crossing_by_its_point():
+    # every line of P^2(F_7) as w, u and v, its first nonzero entry 1 as in a reduced canonical line
+    ell = 7
+    lines = [(1, a, b) for a in range(ell) for b in range(ell)]
+    lines += [(0, 1, b) for b in range(ell)] + [(0, 0, 1)]
+    assert len(lines) == 57
+    for w in lines:
+        keys = [_position(u, w, ell) for u in lines]
+        crossings = [_cross(u, w, ell) for u in lines]
+        for u, key, p in zip(lines, keys, crossings):
+            assert (key is None) == (u == w)
+            for v, other, q in zip(lines, keys, crossings):
+                if u != w and v != w:
+                    assert (key == other) == (_cross(p, q, ell) == (0, 0, 0)), (u, v, w)
 
 
 def _oracle(lines):

@@ -88,10 +88,12 @@ FILE_GOLDEN = {
 
 # Integer constants share one chain of add gadgets: 3 = 2 + 1 by
 # double-and-add, then 5 = 2 + 3 and 7 = 2 + 5 by one add each; 1000003 is a
-# 20-bit double-and-add chain (L = 213).
+# 20-bit double-and-add chain (L = 213), 1000000000007 a 40-bit one (L = 407,
+# 227 stored points).
 CONSTANT_FILE_GOLDEN = {
     "3*x^3-5*x+7": "6d4f45afe3e7e5a77cc94b23ed943c20c3110aed34e92015cc063e8945462e71",
     "x^3-1000003": "f6768477361da6d3c6c7b0392449bdd7e08c7857773386b33814080a403acd9f",
+    "x^3-1000000000007": "d2a9c0c7aea893185d08b3043d24919317f0e2e990dd1669a75bee48532c6900",
 }
 
 # The v1 files were 0.67 MB and 6.55 MB; the lines alone are 2-4 % of that.
@@ -122,7 +124,12 @@ def test_configuration_file_digest(built, text):
 @pytest.mark.parametrize("text", sorted(CONSTANT_FILE_GOLDEN))
 def test_constant_chain_file_digest(built, text):
     cfg, _ = built(text)
-    assert _sha256(dumps_canonical(config_to_json(cfg))) == CONSTANT_FILE_GOLDEN[text]
+    blob = dumps_canonical(config_to_json(cfg))
+    assert _sha256(blob) == CONSTANT_FILE_GOLDEN[text]
+    loaded = config_from_json(loads(blob))
+    assert loaded.points == cfg.points
+    assert loaded.incidence == cfg.incidence
+    assert loaded.marks == cfg.marks
 
 
 @pytest.mark.parametrize("text", sorted(FILE_BYTES_AT_MOST))
