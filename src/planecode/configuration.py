@@ -383,12 +383,13 @@ def _generic_line_through(c: Configuration, target_index: int, stream: ParamStre
     )
 
 
-def ladder_base(c: Configuration) -> int:
-    """M, the base of the ladder amplify_marks builds: the marks reach M+2 .. M+8.
+def ladder_targets(c: Configuration) -> dict[str, int]:
+    """The mark valences amplify_marks reaches: M+2, M+4, M+6, M+8 for z, inf, one, zero.
 
     M is max_other_valence(c), rounded up to even. The ladder must clear
-    every current mark valence, so it is bumped in steps of two while a
-    mark already sits above its slot.
+    every current mark valence, so M is bumped in steps of two while a
+    mark already sits above its target. augment leaves these targets
+    unchanged (see augment_even_valence).
     """
     m_cap = max_other_valence(c)
     m_cap += m_cap % 2
@@ -396,16 +397,6 @@ def ladder_base(c: Configuration) -> int:
         len(c.incidence[c.marks[lb]]) > m_cap + 2 * (i + 1) for i, lb in enumerate(LADDER_ORDER)
     ):
         m_cap += 2
-    return m_cap
-
-
-def _ladder_targets(c: Configuration) -> dict[str, int]:
-    """The mark valences amplify_marks reaches: M+2, M+4, M+6, M+8 for z, inf, one, zero.
-
-    M is ladder_base(c). augment leaves these targets unchanged (see
-    augment_even_valence).
-    """
-    m_cap = ladder_base(c)
     return {label: m_cap + 2 * (i + 1) for i, label in enumerate(LADDER_ORDER)}
 
 
@@ -426,7 +417,7 @@ def augment_even_valence(c: Configuration) -> Configuration:
     generic, so no pair is tried twice. New crossings are simple, so the
     stored points and their order stay as they are; a
     fixed point gains one line and ends at most at M (M is even), and a
-    mark never passes its target, so _ladder_targets is the same before
+    mark never passes its target, so ladder_targets is the same before
     and after, and amplify_marks fills each mark's remaining even deficit.
     The lines are added to a copy of c, which is returned; c is unchanged.
     """
@@ -438,7 +429,7 @@ def augment_even_valence(c: Configuration) -> Configuration:
     marks = c.marks if all(label in c.marks for label in MARK_LABELS) else {}
     room = {}  # per mark point, in ladder order: lines it may still gain
     if marks:
-        targets = _ladder_targets(c)
+        targets = ladder_targets(c)
         room = {marks[lb]: targets[lb] - len(c.incidence[marks[lb]]) for lb in LADDER_ORDER}
     axis = out.line_index.get(line(c.field, 0, 1, 0))
     marked = set(marks.values())
@@ -489,7 +480,7 @@ def augment_even_valence(c: Configuration) -> Configuration:
 def amplify_marks(c: Configuration) -> Configuration:
     """Push the marks to the strict top of the valence ladder.
 
-    The final valences are _ladder_targets(c), reached by adding an even
+    The final valences are ladder_targets(c), reached by adding an even
     number of general lines through each mark, to a copy of c, which is
     returned; c is unchanged.
     """
@@ -499,7 +490,7 @@ def amplify_marks(c: Configuration) -> Configuration:
     if any(len(rows) % 2 for rows in c.incidence):
         raise ValueError("amplify_marks requires all valences even")
 
-    targets = _ladder_targets(c)
+    targets = ladder_targets(c)
     out = Configuration(c.field, c.lines, c.points, c.incidence, c.marks, c.seed)
     stream = ParamStream(c.seed, c.params_consumed)
     for label in LADDER_ORDER:

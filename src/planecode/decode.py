@@ -1,7 +1,8 @@
 """Recovery of the encoded number, its forcing, and the Galois separation certificate.
 
-decode reads nothing but valences and coordinates: find the four points
-with the most lines, check that they are collinear, take their cross-ratio.
+decode reads nothing but valences, the incidence table and coordinates:
+find the four points with the most lines, read the line through them from
+the table, take their cross-ratio.
 check_forcing runs the gadget recipes over the incidence table of the
 multiple points and the marks: every realization of the configuration puts
 a root of p there, not the file's alone.
@@ -20,7 +21,6 @@ from fractions import Fraction
 from .configuration import Configuration, max_other_valence, valences
 from .errors import (
     AmbiguousValences,
-    DegenerateQuadruple,
     NotCollinear,
     NotForced,
     ParityViolation,
@@ -60,6 +60,17 @@ def _ladder(c: Configuration) -> tuple[tuple[tuple[int, int], ...], tuple[int, .
     return entries, tuple(i for i, _ in entries[:4])
 
 
+def _axis(c: Configuration, marks: tuple[int, ...]) -> int | None:
+    """The one line of c through the four marks, read from the incidence table, or None.
+
+    Loading and building confirm every incidence in K, so the table is
+    exact, and two lines share at most one point: a table with two lines
+    through the marks has no realization, and gets None too.
+    """
+    axes = set.intersection(*(set(c.incidence[m]) for m in marks))
+    return axes.pop() if len(axes) == 1 else None
+
+
 def decode(c: Configuration) -> NFElement:
     """Cross-ratio of the four highest-valence points, in valence order (_ladder).
 
@@ -73,13 +84,10 @@ def decode(c: Configuration) -> NFElement:
         first = min(odd, key=lambda i: (-len(c.incidence[i]), i))
         detail = f"{len(odd)} points have an odd valence, the first is point {first}"
         raise _failed(ParityViolation, "parity", detail, entries)
-    pts = [c.points[i] for i in marks]
-    try:
-        return cross_ratio(pts[0], pts[1], pts[2], pts[3])
-    except NotCollinear as exc:
-        raise _failed(NotCollinear, "collinearity", exc, entries) from exc
-    except DegenerateQuadruple as exc:
-        raise _failed(DegenerateQuadruple, "distinct points", exc, entries) from exc
+    if _axis(c, marks) is None:
+        detail = "no line passes through the top four points"
+        raise _failed(NotCollinear, "collinearity", detail, entries)
+    return cross_ratio(*(c.points[i] for i in marks))
 
 
 class _Incidences:
@@ -100,9 +108,8 @@ class _Incidences:
         for p, rows in enumerate(c.incidence):
             for i in rows:
                 appends[i](p)
-        axes = set.intersection(*(set(c.incidence[m]) for m in marks))
-        self.check(len(axes) == 1, "{} lines pass through all four marks, not one", len(axes))
-        (self.axis,) = axes
+        self.axis = _axis(c, marks)
+        self.check(self.axis is not None, "no line passes through all four marks")
         seed_objects(self, J)
 
     def check(self, ok: bool, detail: str, *args) -> None:

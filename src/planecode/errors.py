@@ -99,10 +99,6 @@ class NotCollinear(PlanecodeError):
     exit_code = 5
 
 
-class DegenerateQuadruple(PlanecodeError):
-    exit_code = 5
-
-
 class NotForced(PlanecodeError):
     """The incidence table does not prove P(z) = N(z) in every realization."""
 

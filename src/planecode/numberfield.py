@@ -599,8 +599,6 @@ class NFElement:
             if other.field is not self.field and other.field != self.field:
                 raise FieldMismatch("elements belong to different number fields")
             return other
-        if isinstance(other, (int, Fraction)):
-            return self.field.from_rational(other)
         return None
 
     @property
@@ -650,8 +648,6 @@ class NFElement:
             return NotImplemented
         da, db = self.den, o.den
         return _normal(self.field, [x * db + y * da for x, y in zip(self.nums, o.nums)], da * db)
-
-    __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)

@@ -11,12 +11,7 @@ with `incident`, the exact test.
 
 from __future__ import annotations
 
-from .errors import (
-    DegenerateJoin,
-    DegenerateMeet,
-    DegenerateQuadruple,
-    NotCollinear,
-)
+from .errors import DegenerateJoin, DegenerateMeet
 from .numberfield import NFElement, NumberField
 
 
@@ -135,43 +130,17 @@ def incident(l: ProjLine, p: ProjPoint) -> bool:
     return (a * x + b * y + c * z).is_zero
 
 
-def collinear(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
-    u, v, w = p.coords, q.coords, r.coords
-    det = (
-        u[0] * (v[1] * w[2] - v[2] * w[1])
-        - u[1] * (v[0] * w[2] - v[2] * w[0])
-        + u[2] * (v[0] * w[1] - v[1] * w[0])
-    )
-    return det.is_zero
-
-
-def _line_params(a: ProjPoint, b: ProjPoint, x: ProjPoint) -> tuple[NFElement, NFElement]:
-    """Coordinates (lam : mu) of x = lam*a + mu*b on the line spanned by a, b."""
-    A, B, X = a.coords, b.coords, x.coords
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not (A[i] * B[j] - A[j] * B[i]).is_zero:
-                lam = X[i] * B[j] - X[j] * B[i]
-                mu = A[i] * X[j] - A[j] * X[i]
-                return lam, mu
-    raise DegenerateJoin("points do not span a line")
-
-
 def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> NFElement:
     """Image of d under the map of the common line sending (a, b, c) to (0, 1, inf).
 
-    Computed through projective line parameters, so points at infinity need
-    no special casing. The four points must be distinct: as a != b, the
-    denominator vanishes exactly when d = c, which would map to infinity.
+    The four points must be distinct and on one line; nothing here checks
+    that. The value is read in the coordinate on l = join(a, b) that
+    configuration._position takes mod l: l_i = 1 at its first nonzero
+    entry i, (j, k) = (i + 1, i + 2) mod 3, and a point X of l is fixed by
+    (X_j : X_k). With [P, Q] = P_j Q_k - P_k Q_j, the value is
+    [a, d][c, b] / ([c, d][a, b]); points at infinity need no special case.
     """
-    pts = (a, b, c, d)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if pts[i] == pts[j]:
-                raise DegenerateQuadruple(f"coincident points at positions {i}, {j}")
-    if not (collinear(a, b, c) and collinear(a, b, d)):
-        raise NotCollinear("cross-ratio needs four collinear points")
-    c1, c2 = _line_params(a, b, c)
-    d1, d2 = _line_params(a, b, d)
-    num = c1 * d2
-    return num * (num - c2 * d1).inv()
+    i = [x.is_zero for x in join(a, b).coeffs].index(False)
+    j, k = (i + 1) % 3, (i + 2) % 3
+    bracket = lambda p, q: p.coords[j] * q.coords[k] - p.coords[k] * q.coords[j]
+    return bracket(a, d) * bracket(c, b) * (bracket(c, d) * bracket(a, b)).inv()

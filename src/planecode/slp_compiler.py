@@ -45,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from .configuration import MARK_LABELS, Configuration, ParamStream, derive_points, ladder_base
+from .configuration import MARK_LABELS, MARK_Z, Configuration, ParamStream, derive_points, ladder_targets
 from .errors import GadgetDegenerate, NotARoot, SelfCheckFailed
 from .numberfield import IntPoly, NFElement, NumberField, primitive_modulus
 # Unused here; bound only for the planecode.slp_compiler.check_irreducible
@@ -404,7 +404,7 @@ class _Counted:
     Building it runs realize over it. join and meet return the one known
     object through both arguments, or else a new one; an output is the
     axis point of its register's value in K, so equal values share one
-    point, as in the drawing. ladder_base reads it as a raw configuration.
+    point, as in the drawing. ladder_targets reads it as a raw configuration.
     """
 
     simple_count = 0  # an unnamed crossing has valence 2, as V has
@@ -451,9 +451,9 @@ class _Counted:
 
 
 def anchor_count(slp: SLP, values: list, seed: int) -> int:
-    """J for emission and decode.check_forcing: split only where it lowers the counted ladder base."""
+    """J for emission and decode.check_forcing: split only where it lowers z's counted ladder target."""
     split = max(split_anchors(slp), default=1)
-    shared, spread = (ladder_base(_Counted(slp, values, seed, J)) for J in (1, split))
+    shared, spread = (ladder_targets(_Counted(slp, values, seed, J))[MARK_Z] for J in (1, split))
     return split if spread < shared else 1
 
 

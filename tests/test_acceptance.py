@@ -140,7 +140,7 @@ def test_criterion_6_cross_ratio_convention():
         seen.add(w)
         assert cross_ratio(*quad(w)) == k.from_rational(w)
 
-    base = quad(k.gen + 5)
+    base = quad(k.gen + k.from_rational(5))
     expected = cross_ratio(*base)
     matrices = 0
     while matrices < 20:

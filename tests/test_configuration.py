@@ -210,8 +210,8 @@ def augmented():
 @pytest.mark.parametrize("text", GOLDEN_POLYS)
 def test_augment_keeps_ladder_targets(augmented, text):
     raw, out = augmented(text)
-    targets = configuration._ladder_targets(raw)
-    assert configuration._ladder_targets(out) == targets
+    targets = configuration.ladder_targets(raw)
+    assert configuration.ladder_targets(out) == targets
     for label in MARK_LABELS:
         deficit = targets[label] - out.valence(out.marks[label])
         assert deficit >= 0 and deficit % 2 == 0

@@ -27,6 +27,7 @@ from planecode.slp_compiler import (
     split_anchors,
     tie_line,
 )
+from tests.test_decode import _pencils
 
 GOLDEN_POLYS = ("x^2-2", "x^3-2", "x^2-x-1", "x^4-x-1", "3*x^2-5", "x^5-x-1", "x^7-x-1")
 # the polynomials whose digests or line counts are pinned, besides the golden set
@@ -114,6 +115,12 @@ def test_forcing_check_does_no_field_arithmetic(built, monkeypatch):
     for name in ("__mul__", "__rmul__", "inv"):
         monkeypatch.setattr(NFElement, name, refuse)
     check_forcing(cfg)
+
+
+def test_marks_on_no_common_line_refuse():
+    # the centres of four pencils top the ladder, but no line holds them all
+    with pytest.raises(NotForced, match="no line passes through all four marks"):
+        check_forcing(_pencils((10, 8, 6, 4)))
 
 
 def test_without_the_unit_line_the_check_refuses(built):

@@ -5,16 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planecode.errors import (
-    DegenerateJoin,
-    DegenerateMeet,
-    DegenerateQuadruple,
-    NotCollinear,
-)
+from planecode.errors import DegenerateJoin, DegenerateMeet
 from planecode.numberfield import NumberField, parse_poly
 from planecode.projgeom import (
     ProjPoint,
-    collinear,
     cross_ratio,
     incident,
     join,
@@ -48,12 +42,6 @@ def test_degenerate_join_meet(k):
         meet(line(k, 1, 0, 0), line(k, 1, 0, 0))
 
 
-def test_collinear_on_axis(k):
-    assert collinear(point(k, 0, 0), point(k, 1, 0), point(k, 1, 0, 0))
-    assert not collinear(point(k, 0, 0), point(k, 1, 0), point(k, 0, 1))
-    assert collinear(point(k, 0, 0), point(k, k.gen, 0), point(k, 1, 0, 0))
-
-
 def test_incidence(k):
     l = join(point(k, 0, 0), point(k, 2, 3))
     assert incident(l, point(k, 0, 0)) and incident(l, point(k, 2, 3))
@@ -84,16 +72,22 @@ def test_cross_ratio_identity_convention(k):
     assert cross_ratio(a, b, c, d) == k.from_rational(Fraction(1, 2))
 
 
-def test_cross_ratio_errors(k):
-    a, b, c, _ = _marked_quadruple(k, 5)
-    with pytest.raises(NotCollinear):
-        cross_ratio(a, b, c, point(k, 0, 1))
-    with pytest.raises(DegenerateQuadruple):
-        cross_ratio(a, b, c, a)
-    # d = c would map to infinity: the pairwise test refuses it, exit 5 as before
-    with pytest.raises(DegenerateQuadruple, match="positions 2, 3") as err:
-        cross_ratio(a, b, point(k, 5, 0), point(k, 5, 0, 1))
-    assert err.value.exit_code == 5
+# a quadruple with cr = w on x = 5, y = 0 and z = 0, whose canonical entry is
+# the first, second and third; c is the point at infinity of the line's chart
+ON_LINE = {
+    0: lambda k, w: (point(k, 5, 0), point(k, 5, 1), point(k, 0, 1, 0), point(k, 5, w)),
+    1: _marked_quadruple,
+    2: lambda k, w: (point(k, 1, 0, 0), point(k, 1, 1, 0), point(k, 0, 1, 0), point(k, 1, w, 0)),
+}
+
+
+@pytest.mark.parametrize("w", [Fraction(-7, 3), 5, None])  # None is the generator z
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_cross_ratio_bracket_at_each_canonical_entry(k, i, w):
+    w = k.gen if w is None else k.from_rational(w)
+    a, b, c, d = ON_LINE[i](k, w)
+    assert [x.is_zero for x in join(a, b).coeffs].index(False) == i
+    assert cross_ratio(a, b, c, d) == w
 
 
 def test_cross_ratio_convention_100_random(k):
@@ -131,7 +125,7 @@ def _random_invertible_matrix(k, rng):
 
 def test_cross_ratio_projective_invariance(k):
     rng = random.Random(4)
-    quad = _marked_quadruple(k, k.gen + 3)
+    quad = _marked_quadruple(k, k.gen + k.from_rational(3))
     expected = cross_ratio(*quad)
     for _ in range(20):
         m = _random_invertible_matrix(k, rng)
@@ -145,7 +139,7 @@ def test_join_meet_duality(k):
         p = point(k, rng.randint(-9, 9), rng.randint(-9, 9))
         q = point(k, rng.randint(-9, 9), rng.randint(-9, 9))
         r = point(k, rng.randint(-9, 9), rng.randint(-9, 9))
-        if p in (q, r) or q == r or collinear(p, q, r):
+        if p in (q, r) or q == r or incident(join(p, q), r):
             continue
         assert meet(join(p, q), join(p, r)) == p
 

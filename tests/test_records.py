@@ -58,7 +58,7 @@ def _values(k):
     half = Fraction(1, 2)
     return [
         (IntPoly.from_coeffs([-2, 0, 1]), parse_poly("x^2-2")),
-        (point(k, half, k.gen), point(k, 1, 2 * k.gen, 2)),
+        (point(k, half, k.gen), point(k, 1, k.from_rational(2) * k.gen, 2)),
         (line(k, 1, 2, 3), line(k, 2, 4, 6)),
     ]
 
@@ -107,7 +107,7 @@ def test_hashed_records_are_immutable(k):
 def test_records_store_each_fact_once(k):
     # a residue is computed on each read: only the constructor writes an element
     assert NFElement.__slots__ == ("field", "nums", "den")
-    e = k.gen + 3
+    e = k.gen + k.from_rational(3)
     r = e.residue
     assert r is not None and e.residue == r
     # separation_certificate raises instead of recording a false claim

@@ -287,9 +287,11 @@ def test_the_split_layout_is_kept_where_it_lowers_the_ladder(text, anchors):
     assert anchor_count(slp, values, 0) == anchors
     split = max(split_anchors(slp), default=1)
     if split > 1:
-        # the drawn raw ladder bases agree with the choice made by counting
+        # the drawn raw ladders agree with the choice made by counting
         shared, spread = (
-            configuration.ladder_base(slp_compiler._drawn_configuration(slp, _Drawn(f, J), 0, values))
+            configuration.ladder_targets(
+                slp_compiler._drawn_configuration(slp, _Drawn(f, J), 0, values)
+            )[configuration.MARK_Z]
             for J in (1, split)
         )
         assert (spread < shared) == (anchors > 1)
@@ -321,7 +323,7 @@ def test_the_count_equals_the_drawn_raw_table(text, seed):
             label: drawn.valence(i) for label, i in drawn.marks.items()
         }
         assert configuration.max_other_valence(counted) == configuration.max_other_valence(drawn)
-        assert configuration.ladder_base(counted) == configuration.ladder_base(drawn)
+        assert configuration.ladder_targets(counted) == configuration.ladder_targets(drawn)
 
 
 @pytest.mark.parametrize("text, anchors", [("x^5-x-1", 2), ("x^9-x-1", 1)])
