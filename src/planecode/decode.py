@@ -1,8 +1,9 @@
 """Recovery of the encoded number, its forcing, and the Galois separation certificate.
 
 decode reads nothing but valences, the incidence table and coordinates:
-find the four points with the most lines, read the line through them from
-the table, take their cross-ratio.
+find the four points with the most lines, name them as marks by
+configuration.LADDER_ORDER, read the line through them from the table,
+take their cross-ratio.
 check_forcing runs the gadget recipes over the incidence table of the
 multiple points and the marks: every realization of the configuration puts
 a root of p there, not the file's alone.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .configuration import Configuration, max_other_valence, valences
+from .configuration import LADDER_ORDER, MARK_LABELS, Configuration, max_other_valence, valences
 from .errors import (
     AmbiguousValences,
     NotCollinear,
@@ -41,14 +42,16 @@ def _failed(error: type, check: str, detail, entries) -> PlanecodeError:
     return error(f"{check} check failed: {detail}; top of the valence ladder: {shown}")
 
 
-def _ladder(c: Configuration) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-    """The top of the valence ladder and its top four points, the marks 0, 1, inf and z.
+def _ladder(c: Configuration) -> tuple[tuple[tuple[int, int], ...], dict[str, int]]:
+    """The top of the valence ladder and its top four points by mark label.
 
     The marks of c are never consulted; the valence ladder alone must
     single out the quadruple, and any tie among or directly below the top
     four is an error rather than a tie-break. The ladder is the head of
     configuration.valences: valence, highest first, ties by index. It
     shows the stored points; below them come the simple crossings, of 2.
+    configuration.LADDER_ORDER names the marks from the bottom of the
+    ladder up, so the top four, highest first, are its reverse.
     """
     entries = valences(c)[:LADDER_SHOWN]
     if c.point_count < 4:
@@ -57,22 +60,22 @@ def _ladder(c: Configuration) -> tuple[tuple[tuple[int, int], ...], tuple[int, .
     if not all(ladder[i] > ladder[i + 1] for i in range(4)):
         detail = f"the top five valences {ladder[:5]} do not strictly decrease"
         raise _failed(AmbiguousValences, "strict ladder", detail, entries)
-    return entries, tuple(i for i, _ in entries[:4])
+    return entries, dict(zip(reversed(LADDER_ORDER), (i for i, _ in entries[:4])))
 
 
-def _axis(c: Configuration, marks: tuple[int, ...]) -> int | None:
+def _axis(c: Configuration, marks: dict[str, int]) -> int | None:
     """The one line of c through the four marks, read from the incidence table, or None.
 
     Loading and building confirm every incidence in K, so the table is
     exact, and two lines share at most one point: a table with two lines
     through the marks has no realization, and gets None too.
     """
-    axes = set.intersection(*(set(c.incidence[m]) for m in marks))
+    axes = set.intersection(*(set(c.incidence[m]) for m in marks.values()))
     return axes.pop() if len(axes) == 1 else None
 
 
 def decode(c: Configuration) -> NFElement:
-    """Cross-ratio of the four highest-valence points, in valence order (_ladder).
+    """Cross-ratio cr(0, 1, inf, z) of the four highest-valence points, named by _ladder.
 
     Every valence must be even, as in every configuration the pipeline
     builds: a file whose lines were altered usually breaks that, even
@@ -87,7 +90,7 @@ def decode(c: Configuration) -> NFElement:
     if _axis(c, marks) is None:
         detail = "no line passes through the top four points"
         raise _failed(NotCollinear, "collinearity", detail, entries)
-    return cross_ratio(*(c.points[i] for i in marks))
+    return cross_ratio(*(c.points[marks[label]] for label in MARK_LABELS))
 
 
 class _Incidences:
@@ -101,7 +104,8 @@ class _Incidences:
     at = "the seed lines"
 
     def __init__(self, c: Configuration, J: int):
-        self.zero, self.one, self.inf, self.z = marks = _ladder(c)[1]
+        marks = _ladder(c)[1]
+        self.zero, self.one, self.inf, self.z = (marks[label] for label in MARK_LABELS)
         self.field, self.rows, self.index = c.field, list(c.incidence), c.line_index
         self.on: list[list[int]] = [[] for _ in c.lines]  # per line, its points
         appends = [points.append for points in self.on]
@@ -166,11 +170,12 @@ def check_forcing(c: Configuration) -> None:
     K; the layout choice alone reads the registers' values in K, once.
 
     - Seed. The marks 0, 1, inf, z are the top four points of the ladder,
-      and the axis is the one line through all four. seed_objects finds
-      the y-axis, ell_inf, V and, per anchor j = 1..J, uj, U_j and S_j,
-      and checks that they are the seed objects of the von Staudt lemma
-      (slp_compiler.add_gadget), whose chart puts z at (w, 0) for
-      w = cr(0, 1, inf, z), the number decode reads.
+      named by configuration.LADDER_ORDER (_ladder), and the axis is the
+      one line through all four. seed_objects finds the y-axis, ell_inf,
+      V and, per anchor j = 1..J, uj, U_j and S_j, and checks that they
+      are the seed objects of the von Staudt lemma (slp_compiler.add_gadget),
+      whose chart puts z at (w, 0) for w = cr(0, 1, inf, z), the number
+      decode reads.
     - Anchors. J and the anchor of each product follow from the polynomial
       alone, as emission chooses them (slp_compiler.anchor_count and
       split_anchors), so neither the seed nor the order of the file's

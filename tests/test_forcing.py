@@ -7,9 +7,10 @@ from functools import cache
 
 import pytest
 
+from planecode import configuration
 from planecode.cli import main
 from planecode.configuration import Configuration, derive_points
-from planecode.decode import check_forcing
+from planecode.decode import check_forcing, decode
 from planecode.errors import NotForced
 from planecode.numberfield import NFElement, parse_poly
 from planecode.pipeline import run_pipeline
@@ -419,6 +420,20 @@ def test_an_add_refuses_the_height_of_an_anchor():
     assert raw.params_consumed == 2
     cfg = _final_at("x^5-x-1", -1)
     assert decode_module.decode(cfg) == cfg.field.gen
+    check_forcing(cfg)
+
+
+@pytest.mark.parametrize("order", [("z", "one", "zero", "inf"), ("inf", "z", "one", "zero")])
+@pytest.mark.parametrize("text", ["x^2-2", "x^5-x-1"])
+def test_a_permuted_ladder_order_decodes_and_is_forced(monkeypatch, text, order):
+    # the builder and decode both read configuration.LADDER_ORDER; decode
+    # binds the name at import, so it is set there too
+    monkeypatch.setattr(configuration, "LADDER_ORDER", order)
+    monkeypatch.setattr(decode_module, "LADDER_ORDER", order, raising=False)
+    cfg = _loaded(run_pipeline(parse_poly(text), seed=0))
+    mark_valences = [cfg.valence(cfg.marks[label]) for label in order]
+    assert mark_valences == sorted(mark_valences)
+    assert decode(cfg) == cfg.field.gen
     check_forcing(cfg)
 
 

@@ -27,7 +27,8 @@ def _eval_mod(coeffs, x, q):
     return sum(c * pow(x, i, q) for i, c in enumerate(coeffs)) % q
 
 
-@pytest.mark.parametrize("text", ROOT_POLYS)
+# x^32+1 has a root mod l only when l = 1 mod 64: its walk scans 1,214 integers below 2^61 - 1
+@pytest.mark.parametrize("text", ROOT_POLYS + ("x^16-x-1", "x^32-x-1", "x^32+1"))
 def test_residue_map_root(text):
     field = NumberField.create(parse_poly(text))
     ell, powers = field.residue_map
@@ -71,6 +72,13 @@ def test_ffpoly_root_none_for_x2_plus_1(q):
 
 def test_is_prime_small_range():
     assert [n for n in range(120) if numberfield._is_prime(n)] == SMALL_PRIMES
+
+
+def test_is_prime_refuses_the_least_strong_pseudoprime_to_the_bases_2_to_37():
+    # Sorenson and Webster, Math. Comp. 86 (2017): the base 41 refuses it
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not numberfield._is_prime(318665857834031151167461)
+    assert numberfield._is_prime(798330580441)
 
 
 def _tiny_field(text, start):

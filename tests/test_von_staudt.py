@@ -1,0 +1,166 @@
+"""The von Staudt lemma of slp_compiler.add_gadget, checked by polynomial identity.
+
+The recipes seed_objects, add_gadget and mul_gadget run unchanged over a
+geometry whose coordinates are integer polynomials in the free parameters
+of the lemma's chart: the operands a and b, the height h of an add's line
+y = h, and c_j, the height of the anchor U_j = (0 : c_j : 1) for j >= 2
+(U_1 = (0 : 1 : 1) fixes the chart). Points and lines are triples up to a
+factor; join and meet are cross products, so nothing is divided, and two
+objects are equal when their cross product vanishes. An add must land on
+(a + b : 0 : 1) and a mul on anchor j on (a*b : 0 : 1) as identities in
+these parameters, so whatever h and c_j are (N. Mnev, LNM 1346, 1988;
+R. Vakil, Invent. Math. 164, 2006).
+"""
+
+from operator import add
+
+import pytest
+
+from planecode.numberfield import NumberField, parse_poly
+from planecode.slp_compiler import add_gadget, mul_gadget, seed_objects
+
+VARIABLES = ("a", "b", "h", "c2", "c3")
+
+
+class Poly:
+    """An integer polynomial in VARIABLES: exponent tuples mapped to nonzero coefficients."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[tuple[int, ...], int]):
+        self.terms = {e: c for e, c in terms.items() if c}
+
+    @classmethod
+    def of(cls, x) -> "Poly":
+        return x if isinstance(x, Poly) else cls({(0,) * len(VARIABLES): x})
+
+    def __add__(self, other) -> "Poly":
+        terms = dict(self.terms)
+        for e, c in Poly.of(other).terms.items():
+            terms[e] = terms.get(e, 0) + c
+        return Poly(terms)
+
+    def __neg__(self) -> "Poly":
+        return Poly({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other) -> "Poly":
+        return self + -Poly.of(other)
+
+    def __mul__(self, other) -> "Poly":
+        terms: dict[tuple[int, ...], int] = {}
+        for e, c in self.terms.items():
+            for f, d in Poly.of(other).terms.items():
+                k = tuple(map(add, e, f))
+                terms[k] = terms.get(k, 0) + c * d
+        return Poly(terms)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        return not self - other
+
+    def __repr__(self) -> str:
+        return f"Poly({self.terms})"
+
+
+a, b, h, c2, c3 = (
+    Poly({tuple(int(i == k) for i in range(len(VARIABLES))): 1}) for k in range(len(VARIABLES))
+)
+ANCHOR_HEIGHTS = (1, c2, c3)
+
+
+def _cross(u, v) -> tuple:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+class Obj:
+    """A point or line (X : Y : Z) of the chart; two are equal when their cross product vanishes."""
+
+    __slots__ = ("v",)
+
+    def __init__(self, *v):
+        self.v = tuple(map(Poly.of, v))
+
+    def __eq__(self, other) -> bool:
+        return not any(_cross(self.v, other.v))
+
+    def __repr__(self) -> str:
+        return f"Obj{self.v}"
+
+
+class _Chart:
+    """A geometry with the hooks of slp_compiler.realize, in the chart of the lemma.
+
+    The line hook ignores the coefficients it is given and returns the
+    chart's line of that role: the y-axis x = 0, ell_inf z = 0, the tie line
+    uj through the mark 1 and U_j = (0 : c_j : 1), and each hline y = h. It
+    refuses a line that misses its mark, as decode._Incidences does. Every
+    join and meet is kept in drawn.
+    """
+
+    at = "the seed lines"
+
+    def __init__(self, J: int):
+        self.field = NumberField.create(parse_poly("x^2-2"))  # tie_line's coefficients, unread
+        self.axis = Obj(0, 1, 0)
+        self.zero, self.one, self.inf = Obj(0, 0, 1), Obj(1, 0, 1), Obj(1, 0, 0)
+        self.drawn: list[Obj] = []
+        seed_objects(self, J)
+
+    def line(self, coeffs, role: str, mark: str) -> Obj:
+        if role == "y-axis":
+            l = Obj(1, 0, 0)
+        elif role == "ell_inf":
+            l = Obj(0, 0, 1)
+        elif role == "hline":
+            l = Obj(0, 1, -h)
+        else:
+            c = ANCHOR_HEIGHTS[int(role[1:]) - 1]
+            l = Obj(c, 1, -c)
+        self.check(self.lies_on(getattr(self, mark), l), "{} misses the mark {}", role, mark)
+        return l
+
+    def _keep(self, o: Obj) -> Obj:
+        self.drawn.append(o)
+        return o
+
+    def join(self, p: Obj, q: Obj, role: str) -> Obj:
+        return self._keep(Obj(*_cross(p.v, q.v)))
+
+    meet = join
+
+    def lies_on(self, p: Obj, l: Obj) -> bool:
+        return not sum((x * y for x, y in zip(p.v, l.v)), Poly.of(0))
+
+    def check(self, ok: bool, detail: str, *args) -> None:
+        if not ok:
+            pytest.fail(f"{self.at}: {detail.format(*args)}")
+
+
+def _on_axis_at(out: Obj, value: Poly, g: _Chart) -> None:
+    """out is the finite axis point (value : 0 : 1), and no join or meet of g degenerated."""
+    x, y, z = out.v
+    assert z and not y and x == value * z
+    assert all(any(o.v) for o in g.drawn)
+
+
+def test_the_seed_objects_sit_where_the_chart_puts_them():
+    g = _Chart(3)
+    assert g.V == Obj(0, 1, 0)
+    for c, U, S in zip(ANCHOR_HEIGHTS, g.U, g.S):
+        assert U == Obj(0, c, 1) and S == Obj(1, -c, 0)
+
+
+def test_an_add_lands_on_the_sum_whatever_its_height():
+    g = _Chart(3)
+    out, lines = add_gadget(g, Obj(a, 0, 1), Obj(b, 0, 1), 1001)
+    _on_axis_at(out, a + b, g)
+    assert lines["hline"] == Obj(0, 1, -h)
+
+
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_a_mul_lands_on_the_product_whatever_its_anchor_height(j):
+    g = _Chart(3)
+    out, _ = mul_gadget(g, Obj(a, 0, 1), Obj(b, 0, 1), j)
+    _on_axis_at(out, a * b, g)
