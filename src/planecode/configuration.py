@@ -18,7 +18,10 @@ Genericity is checked exactly, never assumed: a candidate is rejected if
 it passes through any existing point other than its target. The points
 of a new line are found by their coordinate on it mod a prime l (see
 Configuration); a key only ever proves two points different, and every
-match is decided by exact arithmetic in K.
+match is decided by exact arithmetic in K. A stored point is found by its
+incidence row, never by its coordinates: a new line can pass through it
+only if the lowest two lines of its row cross the new line at one key, or
+one of them has no key.
 """
 
 from __future__ import annotations
@@ -42,15 +45,17 @@ LADDER_ORDER = (MARK_Z, MARK_INF, MARK_ONE, MARK_ZERO)
 
 
 class Configuration:
-    """Lines over K, their stored points, incidences and marks, and the indexes that extend them.
+    """Lines over K, their stored points, incidences and marks, and the indexes of the lines.
 
     points are the points on three or more lines and the marks, in builder
     order: by their second-lowest line, then their lowest (derive_points
     sorts them once; augment_even_valence and amplify_marks store none).
-    incidence[i] is the sorted tuple of the indices of the lines through
-    point i, and marks maps a label to a point index. The constructor
-    indexes the given lines and points, and add_line, add_if_generic and
-    find extend them.
+    incidence[i] is the sorted tuple of the indices of all the lines
+    through point i, and marks maps a label to a point index. Two lines
+    meet in one point, so a row names its point: crossings and find look a
+    point up by its row, and only the lines are indexed (line_index, and
+    line_residues for the keys). The constructor takes the given lines and
+    points, and add_line, add_if_generic and find extend them.
 
     With a residue map z -> r mod l (K is a field: NumberField.create
     proves it), crossings keys each line u by where it crosses the new
@@ -71,7 +76,7 @@ class Configuration:
 
     __slots__ = (
         "field", "lines", "points", "incidence", "marks", "seed", "params_consumed",
-        "line_index", "line_residues", "point_index", "ell",
+        "line_index", "line_residues", "ell",
     )
 
     def __init__(
@@ -89,7 +94,6 @@ class Configuration:
         self.line_index: dict[ProjLine, int] = {}
         self.line_residues: list[tuple[int, int, int] | None] = []
         self.points: list[ProjPoint] = []
-        self.point_index: dict[ProjPoint, int] = {}
         # a row only ever gains the newest line, so it stays sorted
         self.incidence: list[tuple[int, ...]] = []
         self.marks = {} if marks is None else dict(marks)
@@ -107,8 +111,8 @@ class Configuration:
         """p, the modulus of the field."""
         return self.field.source
 
-    def valence(self, point_index: int) -> int:
-        return len(self.incidence[point_index])
+    def valence(self, p: int) -> int:
+        return len(self.incidence[p])
 
     @property
     def line_count(self) -> int:
@@ -131,10 +135,9 @@ class Configuration:
         self.line_residues.append(_residues(l.coeffs))
 
     def _store(self, q: ProjPoint, rows: tuple[int, ...]) -> int:
-        self.point_index[q] = len(self.points)
         self.points.append(q)
         self.incidence.append(rows)
-        return self.point_index[q]
+        return len(self.points) - 1
 
     def _through(self, q: ProjPoint, candidates) -> list[int]:
         """The lines among candidates through q; those whose residues prove they miss it are skipped."""
@@ -159,22 +162,38 @@ class Configuration:
         is wanted through the points of hits only: the first other point
         found ends the search, and None is returned.
 
-        A line through a point of hits meets l there and is skipped. The
-        others are grouped by the key of their crossing with l, its position
-        on l mod the residue prime (_position), so the lines through a point
-        of l are in the group of its key or in the group None. Each line of
-        a larger group is met with l exactly, and the meet is looked up
-        among the stored points or else tested on the rest of its group;
-        each line of the group None is met with l, and the meet tested on
-        every line. A line alone in its group shares its points of l with
-        lines of the group None.
+        Each line not through a point of hits is keyed by its crossing with
+        l, its position on l mod the residue prime (_position); a line
+        through a point of hits meets l there. A stored point on l has the
+        two lowest lines of its row keyed alike, or one of them keyed None,
+        so only such points are tested on l, exactly; a point with a line
+        through a point of hits is skipped, since that line would be l.
+        Each point found joins hits. Any other point of l lies on at most
+        two lines, and the lines not through a point of hits are grouped by
+        key, so the lines through such a point are in the group of its key
+        or in the group None. Each line of a larger group is met with l
+        exactly, and the meet tested on the rest of its group; each line of
+        the group None is met with l, and the meet tested on every line. A
+        line alone in its group shares its points of l with lines of the
+        group None.
         """
         w, ell = _residues(l.coeffs), self.ell
         covered = {i for p in hits for i in self.incidence[p]}
+        keys = [
+            None if w is None or u is None or i in covered else _position(u, w, ell)
+            for i, u in enumerate(self.line_residues)
+        ]
+        for p, rows in enumerate(self.incidence):
+            a, b = keys[rows[0]], keys[rows[1]]
+            maybe = a == b or a is None or b is None
+            if maybe and covered.isdisjoint(rows) and incident(l, self.points[p]):
+                if generic:
+                    return None
+                hits.append(p)
+                covered.update(rows)
         groups: dict = {}
-        for i, u in enumerate(self.line_residues):
+        for i, key in enumerate(keys):
             if i not in covered:
-                key = None if u is None or w is None else _position(u, w, ell)
                 groups.setdefault(key, []).append(i)
         # (lines to meet with l, lines to test on each meet)
         loose = groups.pop(None, [])
@@ -185,18 +204,12 @@ class Configuration:
                 if a in covered:
                     continue
                 q = meet(self.lines[a], l)
-                p = self.point_index.get(q)
-                if p is None:
-                    others = self._through(q, (j for j in pool if j != a and j not in covered))
-                    if not others:
-                        continue
+                others = self._through(q, (j for j in pool if j != a and j not in covered))
+                if not others:
+                    continue
                 if generic:
                     return None
-                if p is None:
-                    promoted.append((q, sorted((a, *others))))
-                else:
-                    hits.append(p)
-                    others = self.incidence[p]
+                promoted.append((q, sorted((a, *others))))
                 covered.update(others, (a,))
         return promoted
 
@@ -234,13 +247,17 @@ class Configuration:
         return self.insert(l, hits, promoted)
 
     def find(self, q: ProjPoint) -> int | None:
-        """Index of the point q, stored now if two or more lines pass through it, else None."""
-        p = self.point_index.get(q)
-        if p is None:
-            rows = self._through(q, range(len(self.lines)))
-            if len(rows) >= 2:
-                p = self._store(q, tuple(rows))
-        return p
+        """Index of the point q, stored now if two or more lines pass through it, else None.
+
+        A stored row lists every line through its point, and two lines meet
+        in one point, so q is stored if and only if its row is.
+        """
+        rows = tuple(self._through(q, range(len(self.lines))))
+        if len(rows) < 2:
+            return None
+        if rows in self.incidence:
+            return self.incidence.index(rows)
+        return self._store(q, rows)
 
 
 def valences(c: Configuration) -> tuple[tuple[int, int], ...]:
@@ -345,7 +362,6 @@ def derive_points(
     order = sorted(range(len(inc)), key=lambda p: (inc[p][1], inc[p][0]))
     c.points = [c.points[p] for p in order]
     c.incidence = [inc[p] for p in order]
-    c.point_index = {q: p for p, q in enumerate(c.points)}
     c.marks = {label: order.index(p) for label, p in marks.items()}
     return c
 

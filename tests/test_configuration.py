@@ -5,6 +5,7 @@ import pytest
 from planecode import configuration
 from planecode.configuration import (
     MARK_LABELS,
+    all_points,
     amplify_marks,
     augment_even_valence,
     derive_points,
@@ -13,7 +14,8 @@ from planecode.configuration import (
 from planecode.cover import valence_counts
 from planecode.errors import DuplicateLine, GenericityExhausted
 from planecode.numberfield import NumberField, parse_poly
-from planecode.projgeom import incident, line
+from planecode.projgeom import incident, line, meet, point
+from planecode.serialize import config_from_json, config_to_json, dumps_canonical, loads
 from planecode.slp_compiler import ADD, compile_polynomial, emit_configuration
 
 
@@ -261,6 +263,31 @@ def test_augment_joins_pass_through_exactly_their_two_points(augmented, text):
 def test_final_line_count_pinned(built, text):
     cfg, _ = built(text)
     assert cfg.line_count == FINAL_LINES[text]
+
+
+@pytest.mark.parametrize("text", GOLDEN_POLYS)
+def test_find_reads_the_incidence_table(built, text):
+    cfg, _ = built(text)
+    c = config_from_json(loads(dumps_canonical(config_to_json(cfg))))
+    n = len(c.points)
+    assert [c.find(q) for q in c.points] == list(range(n))
+    assert len(c.points) == n
+    # a simple crossing is stored with its two lines
+    q, rows = next((q, rows) for q, rows in all_points(c) if rows not in c.incidence)
+    assert c.find(q) == n
+    assert (c.points[n], c.incidence[n]) == (q, rows)
+    # a point on one line, or on none, is not stored
+    f = c.field
+    on_one = next(
+        q for t in range(1000, 2000) for q in [meet(c.lines[0], line(f, 1, 3, t))]
+        if sum(incident(m, q) for m in c.lines) == 1
+    )
+    on_none = next(
+        q for t in range(1000, 2000) for q in [point(f, t, -t - 1)]
+        if not any(incident(m, q) for m in c.lines)
+    )
+    assert c.find(on_one) is None and c.find(on_none) is None
+    assert len(c.points) == n + 1
 
 
 def test_augment_tries_no_pair_twice(raw_cfg, monkeypatch):

@@ -3,13 +3,14 @@
 derive_points finds the multiple points on a new line by their position on
 it mod a prime l, and confirms every match exactly; it stores those and the
 marks, and counts the simple crossings. The oracle below computes the exact
-meet of every pair of lines instead, and lists every point. On tiny primes
-keys collide and residues are undefined often, so the exact fallbacks run
-too.
+meet of every pair of lines instead, and lists every point. The same oracle
+judges add_if_generic, which must refuse a line through any point but its
+own. On tiny primes keys collide and residues are undefined often, so the
+exact fallbacks run too.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from planecode import numberfield
@@ -18,7 +19,7 @@ from planecode.configuration import (
 )
 from planecode.numberfield import NumberField, parse_poly
 from planecode.pipeline import run_pipeline
-from planecode.projgeom import join, line, meet, point
+from planecode.projgeom import incident, join, line, meet, point
 from planecode.serialize import config_to_json, dumps_canonical
 
 
@@ -147,6 +148,49 @@ def test_derive_points_matches_the_exact_oracle(name, data):
     _assert_matches_oracle(derive_points(lines), lines)
 
 
+@st.composite
+def _candidate(draw, cfg):
+    """(l, through): l joins the stored points of through to stored points, crossings or others."""
+    f, stored = cfg.field, range(len(cfg.points))
+    through = draw(st.lists(st.sampled_from(stored), max_size=2, unique=True)) if stored else []
+    ends = [cfg.points[i] for i in through]
+    while len(ends) < 2:
+        kind = draw(st.sampled_from(["stored", "crossing", "free"]))
+        if kind == "stored" and stored:
+            ends.append(cfg.points[draw(st.sampled_from(stored))])
+        elif kind == "crossing":
+            pair = st.lists(st.sampled_from(cfg.lines), min_size=2, max_size=2, unique=True)
+            ends.append(meet(*draw(pair)))
+        else:
+            ends.append(point(f, draw(_elements(f)), draw(_elements(f))))
+    assume(ends[0] != ends[1])
+    return join(*ends), through
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_add_if_generic_matches_the_exact_oracle(name, data):
+    # refused when l meets a stored point outside through, or a simple crossing
+    lines = data.draw(_lines(FIELDS[name]))
+    assume(len(lines) >= 2)
+    cfg = derive_points(lines)
+    l, through = data.draw(_candidate(cfg))
+    points, _, _ = _oracle(lines)
+    kept = {cfg.points[i] for i in through}
+    generic = l not in lines and all(q in kept for q in points if incident(l, q))
+    before = (list(cfg.lines), list(cfg.points), list(cfg.incidence), dict(cfg.marks))
+    assert cfg.add_if_generic(l, list(through)) == generic
+    if not generic:
+        assert (cfg.lines, cfg.points, cfg.incidence, cfg.marks) == before
+        return
+    k = len(lines)
+    assert cfg.lines == lines + [l] and cfg.points == before[1] and cfg.marks == before[3]
+    rows = before[2]
+    assert cfg.incidence == [(*r, k) if i in through else r for i, r in enumerate(rows)]
+    _assert_matches_oracle(cfg, lines + [l])
+
+
 def test_a_pencil_on_a_tiny_prime():
     # six lines through (0 : 0 : 1) and three parallels, with l = 7
     field = FIELDS["l=7"]
@@ -166,7 +210,8 @@ def test_only_multiple_points_and_marks_are_stored(built):
     assert all(len(rows) >= 3 or i in marked for i, rows in enumerate(cfg.incidence))
 
 
-@pytest.mark.parametrize("text", ["x^2-2", "x^3-2"])
+# x^5-x-1 draws its products on two anchors
+@pytest.mark.parametrize("text", ["x^2-2", "x^3-2", "x^5-x-1"])
 def test_pipeline_without_residue_map_equals_default(built, monkeypatch, text):
     default, _ = built(text)
     monkeypatch.setattr(numberfield, "_RESIDUE_PRIME_TRIES", 0)

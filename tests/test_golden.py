@@ -1,4 +1,4 @@
-"""Golden digests of the canonical configuration and cover-report JSON at seed 0.
+"""Golden digests of the canonical configuration and cover-report JSON, mostly at seed 0.
 
 x^5-x-1 and x^7-x-1 pin degree >= 5, where inversion in K is dearest,
 and the only golden files whose products draw on two anchors
@@ -21,6 +21,8 @@ import pytest
 
 from planecode.configuration import all_points
 from planecode.cover import build_cover_report
+from planecode.numberfield import parse_poly
+from planecode.pipeline import run_pipeline
 from planecode.serialize import (
     config_from_json,
     config_to_json,
@@ -86,6 +88,14 @@ FILE_GOLDEN = {
     "x^7-x-1": "791fcea781c04340e389dd0a7e5b3bd8842471841d780d00944e1dfede882047",
 }
 
+# The seed sets the add heights and the general lines' parameters.
+SEED_FILE_GOLDEN = {
+    ("x^5-x-1", 3): "e411f3373c608e7538bf584600f70e8b058453c2159af46507ac75bfdca4a0e4",
+    ("x^5-x-1", -3): "17ae913072fa27892356a15025652685149fe5586cc55f7d38ae025e8c02078b",
+    ("x^7-x-1", 3): "475bcef1374a84365c2bb28f3fb3305b619f2475e75e37bbe939d629f006e425",
+    ("x^7-x-1", -3): "08a58ccc4e95ec1fcf744746e2206f90cfe5ea24cf748214e468e9e883f1078d",
+}
+
 # Integer constants share one chain of add gadgets: 3 = 2 + 1 by
 # double-and-add, then 5 = 2 + 3 and 7 = 2 + 5 by one add each; 1000003 is a
 # 20-bit double-and-add chain (L = 213), 1000000000007 a 40-bit one (L = 407,
@@ -119,6 +129,12 @@ def test_configuration_digest(built, text):
 def test_configuration_file_digest(built, text):
     cfg, _ = built(text)
     assert _sha256(dumps_canonical(config_to_json(cfg))) == FILE_GOLDEN[text]
+
+
+@pytest.mark.parametrize("text, seed", sorted(SEED_FILE_GOLDEN))
+def test_configuration_file_digest_at_other_seeds(text, seed):
+    cfg = run_pipeline(parse_poly(text), seed=seed)
+    assert _sha256(dumps_canonical(config_to_json(cfg))) == SEED_FILE_GOLDEN[text, seed]
 
 
 @pytest.mark.parametrize("text", sorted(CONSTANT_FILE_GOLDEN))
