@@ -21,7 +21,10 @@ Configuration); a key only ever proves two points different, and every
 match is decided by exact arithmetic in K. A stored point is found by its
 incidence row, never by its coordinates: a new line can pass through it
 only if the lowest two lines of its row cross the new line at one key, or
-one of them has no key.
+one of them has no key. Its coordinates are the triple meet gave it, the
+cross product of two of its lines, unnormalised: incident, a dot product,
+and the residue screen of Configuration._through read any triple of a
+point alike.
 """
 
 from __future__ import annotations

@@ -1,8 +1,12 @@
 """The projective plane over K: points, lines, join/meet, cross-ratio.
 
-Coordinates are homogeneous triples of NFElements in canonical form (first
-nonzero coordinate scaled to 1), so equality and hashing are structural.
-The cross-ratio convention is fixed so that cr(0, 1, inf, w) = w.
+Coordinates are homogeneous triples of NFElements. A point keeps the
+nonzero triple it is given, such as the cross product of two lines, so
+making one inverts nothing in K; two points are equal when their triples
+are proportional, and a point is not hashable. A line is in canonical form
+(first nonzero coefficient scaled to 1), so its equality and hash are
+structural: a file lists its coefficients, and Configuration.line_index
+keys it. The cross-ratio convention is fixed so that cr(0, 1, inf, w) = w.
 
 Every predicate is decided exactly. A configuration finds its points by
 their images mod a prime l (NFElement.residue) and confirms each match
@@ -26,7 +30,7 @@ def _canonicalize(coords: tuple[NFElement, NFElement, NFElement]):
 
 
 class ProjPoint:
-    """A point (x : y : z) in canonical form, immutable; == and hash are structural."""
+    """A point (x : y : z), any nonzero triple of it, immutable; == is projective, no hash."""
 
     __slots__ = ("coords",)
 
@@ -39,14 +43,15 @@ class ProjPoint:
     def __eq__(self, other):
         if other.__class__ is not ProjPoint:
             return NotImplemented
-        return self.coords == other.coords
+        return all(c.is_zero for c in _cross(self.coords, other.coords))
 
-    def __hash__(self) -> int:
-        return hash((self.coords,))
+    __hash__ = None
 
     @classmethod
     def of(cls, x: NFElement, y: NFElement, z: NFElement) -> "ProjPoint":
-        return cls(_canonicalize((x, y, z)))
+        if x.is_zero and y.is_zero and z.is_zero:
+            raise ValueError("all-zero homogeneous triple")
+        return cls((x, y, z))
 
     @property
     def is_infinite(self) -> bool:
@@ -112,15 +117,17 @@ def _cross(u, v):
 
 
 def join(p: ProjPoint, q: ProjPoint) -> ProjLine:
-    if p == q:
+    a, b, c = _cross(p.coords, q.coords)
+    if a.is_zero and b.is_zero and c.is_zero:
         raise DegenerateJoin(f"join of equal points {p}")
-    return ProjLine.of(*_cross(p.coords, q.coords))
+    return ProjLine.of(a, b, c)
 
 
 def meet(l: ProjLine, m: ProjLine) -> ProjPoint:
-    if l == m:
+    x, y, z = _cross(l.coeffs, m.coeffs)
+    if x.is_zero and y.is_zero and z.is_zero:
         raise DegenerateMeet(f"meet of equal lines {l}")
-    return ProjPoint.of(*_cross(l.coeffs, m.coeffs))
+    return ProjPoint((x, y, z))
 
 
 def incident(l: ProjLine, p: ProjPoint) -> bool:

@@ -6,7 +6,8 @@ sized by valence, with the four marks labeled. Under
 a non-real embedding only lines with (numerically) real coefficients are
 drawn, and a warning is returned for the rest. Coordinates are float
 values at the centre of the root disc (numberfield.approximate): a picture
-needs no certificate.
+needs no certificate. A point is scaled to its canonical triple first, so
+its float image, and the picture, do not depend on which triple it keeps.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 from .configuration import Configuration, all_points
 from .errors import BadArgument
 from .numberfield import Disc, approximate
+from .projgeom import _canonicalize
 
 _REAL_TOL = 1e-7
 _VERSION_NOTE = "planecode svg v1"
@@ -67,7 +69,7 @@ def render_svg(
 
     numeric_points = []
     for p, rows in all_points(c):
-        xs = [approximate(coord, e) for coord in p.coords]
+        xs = [approximate(coord, e) for coord in _canonicalize(p.coords)]
         if abs(xs[2]) < 1e-12:
             continue
         x, y = xs[0] / xs[2], xs[1] / xs[2]

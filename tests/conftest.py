@@ -14,6 +14,16 @@ from planecode.pipeline import run_pipeline  # noqa: E402
 ACCEPTANCE_POLYS = ("x^2-2", "x^2-x-1", "x^3-2", "x^4-x-1")
 
 
+def canonical(triple):
+    """The homogeneous triple scaled so that its first nonzero entry is 1.
+
+    A point keeps whatever triple it is given and has no hash; the
+    canonical triple of its coordinates is one hashable key per point.
+    """
+    scale = next(x for x in triple if not x.is_zero).inv()
+    return tuple(x * scale for x in triple)
+
+
 @pytest.fixture(scope="session")
 def built():
     """Lazily built pipeline configurations, shared across the whole run.

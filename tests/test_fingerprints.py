@@ -10,7 +10,7 @@ exact fallbacks run too.
 """
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from planecode import numberfield
@@ -21,6 +21,7 @@ from planecode.numberfield import NumberField, parse_poly
 from planecode.pipeline import run_pipeline
 from planecode.projgeom import incident, join, line, meet, point
 from planecode.serialize import config_to_json, dumps_canonical
+from tests.conftest import canonical
 
 
 def _field(text, start=None, tries=None):
@@ -82,11 +83,12 @@ def _oracle(lines):
     for k, l in enumerate(lines):
         for i in range(k):
             q = meet(lines[i], l)
-            if q not in index:
-                index[q] = len(points)
+            key = canonical(q.coords)
+            if key not in index:
+                index[key] = len(points)
                 points.append(q)
                 rows.append(set())
-            rows[index[q]].update((i, k))
+            rows[index[key]].update((i, k))
     f = lines[0].field
     markers = {
         MARK_ZERO: point(f, 0, 0),
@@ -94,7 +96,8 @@ def _oracle(lines):
         MARK_INF: point(f, 1, 0, 0),
         MARK_Z: point(f, f.gen, 0),
     }
-    marks = {label: index[q] for label, q in markers.items() if q in index}
+    keys = {label: canonical(q.coords) for label, q in markers.items()}
+    marks = {label: index[key] for label, key in keys.items() if key in index}
     return points, tuple(tuple(sorted(r)) for r in rows), marks
 
 
@@ -108,6 +111,9 @@ def _assert_matches_oracle(cfg, lines):
     assert cfg.incidence == [rows[i] for i in kept]
     assert cfg.marks == {label: kept.index(i) for label, i in marks.items()}
 
+
+# a failing example is reported as drawn: shrinking a configuration takes minutes
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 _small = st.fractions(min_value=-6, max_value=6, max_denominator=14)
 
@@ -138,7 +144,7 @@ def _lines(draw, field):
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
 @given(data=st.data())
 def test_derive_points_matches_the_exact_oracle(name, data):
     field = FIELDS[name]
@@ -168,7 +174,7 @@ def _candidate(draw, cfg):
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, phases=_NO_SHRINK)
 @given(data=st.data())
 def test_add_if_generic_matches_the_exact_oracle(name, data):
     # refused when l meets a stored point outside through, or a simple crossing
@@ -177,8 +183,8 @@ def test_add_if_generic_matches_the_exact_oracle(name, data):
     cfg = derive_points(lines)
     l, through = data.draw(_candidate(cfg))
     points, _, _ = _oracle(lines)
-    kept = {cfg.points[i] for i in through}
-    generic = l not in lines and all(q in kept for q in points if incident(l, q))
+    kept = {canonical(cfg.points[i].coords) for i in through}
+    generic = l not in lines and all(canonical(q.coords) in kept for q in points if incident(l, q))
     before = (list(cfg.lines), list(cfg.points), list(cfg.incidence), dict(cfg.marks))
     assert cfg.add_if_generic(l, list(through)) == generic
     if not generic:

@@ -12,7 +12,9 @@ former v1 encoding, which also wrote every point, simple crossings too,
 with its row: each v3 file, once loaded, must re-encode to them through
 v1_json below, which lists the points with configuration.all_points. So
 the derivation at load is pinned point for point, row for row, in the
-builder's order. FILE_GOLDEN pins the v3 files themselves.
+builder's order. v1 wrote each point in canonical form, and a point now
+keeps any triple of it, so v1_json scales each point to its canonical
+triple. FILE_GOLDEN pins the v3 files themselves.
 """
 
 import hashlib
@@ -21,8 +23,9 @@ import pytest
 
 from planecode.configuration import all_points
 from planecode.cover import build_cover_report
-from planecode.numberfield import parse_poly
+from planecode.numberfield import isolate_roots, parse_poly
 from planecode.pipeline import run_pipeline
+from planecode.render import render_svg
 from planecode.serialize import (
     config_from_json,
     config_to_json,
@@ -32,6 +35,7 @@ from planecode.serialize import (
     nf_to_json,
     poly_to_json,
 )
+from tests.conftest import canonical
 
 
 def v1_json(c) -> dict:
@@ -47,7 +51,7 @@ def v1_json(c) -> dict:
         "seed": c.seed,
         "params_consumed": c.params_consumed,
         "lines": [[nf_to_json(x) for x in l.coeffs] for l in c.lines],
-        "points": [[nf_to_json(x) for x in p.coords] for p, _ in points],
+        "points": [[nf_to_json(x) for x in canonical(p.coords)] for p, _ in points],
         "incidence": [list(rows) for _, rows in points],
         "marks": {label: index[c.incidence[i]] for label, i in c.marks.items()},
     }
@@ -104,6 +108,15 @@ CONSTANT_FILE_GOLDEN = {
     "3*x^3-5*x+7": "6d4f45afe3e7e5a77cc94b23ed943c20c3110aed34e92015cc063e8945462e71",
     "x^3-1000003": "f6768477361da6d3c6c7b0392449bdd7e08c7857773386b33814080a403acd9f",
     "x^3-1000000000007": "d2a9c0c7aea893185d08b3043d24919317f0e2e990dd1669a75bee48532c6900",
+}
+
+# SVG of a loaded file under one embedding, as the render command draws it.
+# These three pictures change in their last digits when render draws the
+# points from the triples they keep, not from their canonical triples.
+SVG_GOLDEN = {
+    ("x^3-2", 0, 2): "a9ec1476f04f6db2a2b1c8b214ee68012c4a97f66b049f899ba58effc9c6f9b5",
+    ("x^3-2", 3, 2): "b30d24347311a7bb4f6612d70aec91acc55d870aa334f9408267d90f960e1db0",
+    ("x^5-x-1", 3, 4): "c98f9bc2152106cb94a1a70a79ab858d177a3f6761722a991eced711420a5867",
 }
 
 # The v1 files were 0.67 MB and 6.55 MB; the lines alone are 2-4 % of that.
@@ -166,3 +179,11 @@ def test_cover_report_size(built, text):
     cfg, _ = built(text)
     blob = dumps_canonical(cover_report_to_json(build_cover_report(cfg))).encode()
     assert len(blob) <= COVER_BYTES_AT_MOST[text]
+
+
+@pytest.mark.parametrize("text, seed, embedding", sorted(SVG_GOLDEN))
+def test_svg_digest(built, text, seed, embedding):
+    cfg = built(text)[0] if seed == 0 else run_pipeline(parse_poly(text), seed=seed)
+    loaded = config_from_json(loads(dumps_canonical(config_to_json(cfg))))
+    svg, _ = render_svg(loaded, isolate_roots(loaded.source), embedding)
+    assert _sha256(svg) == SVG_GOLDEN[text, seed, embedding]

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planecode.errors import DegenerateJoin, DegenerateMeet
-from planecode.numberfield import NumberField, parse_poly
+from planecode.numberfield import NFElement, NumberField, parse_poly
 from planecode.projgeom import (
+    ProjLine,
     ProjPoint,
     cross_ratio,
     incident,
@@ -147,12 +148,31 @@ def test_join_meet_duality(k):
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(-20, 20), min_size=6, max_size=6))
 def test_canonicalization_idempotent(raw):
+    # a line is canonical; a point keeps the triple it is given
     k = NumberField.create(parse_poly("x^2-2"))
     coords = [k.element(raw[2 * i: 2 * i + 2]) for i in range(3)]
     if all(c.is_zero for c in coords):
         return
-    p = ProjPoint.of(*coords)
-    again = ProjPoint.of(*p.coords)
-    assert p == again
-    lead = next(c for c in again.coords if not c.is_zero)
+    l = ProjLine.of(*coords)
+    again = ProjLine.of(*l.coeffs)
+    assert l == again and again.coeffs == l.coeffs
+    lead = next(c for c in again.coeffs if not c.is_zero)
     assert lead == k.one
+    assert ProjPoint.of(*coords).coords == tuple(coords)
+
+
+def test_meet_and_point_invert_nothing(monkeypatch):
+    k = NumberField.create(parse_poly("x^5-x-1"))
+    z, one = k.gen, k.one
+    l, m = line(k, z, 1, 3), line(k, 1, z * z + one, -1)
+    calls = []
+    inv = NFElement.inv
+    monkeypatch.setattr(NFElement, "inv", lambda self: calls.append(self) or inv(self))
+    q = meet(l, m)
+    assert calls == []
+    p = point(k, z + one, 2, 3)
+    assert calls == []
+    scaled = ProjPoint.of(*(x * (z - k.from_rational(7)) for x in p.coords))
+    assert p == scaled and not p != scaled and p != q
+    with pytest.raises(TypeError):
+        hash(p)

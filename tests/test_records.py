@@ -1,4 +1,8 @@
-"""Records are plain classes: structural value semantics, and light import paths."""
+"""Records are plain classes: value semantics, and light import paths.
+
+A point is the one record without a hash: it keeps any triple of it, and
+two points are equal when their triples are proportional.
+"""
 
 import os
 import subprocess
@@ -9,7 +13,7 @@ import pytest
 
 from planecode.decode import SeparationCertificate
 from planecode.numberfield import IntPoly, NFElement, NumberField, parse_poly
-from planecode.projgeom import line, point
+from planecode.projgeom import ProjPoint, line, point
 from planecode.slp_compiler import ADD, LOAD_Z, MUL, ONE
 from tests.conftest import SRC
 
@@ -58,7 +62,6 @@ def _values(k):
     half = Fraction(1, 2)
     return [
         (IntPoly.from_coeffs([-2, 0, 1]), parse_poly("x^2-2")),
-        (point(k, half, k.gen), point(k, 1, k.from_rational(2) * k.gen, 2)),
         (line(k, 1, 2, 3), line(k, 2, 4, 6)),
     ]
 
@@ -74,8 +77,19 @@ def test_equal_values_are_equal_with_equal_hashes(k):
 def test_hash_is_the_hash_of_the_field_tuple(k):
     p = IntPoly.from_coeffs([-2, 0, 1])
     assert hash(p) == hash((p.coeffs,))
-    assert hash(point(k, 0, 0)) == hash((point(k, 0, 0).coords,))
+    l = line(k, 1, 2, 3)
+    assert hash(l) == hash((l.coeffs,))
     assert hash(k) == hash((k.source,))
+
+
+def test_a_point_is_unhashable_with_projective_equality(k):
+    a = point(k, Fraction(1, 2), k.gen)
+    b = point(k, 1, k.from_rational(2) * k.gen, 2)
+    assert a is not b and a.coords != b.coords
+    assert a == b and not a != b
+    assert ProjPoint.__hash__ is None
+    with pytest.raises(TypeError):
+        hash(a)
 
 
 def test_different_values_differ(k):
@@ -97,8 +111,8 @@ def test_records_never_equal_other_types(k):
 
 
 def test_hashed_records_are_immutable(k):
-    fields = ("coeffs", "coords", "coeffs")
-    for (a, _), name in zip(_values(k), fields):
+    records = [a for a, _ in _values(k)] + [point(k, 0, 0)]
+    for a, name in zip(records, ("coeffs", "coeffs", "coords")):
         for attr in filter(None, (name, "extra")):
             with pytest.raises(AttributeError):
                 setattr(a, attr, None)

@@ -25,6 +25,7 @@ from planecode.slp_compiler import (
     emit_configuration, mul_gadget, register_point, split_anchors, tie_line,
 )
 
+from tests.conftest import canonical
 from tests.test_serialize_cli import assert_same_configuration
 
 
@@ -381,8 +382,8 @@ def test_emit_configuration_x2_minus_2():
     slp = compile_polynomial(parse_poly("x^2-2"))
     cfg = emit_configuration(slp, seed=0)
     field = cfg.field
-    index = {p: i for i, p in enumerate(cfg.points)}
-    origin = register_point(field.zero)
+    index = {canonical(p.coords): i for i, p in enumerate(cfg.points)}
+    origin = canonical(register_point(field.zero).coords)
     assert origin in index
     assert cfg.marks["zero"] == index[origin]
     assert set(cfg.marks) == {"zero", "one", "inf", "z"}
