@@ -85,14 +85,12 @@ def bezout(f: list[int], g: list[int], q: int) -> tuple[list[int], list[int]]:
 
 
 def pow_mod(f: list[int], e: int, modulus: list[int], q: int) -> list[int]:
-    """f(x)^e mod modulus by square-and-multiply on the exponent e."""
-    result = [1]
-    base = rem(f, modulus, q)
-    while e:
-        if e & 1:
+    """f(x)^e mod modulus from the top bit of e down, so a step by f = x is a shift and one reduction."""
+    result, base = [1], rem(f, modulus, q)
+    for bit in bin(e)[2:]:
+        result = rem(mul(result, result, q), modulus, q)
+        if bit == "1":
             result = rem(mul(result, base, q), modulus, q)
-        base = rem(mul(base, base, q), modulus, q)
-        e >>= 1
     return result
 
 

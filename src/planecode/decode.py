@@ -3,7 +3,7 @@
 decode reads nothing but valences, the incidence table and coordinates:
 find the four points with the most lines, name them as marks by
 configuration.LADDER_ORDER, read the line through them from the table,
-take their cross-ratio.
+and take their cross-ratio on that line: decode builds no line in K.
 check_forcing runs the gadget recipes over the incidence table of the
 multiple points and the marks: every realization of the configuration puts
 a root of p there, not the file's alone.
@@ -16,8 +16,6 @@ majorant over the whole disc, rounded up once (numberfield.embed).
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .configuration import LADDER_ORDER, MARK_LABELS, Configuration, max_other_valence, valences
 from .errors import (
@@ -79,7 +77,7 @@ def decode(c: Configuration) -> NFElement:
 
     Every valence must be even, as in every configuration the pipeline
     builds: a file whose lines were altered usually breaks that, even
-    where the ladder survives.
+    where the ladder survives. The value is read on the table's axis.
     """
     entries, marks = _ladder(c)
     odd = [i for i, rows in enumerate(c.incidence) if len(rows) % 2]
@@ -87,10 +85,11 @@ def decode(c: Configuration) -> NFElement:
         first = min(odd, key=lambda i: (-len(c.incidence[i]), i))
         detail = f"{len(odd)} points have an odd valence, the first is point {first}"
         raise _failed(ParityViolation, "parity", detail, entries)
-    if _axis(c, marks) is None:
+    axis = _axis(c, marks)
+    if axis is None:
         detail = "no line passes through the top four points"
         raise _failed(NotCollinear, "collinearity", detail, entries)
-    return cross_ratio(*(c.points[marks[label]] for label in MARK_LABELS))
+    return cross_ratio(c.lines[axis], *(c.points[marks[label]] for label in MARK_LABELS))
 
 
 class _Incidences:
@@ -167,7 +166,7 @@ def check_forcing(c: Configuration) -> None:
     point the one point whose row holds two named lines. Only the seed
     lines, the tie lines and each add's line y = h are found by
     coordinates, h from the file's seed. The proof does no arithmetic in
-    K; the layout choice alone reads the registers' values in K, once.
+    K; the layout choice alone reads register values in K (SLP.evaluate).
 
     - Seed. The marks 0, 1, inf, z are the top four points of the ladder,
       named by configuration.LADDER_ORDER (_ladder), and the axis is the
@@ -193,14 +192,13 @@ def check_forcing(c: Configuration) -> None:
     gadget kind, the anchor of a product, and the line and point that
     broke.
     """
-    slp, p, d = compile_polynomial(c.field.source), c.field.source, c.field.n
-    poly = slp.evaluate(IntPoly.from_coeffs((0, 1)), IntPoly.from_coeffs((1,)))
-    values = [c.field.element([r[i] - Fraction(r[d] * p[i], p[d]) for i in range(d)]) for r in poly]
-    t = _Incidences(c, anchor_count(slp, values))
+    slp, p = compile_polynomial(c.field.source), c.field.source
+    t = _Incidences(c, anchor_count(slp, slp.evaluate(c.field.gen, c.field.one)))
     reg = realize(slp, t, c.seed)[0]
     t.at = "the relation P(z) = N(z)"
     rhs = t.zero if slp.rhs is None else reg[slp.rhs]
     t.check(reg[slp.lhs] == rhs, "P lands on point {} and N on point {}", reg[slp.lhs], rhs)
+    poly = slp.evaluate(IntPoly.from_coeffs((0, 1)), IntPoly.from_coeffs((1,)))
     n = IntPoly.zero() if slp.rhs is None else poly[slp.rhs]
     t.check(poly[slp.lhs] - n == p, "P - N = {} is not {}", poly[slp.lhs] - n, p)
 

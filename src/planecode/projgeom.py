@@ -137,17 +137,17 @@ def incident(l: ProjLine, p: ProjPoint) -> bool:
     return (a * x + b * y + c * z).is_zero
 
 
-def cross_ratio(a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> NFElement:
-    """Image of d under the map of the common line sending (a, b, c) to (0, 1, inf).
+def cross_ratio(l: ProjLine, a: ProjPoint, b: ProjPoint, c: ProjPoint, d: ProjPoint) -> NFElement:
+    """Image of d under the map of the line l sending (a, b, c) to (0, 1, inf).
 
-    The four points must be distinct and on one line; nothing here checks
-    that. The value is read in the coordinate on l = join(a, b) that
-    configuration._position takes mod l: l_i = 1 at its first nonzero
-    entry i, (j, k) = (i + 1, i + 2) mod 3, and a point X of l is fixed by
-    (X_j : X_k). With [P, Q] = P_j Q_k - P_k Q_j, the value is
-    [a, d][c, b] / ([c, d][a, b]); points at infinity need no special case.
+    The four points must be distinct and on l, which the caller reads where
+    it has it (decode, from the table); nothing here checks that. The value
+    is read in the coordinate on l that configuration._position takes mod
+    l: l_i = 1 at its first nonzero entry i, (j, k) = (i + 1, i + 2) mod 3,
+    and a point X of l is fixed by (X_j : X_k). With [P, Q] = P_j Q_k -
+    P_k Q_j, the value is [a, d][c, b] / ([c, d][a, b]), at infinity too.
     """
-    i = [x.is_zero for x in join(a, b).coeffs].index(False)
+    i = [x.is_zero for x in l.coeffs].index(False)
     j, k = (i + 1) % 3, (i + 2) % 3
     bracket = lambda p, q: p.coords[j] * q.coords[k] - p.coords[k] * q.coords[j]
     return bracket(a, d) * bracket(c, b) * (bracket(c, d) * bracket(a, b)).inv()

@@ -27,7 +27,7 @@ passes through the mark 1, U = U_1 and the slope -1 direction S = S_1.
 Every mul draws on anchor 1, unless spreading the products over anchors
 1..J, each held to valence 4 (split_anchors), lowers the raw ladder base:
 then the tie lines u2..uJ follow u1. anchor_count decides, before the one
-drawing, by counting both layouts over ids (_Counted).
+drawing, by counting each distinct layout once over ids (_Counted).
 
 The seed and each gadget are written once, as the recipes seed_objects,
 add_gadget and mul_gadget over a geometry, with the von Staudt lemma
@@ -452,10 +452,13 @@ class _Counted:
 
 
 def anchor_count(slp: SLP, values: list) -> int:
-    """J for emission and decode.check_forcing, seed-free: split only where z's counted target drops."""
+    """J for emission and decode.check_forcing, seed-free: split only where z's counted target drops.
+
+    values are the registers' values in K (SLP.evaluate); each distinct layout is counted once.
+    """
     split = max(split_anchors(slp), default=1)
-    shared, spread = (ladder_targets(_Counted(slp, values, J))[MARK_Z] for J in (1, split))
-    return split if spread < shared else 1
+    target = {J: ladder_targets(_Counted(slp, values, J))[MARK_Z] for J in {1, split}}
+    return split if target[split] < target[1] else 1
 
 
 def emit_configuration(slp: SLP, seed: int = 0) -> Configuration:

@@ -20,7 +20,7 @@ from planecode.cover import (
 )
 from planecode.decode import decode, separation_certificate
 from planecode.numberfield import NumberField, parse_poly
-from planecode.projgeom import cross_ratio, point
+from planecode.projgeom import cross_ratio, join, line, point
 from planecode.serialize import (
     certificate_to_json,
     config_to_json,
@@ -138,10 +138,10 @@ def test_criterion_6_cross_ratio_convention():
         if w in (0, 1) or w in seen:
             continue
         seen.add(w)
-        assert cross_ratio(*quad(w)) == k.from_rational(w)
+        assert cross_ratio(line(k, 0, 1, 0), *quad(w)) == k.from_rational(w)
 
     base = quad(k.gen + k.from_rational(5))
-    expected = cross_ratio(*base)
+    expected = cross_ratio(line(k, 0, 1, 0), *base)
     matrices = 0
     while matrices < 20:
         m = [[k.from_rational(rng.randint(-5, 5)) for _ in range(3)] for _ in range(3)]
@@ -152,7 +152,8 @@ def test_criterion_6_cross_ratio_convention():
         )
         if det.is_zero:
             continue
-        assert cross_ratio(*(transform(m, p) for p in base)) == expected
+        imgs = [transform(m, p) for p in base]
+        assert cross_ratio(join(*imgs[:2]), *imgs) == expected
         matrices += 1
     _verdict(6, True, "cr(0,1,inf,w) = w for 100 w; invariant under 20 random matrices")
 

@@ -2,12 +2,19 @@ import math
 
 import pytest
 
+from planecode import projgeom
 from planecode.configuration import Configuration, derive_points, valences
 from planecode.decode import decode, separation_certificate
 from planecode.errors import AmbiguousValences, NotCollinear, ParityViolation, TrivialField
 from planecode.numberfield import NumberField, embed, isolate_roots, parse_poly
 from planecode.projgeom import line
-from planecode.serialize import certificate_to_json
+from planecode.serialize import (
+    certificate_to_json,
+    config_from_json,
+    config_to_json,
+    dumps_canonical,
+    loads,
+)
 
 from tests.test_golden import GOLDEN
 
@@ -20,6 +27,16 @@ def test_round_trip_x2_minus_2(built):
 def test_round_trip_golden_field(built):
     cfg, _ = built("x^2-x-1")
     assert decode(cfg) == cfg.field.gen
+
+
+def test_decode_reads_the_axis_from_the_table_and_joins_nothing(built, monkeypatch):
+    # the seed-0 file, as the decode command loads it
+    cfg = config_from_json(loads(dumps_canonical(config_to_json(built("x^2-2")[0]))))
+    joins = []
+    join = projgeom.join
+    monkeypatch.setattr(projgeom, "join", lambda p, q: joins.append((p, q)) or join(p, q))
+    assert decode(cfg) == cfg.field.gen
+    assert joins == []
 
 
 def test_decode_ignores_marks(built):

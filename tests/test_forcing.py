@@ -108,15 +108,33 @@ def test_the_table_and_the_drawing_name_the_same_objects(built, text, seed):
 
 
 def test_forcing_check_does_no_field_arithmetic(built, monkeypatch):
-    # every gadget line is named by a join in the table, never re-emitted in K
+    # every gadget line is named by a join in the table, never re-emitted in
+    # K; only the layout choice reads the registers' values in K, by the one
+    # evaluation SLP.evaluate(z, 1) that emission makes too
     cfg = _loaded(built("x^7-x-1")[0])
+    evaluating, evaluations = [], []
 
-    def refuse(*args):
-        raise AssertionError("the forcing check multiplied or inverted in K")
+    def guarded(name):
+        real = getattr(NFElement, name)
+
+        def method(*args):
+            assert evaluating, "the forcing check multiplied or inverted in K"
+            return real(*args)
+
+        return method
+
+    def evaluate(slp, z, one, real=SLP.evaluate):
+        evaluating.append(z)
+        try:
+            return real(slp, z, one)
+        finally:
+            evaluations.append(evaluating.pop())
 
     for name in ("__mul__", "__rmul__", "inv"):
-        monkeypatch.setattr(NFElement, name, refuse)
+        monkeypatch.setattr(NFElement, name, guarded(name))
+    monkeypatch.setattr(SLP, "evaluate", evaluate)
     check_forcing(cfg)
+    assert [z for z in evaluations if isinstance(z, NFElement)] == [cfg.field.gen]
 
 
 def test_marks_on_no_common_line_refuse():

@@ -60,17 +60,17 @@ def _marked_quadruple(k, w):
 
 def test_cross_ratio_of_marked_quadruple_is_z(k):
     a, b, c, d = _marked_quadruple(k, k.gen)
-    assert cross_ratio(a, b, c, d) == k.gen
+    assert cross_ratio(line(k, 0, 1, 0), a, b, c, d) == k.gen
 
 
 def test_cross_ratio_harmonic(k):
     a, b, c, d = _marked_quadruple(k, -1)
-    assert cross_ratio(a, b, c, d) == k.from_rational(-1)
+    assert cross_ratio(line(k, 0, 1, 0), a, b, c, d) == k.from_rational(-1)
 
 
 def test_cross_ratio_identity_convention(k):
     a, b, c, d = _marked_quadruple(k, Fraction(1, 2))
-    assert cross_ratio(a, b, c, d) == k.from_rational(Fraction(1, 2))
+    assert cross_ratio(line(k, 0, 1, 0), a, b, c, d) == k.from_rational(Fraction(1, 2))
 
 
 # a quadruple with cr = w on x = 5, y = 0 and z = 0, whose canonical entry is
@@ -88,7 +88,7 @@ def test_cross_ratio_bracket_at_each_canonical_entry(k, i, w):
     w = k.gen if w is None else k.from_rational(w)
     a, b, c, d = ON_LINE[i](k, w)
     assert [x.is_zero for x in join(a, b).coeffs].index(False) == i
-    assert cross_ratio(a, b, c, d) == w
+    assert cross_ratio(join(a, b), a, b, c, d) == w
 
 
 def test_cross_ratio_convention_100_random(k):
@@ -100,7 +100,7 @@ def test_cross_ratio_convention_100_random(k):
             continue
         seen.add(w)
         a, b, c, d = _marked_quadruple(k, w)
-        assert cross_ratio(a, b, c, d) == k.from_rational(w)
+        assert cross_ratio(line(k, 0, 1, 0), a, b, c, d) == k.from_rational(w)
 
 
 def transform(matrix, p: ProjPoint) -> ProjPoint:
@@ -127,11 +127,11 @@ def _random_invertible_matrix(k, rng):
 def test_cross_ratio_projective_invariance(k):
     rng = random.Random(4)
     quad = _marked_quadruple(k, k.gen + k.from_rational(3))
-    expected = cross_ratio(*quad)
+    expected = cross_ratio(line(k, 0, 1, 0), *quad)
     for _ in range(20):
         m = _random_invertible_matrix(k, rng)
         imgs = [transform(m, p) for p in quad]
-        assert cross_ratio(*imgs) == expected
+        assert cross_ratio(join(*imgs[:2]), *imgs) == expected
 
 
 def test_join_meet_duality(k):

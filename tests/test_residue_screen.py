@@ -70,6 +70,26 @@ def test_ffpoly_root_none_for_x2_plus_1(q):
     assert _ffpoly.root([1, 0, 1], q) is None
 
 
+def _pow_mod_right_to_left(f, e, modulus, q):
+    """f(x)^e mod modulus by squaring the base from the low bit of e up."""
+    result, base = [1], _ffpoly.rem(f, modulus, q)
+    while e:
+        if e & 1:
+            result = _ffpoly.rem(_ffpoly.mul(result, base, q), modulus, q)
+        base = _ffpoly.rem(_ffpoly.mul(base, base, q), modulus, q)
+        e >>= 1
+    return result
+
+
+@pytest.mark.parametrize("q", [7, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("f", [[0, 1], [3, 0, 5, 1, 2, 6]])
+def test_pow_mod_equals_the_right_to_left_ladder(q, f):
+    modulus = [5, 2, 0, 1]  # x^3 + 2x + 5, monic
+    d = _ffpoly.deg(modulus)
+    for e in (0, 1, q, (q**d - 1) // 2):
+        assert _ffpoly.pow_mod(f, e, modulus, q) == _pow_mod_right_to_left(f, e, modulus, q)
+
+
 def test_is_prime_small_range():
     assert [n for n in range(120) if numberfield._is_prime(n)] == SMALL_PRIMES
 

@@ -298,6 +298,19 @@ def test_the_split_layout_is_kept_where_it_lowers_the_ladder(text, anchors):
         assert (spread < shared) == (anchors > 1)
 
 
+@pytest.mark.parametrize("text, layouts", [("x^2-2", 1), ("x^5-x-1", 2)])
+def test_anchor_count_counts_each_distinct_layout_once(monkeypatch, text, layouts):
+    # x^2-2 has one product, so split_anchors puts it on anchor 1 too
+    slp = compile_polynomial(parse_poly(text))
+    f = NumberField.create(slp.source)
+    counted = []
+    monkeypatch.setattr(
+        slp_compiler, "_Counted", lambda *args: counted.append(args[2]) or _Counted(*args)
+    )
+    anchor_count(slp, slp.evaluate(f.gen, f.one))
+    assert len(counted) == len(set(counted)) == layouts
+
+
 @pytest.mark.parametrize("text, shared, split", [
     ("x^9-x-1", 56, 58), ("x^9-2", 56, 58), ("x^5-3*x+7", 67, 68), (OCTIC, 275, 278),
 ])

@@ -12,6 +12,8 @@ these parameters, so whatever h and c_j are (N. Mnev, LNM 1346, 1988;
 R. Vakil, Invent. Math. 164, 2006).
 """
 
+import random
+from math import prod
 from operator import add
 
 import pytest
@@ -53,6 +55,11 @@ class Poly:
                 k = tuple(map(add, e, f))
                 terms[k] = terms.get(k, 0) + c * d
         return Poly(terms)
+
+    def __call__(self, at: dict[str, int]) -> int:
+        """The value at integers for VARIABLES."""
+        xs = [at[v] for v in VARIABLES]
+        return sum(c * prod(x**k for x, k in zip(xs, e)) for e, c in self.terms.items())
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -164,3 +171,112 @@ def test_a_mul_lands_on_the_product_whatever_its_anchor_height(j):
     g = _Chart(3)
     out, _ = mul_gadget(g, Obj(a, 0, 1), Obj(b, 0, 1), j)
     _on_axis_at(out, a * b, g)
+
+
+# ---------------------------------------------------------------------------
+# the non-degeneracy conditions of the recipes' g.check calls
+# ---------------------------------------------------------------------------
+
+class _Named(_Chart):
+    """_Chart that also names each point and line it holds by its role, per kind.
+
+    U_j and S_j take their anchor's number; the marks and the axis are
+    named too, so a gadget object landing on one of them is seen.
+    """
+
+    def __init__(self, J: int):
+        self.kinds: dict[str, dict[str, Obj]] = {"point": {}, "line": {}}
+        super().__init__(J)
+        self.kinds["line"]["axis"] = self.axis
+        self.kinds["point"].update({"0": self.zero, "1": self.one, "inf": self.inf})
+
+    def _name(self, kind: str, role: str, o: Obj) -> Obj:
+        name = f"{role}_{self.at[-1]}" if role in ("U", "S") else role
+        self.kinds[kind][name] = o
+        return o
+
+    def line(self, coeffs, role: str, mark: str) -> Obj:
+        return self._name("line", role, super().line(coeffs, role, mark))
+
+    def join(self, p: Obj, q: Obj, role: str) -> Obj:
+        return self._name("line", role, super().join(p, q, role))
+
+    def meet(self, l: Obj, m: Obj, role: str) -> Obj:
+        return self._name("point", role, super().meet(l, m, role))
+
+
+def _gadget(kind: str) -> _Named:
+    """A chart on anchors 1 to 3 after one add, or one mul on anchor j for kind "mul j"."""
+    g = _Named(3)
+    x, y = Obj(a, 0, 1), Obj(b, 0, 1)
+    if kind == "add":
+        add_gadget(g, x, y, 1001)
+    else:
+        mul_gadget(g, x, y, int(kind[-1]))
+    return g
+
+
+GADGETS = ("add", "mul 1", "mul 2", "mul 3")
+
+
+def _degeneracies(g: _Named, at: dict[str, int]) -> set[str]:
+    """What degenerates at the integer point at, by name.
+
+    "zero X" when the object X is the zero triple there, and "X = Y" when
+    two objects of one kind, distinct as polynomials, coincide there.
+    """
+    out = set()
+    for objects in g.kinds.values():
+        values = {n: tuple(x(at) for x in o.v) for n, o in objects.items()}
+        names = sorted(values)
+        for i, n in enumerate(names):
+            if not any(values[n]):
+                out.add(f"zero {n}")
+            for m in names[i + 1:]:
+                if any(values[m]) and not any(_cross(values[n], values[m])) and objects[n] != objects[m]:
+                    out.add(f"{n} = {m}")
+    return out
+
+
+def _generic(rng: random.Random) -> dict[str, int]:
+    """A seeded integer point where every condition holds: a, b, c2, c3 != 0, h not 0, 1, c2, c3."""
+    at = {v: rng.choice([x for x in range(-30, 31) if x]) for v in ("a", "b", "c2", "c3")}
+    at["h"] = rng.choice([x for x in range(-30, 31) if x not in (0, 1, at["c2"], at["c3"])])
+    return at
+
+
+def test_no_join_or_meet_vanishes_where_every_condition_holds():
+    rng = random.Random(20)
+    charts = [_gadget(kind) for kind in GADGETS]
+    for _ in range(200):
+        at = _generic(rng)
+        for kind, g in zip(GADGETS, charts):
+            zero = [o for o in g.drawn if not any(x(at) for x in o.v)]
+            assert not zero, (kind, at, zero)
+
+
+# one point off each condition, the rest as at BASE, and a degeneracy it causes
+BASE = {"a": 3, "b": 5, "h": 7, "c2": 11, "c3": 13}
+VIOLATIONS = [
+    ({"a": 0}, "add", "l3 = y-axis"),
+    ({"a": 0}, "mul 2", "m1 = y-axis"),
+    ({"b": 0}, "add", "l2 = y-axis"),
+    ({"b": 0}, "mul 3", "0 = lift"),
+    ({"c2": 0}, "mul 2", "zero output"),
+    ({"c3": 0}, "mul 3", "zero output"),
+    ({"h": 0}, "add", "zero output"),
+    ({"h": 1}, "add", "U_1 = aux"),
+    ({"h": 11}, "add", "U_2 = aux"),
+    ({"h": 13}, "add", "U_3 = aux"),
+]
+
+
+def test_base_point_degenerates_nowhere():
+    assert {kind: _degeneracies(_gadget(kind), BASE) for kind in GADGETS} == dict.fromkeys(
+        GADGETS, set()
+    )
+
+
+@pytest.mark.parametrize("change, kind, degeneracy", VIOLATIONS)
+def test_each_condition_is_needed(change, kind, degeneracy):
+    assert degeneracy in _degeneracies(_gadget(kind), {**BASE, **change})
