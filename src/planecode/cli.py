@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .cover import build_cover_report
-from .decode import check_forcing, decode, separation_certificate
+from .decode import decode, separation_certificate
 from .errors import PlanecodeError
 from .numberfield import isolate_roots, parse_poly
 from .pipeline import run_pipeline
@@ -59,7 +59,6 @@ def _cmd_build(args) -> int:
 def _cmd_decode(args) -> int:
     cfg = _load_config(args.config)
     element = decode(cfg)
-    check_forcing(cfg)
     print(f"decoded coefficients: ({', '.join(str(c) for c in element.coeffs)})")
     print(f"minimal polynomial:   {cfg.field.source}")
     print("the incidences force P(z) = N(z) in every realization")

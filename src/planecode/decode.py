@@ -1,12 +1,12 @@
-"""Recovery of the encoded number, its forcing, and the Galois separation certificate.
+"""Recovery of the encoded number, proven forced, and the Galois separation certificate.
 
 decode reads nothing but valences, the incidence table and coordinates:
 find the four points with the most lines, name them as marks by
 configuration.LADDER_ORDER, read the line through them from the table,
-and take their cross-ratio on that line: decode builds no line in K.
-check_forcing runs the gadget recipes over the incidence table of the
-multiple points and the marks: every realization of the configuration puts
-a root of p there, not the file's alone.
+and run the gadget recipes over the incidence table of the multiple
+points and the marks: every realization of the configuration puts a root
+of p there, not the file's alone. Only then does it take the marks'
+cross-ratio on that line, the encoded number: decode builds no line in K.
 The separation certificate then evaluates the decoded element, the
 generator, under every embedding of K: its value discs are the root discs,
 which numberfield.isolate_roots proves pairwise disjoint, once. That is the
@@ -18,13 +18,7 @@ majorant over the whole disc, rounded up once (numberfield.embed).
 from __future__ import annotations
 
 from .configuration import LADDER_ORDER, MARK_LABELS, Configuration, max_other_valence, valences
-from .errors import (
-    AmbiguousValences,
-    NotCollinear,
-    NotForced,
-    ParityViolation,
-    PlanecodeError,
-)
+from .errors import AmbiguousValences, NotCollinear, NotForced, PlanecodeError, SelfCheckFailed
 from .numberfield import Disc, IntPoly, NFElement, embed, isolate_roots
 from .pipeline import run_pipeline
 from .projgeom import cross_ratio, line
@@ -61,49 +55,20 @@ def _ladder(c: Configuration) -> tuple[tuple[tuple[int, int], ...], dict[str, in
     return entries, dict(zip(reversed(LADDER_ORDER), (i for i, _ in entries[:4])))
 
 
-def _axis(c: Configuration, marks: dict[str, int]) -> int | None:
-    """The one line of c through the four marks, read from the incidence table, or None.
-
-    Loading and building confirm every incidence in K, so the table is
-    exact, and two lines share at most one point: a table with two lines
-    through the marks has no realization, and gets None too.
-    """
-    axes = set.intersection(*(set(c.incidence[m]) for m in marks.values()))
-    return axes.pop() if len(axes) == 1 else None
-
-
-def decode(c: Configuration) -> NFElement:
-    """Cross-ratio cr(0, 1, inf, z) of the four highest-valence points, named by _ladder.
-
-    Every valence must be even, as in every configuration the pipeline
-    builds: a file whose lines were altered usually breaks that, even
-    where the ladder survives. The value is read on the table's axis.
-    """
-    entries, marks = _ladder(c)
-    odd = [i for i, rows in enumerate(c.incidence) if len(rows) % 2]
-    if odd:
-        first = min(odd, key=lambda i: (-len(c.incidence[i]), i))
-        detail = f"{len(odd)} points have an odd valence, the first is point {first}"
-        raise _failed(ParityViolation, "parity", detail, entries)
-    axis = _axis(c, marks)
-    if axis is None:
-        detail = "no line passes through the top four points"
-        raise _failed(NotCollinear, "collinearity", detail, entries)
-    return cross_ratio(c.lines[axis], *(c.points[marks[label]] for label in MARK_LABELS))
-
-
 class _Incidences:
     """A geometry with the hooks of slp_compiler.realize, in a table: objects are indices.
 
-    Building it finds the axis through the four marks and runs
-    seed_objects, as check_forcing describes. Each failed lookup and each
-    failed check raises NotForced naming self.at, the step under check.
+    Building it reads the valence ladder (_ladder), takes the one table
+    line through the four marks as the axis and runs seed_objects, as
+    decode describes. Marks on no common line raise NotCollinear; each
+    later failed lookup and failed check raises NotForced naming self.at,
+    the step under check.
     """
 
     at = "the seed lines"
 
     def __init__(self, c: Configuration, J: int):
-        marks = _ladder(c)[1]
+        entries, marks = _ladder(c)
         self.zero, self.one, self.inf, self.z = (marks[label] for label in MARK_LABELS)
         self.field, self.rows, self.index = c.field, list(c.incidence), c.line_index
         self.on: list[list[int]] = [[] for _ in c.lines]  # per line, its points
@@ -111,8 +76,13 @@ class _Incidences:
         for p, rows in enumerate(c.incidence):
             for i in rows:
                 appends[i](p)
-        self.axis = _axis(c, marks)
-        self.check(self.axis is not None, "no line passes through all four marks")
+        # two lines share at most one point, so a table with two lines
+        # through the marks has no realization either
+        axes = set.intersection(*(set(c.incidence[m]) for m in marks.values()))
+        if len(axes) != 1:
+            detail = "no line passes through the top four points"
+            raise _failed(NotCollinear, "collinearity", detail, entries)
+        self.axis = axes.pop()
         seed_objects(self, J)
 
     def check(self, ok: bool, detail: str, *args) -> None:
@@ -154,31 +124,31 @@ class _Incidences:
         return next(iter(both))
 
 
-def check_forcing(c: Configuration) -> None:
-    """Prove from the incidence table that every realization of c encodes a root of p.
+def decode(c: Configuration) -> NFElement:
+    """Prove from the incidence table that every realization of c encodes a root of p, and read it.
 
     A realization is a choice of lines, over any field, with the incidences
     of the table; distinct indices are distinct points and lines, which
     the file's own table supplies; two lines that share no point of the
-    table meet on no other line. The check runs the recipes of
-    slp_compiler over the table, through the hooks of realize: each
-    gadget line is the one table line through two named points, each
-    point the one point whose row holds two named lines. Only the seed
-    lines, the tie lines and each add's line y = h are found by
-    coordinates, h from the file's seed. The proof does no arithmetic in
-    K; the layout choice alone reads register values in K (SLP.evaluate).
+    table meet on no other line. decode runs the recipes of slp_compiler
+    over the table, through the hooks of realize: each gadget line is the
+    one table line through two named points, each point the one point
+    whose row holds two named lines. Only the seed lines, the tie lines
+    and each add's line y = h are found by coordinates, h from the file's
+    seed. The proof does no arithmetic in K; the layout choice alone
+    reads register values in K (SLP.evaluate).
 
     - Seed. The marks 0, 1, inf, z are the top four points of the ladder,
       named by configuration.LADDER_ORDER (_ladder), and the axis is the
-      one line through all four. seed_objects finds the y-axis, ell_inf,
-      V and, per anchor j = 1..J, uj, U_j and S_j, and checks that they
-      are the seed objects of the von Staudt lemma (slp_compiler.add_gadget),
-      whose chart puts z at (w, 0) for w = cr(0, 1, inf, z), the number
-      decode reads.
+      one line through all four (else NotCollinear). seed_objects finds
+      the y-axis, ell_inf, V and, per anchor j = 1..J, uj, U_j and S_j,
+      and checks that they are the seed objects of the von Staudt lemma
+      (slp_compiler.add_gadget), whose chart puts z at (w, 0) for
+      w = cr(0, 1, inf, z).
     - Anchors. J and the anchor of each product follow from the polynomial
       alone, as emission chooses them (slp_compiler.anchor_count and
       split_anchors), so neither the seed nor the order of the file's
-      lines changes them. A wrong J can only make the check fail, never
+      lines changes them. A wrong J can only make the proof fail, never
       pass.
     - Gadgets. By the lemma each add and mul lands on the sum or product
       of its operands, given the non-degeneracy conditions its recipe
@@ -190,7 +160,8 @@ def check_forcing(c: Configuration) -> None:
     mark 0 when N = 0, and P - N must be the primitive p: then p(w) = 0
     in every realization. Raises NotForced, naming the register, the
     gadget kind, the anchor of a product, and the line and point that
-    broke.
+    broke. Only then is w read: the cross-ratio of the marks on the
+    table's axis, in the file's coordinates.
     """
     slp, p = compile_polynomial(c.field.source), c.field.source
     t = _Incidences(c, anchor_count(slp, slp.evaluate(c.field.gen, c.field.one)))
@@ -201,6 +172,7 @@ def check_forcing(c: Configuration) -> None:
     poly = slp.evaluate(IntPoly.from_coeffs((0, 1)), IntPoly.from_coeffs((1,)))
     n = IntPoly.zero() if slp.rhs is None else poly[slp.rhs]
     t.check(poly[slp.lhs] - n == p, "P - N = {} is not {}", poly[slp.lhs] - n, p)
+    return cross_ratio(c.lines[t.axis], *(c.points[m] for m in (t.zero, t.one, t.inf, t.z)))
 
 
 class SeparationCertificate:
@@ -235,17 +207,17 @@ class SeparationCertificate:
 
 
 def separation_certificate(p: IntPoly, seed: int = 0) -> SeparationCertificate:
-    """Build once, decode, check the forcing, isolate the roots, embed at every root.
+    """Build once, decode, isolate the roots, embed at every root.
 
-    Each claim is checked once and raises when it fails: decode equals the
-    generator, the incidences force the relation, and isolate_roots proves
-    the root discs pairwise disjoint; each value disc is its root disc (embed).
+    Each claim is checked once and raises when it fails: the incidences
+    force the relation and decode equals the generator (decode), and
+    isolate_roots proves the root discs pairwise disjoint; each value disc
+    is its root disc (embed).
     """
     cfg = run_pipeline(p, seed=seed)
     decoded = decode(cfg)
     if decoded != cfg.field.gen:
-        raise PlanecodeError("decoded element is not the field generator")
-    check_forcing(cfg)
+        raise SelfCheckFailed("decoded element is not the field generator")
     roots = tuple(isolate_roots(p))
     return SeparationCertificate(
         poly=cfg.source,

@@ -95,14 +95,14 @@ class AmbiguousValences(PlanecodeError):
     exit_code = 5
 
 
-class NotCollinear(PlanecodeError):
-    exit_code = 5
-
-
 class NotForced(PlanecodeError):
     """The incidence table does not prove P(z) = N(z) in every realization."""
 
     exit_code = 5
+
+
+class NotCollinear(NotForced):
+    """No one line of the table passes through the four marks: the proof has no axis."""
 
 
 # -- files ---------------------------------------------------------------------

@@ -32,12 +32,12 @@ drawing, by counting each distinct layout once over ids (_Counted).
 The seed and each gadget are written once, as the recipes seed_objects,
 add_gadget and mul_gadget over a geometry, with the von Staudt lemma
 that forces them and its non-degeneracy conditions. Emission draws them
-in K (_Drawn); decode.check_forcing runs them over a file's incidence
-table. The add draws four lines, one of them y = h
-off the grid of the registers (realize); the mul draws three and takes
-no parameter. The last gadget of P lands on the point of N(z), so
-the incidences force P(z) = N(z), that is p(z) = 0, without a negation,
-and the whole construction is defined over K with Galois-stable choices.
+in K (_Drawn); decode runs them over a file's incidence table. The add
+draws four lines, one of them y = h off the grid of the registers
+(realize); the mul draws three and takes no parameter. The last gadget
+of P lands on the point of N(z), so the incidences force P(z) = N(z),
+that is p(z) = 0, without a negation, and the whole construction is
+defined over K with Galois-stable choices.
 """
 
 from __future__ import annotations
@@ -452,7 +452,7 @@ class _Counted:
 
 
 def anchor_count(slp: SLP, values: list) -> int:
-    """J for emission and decode.check_forcing, seed-free: split only where z's counted target drops.
+    """J for emission and decode, seed-free: split only where z's counted target drops.
 
     values are the registers' values in K (SLP.evaluate); each distinct layout is counted once.
     """

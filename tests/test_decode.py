@@ -1,11 +1,19 @@
+import importlib
 import math
 
 import pytest
 
 from planecode import projgeom
 from planecode.configuration import Configuration, derive_points, valences
+from planecode.cover import build_cover_report
 from planecode.decode import decode, separation_certificate
-from planecode.errors import AmbiguousValences, NotCollinear, ParityViolation, TrivialField
+from planecode.errors import (
+    AmbiguousValences,
+    NotCollinear,
+    ParityViolation,
+    SelfCheckFailed,
+    TrivialField,
+)
 from planecode.numberfield import NumberField, embed, isolate_roots, parse_poly
 from planecode.projgeom import line
 from planecode.serialize import (
@@ -91,7 +99,7 @@ def _pencils(sizes):
 
 
 def test_decode_non_collinear_tops():
-    # even sizes, so the parity check passes and the collinearity check fails
+    # the centres top a strict ladder of even valences, but no line holds them all
     cfg = _pencils((10, 8, 6, 4))
     rep = valences(cfg)
     # the centres are stored; the other crossings are simple, of valence 2
@@ -105,18 +113,15 @@ def test_decode_non_collinear_tops():
 
 
 def test_decode_odd_valence_refused():
-    # the ladder 8 > 7 > 6 > 5 > 2 is strict, but 7 and 5 are odd
-    cfg = _pencils((8, 7, 6, 5))
-    with pytest.raises(ParityViolation, match="parity check failed") as err:
-        decode(cfg)
-    assert str(err.value).count("point ") == 1 + 4  # the odd point, and the four centres
-    # the same ladder with the 5-pencil drawn first: the message still names
-    # the first odd point in ladder order, not the one of lowest index
-    cfg = _pencils((8, 5, 6, 7))
-    first = next(i for i, v in valences(cfg) if v % 2)
-    assert first != min(i for i, rows in enumerate(cfg.incidence) if len(rows) % 2)
-    with pytest.raises(ParityViolation, match=f"the first is point {first};"):
-        decode(cfg)
+    # the ladder 8 > 7 > 6 > 5 > 2 is strict, but 7 and 5 are odd: decode
+    # has no parity check, and refuses the centres for lying on no common
+    # line; cover, whose D_alpha / 2 needs even valences, refuses the parity
+    for sizes in ((8, 7, 6, 5), (8, 5, 6, 7)):
+        cfg = _pencils(sizes)
+        with pytest.raises(NotCollinear, match="collinearity check failed"):
+            decode(cfg)
+        with pytest.raises(ParityViolation, match=r"1 point\(s\) of odd valence 5"):
+            build_cover_report(cfg)
 
 
 def test_decode_tie_message_names_check_and_ladder():
@@ -143,6 +148,15 @@ def test_certificate_x2_minus_2():
     assert abs(reals[0] + 1.4142135624) < 1e-9
     assert abs(reals[1] - 1.4142135624) < 1e-9
     assert all(abs(v.center.imag) < 1e-9 for v in cert.values)
+
+
+def test_a_build_that_does_not_decode_to_z_is_a_failed_self_check(monkeypatch):
+    # the certificate builds its own configuration, so a wrong decode is a
+    # defect in planecode: SelfCheckFailed, exit 1
+    monkeypatch.setattr(importlib.import_module("planecode.decode"), "decode", lambda c: c.field.one)
+    with pytest.raises(SelfCheckFailed, match="decoded element is not the field generator") as caught:
+        separation_certificate(parse_poly("x^2-2"))
+    assert caught.value.exit_code == 1
 
 
 def test_certificate_golden_ratio():

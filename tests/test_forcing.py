@@ -10,8 +10,8 @@ import pytest
 from planecode import configuration
 from planecode.cli import main
 from planecode.configuration import Configuration, derive_points
-from planecode.decode import check_forcing, decode
-from planecode.errors import NotForced
+from planecode.decode import decode
+from planecode.errors import NotCollinear, NotForced
 from planecode.numberfield import NFElement, parse_poly
 from planecode.pipeline import run_pipeline
 from planecode.projgeom import line, point
@@ -83,7 +83,7 @@ def _moved(cfg, moves):
     "text, seed", [(t, s) for t in GOLDEN_POLYS for s in (0, 1, 2)] + [(t, 0) for t in MORE_POLYS]
 )
 def test_check_passes_on_loaded_final_configurations(built, text, seed):
-    check_forcing(_loaded(built(text)[0]) if seed == 0 else _final_at(text, seed))
+    decode(_loaded(built(text)[0]) if seed == 0 else _final_at(text, seed))
 
 
 @pytest.mark.parametrize("text, seed", [(t, s) for t in GOLDEN_POLYS for s in (0, 1, 2)])
@@ -110,37 +110,49 @@ def test_the_table_and_the_drawing_name_the_same_objects(built, text, seed):
 def test_forcing_check_does_no_field_arithmetic(built, monkeypatch):
     # every gadget line is named by a join in the table, never re-emitted in
     # K; only the layout choice reads the registers' values in K, by the one
-    # evaluation SLP.evaluate(z, 1) that emission makes too
+    # evaluation SLP.evaluate(z, 1) that emission makes too, and the proven
+    # number is read by the one cross_ratio at the end
     cfg = _loaded(built("x^7-x-1")[0])
-    evaluating, evaluations = [], []
+    inside, evaluations, ratios = [], [], []
 
     def guarded(name):
         real = getattr(NFElement, name)
 
         def method(*args):
-            assert evaluating, "the forcing check multiplied or inverted in K"
+            assert inside, "the forcing check multiplied or inverted in K"
             return real(*args)
 
         return method
 
     def evaluate(slp, z, one, real=SLP.evaluate):
-        evaluating.append(z)
+        inside.append(z)
         try:
             return real(slp, z, one)
         finally:
-            evaluations.append(evaluating.pop())
+            evaluations.append(inside.pop())
+
+    def cross_ratio(*args, real=decode_module.cross_ratio):
+        inside.append(None)
+        try:
+            return real(*args)
+        finally:
+            ratios.append(inside.pop())
 
     for name in ("__mul__", "__rmul__", "inv"):
         monkeypatch.setattr(NFElement, name, guarded(name))
     monkeypatch.setattr(SLP, "evaluate", evaluate)
-    check_forcing(cfg)
+    monkeypatch.setattr(decode_module, "cross_ratio", cross_ratio)
+    assert decode(cfg) == cfg.field.gen
     assert [z for z in evaluations if isinstance(z, NFElement)] == [cfg.field.gen]
+    assert len(ratios) == 1
 
 
 def test_marks_on_no_common_line_refuse():
-    # the centres of four pencils top the ladder, but no line holds them all
-    with pytest.raises(NotForced, match="no line passes through all four marks"):
-        check_forcing(_pencils((10, 8, 6, 4)))
+    # the centres of four pencils top the ladder, but no line holds them all:
+    # the proof has no axis
+    with pytest.raises(NotCollinear, match="collinearity check failed") as caught:
+        decode(_pencils((10, 8, 6, 4)))
+    assert isinstance(caught.value, NotForced)
 
 
 def test_without_the_unit_line_the_check_refuses(built):
@@ -150,7 +162,7 @@ def test_without_the_unit_line_the_check_refuses(built):
     unit_line = line(cfg.field, 1, 1, -1)
     rest = derive_points(l for l in cfg.lines if l != unit_line)
     with pytest.raises(NotForced, match="u1"):
-        check_forcing(rest)
+        decode(rest)
 
 
 def test_dropping_any_raw_line_refuses(built):
@@ -161,7 +173,7 @@ def test_dropping_any_raw_line_refuses(built):
     for k in range(raw):
         rest = derive_points(l for i, l in enumerate(cfg.lines) if i != k)
         try:
-            check_forcing(rest)
+            decode(rest)
             accepted.append(k)
         except NotForced:
             pass
@@ -184,7 +196,7 @@ def test_deleting_any_gadget_incidence_from_the_table_refuses(built, text):
         for i in on_raw:
             tried += 1
             try:
-                check_forcing(_moved(cfg, [(i, p, None)]))
+                decode(_moved(cfg, [(i, p, None)]))
                 accepted.append((p, i))
             except NotForced:
                 pass
@@ -231,7 +243,7 @@ def _degenerate_tables(cfg, text):
 def test_each_non_degeneracy_of_the_lemma_is_tested(built, text, case):
     tampered, message = _degenerate_tables(built(text)[0], text)[case]
     with pytest.raises(NotForced, match=message):
-        check_forcing(tampered)
+        decode(tampered)
 
 
 # Each line that the recipes find by its coordinates: its role, the mark it
@@ -261,7 +273,7 @@ def test_a_line_found_by_coordinates_off_its_mark_refuses(built, role, mark, coe
     tampered, i = _off_its_mark(cfg, mark, coeffs)
     message = f"{role} {i} misses the mark {mark}, point {cfg.marks[mark]}"
     with pytest.raises(NotForced, match=message):
-        check_forcing(tampered)
+        decode(tampered)
 
 
 def test_cli_decode_of_a_y_axis_off_the_mark_0_exits_5(built, tmp_path, capsys, monkeypatch):
@@ -289,14 +301,14 @@ def test_a_wrong_relation_refuses(built, monkeypatch, text):
         lambda p: SLP(slp.instructions, slp.lhs, slp.lhs, slp.source),
     )
     with pytest.raises(NotForced, match="P - N"):
-        check_forcing(cfg)
+        decode(cfg)
     # P against the register of z, which P does not land on
     monkeypatch.setattr(
         decode_module, "compile_polynomial",
         lambda p: SLP(slp.instructions, slp.lhs, 0, slp.source),
     )
     with pytest.raises(NotForced, match="lands on point"):
-        check_forcing(cfg)
+        decode(cfg)
 
 
 def test_cli_decode_of_a_file_with_moved_heights_exits_5(built, tmp_path, capsys):
@@ -305,7 +317,7 @@ def test_cli_decode_of_a_file_with_moved_heights_exits_5(built, tmp_path, capsys
     path = tmp_path / "seed.json"
     path.write_text(dumps_canonical(data), encoding="utf-8")
     with pytest.raises(NotForced, match="register 5, the add"):
-        check_forcing(config_from_json(data))
+        decode(config_from_json(data))
     capsys.readouterr()
     assert main(["decode", str(path)]) == 5
     captured = capsys.readouterr()
@@ -318,7 +330,7 @@ def test_a_seed_that_draws_the_same_heights_passes(built):
     # as seed 0 does
     data = config_to_json(built("x^2-2")[0])
     data["seed"] = -1
-    check_forcing(config_from_json(data))
+    decode(config_from_json(data))
 
 
 @pytest.mark.parametrize("seed", [0, 3])
@@ -327,7 +339,7 @@ def test_pinned_polynomials_decode_and_are_forced(built, text, seed):
     # seed 3 draws other heights and generic lines than seed 0
     cfg = _loaded(built(text)[0]) if seed == 0 else _final_at(text, seed)
     assert decode_module.decode(cfg) == cfg.field.gen
-    check_forcing(cfg)
+    decode(cfg)
     valences = sorted(map(len, cfg.incidence), reverse=True)
     assert all(v % 2 == 0 for v in valences)
     assert all(valences[i] > valences[i + 1] for i in range(4))
@@ -395,7 +407,7 @@ def test_build_and_decode_at_a_negative_and_a_positive_seed(text, seed, tmp_path
     assert "equals the field generator" in capsys.readouterr().out
     cfg = config_from_json(json.loads(path.read_text(encoding="utf-8")))
     assert cfg.seed == seed
-    check_forcing(cfg)
+    decode(cfg)
 
 
 def _point(cfg, x, y, w=1):
@@ -410,7 +422,7 @@ def test_moving_the_tie_line_of_anchor_2_refuses_and_names_it(built):
     u2 = cfg.lines.index(tie_line(cfg.field, 2))
     moved = _moved(cfg, [(u2, _point(cfg, 0, 2), _point(cfg, 0, 1, 0))])
     with pytest.raises(NotForced, match="at anchor 2: U is point"):
-        check_forcing(moved)
+        decode(moved)
 
 
 def test_a_product_on_anchor_2_is_checked_against_its_own_anchor(built):
@@ -426,7 +438,7 @@ def test_a_product_on_anchor_2_is_checked_against_its_own_anchor(built):
     assert drawn["t1"] in rows[S2] and drawn["t1"] not in rows[S]
     # the table draws its t1 through S instead: the product is not forced
     with pytest.raises(NotForced, match=f"register {k}, the mul .* on anchor 2: t1"):
-        check_forcing(_moved(cfg, [(drawn["t1"], S2, S)]))
+        decode(_moved(cfg, [(drawn["t1"], S2, S)]))
 
 
 def test_an_add_refuses_the_height_of_an_anchor():
@@ -439,7 +451,7 @@ def test_an_add_refuses_the_height_of_an_anchor():
     assert raw.params_consumed == 2
     cfg = _final_at("x^5-x-1", -1)
     assert decode_module.decode(cfg) == cfg.field.gen
-    check_forcing(cfg)
+    decode(cfg)
 
 
 @pytest.mark.parametrize("order", [("z", "one", "zero", "inf"), ("inf", "z", "one", "zero")])
@@ -453,7 +465,7 @@ def test_a_permuted_ladder_order_decodes_and_is_forced(monkeypatch, text, order)
     mark_valences = [cfg.valence(cfg.marks[label]) for label in order]
     assert mark_valences == sorted(mark_valences)
     assert decode(cfg) == cfg.field.gen
-    check_forcing(cfg)
+    decode(cfg)
 
 
 def test_the_check_runs_the_recipe_once(built, monkeypatch):
@@ -468,7 +480,7 @@ def test_the_check_runs_the_recipe_once(built, monkeypatch):
     monkeypatch.setattr(decode_module, "realize", counted)
     for text, anchors in (("x^9-x-1", 1), ("x^5-x-1", 2)):
         calls.clear()
-        check_forcing(_loaded(built(text)[0]))
+        decode(_loaded(built(text)[0]))
         assert [len(table.U) for _, table, _ in calls] == [anchors]
 
 
@@ -480,7 +492,7 @@ def test_a_broken_shared_anchor_file_names_its_own_failure(built):
     inf = cfg.marks["inf"]
     message = f"register 7, the add .*: hline 19 misses the mark inf, point {inf}"
     with pytest.raises(NotForced, match=message):
-        check_forcing(_moved(cfg, [(19, inf, None)]))
+        decode(_moved(cfg, [(19, inf, None)]))
 
 
 def _edited_split_file(built, tmp_path, keep: bool):
@@ -503,11 +515,11 @@ def test_a_split_layout_file_with_u2_moved_to_the_end_decodes(built, tmp_path, c
 
 
 def test_a_split_layout_file_without_u2_exits_5_naming_it(built, tmp_path):
-    # without u2 the mark 1, U_2 and S_2 turn odd, so the CLI's decode stops
-    # at the parity check (exit 3) before the forcing check runs
+    # without u2 the mark 1, U_2 and S_2 turn odd, which decode does not
+    # check: its proof names the missing tie line
     path = _edited_split_file(built, tmp_path, keep=False)
     with pytest.raises(NotForced, match=r"at anchor 2: u2 .* is not a line of the file") as caught:
-        check_forcing(config_from_json(json.loads(path.read_text(encoding="utf-8"))))
+        decode(config_from_json(json.loads(path.read_text(encoding="utf-8"))))
     assert caught.value.exit_code == 5
 
 
@@ -525,4 +537,43 @@ def test_a_shared_anchor_file_that_holds_u2_passes(built):
     table = decode_module._Incidences(held, 2)
     with pytest.raises(NotForced, match="on anchor 2"):
         realize(compile_polynomial(cfg.source), table, cfg.seed)
-    check_forcing(held)
+    decode(held)
+
+
+def test_cli_decode_of_the_split_layout_file_without_u2_exits_5_naming_it(built, tmp_path, capsys):
+    # odd valences do not stop decode: its proof names the missing tie line
+    path = _edited_split_file(built, tmp_path, keep=False)
+    capsys.readouterr()
+    assert main(["decode", str(path)]) == 5
+    out, err = capsys.readouterr()
+    assert "at anchor 2: u2" in err and "is not a line of the file" in err
+    assert "equals the field generator" not in out
+    assert "Traceback" not in err
+
+
+def test_cli_decodes_a_shared_anchor_file_that_holds_u2(built, tmp_path, capsys):
+    # u2 appended to the x^9-x-1 file leaves odd valences, which cover
+    # refuses; decode proves the relation on the shared layout all the same
+    cfg = built("x^9-x-1")[0]
+    held = derive_points(
+        [*cfg.lines, tie_line(cfg.field, 2)], seed=cfg.seed, params_consumed=cfg.params_consumed
+    )
+    path = tmp_path / "held.json"
+    path.write_text(dumps_canonical(config_to_json(held)), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["decode", str(path)]) == 0
+    assert "equals the field generator" in capsys.readouterr().out
+    assert main(["cover", str(path), "-o", str(tmp_path / "r.json")]) == 3
+
+
+def test_the_ladder_is_read_once_per_decode_and_per_certify(built, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "c.json"
+    path.write_text(dumps_canonical(config_to_json(built("x^5-x-1")[0])), encoding="utf-8")
+    calls = []
+    ladder = decode_module._ladder
+    monkeypatch.setattr(decode_module, "_ladder", lambda c: calls.append(c) or ladder(c))
+    assert main(["decode", str(path)]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert main(["certify", "-p", "x^5-x-1"]) == 0
+    assert len(calls) == 1

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from planecode.cli import main
-from planecode.decode import check_forcing, decode, separation_certificate
+from planecode.decode import decode, separation_certificate
 from planecode.errors import PolyParseError, SchemaError
 from planecode.numberfield import IntPoly, parse_poly
 from planecode.serialize import (
@@ -60,7 +60,7 @@ def test_rational_file_polynomial_reads_as_its_integer_multiple(cfg):
     assert config_to_json(loaded)["poly"] == config_to_json(cfg)["poly"]
     assert loaded.field == cfg.field
     assert decode(loaded) == loaded.field.gen
-    check_forcing(loaded)
+    decode(loaded)
 
 def test_dumps_deterministic(cfg):
     a = dumps_canonical(config_to_json(cfg))
@@ -142,7 +142,7 @@ def test_cli_galois_conjugate_decodes_the_other_root(cfg, tmp_path, capsys):
     paths = {"c": tmp_path / "c.json", "conj": tmp_path / "conj.json"}
     paths["c"].write_text(dumps_canonical(good), encoding="utf-8")
     paths["conj"].write_text(dumps_canonical(_edited(good, conjugate)), encoding="utf-8")
-    check_forcing(config_from_json(loads(paths["conj"].read_text(encoding="utf-8"))))
+    decode(config_from_json(loads(paths["conj"].read_text(encoding="utf-8"))))
     assert main(["decode", str(paths["conj"])]) == 3
     out, err = capsys.readouterr()
     assert "decoded coefficients: (0, -1)" in out
@@ -541,8 +541,9 @@ def test_cli_report_file_is_named_not_a_configuration(report_files, kind, tmp_pa
 def test_cli_perturbed_line_is_another_configuration(cfg, tmp_path, capsys):
     """Doubling one line coefficient gives a new, loadable set of lines.
 
-    The file carries no incidences to contradict, so it loads; the moved
-    line leaves odd valences behind, which decode and cover both refuse.
+    The file carries no incidences to contradict, so it loads. The moved
+    line is u1, x + y = 1, so decode's proof names it as missing (exit 5);
+    it leaves odd valences behind, which cover refuses (exit 3).
     """
     data = json.loads(dumps_canonical(config_to_json(cfg)))
     for entry in data["lines"]:
@@ -556,8 +557,10 @@ def test_cli_perturbed_line_is_another_configuration(cfg, tmp_path, capsys):
     path.write_text(dumps_canonical(data), encoding="utf-8")
     assert config_from_json(data).line_count == cfg.line_count
     capsys.readouterr()
-    assert main(["decode", str(path)]) == 3
-    assert "equals the field generator" not in capsys.readouterr().out
+    assert main(["decode", str(path)]) == 5
+    out, err = capsys.readouterr()
+    assert "equals the field generator" not in out
+    assert "at anchor 1: u1 [1 : 1 : -1] is not a line of the file" in err
     assert main(["cover", str(path), "-o", str(tmp_path / "r.json")]) == 3
 
 
