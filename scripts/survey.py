@@ -3,9 +3,9 @@
 
 Each case runs `python -m planecode certify` in a fresh interpreter under a
 per-case time limit and prints one row: the polynomial, the final line
-count L, the anchor count J (slp_compiler.anchor_count), the seconds taken
-and the exit code, or "timeout". L and J are "-" when the case did not
-certify. The families:
+count L, the seconds taken and the exit code, or "timeout". L is "-" when
+the case did not certify; exit 4 names a build whose type colour
+refinement did not prove rigid. The families:
 
 - small: two seeded random irreducibles per degree 2-10, coefficients in [-9, 9];
 - wide:  the same with 4-digit coefficients, up to 9999 in size;
@@ -32,8 +32,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 sys.path.insert(0, str(SRC))
 
 from planecode.errors import UnprovenModulus  # noqa: E402
-from planecode.numberfield import IntPoly, NumberField, check_irreducible  # noqa: E402
-from planecode.slp_compiler import anchor_count, compile_polynomial  # noqa: E402
+from planecode.numberfield import IntPoly, check_irreducible  # noqa: E402
 
 SD_PRIMES = (2, 3, 5, 7, 11)
 SEED, PER_DEGREE = 0, 2  # the random families: their seed, and cases per degree
@@ -88,25 +87,19 @@ def families(names, max_degree: int):
                     yield swinnerton_dyer(SD_PRIMES[:k])
 
 
-def anchors(p: IntPoly) -> int:
-    slp = compile_polynomial(p)
-    field = NumberField.create(slp.source)
-    return anchor_count(slp, slp.evaluate(field.gen, field.one))
-
-
-def survey(p: IntPoly, timeout: float) -> tuple[str, str, float, str]:
-    """(L, J, seconds, exit code) of certify for p in a child interpreter."""
+def survey(p: IntPoly, timeout: float) -> tuple[str, float, str]:
+    """(L, seconds, exit code) of certify for p in a child interpreter."""
     argv = [sys.executable, "-m", "planecode", "certify", f"--poly={p}"]
     env = dict(os.environ, PYTHONPATH=str(SRC))
     t0 = time.perf_counter()
     try:
         out = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=timeout)
     except subprocess.TimeoutExpired:
-        return "-", "-", time.perf_counter() - t0, "timeout"
+        return "-", time.perf_counter() - t0, "timeout"
     seconds = time.perf_counter() - t0
     if out.returncode:
-        return "-", "-", seconds, str(out.returncode)
-    return str(json.loads(out.stdout)["line_count"]), str(anchors(p)), seconds, "0"
+        return "-", seconds, str(out.returncode)
+    return str(json.loads(out.stdout)["line_count"]), seconds, "0"
 
 
 def main(argv=None) -> int:
@@ -117,10 +110,10 @@ def main(argv=None) -> int:
     ap.add_argument("--timeout", type=float, default=60.0, help="seconds per case")
     args = ap.parse_args(argv)
 
-    print("polynomial\tL\tJ\tseconds\texit", flush=True)
+    print("polynomial\tL\tseconds\texit", flush=True)
     for p in families(args.family, args.max_degree):
-        lines, j, seconds, code = survey(p, args.timeout)
-        print(f"{p}\t{lines}\t{j}\t{seconds:.2f}\t{code}", flush=True)
+        lines, seconds, code = survey(p, args.timeout)
+        print(f"{p}\t{lines}\t{seconds:.2f}\t{code}", flush=True)
     return 0
 
 

@@ -2,9 +2,11 @@
 
 Subcommands: build, decode, certify, cover, render. Exit codes: 0 success,
 1 failed self-check, 2 parse error or bad argument, 3 algebra (reducible
-modulus, not a root), 4 genericity, 5 decode ambiguity or incidences that
-do not force the relation, 6 schema / data integrity, including an
-unreadable file.
+modulus, not a root), 4 genericity, including a built type that colour
+refinement does not prove rigid, 5 a file whose type is not proven rigid,
+a mark row that names no point, or incidences that do not force the
+relation, 6 schema / data integrity, including an unreadable file and a
+file of an older schema.
 """
 
 from __future__ import annotations

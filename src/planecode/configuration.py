@@ -2,18 +2,22 @@
 
 A configuration is its lines. Everything else is derived from them by one
 code path, Configuration.add_line, also when a file is loaded (see
-serialize).
+serialize); only the names of the marks are not.
 Two lines meet in one point, so the only incidences the lines do not imply
 are the points on three or more lines: a configuration stores those, with
 their incidence rows, and the four marks 0, 1, inf, z of the coding axis
-at any valence (find_marks). Every other point is a simple crossing of two
-lines, counted by simple_count and listed by all_points.
+at any valence (find_marks at emission, a file's rows at load). Every
+other point is a simple crossing of two lines, counted by simple_count
+and listed by all_points.
 
 Two passes turn the raw gadget output into the final object:
-augment_even_valence makes every valence even, amplify_marks pushes the
-four marks to the strict top of the valence ladder. New "general" lines
-take their free parameters from the integer stream seed + 1, seed + 2,
-..., after emission's adds; params_consumed counts the values drawn.
+augment_even_valence makes every valence even, treating the marks as
+points like any other, and name_marks proves by colour refinement that
+the combinatorial type has no automorphism (line_ranks), so that the
+marks are facts of the type and need no valence of their own. New
+"general" lines take their free parameters from the integer stream
+seed + 1, seed + 2, ..., after emission's adds; params_consumed counts
+the values drawn.
 Genericity is checked exactly, never assumed: a candidate is rejected if
 it passes through any existing point other than its target. The points
 of a new line are found by their coordinate on it mod a prime l (see
@@ -32,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from itertools import combinations
 
-from .errors import DuplicateLine, GenericityExhausted, SelfCheckFailed
+from .errors import DuplicateLine, GenericityExhausted, NotRigid
 from .numberfield import IntPoly, NumberField
 from .projgeom import ProjLine, ProjPoint, incident, join, line, meet, point
 
@@ -43,8 +47,8 @@ MARK_ONE = "one"
 MARK_INF = "inf"
 MARK_Z = "z"
 MARK_LABELS = (MARK_ZERO, MARK_ONE, MARK_INF, MARK_Z)
-# the marks from the bottom of the valence ladder to its top
-LADDER_ORDER = (MARK_Z, MARK_INF, MARK_ONE, MARK_ZERO)
+# the classes of lines, and the lines per class, that a refusal of line_ranks names
+SHOWN = 6
 
 
 class Configuration:
@@ -52,7 +56,7 @@ class Configuration:
 
     points are the points on three or more lines and the marks, in builder
     order: by their second-lowest line, then their lowest (derive_points
-    sorts them once; augment_even_valence and amplify_marks store none).
+    sorts them once; augment_even_valence stores none).
     incidence[i] is the sorted tuple of the indices of all the lines
     through point i, and marks maps a label to a point index. Two lines
     meet in one point, so a row names its point: crossings and find look a
@@ -263,21 +267,6 @@ class Configuration:
         return self._store(q, rows)
 
 
-def valences(c: Configuration) -> tuple[tuple[int, int], ...]:
-    """(point index, valence) pairs of the stored points, highest valence first, ties by index."""
-    return tuple(sorted(
-        ((i, len(rows)) for i, rows in enumerate(c.incidence)),
-        key=lambda iv: (-iv[1], iv[0]),
-    ))
-
-
-def max_other_valence(c: Configuration) -> int:
-    """The largest valence of a point that is not a mark (2 at a simple crossing), or 0."""
-    marked = set(c.marks.values())
-    vals = [len(rows) for i, rows in enumerate(c.incidence) if i not in marked]
-    return max(vals + [2] * (c.simple_count > 0), default=0)
-
-
 def all_points(c: Configuration):
     """(point, row) for every point of c, stored or simple, in builder order.
 
@@ -346,13 +335,17 @@ def derive_points(
     *,
     seed: int = 0,
     params_consumed: int = 0,
+    marks=find_marks,
 ) -> Configuration:
     """The configuration of the given lines: its multiple points, incidences and marks.
 
     Each line is added in turn (Configuration.add_line), so a point lying
     on more than two lines gets its full incidence set. The lines must be
-    pairwise distinct (DuplicateLine otherwise). This is the only stage
-    that stores points, so it alone sorts them into builder order.
+    pairwise distinct (DuplicateLine otherwise). marks(c) then stores each
+    mark and returns its index by label: find_marks finds them by their
+    coordinates, as emission drew them; a file names them by facts of the
+    type (serialize). This is the only stage that stores points, so it
+    alone sorts them into builder order.
     """
     lines = list(lines)
     if len(lines) < 2:
@@ -360,12 +353,12 @@ def derive_points(
     c = Configuration(lines[0].field, seed=seed, params_consumed=params_consumed)
     for l in lines:
         c.add_line(l)
-    marks = find_marks(c)
+    named = marks(c)
     inc = c.incidence
     order = sorted(range(len(inc)), key=lambda p: (inc[p][1], inc[p][0]))
     c.points = [c.points[p] for p in order]
     c.incidence = [inc[p] for p in order]
-    c.marks = {label: order.index(p) for label, p in marks.items()}
+    c.marks = {label: order.index(p) for label, p in named.items()}
     return c
 
 
@@ -393,88 +386,50 @@ def _generic_line_through(c: Configuration, target_index: int) -> None:
     )
 
 
-def ladder_targets(c: Configuration) -> dict[str, int]:
-    """The mark valences amplify_marks reaches: M+2, M+4, M+6, M+8 for z, inf, one, zero.
-
-    M is max_other_valence(c), rounded up to even. The ladder must clear
-    every current mark valence, so M is bumped in steps of two while a
-    mark already sits above its target. augment leaves these targets
-    unchanged (see augment_even_valence).
-    """
-    m_cap = max_other_valence(c)
-    m_cap += m_cap % 2
-    while any(
-        len(c.incidence[c.marks[lb]]) > m_cap + 2 * (i + 1) for i, lb in enumerate(LADDER_ORDER)
-    ):
-        m_cap += 2
-    return {label: m_cap + 2 * (i + 1) for i, label in enumerate(LADDER_ORDER)}
-
-
 def augment_even_valence(c: Configuration) -> Configuration:
     """Make every valence even, with as few new lines as the joins allow.
 
-    The odd points that are not marks are fixed in this order:
+    The odd points, the marks among them, are fixed in this order:
     1. each odd point on the coding axis y = 0 is joined to an odd point
        off it (the join of two axis points is the axis itself);
-    2. each remaining off-axis odd point is joined to a mark still below
-       its ladder target, marks taken in the order z, inf, one, zero: a
-       line amplify_marks would add anyway, now also fixing a parity;
-    3. the points left are joined in pairs;
-    4. one general line goes through each point still odd, and through
-       each mark whose valence is odd.
+    2. the points left are joined in pairs;
+    3. one general line goes through each point still odd.
     A join is taken only if it passes through no other existing point
     (Configuration.add_if_generic). Adding lines never makes a refused join
     generic, so no pair is tried twice. New crossings are simple, so the
-    stored points and their order stay as they are; a
-    fixed point gains one line and ends at most at M (M is even), and a
-    mark never passes its target, so ladder_targets is the same before
-    and after, and amplify_marks fills each mark's remaining even deficit.
-    The lines are added to a copy of c, which is returned; c is unchanged.
-    When no valence is odd, c itself is returned.
+    stored points and their order stay as they are, and each odd point
+    gains one line. The lines are added to a copy of c, which is returned;
+    c is unchanged. When no valence is odd, c itself is returned.
     """
     odd = [i for i, rows in enumerate(c.incidence) if len(rows) % 2 == 1]
     if not odd:
         return c
     out = Configuration(c.field, c.lines, c.points, c.incidence, c.marks, c.seed, c.params_consumed)
-    # without all four marks there is no ladder, and a mark is a point like any other
-    marks = c.marks if all(label in c.marks for label in MARK_LABELS) else {}
-    room = {}  # per mark point, in ladder order: lines it may still gain
-    if marks:
-        targets = ladder_targets(c)
-        room = {marks[lb]: targets[lb] - len(c.incidence[marks[lb]]) for lb in LADDER_ORDER}
     axis = out.line_index.get(line(c.field, 0, 1, 0))
-    marked = set(marks.values())
-    free = [i for i in odd if i not in marked]
-    on_axis = {i for i in free if axis in c.incidence[i]}
-    off_axis = [i for i in free if i not in on_axis]
-    left = set(free)  # the free points still odd
+    on_axis = {i for i in odd if axis in c.incidence[i]}
+    off_axis = [i for i in odd if i not in on_axis]
+    left = set(odd)  # the points still odd
     refused: set[tuple[int, int]] = set()
 
-    def join_first(s: int, partners: list[int]) -> int | None:
-        """Join s to the first partner whose join is generic, and return that partner."""
+    def join_first(s: int, partners: list[int]) -> None:
+        """Join s to the first partner whose join is generic."""
         for t in partners:
             key = (s, t) if s < t else (t, s)
             if key in refused:
                 continue
             if out.add_if_generic(join(out.points[s], out.points[t]), [s, t]):
                 left.difference_update(key)
-                return t
+                return
             refused.add(key)
-        return None
 
-    for s in free:
+    for s in odd:
         if s in on_axis:
             join_first(s, [t for t in off_axis if t in left])
-    for s in off_axis:
-        if s in left:
-            t = join_first(s, [m for m, r in room.items() if r > 0])
-            if t is not None:
-                room[t] -= 1
-    for s in free:
+    for s in odd:
         if s in left:
             join_first(
                 s,
-                [t for t in free if t > s and t in left and not (s in on_axis and t in on_axis)],
+                [t for t in odd if t > s and t in left and not (s in on_axis and t in on_axis)],
             )
 
     for target in range(len(c.incidence)):
@@ -486,32 +441,71 @@ def augment_even_valence(c: Configuration) -> Configuration:
     return out
 
 
-def amplify_marks(c: Configuration) -> Configuration:
-    """Push the marks to the strict top of the valence ladder.
+def line_ranks(c: Configuration, error: type = NotRigid) -> list[int]:
+    """Each line's canonical rank, once colour refinement proves that the type has no automorphism.
 
-    The final valences are ladder_targets(c), reached by adding an even
-    number of general lines through each mark, to a copy of c, which is
-    returned; c is unchanged.
+    The combinatorial type of c is its lines and its points on three or
+    more lines: two lines that share none of those points meet in a simple
+    crossing, on them alone, and a stored point of valence 2 (a mark) is
+    that crossing. Colour refinement (1-dimensional Weisfeiler-Leman)
+    colours the incidence graph of the type. The lines and the points start
+    in one colour each; each round gives every line and point the rank,
+    among the signatures of its kind, of its signature: its colour and the
+    sorted colours of its neighbours. The rounds stop when the number of
+    classes stops growing. Every automorphism of the type keeps each
+    round's colours, and the ranks read the type alone, not the order of
+    the lines or their coordinates (M. Grohe, K. Kersting, M. Mladenov and
+    P. Schweitzer, "Color refinement and its applications", 2017). So when
+    every line ends in a class of its own, the only automorphism is the
+    identity, and each line's rank, 0 to L - 1, is a fact of the type.
+    Otherwise error is raised, naming the classes that are not singletons.
     """
-    for label in MARK_LABELS:
-        if label not in c.marks:
-            raise ValueError(f"configuration is missing mark {label!r}")
-    if any(len(rows) % 2 for rows in c.incidence):
-        raise ValueError("amplify_marks requires all valences even")
+    rows = [r for r in c.incidence if len(r) > 2]
+    on: list[list[int]] = [[] for _ in c.lines]  # per line, its points in rows
+    for p, r in enumerate(rows):
+        for i in r:
+            on[i].append(p)
+    lines, points, classes = [0] * len(on), [0] * len(rows), 0
+    while True:
+        lines, points = (
+            _ranks([(lines[i], tuple(sorted(points[p] for p in ps))) for i, ps in enumerate(on)]),
+            _ranks([(points[p], tuple(sorted(lines[i] for i in r))) for p, r in enumerate(rows)]),
+        )
+        count = len(set(lines)) + len(set(points))
+        if count == classes:
+            break
+        classes = count
+    if len(set(lines)) < len(lines):
+        members: dict[int, list[int]] = {}
+        for i, rank in enumerate(lines):
+            members.setdefault(rank, []).append(i)
+        shared = [m for m in members.values() if len(m) > 1]
+        shown = "; ".join(
+            f"lines {', '.join(map(str, m[:SHOWN]))}" + f" and {len(m) - SHOWN} more" * (len(m) > SHOWN)
+            for m in shared[:SHOWN]
+        )
+        raise error(
+            "rigidity check failed: colour refinement leaves classes of lines that are not "
+            f"singletons, {len(shared)} in all, so the type may have an automorphism: {shown}"
+        )
+    return lines
 
-    targets = ladder_targets(c)
-    out = Configuration(c.field, c.lines, c.points, c.incidence, c.marks, c.seed, c.params_consumed)
-    for label in LADDER_ORDER:
-        idx = c.marks[label]
-        deficit = targets[label] - len(out.incidence[idx])
-        if deficit < 0 or deficit % 2:
-            raise SelfCheckFailed(f"mark {label} has deficit {deficit}, not even and >= 0")
-        for _ in range(deficit):
-            _generic_line_through(out, idx)
 
-    for label in LADDER_ORDER:
-        if len(out.incidence[out.marks[label]]) != targets[label]:
-            raise GenericityExhausted(f"mark {label} missed its valence target")
-    if any(len(rows) % 2 for rows in out.incidence):
-        raise GenericityExhausted("amplification broke valence parity")
-    return out
+def _ranks(signatures: list) -> list[int]:
+    """Each signature's rank among the distinct signatures, in sorted order."""
+    rank = {s: k for k, s in enumerate(sorted(set(signatures)))}
+    return [rank[s] for s in signatures]
+
+
+def name_marks(c: Configuration) -> Configuration:
+    """The last build stage: prove the type rigid, so that the marks are facts of it, and return c.
+
+    It adds no line. With each line of the type in a class of its own
+    (line_ranks), a file names each mark by the canonical ranks of the
+    lines through it (serialize), which neither a reordering of the lines
+    nor a Galois conjugation of the coordinates changes. A type whose
+    refinement is not discrete raises GenericityExhausted (exit 4),
+    naming the classes that are not singletons: there is no fallback.
+    """
+    line_ranks(c, GenericityExhausted)
+    return c

@@ -1,12 +1,15 @@
 """Recovery of the encoded number, proven forced, and the Galois separation certificate.
 
-decode reads nothing but valences, the incidence table and coordinates:
-find the four points with the most lines, name them as marks by
-configuration.LADDER_ORDER, read the line through them from the table,
-and run the gadget recipes over the incidence table of the multiple
-points and the marks: every realization of the configuration puts a root
-of p there, not the file's alone. Only then does it take the marks'
-cross-ratio on that line, the encoded number: decode builds no line in K.
+decode reads nothing but the marks, the incidence table and coordinates.
+The marks are facts of the combinatorial type: a file names each by the
+canonical ranks of the lines through it, which loading resolves once the
+type is proven rigid (configuration.line_ranks). decode reads the line
+through the four marks from the table and runs the gadget recipes over
+the incidence table of the multiple points and the marks: every
+realization of the configuration puts a root of p there, not the file's
+alone. Only then does it take the marks' cross-ratio on that line, the
+encoded number: decode does no arithmetic in K before it, and builds no
+line in K.
 The separation certificate then evaluates the decoded element, the
 generator, under every embedding of K: its value discs are the root discs,
 which numberfield.isolate_roots proves pairwise disjoint, once. That is the
@@ -17,59 +20,32 @@ majorant over the whole disc, rounded up once (numberfield.embed).
 
 from __future__ import annotations
 
-from .configuration import LADDER_ORDER, MARK_LABELS, Configuration, max_other_valence, valences
-from .errors import AmbiguousValences, NotCollinear, NotForced, PlanecodeError, SelfCheckFailed
+from .configuration import MARK_LABELS, Configuration
+from .errors import NotCollinear, NotForced, SelfCheckFailed, UnnamedMark
 from .numberfield import Disc, IntPoly, NFElement, embed, isolate_roots
 from .pipeline import run_pipeline
 from .projgeom import cross_ratio, line
-from .slp_compiler import anchor_count, compile_polynomial, realize, seed_objects
-
-
-LADDER_SHOWN = 6
-
-
-def _failed(error: type, check: str, detail, entries) -> PlanecodeError:
-    """error naming the failed check and showing the top of the valence ladder."""
-    shown = ", ".join(f"point {i}: {v}" for i, v in entries[:LADDER_SHOWN])
-    return error(f"{check} check failed: {detail}; top of the valence ladder: {shown}")
-
-
-def _ladder(c: Configuration) -> tuple[tuple[tuple[int, int], ...], dict[str, int]]:
-    """The top of the valence ladder and its top four points by mark label.
-
-    The marks of c are never consulted; the valence ladder alone must
-    single out the quadruple, and any tie among or directly below the top
-    four is an error rather than a tie-break. The ladder is the head of
-    configuration.valences: valence, highest first, ties by index. It
-    shows the stored points; below them come the simple crossings, of 2.
-    configuration.LADDER_ORDER names the marks from the bottom of the
-    ladder up, so the top four, highest first, are its reverse.
-    """
-    entries = valences(c)[:LADDER_SHOWN]
-    if c.point_count < 4:
-        raise _failed(AmbiguousValences, "point count", f"{c.point_count} points, 4 needed", entries)
-    ladder = ([v for _, v in entries[:5]] + [2] * min(5, c.simple_count) + [0])[:5]
-    if not all(ladder[i] > ladder[i + 1] for i in range(4)):
-        detail = f"the top five valences {ladder[:5]} do not strictly decrease"
-        raise _failed(AmbiguousValences, "strict ladder", detail, entries)
-    return entries, dict(zip(reversed(LADDER_ORDER), (i for i, _ in entries[:4])))
+from .slp_compiler import compile_polynomial, realize, seed_objects
 
 
 class _Incidences:
     """A geometry with the hooks of slp_compiler.realize, in a table: objects are indices.
 
-    Building it reads the valence ladder (_ladder), takes the one table
-    line through the four marks as the axis and runs seed_objects, as
-    decode describes. Marks on no common line raise NotCollinear; each
-    later failed lookup and failed check raises NotForced naming self.at,
-    the step under check.
+    Building it reads the marks of c, takes the one table line through
+    all four as the axis and runs seed_objects, as decode describes. A
+    mark c does not name raises UnnamedMark, marks on no common line
+    NotCollinear; each later failed lookup and failed check raises
+    NotForced naming self.at, the step under check.
     """
 
     at = "the seed lines"
 
-    def __init__(self, c: Configuration, J: int):
-        entries, marks = _ladder(c)
-        self.zero, self.one, self.inf, self.z = (marks[label] for label in MARK_LABELS)
+    def __init__(self, c: Configuration):
+        missing = [label for label in MARK_LABELS if label not in c.marks]
+        if missing:
+            raise UnnamedMark(f"the configuration names no point as the mark {', '.join(missing)}")
+        marks = [c.marks[label] for label in MARK_LABELS]
+        self.zero, self.one, self.inf, self.z = marks
         self.field, self.rows, self.index = c.field, list(c.incidence), c.line_index
         self.on: list[list[int]] = [[] for _ in c.lines]  # per line, its points
         appends = [points.append for points in self.on]
@@ -78,12 +54,14 @@ class _Incidences:
                 appends[i](p)
         # two lines share at most one point, so a table with two lines
         # through the marks has no realization either
-        axes = set.intersection(*(set(c.incidence[m]) for m in marks.values()))
+        axes = set.intersection(*(set(c.incidence[m]) for m in marks))
         if len(axes) != 1:
-            detail = "no line passes through the top four points"
-            raise _failed(NotCollinear, "collinearity", detail, entries)
+            raise NotCollinear(
+                "collinearity check failed: no one line passes through the marks 0, 1, inf "
+                f"and z, points {', '.join(map(str, marks))}"
+            )
         self.axis = axes.pop()
-        seed_objects(self, J)
+        seed_objects(self)
 
     def check(self, ok: bool, detail: str, *args) -> None:
         if not ok:
@@ -133,38 +111,39 @@ def decode(c: Configuration) -> NFElement:
     table meet on no other line. decode runs the recipes of slp_compiler
     over the table, through the hooks of realize: each gadget line is the
     one table line through two named points, each point the one point
-    whose row holds two named lines. Only the seed lines, the tie lines
-    and each add's line y = h are found by coordinates, h from the file's
-    seed. The proof does no arithmetic in K; the layout choice alone
-    reads register values in K (SLP.evaluate).
+    whose row holds two named lines. Only the seed lines and each add's
+    line y = h are found by coordinates, h from the file's seed. The proof
+    does no arithmetic in K.
 
-    - Seed. The marks 0, 1, inf, z are the top four points of the ladder,
-      named by configuration.LADDER_ORDER (_ladder), and the axis is the
-      one line through all four (else NotCollinear). seed_objects finds
-      the y-axis, ell_inf, V and, per anchor j = 1..J, uj, U_j and S_j,
-      and checks that they are the seed objects of the von Staudt lemma
-      (slp_compiler.add_gadget), whose chart puts z at (w, 0) for
-      w = cr(0, 1, inf, z).
-    - Anchors. J and the anchor of each product follow from the polynomial
-      alone, as emission chooses them (slp_compiler.anchor_count and
-      split_anchors), so neither the seed nor the order of the file's
-      lines changes them. A wrong J can only make the proof fail, never
-      pass.
+    - Marks. The surface of the paper recalls the lines of its
+      configuration but not their labels, so the marks 0, 1, inf, z must
+      be facts of the combinatorial type T, its lines and multiple points
+      (R. Vakil, Invent. Math. 164, 2006). The build and the loader prove
+      by colour refinement that T has no automorphism (line_ranks; M.
+      Grohe, K. Kersting, M. Mladenov and P. Schweitzer, "Color refinement
+      and its applications", 2017), and a file names each mark by the
+      canonical ranks of the lines through it. With Aut(T) trivial, the
+      space of realizations of T without labels equals the space of
+      realizations with them, so the marks decode reads are intrinsic.
+    - Seed. The axis is the one line through all four marks (else
+      NotCollinear). seed_objects finds the y-axis, ell_inf, the tie line
+      u1, V, U and S, and checks that they are the seed objects of the von
+      Staudt lemma (slp_compiler.add_gadget), whose chart puts z at (w, 0)
+      for w = cr(0, 1, inf, z).
     - Gadgets. By the lemma each add and mul lands on the sum or product
       of its operands, given the non-degeneracy conditions its recipe
       checks; every join is of two distinct points.
 
     So register k sits at (R_k(w), 0), R_k = slp.evaluate(x, 1)[k] the
-    polynomial in z built from the gadget kinds alone, whichever anchor
-    each product drew on. The registers of P and N must be one point, the
-    mark 0 when N = 0, and P - N must be the primitive p: then p(w) = 0
-    in every realization. Raises NotForced, naming the register, the
-    gadget kind, the anchor of a product, and the line and point that
+    polynomial in z built from the gadget kinds alone. The registers of P
+    and N must be one point, the mark 0 when N = 0, and P - N must be the
+    primitive p: then p(w) = 0 in every realization. Raises NotForced,
+    naming the register, the gadget kind, and the line and point that
     broke. Only then is w read: the cross-ratio of the marks on the
     table's axis, in the file's coordinates.
     """
     slp, p = compile_polynomial(c.field.source), c.field.source
-    t = _Incidences(c, anchor_count(slp, slp.evaluate(c.field.gen, c.field.one)))
+    t = _Incidences(c)
     reg = realize(slp, t, c.seed)[0]
     t.at = "the relation P(z) = N(z)"
     rhs = t.zero if slp.rhs is None else reg[slp.rhs]
@@ -176,15 +155,14 @@ def decode(c: Configuration) -> NFElement:
 
 
 class SeparationCertificate:
-    __slots__ = (
-        "poly", "seed", "line_count", "mark_valences", "max_other_valence",
-        "roots", "values",
-    )
+    __slots__ = ("poly", "seed", "line_count", "roots", "values")
     statement = (
         "the incidences force P(z) = N(z), so every realization of the "
-        "configuration encodes a root of p; for every pair of embeddings "
-        "i != j the decoded invariants differ: the certified value discs "
-        "are pairwise disjoint"
+        "configuration encodes a root of p; its combinatorial type has a trivial "
+        "automorphism group, shown by discrete colour refinement, so the marks "
+        "named by their canonical rows are intrinsic; for every pair of embeddings "
+        "i != j the decoded invariants differ: the certified value discs are "
+        "pairwise disjoint"
     )
 
     def __init__(
@@ -192,16 +170,12 @@ class SeparationCertificate:
         poly: IntPoly,
         seed: int,
         line_count: int,
-        mark_valences: dict[str, int],
-        max_other_valence: int,
         roots: tuple[Disc, ...],
         values: tuple[Disc, ...],
     ):
         self.poly = poly
         self.seed = seed
         self.line_count = line_count
-        self.mark_valences = mark_valences
-        self.max_other_valence = max_other_valence
         self.roots = roots
         self.values = values
 
@@ -209,8 +183,9 @@ class SeparationCertificate:
 def separation_certificate(p: IntPoly, seed: int = 0) -> SeparationCertificate:
     """Build once, decode, isolate the roots, embed at every root.
 
-    Each claim is checked once and raises when it fails: the incidences
-    force the relation and decode equals the generator (decode), and
+    Each claim is checked once and raises when it fails: the type is
+    rigid (the build's last stage, configuration.name_marks), the
+    incidences force the relation and decode equals the generator (decode), and
     isolate_roots proves the root discs pairwise disjoint; each value disc
     is its root disc (embed).
     """
@@ -223,8 +198,6 @@ def separation_certificate(p: IntPoly, seed: int = 0) -> SeparationCertificate:
         poly=cfg.source,
         seed=seed,
         line_count=cfg.line_count,
-        mark_valences={label: cfg.valence(i) for label, i in cfg.marks.items()},
-        max_other_valence=max_other_valence(cfg),
         roots=roots,
         values=tuple(embed(decoded, d) for d in roots),
     )

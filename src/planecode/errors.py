@@ -2,8 +2,9 @@
 
 Each class carries the process exit code the CLI maps it to:
 0 success, 1 failed self-check, 2 parse or bad argument, 3 algebra,
-4 genericity, 5 decode ambiguity or incidences that do not force the
-relation, 6 schema.
+4 genericity, including a build whose type is not proven rigid, 5 a type
+not proven rigid, a mark that names no point, or incidences that do not
+force the relation, 6 schema.
 """
 
 
@@ -91,7 +92,15 @@ class DuplicateLine(PlanecodeError):
 
 # -- decoding ------------------------------------------------------------------
 
-class AmbiguousValences(PlanecodeError):
+class NotRigid(PlanecodeError):
+    """Colour refinement leaves lines of the type in one class: the marks are not facts of it."""
+
+    exit_code = 5
+
+
+class UnnamedMark(PlanecodeError):
+    """A file's row of canonical line ranks names no point of the configuration."""
+
     exit_code = 5
 
 

@@ -5,14 +5,19 @@ abstract ever passes through floats; floats appear only in certificate
 embedding values, always next to their radii. Serialization is canonical
 (sorted keys, fixed indentation), so identical objects give identical bytes.
 
-A configuration file (schema v3) holds the polynomial, the seed, the stream
-cursor and the lines: a configuration is its lines. Loading checks the
-lines and then derives the multiple points, incidences and marks with the
-code that built them (configuration.derive_points), which finds each point
-by its key mod a prime and confirms it exactly; the simple crossings are
-counted, not stored. So nothing in the file is trusted and nothing is
-proven twice. Certificates are schema v2. A cover report (schema v2)
-lists each valence once, and each class as h and one b per valence.
+A configuration file (schema v4) holds the polynomial, the seed, the stream
+cursor, the lines and the marks: a configuration is its lines, and a mark
+is a fact of their combinatorial type. The file names each mark by its
+row, the sorted canonical ranks of the lines through it
+(configuration.line_ranks), so the names do not change when the lines are
+reordered or the file is Galois-conjugated. Loading checks the lines and
+then derives the multiple points and incidences with the code that built
+them (configuration.derive_points), which finds each point by its key mod
+a prime and confirms it exactly; the simple crossings are counted, not
+stored. It proves the type rigid and resolves each row to its point. So
+nothing in the file is trusted and nothing is proven twice. Certificates
+are schema v3. A cover report (schema v2) lists each valence once, and
+each class as h and one b per valence.
 """
 
 from __future__ import annotations
@@ -22,14 +27,14 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .configuration import Configuration, derive_points
+from .configuration import MARK_LABELS, Configuration, derive_points, line_ranks
 from .cover import name
-from .errors import DuplicateLine, SchemaError
+from .errors import DuplicateLine, SchemaError, UnnamedMark
 from .numberfield import MAX_COEFF_DIGITS, IntPoly, NFElement, NumberField, check_bounds
-from .projgeom import ProjLine
+from .projgeom import ProjLine, meet
 
-CONFIG_SCHEMA_VERSION = 3
-CERTIFICATE_SCHEMA_VERSION = 2
+CONFIG_SCHEMA_VERSION = 4
+CERTIFICATE_SCHEMA_VERSION = 3
 COVER_SCHEMA_VERSION = 2
 _DECIMAL = re.compile("[+-]?[0-9]+")
 
@@ -85,12 +90,17 @@ def poly_from_json(data) -> IntPoly:
 
 
 def config_to_json(c: Configuration) -> dict:
+    """The file of c; a type that is not rigid raises NotRigid (exit 5), as loading it would."""
+    rank = line_ranks(c)
     return {
         "v": CONFIG_SCHEMA_VERSION,
         "poly": poly_to_json(c.source),
         "seed": c.seed,
         "params_consumed": c.params_consumed,
         "lines": [[nf_to_json(x) for x in l.coeffs] for l in c.lines],
+        "marks": {
+            label: sorted(rank[i] for i in c.incidence[p]) for label, p in c.marks.items()
+        },
     }
 
 
@@ -105,25 +115,66 @@ def _line(field: NumberField, i: int, entry) -> ProjLine:
     return ProjLine(coeffs)
 
 
+def _mark_rows(data) -> dict[str, tuple[int, ...]]:
+    """The marks of a file: per label, a strictly increasing row of two or more line ranks."""
+    if not isinstance(data, dict) or sorted(data) != sorted(MARK_LABELS):
+        raise SchemaError(f"marks must map exactly the labels {', '.join(MARK_LABELS)} to rows")
+    for label, row in data.items():
+        ok = isinstance(row, list) and len(row) >= 2 and all(type(r) is int for r in row)
+        if not (ok and row == sorted(set(row)) and row[0] >= 0):
+            raise SchemaError(
+                f"mark {label}: {row!r} is not a strictly increasing list of two or more line ranks"
+            )
+    return {label: tuple(row) for label, row in data.items()}
+
+
+def _resolved(rows: dict[str, tuple[int, ...]], c: Configuration) -> dict[str, int]:
+    """Each mark of a file's rows resolved to its point of c, the marks hook of derive_points.
+
+    The type must be rigid (line_ranks, NotRigid otherwise, exit 5); then
+    each rank below L is one line of the file. A row names the point whose
+    lines have exactly these ranks: a stored point, or for two lines their
+    crossing, if no third line passes through it. A row that names no
+    point raises UnnamedMark (exit 5).
+    """
+    line_of = {r: i for i, r in enumerate(line_ranks(c))}
+    marks = {}
+    for label, row in rows.items():
+        lines = tuple(sorted(line_of[r] for r in row if r in line_of))
+        simple = len(lines) == 2 and not any(set(lines) <= set(r) for r in c.incidence)
+        if len(lines) < len(row) or not (simple or lines in c.incidence):
+            raise UnnamedMark(
+                f"mark {label}: no point lies on exactly the lines of ranks {list(row)}"
+            )
+        if simple:
+            marks[label] = c.find(meet(c.lines[lines[0]], c.lines[lines[1]]))
+        else:
+            marks[label] = c.incidence.index(lines)
+    return marks
+
+
 def config_from_json(data) -> Configuration:
-    """Decode a configuration file: check its lines, derive everything else.
+    """Decode a configuration file: check its lines and marks, derive everything else.
 
     The lines must be canonical triples, pairwise distinct, and at least
     two; canonical form makes "distinct triples" mean "distinct lines", so
     every pair of lines meets in exactly one point. derive_points then
-    derives the multiple points, incidences and marks as the build did.
-    The seed and the stream cursor must be JSON integers, the cursor
-    >= 0. A malformed file raises SchemaError (exit 6); so does a schema
-    v1 file (it stored points) or v2 file (its seed drew grid heights),
-    asking for a rebuild, and a certificate or report, named by its kind.
-    A polynomial that defines no field exits 3, as it does for build.
+    derives the multiple points and incidences as the build did, and
+    resolves the rows of the marks (_resolved). The seed and the stream
+    cursor must be JSON integers, the cursor >= 0. A malformed file raises
+    SchemaError (exit 6); so does a file of schema v1 (it stored points),
+    v2 (its seed drew grid heights) or v3 (it named the marks by a valence
+    ladder), asking for a rebuild, and a certificate or report, named by
+    its kind. A type that is not rigid, or a row that names no point,
+    exits 5. A polynomial that defines no field exits 3, as it does for
+    build.
     """
     if not isinstance(data, dict):
         raise SchemaError("configuration file must hold a JSON object")
     if "kind" in data:
         raise SchemaError(f"this is a {data['kind']} file, not a configuration")
     version = data.get("v")
-    if type(version) is int and version in (1, 2):
+    if type(version) is int and version in (1, 2, 3):
         raise SchemaError(
             f"this is a schema v{version} configuration file, which planecode no longer "
             "reads; rebuild it with `planecode build`"
@@ -134,7 +185,7 @@ def config_from_json(data) -> Configuration:
         poly = poly_from_json(data["poly"])
         field = NumberField.create(poly)
         lines = [_line(field, i, e) for i, e in enumerate(data["lines"])]
-        seed, params = data["seed"], data["params_consumed"]
+        seed, params, marks = data["seed"], data["params_consumed"], data["marks"]
     except SchemaError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -147,8 +198,11 @@ def config_from_json(data) -> Configuration:
         )
     if len(lines) < 2:
         raise SchemaError(f"a configuration needs at least two lines, got {len(lines)}")
+    rows = _mark_rows(marks)
     try:
-        return derive_points(lines, seed=seed, params_consumed=params)
+        return derive_points(
+            lines, seed=seed, params_consumed=params, marks=lambda c: _resolved(rows, c)
+        )
     except DuplicateLine as exc:
         raise SchemaError(f"a line is listed twice: {exc}") from exc
 
@@ -160,8 +214,6 @@ def certificate_to_json(cert) -> dict:
         "poly": poly_to_json(cert.poly),
         "seed": cert.seed,
         "line_count": cert.line_count,
-        "mark_valences": dict(cert.mark_valences),
-        "max_other_valence": cert.max_other_valence,
         # separation_certificate checked that decode gave the generator z
         "decoded": [fraction_to_json(Fraction(int(i == 1))) for i in range(cert.poly.degree)],
         "equals_generator": True,
@@ -184,9 +236,8 @@ def format_certificate(cert) -> str:
     lines = [
         f"separation certificate for p = {cert.poly}",
         f"  seed {cert.seed}, {cert.line_count} lines",
-        "  valence ladder: "
-        + ", ".join(f"{k}={v}" for k, v in sorted(cert.mark_valences.items()))
-        + f", next highest {cert.max_other_valence}",
+        "  automorphism group of the type: trivial (colour refinement is discrete), "
+        "so the marks are intrinsic",
         "  decoded element equals the field generator: True",
         "  embeddings of the decoded element:",
     ]

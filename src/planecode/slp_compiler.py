@@ -18,16 +18,11 @@ Four seed lines come first, each needed for every realization of the
 configuration to encode a conjugate of z: the axis ell, which carries
 the marks and every output; the y-axis x = 0, where the mul lifts its
 second factor; the line at infinity z = 0, the only line on which a
-gadget's "parallels" are forced to meet; and u1: x + y = 1, the tie line
-of anchor 1. A mul draws through an anchor j, the pair U_j = (0 : j : 1)
-and S_j = (1 : -j : 0), and the tie line uj: x + y/j = 1 joins the mark 1
-to both, which ties the scale of the y-axis to the unit of the axis
-(without it every product would be lambda*a*b for a free lambda); so u1
-passes through the mark 1, U = U_1 and the slope -1 direction S = S_1.
-Every mul draws on anchor 1, unless spreading the products over anchors
-1..J, each held to valence 4 (split_anchors), lowers the raw ladder base:
-then the tie lines u2..uJ follow u1. anchor_count decides, before the one
-drawing, by counting each distinct layout once over ids (_Counted).
+gadget's "parallels" are forced to meet; and the tie line u1: x + y = 1.
+Every mul draws through one anchor, the pair U = (0 : 1 : 1) and
+S = (1 : -1 : 0), and u1 joins the mark 1 to both, which ties the scale
+of the y-axis to the unit of the axis (without it every product would be
+lambda*a*b for a free lambda).
 
 The seed and each gadget are written once, as the recipes seed_objects,
 add_gadget and mul_gadget over a geometry, with the von Staudt lemma
@@ -42,10 +37,9 @@ defined over K with Galois-stable choices.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, count
 
-from .configuration import MARK_LABELS, MARK_Z, Configuration, derive_points, ladder_targets
+from .configuration import MARK_LABELS, Configuration, derive_points
 from .errors import GadgetDegenerate, NotARoot, SelfCheckFailed
 from .numberfield import IntPoly, NFElement, NumberField, primitive_modulus
 # Unused here; bound only for the planecode.slp_compiler.check_irreducible
@@ -186,18 +180,13 @@ def register_point(value: NFElement) -> ProjPoint:
     return point(value.field, value, 0)
 
 
-def tie_line(field: NumberField, j: int) -> ProjLine:
-    """uj: x + y/j = 1, the tie line of anchor j, through the mark 1, U_j and S_j."""
-    return line(field, 1, Fraction(1, j), -1)
+def seed_objects(g) -> None:
+    """Set the seed objects of the lemma (add_gadget) in g, from its axis and marks.
 
-
-def seed_objects(g, J: int) -> None:
-    """Set the seed objects of the lemma (add_gadget) on J anchors in g, from its axis and marks.
-
-    yaxis, x = 0, passes through the mark 0 and linf, z = 0, through inf;
-    V = yaxis ^ linf. Each tie line uj (tie_line) passes through the mark
-    1; U_j = uj ^ yaxis and S_j = uj ^ linf. None of these lines is the
-    axis, and no U_j is 0 or V.
+    yaxis, x = 0, passes through the mark 0, linf, z = 0, through inf, and
+    the tie line u1, x + y = 1, through the mark 1; V = yaxis ^ linf,
+    U = u1 ^ yaxis and S = u1 ^ linf. None of these lines is the axis,
+    and U is neither 0 nor V.
     """
 
     def seed_line(coeffs, role: str, mark: str):
@@ -206,14 +195,10 @@ def seed_objects(g, J: int) -> None:
         return l
 
     g.yaxis, g.linf = seed_line((1, 0, 0), "y-axis", "zero"), seed_line((0, 0, 1), "ell_inf", "inf")
-    g.V = g.meet(g.yaxis, g.linf, "V")
-    g.ties, g.U, g.S = (), (), ()
-    for j in range(1, J + 1):
-        g.at = f"anchor {j}"
-        tie = seed_line(tie_line(g.field, j).coeffs, f"u{j}", "one")
-        U = g.meet(tie, g.yaxis, "U")
-        g.check(U not in (g.zero, g.V), "U is point {}, which is 0 or V", U)
-        g.ties, g.U, g.S = g.ties + (tie,), g.U + (U,), g.S + (g.meet(tie, g.linf, "S"),)
+    g.tie = seed_line((1, 1, -1), "u1", "one")
+    g.V, g.U = g.meet(g.yaxis, g.linf, "V"), g.meet(g.tie, g.yaxis, "U")
+    g.check(g.U not in (g.zero, g.V), "U is point {}, which is 0 or V", g.U)
+    g.S = g.meet(g.tie, g.linf, "S")
     g.at = "a gadget"
 
 
@@ -226,82 +211,45 @@ def add_gadget(g, a, b, h: int):
 
     The von Staudt lemma, for both gadgets. In any realization, over any
     field, of the seed objects (seed_objects), put linf at infinity: there
-    is one affine chart with 0 = (0, 0), 1 = (1, 0), U_1 = (0, 1), the
-    axis and yaxis the coordinate axes and u1 the line x + y = 1, and V
-    the vertical direction. Each U_j is then (0, c_j) for some finite c_j not
-    0, and S_j = uj ^ linf, on the line from 1 to U_j, is the slope -c_j
-    direction. Let a = (a, 0), b = (b, 0), not 0.
+    is one affine chart with 0 = (0, 0), 1 = (1, 0), U = (0, 1), the axis
+    and yaxis the coordinate axes and u1 the line x + y = 1, and V the
+    vertical direction. S = u1 ^ linf, on the line from 1 to U, is the
+    slope -1 direction. Let a = (a, 0), b = (b, 0), not 0.
 
     - Add. l2 = b V is x = b; hline passes through inf, so it is y = h'
       for some h', and aux = hline ^ yaxis = (0, h'), off the axis and not
       V, so h' is finite and nonzero. l4 joins the corner l2 ^ hline =
       (b, h') to l3 ^ linf, l3 = aux a: 0, b, the corner and aux form a
       parallelogram, and l4 meets the axis at (a + b, 0), whatever h' is.
-    - Mul on anchor j (mul_gadget). t1 = b S_j is y = -c_j (x - b), so
-      t1 ^ yaxis = (0, c_j b). m2 joins (0, c_j b) to m1 ^ linf,
-      m1 = U_j a: the homothety at 0 that sends 1 to b sends U_j to
-      (0, c_j b) and m1 to m2, so m2 meets the axis at (a*b, 0), whatever
-      c_j is.
+    - Mul (mul_gadget). t1 = b S is y = -(x - b), so t1 ^ yaxis = (0, b).
+      m2 joins (0, b) to m1 ^ linf, m1 = U a: the homothety at 0 that
+      sends 1 to b sends U to (0, b) and m1 to m2, so m2 meets the axis at
+      (a*b, 0).
 
     So the incidences alone force each output (N. Mnev, LNM 1346, 1988;
-    R. Vakil, Invent. Math. 164, 2006). aux is also kept off every U_j,
-    so that no add draws through a mul's anchor. g is a geometry with the
-    hooks of realize.
+    R. Vakil, Invent. Math. 164, 2006). aux is also kept off U, so that no
+    add draws through the mul's anchor. g is a geometry with the hooks of
+    realize.
     """
     _check_operands(g, a, b)
     l2 = g.join(b, g.V, "l2")
     hline = g.line((0, 1, -h), "hline", "inf")
     aux = g.meet(hline, g.yaxis, "aux")
     g.check(
-        not g.lies_on(aux, g.axis) and aux != g.V and aux not in g.U,
-        "aux is point {}, which is on the axis, an anchor U_j or V", aux,
+        not g.lies_on(aux, g.axis) and aux not in (g.V, g.U),
+        "aux is point {}, which is on the axis, the anchor U or V", aux,
     )
     l3 = g.join(aux, a, "l3")
     l4 = g.join(g.meet(l2, hline, "corner"), g.meet(l3, g.linf, "l3 direction"), "l4")
     return g.meet(l4, g.axis, "output"), {"l2": l2, "l3": l3, "l4": l4, "hline": hline}
 
 
-def mul_gadget(g, a, b, j: int = 1):
-    """The object of a*b drawn on anchor j, and the mul's lines by role; the lemma is at add_gadget."""
+def mul_gadget(g, a, b):
+    """The object of a*b, and the mul's lines by role; the lemma is at add_gadget."""
     _check_operands(g, a, b)
-    t1, m1 = g.join(b, g.S[j - 1], "t1"), g.join(g.U[j - 1], a, "m1")
+    t1, m1 = g.join(b, g.S, "t1"), g.join(g.U, a, "m1")
     m2 = g.join(g.meet(t1, g.yaxis, "lift"), g.meet(m1, g.linf, "m1 direction"), "m2")
     return g.meet(m2, g.axis, "output"), {"t1": t1, "m1": m1, "m2": m2}
-
-
-def split_anchors(slp: SLP) -> tuple[int, ...]:
-    """Per instruction, the anchor j >= 1 of each product in the split layout, 0 for the rest.
-
-    The products on anchor j draw one line m1 = U_j a per distinct left
-    operand a and one line t1 = b S_j per distinct right operand b, so
-    U_j and S_j have valence 2 + those counts. In instruction order, each
-    product goes to an anchor that then holds at most two distinct left
-    and two distinct right operands, so that U_j and S_j stay at valence
-    <= 4: the one already holding most of its own operands, the lowest j
-    on a tie. A new anchor opens only when none has room. The assignment
-    reads the program alone.
-    """
-    held: list[tuple[set[int], set[int]]] = []  # per anchor, its left and right operands
-    anchors = []
-    for kind, *ops in slp.instructions:
-        if kind != MUL:
-            anchors.append(0)
-            continue
-        a, b = ops
-        room = [
-            (-(a in left) - (b in right), j)
-            for j, (left, right) in enumerate(held, 1)
-            if len(left | {a}) <= 2 and len(right | {b}) <= 2
-        ]
-        if room:
-            j = min(room)[1]
-        else:
-            held.append((set(), set()))
-            j = len(held)
-        held[j - 1][0].add(a)
-        held[j - 1][1].add(b)
-        anchors.append(j)
-    return tuple(anchors)
 
 
 def realize(slp: SLP, g, seed: int) -> tuple[list, list[dict], int]:
@@ -314,19 +262,16 @@ def realize(slp: SLP, g, seed: int) -> tuple[list, list[dict], int]:
     role); meet(l, m, role); lies_on(p, l); and check(ok, detail, *args),
     which refuses a non-degeneracy condition of the lemma found false,
     naming g.at and, only then, detail.format(*args). _Drawn draws in K
-    and raises GadgetDegenerate, _Counted counts over ids and checks
-    nothing, decode._Incidences reads a file's incidence table and raises
-    NotForced. With one anchor every product draws on it; with J > 1 on
-    split_anchors(slp).
+    and raises GadgetDegenerate, decode._Incidences reads a file's
+    incidence table and raises NotForced.
     z and the unit are the marks z and 1 and draw no lines. An add draws
     y = h, h = 1000v + 1 for the next nonzero value v of the stream
-    seed + 1, seed + 2, ..., off the grid of the registers and anchor
-    heights (h = 2 put u1 ^ l4 of 1 + 1 on x = 3; the survey in
+    seed + 1, seed + 2, ..., off the grid of the registers and of the
+    anchor height (h = 2 put u1 ^ l4 of 1 + 1 on x = 3; the survey in
     tests/test_forcing.py guards this). h is never 0 (hline would be the
-    axis), and only v = 0, a negative seed's, gives an anchor height, 1
-    (aux would be U_1): J, at most the number of products, is below 1001.
+    axis), nor the anchor height 1 (aux would be U), which only v = 0, a
+    negative seed's, would give.
     """
-    anchor = split_anchors(slp) if len(g.U) > 1 else (1,) * len(slp.instructions)
     v = seed
     reg, lines = [], []  # per register, its object and its gadget's lines
     for k, (kind, *ops) in enumerate(slp.instructions):
@@ -339,22 +284,21 @@ def realize(slp: SLP, g, seed: int) -> tuple[list, list[dict], int]:
                 v = next(v for v in count(v + 1) if v)
                 out, drawn = add_gadget(g, a, b, 1000 * v + 1)
             else:
-                g.at += f" on anchor {anchor[k]}"
-                out, drawn = mul_gadget(g, a, b, anchor[k])
+                out, drawn = mul_gadget(g, a, b)
         reg.append(out)
         lines.append(drawn)
     return reg, lines, v - seed
 
 
 class _Drawn:
-    """The gadgets drawn in K on J anchors: objects are points and lines of P^2(K)."""
+    """The gadgets drawn in K: objects are points and lines of P^2(K)."""
 
     at = "the seed lines"
 
-    def __init__(self, field: NumberField, anchors: int = 1):
+    def __init__(self, field: NumberField):
         self.field, self.axis = field, line(field, 0, 1, 0)
         self.zero, self.one, self.z = map(register_point, (field.zero, field.one, field.gen))
-        seed_objects(self, anchors)
+        seed_objects(self)
 
     def line(self, coeffs, role: str, mark: str) -> ProjLine:
         return line(self.field, *coeffs)
@@ -390,7 +334,7 @@ def _drawn_configuration(slp: SLP, g: _Drawn, seed: int, values: list) -> Config
     if lhs != rhs:
         raise NotARoot(f"P(z) = {lhs} differs from N(z) = {rhs}")
 
-    ordered = dict.fromkeys(chain((g.axis, g.yaxis, g.linf, *g.ties), *(d.values() for d in drawn)))
+    ordered = dict.fromkeys(chain((g.axis, g.yaxis, g.linf, g.tie), *(d.values() for d in drawn)))
     cfg = derive_points(list(ordered), seed=seed, params_consumed=consumed)
     for label in MARK_LABELS:
         if label not in cfg.marks:
@@ -398,75 +342,12 @@ def _drawn_configuration(slp: SLP, g: _Drawn, seed: int, values: list) -> Config
     return cfg
 
 
-class _Counted:
-    """The gadgets counted on J anchors: points and lines are ids, a line the set of its points.
-
-    Building it runs realize over it. join and meet return the one known
-    object through both arguments, or else a new one; an output is the
-    axis point of its register's value in K, so equal values share one
-    point, as in the drawing. line reads no coefficients, so the count
-    takes no seed. ladder_targets reads it as a raw configuration.
-    """
-
-    simple_count = 0  # an unnamed crossing has valence 2, as V has
-
-    def __init__(self, slp: SLP, values: list, anchors: int):
-        self.field = f = values[0].field
-        self.on, self.incidence = [], []  # per line, per point
-        self.axis = self._put(self.on, ())
-        marks = [self._put(self.incidence, (self.axis,)) for _ in MARK_LABELS]
-        self.zero, self.one, self.inf, self.z = marks
-        self.marks = dict(zip(MARK_LABELS, marks))
-        seed_objects(self, anchors)
-        self.points = {f.zero: self.zero, f.one: self.one, f.gen: self.z}  # the axis points by value
-        self.outputs = (v for (kind, *_), v in zip(slp.instructions, values) if kind in (ADD, MUL))
-        realize(slp, self, 0)
-
-    def _put(self, table: list[set[int]], ids, known: int | None = None) -> int:
-        other = self.incidence if table is self.on else self.on
-        if known is None:
-            known = len(table)
-            table.append(set())
-        table[known].update(ids)
-        for i in ids:
-            other[i].add(known)
-        return known
-
-    def join(self, p: int, q: int, role: str) -> int:
-        return min(self.incidence[p] & self.incidence[q] or {self._put(self.on, (p, q))})
-
-    def meet(self, l: int, m: int, role: str) -> int:
-        if role == "output":
-            value = next(self.outputs)
-            self.points[value] = self._put(self.incidence, (l, m), self.points.get(value))
-            return self.points[value]
-        return min(self.on[l] & self.on[m] or {self._put(self.incidence, (l, m))})
-
-    def line(self, coeffs, role: str, mark: str) -> int:
-        return self._put(self.on, (getattr(self, mark),))
-
-    def lies_on(self, p: int, l: int) -> bool:
-        return l in self.incidence[p]
-
-    check = staticmethod(lambda ok, detail, *args: None)  # the drawing refuses what the lemma excludes
-
-
-def anchor_count(slp: SLP, values: list) -> int:
-    """J for emission and decode, seed-free: split only where z's counted target drops.
-
-    values are the registers' values in K (SLP.evaluate); each distinct layout is counted once.
-    """
-    split = max(split_anchors(slp), default=1)
-    target = {J: ladder_targets(_Counted(slp, values, J))[MARK_Z] for J in {1, split}}
-    return split if target[split] < target[1] else 1
-
-
 def emit_configuration(slp: SLP, seed: int = 0) -> Configuration:
     """Prove K a field, draw each instruction's gadget once, return the raw configuration.
 
-    The program is evaluated in K once; anchor_count reads those values
-    to pick the layout, and the drawing self-checks against them.
+    The program is evaluated in K once, and the drawing self-checks
+    against those values.
     """
     field = NumberField.create(slp.source)
     values = slp.evaluate(field.gen, field.one)
-    return _drawn_configuration(slp, _Drawn(field, anchor_count(slp, values)), seed, values)
+    return _drawn_configuration(slp, _Drawn(field), seed, values)

@@ -1,3 +1,4 @@
+import random
 from math import comb
 
 import pytest
@@ -6,14 +7,15 @@ from planecode import configuration
 from planecode.configuration import (
     MARK_LABELS,
     all_points,
-    amplify_marks,
     augment_even_valence,
     derive_points,
-    valences,
+    line_ranks,
+    name_marks,
 )
 from planecode.cover import valence_counts
-from planecode.errors import DuplicateLine, GenericityExhausted
+from planecode.errors import DuplicateLine, GenericityExhausted, NotRigid
 from planecode.numberfield import NumberField, parse_poly
+from planecode.pipeline import amplify_marks
 from planecode.projgeom import incident, line, meet, point
 from planecode.serialize import config_from_json, config_to_json, dumps_canonical, loads
 from planecode.slp_compiler import ADD, compile_polynomial, emit_configuration
@@ -87,22 +89,47 @@ def test_augment_pipeline_all_even(raw_cfg):
     assert all(v % 2 == 0 for v, _ in valence_counts(out))
 
 
-def test_amplify_ladder(raw_cfg):
-    cfg = amplify_marks(augment_even_valence(raw_cfg))
-    rep = valences(cfg)
-    top = rep[:5]
-    vals = [v for _, v in top]
-    assert vals[0] > vals[1] > vals[2] > vals[3] > vals[4]
-    order = [i for i, _ in top[:4]]
-    assert order == [cfg.marks[l] for l in ("zero", "one", "inf", "z")]
-    # targets are the minimal even ladder above the rest
-    assert vals[0] - vals[1] == vals[1] - vals[2] == vals[2] - vals[3] == 2
+def test_the_last_stage_proves_the_type_rigid(raw_cfg):
+    cfg = name_marks(augment_even_valence(raw_cfg))
+    assert sorted(line_ranks(cfg)) == list(range(cfg.line_count))
     assert all(v % 2 == 0 for v, _ in valence_counts(cfg))
 
 
+def _four_pencils(k):
+    """Pencils of 10, 8, 6 and 4 lines at four points in general position.
+
+    Any two lines of one pencil are exchanged by an automorphism of the type.
+    """
+    centres = [((0, 0), 100, 10), ((1, 0), 200, 8), ((0, 1), 300, 6), ((5, 7), 400, 4)]
+    return derive_points(
+        [line(k, s, -1, y - s * x) for (x, y), base, n in centres for s in range(base, base + n)]
+    )
+
+
+def test_the_last_stage_refuses_a_type_with_an_automorphism(k):
+    cfg = _four_pencils(k)
+    with pytest.raises(GenericityExhausted, match="not singletons, 4 in all") as caught:
+        name_marks(cfg)
+    assert caught.value.exit_code == 4
+    assert "lines 0, 1, 2, 3, 4, 5 and 4 more" in str(caught.value)
+    with pytest.raises(NotRigid, match="rigidity check failed") as caught:
+        line_ranks(cfg)
+    assert caught.value.exit_code == 5
+
+
+@pytest.mark.parametrize("text", ["x^2-2", "x^5-x-1"])
+def test_a_line_keeps_its_rank_when_the_lines_are_shuffled(built, text):
+    cfg, _ = built(text)
+    lines = list(cfg.lines)
+    random.Random(7).shuffle(lines)
+    rank = dict(zip(cfg.lines, line_ranks(cfg)))
+    assert dict(zip(lines, line_ranks(derive_points(lines)))) == rank
+
+
 def test_augment_and_amplify_leave_their_input_unchanged():
-    # each stage extends a copy: the lines and parameters a stage added are
-    # the difference of what it returns and what it was given
+    # augment extends a copy: the lines and parameters it added are the
+    # difference of what it returns and what it was given; the last stage,
+    # bound as amplify_marks in the pipeline, adds nothing and returns its input
     def state(c):
         return list(c.lines), list(c.points), list(c.incidence), dict(c.marks), c.params_consumed
 
@@ -112,9 +139,7 @@ def test_augment_and_amplify_leave_their_input_unchanged():
     assert even is not raw and even.line_count > raw.line_count
     assert state(raw) == before
     before = state(even)
-    final = amplify_marks(even)
-    assert final is not even and final.line_count > even.line_count
-    assert final.params_consumed > even.params_consumed
+    assert amplify_marks(even) is even
     assert state(even) == before
 
 
@@ -125,7 +150,7 @@ def test_augment_and_amplify_leave_their_input_unchanged():
 ])
 def test_the_cursor_counts_every_parameter(monkeypatch, text, seed):
     # emission draws one height per add, one more where the heights skip 0;
-    # augment and amplify draw one parameter per try of a general line,
+    # augment draws one parameter per try of a general line,
     # and each try is one add_if_generic call through a single point
     slp = compile_polynomial(parse_poly(text))
     adds = sum(kind == ADD for kind, *_ in slp.instructions)
@@ -139,14 +164,8 @@ def test_the_cursor_counts_every_parameter(monkeypatch, text, seed):
         return real(c, l, through)
 
     monkeypatch.setattr(configuration.Configuration, "add_if_generic", counting)
-    final = amplify_marks(augment_even_valence(raw))
+    final = name_marks(augment_even_valence(raw))
     assert final.params_consumed - raw.params_consumed == sum(tries)
-
-
-def test_amplify_requires_even(raw_cfg):
-    if any(v % 2 for v, _ in valence_counts(raw_cfg)):
-        with pytest.raises(ValueError):
-            amplify_marks(raw_cfg)
 
 
 def test_marks_present_and_collinear(raw_cfg, k):
@@ -158,7 +177,7 @@ def test_marks_present_and_collinear(raw_cfg, k):
 
 
 def test_no_duplicate_points_or_lines(raw_cfg):
-    cfg = amplify_marks(augment_even_valence(raw_cfg))
+    cfg = name_marks(augment_even_valence(raw_cfg))
     assert len({canonical(p.coords) for p in cfg.points}) == len(cfg.points)
     assert len(set(cfg.lines)) == len(cfg.lines)
 
@@ -194,23 +213,20 @@ GOLDEN_POLYS = ("x^2-2", "x^3-2", "x^2-x-1", "x^4-x-1", "3*x^2-5", "x^5-x-1", "x
 
 # Final line counts at seed 0; augment joining fewer odd points, or a longer
 # SLP, raises them. x^16-x-1 pins the power table: z^16 costs four squarings.
-# Seed-0 L; no polynomial may get worse. x^5-x-1, x^7-x-1, x^16-x-1 and
-# x^32-x-1 draw their products on two or three anchors, which lowers the
-# ladder base M (50, 53, 53 and 65 on one shared anchor); x^9-x-1,
-# x^12-x^5-1 and 3*x^3-5*x+7 keep the shared anchor, where the split
-# layout would not lower M.
+# Seed-0 L; no polynomial may get worse. With the marks named by a rigid
+# type, no line serves a valence ladder: L is the raw lines and augment's.
 FINAL_LINES = {
-    "x^2-2": 36,
-    "x^3-2": 39,
-    "x^4-x-1": 39,
-    "3*x^2-5": 45,
-    "x^5-x-1": 42,
-    "x^7-x-1": 45,
-    "x^9-x-1": 56,
-    "x^12-x^5-1": 56,
-    "x^16-x-1": 45,
-    "x^32-x-1": 48,
-    "3*x^3-5*x+7": 67,
+    "x^2-2": 17,
+    "x^3-2": 20,
+    "x^4-x-1": 20,
+    "3*x^2-5": 31,
+    "x^5-x-1": 23,
+    "x^7-x-1": 26,
+    "x^9-x-1": 28,
+    "x^12-x^5-1": 29,
+    "x^16-x-1": 29,
+    "x^32-x-1": 33,
+    "3*x^3-5*x+7": 48,
 }
 
 
@@ -229,13 +245,12 @@ def augmented():
 
 
 @pytest.mark.parametrize("text", GOLDEN_POLYS)
-def test_augment_keeps_ladder_targets(augmented, text):
+def test_augment_fixes_the_marks_as_points_like_any_other(augmented, text):
+    # each odd point, mark or not, gains one line, and no even point gains any
     raw, out = augmented(text)
-    targets = configuration.ladder_targets(raw)
-    assert configuration.ladder_targets(out) == targets
-    for label in MARK_LABELS:
-        deficit = targets[label] - out.valence(out.marks[label])
-        assert deficit >= 0 and deficit % 2 == 0
+    for p, rows in enumerate(raw.incidence):
+        assert out.valence(p) == len(rows) + len(rows) % 2
+    assert out.marks == raw.marks
 
 
 @pytest.mark.parametrize("text", GOLDEN_POLYS)
@@ -243,7 +258,6 @@ def test_augment_joins_pass_through_exactly_their_two_points(augmented, text):
     raw, out = augmented(text)
     old = len(raw.points)
     odd = {i for i, rows in enumerate(raw.incidence) if len(rows) % 2}
-    marked = set(raw.marks.values())
     joins = 0
     for k in range(raw.line_count, out.line_count):
         through = [p for p in range(old) if k in out.incidence[p]]
@@ -251,8 +265,7 @@ def test_augment_joins_pass_through_exactly_their_two_points(augmented, text):
         assert through == [p for p in range(old) if incident(out.lines[k], out.points[p])]
         if len(through) == 2:
             joins += 1
-            assert not set(through) <= marked
-            assert set(through) <= odd | marked
+            assert set(through) <= odd
         else:
             assert len(through) == 1  # a general line through one odd point
     assert joins > 0
@@ -313,7 +326,7 @@ def test_augment_pairs_odd_points_without_marks(k):
         line(k, 1, 0, -1), line(k, 0, 1, -2), line(k, 1, 1, -3),
     ]
     cfg = derive_points(lines)
-    assert set(cfg.marks) < set(MARK_LABELS)  # the origin is mark zero, but no ladder
+    assert set(cfg.marks) < set(MARK_LABELS)  # the origin is mark zero
     assert sorted(len(rows) for rows in cfg.incidence)[-2:] == [3, 3]
     out = augment_even_valence(cfg)
     assert out.line_count == 7

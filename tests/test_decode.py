@@ -1,18 +1,22 @@
 import importlib
+import json
 import math
+import random
 
 import pytest
 
 from planecode import projgeom
-from planecode.configuration import Configuration, derive_points, valences
+from planecode.cli import main
+from planecode.configuration import MARK_LABELS, Configuration, derive_points, line_ranks
 from planecode.cover import build_cover_report
 from planecode.decode import decode, separation_certificate
 from planecode.errors import (
-    AmbiguousValences,
     NotCollinear,
+    NotRigid,
     ParityViolation,
     SelfCheckFailed,
     TrivialField,
+    UnnamedMark,
 )
 from planecode.numberfield import NumberField, embed, isolate_roots, parse_poly
 from planecode.projgeom import line
@@ -22,6 +26,8 @@ from planecode.serialize import (
     config_to_json,
     dumps_canonical,
     loads,
+    nf_to_json,
+    poly_to_json,
 )
 
 from tests.test_golden import GOLDEN
@@ -47,12 +53,47 @@ def test_decode_reads_the_axis_from_the_table_and_joins_nothing(built, monkeypat
     assert joins == []
 
 
-def test_decode_ignores_marks(built):
+def test_decode_reads_the_marks(built):
+    # decode names no mark itself: without the configuration's marks it has no axis
     cfg, _ = built("x^2-2")
     stripped = Configuration(
         cfg.field, cfg.lines, cfg.points, cfg.incidence, {}, cfg.seed, cfg.params_consumed,
     )
-    assert decode(stripped) == cfg.field.gen
+    with pytest.raises(UnnamedMark, match="names no point as the mark zero, one, inf, z") as caught:
+        decode(stripped)
+    assert caught.value.exit_code == 5
+
+
+def _shuffled(data, seed):
+    """A copy of the file data with its lines in another order."""
+    data = json.loads(json.dumps(data))
+    random.Random(seed).shuffle(data["lines"])
+    return data
+
+
+@pytest.mark.parametrize("text", ["x^2-2", "x^5-x-1", "x^7-x-1"])
+def test_a_file_with_its_lines_shuffled_decodes_to_the_same_value(built, text):
+    # the marks are named by the canonical ranks of their lines, facts of
+    # the type that no order of the lines changes
+    cfg, _ = built(text)
+    data = config_to_json(cfg)
+    for seed in range(3):
+        shuffled = _shuffled(data, seed)
+        assert shuffled["lines"] != data["lines"]
+        assert shuffled["marks"] == data["marks"]
+        assert decode(config_from_json(shuffled)) == cfg.field.gen
+
+
+def test_the_conjugate_file_with_its_lines_shuffled_decodes_to_the_conjugate_root(built):
+    # z -> -z sends a + b z to a - b z, and keeps each triple canonical and
+    # each incidence: the rows still name the marks, now of the conjugate
+    cfg, _ = built("x^2-2")
+    data = config_to_json(cfg)
+    for line_ in data["lines"]:
+        for entry in line_:
+            entry[1]["n"] = str(-int(entry[1]["n"]))
+    conjugate = config_from_json(_shuffled(data, 1))
+    assert decode(conjugate) == -cfg.field.gen
 
 
 def test_round_trip_non_monic():
@@ -63,59 +104,76 @@ def test_round_trip_non_monic():
 
 
 def test_decode_three_line_config_ambiguous():
+    # a triangle: every permutation of its lines is an automorphism, and
+    # only the marks 0 and 1 are points of it
     k = NumberField.create(parse_poly("x^2-2"))
     cfg = derive_points([line(k, 1, 0, 0), line(k, 0, 1, 0), line(k, 1, 1, -1)])
-    with pytest.raises(AmbiguousValences):
+    with pytest.raises(NotRigid, match="1 in all.*: lines 0, 1, 2$"):
+        line_ranks(cfg)
+    with pytest.raises(UnnamedMark, match="names no point as the mark inf, z"):
         decode(cfg)
 
 
 def test_decode_four_pencil_tie_ambiguous():
-    # four pencils of three lines each: the top four valences all equal 3
+    # four pencils of three lines each: an automorphism exchanges any two
+    # lines, and any two centres, so colour refinement leaves one class of
+    # twelve lines and the file names no mark by facts of its type
     k = NumberField.create(parse_poly("x^2-2"))
     lines = []
-    anchors = [(0, 0), (10, 0), (0, 10), (17, 13)]
+    centres = [(0, 0), (10, 0), (0, 10), (17, 13)]
     slope = 1
-    for ax, ay in anchors:
+    for ax, ay in centres:
         for _ in range(3):
             lines.append(line(k, slope, -1, ay - slope * ax))
             slope += 1
     cfg = derive_points(lines)
-    rep = valences(cfg)
-    assert [v for _, v in rep[:4]] == [3, 3, 3, 3]
-    with pytest.raises(AmbiguousValences):
-        decode(cfg)
+    assert [len(rows) for rows in cfg.incidence if len(rows) > 2] == [3, 3, 3, 3]
+    with pytest.raises(NotRigid, match="1 in all.*lines 0, 1, 2, 3, 4, 5 and 6 more$"):
+        line_ranks(cfg)
 
 
 def _pencils(sizes):
-    """Pencils of the given sizes at four points not on a common line."""
+    """Pencils of the given sizes at four points not on a common line, marked at their centres."""
     k = NumberField.create(parse_poly("x^2-2"))
     lines = []
-    anchors = [((0, 0), 100), ((1, 0), 200), ((0, 1), 300), ((5, 7), 400)]
-    for ((ax, ay), base), size in zip(anchors, sizes):
+    centres = [((0, 0), 100), ((1, 0), 200), ((0, 1), 300), ((5, 7), 400)]
+    for ((ax, ay), base), size in zip(centres, sizes):
         for i in range(size):
             s = base + i
             lines.append(line(k, s, -1, ay - s * ax))
-    return derive_points(lines)
+    cfg = derive_points(lines)
+    cfg.marks = {label: cfg.incidence.index(tuple(range(sum(sizes[:n]), sum(sizes[:n + 1]))))
+                 for n, label in enumerate(MARK_LABELS)}
+    return cfg
+
+
+def pencils_file(sizes) -> dict:
+    """A hand-written configuration file of _pencils(sizes), its mark rows at the centres."""
+    cfg = _pencils(sizes)
+    return {
+        "v": 4, "poly": poly_to_json(cfg.source), "seed": 0, "params_consumed": 0,
+        "lines": [[nf_to_json(x) for x in l.coeffs] for l in cfg.lines],
+        "marks": {label: list(cfg.incidence[p]) for label, p in cfg.marks.items()},
+    }
 
 
 def test_decode_non_collinear_tops():
-    # the centres top a strict ladder of even valences, but no line holds them all
+    # the marks are the four centres, but no line holds them all
     cfg = _pencils((10, 8, 6, 4))
-    rep = valences(cfg)
     # the centres are stored; the other crossings are simple, of valence 2
-    assert [v for _, v in rep] == [10, 8, 6, 4] and cfg.simple_count > 0
+    assert [len(rows) for rows in cfg.incidence] == [10, 8, 6, 4] and cfg.simple_count > 0
     with pytest.raises(NotCollinear) as err:
         decode(cfg)
-    message = str(err.value)
-    assert message.startswith("collinearity check failed")
-    shown = ", ".join(f"point {i}: {v}" for i, v in rep[:6])
-    assert message.endswith(f"top of the valence ladder: {shown}")
+    assert str(err.value) == (
+        "collinearity check failed: no one line passes through the marks 0, 1, inf and z, "
+        "points 0, 1, 2, 3"
+    )
 
 
 def test_decode_odd_valence_refused():
-    # the ladder 8 > 7 > 6 > 5 > 2 is strict, but 7 and 5 are odd: decode
-    # has no parity check, and refuses the centres for lying on no common
-    # line; cover, whose D_alpha / 2 needs even valences, refuses the parity
+    # 7 and 5 are odd: decode has no parity check, and refuses the centres
+    # for lying on no common line; cover, whose D_alpha / 2 needs even
+    # valences, refuses the parity
     for sizes in ((8, 7, 6, 5), (8, 5, 6, 7)):
         cfg = _pencils(sizes)
         with pytest.raises(NotCollinear, match="collinearity check failed"):
@@ -124,18 +182,19 @@ def test_decode_odd_valence_refused():
             build_cover_report(cfg)
 
 
-def test_decode_tie_message_names_check_and_ladder():
-    k = NumberField.create(parse_poly("x^2-2"))
-    cfg = derive_points([line(k, 1, 0, 0), line(k, 0, 1, 0), line(k, 1, 1, -1)])
-    # the ladder shows the stored points: the marks 0 and 1, simple crossings
-    with pytest.raises(AmbiguousValences, match="point count check failed: 3 points.*point 1: 2$"):
-        decode(cfg)
-    cfg = _pencils((4, 4, 2, 2))
-    with pytest.raises(AmbiguousValences) as err:
-        decode(cfg)
-    assert str(err.value).startswith("strict ladder check failed")
-    shown = ", ".join(f"point {i}: {v}" for i, v in valences(cfg)[:6])
-    assert str(err.value).endswith(shown)
+def test_a_file_whose_type_has_an_automorphism_exits_5_naming_its_classes(tmp_path, capsys):
+    # the lines of each pencil are exchanged by automorphisms, so no mark
+    # row is a fact of the type: loading refuses before decode reads a mark
+    path = tmp_path / "pencils.json"
+    path.write_text(dumps_canonical(pencils_file((10, 8, 6, 4))), encoding="utf-8")
+    with pytest.raises(NotRigid):
+        config_from_json(loads(path.read_text(encoding="utf-8")))
+    capsys.readouterr()
+    assert main(["decode", str(path)]) == 5
+    err = capsys.readouterr().err
+    assert "rigidity check failed" in err and "not singletons, 4 in all" in err
+    assert "lines 0, 1, 2, 3, 4, 5 and 4 more; lines 10, 11, 12, 13, 14, 15 and 2 more" in err
+    assert "Traceback" not in err
 
 
 # -- separation certificates -----------------------------------------------------
@@ -195,7 +254,7 @@ def test_certificate_records_inputs():
     assert cert.seed == 0
     assert cert.poly == parse_poly("x^2-2")
     assert cert.line_count > 0
-    assert cert.mark_valences["zero"] > cert.mark_valences["one"]
+    assert "trivial automorphism group, shown by discrete colour refinement" in cert.statement
 
 
 def test_certificate_degree_one_rejected():
@@ -225,8 +284,7 @@ def test_embedding_equivariance(built):
     # embedding the abstract decode equals numerically decoding the embedded points
     cfg, _ = built("x^2-2")
     w = decode(cfg)
-    rep = valences(cfg)
-    quad_pts = [cfg.points[i] for i, _ in rep[:4]]
+    quad_pts = [cfg.points[cfg.marks[label]] for label in MARK_LABELS]
     for e in isolate_roots(cfg.field.source):
         numeric = _numeric_cross_ratio(
             [[embed(c, e).center for c in p.coords] for p in quad_pts]

@@ -208,15 +208,14 @@ def test_a_pencil_on_a_tiny_prime():
 
 
 def test_only_multiple_points_and_marks_are_stored(built):
-    # x^3-1000003 (L = 213) has 19,912 points; 119 of them are stored
+    # x^3-1000003 (L = 159) has 11,317 points; 119 of them are stored
     cfg, _ = built("x^3-1000003")
-    assert cfg.point_count == 19_912
+    assert cfg.point_count == 11_317
     assert len(cfg.points) == 119
     marked = set(cfg.marks.values())
     assert all(len(rows) >= 3 or i in marked for i, rows in enumerate(cfg.incidence))
 
 
-# x^5-x-1 draws its products on two anchors
 @pytest.mark.parametrize("text", ["x^2-2", "x^3-2", "x^5-x-1"])
 def test_pipeline_without_residue_map_equals_default(built, monkeypatch, text):
     default, _ = built(text)

@@ -7,11 +7,11 @@ from functools import cache
 
 import pytest
 
-from planecode import configuration
+from planecode import configuration, serialize
 from planecode.cli import main
-from planecode.configuration import Configuration, derive_points
+from planecode.configuration import Configuration, derive_points, line_ranks
 from planecode.decode import decode
-from planecode.errors import NotCollinear, NotForced
+from planecode.errors import NotCollinear, NotForced, UnnamedMark
 from planecode.numberfield import NFElement, parse_poly
 from planecode.pipeline import run_pipeline
 from planecode.projgeom import line, point
@@ -20,13 +20,10 @@ from planecode.slp_compiler import (
     SLP,
     _Drawn,
     add_gadget,
-    anchor_count,
     compile_polynomial,
     emit_configuration,
     mul_gadget,
     realize,
-    split_anchors,
-    tie_line,
 )
 from tests.conftest import canonical
 from tests.test_decode import _pencils
@@ -54,12 +51,6 @@ def _final_at(text, seed):
 
 def _raw_line_count(cfg):
     return emit_configuration(compile_polynomial(cfg.source), seed=cfg.seed).line_count
-
-
-def _anchor_count(cfg):
-    """The number of anchors emission drew cfg's products on."""
-    slp = compile_polynomial(cfg.source)
-    return anchor_count(slp, slp.evaluate(cfg.field.gen, cfg.field.one))
 
 
 def _moved(cfg, moves):
@@ -91,27 +82,21 @@ def test_the_table_and_the_drawing_name_the_same_objects(built, text, seed):
     # one recipe, two geometries: each index the table names holds what K drew
     cfg = _loaded(built(text)[0]) if seed == 0 else _final_at(text, seed)
     slp = compile_polynomial(cfg.source)
-    J = _anchor_count(cfg)
-    assert J == (2 if text in ("x^5-x-1", "x^7-x-1") else 1)
-    drawing, table = _Drawn(cfg.field, J), decode_module._Incidences(cfg, J)
+    drawing, table = _Drawn(cfg.field), decode_module._Incidences(cfg)
     drawn_reg, drawn_lines, _ = realize(slp, drawing, seed)
     table_reg, table_lines, _ = realize(slp, table, cfg.seed)
     assert [cfg.points[p] for p in table_reg] == drawn_reg
     assert [{role: cfg.lines[i] for role, i in d.items()} for d in table_lines] == drawn_lines
-    for name in ("axis", "yaxis", "linf"):
+    for name in ("axis", "yaxis", "linf", "tie"):
         assert cfg.lines[getattr(table, name)] == getattr(drawing, name), name
-    assert tuple(cfg.lines[i] for i in table.ties) == drawing.ties
-    for name in ("U", "S"):
-        assert tuple(cfg.points[p] for p in getattr(table, name)) == getattr(drawing, name), name
-    for name in ("V", "zero", "one", "z"):
+    for name in ("V", "U", "S", "zero", "one", "z"):
         assert cfg.points[getattr(table, name)] == getattr(drawing, name), name
 
 
 def test_forcing_check_does_no_field_arithmetic(built, monkeypatch):
     # every gadget line is named by a join in the table, never re-emitted in
-    # K; only the layout choice reads the registers' values in K, by the one
-    # evaluation SLP.evaluate(z, 1) that emission makes too, and the proven
-    # number is read by the one cross_ratio at the end
+    # K, and no register is evaluated in K (SLP.evaluate runs over Z[x]
+    # only); the proven number is read by the one cross_ratio at the end
     cfg = _loaded(built("x^7-x-1")[0])
     inside, evaluations, ratios = [], [], []
 
@@ -143,12 +128,12 @@ def test_forcing_check_does_no_field_arithmetic(built, monkeypatch):
     monkeypatch.setattr(SLP, "evaluate", evaluate)
     monkeypatch.setattr(decode_module, "cross_ratio", cross_ratio)
     assert decode(cfg) == cfg.field.gen
-    assert [z for z in evaluations if isinstance(z, NFElement)] == [cfg.field.gen]
+    assert evaluations and not any(isinstance(z, NFElement) for z in evaluations)
     assert len(ratios) == 1
 
 
 def test_marks_on_no_common_line_refuse():
-    # the centres of four pencils top the ladder, but no line holds them all:
+    # the marks are the centres of four pencils, but no line holds them all:
     # the proof has no axis
     with pytest.raises(NotCollinear, match="collinearity check failed") as caught:
         decode(_pencils((10, 8, 6, 4)))
@@ -168,14 +153,14 @@ def test_without_the_unit_line_the_check_refuses(built):
 def test_dropping_any_raw_line_refuses(built):
     cfg = built("x^5-x-1")[0]
     raw = _raw_line_count(cfg)
-    assert raw == 17  # the tie line u2 of the second anchor is one of them
+    assert raw == 16
     accepted = []
     for k in range(raw):
         rest = derive_points(l for i, l in enumerate(cfg.lines) if i != k)
         try:
             decode(rest)
             accepted.append(k)
-        except NotForced:
+        except (NotForced, UnnamedMark):  # without the axis no mark is a point
             pass
     assert accepted == []
 
@@ -221,16 +206,14 @@ def _degenerate_tables(cfg, text):
     if text == "x^2-2":  # registers z, z*z, 1, 1+1; the add draws h = 1001
         g = _Drawn(f)
         l3 = cfg.lines.index(add_gadget(g, g.one, g.one, 1001)[1]["l3"])
-        corner, raw = pt(1, 1001), _raw_line_count(cfg)
+        corner = pt(1, 1001)
         return [
             (_moved(cfg, [(u1, U, V)]), "U is point"),
             (_moved(cfg, [(yaxis, None, one), (yaxis, None, inf), (yaxis, None, z),
                           (axis, z, None)]), "also a seed line"),
             (_moved(cfg, [(ln(0, 1, -1001), pt(0, 1001), U)]), "aux is point"),
-            # l3 meets ell_inf at the corner (1, 1001), which l4 must join to
-            # itself; the corner drops its later lines, so that the ladder stays strict
-            (_moved(cfg, [(l3, pt(1, -1001, 0), corner), (ln(0, 0, 1), None, corner)]
-                    + [(i, corner, None) for i in cfg.incidence[corner] if i >= raw]),
+            # l3 meets ell_inf at the corner (1, 1001), which l4 must join to itself
+            (_moved(cfg, [(l3, pt(1, -1001, 0), corner), (ln(0, 0, 1), None, corner)]),
              "join point .* to itself"),
         ]
     # x^3-2: registers z, z*z, z*z*z, 1, 1+1; the line m2 of z*z moves off its output
@@ -257,14 +240,9 @@ SEED_PREMISES = [
 
 
 def _off_its_mark(cfg, mark, coeffs):
-    """cfg with the line of coeffs dropped from the row of the mark, and the line index.
-
-    The last line of the file not through the mark, one of amplify's, takes
-    its place in that row, so that the valences and the ladder stay as they are.
-    """
+    """cfg with the line of coeffs dropped from the row of the mark, and the line index."""
     i, m = cfg.lines.index(line(cfg.field, *coeffs)), cfg.marks[mark]
-    other = next(k for k in reversed(range(len(cfg.lines))) if k not in cfg.incidence[m])
-    return _moved(cfg, [(i, m, None), (other, None, m)]), i
+    return _moved(cfg, [(i, m, None)]), i
 
 
 @pytest.mark.parametrize("role, mark, coeffs", SEED_PREMISES, ids=[r for r, *_ in SEED_PREMISES])
@@ -340,39 +318,38 @@ def test_pinned_polynomials_decode_and_are_forced(built, text, seed):
     cfg = _loaded(built(text)[0]) if seed == 0 else _final_at(text, seed)
     assert decode_module.decode(cfg) == cfg.field.gen
     decode(cfg)
-    valences = sorted(map(len, cfg.incidence), reverse=True)
-    assert all(v % 2 == 0 for v in valences)
-    assert all(valences[i] > valences[i + 1] for i in range(4))
+    assert all(len(rows) % 2 == 0 for rows in cfg.incidence)
+    assert sorted(line_ranks(cfg)) == list(range(cfg.line_count))
 
 
 # The gadget lines by role, in the order add_gadget and mul_gadget draw them.
 RECIPE_ORDER = ("l2", "hline", "l3", "l4", "t1", "m1", "m2")
 # The lines that _lines_beyond_their_recipe finds, by polynomial: register,
 # role and old points (x, y). In 3*x^2-5 the product 3 * z^2 draws
-# m1 = U_1 3 through t1 ^ l2 = (1, 2/3), l2 the line x = 1 of the add
-# 2 + 1: t1 passes there because z^2 = 5/3 and the anchor scale c_1 is 1,
-# whatever the add heights are.
+# m1 = U 3 through t1 ^ l2 = (1, 2/3), l2 the line x = 1 of the add
+# 2 + 1: t1 passes there because z^2 = 5/3 and U is (0, 1), whatever the
+# add heights are.
 SURVIVORS = {"3*x^2-5": [(6, "m1", {(0, 1), (3, 0), (1, Fraction(2, 3))})]}
 
 
 def _lines_beyond_their_recipe(cfg):
     """(register, role, old points) of each line with three or more old points, but closures.
 
-    Lines are taken in construction order: the seed lines and tie lines,
-    each gadget's lines in recipe order, then augment's and amplify's in
-    file order. An old point of a line is a table point on it that two
+    Lines are taken in construction order: the seed lines and the tie
+    line, each gadget's lines in recipe order, then augment's in file
+    order. An old point of a line is a table point on it that two
     earlier lines already define. A gadget line has at most two, the
     points its recipe names, except at a closure: l4 or m2 has its output
     as a third when that register point is already defined.
     """
-    t = decode_module._Incidences(cfg, _anchor_count(cfg))
+    t = decode_module._Incidences(cfg)
     reg, drawn, _ = realize(compile_polynomial(cfg.source), t, cfg.seed)
-    roles = dict.fromkeys((t.axis, t.yaxis, t.linf, *t.ties), (None, "seed"))
+    roles = dict.fromkeys((t.axis, t.yaxis, t.linf, t.tie), (None, "seed"))
     for k, lines in enumerate(drawn):
         for role in sorted(lines, key=RECIPE_ORDER.index):
             roles.setdefault(lines[role], (k, role))
     for i in range(len(cfg.lines)):
-        roles.setdefault(i, (None, "augment or amplify"))
+        roles.setdefault(i, (None, "augment"))
     order = {i: n for n, i in enumerate(roles)}
     found = []
     for i, (k, role) in roles.items():
@@ -400,7 +377,7 @@ def test_no_line_holds_points_beyond_its_recipe(built, text, seed):
 @pytest.mark.parametrize("text", ["x^2-2", "x^7-x-1"])
 def test_build_and_decode_at_a_negative_and_a_positive_seed(text, seed, tmp_path, capsys):
     # each has one add: at seed -3 it draws y = -1999, below the axis, and at
-    # seed 3 y = 4001; x^7-x-1 draws its products on two anchors
+    # seed 3 y = 4001
     path = tmp_path / "c.json"
     assert main(["build", "-p", text, f"--seed={seed}", "-o", str(path)]) == 0
     assert main(["decode", str(path)]) == 0
@@ -415,38 +392,11 @@ def _point(cfg, x, y, w=1):
     return next(i for i, p in enumerate(cfg.points) if p == q)
 
 
-def test_moving_the_tie_line_of_anchor_2_refuses_and_names_it(built):
-    # u2 moved from U_2 to V in the table is x = 1, another line through
-    # the mark 1: it meets the y-axis at V, which is no anchor
-    cfg = built("x^5-x-1")[0]
-    u2 = cfg.lines.index(tie_line(cfg.field, 2))
-    moved = _moved(cfg, [(u2, _point(cfg, 0, 2), _point(cfg, 0, 1, 0))])
-    with pytest.raises(NotForced, match="at anchor 2: U is point"):
-        decode(moved)
-
-
-def test_a_product_on_anchor_2_is_checked_against_its_own_anchor(built):
-    cfg = _loaded(built("x^5-x-1")[0])
-    slp = compile_polynomial(cfg.source)
-    k = split_anchors(slp).index(2)  # z^5 = z^3 * z^2
-    table = decode_module._Incidences(cfg, 2)
-    drawn = realize(slp, table, cfg.seed)[1][k]
-    (U, U2), (S, S2) = table.U, table.S
-    assert (U2, S2) == (_point(cfg, 0, 2), _point(cfg, 1, -2, 0))
-    rows = cfg.incidence
-    assert drawn["m1"] in rows[U2] and drawn["m1"] not in rows[U]
-    assert drawn["t1"] in rows[S2] and drawn["t1"] not in rows[S]
-    # the table draws its t1 through S instead: the product is not forced
-    with pytest.raises(NotForced, match=f"register {k}, the mul .* on anchor 2: t1"):
-        decode(_moved(cfg, [(drawn["t1"], S2, S)]))
-
-
 def test_an_add_refuses_the_height_of_an_anchor():
-    # seed -1 streams 0, 1, ...: x^5-x-1 draws on two anchors, and its add
-    # refuses y = 1000*0 + 1, which meets the y-axis at U_1, and takes y = 1001
+    # seed -1 streams 0, 1, ...: the add of x^5-x-1 refuses y = 1000*0 + 1,
+    # which meets the y-axis at U, and takes y = 1001
     raw = emit_configuration(compile_polynomial(parse_poly("x^5-x-1")), seed=-1)
     f = raw.field
-    assert tie_line(f, 2) in raw.lines
     assert line(f, 0, 1, -1001) in raw.lines and line(f, 0, 1, -1) not in raw.lines
     assert raw.params_consumed == 2
     cfg = _final_at("x^5-x-1", -1)
@@ -454,23 +404,7 @@ def test_an_add_refuses_the_height_of_an_anchor():
     decode(cfg)
 
 
-@pytest.mark.parametrize("order", [("z", "one", "zero", "inf"), ("inf", "z", "one", "zero")])
-@pytest.mark.parametrize("text", ["x^2-2", "x^5-x-1"])
-def test_a_permuted_ladder_order_decodes_and_is_forced(monkeypatch, text, order):
-    # the builder and decode both read configuration.LADDER_ORDER; decode
-    # binds the name at import, so it is set there too
-    monkeypatch.setattr(configuration, "LADDER_ORDER", order)
-    monkeypatch.setattr(decode_module, "LADDER_ORDER", order, raising=False)
-    cfg = _loaded(run_pipeline(parse_poly(text), seed=0))
-    mark_valences = [cfg.valence(cfg.marks[label]) for label in order]
-    assert mark_valences == sorted(mark_valences)
-    assert decode(cfg) == cfg.field.gen
-    decode(cfg)
-
-
 def test_the_check_runs_the_recipe_once(built, monkeypatch):
-    # x^9-x-1 keeps one shared anchor and x^5-x-1 splits its products over
-    # two: the check reads each file's own layout, without a second try
     calls = []
 
     def counted(*args):
@@ -478,15 +412,15 @@ def test_the_check_runs_the_recipe_once(built, monkeypatch):
         return realize(*args)
 
     monkeypatch.setattr(decode_module, "realize", counted)
-    for text, anchors in (("x^9-x-1", 1), ("x^5-x-1", 2)):
+    for text in ("x^9-x-1", "x^5-x-1"):
         calls.clear()
         decode(_loaded(built(text)[0]))
-        assert [len(table.U) for _, table, _ in calls] == [anchors]
+        assert len(calls) == 1
 
 
 def test_a_broken_shared_anchor_file_names_its_own_failure(built):
     # hline 19, y = 1001, dropped from the row of the mark inf: the refusal
-    # names that add, not a failure of the split layout the file never used
+    # names that add
     cfg = _loaded(built("x^9-x-1")[0])
     assert cfg.lines[19] == line(cfg.field, 0, 1, -1001)
     inf = cfg.marks["inf"]
@@ -495,83 +429,66 @@ def test_a_broken_shared_anchor_file_names_its_own_failure(built):
         decode(_moved(cfg, [(19, inf, None)]))
 
 
-def _edited_split_file(built, tmp_path, keep: bool):
-    """The x^5-x-1 file with its fifth line, u2, moved to the end (keep) or deleted."""
+def _edited_file(built, tmp_path, keep: bool):
+    """The x^5-x-1 file with its fourth line, u1, moved to the end (keep) or deleted.
+
+    Without u1 the type is another one, so its marks are named afresh, by
+    the coordinates the build drew them at.
+    """
     cfg = built("x^5-x-1")[0]
-    assert cfg.lines[4] == tie_line(cfg.field, 2)
+    assert cfg.lines[3] == line(cfg.field, 1, 1, -1)
     data = config_to_json(cfg)
-    u2 = data["lines"].pop(4)
-    data["lines"] += [u2] * keep
+    u1 = data["lines"].pop(3)
+    if keep:
+        data["lines"].append(u1)
+    else:
+        data = config_to_json(derive_points(cfg.lines[:3] + cfg.lines[4:], seed=cfg.seed))
     path = tmp_path / "edited.json"
     path.write_text(dumps_canonical(data), encoding="utf-8")
     return path
 
 
-def test_a_split_layout_file_with_u2_moved_to_the_end_decodes(built, tmp_path, capsys):
-    # the layout follows from (p, seed), not from the order of the lines
-    path = _edited_split_file(built, tmp_path, keep=True)
+def test_a_file_with_u1_moved_to_the_end_decodes(built, tmp_path, capsys):
+    # the marks are named by the type, not by the order of the lines
+    path = _edited_file(built, tmp_path, keep=True)
     assert main(["decode", str(path)]) == 0
     assert "equals the field generator" in capsys.readouterr().out
 
 
-def test_a_split_layout_file_without_u2_exits_5_naming_it(built, tmp_path):
-    # without u2 the mark 1, U_2 and S_2 turn odd, which decode does not
+def test_a_file_without_u1_exits_5_naming_it(built, tmp_path):
+    # without u1 the mark 1, U and S turn odd, which decode does not
     # check: its proof names the missing tie line
-    path = _edited_split_file(built, tmp_path, keep=False)
-    with pytest.raises(NotForced, match=r"at anchor 2: u2 .* is not a line of the file") as caught:
+    path = _edited_file(built, tmp_path, keep=False)
+    with pytest.raises(NotForced, match=r"at the seed lines: u1 .* is not a line of the file") as caught:
         decode(config_from_json(json.loads(path.read_text(encoding="utf-8"))))
     assert caught.value.exit_code == 5
 
 
-def test_a_shared_anchor_file_that_holds_u2_passes(built):
-    # x^9-x-1 keeps one anchor (its split layout does not lower the
-    # ladder). No built one-anchor file holds u2 since the add heights
-    # left the integer grid, so u2, x + y/2 = 1, is appended by hand: the
-    # check reads the shared layout that anchor_count picks, and the
-    # split layout would fail
-    cfg = built("x^9-x-1")[0]
-    assert _anchor_count(cfg) == 1
-    u2 = tie_line(cfg.field, 2)
-    assert u2 not in cfg.lines
-    held = derive_points([*cfg.lines, u2], seed=cfg.seed, params_consumed=cfg.params_consumed)
-    table = decode_module._Incidences(held, 2)
-    with pytest.raises(NotForced, match="on anchor 2"):
-        realize(compile_polynomial(cfg.source), table, cfg.seed)
-    decode(held)
-
-
-def test_cli_decode_of_the_split_layout_file_without_u2_exits_5_naming_it(built, tmp_path, capsys):
+def test_cli_decode_of_a_file_without_u1_exits_5_naming_it(built, tmp_path, capsys):
     # odd valences do not stop decode: its proof names the missing tie line
-    path = _edited_split_file(built, tmp_path, keep=False)
+    path = _edited_file(built, tmp_path, keep=False)
     capsys.readouterr()
     assert main(["decode", str(path)]) == 5
     out, err = capsys.readouterr()
-    assert "at anchor 2: u2" in err and "is not a line of the file" in err
+    assert "u1 [1 : 1 : -1] is not a line of the file" in err
     assert "equals the field generator" not in out
     assert "Traceback" not in err
 
 
-def test_cli_decodes_a_shared_anchor_file_that_holds_u2(built, tmp_path, capsys):
-    # u2 appended to the x^9-x-1 file leaves odd valences, which cover
-    # refuses; decode proves the relation on the shared layout all the same
-    cfg = built("x^9-x-1")[0]
-    held = derive_points(
-        [*cfg.lines, tie_line(cfg.field, 2)], seed=cfg.seed, params_consumed=cfg.params_consumed
-    )
-    path = tmp_path / "held.json"
-    path.write_text(dumps_canonical(config_to_json(held)), encoding="utf-8")
-    capsys.readouterr()
-    assert main(["decode", str(path)]) == 0
-    assert "equals the field generator" in capsys.readouterr().out
-    assert main(["cover", str(path), "-o", str(tmp_path / "r.json")]) == 3
-
-
-def test_the_ladder_is_read_once_per_decode_and_per_certify(built, tmp_path, capsys, monkeypatch):
+def test_the_type_is_refined_once_per_decode_and_per_certify(built, tmp_path, capsys, monkeypatch):
+    # the loader proves the file's type rigid, the build its own; decode
+    # reads the marks those named and refines nothing
     path = tmp_path / "c.json"
     path.write_text(dumps_canonical(config_to_json(built("x^5-x-1")[0])), encoding="utf-8")
     calls = []
-    ladder = decode_module._ladder
-    monkeypatch.setattr(decode_module, "_ladder", lambda c: calls.append(c) or ladder(c))
+    ranks = configuration.line_ranks
+
+    def counted(c, *args):
+        calls.append(c)
+        return ranks(c, *args)
+
+    monkeypatch.setattr(configuration, "line_ranks", counted)
+    monkeypatch.setattr(serialize, "line_ranks", counted)
     assert main(["decode", str(path)]) == 0
     assert len(calls) == 1
     calls.clear()

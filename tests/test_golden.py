@@ -1,20 +1,21 @@
 """Golden digests of the canonical configuration and cover-report JSON, mostly at seed 0.
 
-x^5-x-1 and x^7-x-1 pin degree >= 5, where inversion in K is dearest,
-and the only golden files whose products draw on two anchors
-(slp_compiler.split_anchors); the others share anchor 1.
+x^5-x-1 and x^7-x-1 pin degree >= 5, where inversion in K is dearest.
 Performance work must leave these bytes unchanged. A change that alters
-them on purpose updates the table and says why.
+them on purpose updates the table and says why: they last moved when the
+marks came to be named by a rigid type instead of a valence ladder, and
+every product came to draw on one anchor.
 
-A configuration file stores only its lines (schema v3), and loading derives
-the multiple points, incidences and marks. GOLDEN holds the digests of the
-former v1 encoding, which also wrote every point, simple crossings too,
-with its row: each v3 file, once loaded, must re-encode to them through
-v1_json below, which lists the points with configuration.all_points. So
-the derivation at load is pinned point for point, row for row, in the
-builder's order. v1 wrote each point in canonical form, and a point now
-keeps any triple of it, so v1_json scales each point to its canonical
-triple. FILE_GOLDEN pins the v3 files themselves.
+A configuration file stores its lines and the rows of its marks (schema
+v4), and loading derives the multiple points and incidences and resolves
+the marks. GOLDEN holds the digests of the former v1 encoding, which also
+wrote every point, simple crossings too, with its row: each v4 file, once
+loaded, must re-encode to them through v1_json below, which lists the
+points with configuration.all_points. So the derivation at load is pinned
+point for point, row for row, in the builder's order. v1 wrote each point
+in canonical form, and a point now keeps any triple of it, so v1_json
+scales each point to its canonical triple. FILE_GOLDEN pins the v4 files
+themselves.
 """
 
 import hashlib
@@ -58,65 +59,65 @@ def v1_json(c) -> dict:
 
 
 GOLDEN = {
-    "x^2-2": "ce28c6d5fcbf1464eb8fa98489dd3f8f9b24820bee1e3ff0035697c92955fb07",
-    "x^3-2": "b49c089b617df0c6a635becaaa76e4c42f3bbb6b70878bc2b1081fd695a68fcc",
-    "x^2-x-1": "8b8b9c64c103121da238986fe5983fe99fc038c59c8bb4937c7cc4b24708ea84",
-    "x^4-x-1": "aae417d1247fd422db95ac801765445a8ac604c478ebc7dfa317d69f98109da4",
-    "3*x^2-5": "cbe364c71a6f0dcb2250373a819746ff7933684cc42ea2cdd0db32bf8bee82dc",
-    "x^5-x-1": "92d67738d77eca73ad636e83fb983f78ad1aaac04cf0617bf20284c1b6ef7e94",
-    "x^7-x-1": "4b4f9961c5f0340762c06087ecbfaf71e72b22bb70073e2524f710dab18b696d",
+    "x^2-2": "5a35d8b55eb7ad484293a3d0f8fb5202fb4747b313ffdc1ca2fd96190414a45c",
+    "x^3-2": "9b5d81ed29c3e3c488d31dab06e930585e86d81b53afab3e4243bf211f7405a0",
+    "x^2-x-1": "fb2cbabaec782f7781bb2fd211343014aaa9e52eddec6be43311c7eb9271673b",
+    "x^4-x-1": "7e2ba8c1e215d805072b36f93d727acf26881664a8ccc347778c2ceb07b98aa5",
+    "3*x^2-5": "4c5602b2b56b867e66b6425bd366c99fa97b74b94b31446032b283cbe266ed1d",
+    "x^5-x-1": "b2c8902cd930e380d4df9020c40073d8d3639b643694f54a6ceebc5ceaa919b2",
+    "x^7-x-1": "7e931de68cab49177a30153a454927ff60df325d578e94a1d692e1cf2a27a359",
 }
 
 COVER_GOLDEN = {
-    "x^2-2": "5c2e13364059e5cdbb8a0178da31aa859aea7199a8930555656d3c3855e96cd2",
-    "x^3-2": "44cdb55bf3d3d1d676d5bf8b8b6b7a1a09f02ee1bf091c76d7a4ce6cfe92f7e4",
-    "x^2-x-1": "7df05196b956c5c8e201b07e114d40377e45d9ad94adad0bfda83e76411ffe92",
-    "x^4-x-1": "bfbb51df15f2296012ca1177e445e92b465803c47a88a600ddd0708984e29063",
-    "3*x^2-5": "fe5eec9b72c043b918cd71ae8f6430255c142f3e5d753a838cb71a6285abaa2e",
-    "x^5-x-1": "6f5e635053ea4b57a970574119158e6be4c0477755e946417f8833a252d9a14d",
-    "x^7-x-1": "d1f22abc2d2d30235a20583c13beaf005a3a73943a5161b6be4c5df41a9cf7c1",
+    "x^2-2": "d980da6d2e63593874a7a8f948c33015b82d942c1b9176a379233a6ed79a9d3c",
+    "x^3-2": "5073857f987683c14bc0a71a3397a82c5550d110b3a95887163033d1dfaf2c4d",
+    "x^2-x-1": "6a8ad7a094ce23e49d26801b378d070f6d9a939a5273d54f732960130ca9e917",
+    "x^4-x-1": "e64127c25d6735fbe125ffb87172e836505756c721f642e958b4536191464a71",
+    "3*x^2-5": "e447f23a801fe126315d6f9ae1ee38a844da3def58bb34ccf6ee296e187b4d58",
+    "x^5-x-1": "7358f3e5813e8c0a69c13a2c649bf983c44830e72afee313d8e3404c9048e1a9",
+    "x^7-x-1": "837676817c5d30908811e70b4f4b4f533e45f5579993fd75f721585c0b8b01ac",
     # constant chains (see CONSTANT_FILE_GOLDEN); the x^3-1000003 report lists
-    # its 19,912 points as 7 valence classes (see COVER_BYTES_AT_MOST)
-    "3*x^3-5*x+7": "03758df72346e9a138d2e112e2c4748b6454392da47dc5ad05c54950dfd30138",
-    "x^3-1000003": "3f912d6bf8d17a64c8a7e4c4d6033d6068031cef4fa5135e4298007fc74f6a03",
+    # its 11,317 points by valence class (see COVER_BYTES_AT_MOST)
+    "3*x^3-5*x+7": "53c383a8a97cfc65d46ba89cd222af086c2628ffd994f2a55572c4dce936e8a1",
+    "x^3-1000003": "9b35cd985f987674a2025c22a7e71c6b517c56959c207a58fbc611a0e9142498",
 }
 
 
 FILE_GOLDEN = {
-    "x^2-2": "c474bbd83624e14dc8da4cddd85a55d22bb531a0caab07fe9f6233a3b29514e6",
-    "x^3-2": "e378f39a4656e0f28ab091a84facceacd0f21d8b1b687b4c521042ea9ef13294",
-    "x^2-x-1": "9eaa9330d4bcea51e8d27875df0543295bec84b24812f205e05b88f549cbf412",
-    "x^4-x-1": "0627d71b5634eafce00ad0effc81d088ecfbabdc98768cb1742b9dcaffdde5ac",
-    "3*x^2-5": "0e707b65d2e2fc36d5d2c281d81c99fbfa0857d698685cf11d454c199225e28b",
-    "x^5-x-1": "88e36f53e7994a8b26bffb62b5449c5670f007194642d460b5d8549c26b426f3",
-    "x^7-x-1": "791fcea781c04340e389dd0a7e5b3bd8842471841d780d00944e1dfede882047",
+    "x^2-2": "a86647658d183c467137b815ab148bcd9c6374ae0a826f98fb0a080bbab262ac",
+    "x^3-2": "6a93dd99e178866878c7edf81a4b1d7e46969003e884d1d2ba13f251facbe7a3",
+    "x^2-x-1": "b1acde3fc066c541fe31edb6b929a9e892121d8bdd366bba51718e82ac3d18b8",
+    "x^4-x-1": "cf436f19905445c6574f7347257678d27b9bb93440f259f9f6365c771cc17f20",
+    "3*x^2-5": "14a9060468c9d6e2dff999ae8f488c6386115921f82a80f5a7e998e4856c6726",
+    "x^5-x-1": "4d832365fcba2c0797454cdb12f2f3052f6d153b43747d03985315c10e26264e",
+    "x^7-x-1": "85bab8905a388a52bb521d2acdcfcb8c34a2312293faa9d3731ef8544a91eade",
 }
 
 # The seed sets the add heights and the general lines' parameters.
 SEED_FILE_GOLDEN = {
-    ("x^5-x-1", 3): "e411f3373c608e7538bf584600f70e8b058453c2159af46507ac75bfdca4a0e4",
-    ("x^5-x-1", -3): "17ae913072fa27892356a15025652685149fe5586cc55f7d38ae025e8c02078b",
-    ("x^7-x-1", 3): "475bcef1374a84365c2bb28f3fb3305b619f2475e75e37bbe939d629f006e425",
-    ("x^7-x-1", -3): "08a58ccc4e95ec1fcf744746e2206f90cfe5ea24cf748214e468e9e883f1078d",
+    ("x^5-x-1", 3): "9dd2fe1a51b6e934b56a89ddfaded4d1ec2965ed6cfdbd03fce7eca90c67c08b",
+    ("x^5-x-1", -3): "e26e9fc351213d2d070c8b3cbd557a9706351e8e0e1b895a5ef8050adde80da0",
+    ("x^7-x-1", 3): "08bace0005a545c4db57b0c9b2051f7061ac05782435928c7adefac6fba09624",
+    ("x^7-x-1", -3): "6e30b1cfd97698e90dd80b5d00148a98881ee132757b08556847cb3f65312a19",
 }
 
 # Integer constants share one chain of add gadgets: 3 = 2 + 1 by
 # double-and-add, then 5 = 2 + 3 and 7 = 2 + 5 by one add each; 1000003 is a
-# 20-bit double-and-add chain (L = 213), 1000000000007 a 40-bit one (L = 407,
+# 20-bit double-and-add chain (L = 159), 1000000000007 a 40-bit one (L = 303,
 # 227 stored points).
 CONSTANT_FILE_GOLDEN = {
-    "3*x^3-5*x+7": "6d4f45afe3e7e5a77cc94b23ed943c20c3110aed34e92015cc063e8945462e71",
-    "x^3-1000003": "f6768477361da6d3c6c7b0392449bdd7e08c7857773386b33814080a403acd9f",
-    "x^3-1000000000007": "d2a9c0c7aea893185d08b3043d24919317f0e2e990dd1669a75bee48532c6900",
+    "3*x^3-5*x+7": "5f05cfd8625bb1c82fc0b2d68d403974c156a83edd1c5c9f252fa8c5ec3473c2",
+    "x^3-1000003": "0e7b9d10b02d243a0dff40100e4690c75243e3546a3edf159dceb1d800256137",
+    "x^3-1000000000007": "d204b1b101bd3b30187c249a0f50df697526203bb8d627a0c4315f26bc23bb0f",
 }
 
 # SVG of a loaded file under one embedding, as the render command draws it.
 # These three pictures change in their last digits when render draws the
 # points from the triples they keep, not from their canonical triples.
 SVG_GOLDEN = {
-    ("x^3-2", 0, 2): "a9ec1476f04f6db2a2b1c8b214ee68012c4a97f66b049f899ba58effc9c6f9b5",
-    ("x^3-2", 3, 2): "b30d24347311a7bb4f6612d70aec91acc55d870aa334f9408267d90f960e1db0",
-    ("x^5-x-1", 3, 4): "c98f9bc2152106cb94a1a70a79ab858d177a3f6761722a991eced711420a5867",
+    ("x^3-2", 0, 2): "7a5fcffe5d7d600935b6b4bb0a9e6b128d033a756a3e359bcc41bdf726245c26",
+    ("x^3-2", 3, 2): "da0c5c23a419dce354256e891f4520deed51063010617d5947b724784e81980c",
+    ("x^5-x-1", 3, 4): "ee230f47f407b3e16341dbc1439aef838fb20f6d01f1fc2953fcc5a9524c19bc",
 }
 
 # The v1 files were 0.67 MB and 6.55 MB; the lines alone are 2-4 % of that.

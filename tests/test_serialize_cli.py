@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -11,8 +12,10 @@ import pytest
 
 from planecode.cli import main
 from planecode.decode import decode, separation_certificate
-from planecode.errors import PolyParseError, SchemaError
-from planecode.numberfield import IntPoly, parse_poly
+from planecode.configuration import derive_points
+from planecode.errors import PolyParseError, SchemaError, UnnamedMark
+from planecode.numberfield import IntPoly, NumberField, parse_poly
+from planecode.projgeom import line, meet
 from planecode.serialize import (
     CONFIG_SCHEMA_VERSION,
     certificate_to_json,
@@ -77,7 +80,7 @@ def test_rationals_encoded_as_strings(cfg):
 
 def test_schema_errors(cfg):
     good = config_to_json(cfg)
-    assert sorted(good) == ["lines", "params_consumed", "poly", "seed", "v"]
+    assert sorted(good) == ["lines", "marks", "params_consumed", "poly", "seed", "v"]
     with pytest.raises(SchemaError):
         config_from_json({**good, "v": 99})
     with pytest.raises(SchemaError):
@@ -93,6 +96,15 @@ def test_schema_errors(cfg):
         lambda d: d["lines"][0][0].pop(),
         lambda d: d.update(seed="zero"),
         lambda d: d.update(seed=float("inf")),  # JSON's Infinity
+        lambda d: d.pop("marks"),
+        lambda d: d["marks"].pop("z"),
+        lambda d: d["marks"].update(w=[0, 1]),
+        lambda d: d["marks"].update(z=[0]),
+        lambda d: d["marks"].update(z=[1, 0]),
+        lambda d: d["marks"].update(z=[0, 0]),
+        lambda d: d["marks"].update(z=[-1, 0]),
+        lambda d: d["marks"].update(z=[0, True]),
+        lambda d: d["marks"].update(z="0, 1"),
     ):
         with pytest.raises(SchemaError):
             config_from_json(_edited(good, edit))
@@ -100,6 +112,29 @@ def test_schema_errors(cfg):
     all_zero["lines"][0] = [[{"n": "0", "d": "1"}] * 2] * 3
     with pytest.raises(SchemaError, match="canonical"):
         config_from_json(all_zero)
+
+
+@pytest.mark.parametrize("row", [[0, 99], [0, 1, 2, 3, 4, 5, 6]])
+def test_a_mark_row_that_names_no_point_exits_5(cfg, tmp_path, capsys, row):
+    # a rank past L names no line, and no point lies on all seven lines
+    data = config_to_json(cfg)
+    data["marks"]["z"] = row
+    message = f"mark z: no point lies on exactly the lines of ranks {row}"
+    with pytest.raises(UnnamedMark, match=re.escape(message)):
+        config_from_json(data)
+    path = tmp_path / "unnamed.json"
+    path.write_text(dumps_canonical(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["decode", str(path)]) == 5
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_a_mark_of_valence_2_is_the_crossing_of_the_two_lines_of_its_row(cfg):
+    # the mark 0 is the crossing of the axis and the y-axis alone
+    data = config_to_json(cfg)
+    assert len(data["marks"]["zero"]) == 2
+    loaded = config_from_json(data)
+    assert loaded.marks == cfg.marks and loaded.points == cfg.points
 
 
 def _edited(good, edit):
@@ -318,8 +353,8 @@ def test_cli_schema_error_exit(tmp_path):
 
 def test_cli_tampered_line_deletion(cfg, tmp_path):
     data = config_to_json(cfg)
-    # deleting two late amplification lines through the zero mark drops its
-    # valence from M+8 to M+6, tying it with the one mark
+    # deleting two lines through the zero mark leaves another type, whose
+    # ranks the file's mark rows were not written for
     busiest = cfg.marks["zero"]
     for target in sorted(cfg.incidence[busiest])[-2:][::-1]:
         del data["lines"][target]
@@ -346,9 +381,11 @@ def test_cli_decode_handwritten_three_line_config(tmp_path):
             [elem(0), elem(1), elem(0)],   # y = 0
             [elem(1), elem(1), elem(-1)],  # x + y = 1
         ],
+        "marks": {"zero": [0, 1], "one": [1, 2], "inf": [0, 2], "z": [0, 1]},
     }
     path = tmp_path / "hand.json"
     path.write_text(dumps_canonical(data), encoding="utf-8")
+    # a triangle: every permutation of its lines is an automorphism
     assert main(["decode", str(path)]) == 5
     # 2x + 2y = 2 is the same line, but not in canonical form
     data["lines"][2] = [elem(2), elem(2), elem(-2)]
@@ -509,6 +546,19 @@ def test_cli_v2_file_asks_for_rebuild(cfg, tmp_path, capsys):
     assert err.count("rebuild it with `planecode build`") == 2
 
 
+def test_cli_v3_file_asks_for_rebuild(cfg, tmp_path, capsys):
+    # a v3 file named no marks: its reader found them by a valence ladder
+    data = config_to_json(cfg)
+    data["v"] = 3
+    del data["marks"]
+    path = tmp_path / "v3.json"
+    path.write_text(dumps_canonical(data), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["decode", str(path)]) == 6
+    err = capsys.readouterr().err
+    assert "schema v3 configuration file" in err and "rebuild it with `planecode build`" in err
+
+
 @pytest.fixture(scope="module")
 def report_files(cfg_path, tmp_path_factory):
     """A certificate and a cover report, each a file with a "kind"."""
@@ -541,9 +591,10 @@ def test_cli_report_file_is_named_not_a_configuration(report_files, kind, tmp_pa
 def test_cli_perturbed_line_is_another_configuration(cfg, tmp_path, capsys):
     """Doubling one line coefficient gives a new, loadable set of lines.
 
-    The file carries no incidences to contradict, so it loads. The moved
-    line is u1, x + y = 1, so decode's proof names it as missing (exit 5);
-    it leaves odd valences behind, which cover refuses (exit 3).
+    The moved line is u1, x + y = 1. The file's mark rows name no point of
+    the new type (exit 5). Named afresh, at the coordinates the build drew
+    them, the marks load, and decode's proof names u1 as missing (exit 5);
+    the new lines leave odd valences behind, which cover refuses (exit 3).
     """
     data = json.loads(dumps_canonical(config_to_json(cfg)))
     for entry in data["lines"]:
@@ -555,12 +606,18 @@ def test_cli_perturbed_line_is_another_configuration(cfg, tmp_path, capsys):
             break
     path = tmp_path / "perturbed.json"
     path.write_text(dumps_canonical(data), encoding="utf-8")
-    assert config_from_json(data).line_count == cfg.line_count
     capsys.readouterr()
+    assert main(["decode", str(path)]) == 5
+    assert "no point lies on exactly the lines of ranks" in capsys.readouterr().err
+    lines = [l for l in cfg.lines if l != line(cfg.field, 1, 1, -1)] + [line(cfg.field, 1, 2, -1)]
+    renamed = config_to_json(derive_points(lines, seed=cfg.seed))
+    assert renamed["lines"] == data["lines"][:3] + data["lines"][4:] + data["lines"][3:4]
+    path.write_text(dumps_canonical(renamed), encoding="utf-8")
+    assert config_from_json(renamed).line_count == cfg.line_count
     assert main(["decode", str(path)]) == 5
     out, err = capsys.readouterr()
     assert "equals the field generator" not in out
-    assert "at anchor 1: u1 [1 : 1 : -1] is not a line of the file" in err
+    assert "at the seed lines: u1 [1 : 1 : -1] is not a line of the file" in err
     assert main(["cover", str(path), "-o", str(tmp_path / "r.json")]) == 3
 
 
@@ -611,21 +668,17 @@ def test_cli_render_coefficient_too_large_for_a_float(tmp_path, capsys):
     """x^2 + 10^400*x + 1 defines a field, but a root of it exceeds every float.
 
     The file holds the four seed lines y = 0, x = 0, the line at infinity
-    and x + y = 1. decode judges their valences; render cannot place a root
-    and exits 3 with one error line instead of a traceback.
+    and x + y = 1, and five rational lines that make the type rigid; its
+    mark z is the crossing of y = 0 and x + y = -2. decode refuses the
+    relation; render cannot place a root and exits 3 with one error line
+    instead of a traceback.
     """
-    big = "1" + "0" * 400
-
-    def rational(q):
-        return [{"n": str(q), "d": "1"}, {"n": "0", "d": "1"}]
-
-    data = {
-        "v": CONFIG_SCHEMA_VERSION,
-        "poly": [{"n": n, "d": "1"} for n in ("1", big, "1")],
-        "seed": 0,
-        "params_consumed": 0,
-        "lines": [[rational(q) for q in l] for l in ((0, 1, 0), (1, 0, 0), (0, 0, 1), (1, 1, -1))],
-    }
+    k = NumberField.create(IntPoly.from_coeffs((1, 10**400, 1)))
+    triples = ((0, 1, 0), (1, 0, 0), (0, 0, 1), (1, 1, -1),
+               (1, -1, 1), (1, -2, 0), (1, 1, 0), (1, 1, 2), (1, -2, -1))
+    c = derive_points([line(k, *t) for t in triples])
+    c.marks["z"] = c.find(meet(line(k, 0, 1, 0), line(k, 1, 1, 2)))
+    data = config_to_json(c)
     path = tmp_path / "big.json"
     path.write_text(dumps_canonical(data), encoding="utf-8")
     assert main(["decode", str(path)]) == 5

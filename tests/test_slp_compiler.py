@@ -3,13 +3,15 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planecode import configuration, numberfield, projgeom, slp_compiler
+from planecode import numberfield, projgeom, slp_compiler
+from planecode.configuration import all_points
 from planecode.errors import (
     GadgetDegenerate,
     NotARoot,
@@ -21,8 +23,8 @@ from planecode.pipeline import run_pipeline
 from planecode.projgeom import incident, line
 from planecode.serialize import config_to_json, dumps_canonical
 from planecode.slp_compiler import (
-    ADD, LOAD_Z, MUL, ONE, SLP, _Counted, _Drawn, add_gadget, anchor_count, compile_polynomial,
-    emit_configuration, mul_gadget, register_point, split_anchors, tie_line,
+    ADD, LOAD_Z, MUL, ONE, SLP, _Drawn, add_gadget, compile_polynomial, emit_configuration,
+    mul_gadget, realize, register_point,
 )
 
 from tests.conftest import canonical
@@ -147,12 +149,12 @@ def _add_oracle(a, b, h):
     return _intersect(l4, ell)
 
 
-def _mul_oracle(a, b, j=1):
+def _mul_oracle(a, b):
     ell = (Fraction(0), Fraction(1), Fraction(0))
     yaxis = (Fraction(1), Fraction(0), Fraction(0))
-    t1 = _line_through((b, Fraction(0)), (b - 1, Fraction(j)))  # slope -j, through S_j
+    t1 = _line_through((b, Fraction(0)), (b - 1, Fraction(1)))  # slope -1, through S
     lifted = _intersect(t1, yaxis)
-    m1 = _line_through((Fraction(0), Fraction(j)), (a, Fraction(0)))  # through U_j
+    m1 = _line_through((Fraction(0), Fraction(1)), (a, Fraction(0)))  # through U
     m2 = _parallel_through(m1, lifted)
     return _intersect(m2, ell)
 
@@ -162,8 +164,8 @@ def _add(a, b, h):
     return add_gadget(_Drawn(a.field), register_point(a), register_point(b), h)
 
 
-def _mul(a, b, j=1):
-    return mul_gadget(_Drawn(a.field, j), register_point(a), register_point(b), j)
+def _mul(a, b):
+    return mul_gadget(_Drawn(a.field), register_point(a), register_point(b))
 
 
 def test_add_gadget_against_oracle(k):
@@ -182,16 +184,21 @@ def test_mul_gadget_against_oracle(k):
     assert len(lines) == 3
 
 
-@pytest.mark.parametrize("j", [2, 3])
-def test_mul_gadget_on_a_later_anchor_against_oracle(k, j):
-    a, b = Fraction(2), Fraction(3)
-    assert _mul_oracle(a, b, j) == (Fraction(6), 0)
-    out, lines = _mul(k.from_rational(a), k.from_rational(b), j)
-    assert out == register_point(k.from_rational(6))
-    g = _Drawn(k, j)
-    assert g.ties[j - 1] == tie_line(k, j) == line(k, j, 1, -j)
-    assert incident(lines["t1"], g.S[j - 1]) and incident(lines["m1"], g.U[j - 1])
-    assert not incident(lines["t1"], g.S[0]) and not incident(lines["m1"], g.U[0])
+@pytest.mark.parametrize("text", ["x^5-x-1", "x^32-x-1"])
+def test_every_product_draws_on_the_one_anchor(text):
+    # m1 joins U = (0 : 1 : 1) to the left operand, t1 the right one to the
+    # slope -1 direction S, the two points of the one tie line x + y = 1
+    slp = compile_polynomial(parse_poly(text))
+    raw = emit_configuration(slp)
+    f = raw.field
+    g = _Drawn(f)
+    assert (g.U, g.S) == (projgeom.point(f, 0, 1), projgeom.point(f, 1, -1, 0))
+    drawn = realize(slp, g, 0)[1]
+    muls = [d for (kind, *_), d in zip(slp.instructions, drawn) if kind == MUL]
+    assert len(muls) >= 3
+    for d in muls:
+        assert incident(d["m1"], g.U) and incident(d["t1"], g.S)
+    assert [l for l in raw.lines if incident(l, g.U) and incident(l, g.S)] == [line(f, 1, 1, -1)]
 
 
 def test_add_gadget_inverse_pair(k):
@@ -222,13 +229,6 @@ def test_gadget_degeneracies(k):
         _add(k.gen, k.gen, Fraction(1))  # the auxiliary point would be U
 
 
-def test_aux_on_a_later_anchor_is_refused(k):
-    g = _Drawn(k, 2)
-    with pytest.raises(GadgetDegenerate, match="anchor U_j"):  # y = 2 meets the y-axis at U_2
-        add_gadget(g, g.z, g.one, Fraction(2))
-    add_gadget(_Drawn(k), g.z, g.one, Fraction(2))  # one anchor: U_2 is no anchor
-
-
 def test_a_check_that_holds_renders_no_point(monkeypatch):
     # the detail of each non-degeneracy check names points of P^2(K); it is
     # formatted only when the check fails
@@ -239,85 +239,12 @@ def test_a_check_that_holds_renders_no_point(monkeypatch):
     emit_configuration(compile_polynomial(parse_poly("x^7-x-1")))
 
 
-def _operands_per_anchor(slp, anchors):
-    held = {}
-    for (kind, *ops), j in zip(slp.instructions, anchors):
-        assert (kind == MUL) == (j > 0)
-        if j:
-            left, right = held.setdefault(j, (set(), set()))
-            left.add(ops[0])
-            right.add(ops[1])
-    return held
-
-
-@pytest.mark.parametrize("text, anchors", [
-    ("x^4-x-1", (0, 1, 1, 0, 0)),
-    # z^2 = z z and z^3 = z^2 z fill anchor 1; z^5 = z^3 z^2 would give it
-    # a third left operand
-    ("x^5-x-1", (0, 1, 1, 2, 0, 0)),
-    # z^4 = z^2 z^2 holds a = 1 on anchor 1 and b = 1 on anchor 2: the tie
-    # goes to the lower anchor
-    ("x^9-x-1", (0, 1, 1, 2, 1, 2, 0, 0)),
-    ("x^32-x-1", (0, 1, 1, 2, 2, 3, 0, 0)),
-])
-def test_split_anchors_keep_each_anchor_at_valence_4(text, anchors):
-    slp = compile_polynomial(parse_poly(text))
-    assert split_anchors(slp) == anchors
-    for left, right in _operands_per_anchor(slp, anchors).values():
-        assert len(left) <= 2 and len(right) <= 2
-
-
 OCTIC = "x^8-40*x^6+352*x^4-960*x^2+576"  # the Swinnerton-Dyer polynomial of 2, 3, 5
 
 
-@pytest.mark.parametrize("text, anchors", [
-    ("x^5-x-1", 2), ("x^7-x-1", 2), ("x^16-x-1", 2), ("x^32-x-1", 3),
-    # the split layout would not lower the raw ladder base M: one anchor
-    ("x^9-x-1", 1), ("x^12-x^5-1", 1), ("3*x^3-5*x+7", 1),
-    (OCTIC, 1), ("x^5-3*x+7", 1), ("x^9-2", 1),
-    # at most two products always fit one anchor
-    ("x^2-2", 1), ("x^4-x-1", 1), ("3*x^2-5", 1),
-])
-def test_the_split_layout_is_kept_where_it_lowers_the_ladder(text, anchors):
-    slp = compile_polynomial(parse_poly(text))
-    raw = emit_configuration(slp, seed=0)
-    f = raw.field
-    ties = [j for j in range(2, 5) if raw.lines[2 + j] == tie_line(f, j)]
-    assert ties == list(range(2, anchors + 1))
-    values = slp.evaluate(f.gen, f.one)
-    assert anchor_count(slp, values) == anchors
-    split = max(split_anchors(slp), default=1)
-    if split > 1:
-        # the drawn raw ladders agree with the choice made by counting
-        shared, spread = (
-            configuration.ladder_targets(
-                slp_compiler._drawn_configuration(slp, _Drawn(f, J), 0, values)
-            )[configuration.MARK_Z]
-            for J in (1, split)
-        )
-        assert (spread < shared) == (anchors > 1)
-
-
-@pytest.mark.parametrize("text, layouts", [("x^2-2", 1), ("x^5-x-1", 2)])
-def test_anchor_count_counts_each_distinct_layout_once(monkeypatch, text, layouts):
-    # x^2-2 has one product, so split_anchors puts it on anchor 1 too
-    slp = compile_polynomial(parse_poly(text))
-    f = NumberField.create(slp.source)
-    counted = []
-    monkeypatch.setattr(
-        slp_compiler, "_Counted", lambda *args: counted.append(args[2]) or _Counted(*args)
-    )
-    anchor_count(slp, slp.evaluate(f.gen, f.one))
-    assert len(counted) == len(set(counted)) == layouts
-
-
-@pytest.mark.parametrize("text, shared, split", [
-    ("x^9-x-1", 56, 58), ("x^9-2", 56, 58), ("x^5-3*x+7", 67, 68), (OCTIC, 275, 278),
-])
-def test_always_splitting_would_cost_lines(monkeypatch, text, shared, split):
-    assert run_pipeline(parse_poly(text)).line_count == shared
-    monkeypatch.setattr(slp_compiler, "anchor_count", lambda slp, values: max(split_anchors(slp)))
-    assert run_pipeline(parse_poly(text)).line_count == split
+@cache
+def _raw_point_count(text):
+    return emit_configuration(compile_polynomial(parse_poly(text)), seed=0).point_count
 
 
 @pytest.mark.parametrize("seed", [0, 3, -3])
@@ -326,32 +253,25 @@ def test_always_splitting_would_cost_lines(monkeypatch, text, shared, split):
     "x^9-x-1", "x^16-x-1", "x^32-x-1", "3*x^3-5*x+7", "x^3-1000003", OCTIC,
 ])
 def test_the_count_equals_the_drawn_raw_table(text, seed):
-    # the count takes no seed: the one count matches the drawing at each seed
-    slp = compile_polynomial(parse_poly(text))
-    f = NumberField.create(slp.source)
-    values = slp.evaluate(f.gen, f.one)
-    for J in sorted({1, max(split_anchors(slp), default=1)}):
-        counted = _Counted(slp, values, J)
-        drawn = slp_compiler._drawn_configuration(slp, _Drawn(f, J), seed, values)
-        assert len(counted.on) == drawn.line_count
-        assert {label: len(counted.incidence[i]) for label, i in counted.marks.items()} == {
-            label: drawn.valence(i) for label, i in drawn.marks.items()
-        }
-        assert configuration.max_other_valence(counted) == configuration.max_other_valence(drawn)
-        assert configuration.ladder_targets(counted) == configuration.ladder_targets(drawn)
+    # the raw table's count of its points, stored and simple, takes no seed,
+    # and equals an exact enumeration of the drawing: every crossing of two
+    # lines, each point once
+    raw = emit_configuration(compile_polynomial(parse_poly(text)), seed=seed)
+    points = [canonical(p.coords) for p, _ in all_points(raw)]
+    assert len(set(points)) == len(points) == raw.point_count == _raw_point_count(text)
 
 
-@pytest.mark.parametrize("text, anchors", [("x^5-x-1", 2), ("x^9-x-1", 1)])
-def test_each_build_draws_once(monkeypatch, text, anchors):
+@pytest.mark.parametrize("text", ["x^5-x-1", "x^9-x-1"])
+def test_each_build_draws_once(monkeypatch, text):
     real, drawn = slp_compiler._drawn_configuration, []
 
     def counted(slp, g, seed, values):
-        drawn.append(len(g.U))
+        drawn.append(g)
         return real(slp, g, seed, values)
 
     monkeypatch.setattr(slp_compiler, "_drawn_configuration", counted)
     run_pipeline(parse_poly(text))
-    assert drawn == [anchors]
+    assert len(drawn) == 1
 
 
 def test_gadget_soundness_random_rationals(k):
@@ -460,8 +380,8 @@ from planecode.errors import SelfCheckFailed
 from planecode.numberfield import parse_poly
 from planecode.projgeom import ProjLine
 init = sc._Drawn.__init__
-def init_off_axis(g, field, anchors=1):
-    init(g, field, anchors)
+def init_off_axis(g, field):
+    init(g, field)
     g.axis = ProjLine.of(field.zero, field.one, -field.one)
 sc._Drawn.__init__ = init_off_axis
 try:

@@ -2,14 +2,13 @@
 
 The recipes seed_objects, add_gadget and mul_gadget run unchanged over a
 geometry whose coordinates are integer polynomials in the free parameters
-of the lemma's chart: the operands a and b, the height h of an add's line
-y = h, and c_j, the height of the anchor U_j = (0 : c_j : 1) for j >= 2
-(U_1 = (0 : 1 : 1) fixes the chart). Points and lines are triples up to a
-factor; join and meet are cross products, so nothing is divided, and two
-objects are equal when their cross product vanishes. An add must land on
-(a + b : 0 : 1) and a mul on anchor j on (a*b : 0 : 1) as identities in
-these parameters, so whatever h and c_j are (N. Mnev, LNM 1346, 1988;
-R. Vakil, Invent. Math. 164, 2006).
+of the lemma's chart, Z[a, b, h]: the operands a and b and the height h of
+an add's line y = h (the anchor U = (0 : 1 : 1) fixes the chart). Points
+and lines are triples up to a factor; join and meet are cross products, so
+nothing is divided, and two objects are equal when their cross product
+vanishes. An add must land on (a + b : 0 : 1) and a mul on (a*b : 0 : 1)
+as identities in these parameters, so whatever h is (N. Mnev, LNM 1346,
+1988; R. Vakil, Invent. Math. 164, 2006).
 """
 
 import random
@@ -18,10 +17,9 @@ from operator import add
 
 import pytest
 
-from planecode.numberfield import NumberField, parse_poly
 from planecode.slp_compiler import add_gadget, mul_gadget, seed_objects
 
-VARIABLES = ("a", "b", "h", "c2", "c3")
+VARIABLES = ("a", "b", "h")
 
 
 class Poly:
@@ -71,10 +69,9 @@ class Poly:
         return f"Poly({self.terms})"
 
 
-a, b, h, c2, c3 = (
+a, b, h = (
     Poly({tuple(int(i == k) for i in range(len(VARIABLES))): 1}) for k in range(len(VARIABLES))
 )
-ANCHOR_HEIGHTS = (1, c2, c3)
 
 
 def _cross(u, v) -> tuple:
@@ -101,30 +98,24 @@ class _Chart:
 
     The line hook ignores the coefficients it is given and returns the
     chart's line of that role: the y-axis x = 0, ell_inf z = 0, the tie line
-    uj through the mark 1 and U_j = (0 : c_j : 1), and each hline y = h. It
-    refuses a line that misses its mark, as decode._Incidences does. Every
-    join and meet is kept in drawn.
+    u1 x + y = 1 through the mark 1, and each hline y = h. It refuses a line
+    that misses its mark, as decode._Incidences does. Every join and meet
+    is kept in drawn.
     """
 
     at = "the seed lines"
+    lines = {
+        "y-axis": Obj(1, 0, 0), "ell_inf": Obj(0, 0, 1), "u1": Obj(1, 1, -1), "hline": Obj(0, 1, -h),
+    }
 
-    def __init__(self, J: int):
-        self.field = NumberField.create(parse_poly("x^2-2"))  # tie_line's coefficients, unread
+    def __init__(self):
         self.axis = Obj(0, 1, 0)
         self.zero, self.one, self.inf = Obj(0, 0, 1), Obj(1, 0, 1), Obj(1, 0, 0)
         self.drawn: list[Obj] = []
-        seed_objects(self, J)
+        seed_objects(self)
 
     def line(self, coeffs, role: str, mark: str) -> Obj:
-        if role == "y-axis":
-            l = Obj(1, 0, 0)
-        elif role == "ell_inf":
-            l = Obj(0, 0, 1)
-        elif role == "hline":
-            l = Obj(0, 1, -h)
-        else:
-            c = ANCHOR_HEIGHTS[int(role[1:]) - 1]
-            l = Obj(c, 1, -c)
+        l = self.lines[role]
         self.check(self.lies_on(getattr(self, mark), l), "{} misses the mark {}", role, mark)
         return l
 
@@ -153,23 +144,20 @@ def _on_axis_at(out: Obj, value: Poly, g: _Chart) -> None:
 
 
 def test_the_seed_objects_sit_where_the_chart_puts_them():
-    g = _Chart(3)
-    assert g.V == Obj(0, 1, 0)
-    for c, U, S in zip(ANCHOR_HEIGHTS, g.U, g.S):
-        assert U == Obj(0, c, 1) and S == Obj(1, -c, 0)
+    g = _Chart()
+    assert (g.V, g.U, g.S) == (Obj(0, 1, 0), Obj(0, 1, 1), Obj(1, -1, 0))
 
 
 def test_an_add_lands_on_the_sum_whatever_its_height():
-    g = _Chart(3)
+    g = _Chart()
     out, lines = add_gadget(g, Obj(a, 0, 1), Obj(b, 0, 1), 1001)
     _on_axis_at(out, a + b, g)
     assert lines["hline"] == Obj(0, 1, -h)
 
 
-@pytest.mark.parametrize("j", [1, 2, 3])
-def test_a_mul_lands_on_the_product_whatever_its_anchor_height(j):
-    g = _Chart(3)
-    out, _ = mul_gadget(g, Obj(a, 0, 1), Obj(b, 0, 1), j)
+def test_a_mul_lands_on_the_product():
+    g = _Chart()
+    out, _ = mul_gadget(g, Obj(a, 0, 1), Obj(b, 0, 1))
     _on_axis_at(out, a * b, g)
 
 
@@ -180,19 +168,18 @@ def test_a_mul_lands_on_the_product_whatever_its_anchor_height(j):
 class _Named(_Chart):
     """_Chart that also names each point and line it holds by its role, per kind.
 
-    U_j and S_j take their anchor's number; the marks and the axis are
-    named too, so a gadget object landing on one of them is seen.
+    The marks and the axis are named too, so a gadget object landing on
+    one of them is seen.
     """
 
-    def __init__(self, J: int):
+    def __init__(self):
         self.kinds: dict[str, dict[str, Obj]] = {"point": {}, "line": {}}
-        super().__init__(J)
+        super().__init__()
         self.kinds["line"]["axis"] = self.axis
         self.kinds["point"].update({"0": self.zero, "1": self.one, "inf": self.inf})
 
     def _name(self, kind: str, role: str, o: Obj) -> Obj:
-        name = f"{role}_{self.at[-1]}" if role in ("U", "S") else role
-        self.kinds[kind][name] = o
+        self.kinds[kind][role] = o
         return o
 
     def line(self, coeffs, role: str, mark: str) -> Obj:
@@ -206,17 +193,14 @@ class _Named(_Chart):
 
 
 def _gadget(kind: str) -> _Named:
-    """A chart on anchors 1 to 3 after one add, or one mul on anchor j for kind "mul j"."""
-    g = _Named(3)
-    x, y = Obj(a, 0, 1), Obj(b, 0, 1)
-    if kind == "add":
-        add_gadget(g, x, y, 1001)
-    else:
-        mul_gadget(g, x, y, int(kind[-1]))
+    """A chart after one add or one mul."""
+    g = _Named()
+    (add_gadget(g, Obj(a, 0, 1), Obj(b, 0, 1), 1001) if kind == "add"
+     else mul_gadget(g, Obj(a, 0, 1), Obj(b, 0, 1)))
     return g
 
 
-GADGETS = ("add", "mul 1", "mul 2", "mul 3")
+GADGETS = ("add", "mul")
 
 
 def _degeneracies(g: _Named, at: dict[str, int]) -> set[str]:
@@ -239,9 +223,9 @@ def _degeneracies(g: _Named, at: dict[str, int]) -> set[str]:
 
 
 def _generic(rng: random.Random) -> dict[str, int]:
-    """A seeded integer point where every condition holds: a, b, c2, c3 != 0, h not 0, 1, c2, c3."""
-    at = {v: rng.choice([x for x in range(-30, 31) if x]) for v in ("a", "b", "c2", "c3")}
-    at["h"] = rng.choice([x for x in range(-30, 31) if x not in (0, 1, at["c2"], at["c3"])])
+    """A seeded integer point where every condition holds: a, b != 0, h not 0 or 1."""
+    at = {v: rng.choice([x for x in range(-30, 31) if x]) for v in ("a", "b")}
+    at["h"] = rng.choice([x for x in range(-30, 31) if x not in (0, 1)])
     return at
 
 
@@ -256,18 +240,14 @@ def test_no_join_or_meet_vanishes_where_every_condition_holds():
 
 
 # one point off each condition, the rest as at BASE, and a degeneracy it causes
-BASE = {"a": 3, "b": 5, "h": 7, "c2": 11, "c3": 13}
+BASE = {"a": 3, "b": 5, "h": 7}
 VIOLATIONS = [
     ({"a": 0}, "add", "l3 = y-axis"),
-    ({"a": 0}, "mul 2", "m1 = y-axis"),
+    ({"a": 0}, "mul", "m1 = y-axis"),
     ({"b": 0}, "add", "l2 = y-axis"),
-    ({"b": 0}, "mul 3", "0 = lift"),
-    ({"c2": 0}, "mul 2", "zero output"),
-    ({"c3": 0}, "mul 3", "zero output"),
+    ({"b": 0}, "mul", "0 = lift"),
     ({"h": 0}, "add", "zero output"),
-    ({"h": 1}, "add", "U_1 = aux"),
-    ({"h": 11}, "add", "U_2 = aux"),
-    ({"h": 13}, "add", "U_3 = aux"),
+    ({"h": 1}, "add", "U = aux"),
 ]
 
 
