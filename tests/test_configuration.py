@@ -3,7 +3,7 @@ from math import comb
 
 import pytest
 
-from planecode import configuration
+from planecode import configuration, pipeline
 from planecode.configuration import (
     MARK_LABELS,
     all_points,
@@ -89,10 +89,23 @@ def test_augment_pipeline_all_even(raw_cfg):
     assert all(v % 2 == 0 for v, _ in valence_counts(out))
 
 
-def test_the_last_stage_proves_the_type_rigid(raw_cfg):
-    cfg = name_marks(augment_even_valence(raw_cfg))
+def test_amplify_ladder(raw_cfg):
+    # amplify_marks, the pipeline's name for its last stage, no longer climbs
+    # a valence ladder: it proves the type rigid, every line in a class of
+    # its own, and adds no line, so the valences stay even
+    cfg = amplify_marks(augment_even_valence(raw_cfg))
     assert sorted(line_ranks(cfg)) == list(range(cfg.line_count))
     assert all(v % 2 == 0 for v, _ in valence_counts(cfg))
+
+
+def test_amplify_requires_even(monkeypatch):
+    # the last stage adds no line, so the pipeline hands it augment's even
+    # output and returns what it returns: each final valence is even
+    seen = []
+    monkeypatch.setattr(pipeline, "amplify_marks", lambda c: seen.append(c) or name_marks(c))
+    final = pipeline.run_pipeline(parse_poly("x^5-x-1"))
+    assert seen == [final]
+    assert all(v % 2 == 0 for v, _ in valence_counts(final))
 
 
 def _four_pencils(k):
@@ -245,8 +258,10 @@ def augmented():
 
 
 @pytest.mark.parametrize("text", GOLDEN_POLYS)
-def test_augment_fixes_the_marks_as_points_like_any_other(augmented, text):
-    # each odd point, mark or not, gains one line, and no even point gains any
+def test_augment_keeps_ladder_targets(augmented, text):
+    # the marks, once the targets of a valence ladder, are points like any
+    # other: each odd point, mark or not, gains one line, no even point
+    # gains any, and each mark stays where it was
     raw, out = augmented(text)
     for p, rows in enumerate(raw.incidence):
         assert out.valence(p) == len(rows) + len(rows) % 2

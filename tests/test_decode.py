@@ -182,6 +182,20 @@ def test_decode_odd_valence_refused():
             build_cover_report(cfg)
 
 
+def test_decode_tie_message_names_check_and_ladder():
+    # a tie that colour refinement leaves, a class of lines that is not a
+    # singleton, takes the place a tie of the valence ladder had: the
+    # refusal names the check, then shows each such class
+    data = pencils_file((6, 6, 4, 4))
+    with pytest.raises(NotRigid) as err:
+        config_from_json(data)
+    assert str(err.value).startswith("rigidity check failed: colour refinement leaves classes")
+    assert str(err.value).endswith(
+        "2 in all, so the type may have an automorphism: "
+        "lines 0, 1, 2, 3, 4, 5 and 6 more; lines 12, 13, 14, 15, 16, 17 and 2 more"
+    )
+
+
 def test_a_file_whose_type_has_an_automorphism_exits_5_naming_its_classes(tmp_path, capsys):
     # the lines of each pencil are exchanged by automorphisms, so no mark
     # row is a fact of the type: loading refuses before decode reads a mark

@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import random
 from fractions import Fraction
 from functools import cache
 
@@ -404,6 +405,23 @@ def test_an_add_refuses_the_height_of_an_anchor():
     decode(cfg)
 
 
+@pytest.mark.parametrize("order", [("z", "one", "zero", "inf"), ("inf", "z", "one", "zero")])
+@pytest.mark.parametrize("text", ["x^2-2", "x^5-x-1"])
+def test_a_permuted_ladder_order_decodes_and_is_forced(text, order):
+    # no order of the marks is read, as a valence ladder once read one: a
+    # file names each mark by its row, so a file that lists its labels in
+    # another order, its lines shuffled too, names the same points
+    cfg = run_pipeline(parse_poly(text), seed=0)
+    data = config_to_json(cfg)
+    data["marks"] = {label: data["marks"][label] for label in order}
+    random.Random(len(text)).shuffle(data["lines"])
+    loaded = config_from_json(data)
+    assert {label: canonical(loaded.points[p].coords) for label, p in loaded.marks.items()} == {
+        label: canonical(cfg.points[p].coords) for label, p in cfg.marks.items()
+    }
+    assert decode(loaded) == cfg.field.gen
+
+
 def test_the_check_runs_the_recipe_once(built, monkeypatch):
     calls = []
 
@@ -475,9 +493,10 @@ def test_cli_decode_of_a_file_without_u1_exits_5_naming_it(built, tmp_path, caps
     assert "Traceback" not in err
 
 
-def test_the_type_is_refined_once_per_decode_and_per_certify(built, tmp_path, capsys, monkeypatch):
-    # the loader proves the file's type rigid, the build its own; decode
-    # reads the marks those named and refines nothing
+def test_the_ladder_is_read_once_per_decode_and_per_certify(built, tmp_path, capsys, monkeypatch):
+    # the type's refinement, which names the marks where a valence ladder
+    # once did, runs once: the loader proves the file's type rigid, the
+    # build its own, and decode reads the marks those named
     path = tmp_path / "c.json"
     path.write_text(dumps_canonical(config_to_json(built("x^5-x-1")[0])), encoding="utf-8")
     calls = []

@@ -184,23 +184,6 @@ def test_mul_gadget_against_oracle(k):
     assert len(lines) == 3
 
 
-@pytest.mark.parametrize("text", ["x^5-x-1", "x^32-x-1"])
-def test_every_product_draws_on_the_one_anchor(text):
-    # m1 joins U = (0 : 1 : 1) to the left operand, t1 the right one to the
-    # slope -1 direction S, the two points of the one tie line x + y = 1
-    slp = compile_polynomial(parse_poly(text))
-    raw = emit_configuration(slp)
-    f = raw.field
-    g = _Drawn(f)
-    assert (g.U, g.S) == (projgeom.point(f, 0, 1), projgeom.point(f, 1, -1, 0))
-    drawn = realize(slp, g, 0)[1]
-    muls = [d for (kind, *_), d in zip(slp.instructions, drawn) if kind == MUL]
-    assert len(muls) >= 3
-    for d in muls:
-        assert incident(d["m1"], g.U) and incident(d["t1"], g.S)
-    assert [l for l in raw.lines if incident(l, g.U) and incident(l, g.S)] == [line(f, 1, 1, -1)]
-
-
 def test_add_gadget_inverse_pair(k):
     assert _add(k.gen, -k.gen, Fraction(2))[0] == register_point(k.zero)
 
@@ -242,6 +225,53 @@ def test_a_check_that_holds_renders_no_point(monkeypatch):
 OCTIC = "x^8-40*x^6+352*x^4-960*x^2+576"  # the Swinnerton-Dyer polynomial of 2, 3, 5
 
 
+def _tie_heights(cfg, anchors: int) -> list[int]:
+    """Each j up to max(anchors, 4) whose tie line j x + y = j, through 1 and (0 : j : 1), cfg holds.
+
+    A build on J anchors drew u_j for j = 1 to J.
+    """
+    f = cfg.field
+    return [j for j in range(1, max(anchors, 4) + 1) if line(f, j, 1, -j) in cfg.lines]
+
+
+# anchors is the count the build drew when it named the marks by a valence
+# ladder: it split the products over more than one anchor where that lowered
+# the ladder's base. With no ladder there is nothing to lower, and every
+# build draws on one anchor.
+@pytest.mark.parametrize("text, anchors", [
+    ("x^5-x-1", 2), ("x^7-x-1", 2), ("x^16-x-1", 2), ("x^32-x-1", 3),
+    ("x^9-x-1", 1), ("x^12-x^5-1", 1), ("3*x^3-5*x+7", 1),
+    (OCTIC, 1), ("x^5-3*x+7", 1), ("x^9-2", 1),
+    ("x^2-2", 1), ("x^4-x-1", 1), ("3*x^2-5", 1),
+])
+def test_the_split_layout_is_kept_where_it_lowers_the_ladder(text, anchors):
+    # m1 joins U = (0 : 1 : 1) to the left operand, t1 the right one to the
+    # slope -1 direction S, the two points of the one tie line u1, x + y = 1
+    slp = compile_polynomial(parse_poly(text))
+    raw = emit_configuration(slp, seed=0)
+    f = raw.field
+    assert _tie_heights(raw, anchors) == [1]
+    g = _Drawn(f)
+    assert (g.U, g.S) == (projgeom.point(f, 0, 1), projgeom.point(f, 1, -1, 0))
+    drawn = realize(slp, g, 0)[1]
+    muls = [d for (kind, *_), d in zip(slp.instructions, drawn) if kind == MUL]
+    assert muls
+    for d in muls:
+        assert incident(d["m1"], g.U) and incident(d["t1"], g.S)
+    assert [l for l in raw.lines if incident(l, g.U) and incident(l, g.S)] == [line(f, 1, 1, -1)]
+
+
+@pytest.mark.parametrize("text, shared, split", [
+    ("x^9-x-1", 56, 58), ("x^9-2", 56, 58), ("x^5-3*x+7", 67, 68), (OCTIC, 275, 278),
+])
+def test_always_splitting_would_cost_lines(text, shared, split):
+    # shared and split are the line counts the valence-ladder build reached
+    # on one anchor and on the split layout: a second anchor cost its tie
+    # line and more. Without the ladder, one anchor costs fewer than either.
+    ladder_free = {"x^9-x-1": 28, "x^9-2": 28, "x^5-3*x+7": 48, OCTIC: 210}
+    assert run_pipeline(parse_poly(text)).line_count == ladder_free[text] < shared < split
+
+
 @cache
 def _raw_point_count(text):
     return emit_configuration(compile_polynomial(parse_poly(text)), seed=0).point_count
@@ -261,8 +291,10 @@ def test_the_count_equals_the_drawn_raw_table(text, seed):
     assert len(set(points)) == len(points) == raw.point_count == _raw_point_count(text)
 
 
-@pytest.mark.parametrize("text", ["x^5-x-1", "x^9-x-1"])
-def test_each_build_draws_once(monkeypatch, text):
+@pytest.mark.parametrize("text, anchors", [("x^5-x-1", 2), ("x^9-x-1", 1)])
+def test_each_build_draws_once(monkeypatch, text, anchors):
+    # one drawing, on one anchor, where the valence-ladder build drew on
+    # anchors of them
     real, drawn = slp_compiler._drawn_configuration, []
 
     def counted(slp, g, seed, values):
@@ -270,8 +302,9 @@ def test_each_build_draws_once(monkeypatch, text):
         return real(slp, g, seed, values)
 
     monkeypatch.setattr(slp_compiler, "_drawn_configuration", counted)
-    run_pipeline(parse_poly(text))
+    final = run_pipeline(parse_poly(text))
     assert len(drawn) == 1
+    assert _tie_heights(final, anchors) == [1]
 
 
 def test_gadget_soundness_random_rationals(k):

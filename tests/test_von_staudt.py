@@ -2,13 +2,16 @@
 
 The recipes seed_objects, add_gadget and mul_gadget run unchanged over a
 geometry whose coordinates are integer polynomials in the free parameters
-of the lemma's chart, Z[a, b, h]: the operands a and b and the height h of
-an add's line y = h (the anchor U = (0 : 1 : 1) fixes the chart). Points
-and lines are triples up to a factor; join and meet are cross products, so
-nothing is divided, and two objects are equal when their cross product
-vanishes. An add must land on (a + b : 0 : 1) and a mul on (a*b : 0 : 1)
-as identities in these parameters, so whatever h is (N. Mnev, LNM 1346,
-1988; R. Vakil, Invent. Math. 164, 2006).
+of the lemma's chart: the operands a and b, the height h of an add's line
+y = h, and the height c of the anchor U = (0 : c : 1), where the tie line
+through the mark 1 meets the y-axis. The build draws U at c = 1, which
+fixes the chart; the charts at c = c2 and c = c3 check that no recipe
+leans on that choice. Points and lines are triples up to a factor; join
+and meet are cross products, so nothing is divided, and two objects are
+equal when their cross product vanishes. An add must land on
+(a + b : 0 : 1) and a mul on (a*b : 0 : 1) as identities in these
+parameters, so whatever h and c are (N. Mnev, LNM 1346, 1988; R. Vakil,
+Invent. Math. 164, 2006).
 """
 
 import random
@@ -19,7 +22,7 @@ import pytest
 
 from planecode.slp_compiler import add_gadget, mul_gadget, seed_objects
 
-VARIABLES = ("a", "b", "h")
+VARIABLES = ("a", "b", "h", "c2", "c3")
 
 
 class Poly:
@@ -69,9 +72,10 @@ class Poly:
         return f"Poly({self.terms})"
 
 
-a, b, h = (
+a, b, h, c2, c3 = (
     Poly({tuple(int(i == k) for i in range(len(VARIABLES))): 1}) for k in range(len(VARIABLES))
 )
+ANCHOR_HEIGHTS = (1, c2, c3)
 
 
 def _cross(u, v) -> tuple:
@@ -98,17 +102,18 @@ class _Chart:
 
     The line hook ignores the coefficients it is given and returns the
     chart's line of that role: the y-axis x = 0, ell_inf z = 0, the tie line
-    u1 x + y = 1 through the mark 1, and each hline y = h. It refuses a line
-    that misses its mark, as decode._Incidences does. Every join and meet
-    is kept in drawn.
+    u1 c x + y = c through the mark 1 and U = (0 : c : 1), c the j-th of
+    ANCHOR_HEIGHTS, and each hline y = h. It refuses a line that misses its
+    mark, as decode._Incidences does. Every join and meet is kept in drawn.
     """
 
     at = "the seed lines"
-    lines = {
-        "y-axis": Obj(1, 0, 0), "ell_inf": Obj(0, 0, 1), "u1": Obj(1, 1, -1), "hline": Obj(0, 1, -h),
-    }
 
-    def __init__(self):
+    def __init__(self, j: int = 1):
+        self.j, c = j, ANCHOR_HEIGHTS[j - 1]
+        self.lines = {
+            "y-axis": Obj(1, 0, 0), "ell_inf": Obj(0, 0, 1), "u1": Obj(c, 1, -c), "hline": Obj(0, 1, -h),
+        }
         self.axis = Obj(0, 1, 0)
         self.zero, self.one, self.inf = Obj(0, 0, 1), Obj(1, 0, 1), Obj(1, 0, 0)
         self.drawn: list[Obj] = []
@@ -144,8 +149,9 @@ def _on_axis_at(out: Obj, value: Poly, g: _Chart) -> None:
 
 
 def test_the_seed_objects_sit_where_the_chart_puts_them():
-    g = _Chart()
-    assert (g.V, g.U, g.S) == (Obj(0, 1, 0), Obj(0, 1, 1), Obj(1, -1, 0))
+    for j, c in enumerate(ANCHOR_HEIGHTS, 1):
+        g = _Chart(j)
+        assert (g.V, g.U, g.S) == (Obj(0, 1, 0), Obj(0, c, 1), Obj(1, -c, 0))
 
 
 def test_an_add_lands_on_the_sum_whatever_its_height():
@@ -155,8 +161,9 @@ def test_an_add_lands_on_the_sum_whatever_its_height():
     assert lines["hline"] == Obj(0, 1, -h)
 
 
-def test_a_mul_lands_on_the_product():
-    g = _Chart()
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_a_mul_lands_on_the_product_whatever_its_anchor_height(j):
+    g = _Chart(j)
     out, _ = mul_gadget(g, Obj(a, 0, 1), Obj(b, 0, 1))
     _on_axis_at(out, a * b, g)
 
@@ -168,18 +175,23 @@ def test_a_mul_lands_on_the_product():
 class _Named(_Chart):
     """_Chart that also names each point and line it holds by its role, per kind.
 
-    The marks and the axis are named too, so a gadget object landing on
-    one of them is seen.
+    U, S and the tie line take the number j of their anchor height, as
+    U_j, S_j and uj; the marks and the axis are named too, so a gadget
+    object landing on one of them is seen. A chart built into another
+    names its objects, and keeps its joins and meets, in that one.
     """
 
-    def __init__(self):
-        self.kinds: dict[str, dict[str, Obj]] = {"point": {}, "line": {}}
-        super().__init__()
+    def __init__(self, j: int = 1, into: "_Named | None" = None):
+        self.kinds: dict[str, dict[str, Obj]] = into.kinds if into else {"point": {}, "line": {}}
+        super().__init__(j)
+        if into:
+            self.drawn = into.drawn
         self.kinds["line"]["axis"] = self.axis
         self.kinds["point"].update({"0": self.zero, "1": self.one, "inf": self.inf})
 
     def _name(self, kind: str, role: str, o: Obj) -> Obj:
-        self.kinds[kind][role] = o
+        name = {"U": f"U_{self.j}", "S": f"S_{self.j}", "u1": f"u{self.j}"}.get(role, role)
+        self.kinds[kind][name] = o
         return o
 
     def line(self, coeffs, role: str, mark: str) -> Obj:
@@ -193,14 +205,24 @@ class _Named(_Chart):
 
 
 def _gadget(kind: str) -> _Named:
-    """A chart after one add or one mul."""
+    """A chart after one mul on the anchor at height c_j for kind "mul j", or after one add.
+
+    An add draws no line through the anchor, so its objects are the same
+    at every anchor height: it is drawn on each of them into one chart,
+    so that its aux landing on any U_j is seen.
+    """
+    x, y = Obj(a, 0, 1), Obj(b, 0, 1)
+    if kind != "add":
+        g = _Named(int(kind[-1]))
+        mul_gadget(g, x, y)
+        return g
     g = _Named()
-    (add_gadget(g, Obj(a, 0, 1), Obj(b, 0, 1), 1001) if kind == "add"
-     else mul_gadget(g, Obj(a, 0, 1), Obj(b, 0, 1)))
+    for chart in (g, _Named(2, g), _Named(3, g)):
+        add_gadget(chart, x, y, 1001)
     return g
 
 
-GADGETS = ("add", "mul")
+GADGETS = ("add", "mul 1", "mul 2", "mul 3")
 
 
 def _degeneracies(g: _Named, at: dict[str, int]) -> set[str]:
@@ -223,9 +245,9 @@ def _degeneracies(g: _Named, at: dict[str, int]) -> set[str]:
 
 
 def _generic(rng: random.Random) -> dict[str, int]:
-    """A seeded integer point where every condition holds: a, b != 0, h not 0 or 1."""
-    at = {v: rng.choice([x for x in range(-30, 31) if x]) for v in ("a", "b")}
-    at["h"] = rng.choice([x for x in range(-30, 31) if x not in (0, 1)])
+    """A seeded integer point where every condition holds: a, b, c2, c3 != 0, h not 0, 1, c2, c3."""
+    at = {v: rng.choice([x for x in range(-30, 31) if x]) for v in ("a", "b", "c2", "c3")}
+    at["h"] = rng.choice([x for x in range(-30, 31) if x not in (0, 1, at["c2"], at["c3"])])
     return at
 
 
@@ -240,14 +262,18 @@ def test_no_join_or_meet_vanishes_where_every_condition_holds():
 
 
 # one point off each condition, the rest as at BASE, and a degeneracy it causes
-BASE = {"a": 3, "b": 5, "h": 7}
+BASE = {"a": 3, "b": 5, "h": 7, "c2": 11, "c3": 13}
 VIOLATIONS = [
     ({"a": 0}, "add", "l3 = y-axis"),
-    ({"a": 0}, "mul", "m1 = y-axis"),
+    ({"a": 0}, "mul 2", "m1 = y-axis"),
     ({"b": 0}, "add", "l2 = y-axis"),
-    ({"b": 0}, "mul", "0 = lift"),
+    ({"b": 0}, "mul 3", "0 = lift"),
+    ({"c2": 0}, "mul 2", "zero output"),
+    ({"c3": 0}, "mul 3", "zero output"),
     ({"h": 0}, "add", "zero output"),
-    ({"h": 1}, "add", "U = aux"),
+    ({"h": 1}, "add", "U_1 = aux"),
+    ({"h": 11}, "add", "U_2 = aux"),
+    ({"h": 13}, "add", "U_3 = aux"),
 ]
 
 
